@@ -34,7 +34,6 @@ from .errors import (
     DimensionMismatch,
     EpsilonTooLarge,
     IndexOutOfRange,
-    NoConvergence,
     NormDrift,
     NotConstant,
     NotHermitian,

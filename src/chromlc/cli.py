@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import analysis, compiler, serialization, simulator
-from .errors import ChromlcError
+from .errors import ChromlcError, ParseError
 from .hamiltonian import HamiltonianSchedule, generate, integrated_chromatic_index
 
 _GENERATOR_PARAMS = {
@@ -108,16 +108,44 @@ def _write_text(text: str, path):
 
 def _load_state(spec: str, n_qubits: int) -> simulator.StateVector:
     if spec.startswith("basis:"):
-        return simulator.StateVector.basis(n_qubits, int(spec.split(":", 1)[1]))
+        index = spec.split(":", 1)[1]
+        try:
+            index = int(index)
+        except ValueError:
+            raise ParseError(f"--state {spec}: basis index {index!r} is not an integer") from None
+        return simulator.StateVector.basis(n_qubits, index)
     with open(spec, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "chromlc-product" or doc.get("version") != 1:
-        raise ChromlcError(f"{spec}: expected a chromlc-product version 1 document")
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ParseError(f"{spec}: not a JSON document: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "chromlc-product" or doc.get("version") != 1:
+        raise ParseError(f"{spec}: expected a chromlc-product version 1 document")
     qubits = doc.get("qubits")
     if not isinstance(qubits, list) or len(qubits) != n_qubits:
-        raise ChromlcError(f"{spec}: expected {n_qubits} per-qubit states")
-    vectors = [np.array([complex(a[0], a[1]) for a in q]) for q in qubits]
+        raise ParseError(f"{spec}: expected {n_qubits} per-qubit states")
+    vectors = []
+    for i, q in enumerate(qubits):
+        vector = _qubit_vector(q)
+        if vector is None:
+            raise ParseError(
+                f"{spec}: qubits[{i}]: expected two [re, im] pairs of finite numbers, not both zero"
+            )
+        vectors.append(vector)
     return simulator.ProductState.pure(vectors).branches()[0][1]
+
+
+def _qubit_vector(q):
+    """The two amplitudes of a product-state qubit entry, or None if malformed."""
+    if not (isinstance(q, list) and len(q) == 2 and all(isinstance(a, list) and len(a) == 2 for a in q)):
+        return None
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for a in q for x in a):
+        return None
+    try:
+        v = np.array([complex(re, im) for re, im in q])
+    except OverflowError:  # an integer too large for a float
+        return None
+    return v if np.all(np.isfinite(v)) and v.any() else None
 
 
 def _cmd_generate(args) -> int:
@@ -177,7 +205,7 @@ def _cmd_simulate(args) -> int:
     else:
         out = simulator.run_schedule(psi, doc)
     obs = simulator.MeanFieldObservable.pauli(doc.n_qubits, args.observable)
-    m1, m2 = simulator._moments(out, obs)
+    m1, m2 = simulator.moments(out, obs)
     amp = out.amplitudes
     probs = np.abs(amp) ** 2
     top = sorted(range(len(amp)), key=lambda i: (-probs[i], i))[:16]

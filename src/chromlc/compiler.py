@@ -31,9 +31,9 @@ from .hamiltonian import (
     HamiltonianSchedule,
     PairTerm,
     Segment,
-    _snapshot,
     integrated_chromatic_index,
     pauli_coeffs,
+    snapshot,
 )
 
 __all__ = [
@@ -54,8 +54,8 @@ class Gate:
     """Two-qubit gate: a 4x4 unitary on pair (k, l) plus its angle.
 
     The angle is the smallest norm of a Hermitian generator of the
-    unitary; constructors that compute gates from matrices should go
-    through :meth:`from_unitary`, which fills it in consistently.
+    unitary.  :meth:`from_unitary` computes it from the matrix; a caller
+    that built the unitary as exp(-i*H) with ||H|| <= pi may pass ||H||.
     """
 
     pair: tuple
@@ -200,22 +200,16 @@ def compile(s: HamiltonianSchedule, epsilon: float):
     intervals = []
     for seg in s.segments:
         for t_mid, delta in _subintervals(seg, epsilon):
-            snap = _snapshot(s, t_mid)
-            decomp = level_decompose(
-                _graph_from_snapshot(s.n_qubits, snap)
-            )
+            snap = snapshot(s, t_mid)
+            rows = {pair: i for i, pair in enumerate(snap.pairs)}
+            decomp = level_decompose(snap.graph)
             prev_r = 0.0
             for level in decomp.levels:
-                width = level.threshold - prev_r
+                angle = delta * (level.threshold - prev_r)
                 prev_r = level.threshold
+                gates = _level_gates(snap, rows, level.coloring.all_pairs(), angle)
                 for matching in level.coloring.classes:
-                    gates = []
-                    for pair in matching:
-                        matrix, norm = snap[pair]
-                        gates.append(
-                            Gate.from_unitary(pair, linalg.expm_i(matrix, delta * width / norm))
-                        )
-                    steps.append(Step(tuple(gates)))
+                    steps.append(Step(tuple(gates[pair] for pair in matching)))
             intervals.append(
                 IntervalReport(
                     t_mid,
@@ -236,12 +230,19 @@ def compile(s: HamiltonianSchedule, epsilon: float):
     return schedule, report
 
 
-def _graph_from_snapshot(n_qubits, snap):
-    from .graphs import WeightedGraph
+def _level_gates(snap, rows, pairs, angle: float) -> dict:
+    """pair -> gate exp(-i * angle * H_e / ||H_e||), from the snapshot row ``rows[pair]``.
 
-    return WeightedGraph(
-        n_qubits, tuple((k, l, norm) for (k, l), (_, norm) in snap.items())
-    )
+    Every generator has norm ``angle``, which is therefore the gate angle
+    up to pi; past pi the principal angle is taken from the unitary.
+    """
+    index = [rows[pair] for pair in pairs]
+    w, v = snap.eigenvalues[index], snap.eigenvectors[index]
+    phases = np.exp((-1j * angle / snap.norms[index])[:, None] * w)
+    unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    if angle <= math.pi:
+        return {pair: Gate(pair, u, angle) for pair, u in zip(pairs, unitaries)}
+    return {pair: Gate.from_unitary(pair, u) for pair, u in zip(pairs, unitaries)}
 
 
 def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:
@@ -287,21 +288,19 @@ def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianS
     t_cursor = 0.0
     for seg in s.segments:
         for t_mid, delta in _subintervals(seg, epsilon):
-            snap = _snapshot(s, t_mid)
-            graph = _graph_from_snapshot(s.n_qubits, snap)
-            if not graph.edges:
+            snap = snapshot(s, t_mid)
+            if not snap.pairs:
                 out_segments.append(Segment(t_cursor, t_cursor + delta, ()))
                 t_cursor += delta
                 continue
-            coloring = chromatic_index_exact(graph).coloring
-            classes = coloring.classes
+            rows = {pair: i for i, pair in enumerate(snap.pairs)}
+            classes = chromatic_index_exact(snap.graph).coloring.classes
             groups = [classes[i : i + m] for i in range(0, len(classes), m)]
             for group in groups:
                 terms = []
                 for matching in group:
                     for pair in matching:
-                        matrix, _ = snap[pair]
-                        coeffs = pauli_coeffs(matrix)
+                        coeffs = pauli_coeffs(snap.matrices[rows[pair]])
                         terms.append(
                             PairTerm(pair, tuple((float(c),) if c != 0.0 else () for c in coeffs))
                         )

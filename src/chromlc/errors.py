@@ -18,10 +18,6 @@ class NotUnitary(ChromlcError, ValueError):
     """Matrix fails the unitarity check at the requested tolerance."""
 
 
-class NoConvergence(ChromlcError, RuntimeError):
-    """Iterative eigensolver hit its sweep cap before converging."""
-
-
 class DimensionMismatch(ChromlcError, ValueError):
     """Operands have incompatible shapes."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "IndexProfile",
     "PairTerm",
     "Segment",
+    "Snapshot",
     "ZERO_NORM_TOL",
     "chain",
     "complete_mean_field",
@@ -64,6 +65,7 @@ __all__ = [
     "random_graph",
     "random_time_varying",
     "scale_schedule",
+    "snapshot",
     "weighted_chromatic_index",
 ]
 
@@ -242,30 +244,48 @@ def eval_pair(s: HamiltonianSchedule, pair, t: float) -> np.ndarray:
     return np.zeros((4, 4), dtype=np.complex128)
 
 
-def _snapshot(s: HamiltonianSchedule, t: float):
-    """Active pair -> (matrix, norm) at time t, skipping near-zero terms."""
-    seg = s.segment_at(t)
-    out = {}
-    for term in sorted(seg.terms, key=lambda tm: tm.pair):
-        m = term.matrix_at(t)
-        norm = linalg.operator_norm(m)
-        if norm > ZERO_NORM_TOL:
-            out[term.pair] = (m, norm)
-    return out
+class Snapshot(NamedTuple):
+    """The active pair terms at one instant, diagonalized together.
+
+    ``pairs`` ascend, and row i of every array belongs to ``pairs[i]``:
+    ``matrices`` (m, 4, 4), their ``eigenvalues`` (m, 4, ascending) and
+    ``eigenvectors`` (m, 4, 4, columns), and ``norms`` (m,), the largest
+    |eigenvalue| of each.  Terms with norm at most ``ZERO_NORM_TOL`` are
+    left out.  ``graph`` carries the norms as edge weights.
+    """
+
+    pairs: tuple
+    matrices: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    norms: np.ndarray
+    graph: WeightedGraph
+
+
+def snapshot(s: HamiltonianSchedule, t: float) -> Snapshot:
+    """Every pair term at time t, with one stacked eigendecomposition."""
+    terms = sorted(s.segment_at(t).terms, key=lambda tm: tm.pair)
+    matrices = np.array([term.matrix_at(t) for term in terms], dtype=np.complex128).reshape(-1, 4, 4)
+    w, v = linalg.hermitian_eig(matrices)
+    norms = np.max(np.abs(w), axis=-1, initial=0.0)
+    keep = norms > ZERO_NORM_TOL
+    pairs = tuple(term.pair for term, active in zip(terms, keep) if active)
+    norms = norms[keep]
+    graph = WeightedGraph(s.n_qubits, tuple((k, l, float(x)) for (k, l), x in zip(pairs, norms)))
+    return Snapshot(pairs, matrices[keep], w[keep], v[keep], norms, graph)
 
 
 def interaction_graph(s: HamiltonianSchedule, t: float, r: float = 0.0) -> WeightedGraph:
     """Graph of pairs whose interaction norm strictly exceeds max(r, zero tol)."""
     if r < 0:
         raise BadParams("threshold r must be non-negative")
-    snap = _snapshot(s, t)
-    edges = tuple((k, l, norm) for (k, l), (_, norm) in snap.items() if norm > r)
-    return WeightedGraph(s.n_qubits, edges)
+    edges = snapshot(s, t).graph.edges
+    return WeightedGraph(s.n_qubits, tuple(e for e in edges if e[2] > r))
 
 
 def weighted_chromatic_index(s: HamiltonianSchedule, t: float) -> float:
     """W(t): the threshold integral of the chromatic index, as a level sum."""
-    return level_decompose(interaction_graph(s, t, 0.0)).weighted_sum()
+    return level_decompose(snapshot(s, t).graph).weighted_sum()
 
 
 def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int = 64) -> IndexProfile:

@@ -1,10 +1,10 @@
 """Dense complex linear-algebra kernel for small operator matrices.
 
-Everything works on plain ``numpy`` arrays of ``complex128``.  The
-eigensolver is a hand-rolled cyclic Jacobi iteration with complex
-rotations: at the dimensions this package touches (4x4 gate generators up
-to 64x64 full-register unitaries) robustness and reproducibility matter
-more than speed.
+Everything works on plain ``numpy`` arrays of ``complex128``.  Hermitian
+eigenproblems go to LAPACK (``np.linalg.eigh``, ``eigvalsh``) behind a
+Hermitian check; :func:`hermitian_eig` also takes a stack ``(..., n, n)``
+so that callers can diagonalize all 4x4 pair generators of one sample time
+in a single call.  The unitary functions build on it.
 
 Sign convention, fixed package-wide: evolutions solve du/dt = -i H(t) u,
 so ``expm_i(h, s)`` returns exp(-i*s*h), and ``unitary_log(u)`` returns the
@@ -18,17 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotUnitary
+from .errors import DimensionMismatch, NotHermitian, NotUnitary
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_FACTOR = 1e-14  # off-diagonal stop threshold, relative to Frobenius norm
 EIG_CLUSTER_TOL = 1e-8     # eigenvalue spacing below this is treated as degenerate
 PHASE_SNAP_TOL = 1e-12     # eigenphases this close to -pi are reported as +pi
 
 __all__ = [
     "EigenDecomposition",
     "expm_i",
-    "frobenius_norm",
     "hermitian_eig",
     "is_hermitian",
     "is_unitary",
@@ -47,23 +44,20 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def _as_square(m, what: str) -> np.ndarray:
+def _as_square(m, what: str, stacked: bool = False) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if (m.ndim < 2 if stacked else m.ndim != 2) or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"{what} requires a square matrix, got shape {m.shape}")
     return m
 
 
-def frobenius_norm(m) -> float:
-    return float(np.sqrt(np.sum(np.abs(np.asarray(m)) ** 2)))
-
-
 def is_hermitian(m, tol: float = 1e-10) -> bool:
-    """Max-entry deviation of (M - M^dagger) below ``tol``."""
+    """Max-entry deviation of (M - M^dagger) below ``tol``; a stack
+    ``(..., n, n)`` passes when every member does."""
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return float(np.max(np.abs(m - m.conj().T), initial=0.0)) < tol
+    return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0)) < tol
 
 
 def is_unitary(m, tol: float = 1e-10) -> bool:
@@ -76,83 +70,31 @@ def is_unitary(m, tol: float = 1e-10) -> bool:
 
 
 def hermitian_eig(m, tol: float = 1e-10) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix or a stack ``(..., n, n)``.
 
-    Eigenvalues come back real and ascending; eigenvectors are the columns
-    of a unitary matrix, so ``V diag(w) V^dagger`` reconstructs the input.
-    Raises ``NotHermitian`` when the input fails :func:`is_hermitian` at
-    ``tol`` and ``NoConvergence`` after ``JACOBI_MAX_SWEEPS`` sweeps.
+    LAPACK ``eigh``: eigenvalues come back real and ascending along the last
+    axis; eigenvectors are the columns of unitary matrices, so
+    ``V diag(w) V^dagger`` reconstructs each input.  Raises ``NotHermitian``
+    when any member fails :func:`is_hermitian` at ``tol``.
     """
-    m = _as_square(m, "hermitian_eig")
+    m = _as_square(m, "hermitian_eig", stacked=True)
     if not is_hermitian(m, tol):
         raise NotHermitian(f"matrix is not Hermitian at tolerance {tol}")
-    n = m.shape[0]
-    a = (m + m.conj().T) / 2.0
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return EigenDecomposition(np.array([a[0, 0].real]), v)
-
-    stop = JACOBI_OFF_FACTOR * frobenius_norm(a)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = float(np.max(np.abs(np.triu(a, 1)), initial=0.0))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a[p, q]
-                absb = abs(b)
-                if absb <= stop:
-                    continue
-                # Phase-align the pivot, then a real 2x2 Jacobi rotation.
-                phase = b / absb
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * absb)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rpp, rpq = c, s
-                rqp, rqq = -s * phase.conjugate(), c * phase.conjugate()
-                # a <- R^dagger a R, columns first.
-                cp = a[:, p] * rpp + a[:, q] * rqp
-                cq = a[:, p] * rpq + a[:, q] * rqq
-                a[:, p], a[:, q] = cp, cq
-                rp = np.conjugate(rpp) * a[p, :] + np.conjugate(rqp) * a[q, :]
-                rq = np.conjugate(rpq) * a[p, :] + np.conjugate(rqq) * a[q, :]
-                a[p, :], a[q, :] = rp, rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p] * rpp + v[:, q] * rqp
-                vq = v[:, p] * rpq + v[:, q] * rqq
-                v[:, p], v[:, q] = vp, vq
-    else:
-        raise NoConvergence(
-            f"Jacobi sweep cap {JACOBI_MAX_SWEEPS} exceeded for a {n}x{n} matrix"
-        )
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return EigenDecomposition(w[order], v[:, order])
+    w, v = np.linalg.eigh(m)
+    return EigenDecomposition(w, v)
 
 
 def operator_norm(m) -> float:
     """Largest singular value; for Hermitian input the largest |eigenvalue|."""
     m = _as_square(m, "operator_norm")
     if is_hermitian(m, 1e-10):
-        w = hermitian_eig(m).eigenvalues
-        return float(np.max(np.abs(w)))
-    gram = m.conj().T @ m
-    gram = (gram + gram.conj().T) / 2.0
-    w = hermitian_eig(gram).eigenvalues
-    return float(math.sqrt(max(float(w[-1]), 0.0)))
+        return float(np.max(np.abs(np.linalg.eigvalsh(m)), initial=0.0))
+    return float(np.linalg.norm(m, 2))
 
 
 def expm_i(h, s: float) -> np.ndarray:
     """exp(-i*s*h) for Hermitian ``h``, via the eigendecomposition."""
-    h = _as_square(h, "expm_i")
-    if not is_hermitian(h, 1e-10):
-        raise NotHermitian("expm_i requires a Hermitian generator")
-    w, v = hermitian_eig(h)
+    w, v = hermitian_eig(_as_square(h, "expm_i"))
     return (v * np.exp(-1j * s * w)) @ v.conj().T
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import warnings
 
+import numpy as np
+
 from . import linalg
 from .compiler import Gate, GateSchedule, Step
 from .errors import BadParams, NotUnitary, ParseError, SchemaVersionMismatch
@@ -179,9 +181,7 @@ def dumps_gates(g: GateSchedule) -> str:
     for step in g.steps:
         gates = []
         for gate in step.gates:
-            unitary = [
-                [[float(z.real), float(z.imag)] for z in row] for row in gate.unitary
-            ]
+            unitary = gate.unitary.view(np.float64).reshape(4, 4, 2).tolist()
             gates.append(
                 {"pair": [gate.pair[0], gate.pair[1]], "unitary": unitary, "angle": gate.angle}
             )

@@ -46,6 +46,7 @@ __all__ = [
     "evolve_continuous",
     "full_unitary",
     "mixed_variance",
+    "moments",
     "run_schedule",
     "variance",
 ]
@@ -251,16 +252,19 @@ class MeanFieldObservable:
         return cls(tuple(factors))
 
 
-def _moments(psi: StateVector, a: MeanFieldObservable):
-    """First and second moment of the mean-field observable in a pure state."""
+def moments(psi: StateVector, a: MeanFieldObservable):
+    """First and second moment of the mean-field observable in a pure state.
+
+    With A = sum_j A_j Hermitian, <A^2> = ||A psi||^2, so the second moment
+    needs one image per qubit, not a product per pair of qubits.
+    """
     n = psi.n_qubits
     amps = psi.amplitudes
-    images = [_apply_single_matrix(a.factors[j], amps, n, j) for j in range(n)]
-    m1 = sum(float(np.vdot(amps, img).real) for img in images)
-    m2 = 0.0
+    image = np.zeros_like(amps)
     for j in range(n):
-        for k in range(n):
-            m2 += float(np.vdot(images[j], images[k]).real)
+        image += _apply_single_matrix(a.factors[j], amps, n, j)
+    m1 = float(np.vdot(amps, image).real)
+    m2 = float(np.vdot(image, image).real)
     return m1, m2
 
 
@@ -272,7 +276,7 @@ def variance(state, a: MeanFieldObservable) -> float:
         raise DimensionMismatch(
             f"observable on {a.n_qubits} qubits, state on {state.n_qubits}"
         )
-    m1, m2 = _moments(state, a)
+    m1, m2 = moments(state, a)
     return m2 - m1 * m1
 
 
@@ -346,7 +350,7 @@ def mixed_variance(state: ProductState, a: MeanFieldObservable, evolve=None) -> 
     m2 = 0.0
     for prob, branch in state.branches():
         psi = evolve(branch) if evolve is not None else branch
-        b1, b2 = _moments(psi, a)
+        b1, b2 = moments(psi, a)
         m1 += prob * b1
         m2 += prob * b2
     return m2 - m1 * m1

@@ -145,6 +145,45 @@ def test_simulate_bad_state_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def _product_state_text(qubits):
+    return json.dumps({"format": "chromlc-product", "version": 1, "qubits": qubits})
+
+
+@pytest.mark.parametrize(
+    "state_text",
+    [
+        "{not json",
+        "[1, 2]",
+        _product_state_text([[[1, 0], [0, 0]]] * 3),
+        _product_state_text([[["a", 0], [0, 0]]] * 4),
+        _product_state_text([[[1], [0, 0]]] * 4),
+        _product_state_text([[1, 0]] * 4),
+        _product_state_text([[[1, 0], [0, 0], [0, 0]]] * 4),
+        _product_state_text([[[True, 0], [0, 0]]] * 4),
+        _product_state_text([[[0, 0], [0, 0]]] * 4),
+        _product_state_text([[[1e400, 0], [0, 0]]] * 4),
+        _product_state_text([[[10**400, 0], [0, 0]]] * 4),
+    ],
+)
+def test_simulate_malformed_product_state_exits_2(tmp_path, capsys, state_text):
+    spath = tmp_path / "chain.json"
+    run_cli(capsys, "generate", "chain", "--n", "4", "-o", str(spath))
+    state = tmp_path / "state.json"
+    state.write_text(state_text)
+    code, _, err = run_cli(capsys, "simulate", str(spath), "--state", str(state))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", ["basis:x", "basis:", "basis:1.5", "basis:99"])
+def test_simulate_bad_basis_state_exits_2(tmp_path, capsys, spec):
+    spath = tmp_path / "chain.json"
+    run_cli(capsys, "generate", "chain", "--n", "4", "-o", str(spath))
+    code, _, err = run_cli(capsys, "simulate", str(spath), "--state", spec)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_verify_variance(capsys):
     code, out, err = run_cli(
         capsys, "verify", "variance", "--n", "4", "--alpha", "0.25", "--trials", "3", "--seed", "5"
@@ -198,6 +237,12 @@ def test_cli_outputs_deterministic(tmp_path, capsys):
     assert code == 0
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+    spath = tmp_path / "rand.json"
+    spath.write_text(out1)
+    c = ["compile", str(spath), "--epsilon", "0.25"]
+    _, ga, _ = run_cli(capsys, *c)
+    _, gb, _ = run_cli(capsys, *c)
+    assert ga == gb
     v = ["verify", "variance", "--n", "3", "--alpha", "0.2", "--trials", "3", "--seed", "4"]
     _, va, _ = run_cli(capsys, *v)
     _, vb, _ = run_cli(capsys, *v)

@@ -21,6 +21,7 @@ from chromlc.hamiltonian import (
     chain,
     interaction_graph,
     random_graph,
+    random_time_varying,
     weighted_chromatic_index,
 )
 
@@ -128,6 +129,29 @@ def test_compile_level_gates_telescope():
     for term in terms:
         expected = linalg.expm_i(term.matrix_at(0.25), 0.5)
         assert np.max(np.abs(per_edge[term.pair] - expected)) < 1e-10
+
+
+def test_compile_angles_match_unitaries_time_varying():
+    s = random_time_varying(5, p=0.7, seed=4)
+    g, _ = compile(s, 0.1)
+    assert g.n_gates() > 0
+    for step in g.steps:
+        for gate in step.gates:
+            assert abs(gate.angle - linalg.unitary_angle(gate.unitary)) < 1e-12
+
+
+def test_compile_angle_past_pi_falls_back_to_unitary_angle():
+    # one level of width 100 per subinterval of 0.05: generator norm 5 > pi
+    s = chain(4, coupling=100.0)
+    g, _ = compile(s, 0.05)
+    h = s.segments[0].terms[0].matrix_at(0.0)
+    expected = linalg.expm_i(h, 0.05)
+    for step in g.steps:
+        for gate in step.gates:
+            angle = linalg.unitary_angle(gate.unitary)
+            assert angle <= np.pi
+            assert abs(gate.angle - angle) < 1e-12
+            assert np.max(np.abs(gate.unitary - expected)) < 1e-12
 
 
 def test_compile_deterministic():

@@ -22,6 +22,7 @@ from chromlc.hamiltonian import (
     random_graph,
     random_time_varying,
     scale_schedule,
+    snapshot,
     weighted_chromatic_index,
 )
 
@@ -88,6 +89,34 @@ def test_interaction_graph():
     assert interaction_graph(s, 0.5, 2.0).edges == ()
     zero = single_pair_schedule({}, t_total=1.0)
     assert interaction_graph(zero, 0.2, 0.0).edges == ()
+
+
+def test_snapshot_norms_match_operator_norm():
+    s = random_time_varying(6, p=0.6, seed=3)
+    for t in (0.0, 0.37, 1.0):
+        snap = snapshot(s, t)
+        assert list(snap.pairs) == sorted(term.pair for term in s.segments[0].terms)
+        assert snap.matrices.shape == (len(snap.pairs), 4, 4)
+        for i, pair in enumerate(snap.pairs):
+            matrix = eval_pair(s, pair, t)
+            assert abs(snap.norms[i] - linalg.operator_norm(matrix)) < 1e-12
+            assert np.array_equal(snap.matrices[i], matrix)
+            w, v = snap.eigenvalues[i], snap.eigenvectors[i]
+            assert np.max(np.abs((v * w) @ v.conj().T - matrix)) < 1e-12
+        assert snap.graph.edges == tuple(
+            (k, l, float(x)) for (k, l), x in zip(snap.pairs, snap.norms)
+        )
+        assert snap.graph == interaction_graph(s, t)
+
+
+def test_snapshot_drops_zero_terms():
+    zero = PairTerm((0, 1), tuple(() for _ in range(16)))
+    s = HamiltonianSchedule(3, (Segment(0.0, 1.0, (zero,)),))
+    snap = snapshot(s, 0.5)
+    assert snap.pairs == () and snap.graph.edges == ()
+    assert snap.matrices.shape == (0, 4, 4) and snap.norms.shape == (0,)
+    empty = HamiltonianSchedule(3, (Segment(0.0, 1.0, ()),))
+    assert snapshot(empty, 0.5).pairs == ()
 
 
 def test_weighted_chromatic_index_examples():

@@ -39,6 +39,30 @@ def test_eig_rejects_non_hermitian():
         linalg.hermitian_eig(np.zeros((2, 3), dtype=complex))
 
 
+def test_eig_stacked_matches_per_matrix():
+    rng = np.random.default_rng(41)
+    stack = np.stack([random_hermitian(4, rng) for _ in range(12)])
+    w, v = linalg.hermitian_eig(stack)
+    assert w.shape == (12, 4) and v.shape == (12, 4, 4)
+    for m, wi, vi in zip(stack, w, v):
+        w1, v1 = linalg.hermitian_eig(m)
+        assert np.max(np.abs(wi - w1)) < 1e-12
+        # eigenvectors agree up to a phase per column (the spectra are simple)
+        overlaps = np.abs(np.einsum("ij,ij->j", vi.conj(), v1))
+        assert np.max(np.abs(overlaps - 1.0)) < 1e-12
+        assert np.max(np.abs((vi * wi) @ vi.conj().T - m)) < 1e-12 * 4
+
+
+def test_eig_stacked_rejects_one_non_hermitian_member():
+    rng = np.random.default_rng(43)
+    stack = np.stack([random_hermitian(4, rng) for _ in range(5)])
+    stack[3, 0, 1] += 1e-3
+    with pytest.raises(NotHermitian):
+        linalg.hermitian_eig(stack)
+    with pytest.raises(DimensionMismatch):
+        linalg.hermitian_eig(np.zeros((3, 2, 4), dtype=complex))
+
+
 def test_operator_norm_trivials():
     assert linalg.operator_norm(np.zeros((3, 3))) == 0.0
     zz = np.kron(np.diag([1, -1]), np.diag([1, -1])).astype(complex)

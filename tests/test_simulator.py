@@ -19,6 +19,7 @@ from chromlc.simulator import (
     evolve_continuous,
     full_unitary,
     mixed_variance,
+    moments,
     run_schedule,
     variance,
 )
@@ -254,6 +255,21 @@ def test_variance_matches_dense_oracle():
     assert abs(variance(psi, obs) - (m2 - m1 * m1)) < 1e-10
     with pytest.raises(DimensionMismatch):
         variance(psi, MeanFieldObservable.pauli(4, "z"))
+
+
+def test_moments_match_pairwise_double_sum():
+    rng = np.random.default_rng(19)
+    n = 6
+    for trial in range(5):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi = StateVector(n, amps / np.linalg.norm(amps))
+        obs = MeanFieldObservable.random(n, seed=trial)
+        images = [embed_single_operator(obs.factors[j], n, j) @ psi.amplitudes for j in range(n)]
+        m1 = sum(np.vdot(psi.amplitudes, img).real for img in images)
+        m2 = sum(np.vdot(a, b).real for a in images for b in images)
+        got1, got2 = moments(psi, obs)
+        assert abs(got1 - m1) < 1e-12
+        assert abs(got2 - m2) < 1e-12
 
 
 def test_observable_validation():
