@@ -50,6 +50,7 @@ from .graphs import (
     LevelDecomposition,
     WeightedGraph,
     chromatic_index_exact,
+    color_edges,
     edge_color_vizing,
     level_decompose,
     threshold_subgraph,

@@ -25,9 +25,8 @@ import numpy as np
 
 from . import linalg
 from .errors import BadParams, EpsilonTooLarge, NotConstant, NotUnitary
-from .graphs import chromatic_index_exact, level_decompose
+from .graphs import color_edges, level_decompose
 from .hamiltonian import (
-    ZERO_NORM_TOL,
     HamiltonianSchedule,
     PairTerm,
     Segment,
@@ -207,7 +206,9 @@ def compile(s: HamiltonianSchedule, epsilon: float):
             for level in decomp.levels:
                 angle = delta * (level.threshold - prev_r)
                 prev_r = level.threshold
-                gates = _level_gates(snap, rows, level.coloring.all_pairs(), angle)
+                pairs = level.coloring.all_pairs()
+                index = [rows[pair] for pair in pairs]
+                gates = dict(zip(pairs, _pair_gates(snap, index, np.full(len(index), angle))))
                 for matching in level.coloring.classes:
                     steps.append(Step(tuple(gates[pair] for pair in matching)))
             intervals.append(
@@ -230,19 +231,20 @@ def compile(s: HamiltonianSchedule, epsilon: float):
     return schedule, report
 
 
-def _level_gates(snap, rows, pairs, angle: float) -> dict:
-    """pair -> gate exp(-i * angle * H_e / ||H_e||), from the snapshot row ``rows[pair]``.
+def _pair_gates(snap, index, angles) -> list:
+    """Gates exp(-i * angles[j] * H_e / ||H_e||) for the snapshot rows ``index``.
 
-    Every generator has norm ``angle``, which is therefore the gate angle
-    up to pi; past pi the principal angle is taken from the unitary.
+    Row j runs H_e for the duration angles[j] / ||H_e||, so its generator
+    has norm angles[j], which is the gate angle up to pi; past pi the
+    principal angle is taken from the unitary.
     """
-    index = [rows[pair] for pair in pairs]
     w, v = snap.eigenvalues[index], snap.eigenvectors[index]
-    phases = np.exp((-1j * angle / snap.norms[index])[:, None] * w)
+    phases = np.exp((-1j * angles / snap.norms[index])[:, None] * w)
     unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    if angle <= math.pi:
-        return {pair: Gate(pair, u, angle) for pair, u in zip(pairs, unitaries)}
-    return {pair: Gate.from_unitary(pair, u) for pair, u in zip(pairs, unitaries)}
+    return [
+        Gate(snap.pairs[i], u, a) if a <= math.pi else Gate.from_unitary(snap.pairs[i], u)
+        for i, u, a in zip(index, unitaries, angles)
+    ]
 
 
 def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:
@@ -256,14 +258,8 @@ def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:
         raise BadParams("m must be at least 1")
     if not s.is_constant:
         raise NotConstant("trotterize requires a single constant segment")
-    seg = s.segments[0]
-    t_total = s.total_time
-    pass_gates = []
-    for term in sorted(seg.terms, key=lambda tm: tm.pair):
-        matrix = term.matrix_at(seg.t_start)
-        if linalg.operator_norm(matrix) <= ZERO_NORM_TOL:
-            continue
-        pass_gates.append(Gate.from_unitary(term.pair, linalg.expm_i(matrix, t_total / m)))
+    snap = snapshot(s, s.segments[0].t_start)
+    pass_gates = _pair_gates(snap, list(range(len(snap.pairs))), s.total_time / m * snap.norms)
     steps = tuple(Step((g,)) for _ in range(m) for g in pass_gates)
     return GateSchedule(s.n_qubits, steps)
 
@@ -272,9 +268,10 @@ def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianS
     """Rewrite a schedule so the instantaneous chromatic index stays <= m.
 
     Every subinterval's edge set is split into groups of at most m
-    matchings (taken from an exact coloring); the groups run one after the
-    other, each for the full subinterval length, so time stretches by the
-    group count while pair strengths are preserved.
+    matchings (from :func:`~chromlc.graphs.color_edges`: exact up to its
+    edge cap, Misra-Gries beyond); the groups run one after the other, each
+    for the full subinterval length, so time stretches by the group count
+    while pair strengths are preserved.
     """
     if m < 1:
         raise BadParams("m must be at least 1")
@@ -294,7 +291,7 @@ def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianS
                 t_cursor += delta
                 continue
             rows = {pair: i for i, pair in enumerate(snap.pairs)}
-            classes = chromatic_index_exact(snap.graph).coloring.classes
+            classes = color_edges(snap.graph).coloring.classes
             groups = [classes[i : i + m] for i in range(0, len(classes), m)]
             for group in groups:
                 terms = []

@@ -4,10 +4,16 @@ decomposition of a weighted graph into threshold levels.
 A proper edge coloring partitions the edge set into matchings; the least
 number of matchings needed is the chromatic index, which by Vizing's
 theorem is either the maximum degree or one more.  ``chromatic_index_exact``
-decides which by backtracking, ``edge_color_vizing`` is the constructive
-max-degree-plus-one fallback, and ``level_decompose`` slices a weighted
-graph at its distinct edge weights so that the weighted sum of per-level
-indices equals the integral of the chromatic index over the threshold.
+decides which by backtracking that always colors the most constrained edge
+next (fewest free colors); deciding it is NP-complete (Holyer 1981), so the
+order buys speed, not a bound.  ``edge_color_vizing`` is the constructive
+max-degree-plus-one fallback (Misra-Gries), and ``color_edges`` picks
+between the two by edge count: it is what every caller that needs a
+coloring goes through.  ``level_decompose`` slices a weighted graph at its
+distinct edge weights, so that the weighted sum of per-level indices equals
+the integral of the chromatic index over the threshold; each level reuses
+the coloring of the level below it when that is provably optimal, and
+searches only otherwise.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ __all__ = [
     "LevelDecomposition",
     "WeightedGraph",
     "chromatic_index_exact",
+    "color_edges",
     "edge_color_vizing",
     "level_decompose",
     "threshold_subgraph",
@@ -105,13 +112,14 @@ class EdgeColoring:
         return True
 
     def restricted_to(self, pairs) -> "EdgeColoring":
-        keep = set(tuple(p) for p in pairs)
-        classes = []
-        for cls in self.classes:
-            sub = tuple(p for p in cls if p in keep)
-            if sub:
-                classes.append(sub)
-        return EdgeColoring(tuple(classes))
+        """The classes cut down to ``pairs``, empty classes dropped."""
+        keep = set(map(tuple, pairs))
+        classes = (tuple(p for p in cls if p in keep) for cls in self.classes)
+        # Subsets of normalized classes are normalized, so __post_init__ is
+        # skipped: level_decompose calls this once per threshold level.
+        out = object.__new__(EdgeColoring)
+        object.__setattr__(out, "classes", tuple(cls for cls in classes if cls))
+        return out
 
 
 @dataclass(frozen=True)
@@ -158,37 +166,47 @@ def threshold_subgraph(g: WeightedGraph, r: float) -> WeightedGraph:
 def _search_edge_coloring(n_vertices, order, k):
     """Backtracking search for a proper k-edge-coloring of ``order``.
 
-    Colors are tried lowest-first and capped at one above the highest color
-    used so far, which breaks color-permutation symmetry without losing
-    completeness.  Returns the color list or None.
+    Each node colors the uncolored edge with the fewest free colors, ties
+    going to the edge that comes first in ``order``, and fails at once when
+    some edge has no free color left.  Colors are tried lowest-first and
+    capped at one above the highest color used so far: every color above
+    that is still unused everywhere, so trying one of them is enough, under
+    any edge order.  Returns the color list (aligned with ``order``) or None.
     """
     m = len(order)
     colors = [-1] * m
     used = [0] * n_vertices
     full = (1 << k) - 1
 
-    def rec(i, high):
-        if i == m:
+    def rec(left, high):
+        if not left:
             return True
-        u, v = order[i]
-        avail = full & ~(used[u] | used[v])
-        limit = min(k - 1, high + 1)
-        c = 0
-        while c <= limit:
-            if (avail >> c) & 1:
-                bit = 1 << c
-                colors[i] = c
-                used[u] |= bit
-                used[v] |= bit
-                if rec(i + 1, c if c > high else high):
-                    return True
-                used[u] &= ~bit
-                used[v] &= ~bit
-            c += 1
-        colors[i] = -1
+        best, best_free = -1, k + 1
+        for i in range(m):
+            if colors[i] < 0:
+                u, v = order[i]
+                free = (full & ~(used[u] | used[v])).bit_count()
+                if free < best_free:
+                    if not free:
+                        return False
+                    best, best_free = i, free
+        u, v = order[best]
+        avail = full & ~(used[u] | used[v]) & ((2 << (high + 1)) - 1)
+        while avail:
+            bit = avail & -avail
+            c = bit.bit_length() - 1
+            colors[best] = c
+            used[u] |= bit
+            used[v] |= bit
+            if rec(left - 1, c if c > high else high):
+                return True
+            used[u] ^= bit
+            used[v] ^= bit
+            avail ^= bit
+        colors[best] = -1
         return False
 
-    return colors if rec(0, -1) else None
+    return colors if rec(m, -1) else None
 
 
 def _coloring_from_assignment(order, colors, k):
@@ -201,9 +219,10 @@ def _coloring_from_assignment(order, colors, k):
 def chromatic_index_exact(g: WeightedGraph, max_edges: int = EXACT_SEARCH_CAP) -> ChromaticIndexResult:
     """Exact chromatic index with a witnessing coloring.
 
-    Decides max-degree colorability by backtracking (edges ordered by
-    descending degree sum); by Vizing's theorem the answer is the max
-    degree or one more.  Raises ``TooLarge`` beyond ``max_edges`` edges.
+    Decides max-degree colorability by backtracking (ties between equally
+    constrained edges go to the larger degree sum, then the smaller pair);
+    by Vizing's theorem the answer is the max degree or one more.  Raises
+    ``TooLarge`` beyond ``max_edges`` edges.
     """
     pairs = g.pairs
     m = len(pairs)
@@ -226,6 +245,18 @@ def chromatic_index_exact(g: WeightedGraph, max_edges: int = EXACT_SEARCH_CAP) -
     if colors is None:  # impossible by Vizing's theorem
         raise RuntimeError("no (max_degree + 1)-edge-coloring found; this is a bug")
     return ChromaticIndexResult(delta + 1, _coloring_from_assignment(order, colors, delta + 1), True)
+
+
+def color_edges(g: WeightedGraph, exact_cap: int = EXACT_SEARCH_CAP) -> ChromaticIndexResult:
+    """The one coloring entry point: exact up to ``exact_cap`` edges.
+
+    Larger graphs get a Misra-Gries coloring, reported with ``exact=False``
+    and its class count as the index (an upper bound, max degree + 1 at most).
+    """
+    if len(g.edges) <= exact_cap:
+        return chromatic_index_exact(g, max_edges=exact_cap)
+    coloring = edge_color_vizing(g)
+    return ChromaticIndexResult(coloring.n_classes(), coloring, False)
 
 
 def edge_color_vizing(g: WeightedGraph) -> EdgeColoring:
@@ -330,12 +361,15 @@ def edge_color_vizing(g: WeightedGraph) -> EdgeColoring:
 def level_decompose(g: WeightedGraph, exact_cap: int = EXACT_SEARCH_CAP) -> LevelDecomposition:
     """Slice ``g`` at its distinct edge weights, ascending.
 
-    Level j is the subgraph of edges with weight >= r_j, colored exactly
-    when it fits under ``exact_cap`` and by Misra-Gries otherwise.  Weights
-    within ``WEIGHT_MERGE_TOL`` of each other share a level (threshold =
-    their maximum).  Per-level indices are forced non-increasing: a larger
-    fallback coloring is replaced by the previous level's coloring
-    restricted to the smaller edge set.
+    Level j is the subgraph of edges with weight >= r_j.  Weights within
+    ``WEIGHT_MERGE_TOL`` of each other share a level (threshold = their
+    maximum).  Level j+1 is level j minus the edges of weight r_j, so it
+    first inherits level j's coloring with those edges dropped: when the
+    classes left number the new max degree, that coloring is optimal
+    (chi' >= max degree) and is taken as exact, whether or not level j's
+    was.  Otherwise the level is colored by :func:`color_edges`; a fallback
+    coloring with more classes than the inherited one gives way to it
+    (still ``exact=False``), so per-level indices never increase.
     """
     if not g.edges:
         return LevelDecomposition(())
@@ -347,19 +381,25 @@ def level_decompose(g: WeightedGraph, exact_cap: int = EXACT_SEARCH_CAP) -> Leve
         else:
             clusters.append([e])
 
+    deg = g.degrees()
+    remaining = set(g.pairs)
     levels = []
-    for j in range(len(clusters)):
-        level_edges = tuple(e for cl in clusters[j:] for e in cl)
-        sub = WeightedGraph(g.n_vertices, level_edges)
-        threshold = max(e[2] for e in clusters[j])
-        if len(level_edges) <= exact_cap:
-            res = chromatic_index_exact(sub, max_edges=exact_cap)
-            n_j, coloring, exact = res.index, res.coloring, True
+    for j, cluster in enumerate(clusters):
+        threshold = max(e[2] for e in cluster)
+        inherited = None
+        if levels:
+            for k, l, _ in clusters[j - 1]:
+                deg[k] -= 1
+                deg[l] -= 1
+                remaining.discard((k, l))
+            inherited = levels[-1].coloring.restricted_to(remaining)
+            if inherited.n_classes() == max(deg):
+                levels.append(Level(threshold, inherited.n_classes(), inherited, True))
+                continue
+        sub = WeightedGraph(g.n_vertices, tuple(e for cl in clusters[j:] for e in cl))
+        res = color_edges(sub, exact_cap)
+        if inherited is not None and res.index > inherited.n_classes():
+            levels.append(Level(threshold, inherited.n_classes(), inherited, False))
         else:
-            coloring = edge_color_vizing(sub)
-            n_j, exact = coloring.n_classes(), False
-        if levels and n_j > levels[-1].chromatic_index:
-            coloring = levels[-1].coloring.restricted_to(sub.pairs)
-            n_j, exact = coloring.n_classes(), False
-        levels.append(Level(threshold, n_j, coloring, exact))
+            levels.append(Level(threshold, res.index, res.coloring, res.exact))
     return LevelDecomposition(tuple(levels))

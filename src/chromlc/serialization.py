@@ -86,6 +86,17 @@ def _list_field(obj, key, where):
     return value
 
 
+def _pair_field(obj, where):
+    pair = obj.get("pair")
+    if (
+        not isinstance(pair, list)
+        or len(pair) != 2
+        or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
+    ):
+        raise ParseError(f"{where}.pair: expected [k, l] with integer entries")
+    return tuple(pair)
+
+
 # -- Hamiltonian schedules ---------------------------------------------------
 
 
@@ -128,14 +139,7 @@ def loads_schedule(text: str) -> HamiltonianSchedule:
             twhere = f"{where}.terms[{j}]"
             if not isinstance(raw_term, dict):
                 raise ParseError(f"{twhere}: expected an object")
-            pair = raw_term.get("pair")
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-            ):
-                raise ParseError(f"{twhere}.pair: expected [k, l] with integer entries")
-            k, l = pair
+            k, l = _pair_field(raw_term, twhere)
             if not 0 <= k < l:
                 raise ParseError(f"{twhere}.pair: indices must satisfy 0 <= k < l, got [{k}, {l}]")
             raw_coeffs = raw_term.get("coeffs")
@@ -209,9 +213,7 @@ def loads_gates(text: str) -> GateSchedule:
             gwhere = f"{where}.gates[{j}]"
             if not isinstance(raw_gate, dict):
                 raise ParseError(f"{gwhere}: expected an object")
-            pair = raw_gate.get("pair")
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"{gwhere}.pair: expected [k, l]")
+            pair = _pair_field(raw_gate, gwhere)
             raw_u = raw_gate.get("unitary")
             if (
                 not isinstance(raw_u, list)
@@ -225,7 +227,7 @@ def loads_gates(text: str) -> GateSchedule:
                 raise ParseError(f"{gwhere}.unitary: entries must be [re, im] pairs") from None
             angle = _num_field(raw_gate, "angle", gwhere)
             try:
-                gate = Gate(tuple(pair), u, angle)
+                gate = Gate(pair, u, angle)
             except (BadParams, NotUnitary) as exc:
                 raise ParseError(f"{gwhere}: {exc}") from None
             if abs(gate.angle - linalg.unitary_angle(gate.unitary)) > ANGLE_CHECK_TOL:

@@ -124,7 +124,12 @@ def charpoly_max_abs_root(a):
 
 
 def oracle_chromatic_index(pairs, n):
-    """Exhaustive enumeration: natural edge order, no ordering heuristics."""
+    """Exhaustive enumeration: natural edge order, no ordering heuristics.
+
+    The color count starts at the counting bound ceil(m / (n // 2)) (a color
+    class is a matching) instead of 1, which spares the exhaustive failures
+    on dense overfull graphs.
+    """
     pairs = sorted(tuple(p) for p in pairs)
     if not pairs:
         return 0
@@ -146,7 +151,7 @@ def oracle_chromatic_index(pairs, n):
                 used[b].discard(c)
         return False
 
-    k = 1
+    k = -(-len(pairs) // (n // 2))
     while not colorable(k):
         k += 1
     return k

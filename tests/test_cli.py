@@ -184,6 +184,22 @@ def test_simulate_bad_basis_state_exits_2(tmp_path, capsys, spec):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("pair", [["a", 1], [0, [1]], [0.5, 1], [0, 1.9], [False, 1]])
+def test_simulate_bad_gate_pair_exits_2(tmp_path, capsys, pair):
+    identity = [[[1.0 if r == c else 0.0, 0.0] for c in range(4)] for r in range(4)]
+    doc = {
+        "format": "chromlc-gates",
+        "version": 1,
+        "n_qubits": 2,
+        "steps": [{"gates": [{"pair": pair, "unitary": identity, "angle": 0.0}]}],
+    }
+    gpath = tmp_path / "gates.json"
+    gpath.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "simulate", str(gpath))
+    assert code == 2
+    assert err.startswith("error: steps[0].gates[0].pair: ")
+
+
 def test_verify_variance(capsys):
     code, out, err = run_cli(
         capsys, "verify", "variance", "--n", "4", "--alpha", "0.25", "--trials", "3", "--seed", "5"

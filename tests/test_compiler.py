@@ -12,13 +12,14 @@ from chromlc.compiler import (
     weighted_depth,
 )
 from chromlc.errors import BadParams, EpsilonTooLarge, NotConstant, NotUnitary
-from chromlc.graphs import chromatic_index_exact
+from chromlc.graphs import EXACT_SEARCH_CAP, chromatic_index_exact
 from chromlc.hamiltonian import (
     PAULI_LABELS,
     HamiltonianSchedule,
     PairTerm,
     Segment,
     chain,
+    complete_mean_field,
     interaction_graph,
     random_graph,
     random_time_varying,
@@ -161,6 +162,18 @@ def test_compile_deterministic():
     assert a == b
 
 
+def test_compile_reports_fallback_coloring():
+    # K12 (66 edges, one level) is past the exact-search cap: Misra-Gries, exact=False
+    s = complete_mean_field(12)
+    g, report = compile(s, 1.0)
+    assert g.n_gates() == 66
+    (interval,) = report.intervals
+    assert interval.exact == (False,)
+    assert interval.chromatic_indices[0] in (11, 12)
+    assert len(g.steps) == interval.chromatic_indices[0]
+    assert report.to_dict()["intervals"][0]["exact"] == [False]
+
+
 def test_compile_skips_empty_subintervals():
     s = single_pair_schedule({}, t_total=1.0)
     gates, report = compile(s, 0.25)
@@ -235,6 +248,21 @@ def test_rechromatize_respects_cap_random():
             for seg in out.segments:
                 mid = (seg.t_start + seg.t_end) / 2.0
                 assert chromatic_index_exact(interaction_graph(out, mid)).index <= m
+
+
+def test_rechromatize_beyond_exact_cap_falls_back():
+    # K12 has 66 edges, past the exact-search cap: Misra-Gries colors it instead
+    s = complete_mean_field(12)
+    assert len(s.segments[0].terms) > EXACT_SEARCH_CAP
+    out = rechromatize(s, 4, 1.0)
+    assert len(out.segments) == 3  # 11 or 12 matchings, four per group
+    assert abs(out.total_time - 3.0) < 1e-12
+    seen = []
+    for seg in out.segments:
+        g = interaction_graph(out, (seg.t_start + seg.t_end) / 2.0)
+        assert chromatic_index_exact(g).index <= 4
+        seen.extend(g.pairs)
+    assert sorted(seen) == [(i, j) for i in range(12) for j in range(i + 1, 12)]
 
 
 def test_rechromatize_error_shrinks():

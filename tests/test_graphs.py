@@ -1,10 +1,17 @@
+import signal
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromlc.errors import BadParams, TooLarge
 from chromlc.graphs import (
+    EXACT_SEARCH_CAP,
     WeightedGraph,
     chromatic_index_exact,
+    color_edges,
     edge_color_vizing,
     level_decompose,
     threshold_subgraph,
@@ -15,6 +22,32 @@ from helpers import oracle_chromatic_index
 
 def complete_graph(n, w=1.0):
     return WeightedGraph(n, tuple((i, j, w) for i in range(n) for j in range(i + 1, n)))
+
+
+@st.composite
+def small_graphs(draw, max_vertices, weights=(1.0,)):
+    """(n, edges): n <= max_vertices, each pair present or not, weights drawn from ``weights``."""
+    n = draw(st.integers(1, max_vertices))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                edges.append((i, j, draw(st.sampled_from(weights))))
+    return n, tuple(edges)
+
+
+def petersen_copies(copies, rng):
+    """Disjoint Petersen graphs (cubic, class 2) under a random vertex relabeling."""
+    edges = []
+    for c in range(copies):
+        base = 10 * c
+        for i in range(5):
+            edges.append((base + i, base + (i + 1) % 5))  # outer cycle
+            edges.append((base + i, base + 5 + i))  # spoke
+            edges.append((base + 5 + i, base + 5 + (i + 2) % 5))  # inner pentagram
+    perm = rng.permutation(10 * copies)
+    relabeled = (tuple(sorted((int(perm[a]), int(perm[b])))) for a, b in edges)
+    return WeightedGraph(10 * copies, tuple((a, b, 1.0) for a, b in relabeled))
 
 
 def test_graph_validation():
@@ -70,6 +103,53 @@ def test_chromatic_index_matches_enumeration_oracle():
         )
         g = WeightedGraph(n, edges)
         assert chromatic_index_exact(g).index == oracle_chromatic_index(g.pairs, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(7))
+def test_chromatic_index_matches_oracle_property(graph):
+    n, edges = graph
+    g = WeightedGraph(n, edges)
+    res = chromatic_index_exact(g)
+    assert res.exact
+    assert res.index == oracle_chromatic_index(g.pairs, n)
+    assert res.coloring.is_valid_for(g)
+
+
+def _too_slow(signum, frame):
+    raise TimeoutError("exact coloring ran past its 2 s bound")
+
+
+def test_shuffled_petersen_copies_finish_fast():
+    # four disjoint Petersen graphs: 60 edges, chromatic index 4 = max degree + 1;
+    # the timer turns a search that would run for minutes into a failure
+    rng = np.random.default_rng(17)
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    try:
+        for _ in range(10):
+            g = petersen_copies(4, rng)
+            assert len(g.edges) == 60 <= EXACT_SEARCH_CAP
+            start = time.perf_counter()
+            signal.setitimer(signal.ITIMER_REAL, 2.0)
+            res = chromatic_index_exact(g)
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            assert time.perf_counter() - start < 2.0
+            assert res.index == 4
+            assert res.coloring.is_valid_for(g)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_color_edges_falls_back_beyond_cap():
+    g = complete_graph(12)  # 66 edges
+    res = color_edges(g)
+    assert not res.exact
+    assert res.coloring.is_valid_for(g)
+    assert res.index == res.coloring.n_classes() in (11, 12)
+    small = complete_graph(6)
+    assert color_edges(small) == chromatic_index_exact(small)
+    assert not color_edges(small, exact_cap=10).exact
 
 
 def test_class_two_graphs():
@@ -149,6 +229,29 @@ def test_level_indices_non_increasing_and_colorings_valid():
             prev = lv.threshold
             sub = WeightedGraph(n, tuple(e for e in edges if e[2] >= lv.threshold))
             assert lv.coloring.is_valid_for(sub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(9, weights=(0.5, 1.0, 1.5, 2.0)))
+def test_level_colorings_are_exact_property(graph):
+    n, edges = graph
+    ld = level_decompose(WeightedGraph(n, edges))
+    for lv in ld.levels:
+        sub = WeightedGraph(n, tuple(e for e in edges if e[2] >= lv.threshold))
+        assert lv.coloring.is_valid_for(sub)
+        assert lv.exact
+        assert lv.chromatic_index == chromatic_index_exact(sub).index
+
+
+def test_level_decompose_fallback_is_reported():
+    # K7 as K6 (weight 2) plus a vertex joined by weight-1 edges: only K6 fits the cap
+    edges = tuple((i, j, 2.0) for i in range(6) for j in range(i + 1, 6))
+    edges += tuple((i, 6, 1.0) for i in range(6))
+    ld = level_decompose(WeightedGraph(7, edges), exact_cap=16)
+    assert [(lv.chromatic_index, lv.exact) for lv in ld.levels] == [(7, False), (5, True)]
+    for lv in ld.levels:
+        sub = WeightedGraph(7, tuple(e for e in edges if e[2] >= lv.threshold))
+        assert lv.coloring.is_valid_for(sub)
 
 
 def test_level_sum_matches_midpoint_quadrature():
