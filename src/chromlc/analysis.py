@@ -2,13 +2,7 @@
 sequential-baseline comparisons.
 
 Studies are deterministic for a given seed: per-trial random streams are
-derived from the base seed and the trial index, and rows are merged in
-key order, so serial and pooled runs produce identical output.  The
-``CHROMLC_THREADS`` environment variable caps the worker pool (default:
-machine parallelism).
-
-Emitted CSV and JSON omit wall-clock timings; those stay on the in-memory
-records only, keeping file outputs byte-reproducible.
+derived from the base seed and the trial index, and trials run in order.
 """
 
 from __future__ import annotations
@@ -16,15 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import compiler, linalg, simulator
-from .errors import BadParams
+from .errors import BadParams, TooLarge
 from .hamiltonian import (
     HamiltonianSchedule,
     integrated_chromatic_index,
@@ -35,6 +26,7 @@ from .hamiltonian import (
 RATIO_RANGE = (1.7, 2.3)
 RATIO_ENGAGE = 1e-2   # ratio checks apply once the error is below this
 NOISE_FLOOR = 1e-9    # and only while the error stays above this
+REFERENCE_STATES = 20  # random initial states of a study past full unitaries
 
 __all__ = [
     "ConvergenceRow",
@@ -46,31 +38,7 @@ __all__ = [
     "summary_json",
     "trotter_comparison",
     "variance_bound_experiment",
-    "write_csv",
-    "write_summary_json",
 ]
-
-
-def _worker_count() -> int:
-    env = os.environ.get("CHROMLC_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise BadParams(f"CHROMLC_THREADS must be an integer, got {env!r}") from None
-        if value < 1:
-            raise BadParams("CHROMLC_THREADS must be at least 1")
-        return value
-    return os.cpu_count() or 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = min(_worker_count(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -79,7 +47,6 @@ class ConvergenceRow:
     error: float
     weighted_depth: float
     depth_gap: float
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -101,74 +68,67 @@ class TrotterRow:
     n_steps: int
 
 
-def convergence_study(
-    s: HamiltonianSchedule,
-    epsilons,
-    tol: float = 1e-10,
-    n_states: int = 20,
-    seed: int = 0,
-) -> list:
+def convergence_study(s: HamiltonianSchedule, epsilons, tol: float = 1e-10) -> list:
     """Compile at every epsilon and measure the distance to the reference.
 
     Up to six qubits the metric is the spectral distance between full
     unitaries; beyond that it is the maximum 2-norm state error over
-    ``n_states`` random initial states, which lower-bounds the spectral
-    distance.
+    ``REFERENCE_STATES`` random initial states (seed 0), which
+    lower-bounds the spectral distance.
     """
     epsilons = [float(e) for e in epsilons]
+    if not epsilons:
+        raise BadParams("need at least one epsilon")
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise BadParams("epsilons must be strictly decreasing")
+    n = s.n_qubits
+    if n > simulator.STATE_MAX_QUBITS:
+        raise TooLarge(f"state vectors are limited to {simulator.STATE_MAX_QUBITS} qubits, got {n}")
     samples = 64 if s.is_piecewise_constant else 512
     target = integrated_chromatic_index(s, samples_per_segment=samples).integral
 
-    spectral = s.n_qubits <= simulator.FULL_UNITARY_MAX_QUBITS
+    spectral = n <= simulator.FULL_UNITARY_MAX_QUBITS
     if spectral:
         reference = simulator.full_unitary(s, tol)
-        initial = None
     else:
-        rng = np.random.default_rng(seed)
-        raw = rng.normal(size=(2**s.n_qubits, n_states)) + 1j * rng.normal(
-            size=(2**s.n_qubits, n_states)
-        )
+        rng = np.random.default_rng(0)
+        raw = rng.normal(size=(2**n, REFERENCE_STATES)) + 1j * rng.normal(size=(2**n, REFERENCE_STATES))
         raw /= np.linalg.norm(raw, axis=0)
-        initial = [simulator.StateVector(s.n_qubits, raw[:, i]) for i in range(n_states)]
+        initial = [simulator.StateVector(n, raw[:, i]) for i in range(REFERENCE_STATES)]
         reference = [simulator.evolve_continuous(psi, s, tol) for psi in initial]
 
-    def one(eps: float) -> ConvergenceRow:
-        start = time.perf_counter()
+    rows = []
+    for eps in epsilons:
         gates, report = compiler.compile(s, eps)
         if spectral:
             err = linalg.spectral_distance(simulator.full_unitary(gates, tol), reference)
         else:
             err = max(
-                float(
-                    np.linalg.norm(
-                        simulator.run_schedule(psi, gates).amplitudes - ref.amplitudes
-                    )
-                )
+                float(np.linalg.norm(simulator.run_schedule(psi, gates).amplitudes - ref.amplitudes))
                 for psi, ref in zip(initial, reference)
             )
-        return ConvergenceRow(
-            epsilon=eps,
-            error=float(err),
-            weighted_depth=report.weighted_depth,
-            depth_gap=abs(report.weighted_depth - target),
-            wall_time=time.perf_counter() - start,
+        rows.append(
+            ConvergenceRow(
+                epsilon=eps,
+                error=float(err),
+                weighted_depth=report.weighted_depth,
+                depth_gap=abs(report.weighted_depth - target),
+            )
         )
+    return rows
 
-    return _pmap(one, epsilons)
 
-
-def check_convergence(rows, ratio_range=RATIO_RANGE, engage=RATIO_ENGAGE, floor=NOISE_FLOOR):
+def check_convergence(rows):
     """Violation messages for error ratios outside the first-order window.
 
     A consecutive pair is checked once the earlier error has dropped below
-    ``engage``, and skipped once it hits the noise floor.
+    ``RATIO_ENGAGE``, and skipped once it hits ``NOISE_FLOOR``; its ratio
+    must lie in ``RATIO_RANGE``.
     """
-    lo, hi = ratio_range
+    lo, hi = RATIO_RANGE
     problems = []
     for a, b in zip(rows, rows[1:]):
-        if a.error > engage or b.error < floor:
+        if a.error > RATIO_ENGAGE or b.error < NOISE_FLOOR:
             continue
         ratio = a.error / b.error
         if not lo <= ratio <= hi:
@@ -190,15 +150,14 @@ def variance_bound_experiment(
     seed: int = 0,
     tol: float = 1e-8,
     initial: str = "zeros",
-    edge_probability: float = 0.4,
-    n_segments: int = 4,
 ) -> list:
     """Random-schedule sweep of the mean-field variance bound n/(1-2a)^4.
 
-    Each trial scales a random piecewise-constant schedule so its
-    integrated chromatic index equals ``alpha`` exactly (couplings scale
-    linearly, chromatic indices do not change), evolves a product state,
-    and measures the variance of a random norm-1 mean-field observable.
+    Each trial draws a random 4-segment piecewise-constant schedule (edge
+    probability 0.4), scales it so its integrated chromatic index equals
+    ``alpha`` exactly (couplings scale linearly, chromatic indices do not
+    change), evolves a product state, and measures the variance of a
+    random norm-1 mean-field observable.
     """
     if not 0.0 <= alpha < 0.5:
         raise BadParams(f"variance bound requires alpha < 1/2, got {alpha}")
@@ -212,14 +171,13 @@ def variance_bound_experiment(
     trial_seeds = [int(x) for x in master.integers(0, 2**62, size=3 * trials)]
     bound = _variance_bound(n, alpha)
 
-    def one(trial: int) -> VarianceTrialRecord:
+    records = []
+    for trial in range(trials):
         draw_seed, obs_seed, state_seed = trial_seeds[3 * trial : 3 * trial + 3]
         schedule = None
         if alpha > 0.0:
             for attempt in range(64):  # skip degenerate empty draws
-                candidate = random_graph(
-                    n, 1.0, p=edge_probability, seed=draw_seed + attempt, segments=n_segments
-                )
+                candidate = random_graph(n, 1.0, p=0.4, seed=draw_seed + attempt, segments=4)
                 base = integrated_chromatic_index(candidate).integral
                 if base > 1e-9:
                     schedule = scale_schedule(candidate, alpha / base)
@@ -236,16 +194,17 @@ def variance_bound_experiment(
             psi = simulator.evolve_continuous(psi, schedule, tol)
         obs = simulator.MeanFieldObservable.random(n, seed=obs_seed)
         value = simulator.variance(psi, obs)
-        return VarianceTrialRecord(
-            seed=trial,
-            n_qubits=n,
-            alpha=alpha,
-            variance=float(value),
-            bound=bound,
-            slack=float(bound - value),
+        records.append(
+            VarianceTrialRecord(
+                seed=trial,
+                n_qubits=n,
+                alpha=alpha,
+                variance=float(value),
+                bound=bound,
+                slack=float(bound - value),
+            )
         )
-
-    return _pmap(one, range(trials))
+    return records
 
 
 def trotter_comparison(s: HamiltonianSchedule, m_list, epsilons=(), tol: float = 1e-10) -> list:
@@ -267,16 +226,6 @@ def trotter_comparison(s: HamiltonianSchedule, m_list, epsilons=(), tol: float =
 
 # -- emission ----------------------------------------------------------------
 
-_OMITTED_FIELDS = ("wall_time",)
-
-
-def _row_fields(row):
-    return [f.name for f in fields(row) if f.name not in _OMITTED_FIELDS]
-
-
-def _row_dict(row):
-    return {name: getattr(row, name) for name in _row_fields(row)}
-
 
 def rows_to_csv(rows) -> str:
     """RFC-4180 CSV with a header line; one line per record."""
@@ -284,23 +233,13 @@ def rows_to_csv(rows) -> str:
         return ""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    names = _row_fields(rows[0])
+    names = [f.name for f in fields(rows[0])]
     writer.writerow(names)
     for row in rows:
         writer.writerow([getattr(row, name) for name in names])
     return buf.getvalue()
 
 
-def write_csv(rows, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rows_to_csv(rows))
-
-
 def summary_json(study: str, params: dict, rows) -> str:
-    doc = {"study": study, "params": params, "rows": [_row_dict(r) for r in rows]}
+    doc = {"study": study, "params": params, "rows": [asdict(r) for r in rows]}
     return json.dumps(doc, indent=2) + "\n"
-
-
-def write_summary_json(study: str, params: dict, rows, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(summary_json(study, params, rows))

@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("theorem1", help="compiled-unitary and weighted-depth convergence")
     v.add_argument("schedule")
-    v.add_argument("--epsilons", required=True, help="comma-separated, strictly decreasing")
+    v.add_argument("--epsilons", type=_float_list, required=True, help="comma-separated, strictly decreasing")
     v.add_argument("--tol", type=float, default=1e-10)
     v.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -82,20 +82,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trotter", help="sequential baseline vs parallel compilation")
     p.add_argument("schedule")
-    p.add_argument("--m-list", required=True, help="comma-separated slice counts")
-    p.add_argument("--epsilons", default="", help="comma-separated compile epsilons")
+    p.add_argument("--m-list", type=_int_list, required=True, help="comma-separated slice counts")
+    p.add_argument("--epsilons", type=_float_list, default=[], help="comma-separated compile epsilons")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser
 
 
+def _split_list(text: str, cast, what: str):
+    try:
+        return [cast(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
+
+
 def _float_list(text: str):
-    return [float(x) for x in text.split(",") if x.strip()]
+    return _split_list(text, float, "numbers")
 
 
 def _int_list(text: str):
-    return [int(x) for x in text.split(",") if x.strip()]
+    return _split_list(text, int, "integers")
 
 
 def _write_text(text: str, path):
@@ -245,8 +252,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify_theorem1(args) -> int:
     schedule = serialization.load_schedule(args.schedule)
-    epsilons = _float_list(args.epsilons)
-    rows = analysis.convergence_study(schedule, epsilons, tol=args.tol)
+    rows = analysis.convergence_study(schedule, args.epsilons, tol=args.tol)
     problems = analysis.check_convergence(rows)
     if schedule.is_piecewise_constant:
         for row in rows:
@@ -259,7 +265,7 @@ def _cmd_verify_theorem1(args) -> int:
         sys.stdout.write(
             analysis.summary_json(
                 "theorem1",
-                {"schedule": args.schedule, "epsilons": epsilons, "tol": args.tol},
+                {"schedule": args.schedule, "epsilons": args.epsilons, "tol": args.tol},
                 rows,
             )
         )
@@ -299,14 +305,12 @@ def _cmd_verify_variance(args) -> int:
 
 def _cmd_trotter(args) -> int:
     schedule = serialization.load_schedule(args.schedule)
-    rows = analysis.trotter_comparison(
-        schedule, _int_list(args.m_list), _float_list(args.epsilons), tol=args.tol
-    )
+    rows = analysis.trotter_comparison(schedule, args.m_list, args.epsilons, tol=args.tol)
     if args.format == "json":
         sys.stdout.write(
             analysis.summary_json(
                 "trotter",
-                {"schedule": args.schedule, "m_list": _int_list(args.m_list)},
+                {"schedule": args.schedule, "m_list": args.m_list},
                 rows,
             )
         )

@@ -170,13 +170,24 @@ class CompilationReport:
         }
 
 
-def _subintervals(seg: Segment, epsilon: float):
-    """Equal subdivision of a segment into ceil(length/epsilon) parts."""
-    count = max(1, math.ceil(seg.length / epsilon - 1e-12))
-    delta = seg.length / count
-    for i in range(count):
-        t_mid = seg.t_start + (i + 0.5) * delta
-        yield t_mid, delta
+def _subintervals(s: HamiltonianSchedule, epsilon: float) -> list:
+    """``(t_mid, delta)`` of every subinterval, in time order.
+
+    Each segment splits into ceil(length/epsilon) equal parts, so epsilon
+    must be positive and at most the shortest segment length.
+    """
+    if not epsilon > 0:
+        raise BadParams("epsilon must be positive")
+    if epsilon > s.min_segment_length() + 1e-15:
+        raise EpsilonTooLarge(
+            f"epsilon {epsilon} exceeds the shortest segment length {s.min_segment_length()}"
+        )
+    out = []
+    for seg in s.segments:
+        count = max(1, math.ceil(seg.length / epsilon - 1e-12))
+        delta = seg.length / count
+        out.extend((seg.t_start + (i + 0.5) * delta, delta) for i in range(count))
+    return out
 
 
 def compile(s: HamiltonianSchedule, epsilon: float):
@@ -189,37 +200,30 @@ def compile(s: HamiltonianSchedule, epsilon: float):
     Deterministic: levels ascend, matchings keep color order, pairs are
     lexicographic.
     """
-    if not epsilon > 0:
-        raise BadParams("epsilon must be positive")
-    if epsilon > s.min_segment_length() + 1e-15:
-        raise EpsilonTooLarge(
-            f"epsilon {epsilon} exceeds the shortest segment length {s.min_segment_length()}"
-        )
     steps = []
     intervals = []
-    for seg in s.segments:
-        for t_mid, delta in _subintervals(seg, epsilon):
-            snap = snapshot(s, t_mid)
-            rows = {pair: i for i, pair in enumerate(snap.pairs)}
-            decomp = level_decompose(snap.graph)
-            prev_r = 0.0
-            for level in decomp.levels:
-                angle = delta * (level.threshold - prev_r)
-                prev_r = level.threshold
-                pairs = level.coloring.all_pairs()
-                index = [rows[pair] for pair in pairs]
-                gates = dict(zip(pairs, _pair_gates(snap, index, np.full(len(index), angle))))
-                for matching in level.coloring.classes:
-                    steps.append(Step(tuple(gates[pair] for pair in matching)))
-            intervals.append(
-                IntervalReport(
-                    t_mid,
-                    delta,
-                    decomp.thresholds(),
-                    tuple(lv.chromatic_index for lv in decomp.levels),
-                    tuple(lv.exact for lv in decomp.levels),
-                )
+    for t_mid, delta in _subintervals(s, epsilon):
+        snap = snapshot(s, t_mid)
+        rows = {pair: i for i, pair in enumerate(snap.pairs)}
+        decomp = level_decompose(snap.graph)
+        prev_r = 0.0
+        for level in decomp.levels:
+            angle = delta * (level.threshold - prev_r)
+            prev_r = level.threshold
+            pairs = level.coloring.all_pairs()
+            index = [rows[pair] for pair in pairs]
+            gates = dict(zip(pairs, _pair_gates(snap, index, np.full(len(index), angle))))
+            for matching in level.coloring.classes:
+                steps.append(Step(tuple(gates[pair] for pair in matching)))
+        intervals.append(
+            IntervalReport(
+                t_mid,
+                delta,
+                decomp.thresholds(),
+                tuple(lv.chromatic_index for lv in decomp.levels),
+                tuple(lv.exact for lv in decomp.levels),
             )
+        )
     schedule = GateSchedule(s.n_qubits, tuple(steps))
     report = CompilationReport(
         epsilon=float(epsilon),
@@ -275,33 +279,26 @@ def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianS
     """
     if m < 1:
         raise BadParams("m must be at least 1")
-    if not epsilon > 0:
-        raise BadParams("epsilon must be positive")
-    if epsilon > s.min_segment_length() + 1e-15:
-        raise EpsilonTooLarge(
-            f"epsilon {epsilon} exceeds the shortest segment length {s.min_segment_length()}"
-        )
     out_segments = []
     t_cursor = 0.0
-    for seg in s.segments:
-        for t_mid, delta in _subintervals(seg, epsilon):
-            snap = snapshot(s, t_mid)
-            if not snap.pairs:
-                out_segments.append(Segment(t_cursor, t_cursor + delta, ()))
-                t_cursor += delta
-                continue
-            rows = {pair: i for i, pair in enumerate(snap.pairs)}
-            classes = color_edges(snap.graph).coloring.classes
-            groups = [classes[i : i + m] for i in range(0, len(classes), m)]
-            for group in groups:
-                terms = []
-                for matching in group:
-                    for pair in matching:
-                        coeffs = pauli_coeffs(snap.matrices[rows[pair]])
-                        terms.append(
-                            PairTerm(pair, tuple((float(c),) if c != 0.0 else () for c in coeffs))
-                        )
-                terms.sort(key=lambda tm: tm.pair)
-                out_segments.append(Segment(t_cursor, t_cursor + delta, tuple(terms)))
-                t_cursor += delta
+    for t_mid, delta in _subintervals(s, epsilon):
+        snap = snapshot(s, t_mid)
+        if not snap.pairs:
+            out_segments.append(Segment(t_cursor, t_cursor + delta, ()))
+            t_cursor += delta
+            continue
+        rows = {pair: i for i, pair in enumerate(snap.pairs)}
+        classes = color_edges(snap.graph).coloring.classes
+        groups = [classes[i : i + m] for i in range(0, len(classes), m)]
+        for group in groups:
+            terms = []
+            for matching in group:
+                for pair in matching:
+                    coeffs = pauli_coeffs(snap.matrices[rows[pair]])
+                    terms.append(
+                        PairTerm(pair, tuple((float(c),) if c != 0.0 else () for c in coeffs))
+                    )
+            terms.sort(key=lambda tm: tm.pair)
+            out_segments.append(Segment(t_cursor, t_cursor + delta, tuple(terms)))
+            t_cursor += delta
     return HamiltonianSchedule(s.n_qubits, tuple(out_segments))

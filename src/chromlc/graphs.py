@@ -8,8 +8,8 @@ decides which by backtracking that always colors the most constrained edge
 next (fewest free colors); deciding it is NP-complete (Holyer 1981), so the
 order buys speed, not a bound.  ``edge_color_vizing`` is the constructive
 max-degree-plus-one fallback (Misra-Gries), and ``color_edges`` picks
-between the two by edge count: it is what every caller that needs a
-coloring goes through.  ``level_decompose`` slices a weighted graph at its
+between the two by edge count against ``EXACT_SEARCH_CAP``: it is what
+every caller that needs a coloring goes through.  ``level_decompose`` slices a weighted graph at its
 distinct edge weights, so that the weighted sum of per-level indices equals
 the integral of the chromatic index over the threshold; each level reuses
 the coloring of the level below it when that is provably optimal, and
@@ -216,20 +216,20 @@ def _coloring_from_assignment(order, colors, k):
     return EdgeColoring(tuple(tuple(sorted(cls)) for cls in classes if cls))
 
 
-def chromatic_index_exact(g: WeightedGraph, max_edges: int = EXACT_SEARCH_CAP) -> ChromaticIndexResult:
+def chromatic_index_exact(g: WeightedGraph) -> ChromaticIndexResult:
     """Exact chromatic index with a witnessing coloring.
 
     Decides max-degree colorability by backtracking (ties between equally
     constrained edges go to the larger degree sum, then the smaller pair);
     by Vizing's theorem the answer is the max degree or one more.  Raises
-    ``TooLarge`` beyond ``max_edges`` edges.
+    ``TooLarge`` beyond ``EXACT_SEARCH_CAP`` edges.
     """
     pairs = g.pairs
     m = len(pairs)
     if m == 0:
         return ChromaticIndexResult(0, EdgeColoring(()), True)
-    if m > max_edges:
-        raise TooLarge(f"{m} edges exceed the exact-search cap {max_edges}")
+    if m > EXACT_SEARCH_CAP:
+        raise TooLarge(f"{m} edges exceed the exact-search cap {EXACT_SEARCH_CAP}")
     deg = g.degrees()
     delta = max(deg)
     order = sorted(pairs, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
@@ -247,14 +247,14 @@ def chromatic_index_exact(g: WeightedGraph, max_edges: int = EXACT_SEARCH_CAP) -
     return ChromaticIndexResult(delta + 1, _coloring_from_assignment(order, colors, delta + 1), True)
 
 
-def color_edges(g: WeightedGraph, exact_cap: int = EXACT_SEARCH_CAP) -> ChromaticIndexResult:
-    """The one coloring entry point: exact up to ``exact_cap`` edges.
+def color_edges(g: WeightedGraph) -> ChromaticIndexResult:
+    """The one coloring entry point: exact up to ``EXACT_SEARCH_CAP`` edges.
 
     Larger graphs get a Misra-Gries coloring, reported with ``exact=False``
     and its class count as the index (an upper bound, max degree + 1 at most).
     """
-    if len(g.edges) <= exact_cap:
-        return chromatic_index_exact(g, max_edges=exact_cap)
+    if len(g.edges) <= EXACT_SEARCH_CAP:
+        return chromatic_index_exact(g)
     coloring = edge_color_vizing(g)
     return ChromaticIndexResult(coloring.n_classes(), coloring, False)
 
@@ -358,7 +358,7 @@ def edge_color_vizing(g: WeightedGraph) -> EdgeColoring:
     return EdgeColoring(tuple(tuple(sorted(cls)) for cls in classes if cls))
 
 
-def level_decompose(g: WeightedGraph, exact_cap: int = EXACT_SEARCH_CAP) -> LevelDecomposition:
+def level_decompose(g: WeightedGraph) -> LevelDecomposition:
     """Slice ``g`` at its distinct edge weights, ascending.
 
     Level j is the subgraph of edges with weight >= r_j.  Weights within
@@ -397,7 +397,7 @@ def level_decompose(g: WeightedGraph, exact_cap: int = EXACT_SEARCH_CAP) -> Leve
                 levels.append(Level(threshold, inherited.n_classes(), inherited, True))
                 continue
         sub = WeightedGraph(g.n_vertices, tuple(e for cl in clusters[j:] for e in cl))
-        res = color_edges(sub, exact_cap)
+        res = color_edges(sub)
         if inherited is not None and res.index > inherited.n_classes():
             levels.append(Level(threshold, inherited.n_classes(), inherited, False))
         else:

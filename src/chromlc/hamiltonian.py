@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadParams, NotHermitian, OutOfRange
-from .graphs import WeightedGraph, level_decompose
+from .graphs import WeightedGraph, level_decompose, threshold_subgraph
 
 if TYPE_CHECKING:  # pragma: no cover
     from .compiler import GateSchedule
@@ -277,10 +277,7 @@ def snapshot(s: HamiltonianSchedule, t: float) -> Snapshot:
 
 def interaction_graph(s: HamiltonianSchedule, t: float, r: float = 0.0) -> WeightedGraph:
     """Graph of pairs whose interaction norm strictly exceeds max(r, zero tol)."""
-    if r < 0:
-        raise BadParams("threshold r must be non-negative")
-    edges = snapshot(s, t).graph.edges
-    return WeightedGraph(s.n_qubits, tuple(e for e in edges if e[2] > r))
+    return threshold_subgraph(snapshot(s, t).graph, r)
 
 
 def weighted_chromatic_index(s: HamiltonianSchedule, t: float) -> float:

@@ -33,12 +33,18 @@ from .errors import (
 from .hamiltonian import HamiltonianSchedule
 
 FULL_UNITARY_MAX_QUBITS = 6
+# convergence_study keeps a block of 20 random states and their 20 evolved
+# images, and RK4 holds about six more copies of the state it integrates:
+# some 46 columns of 2^n amplitudes at 16 bytes, about 0.2 GB at 18 qubits.
+STATE_MAX_QUBITS = 18
 NORM_DRIFT_LIMIT = 1e-6
 MAX_STEP_HALVINGS = 24
 MIXED_BRANCH_CAP = 1024
+BRANCH_CUTOFF = 1e-12  # mixture weights at or below this drop out of a product state
 
 __all__ = [
     "FULL_UNITARY_MAX_QUBITS",
+    "STATE_MAX_QUBITS",
     "MeanFieldObservable",
     "ProductState",
     "StateVector",
@@ -50,6 +56,11 @@ __all__ = [
     "run_schedule",
     "variance",
 ]
+
+
+def _check_state_size(n_qubits: int):
+    if n_qubits > STATE_MAX_QUBITS:
+        raise TooLarge(f"state vectors are limited to {STATE_MAX_QUBITS} qubits, got {n_qubits}")
 
 
 class StateVector:
@@ -73,6 +84,7 @@ class StateVector:
     def basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
         if not 0 <= index < 2**n_qubits:
             raise IndexOutOfRange(f"basis index {index} outside register of {n_qubits} qubits")
+        _check_state_size(n_qubits)
         amps = np.zeros(2**n_qubits, dtype=np.complex128)
         amps[index] = 1.0
         return cls(n_qubits, amps)
@@ -313,12 +325,13 @@ class ProductState:
     def uniform(cls, n_qubits: int, rho) -> "ProductState":
         return cls((np.asarray(rho, dtype=np.complex128),) * n_qubits)
 
-    def branches(self, cutoff: float = 1e-12):
+    def branches(self):
         """Decompose into pure product branches (probability, StateVector)."""
+        _check_state_size(self.n_qubits)
         options = []
         for f in self.factors:
             w, v = linalg.hermitian_eig(f)
-            opts = [(float(w[i]), v[:, i]) for i in range(2) if w[i] > cutoff]
+            opts = [(float(w[i]), v[:, i]) for i in range(2) if w[i] > BRANCH_CUTOFF]
             options.append(opts)
         count = 1
         for opts in options:

@@ -19,7 +19,6 @@ def test_convergence_study_piecewise_constant():
     assert errors == sorted(errors, reverse=True)
     for row in rows:
         assert row.depth_gap < 1e-9
-        assert row.wall_time >= 0.0
     assert analysis.check_convergence(rows) == []
 
 
@@ -27,20 +26,22 @@ def test_convergence_study_rejects_unsorted():
     s = chain(4, 1.0, 1.0)
     with pytest.raises(BadParams):
         analysis.convergence_study(s, [0.1, 0.2])
+    with pytest.raises(BadParams, match="at least one epsilon"):
+        analysis.convergence_study(s, [])
 
 
 def test_check_convergence_flags_bad_ratio():
     rows = [
-        analysis.ConvergenceRow(0.2, 8e-3, 1.0, 0.0, 0.0),
-        analysis.ConvergenceRow(0.1, 7e-3, 1.0, 0.0, 0.0),
+        analysis.ConvergenceRow(0.2, 8e-3, 1.0, 0.0),
+        analysis.ConvergenceRow(0.1, 7e-3, 1.0, 0.0),
     ]
     problems = analysis.check_convergence(rows)
     assert len(problems) == 1 and "ratio" in problems[0]
     # pairs above the engage threshold or below the floor are skipped
     rows = [
-        analysis.ConvergenceRow(0.2, 5e-2, 1.0, 0.0, 0.0),
-        analysis.ConvergenceRow(0.1, 4.9e-2, 1.0, 0.0, 0.0),
-        analysis.ConvergenceRow(0.05, 1e-12, 1.0, 0.0, 0.0),
+        analysis.ConvergenceRow(0.2, 5e-2, 1.0, 0.0),
+        analysis.ConvergenceRow(0.1, 4.9e-2, 1.0, 0.0),
+        analysis.ConvergenceRow(0.05, 1e-12, 1.0, 0.0),
     ]
     assert analysis.check_convergence(rows) == []
 
@@ -89,17 +90,6 @@ def test_variance_experiment_deterministic():
     assert a != c
 
 
-def test_variance_experiment_thread_cap(monkeypatch):
-    monkeypatch.setenv("CHROMLC_THREADS", "1")
-    serial = analysis.variance_bound_experiment(3, 0.2, trials=4, seed=7)
-    monkeypatch.setenv("CHROMLC_THREADS", "4")
-    pooled = analysis.variance_bound_experiment(3, 0.2, trials=4, seed=7)
-    assert serial == pooled
-    monkeypatch.setenv("CHROMLC_THREADS", "zero")
-    with pytest.raises(BadParams):
-        analysis.variance_bound_experiment(3, 0.2, trials=2, seed=7)
-
-
 def test_trotter_comparison_rows():
     s = single_pair_schedule({"XX": (0.6,), "ZY": (0.3,)})
     rows = analysis.trotter_comparison(s, [1, 2], epsilons=[1.0])
@@ -121,10 +111,10 @@ def test_csv_emission():
 
 
 def test_csv_excludes_wall_time():
-    rows = [analysis.ConvergenceRow(0.2, 1e-3, 1.0, 0.0, 123.0)]
+    rows = [analysis.ConvergenceRow(0.2, 1e-3, 1.0, 0.0)]
     text = analysis.rows_to_csv(rows)
     assert "wall_time" not in text
-    assert "123" not in text
+    assert text == "epsilon,error,weighted_depth,depth_gap\n0.2,0.001,1.0,0.0\n"
 
 
 def test_summary_json_shape():

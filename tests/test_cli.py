@@ -200,6 +200,43 @@ def test_simulate_bad_gate_pair_exits_2(tmp_path, capsys, pair):
     assert err.startswith("error: steps[0].gates[0].pair: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "theorem1", "{doc}", "--epsilons", "0.2,abc"), "expected comma-separated numbers"),
+        (("trotter", "{doc}", "--m-list", "2,x"), "expected comma-separated integers"),
+        (("verify", "theorem1", "{doc}", "--epsilons", ""), "need at least one epsilon"),
+    ],
+)
+def test_bad_list_argument_exits_2(tmp_path, capsys, argv, message):
+    spath = tmp_path / "chain.json"
+    run_cli(capsys, "generate", "chain", "--n", "4", "-o", str(spath))
+    code, out, err = run_cli(capsys, *(a.format(doc=spath) for a in argv))
+    assert code == 2
+    assert "error:" in err and message in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "{doc}"),
+        ("simulate", "{doc}", "--state", "{state}"),
+        ("verify", "theorem1", "{doc}", "--epsilons", "0.5"),
+    ],
+)
+def test_state_qubit_cap_exits_2(tmp_path, capsys, argv):
+    # 2^40 amplitudes would need 16 TiB: the cap must refuse before allocating
+    spath = tmp_path / "chain.json"
+    run_cli(capsys, "generate", "chain", "--n", "40", "-o", str(spath))
+    state = tmp_path / "state.json"
+    state.write_text(_product_state_text([[[1, 0], [0, 0]]] * 40))
+    code, _, err = run_cli(capsys, *(a.format(doc=spath, state=state) for a in argv))
+    assert code == 2
+    assert err.startswith("error: state vectors are limited to 18 qubits")
+
+
 def test_verify_variance(capsys):
     code, out, err = run_cli(
         capsys, "verify", "variance", "--n", "4", "--alpha", "0.25", "--trials", "3", "--seed", "5"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromlc import graphs
 from chromlc.errors import BadParams, TooLarge
 from chromlc.graphs import (
     EXACT_SEARCH_CAP,
@@ -149,7 +150,6 @@ def test_color_edges_falls_back_beyond_cap():
     assert res.index == res.coloring.n_classes() in (11, 12)
     small = complete_graph(6)
     assert color_edges(small) == chromatic_index_exact(small)
-    assert not color_edges(small, exact_cap=10).exact
 
 
 def test_class_two_graphs():
@@ -163,7 +163,7 @@ def test_class_two_graphs():
 
 def test_exact_search_cap():
     with pytest.raises(TooLarge):
-        chromatic_index_exact(complete_graph(12), max_edges=64)
+        chromatic_index_exact(complete_graph(12))
 
 
 def test_vizing_trivials():
@@ -243,11 +243,12 @@ def test_level_colorings_are_exact_property(graph):
         assert lv.chromatic_index == chromatic_index_exact(sub).index
 
 
-def test_level_decompose_fallback_is_reported():
+def test_level_decompose_fallback_is_reported(monkeypatch):
     # K7 as K6 (weight 2) plus a vertex joined by weight-1 edges: only K6 fits the cap
+    monkeypatch.setattr(graphs, "EXACT_SEARCH_CAP", 16)
     edges = tuple((i, j, 2.0) for i in range(6) for j in range(i + 1, 6))
     edges += tuple((i, 6, 1.0) for i in range(6))
-    ld = level_decompose(WeightedGraph(7, edges), exact_cap=16)
+    ld = level_decompose(WeightedGraph(7, edges))
     assert [(lv.chromatic_index, lv.exact) for lv in ld.levels] == [(7, False), (5, True)]
     for lv in ld.levels:
         sub = WeightedGraph(7, tuple(e for e in edges if e[2] >= lv.threshold))

@@ -1,0 +1,108 @@
+"""Static checks of the package's module rules.
+
+Modules share only public names: none imports an underscore name from a
+sibling or reads ``sibling._name``, every ``__all__`` entry is defined in
+its module, and the package namespace re-exports no underscore name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chromlc"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _sibling_import(node):
+    """True for ``from .x import ...``, ``from . import ...`` and ``from chromlc...``."""
+    return node.level > 0 or (node.module or "").split(".")[0] == "chromlc"
+
+
+def _top_level(body):
+    """Statements at module level, including those under ``if``."""
+    for node in body:
+        yield node
+        if isinstance(node, ast.If):
+            yield from _top_level(node.body + node.orelse)
+
+
+def _defined_names(tree):
+    names = set()
+    for node in _top_level(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _violations(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    siblings = set()
+    problems = []
+    # the package namespace takes no underscore name from anywhere
+    strict = path.name == "__init__.py"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (strict or _sibling_import(node)):
+            for alias in node.names:
+                if _private(alias.name):
+                    problems.append(f"line {node.lineno}: imports {alias.name}")
+                if _sibling_import(node) and node.module in (None, "chromlc"):  # modules
+                    siblings.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "chromlc" and alias.asname:
+                    siblings.add(alias.asname)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and _private(node.attr)
+        ):
+            problems.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
+    defined = _defined_names(tree)
+    for name in _exported(tree):
+        if name not in defined:
+            problems.append(f"__all__ lists {name!r}, which the module does not define")
+    return problems
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_rules(path):
+    assert _violations(path) == []
+
+
+def test_rules_catch_violations(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import linalg\n"
+        "from .graphs import _search, level_decompose\n"
+        "__all__ = ['level_decompose', 'write_csv']\n"
+        "x = linalg._as_square\n"
+    )
+    problems = _violations(bad)
+    assert len(problems) == 3
+    assert any("_search" in p for p in problems)
+    assert any("linalg._as_square" in p for p in problems)
+    assert any("write_csv" in p for p in problems)
+    package = tmp_path / "__init__.py"
+    package.write_text("from numpy import _pytesttester\nfrom os import path\n")
+    assert len(_violations(package)) == 1
