@@ -209,6 +209,8 @@ def variance_bound_experiment(
 
 def trotter_comparison(s: HamiltonianSchedule, m_list, epsilons=(), tol: float = 1e-10) -> list:
     """Sequential baseline error/depth against the parallel compilation."""
+    if not m_list:
+        raise BadParams("need at least one slice count")
     reference = simulator.full_unitary(s, tol)
     rows = []
     for m in m_list:

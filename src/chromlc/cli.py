@@ -286,7 +286,8 @@ def _cmd_verify_variance(args) -> int:
         sys.stdout.write(
             analysis.summary_json(
                 "variance",
-                {"n": args.n, "alpha": args.alpha, "trials": args.trials, "seed": args.seed},
+                {"n": args.n, "alpha": args.alpha, "trials": args.trials, "seed": args.seed,
+                 "tol": args.tol},
                 records,
             )
         )
@@ -310,7 +311,8 @@ def _cmd_trotter(args) -> int:
         sys.stdout.write(
             analysis.summary_json(
                 "trotter",
-                {"schedule": args.schedule, "m_list": args.m_list},
+                {"schedule": args.schedule, "m_list": args.m_list, "epsilons": args.epsilons,
+                 "tol": args.tol},
                 rows,
             )
         )

@@ -1,4 +1,5 @@
 import json
+import signal
 import warnings
 
 import numpy as np
@@ -206,6 +207,7 @@ def test_simulate_bad_gate_pair_exits_2(tmp_path, capsys, pair):
         (("verify", "theorem1", "{doc}", "--epsilons", "0.2,abc"), "expected comma-separated numbers"),
         (("trotter", "{doc}", "--m-list", "2,x"), "expected comma-separated integers"),
         (("verify", "theorem1", "{doc}", "--epsilons", ""), "need at least one epsilon"),
+        (("trotter", "{doc}", "--m-list", ""), "need at least one slice count"),
     ],
 )
 def test_bad_list_argument_exits_2(tmp_path, capsys, argv, message):
@@ -235,6 +237,57 @@ def test_state_qubit_cap_exits_2(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, *(a.format(doc=spath, state=state) for a in argv))
     assert code == 2
     assert err.startswith("error: state vectors are limited to 18 qubits")
+
+
+def _too_slow(signum, frame):
+    # not an OSError, which main would report as exit 2
+    pytest.fail("the command ran past its 20 s bound")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "{doc}"),
+        ("verify", "variance", "--n", "3", "--alpha", "0.2", "--trials", "1"),
+        ("verify", "theorem1", "{doc}", "--epsilons", "0.5"),
+        ("trotter", "{doc}", "--m-list", "2"),
+    ],
+)
+def test_bad_tolerance_exits_2(tmp_path, capsys, argv, tol):
+    # a NaN tolerance used to halve the RK4 step toward 2^24 times the
+    # first count; the timer turns such a run into a failure
+    spath = tmp_path / "chain.json"
+    run_cli(capsys, "generate", "chain", "--n", "3", "-o", str(spath))
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 20.0)
+        code, out, err = run_cli(capsys, *(a.format(doc=spath) for a in argv), "--tol", tol)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert err.startswith("error: integrator tolerance must be a finite number >= 1e-12")
+    assert out == ""
+
+
+def test_json_params_name_every_input(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "variance", "--n", "3", "--alpha", "0.2", "--trials", "1",
+        "--tol", "1e-9", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["params"] == {"n": 3, "alpha": 0.2, "trials": 1, "seed": 0, "tol": 1e-9}
+    spath = tmp_path / "pairs.json"
+    run_cli(capsys, "generate", "disjoint_pairs", "--n", "4", "-o", str(spath))
+    code, out, _ = run_cli(
+        capsys, "trotter", str(spath), "--m-list", "1,2", "--epsilons", "1.0",
+        "--tol", "1e-9", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["params"] == {
+        "schedule": str(spath), "m_list": [1, 2], "epsilons": [1.0], "tol": 1e-9,
+    }
 
 
 def test_verify_variance(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chromlc import linalg
+from chromlc import linalg, simulator
 from chromlc.compiler import Gate, GateSchedule, Step, compile
 from chromlc.errors import (
     BadParams,
@@ -10,7 +10,14 @@ from chromlc.errors import (
     NormDrift,
     TooLarge,
 )
-from chromlc.hamiltonian import HamiltonianSchedule, PairTerm, Segment, chain, random_graph
+from chromlc.hamiltonian import (
+    HamiltonianSchedule,
+    PairTerm,
+    Segment,
+    chain,
+    random_graph,
+    random_time_varying,
+)
 from chromlc.simulator import (
     MeanFieldObservable,
     ProductState,
@@ -179,10 +186,65 @@ def test_evolve_time_reversal_inverts():
 def test_evolve_tolerance_validation():
     s = single_pair_schedule({"XX": (1.0,)})
     psi = StateVector.basis(2, 0)
-    with pytest.raises(BadParams):
-        evolve_continuous(psi, s, 1e-14)
+    # NaN passed a plain "tol < 1e-12" check and then halved the step forever
+    for tol in (1e-14, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(BadParams):
+            evolve_continuous(psi, s, tol)
+        with pytest.raises(BadParams):
+            full_unitary(s, tol)
+        with pytest.raises(BadParams):
+            full_unitary(GateSchedule(2, ()), tol)
     with pytest.raises(DimensionMismatch):
         evolve_continuous(StateVector.basis(3, 0), s, 1e-9)
+
+
+def _segment_cases():
+    """(n, segment) pairs: constant segments and polynomial ones of degree 1-3."""
+    cases = []
+    for n in (2, 3, 5):
+        for seg in random_graph(n, 2.0, p=0.7, seed=n, segments=2).segments:
+            cases.append((n, seg))
+        for degree in (1, 3):
+            cases.append((n, random_time_varying(n, 1.5, p=0.8, seed=n, degree=degree).segments[0]))
+    cases.append((3, Segment(0.0, 1.0, ())))
+    return cases
+
+
+def test_dense_derivative_matches_per_term():
+    rng = np.random.default_rng(31)
+    for n, seg in _segment_cases():
+        gens = simulator._dense_generators(seg, n)
+        for shape in ((2**n,), (2**n, 3)):
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for t in np.linspace(seg.t_start, seg.t_end, 5):
+                dense = simulator._dense_derivative(gens, t, x)
+                ref = simulator._derivative(seg.terms, t, x, n)
+                assert dense.shape == x.shape
+                assert np.max(np.abs(dense - ref)) < 1e-12
+
+
+def _no_dense(seg, n):
+    raise AssertionError("dense generators built above the cutoff")
+
+
+def test_per_term_path_matches_dense(monkeypatch):
+    # both paths run the same RK4 steps; only the rounding of the derivative
+    # differs
+    n = 4
+    pwc = random_graph(n, 1.0, p=0.6, seed=n, segments=3, coupling=0.7)
+    tv = random_time_varying(n, 1.0, p=0.6, seed=n, coupling=0.7)
+    psi = StateVector(n, haar_unitary(2**n, np.random.default_rng(n))[:, 0])
+    runs = []
+    for per_term in (False, True):
+        if per_term:
+            monkeypatch.setattr(simulator, "DENSE_GENERATOR_MAX_QUBITS", n - 1)
+            monkeypatch.setattr(simulator, "_dense_generators", _no_dense)
+        runs.append(
+            [evolve_continuous(psi, s, 1e-8).amplitudes for s in (pwc, tv)]
+            + [full_unitary(s, 1e-8) for s in (pwc, tv)]
+        )
+    for dense, per_term in zip(*runs):
+        assert np.max(np.abs(dense - per_term)) < 1e-12
 
 
 def test_full_unitary_trivials():
