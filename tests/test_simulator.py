@@ -198,21 +198,15 @@ def test_evolve_tolerance_validation():
         evolve_continuous(StateVector.basis(3, 0), s, 1e-9)
 
 
-def _segment_cases():
-    """(n, segment) pairs: constant segments and polynomial ones of degree 1-3."""
-    cases = []
+def test_dense_derivative_matches_per_term():
+    # constant segments, polynomial ones of degree 1 and 3, and an empty one
+    cases = [(3, Segment(0.0, 1.0, ()))]
     for n in (2, 3, 5):
-        for seg in random_graph(n, 2.0, p=0.7, seed=n, segments=2).segments:
-            cases.append((n, seg))
+        cases += [(n, seg) for seg in random_graph(n, 2.0, p=0.7, seed=n, segments=2).segments]
         for degree in (1, 3):
             cases.append((n, random_time_varying(n, 1.5, p=0.8, seed=n, degree=degree).segments[0]))
-    cases.append((3, Segment(0.0, 1.0, ())))
-    return cases
-
-
-def test_dense_derivative_matches_per_term():
     rng = np.random.default_rng(31)
-    for n, seg in _segment_cases():
+    for n, seg in cases:
         gens = simulator._dense_generators(seg, n)
         for shape in ((2**n,), (2**n, 3)):
             x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
