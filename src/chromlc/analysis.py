@@ -159,6 +159,7 @@ def variance_bound_experiment(
     change), evolves a product state, and measures the variance of a
     random norm-1 mean-field observable.
     """
+    simulator.check_tolerance(tol)
     if not 0.0 <= alpha < 0.5:
         raise BadParams(f"variance bound requires alpha < 1/2, got {alpha}")
     if not 2 <= n <= 12:

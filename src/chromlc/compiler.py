@@ -10,6 +10,12 @@ output is therefore the midpoint Riemann sum of the weighted chromatic
 index, and converges to the schedule's integrated index as the
 subinterval length shrinks.
 
+Every subinterval of a constant segment has the same snapshot, levels and
+gates, so such a segment is compiled once and its steps repeat, the same
+objects each time.  The integrated index itself is not computed here:
+callers that want it, such as ``chromlc compile --report``, ask
+:func:`~chromlc.hamiltonian.integrated_chromatic_index`.
+
 ``trotterize`` is the unparallelized baseline (one gate per step, m
 passes over the pair list) and ``rechromatize`` rewrites a schedule so
 its instantaneous chromatic index never exceeds a cap, stretching time
@@ -24,13 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import BadParams, EpsilonTooLarge, NotConstant, NotUnitary
+from .errors import BadParams, EpsilonTooLarge, NotConstant, NotUnitary, TooLarge
 from .graphs import color_edges, level_decompose
 from .hamiltonian import (
+    MAX_SAMPLES_PER_SEGMENT,
     HamiltonianSchedule,
     PairTerm,
     Segment,
-    integrated_chromatic_index,
     pauli_coeffs,
     snapshot,
 )
@@ -73,7 +79,10 @@ class Gate:
             raise NotUnitary("gate matrix is not unitary at tolerance 1e-10")
         u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "angle", float(self.angle))
+        angle = float(self.angle)
+        if not math.isfinite(angle):
+            raise BadParams(f"gate angle must be finite, got {angle}")
+        object.__setattr__(self, "angle", angle)
 
     @classmethod
     def from_unitary(cls, pair, unitary) -> "Gate":
@@ -157,7 +166,6 @@ class CompilationReport:
     epsilon: float
     n_steps: int
     weighted_depth: float
-    source_integrated_index: float
     intervals: tuple = field(default=())
 
     def to_dict(self):
@@ -165,16 +173,17 @@ class CompilationReport:
             "epsilon": self.epsilon,
             "n_steps": self.n_steps,
             "weighted_depth": self.weighted_depth,
-            "source_integrated_index": self.source_integrated_index,
             "intervals": [iv.to_dict() for iv in self.intervals],
         }
 
 
 def _subintervals(s: HamiltonianSchedule, epsilon: float) -> list:
-    """``(t_mid, delta)`` of every subinterval, in time order.
+    """``(segment, delta, midpoints)`` for every segment, in time order.
 
-    Each segment splits into ceil(length/epsilon) equal parts, so epsilon
-    must be positive and at most the shortest segment length.
+    Each segment splits into ceil(length/epsilon) equal parts of length
+    delta, so epsilon must be positive and at most the shortest segment
+    length, and a segment may not split into more than
+    ``MAX_SAMPLES_PER_SEGMENT`` parts.
     """
     if not epsilon > 0:
         raise BadParams("epsilon must be positive")
@@ -184,9 +193,15 @@ def _subintervals(s: HamiltonianSchedule, epsilon: float) -> list:
         )
     out = []
     for seg in s.segments:
-        count = max(1, math.ceil(seg.length / epsilon - 1e-12))
+        parts = seg.length / epsilon - 1e-12
+        if parts > MAX_SAMPLES_PER_SEGMENT:
+            raise TooLarge(
+                f"epsilon {epsilon} splits a segment of length {seg.length} into more than "
+                f"{MAX_SAMPLES_PER_SEGMENT} subintervals"
+            )
+        count = max(1, math.ceil(parts))
         delta = seg.length / count
-        out.extend((seg.t_start + (i + 0.5) * delta, delta) for i in range(count))
+        out.append((seg, delta, [seg.t_start + (i + 0.5) * delta for i in range(count)]))
     return out
 
 
@@ -198,41 +213,50 @@ def compile(s: HamiltonianSchedule, epsilon: float):
     level's coloring, one step of gates
     exp(-i * H_kl(mid) * d * (r_j - r_{j-1}) / ||H_kl(mid)||).
     Deterministic: levels ascend, matchings keep color order, pairs are
-    lexicographic.
+    lexicographic.  A constant segment is sampled once; its later
+    subintervals repeat the first one's ``Step`` objects.
     """
     steps = []
     intervals = []
-    for t_mid, delta in _subintervals(s, epsilon):
-        snap = snapshot(s, t_mid)
-        rows = {pair: i for i, pair in enumerate(snap.pairs)}
-        decomp = level_decompose(snap.graph)
-        prev_r = 0.0
-        for level in decomp.levels:
-            angle = delta * (level.threshold - prev_r)
-            prev_r = level.threshold
-            pairs = level.coloring.all_pairs()
-            index = [rows[pair] for pair in pairs]
-            gates = dict(zip(pairs, _pair_gates(snap, index, np.full(len(index), angle))))
-            for matching in level.coloring.classes:
-                steps.append(Step(tuple(gates[pair] for pair in matching)))
-        intervals.append(
-            IntervalReport(
-                t_mid,
-                delta,
-                decomp.thresholds(),
-                tuple(lv.chromatic_index for lv in decomp.levels),
-                tuple(lv.exact for lv in decomp.levels),
-            )
-        )
+    for seg, delta, mids in _subintervals(s, epsilon):
+        block = None
+        for t_mid in mids:
+            if block is None or not seg.is_constant:
+                block, levels = _sample_steps(s, t_mid, delta)
+            steps.extend(block)
+            intervals.append(IntervalReport(t_mid, delta, *levels))
     schedule = GateSchedule(s.n_qubits, tuple(steps))
     report = CompilationReport(
         epsilon=float(epsilon),
         n_steps=len(steps),
         weighted_depth=weighted_depth(schedule),
-        source_integrated_index=integrated_chromatic_index(s).integral,
         intervals=tuple(intervals),
     )
     return schedule, report
+
+
+def _sample_steps(s: HamiltonianSchedule, t_mid: float, delta: float):
+    """The steps of one subinterval, and its thresholds, chromatic indices
+    and exactness flags for the :class:`IntervalReport`."""
+    snap = snapshot(s, t_mid)
+    rows = {pair: i for i, pair in enumerate(snap.pairs)}
+    decomp = level_decompose(snap.graph)
+    steps = []
+    prev_r = 0.0
+    for level in decomp.levels:
+        angle = delta * (level.threshold - prev_r)
+        prev_r = level.threshold
+        pairs = level.coloring.all_pairs()
+        index = [rows[pair] for pair in pairs]
+        gates = dict(zip(pairs, _pair_gates(snap, index, np.full(len(index), angle))))
+        for matching in level.coloring.classes:
+            steps.append(Step(tuple(gates[pair] for pair in matching)))
+    levels = (
+        decomp.thresholds(),
+        tuple(lv.chromatic_index for lv in decomp.levels),
+        tuple(lv.exact for lv in decomp.levels),
+    )
+    return steps, levels
 
 
 def _pair_gates(snap, index, angles) -> list:
@@ -281,7 +305,8 @@ def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianS
         raise BadParams("m must be at least 1")
     out_segments = []
     t_cursor = 0.0
-    for t_mid, delta in _subintervals(s, epsilon):
+    subintervals = [(t_mid, delta) for _, delta, mids in _subintervals(s, epsilon) for t_mid in mids]
+    for t_mid, delta in subintervals:
         snap = snapshot(s, t_mid)
         if not snap.pairs:
             out_segments.append(Segment(t_cursor, t_cursor + delta, ()))

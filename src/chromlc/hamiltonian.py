@@ -25,13 +25,20 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import BadParams, NotHermitian, OutOfRange
+from .errors import BadParams, NotHermitian, OutOfRange, TooLarge
 from .graphs import WeightedGraph, level_decompose, threshold_subgraph
 
 if TYPE_CHECKING:  # pragma: no cover
     from .compiler import GateSchedule
 
 MAX_POLY_DEGREE = 8
+# Cap on the samples of one segment: quadrature points of
+# integrated_chromatic_index, subintervals of compile.  A compiled subinterval
+# adds at least one gate of about 2 kB to the gate document, so 2^16
+# subintervals of a single pair already make a 130 MB document; uncapped, a
+# typo such as ``--epsilon 1e-13`` or ``--samples 1000000000000`` asks for
+# terabytes before any work starts.
+MAX_SAMPLES_PER_SEGMENT = 2**16
 ZERO_NORM_TOL = 1e-12  # pair terms with a smaller norm count as absent
 
 _P1 = {
@@ -44,6 +51,7 @@ PAULI_LABELS = tuple(a + b for a in "IXYZ" for b in "IXYZ")
 PAULI_PRODUCTS = np.stack([np.kron(_P1[l[0]], _P1[l[1]]) for l in PAULI_LABELS])
 
 __all__ = [
+    "MAX_SAMPLES_PER_SEGMENT",
     "PAULI_LABELS",
     "PAULI_PRODUCTS",
     "HamiltonianSchedule",
@@ -294,6 +302,10 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
     """
     if samples_per_segment < 1:
         raise BadParams("samples_per_segment must be at least 1")
+    if samples_per_segment > MAX_SAMPLES_PER_SEGMENT:
+        raise TooLarge(
+            f"samples per segment are limited to {MAX_SAMPLES_PER_SEGMENT}, got {samples_per_segment}"
+        )
     times = []
     values = []
     total = 0.0

@@ -11,7 +11,10 @@ Two document types, distinguished by their ``format`` field:
 
 Serialization is canonical (fixed key order, shortest round-trip float
 rendering), so serialize(parse(text)) reproduces canonical documents and
-parse(serialize(obj)) reproduces objects exactly.
+parse(serialize(obj)) reproduces objects exactly.  Both document types are
+laid out as ``json.dumps(doc, indent=2)`` lays them out; gate documents,
+which run to megabytes, are written from a fixed per-gate template instead
+of through ``json``'s indenting encoder, which runs in pure Python.
 """
 
 from __future__ import annotations
@@ -180,23 +183,47 @@ def loads_schedule(text: str) -> HamiltonianSchedule:
 # -- gate schedules ----------------------------------------------------------
 
 
+def _gate_template() -> str:
+    """``%``-template of one gate object as ``json.dumps(indent=2)`` lays it
+    out at ``steps[i].gates[j]``: two ``%d`` slots for the pair, 32 ``%r``
+    slots for the unitary's (re, im) entries in row order, and one for the
+    angle."""
+    pad = [" " * n for n in range(18)]
+    entry = f"[\n{pad[16]}%r,\n{pad[16]}%r\n{pad[14]}]"
+    row = f"[\n{pad[14]}" + f",\n{pad[14]}".join([entry] * 4) + f"\n{pad[12]}]"
+    return (
+        f'{{\n{pad[10]}"pair": [\n{pad[12]}%d,\n{pad[12]}%d\n{pad[10]}],\n'
+        f'{pad[10]}"unitary": [\n{pad[12]}' + f",\n{pad[12]}".join([row] * 4) + f"\n{pad[10]}],\n"
+        f'{pad[10]}"angle": %r\n{pad[8]}}}'
+    )
+
+
+_GATE_TEMPLATE = _gate_template()
+
+
 def dumps_gates(g: GateSchedule) -> str:
+    """The bytes of ``json.dumps(doc, indent=2) + "\\n"`` for the gate document.
+
+    The gate objects are written from a fixed template instead of through
+    ``json``'s indenting encoder, which runs in pure Python.  Floats are
+    rendered by ``float.__repr__`` as ``json`` does; unitaries and angles
+    are finite (``Gate`` checks both), so no NaN or Infinity arises.
+    """
+    header = (
+        f'{{\n  "format": "{GATES_FORMAT}",\n  "version": {FORMAT_VERSION},\n'
+        f'  "n_qubits": {g.n_qubits:d},\n  "steps": '
+    )
+    if not g.steps:
+        return header + "[]\n}\n"
     steps = []
     for step in g.steps:
-        gates = []
-        for gate in step.gates:
-            unitary = gate.unitary.view(np.float64).reshape(4, 4, 2).tolist()
-            gates.append(
-                {"pair": [gate.pair[0], gate.pair[1]], "unitary": unitary, "angle": gate.angle}
-            )
-        steps.append({"gates": gates})
-    doc = {
-        "format": GATES_FORMAT,
-        "version": FORMAT_VERSION,
-        "n_qubits": g.n_qubits,
-        "steps": steps,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        gates = [
+            _GATE_TEMPLATE
+            % (*gate.pair, *gate.unitary.view(np.float64).ravel().tolist(), gate.angle)
+            for gate in step.gates
+        ]
+        steps.append('{\n      "gates": [\n        ' + ",\n        ".join(gates) + "\n      ]\n    }")
+    return header + "[\n    " + ",\n    ".join(steps) + "\n  ]\n}\n"
 
 
 def loads_gates(text: str) -> GateSchedule:

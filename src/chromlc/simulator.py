@@ -64,6 +64,7 @@ __all__ = [
     "ProductState",
     "StateVector",
     "apply_gate",
+    "check_tolerance",
     "evolve_continuous",
     "full_unitary",
     "mixed_variance",
@@ -73,7 +74,8 @@ __all__ = [
 ]
 
 
-def _check_tolerance(tol: float):
+def check_tolerance(tol: float):
+    """Raise ``BadParams`` unless ``tol`` is a finite integrator tolerance >= 1e-12."""
     if not (math.isfinite(tol) and tol >= 1e-12):
         raise BadParams(f"integrator tolerance must be a finite number >= 1e-12, got {tol}")
 
@@ -254,7 +256,7 @@ def evolve_continuous(psi: StateVector, s: HamiltonianSchedule, tol: float = 1e-
     """
     if s.n_qubits != psi.n_qubits:
         raise DimensionMismatch(f"schedule is on {s.n_qubits} qubits, state on {psi.n_qubits}")
-    _check_tolerance(tol)
+    check_tolerance(tol)
     final = _integrate_adaptive(s, psi.amplitudes, tol)
     norm = float(np.linalg.norm(final))
     if abs(norm - 1.0) > NORM_DRIFT_LIMIT:
@@ -264,7 +266,7 @@ def evolve_continuous(psi: StateVector, s: HamiltonianSchedule, tol: float = 1e-
 
 def full_unitary(x, tol: float = 1e-10) -> np.ndarray:
     """Implemented unitary of a gate or Hamiltonian schedule, n <= 6 qubits."""
-    _check_tolerance(tol)
+    check_tolerance(tol)
     n = x.n_qubits
     if n > FULL_UNITARY_MAX_QUBITS:
         raise TooLarge(f"full unitaries are limited to {FULL_UNITARY_MAX_QUBITS} qubits")

@@ -8,7 +8,7 @@ depth-first enumeration over edges in natural order.
 
 import numpy as np
 
-from chromlc import linalg
+from chromlc import cli, compiler, hamiltonian, linalg
 from chromlc.compiler import Gate, GateSchedule, Step
 from chromlc.hamiltonian import PAULI_LABELS, HamiltonianSchedule, PairTerm, Segment
 
@@ -180,3 +180,13 @@ def ghz_amplitudes(n):
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return amps
+
+
+def forbid_integrated_index(monkeypatch):
+    """Make every binding of ``integrated_chromatic_index`` raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated_chromatic_index was called")
+
+    for module in (hamiltonian, compiler, cli):
+        monkeypatch.setattr(module, "integrated_chromatic_index", refuse, raising=False)

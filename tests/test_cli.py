@@ -8,10 +8,10 @@ import pytest
 from chromlc import linalg
 from chromlc.cli import main
 from chromlc.compiler import Gate, GateSchedule, Step
-from chromlc.hamiltonian import embed_discrete
-from chromlc.serialization import dumps_schedule, loads_gates, loads_schedule
+from chromlc.hamiltonian import MAX_SAMPLES_PER_SEGMENT, embed_discrete, integrated_chromatic_index
+from chromlc.serialization import dumps_schedule, load_schedule, loads_gates, loads_schedule
 
-from helpers import random_hermitian
+from helpers import forbid_integrated_index, random_hermitian
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +77,49 @@ def test_compile_subcommand(tmp_path, capsys):
     report = json.loads(rpath.read_text())
     assert abs(report["weighted_depth"] - 2.0) < 1e-9
     assert report["n_steps"] == len(gates.steps)
+
+
+def test_compile_computes_the_index_only_for_the_report(tmp_path, capsys, monkeypatch):
+    spath = tmp_path / "tv.json"
+    gpath = tmp_path / "gates.json"
+    rpath = tmp_path / "report.json"
+    run_cli(capsys, "generate", "random_time_varying", "--n", "4", "--seed", "2", "-o", str(spath))
+    code, _, err = run_cli(
+        capsys, "compile", str(spath), "--epsilon", "0.25", "-o", str(gpath), "--report", str(rpath)
+    )
+    assert code == 0
+    report = json.loads(rpath.read_text())
+    schedule = load_schedule(spath)
+    assert report["source_integrated_index"] == integrated_chromatic_index(schedule).integral
+    assert list(report) == [
+        "epsilon", "n_steps", "weighted_depth", "source_integrated_index", "intervals",
+    ]
+    depth = report["weighted_depth"]
+    assert err == f"compiled {report['n_steps']} steps, weighted depth {depth!r}\n"
+    gate_text = gpath.read_text()
+    forbid_integrated_index(monkeypatch)
+    code, _, again = run_cli(capsys, "compile", str(spath), "--epsilon", "0.25", "-o", str(gpath))
+    assert code == 0
+    assert again == err
+    assert gpath.read_text() == gate_text
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("index", "{doc}", "--samples", "1000000000000"), "samples per segment are limited to"),
+        (("compile", "{doc}", "--epsilon", "1e-13"), "subintervals"),
+        (("compile", "{doc}", "--epsilon", "5e-324"), "subintervals"),
+    ],
+)
+def test_sample_cap_exits_2(tmp_path, capsys, argv, message):
+    # uncapped, these ask for terabytes, and 1 / 5e-324 overflows to inf
+    spath = tmp_path / "chain.json"
+    run_cli(capsys, "generate", "chain", "--n", "3", "-o", str(spath))
+    code, out, err = run_cli(capsys, *(a.format(doc=spath) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and message in err and str(MAX_SAMPLES_PER_SEGMENT) in err
+    assert out == ""
 
 
 def test_compile_epsilon_too_large_exits_2(tmp_path, capsys):
@@ -250,6 +293,7 @@ def _too_slow(signum, frame):
     [
         ("simulate", "{doc}"),
         ("verify", "variance", "--n", "3", "--alpha", "0.2", "--trials", "1"),
+        ("verify", "variance", "--n", "3", "--alpha", "0", "--trials", "1"),
         ("verify", "theorem1", "{doc}", "--epsilons", "0.5"),
         ("trotter", "{doc}", "--m-list", "2"),
     ],

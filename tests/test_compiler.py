@@ -20,13 +20,20 @@ from chromlc.hamiltonian import (
     Segment,
     chain,
     complete_mean_field,
+    integrated_chromatic_index,
     interaction_graph,
     random_graph,
     random_time_varying,
     weighted_chromatic_index,
 )
 
-from helpers import haar_unitary, random_hermitian, single_pair_schedule, two_pair_noncommuting
+from helpers import (
+    forbid_integrated_index,
+    haar_unitary,
+    random_hermitian,
+    single_pair_schedule,
+    two_pair_noncommuting,
+)
 
 
 def test_gate_validation():
@@ -35,6 +42,9 @@ def test_gate_validation():
         Gate((0, 1), np.ones((4, 4)), 0.0)
     with pytest.raises(BadParams):
         Gate((1, 0), np.eye(4), 0.0)
+    for angle in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(BadParams, match="angle must be finite"):
+            Gate((0, 1), np.eye(4), angle)
     g = Gate.from_unitary((0, 1), haar_unitary(4, rng))
     assert abs(g.angle - linalg.unitary_angle(g.unitary)) < 1e-12
 
@@ -70,7 +80,7 @@ def test_compile_single_pair_exact():
     assert report.n_steps == 1
     assert len(gates.steps[0].gates) == 1
     assert abs(report.weighted_depth - norm) < 1e-12
-    assert abs(report.weighted_depth - report.source_integrated_index) < 1e-9
+    assert abs(report.weighted_depth - integrated_chromatic_index(s).integral) < 1e-9
     expected = linalg.expm_i(s.segments[0].terms[0].matrix_at(0.5), 1.0)
     assert np.max(np.abs(gates.steps[0].gates[0].unitary - expected)) < 1e-12
 
@@ -109,7 +119,67 @@ def test_compile_piecewise_constant_depth_matches_index():
         s = random_graph(4, p=0.7, seed=seed, segments=2)
         for eps in (0.5, 0.25, 0.125):
             _, report = compile(s, eps)
-            assert abs(report.weighted_depth - report.source_integrated_index) < 1e-9
+            assert abs(report.weighted_depth - integrated_chromatic_index(s).integral) < 1e-9
+
+
+def test_compile_does_not_compute_the_integrated_index(monkeypatch):
+    s = random_time_varying(4, p=0.8, seed=2)
+    expected, _ = compile(s, 0.25)
+    forbid_integrated_index(monkeypatch)
+    g, report = compile(s, 0.25)
+    assert g == expected
+    assert "source_integrated_index" not in report.to_dict()
+
+
+def _interval_blocks(g, report):
+    """The steps of each subinterval, in report order."""
+    blocks, start = [], 0
+    for iv in report.intervals:
+        stop = start + sum(iv.chromatic_indices)
+        blocks.append(g.steps[start:stop])
+        start = stop
+    assert start == len(g.steps)
+    return blocks
+
+
+def test_compile_repeats_each_constant_segment_block():
+    s = random_graph(6, p=0.6, seed=3, segments=4)
+    g, report = compile(s, 0.05)
+    blocks = _interval_blocks(g, report)
+    assert len(blocks) == 20
+    for k, seg in enumerate(s.segments):
+        first = blocks[5 * k]
+        assert first
+        for j in range(5):
+            block = blocks[5 * k + j]
+            assert len(block) == len(first)
+            for step, first_step in zip(block, first):
+                assert step is first_step
+            iv = report.intervals[5 * k + j]
+            assert iv.t_mid == pytest.approx(seg.t_start + (j + 0.5) * 0.05, abs=1e-15)
+            assert iv.delta == pytest.approx(0.05, abs=1e-15)
+    assert len({iv.t_mid for iv in report.intervals}) == 20
+    assert blocks[0][0] != blocks[5][0]
+
+
+def test_compile_equal_constant_segments_keep_their_own_delta():
+    # the same XX term on [0, 0.25] and [0.25, 1]: eps 0.2 gives deltas 0.125 and 0.1875
+    coeffs = [()] * 16
+    coeffs[PAULI_LABELS.index("XX")] = (0.8,)
+    term = PairTerm((0, 1), tuple(coeffs))
+    s = HamiltonianSchedule(2, (Segment(0.0, 0.25, (term,)), Segment(0.25, 1.0, (term,))))
+    g, report = compile(s, 0.2)
+    assert [iv.delta for iv in report.intervals] == [0.125] * 2 + [0.1875] * 4
+    assert [iv.t_mid for iv in report.intervals] == pytest.approx(
+        [0.0625, 0.1875, 0.34375, 0.53125, 0.71875, 0.90625], abs=1e-15
+    )
+    assert len(g.steps) == 6
+    for step, iv in zip(g.steps, report.intervals):
+        (gate,) = step.gates
+        assert abs(gate.angle - 0.8 * iv.delta) < 1e-15
+        expected = linalg.expm_i(term.matrix_at(iv.t_mid), iv.delta)
+        assert np.max(np.abs(gate.unitary - expected)) < 1e-12
+    assert abs(report.weighted_depth - 0.8) < 1e-12
 
 
 def test_compile_level_gates_telescope():

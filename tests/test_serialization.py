@@ -1,8 +1,11 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chromlc.compiler import Gate, GateSchedule, Step, compile
 from chromlc.errors import ParseError, SchemaVersionMismatch
@@ -127,6 +130,15 @@ def test_gates_parse_rejects_bad_angle():
         loads_gates(json.dumps(doc))
 
 
+@pytest.mark.parametrize("angle", ["NaN", "Infinity"])
+def test_gates_parse_rejects_non_finite_angle(angle):
+    # json reads these literals; the encoder could not write them back
+    text = dumps_gates(GateSchedule(2, (Step((Gate((0, 1), np.eye(4), 0.0),)),)))
+    assert '"angle": 0.0' in text
+    with pytest.raises(ParseError, match=r"steps\[0\].gates\[0\]: gate angle must be finite"):
+        loads_gates(text.replace('"angle": 0.0', f'"angle": {angle}'))
+
+
 def test_gates_parse_rejects_non_unitary():
     rng = np.random.default_rng(3)
     g = GateSchedule(2, (Step((Gate.from_unitary((0, 1), haar_unitary(4, rng)),)),))
@@ -168,3 +180,86 @@ def test_file_helpers_and_dispatch(tmp_path):
     other.write_text('{"format": "nope", "version": 1}')
     with pytest.raises(SchemaVersionMismatch):
         load_document(other)
+
+
+# -- encoder against json.dumps ----------------------------------------------
+
+
+def _reference_text(g):
+    """The gate document as ``json.dumps(indent=2)`` writes it, built here."""
+    steps = [
+        {
+            "gates": [
+                {
+                    "pair": [gate.pair[0], gate.pair[1]],
+                    "unitary": [
+                        [[float(z.real), float(z.imag)] for z in row] for row in gate.unitary
+                    ],
+                    "angle": gate.angle,
+                }
+                for gate in step.gates
+            ]
+        }
+        for step in g.steps
+    ]
+    doc = {"format": "chromlc-gates", "version": 1, "n_qubits": g.n_qubits, "steps": steps}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@st.composite
+def _unitaries(draw):
+    """Phase diagonals, optionally turned by a Givens rotation with sine 0.1 or
+    0.6, with some zero entries replaced by -0.0, +-1e-17 or 5e-324."""
+    phases = draw(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
+    u = np.diag(np.exp(1j * np.array(phases)))
+    sine = draw(st.sampled_from([None, 0.1, 0.6]))
+    if sine is not None:
+        turn = np.eye(4, dtype=complex)
+        turn[:2, :2] = [[math.sqrt(1.0 - sine * sine), -sine], [sine, math.sqrt(1.0 - sine * sine)]]
+        u = turn @ u
+    flat = u.view(np.float64).ravel()
+    for i in draw(st.lists(st.integers(0, 31), max_size=8)):
+        if flat[i] == 0.0:
+            flat[i] = draw(st.sampled_from([-0.0, 1e-17, -1e-17, 5e-324]))
+    return u
+
+
+@st.composite
+def _gate_schedules(draw):
+    """Zero to four steps of one to three gates on disjoint pairs of six qubits."""
+    steps = []
+    for _ in range(draw(st.integers(0, 4))):
+        qubits = draw(st.permutations(range(6)))
+        width = draw(st.integers(1, 3))
+        gates = []
+        for j in range(width):
+            finite = st.floats(allow_nan=False, allow_infinity=False)
+            angle = draw(finite | st.sampled_from([-0.0, 1e-17, 0.1]))
+            pair = tuple(sorted(qubits[2 * j : 2 * j + 2]))
+            gates.append(Gate(pair, draw(_unitaries()), angle))
+        steps.append(Step(tuple(gates)))
+    return GateSchedule(6, tuple(steps))
+
+
+_PAST_PI, _ = compile(chain(4, coupling=100.0), 0.05)  # angles taken from the unitaries
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gate_schedules())
+@example(GateSchedule(2, ()))
+@example(_PAST_PI)
+def test_dumps_gates_matches_json_indent(g):
+    assert dumps_gates(g) == _reference_text(g)
+
+
+def test_dumps_gates_examples_cover_the_fallback_and_special_entries():
+    u = np.eye(4, dtype=complex)
+    u[0, 1], u[1, 0], u[2, 2] = 1e-17, complex(-0.0, 1e-17), complex(1.0, -0.0)
+    g = GateSchedule(4, (Step((Gate((0, 1), u, 0.1), Gate((2, 3), np.eye(4), -0.0))),))
+    text = dumps_gates(g)
+    assert text == _reference_text(g)
+    for literal in ("1e-17", "-0.0", "0.1"):
+        assert literal in text
+    assert dumps_gates(GateSchedule(2, ())).endswith('"steps": []\n}\n')
+    # each gate's generator has norm 100 * 0.05 = 5 > pi: the angle is the unitary's
+    assert all(gate.angle < math.pi for step in _PAST_PI.steps for gate in step.gates)
