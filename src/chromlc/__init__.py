@@ -58,7 +58,6 @@ from .graphs import (
 from .hamiltonian import (
     HamiltonianSchedule,
     IndexProfile,
-    PairTerm,
     Segment,
     embed_discrete,
     eval_pair,

@@ -35,7 +35,6 @@ from .graphs import color_edges, level_decompose
 from .hamiltonian import (
     MAX_SAMPLES_PER_SEGMENT,
     HamiltonianSchedule,
-    PairTerm,
     Segment,
     pauli_coeffs,
     snapshot,
@@ -309,21 +308,16 @@ def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianS
     for t_mid, delta in subintervals:
         snap = snapshot(s, t_mid)
         if not snap.pairs:
-            out_segments.append(Segment(t_cursor, t_cursor + delta, ()))
+            out_segments.append(Segment(t_cursor, t_cursor + delta))
             t_cursor += delta
             continue
         rows = {pair: i for i, pair in enumerate(snap.pairs)}
         classes = color_edges(snap.graph).coloring.classes
         groups = [classes[i : i + m] for i in range(0, len(classes), m)]
         for group in groups:
-            terms = []
-            for matching in group:
-                for pair in matching:
-                    coeffs = pauli_coeffs(snap.matrices[rows[pair]])
-                    terms.append(
-                        PairTerm(pair, tuple((float(c),) if c != 0.0 else () for c in coeffs))
-                    )
-            terms.sort(key=lambda tm: tm.pair)
-            out_segments.append(Segment(t_cursor, t_cursor + delta, tuple(terms)))
+            pairs = sorted(pair for matching in group for pair in matching)
+            coeffs = [pauli_coeffs(snap.matrices[rows[pair]]) for pair in pairs]
+            tracks = np.reshape(coeffs, (len(pairs), 16, 1))
+            out_segments.append(Segment(t_cursor, t_cursor + delta, tuple(pairs), tracks))
             t_cursor += delta
     return HamiltonianSchedule(s.n_qubits, tuple(out_segments))

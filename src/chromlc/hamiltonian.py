@@ -56,7 +56,6 @@ __all__ = [
     "PAULI_PRODUCTS",
     "HamiltonianSchedule",
     "IndexProfile",
-    "PairTerm",
     "Segment",
     "Snapshot",
     "ZERO_NORM_TOL",
@@ -100,77 +99,58 @@ def pauli_matrix(coeffs) -> np.ndarray:
     return np.tensordot(c, PAULI_PRODUCTS, axes=(0, 0))
 
 
-def _trim_poly(p):
-    p = tuple(float(x) for x in p)
-    while p and p[-1] == 0.0:
-        p = p[:-1]
-    return p
-
-
-def _poly_eval(p, t: float) -> float:
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * t + c
-    return acc
-
-
-@dataclass(frozen=True)
-class PairTerm:
-    """One pair interaction: 16 polynomial coefficient tracks in absolute time."""
-
-    pair: tuple
-    coeffs: tuple  # 16 ascending-degree tuples, entry i for PAULI_LABELS[i]
-
-    def __post_init__(self):
-        k, l = int(self.pair[0]), int(self.pair[1])
-        if k == l or k > l or k < 0:
-            raise BadParams(f"pair ({k},{l}) must satisfy 0 <= k < l")
-        object.__setattr__(self, "pair", (k, l))
-        polys = tuple(_trim_poly(p) for p in self.coeffs)
-        if len(polys) != 16:
-            raise BadParams("a pair term carries exactly 16 coefficient polynomials")
-        for p in polys:
-            if len(p) > MAX_POLY_DEGREE + 1:
-                raise BadParams(f"polynomial degree exceeds {MAX_POLY_DEGREE}")
-            if not all(math.isfinite(c) for c in p):
-                raise BadParams("polynomial coefficients must be finite")
-        object.__setattr__(self, "coeffs", polys)
-
-    @property
-    def is_constant(self) -> bool:
-        return all(len(p) <= 1 for p in self.coeffs)
-
-    def coeffs_at(self, t: float) -> np.ndarray:
-        return np.array([_poly_eval(p, t) for p in self.coeffs])
-
-    def matrix_at(self, t: float) -> np.ndarray:
-        if self.is_constant:
-            cached = getattr(self, "_const_matrix", None)
-            if cached is None:
-                cached = pauli_matrix(self.coeffs_at(0.0))
-                object.__setattr__(self, "_const_matrix", cached)
-            return cached
-        return pauli_matrix(self.coeffs_at(t))
-
-    def norm_at(self, t: float) -> float:
-        return linalg.operator_norm(self.matrix_at(t))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segment:
+    """The pair terms on [t_start, t_end], polynomial in absolute time.
+
+    ``pairs`` lists the interacting pairs (k, l), 0 <= k < l, each at most
+    once.  ``tracks[i, j]`` holds the ascending-degree coefficients of the
+    Pauli product ``PAULI_LABELS[j]`` in the term of ``pairs[i]``: a
+    read-only float array of shape (terms, 16, degree + 1), trimmed so that
+    its top degree is nonzero somewhere (degree 0 when no coefficient is).
+    Segments compare by value.
+    """
+
     t_start: float
     t_end: float
-    terms: tuple = ()
+    pairs: tuple = ()
+    tracks: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "t_start", float(self.t_start))
-        object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.t_start < self.t_end:
-            raise BadParams(f"segment [{self.t_start}, {self.t_end}] is empty or reversed")
-        pairs = [term.pair for term in self.terms]
+        t_start, t_end = float(self.t_start), float(self.t_end)
+        if not (math.isfinite(t_start) and math.isfinite(t_end)):
+            raise BadParams(f"segment ends must be finite, got [{t_start}, {t_end}]")
+        if not t_start < t_end:
+            raise BadParams(f"segment [{t_start}, {t_end}] is empty or reversed")
+        pairs = tuple((int(k), int(l)) for k, l in self.pairs)
+        for k, l in pairs:
+            if not 0 <= k < l:
+                raise BadParams(f"pair ({k},{l}) must satisfy 0 <= k < l")
         if len(set(pairs)) != len(pairs):
             raise BadParams("segment holds duplicate pair terms")
+        raw = np.zeros((len(pairs), 16, 1)) if self.tracks is None else np.asarray(self.tracks, dtype=float)
+        if raw.ndim != 3 or raw.shape[:2] != (len(pairs), 16) or raw.shape[2] < 1:
+            raise BadParams(
+                f"expected coefficient tracks of shape ({len(pairs)}, 16, degree + 1), got {raw.shape}"
+            )
+        used = np.flatnonzero(raw.any(axis=(0, 1)))
+        tracks = np.array(raw[:, :, : used[-1] + 1 if used.size else 1])
+        if tracks.shape[2] > MAX_POLY_DEGREE + 1:
+            raise BadParams(f"polynomial degree exceeds {MAX_POLY_DEGREE}")
+        finite = np.isfinite(tracks).all(axis=(1, 2))
+        if not finite.all():
+            raise BadParams(f"pair {pairs[int(np.argmin(finite))]}: polynomial coefficients must be finite")
+        tracks.flags.writeable = False
+        object.__setattr__(self, "t_start", t_start)
+        object.__setattr__(self, "t_end", t_end)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "tracks", tracks)
+
+    def __eq__(self, other):
+        if not isinstance(other, Segment):
+            return NotImplemented
+        same = (self.t_start, self.t_end, self.pairs) == (other.t_start, other.t_end, other.pairs)
+        return same and np.array_equal(self.tracks, other.tracks)
 
     @property
     def length(self) -> float:
@@ -178,7 +158,15 @@ class Segment:
 
     @property
     def is_constant(self) -> bool:
-        return all(term.is_constant for term in self.terms)
+        return self.tracks.shape[2] == 1
+
+    def matrices_at(self, t: float) -> np.ndarray:
+        """H_kl(t) of every term, stacked (terms, 4, 4) in the order of ``pairs``."""
+        c = np.zeros(self.tracks.shape[:2])
+        for d in range(self.tracks.shape[2] - 1, -1, -1):
+            c = c * t + self.tracks[:, :, d]
+        # rounds as pauli_matrix does; tensordot or einsum over the stack can differ in the last bit
+        return np.matmul(c[:, None, :], PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -201,9 +189,9 @@ class HamiltonianSchedule:
             if a.t_end != b.t_start:
                 raise BadParams(f"segments must tile exactly: gap at t={a.t_end}")
         for seg in self.segments:
-            for term in seg.terms:
-                if term.pair[1] >= self.n_qubits:
-                    raise BadParams(f"pair {term.pair} exceeds register of {self.n_qubits}")
+            for k, l in seg.pairs:
+                if l >= self.n_qubits:
+                    raise BadParams(f"pair {(k, l)} exceeds register of {self.n_qubits}")
 
     @property
     def total_time(self) -> float:
@@ -246,9 +234,8 @@ def eval_pair(s: HamiltonianSchedule, pair, t: float) -> np.ndarray:
     if not 0 <= k < l < s.n_qubits:
         raise OutOfRange(f"pair ({k},{l}) invalid for {s.n_qubits} qubits")
     seg = s.segment_at(t)
-    for term in seg.terms:
-        if term.pair == (k, l):
-            return term.matrix_at(t)
+    if (k, l) in seg.pairs:
+        return seg.matrices_at(t)[seg.pairs.index((k, l))]
     return np.zeros((4, 4), dtype=np.complex128)
 
 
@@ -272,12 +259,13 @@ class Snapshot(NamedTuple):
 
 def snapshot(s: HamiltonianSchedule, t: float) -> Snapshot:
     """Every pair term at time t, with one stacked eigendecomposition."""
-    terms = sorted(s.segment_at(t).terms, key=lambda tm: tm.pair)
-    matrices = np.array([term.matrix_at(t) for term in terms], dtype=np.complex128).reshape(-1, 4, 4)
+    seg = s.segment_at(t)
+    order = sorted(range(len(seg.pairs)), key=seg.pairs.__getitem__)
+    matrices = seg.matrices_at(t)[order]
     w, v = linalg.hermitian_eig(matrices)
     norms = np.max(np.abs(w), axis=-1, initial=0.0)
     keep = norms > ZERO_NORM_TOL
-    pairs = tuple(term.pair for term, active in zip(terms, keep) if active)
+    pairs = tuple(seg.pairs[i] for i, active in zip(order, keep) if active)
     norms = norms[keep]
     graph = WeightedGraph(s.n_qubits, tuple((k, l, float(x)) for (k, l), x in zip(pairs, norms)))
     return Snapshot(pairs, matrices[keep], w[keep], v[keep], norms, graph)
@@ -341,15 +329,13 @@ def embed_discrete(g: "GateSchedule") -> HamiltonianSchedule:
     empty gate schedule maps to a single zero segment of unit length.
     """
     if not g.steps:
-        return HamiltonianSchedule(g.n_qubits, (Segment(0.0, 1.0, ()),))
+        return HamiltonianSchedule(g.n_qubits, (Segment(0.0, 1.0),))
     segments = []
     for j, step in enumerate(g.steps):
-        terms = []
-        for gate in sorted(step.gates, key=lambda gt: gt.pair):
-            h = -linalg.unitary_log(gate.unitary)
-            coeffs = pauli_coeffs(h)
-            terms.append(PairTerm(gate.pair, tuple((float(c),) for c in coeffs)))
-        segments.append(Segment(float(j), float(j + 1), tuple(terms)))
+        gates = sorted(step.gates, key=lambda gt: gt.pair)
+        coeffs = [pauli_coeffs(-linalg.unitary_log(gate.unitary)) for gate in gates]
+        tracks = np.reshape(coeffs, (len(gates), 16, 1))
+        segments.append(Segment(float(j), float(j + 1), tuple(gate.pair for gate in gates), tracks))
     return HamiltonianSchedule(g.n_qubits, tuple(segments))
 
 
@@ -357,54 +343,47 @@ def scale_schedule(s: HamiltonianSchedule, factor: float) -> HamiltonianSchedule
     """Multiply every pair term by ``factor`` > 0 (W and I scale the same way)."""
     if not factor > 0:
         raise BadParams("scale factor must be positive")
-    segments = []
-    for seg in s.segments:
-        terms = tuple(
-            PairTerm(term.pair, tuple(tuple(factor * c for c in p) for p in term.coeffs))
-            for term in seg.terms
-        )
-        segments.append(Segment(seg.t_start, seg.t_end, terms))
-    return HamiltonianSchedule(s.n_qubits, tuple(segments))
+    segments = tuple(Segment(seg.t_start, seg.t_end, seg.pairs, factor * seg.tracks) for seg in s.segments)
+    return HamiltonianSchedule(s.n_qubits, segments)
 
 
 # ---------------------------------------------------------------------------
 # generators
 
 
-def _const_term(pair, label_coeffs) -> PairTerm:
-    coeffs = [()] * 16
+def _uniform_schedule(n: int, t_total: float, pairs, label_coeffs) -> HamiltonianSchedule:
+    """One segment over [0, t_total] giving every pair the same constant term."""
+    row = np.zeros((16, 1))
     for label, value in label_coeffs.items():
-        coeffs[PAULI_LABELS.index(label)] = (float(value),)
-    return PairTerm(tuple(pair), tuple(coeffs))
+        row[PAULI_LABELS.index(label)] = value
+    tracks = np.broadcast_to(row, (len(pairs), 16, 1))
+    return HamiltonianSchedule(n, (Segment(0.0, float(t_total), tuple(pairs), tracks),))
 
 
-def _heisenberg(pair, strength: float) -> PairTerm:
+def _heisenberg(strength: float) -> dict:
     # (XX + YY + ZZ)/3 has operator norm 1, so the term's norm is |strength|
     third = strength / 3.0
-    return _const_term(pair, {"XX": third, "YY": third, "ZZ": third})
+    return {"XX": third, "YY": third, "ZZ": third}
 
 
 def chain(n: int, t_total: float = 1.0, coupling: float = 1.0) -> HamiltonianSchedule:
     """Nearest-neighbor chain with isotropic exchange of norm ``coupling``."""
     _check_common(n, t_total)
-    terms = tuple(_heisenberg((i, i + 1), coupling) for i in range(n - 1))
-    return HamiltonianSchedule(n, (Segment(0.0, float(t_total), terms),))
+    return _uniform_schedule(n, t_total, [(i, i + 1) for i in range(n - 1)], _heisenberg(coupling))
 
 
 def disjoint_pairs(n: int, t_total: float = 1.0, coupling: float = 1.0) -> HamiltonianSchedule:
     """Matching (0,1), (2,3), ... -- the fully parallel interaction pattern."""
     _check_common(n, t_total)
-    terms = tuple(_heisenberg((2 * i, 2 * i + 1), coupling) for i in range(n // 2))
-    return HamiltonianSchedule(n, (Segment(0.0, float(t_total), terms),))
+    pairs = [(2 * i, 2 * i + 1) for i in range(n // 2)]
+    return _uniform_schedule(n, t_total, pairs, _heisenberg(coupling))
 
 
 def complete_mean_field(n: int, t_total: float = 1.0, coupling: float = 1.0) -> HamiltonianSchedule:
     """All-to-all ZZ couplings of equal strength."""
     _check_common(n, t_total)
-    terms = tuple(
-        _const_term((i, j), {"ZZ": coupling}) for i in range(n) for j in range(i + 1, n)
-    )
-    return HamiltonianSchedule(n, (Segment(0.0, float(t_total), terms),))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return _uniform_schedule(n, t_total, pairs, {"ZZ": coupling})
 
 
 def _random_pair_coeffs(rng, coupling: float) -> np.ndarray:
@@ -438,13 +417,13 @@ def random_graph(
     for i in range(segments):
         t0 = (i * t_total) / segments
         t1 = ((i + 1) * t_total) / segments if i + 1 < segments else float(t_total)
-        terms = []
+        pairs, coeffs = [], []
         for k in range(n):
             for l in range(k + 1, n):
                 if rng.random() < p:
-                    c = _random_pair_coeffs(rng, coupling)
-                    terms.append(PairTerm((k, l), tuple((float(x),) if x != 0.0 else () for x in c)))
-        segs.append(Segment(t0, t1, tuple(terms)))
+                    pairs.append((k, l))
+                    coeffs.append(_random_pair_coeffs(rng, coupling))
+        segs.append(Segment(t0, t1, tuple(pairs), np.reshape(coeffs, (len(pairs), 16, 1))))
     return HamiltonianSchedule(n, tuple(segs))
 
 
@@ -464,30 +443,28 @@ def random_time_varying(
     if not 0 <= degree <= MAX_POLY_DEGREE:
         raise BadParams(f"degree must lie in [0, {MAX_POLY_DEGREE}]")
     rng = np.random.default_rng(seed)
-    probe = np.linspace(0.0, t_total, 33)
-    terms = []
+    pairs, polys = [], []
     for k in range(n):
         for l in range(k + 1, n):
-            if rng.random() >= p:
-                continue
-            polys = rng.standard_normal((16, degree + 1))
-            polys[0, :] = 0.0
-            term = PairTerm((k, l), tuple(tuple(float(c) for c in row) for row in polys))
-            peak = max(term.norm_at(float(t)) for t in probe)
-            if peak <= 1e-9:
-                continue
-            scale = coupling / peak
-            terms.append(
-                PairTerm((k, l), tuple(tuple(scale * c for c in poly) for poly in term.coeffs))
-            )
-    return HamiltonianSchedule(n, (Segment(0.0, float(t_total), tuple(terms)),))
+            if rng.random() < p:
+                pairs.append((k, l))
+                polys.append(rng.standard_normal((16, degree + 1)))
+    tracks = np.reshape(polys, (len(pairs), 16, degree + 1))
+    tracks[:, 0, :] = 0.0
+    raw = Segment(0.0, float(t_total), tuple(pairs), tracks)
+    probe = np.stack([raw.matrices_at(float(t)) for t in np.linspace(0.0, t_total, 33)])
+    peaks = np.max(np.abs(np.linalg.eigvalsh(probe)), axis=(0, 2), initial=0.0)
+    keep = peaks > 1e-9
+    tracks = (coupling / peaks[keep])[:, None, None] * tracks[keep]
+    kept = tuple(pair for pair, active in zip(pairs, keep) if active)
+    return HamiltonianSchedule(n, (Segment(0.0, float(t_total), kept, tracks),))
 
 
 def _check_common(n: int, t_total: float):
     if n < 2:
         raise BadParams("need at least two qubits")
-    if not t_total > 0:
-        raise BadParams("total time must be positive")
+    if not (math.isfinite(t_total) and t_total > 0):
+        raise BadParams(f"total time must be a finite positive number, got {t_total}")
 
 
 _GENERATORS = {

@@ -4,8 +4,11 @@ Two document types, distinguished by their ``format`` field:
 
 * ``chromlc-schedule`` -- piecewise-polynomial Hamiltonian schedules.
   Pauli keys are two-letter strings over {I,X,Y,Z}; omitted keys are zero;
-  coefficient lists are ascending-degree.  An ``II`` component is legal
-  (it only shifts the global phase) but parsing one emits a warning.
+  coefficient lists are ascending-degree.  Each term's lists fill one row of
+  its segment's coefficient array; trailing zeros are dropped, and a list
+  of higher degree than ``MAX_POLY_DEGREE`` is rejected before that array
+  is built.  An ``II`` component is legal (it only shifts the global phase)
+  but parsing one emits a warning.
 * ``chromlc-gates`` -- gate schedules; unitaries are 4x4 arrays of
   ``[re, im]`` pairs and every gate carries its angle.
 
@@ -27,7 +30,7 @@ import numpy as np
 from . import linalg
 from .compiler import Gate, GateSchedule, Step
 from .errors import BadParams, NotUnitary, ParseError, SchemaVersionMismatch
-from .hamiltonian import PAULI_LABELS, HamiltonianSchedule, PairTerm, Segment
+from .hamiltonian import MAX_POLY_DEGREE, PAULI_LABELS, HamiltonianSchedule, Segment
 
 SCHEDULE_FORMAT = "chromlc-schedule"
 GATES_FORMAT = "chromlc-gates"
@@ -54,6 +57,8 @@ def _decode(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an integer of over 4300 digits; deep nesting
+        raise ParseError(f"not a readable JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be a JSON object")
     return doc
@@ -75,11 +80,14 @@ def _int_field(obj, key, where):
     return value
 
 
-def _num_field(obj, key, where):
-    value = obj.get(key)
+def _number(value, where) -> float:
+    """A JSON number as a float; a ``ParseError`` at ``where`` for anything else."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
+        raise ParseError(f"{where}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(f"{where}: number too large for a float") from None
 
 
 def _list_field(obj, key, where):
@@ -107,12 +115,13 @@ def dumps_schedule(s: HamiltonianSchedule) -> str:
     segments = []
     for seg in s.segments:
         terms = []
-        for term in seg.terms:
+        for (k, l), rows in zip(seg.pairs, seg.tracks):
             coeffs = {}
-            for label, poly in zip(PAULI_LABELS, term.coeffs):
-                if poly:
-                    coeffs[label] = [float(c) for c in poly]
-            terms.append({"pair": [term.pair[0], term.pair[1]], "coeffs": coeffs})
+            for label, row in zip(PAULI_LABELS, rows):
+                poly = np.trim_zeros(row, "b")
+                if poly.size:
+                    coeffs[label] = poly.tolist()
+            terms.append({"pair": [k, l], "coeffs": coeffs})
         segments.append({"t_start": seg.t_start, "t_end": seg.t_end, "terms": terms})
     doc = {
         "format": SCHEDULE_FORMAT,
@@ -135,9 +144,9 @@ def loads_schedule(text: str) -> HamiltonianSchedule:
         where = f"segments[{i}]"
         if not isinstance(raw_seg, dict):
             raise ParseError(f"{where}: expected an object")
-        t_start = _num_field(raw_seg, "t_start", where)
-        t_end = _num_field(raw_seg, "t_end", where)
-        terms = []
+        t_start = _number(raw_seg.get("t_start"), f"{where}.t_start")
+        t_end = _number(raw_seg.get("t_end"), f"{where}.t_end")
+        pairs, polys = [], []
         for j, raw_term in enumerate(_list_field(raw_seg, "terms", where)):
             twhere = f"{where}.terms[{j}]"
             if not isinstance(raw_term, dict):
@@ -145,39 +154,50 @@ def loads_schedule(text: str) -> HamiltonianSchedule:
             k, l = _pair_field(raw_term, twhere)
             if not 0 <= k < l:
                 raise ParseError(f"{twhere}.pair: indices must satisfy 0 <= k < l, got [{k}, {l}]")
-            raw_coeffs = raw_term.get("coeffs")
-            if not isinstance(raw_coeffs, dict):
-                raise ParseError(f"{twhere}.coeffs: expected an object of Pauli keys")
-            polys = [()] * 16
-            for label, coeff_list in raw_coeffs.items():
-                if label not in PAULI_LABELS:
-                    raise ParseError(
-                        f"{twhere}.coeffs: unknown Pauli key {label!r}; "
-                        "keys are two letters over I, X, Y, Z"
-                    )
-                if not isinstance(coeff_list, list) or not all(
-                    isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeff_list
-                ):
-                    raise ParseError(f"{twhere}.coeffs.{label}: expected a list of numbers")
-                if label == "II" and any(c != 0 for c in coeff_list):
-                    warnings.warn(
-                        f"{twhere}: II component only shifts the global phase; "
-                        "it still counts toward the interaction norm",
-                        stacklevel=2,
-                    )
-                polys[PAULI_LABELS.index(label)] = tuple(float(c) for c in coeff_list)
-            try:
-                terms.append(PairTerm((k, l), tuple(polys)))
-            except BadParams as exc:
-                raise ParseError(f"{twhere}: {exc}") from None
+            pairs.append((k, l))
+            polys.append(_term_polys(raw_term, twhere))
+        width = max([1] + [len(poly) for term in polys for poly in term.values()])
+        tracks = np.zeros((len(pairs), 16, width))
+        for i, term in enumerate(polys):
+            for j, poly in term.items():
+                tracks[i, j, : len(poly)] = poly
         try:
-            segments.append(Segment(t_start, t_end, tuple(terms)))
+            segments.append(Segment(t_start, t_end, tuple(pairs), tracks))
         except BadParams as exc:
             raise ParseError(f"{where}: {exc}") from None
     try:
         return HamiltonianSchedule(n_qubits, tuple(segments))
     except BadParams as exc:
         raise ParseError(str(exc)) from None
+
+
+def _term_polys(raw_term: dict, where: str) -> dict:
+    """Each Pauli label's row index mapped to its coefficients, trailing zeros dropped."""
+    raw_coeffs = raw_term.get("coeffs")
+    if not isinstance(raw_coeffs, dict):
+        raise ParseError(f"{where}.coeffs: expected an object of Pauli keys")
+    polys = {}
+    for label, coeff_list in raw_coeffs.items():
+        if label not in PAULI_LABELS:
+            raise ParseError(
+                f"{where}.coeffs: unknown Pauli key {label!r}; keys are two letters over I, X, Y, Z"
+            )
+        field = f"{where}.coeffs.{label}"
+        if not isinstance(coeff_list, list):
+            raise ParseError(f"{field}: expected a list of numbers")
+        poly = [_number(c, field) for c in coeff_list]
+        while poly and poly[-1] == 0.0:
+            poly.pop()
+        if len(poly) > MAX_POLY_DEGREE + 1:
+            raise ParseError(f"{field}: polynomial degree exceeds {MAX_POLY_DEGREE}")
+        if label == "II" and any(poly):
+            warnings.warn(
+                f"{where}: II component only shifts the global phase; "
+                "it still counts toward the interaction norm",
+                stacklevel=3,
+            )
+        polys[PAULI_LABELS.index(label)] = poly
+    return polys
 
 
 # -- gate schedules ----------------------------------------------------------
@@ -246,13 +266,12 @@ def loads_gates(text: str) -> GateSchedule:
                 not isinstance(raw_u, list)
                 or len(raw_u) != 4
                 or any(not isinstance(row, list) or len(row) != 4 for row in raw_u)
+                or any(not isinstance(entry, list) or len(entry) != 2 for row in raw_u for entry in row)
             ):
                 raise ParseError(f"{gwhere}.unitary: expected a 4x4 array of [re, im] pairs")
-            try:
-                u = [[complex(entry[0], entry[1]) for entry in row] for row in raw_u]
-            except (TypeError, IndexError):
-                raise ParseError(f"{gwhere}.unitary: entries must be [re, im] pairs") from None
-            angle = _num_field(raw_gate, "angle", gwhere)
+            uwhere = f"{gwhere}.unitary"
+            u = [[complex(_number(re, uwhere), _number(im, uwhere)) for re, im in row] for row in raw_u]
+            angle = _number(raw_gate.get("angle"), f"{gwhere}.angle")
             try:
                 gate = Gate(pair, u, angle)
             except (BadParams, NotUnitary) as exc:

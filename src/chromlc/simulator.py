@@ -12,11 +12,12 @@ columns of the identity (``full_unitary``).  Each pass runs every segment
 with a fixed step count; the counts are doubled (at most
 ``MAX_STEP_HALVINGS`` times) until the endpoint moves by less than a quarter
 of the requested tolerance, which must be finite and at least 1e-12.  On a
-segment with polynomial coefficient tracks, -i H(t) = sum_d t^d G_d.  Up to
+segment, -i H(t) = sum_d t^d G_d, where G_d comes from the degree-d slice of
+the segment's (terms, 16, degree + 1) coefficient array.  Up to
 ``DENSE_GENERATOR_MAX_QUBITS`` qubits each G_d is built once per segment
 and pass as a dense matrix, so a derivative costs one matrix product per
-degree; on larger registers each pair term is contracted on its two axes,
-which needs no 4^n memory.
+degree; on larger registers each pair matrix of ``Segment.matrices_at`` is
+contracted on its two axes, which needs no 4^n memory.
 """
 
 from __future__ import annotations
@@ -159,11 +160,11 @@ def run_schedule(psi: StateVector, g: GateSchedule) -> StateVector:
     return StateVector(psi.n_qubits, amps)
 
 
-def _derivative(terms, t, array, n):
-    """-i H(t) array, one tensor contraction per pair term."""
+def _derivative(seg, t, array, n):
+    """-i H(t) array on one segment, one tensor contraction per pair term."""
     out = np.zeros_like(array)
-    for term in terms:
-        out += _apply_pair_matrix(term.matrix_at(t), array, n, *term.pair)
+    for (k, l), mat in zip(seg.pairs, seg.matrices_at(t)):
+        out += _apply_pair_matrix(mat, array, n, k, l)
     return -1j * out
 
 
@@ -175,12 +176,11 @@ def _dense_generators(seg, n):
     4 * 2^n entries of its 4x4 matrices; terms sharing a qubit share entries.
     """
     dim = 2**n
-    if not seg.terms:
+    if not seg.pairs:
         return np.zeros((1, dim, dim), dtype=np.complex128)
-    degrees = max(1, max(len(p) for term in seg.terms for p in term.coeffs))
-    tracks = np.array([[p + (0.0,) * (degrees - len(p)) for p in term.coeffs] for term in seg.terms])
-    blocks = -1j * np.tensordot(tracks, PAULI_PRODUCTS, axes=(1, 0))  # (terms, degrees, 4, 4)
-    shifts = n - 1 - np.array([term.pair for term in seg.terms])  # bit positions of k and l
+    degrees = seg.tracks.shape[2]
+    blocks = -1j * np.tensordot(seg.tracks, PAULI_PRODUCTS, axes=(1, 0))  # (terms, degrees, 4, 4)
+    shifts = n - 1 - np.array(seg.pairs)  # bit positions of k and l
     k, l = shifts[:, :1], shifts[:, 1:]
     rows = np.arange(dim)
     sub = 2 * ((rows >> k) & 1) + ((rows >> l) & 1)  # (terms, dim): each row's index into the 4x4
@@ -188,7 +188,7 @@ def _dense_generators(seg, n):
     rest = rows & ~((1 << k) | (1 << l))
     cols = rest[..., None] | ((b >> 1) << k[..., None]) | ((b & 1) << l[..., None])  # (terms, dim, 4)
     flat = (rows[:, None] * dim + cols).ravel()
-    term_index = np.arange(len(seg.terms))[:, None]
+    term_index = np.arange(len(seg.pairs))[:, None]
     gens = np.zeros((degrees, dim * dim), dtype=np.complex128)
     for d in range(degrees):
         np.add.at(gens[d], flat, blocks[:, d][term_index, sub].ravel())
@@ -206,7 +206,7 @@ def _dense_derivative(gens, t, array):
 def _segment_derivative(seg, n):
     """The map (t, array) -> -i H(t) array on one segment."""
     if n > DENSE_GENERATOR_MAX_QUBITS:
-        return lambda t, array: _derivative(seg.terms, t, array, n)
+        return lambda t, array: _derivative(seg, t, array, n)
     gens = _dense_generators(seg, n)
     return lambda t, array: _dense_derivative(gens, t, array)
 

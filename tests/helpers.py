@@ -1,16 +1,18 @@
 """Shared test utilities: random ensembles and independent dense oracles.
 
-The oracles here deliberately avoid the package's own code paths: operator
+The oracles here deliberately avoid the package's own code paths: pair
+matrices come from numpy's ``polyval`` one Pauli label at a time, operator
 embedding works bit-by-bit on basis indices, the norm oracle goes through
 the characteristic polynomial, and the chromatic-index oracle is a plain
 depth-first enumeration over edges in natural order.
 """
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from chromlc import cli, compiler, hamiltonian, linalg
 from chromlc.compiler import Gate, GateSchedule, Step
-from chromlc.hamiltonian import PAULI_LABELS, HamiltonianSchedule, PairTerm, Segment
+from chromlc.hamiltonian import PAULI_LABELS, HamiltonianSchedule, Segment, pauli_matrix
 
 
 def haar_unitary(dim, rng):
@@ -79,13 +81,29 @@ def embed_single_operator(mat2, n, q):
     return out
 
 
+def pair_segment(t_start, t_end, terms):
+    """Segment from ``{pair: {label: ascending-degree coefficients}}``; omitted labels are zero."""
+    width = max([1] + [len(poly) for coeffs in terms.values() for poly in coeffs.values()])
+    tracks = np.zeros((len(terms), 16, width))
+    for i, coeffs in enumerate(terms.values()):
+        for label, poly in coeffs.items():
+            tracks[i, PAULI_LABELS.index(label), : len(poly)] = poly
+    return Segment(t_start, t_end, tuple(terms), tracks)
+
+
+def reference_matrices(seg: Segment, t):
+    """H_kl(t) of every term of ``seg``, evaluated label by label with ``polyval``."""
+    mats = [pauli_matrix([polyval(t, track) for track in rows]) for rows in seg.tracks]
+    return np.array(mats, dtype=complex).reshape(-1, 4, 4)
+
+
 def dense_hamiltonian(s: HamiltonianSchedule, t):
     """Full-register H(t) assembled from the dense embedding oracle."""
     dim = 2**s.n_qubits
     h = np.zeros((dim, dim), dtype=complex)
     seg = s.segment_at(t)
-    for term in seg.terms:
-        h += embed_pair_operator(term.matrix_at(t), s.n_qubits, *term.pair)
+    for pair, mat in zip(seg.pairs, reference_matrices(seg, t)):
+        h += embed_pair_operator(mat, s.n_qubits, *pair)
     return h
 
 
@@ -159,21 +177,13 @@ def oracle_chromatic_index(pairs, n):
 
 def single_pair_schedule(coeff_map, t_total=1.0, n=2, pair=(0, 1)):
     """Schedule with one pair term; coeff_map: label -> poly tuple."""
-    coeffs = [()] * 16
-    for label, poly in coeff_map.items():
-        coeffs[PAULI_LABELS.index(label)] = tuple(poly)
-    term = PairTerm(pair, tuple(coeffs))
-    return HamiltonianSchedule(n, (Segment(0.0, float(t_total), (term,)),))
+    return HamiltonianSchedule(n, (pair_segment(0.0, float(t_total), {pair: coeff_map}),))
 
 
 def two_pair_noncommuting(n=3, t_total=1.0):
     """XX on (0,1) and ZZ on (1,2): shared vertex, non-commuting terms."""
-    xx = [()] * 16
-    xx[PAULI_LABELS.index("XX")] = (1.0,)
-    zz = [()] * 16
-    zz[PAULI_LABELS.index("ZZ")] = (1.0,)
-    terms = (PairTerm((0, 1), tuple(xx)), PairTerm((1, 2), tuple(zz)))
-    return HamiltonianSchedule(n, (Segment(0.0, float(t_total), terms),))
+    seg = pair_segment(0.0, float(t_total), {(0, 1): {"XX": (1.0,)}, (1, 2): {"ZZ": (1.0,)}})
+    return HamiltonianSchedule(n, (seg,))
 
 
 def ghz_amplitudes(n):

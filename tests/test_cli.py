@@ -8,7 +8,12 @@ import pytest
 from chromlc import linalg
 from chromlc.cli import main
 from chromlc.compiler import Gate, GateSchedule, Step
-from chromlc.hamiltonian import MAX_SAMPLES_PER_SEGMENT, embed_discrete, integrated_chromatic_index
+from chromlc.hamiltonian import (
+    MAX_SAMPLES_PER_SEGMENT,
+    chain,
+    embed_discrete,
+    integrated_chromatic_index,
+)
 from chromlc.serialization import dumps_schedule, load_schedule, loads_gates, loads_schedule
 
 from helpers import forbid_integrated_index, random_hermitian
@@ -397,6 +402,38 @@ def test_cli_outputs_deterministic(tmp_path, capsys):
     _, va, _ = run_cli(capsys, *v)
     _, vb, _ = run_cli(capsys, *v)
     assert va == vb
+
+
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_generate_rejects_non_finite_total_time(tmp_path, capsys, t):
+    path = tmp_path / "chain.json"
+    code, _, err = run_cli(capsys, "generate", "chain", "--n", "2", "--t", t, "-o", str(path))
+    assert code == 2
+    assert err.startswith("error: total time must be a finite positive number")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [["index"], ["simulate"], ["compile", "--epsilon", "0.1"]])
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        pytest.param(
+            "Infinity", "error: segments[0]: segment ends must be finite, got [0.0, inf]", id="Infinity"
+        ),
+        pytest.param(
+            "1" + "0" * 400, "error: segments[0].t_end: number too large for a float", id="10**400"
+        ),
+    ],
+)
+def test_unrepresentable_segment_end_exits_2(tmp_path, capsys, argv, literal, message):
+    path = tmp_path / "chain.json"
+    text = dumps_schedule(chain(2))
+    assert '"t_end": 1.0' in text
+    path.write_text(text.replace('"t_end": 1.0', f'"t_end": {literal}'))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert err == message + "\n"
+    assert out == ""
 
 
 def test_usage_error_exits_2(capsys):

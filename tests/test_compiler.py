@@ -14,10 +14,7 @@ from chromlc.compiler import (
 from chromlc.errors import BadParams, EpsilonTooLarge, NotConstant, NotUnitary
 from chromlc.graphs import EXACT_SEARCH_CAP, chromatic_index_exact
 from chromlc.hamiltonian import (
-    PAULI_LABELS,
     HamiltonianSchedule,
-    PairTerm,
-    Segment,
     chain,
     complete_mean_field,
     integrated_chromatic_index,
@@ -30,6 +27,7 @@ from chromlc.hamiltonian import (
 from helpers import (
     forbid_integrated_index,
     haar_unitary,
+    pair_segment,
     random_hermitian,
     single_pair_schedule,
     two_pair_noncommuting,
@@ -81,7 +79,7 @@ def test_compile_single_pair_exact():
     assert len(gates.steps[0].gates) == 1
     assert abs(report.weighted_depth - norm) < 1e-12
     assert abs(report.weighted_depth - integrated_chromatic_index(s).integral) < 1e-9
-    expected = linalg.expm_i(s.segments[0].terms[0].matrix_at(0.5), 1.0)
+    expected = linalg.expm_i(s.segments[0].matrices_at(0.5)[0], 1.0)
     assert np.max(np.abs(gates.steps[0].gates[0].unitary - expected)) < 1e-12
 
 
@@ -164,10 +162,9 @@ def test_compile_repeats_each_constant_segment_block():
 
 def test_compile_equal_constant_segments_keep_their_own_delta():
     # the same XX term on [0, 0.25] and [0.25, 1]: eps 0.2 gives deltas 0.125 and 0.1875
-    coeffs = [()] * 16
-    coeffs[PAULI_LABELS.index("XX")] = (0.8,)
-    term = PairTerm((0, 1), tuple(coeffs))
-    s = HamiltonianSchedule(2, (Segment(0.0, 0.25, (term,)), Segment(0.25, 1.0, (term,))))
+    term = {(0, 1): {"XX": (0.8,)}}
+    s = HamiltonianSchedule(2, (pair_segment(0.0, 0.25, term), pair_segment(0.25, 1.0, term)))
+    h = s.segments[0].matrices_at(0.0)[0]
     g, report = compile(s, 0.2)
     assert [iv.delta for iv in report.intervals] == [0.125] * 2 + [0.1875] * 4
     assert [iv.t_mid for iv in report.intervals] == pytest.approx(
@@ -177,7 +174,7 @@ def test_compile_equal_constant_segments_keep_their_own_delta():
     for step, iv in zip(g.steps, report.intervals):
         (gate,) = step.gates
         assert abs(gate.angle - 0.8 * iv.delta) < 1e-15
-        expected = linalg.expm_i(term.matrix_at(iv.t_mid), iv.delta)
+        expected = linalg.expm_i(h, iv.delta)
         assert np.max(np.abs(gate.unitary - expected)) < 1e-12
     assert abs(report.weighted_depth - 0.8) < 1e-12
 
@@ -185,21 +182,17 @@ def test_compile_equal_constant_segments_keep_their_own_delta():
 def test_compile_level_gates_telescope():
     # two adjacent edges with distinct norms: per-edge products over levels
     # must reproduce the plain exponential of the subinterval
-    terms = []
-    for i, w in enumerate((1.0, 2.0)):
-        coeffs = [()] * 16
-        coeffs[PAULI_LABELS.index("XX")] = (w,)
-        terms.append(PairTerm((i, i + 1), tuple(coeffs)))
-    s = HamiltonianSchedule(3, (Segment(0.0, 0.5, tuple(terms)),))
+    seg = pair_segment(0.0, 0.5, {(i, i + 1): {"XX": (w,)} for i, w in enumerate((1.0, 2.0))})
+    s = HamiltonianSchedule(3, (seg,))
     gates, _ = compile(s, 0.5)
     per_edge = {}
     for step in gates.steps:
         for g in step.gates:
             acc = per_edge.get(g.pair, np.eye(4, dtype=complex))
             per_edge[g.pair] = g.unitary @ acc
-    for term in terms:
-        expected = linalg.expm_i(term.matrix_at(0.25), 0.5)
-        assert np.max(np.abs(per_edge[term.pair] - expected)) < 1e-10
+    for pair, h in zip(seg.pairs, seg.matrices_at(0.25)):
+        expected = linalg.expm_i(h, 0.5)
+        assert np.max(np.abs(per_edge[pair] - expected)) < 1e-10
 
 
 def test_compile_angles_match_unitaries_time_varying():
@@ -215,7 +208,7 @@ def test_compile_angle_past_pi_falls_back_to_unitary_angle():
     # one level of width 100 per subinterval of 0.05: generator norm 5 > pi
     s = chain(4, coupling=100.0)
     g, _ = compile(s, 0.05)
-    h = s.segments[0].terms[0].matrix_at(0.0)
+    h = s.segments[0].matrices_at(0.0)[0]
     expected = linalg.expm_i(h, 0.05)
     for step in g.steps:
         for gate in step.gates:
@@ -260,12 +253,7 @@ def test_trotterize_single_pair_matches_compile():
 
 def test_trotterize_commuting_exact():
     # ZZ couplings on a chain commute, so any slicing is exact
-    terms = []
-    for i in range(3):
-        coeffs = [()] * 16
-        coeffs[PAULI_LABELS.index("ZZ")] = (0.7,)
-        terms.append(PairTerm((i, i + 1), tuple(coeffs)))
-    s = HamiltonianSchedule(4, (Segment(0.0, 1.0, tuple(terms)),))
+    s = HamiltonianSchedule(4, (pair_segment(0.0, 1.0, {(i, i + 1): {"ZZ": (0.7,)} for i in range(3)}),))
     from chromlc.simulator import full_unitary
 
     ref = full_unitary(s, 1e-11)
@@ -323,7 +311,7 @@ def test_rechromatize_respects_cap_random():
 def test_rechromatize_beyond_exact_cap_falls_back():
     # K12 has 66 edges, past the exact-search cap: Misra-Gries colors it instead
     s = complete_mean_field(12)
-    assert len(s.segments[0].terms) > EXACT_SEARCH_CAP
+    assert len(s.segments[0].pairs) > EXACT_SEARCH_CAP
     out = rechromatize(s, 4, 1.0)
     assert len(out.segments) == 3  # 11 or 12 matchings, four per group
     assert abs(out.total_time - 3.0) < 1e-12
@@ -351,7 +339,7 @@ def test_rechromatize_zero_hamiltonian():
     s = single_pair_schedule({}, t_total=1.0)
     out = rechromatize(s, 1, 0.5)
     assert abs(out.total_time - 1.0) < 1e-12
-    assert all(not seg.terms for seg in out.segments)
+    assert all(not seg.pairs for seg in out.segments)
 
 
 def test_rechromatize_param_validation():

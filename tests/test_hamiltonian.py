@@ -7,7 +7,6 @@ from chromlc.graphs import chromatic_index_exact, threshold_subgraph
 from chromlc.hamiltonian import (
     PAULI_LABELS,
     HamiltonianSchedule,
-    PairTerm,
     Segment,
     chain,
     complete_mean_field,
@@ -26,7 +25,13 @@ from chromlc.hamiltonian import (
     weighted_chromatic_index,
 )
 
-from helpers import random_gate_schedule, random_hermitian, single_pair_schedule
+from helpers import (
+    pair_segment,
+    random_gate_schedule,
+    random_hermitian,
+    reference_matrices,
+    single_pair_schedule,
+)
 
 
 def test_pauli_roundtrip():
@@ -43,19 +48,89 @@ def test_pauli_coeffs_reject_non_hermitian():
 
 
 def test_schedule_validation():
-    term = PairTerm((0, 1), tuple([(1.0,)] + [()] * 15))
+    term = {(0, 1): {"II": (1.0,)}}
     with pytest.raises(BadParams):
         HamiltonianSchedule(2, ())
     with pytest.raises(BadParams):
-        HamiltonianSchedule(2, (Segment(0.5, 1.0, (term,)),))
+        HamiltonianSchedule(2, (pair_segment(0.5, 1.0, term),))
     with pytest.raises(BadParams):
-        HamiltonianSchedule(
-            2, (Segment(0.0, 0.4, (term,)), Segment(0.5, 1.0, (term,)))
-        )
-    with pytest.raises(BadParams):
-        PairTerm((1, 1), tuple([()] * 16))
-    with pytest.raises(BadParams):
-        PairTerm((0, 1), tuple([(1.0,) * 10] + [()] * 15))
+        HamiltonianSchedule(2, (pair_segment(0.0, 0.4, term), pair_segment(0.5, 1.0, term)))
+    with pytest.raises(BadParams, match="exceeds register"):
+        HamiltonianSchedule(2, (pair_segment(0.0, 1.0, {(0, 2): {"XX": (1.0,)}}),))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0.0, float("inf")), "finite"),
+        ((float("nan"), 1.0), "finite"),
+        ((1.0, 1.0), "empty or reversed"),
+        ((0.0, 1.0, ((1, 1),), np.zeros((1, 16, 1))), r"0 <= k < l"),
+        ((0.0, 1.0, ((2, 1),), np.zeros((1, 16, 1))), r"0 <= k < l"),
+        ((0.0, 1.0, ((0, 1), (0, 1)), np.zeros((2, 16, 1))), "duplicate"),
+        ((0.0, 1.0, ((0, 1),), np.ones((1, 16, 10))), "degree exceeds 8"),
+        ((0.0, 1.0, ((0, 1),), np.zeros((1, 15, 1))), "shape"),
+        ((0.0, 1.0, ((0, 1),), np.zeros((2, 16, 1))), "shape"),
+        ((0.0, 1.0, ((0, 1),), np.zeros((1, 16, 0))), "shape"),
+        ((0.0, 1.0, ((0, 1), (1, 2)), np.array([[[0.0]] * 16, [[np.nan]] * 16])), r"pair \(1, 2\)"),
+    ],
+)
+def test_segment_validation(args, message):
+    with pytest.raises(BadParams, match=message):
+        Segment(*args)
+
+
+def test_segment_trims_top_degrees_and_compares_by_value():
+    tracks = np.zeros((2, 16, 6))
+    tracks[0, 3, :3] = (1.0, -0.5, 2.0)
+    tracks[1, 5, 0] = 0.25
+    seg = Segment(0.0, 1.0, ((0, 1), (2, 3)), tracks)
+    assert seg.tracks.shape == (2, 16, 3)
+    assert not seg.is_constant
+    assert not seg.tracks.flags.writeable
+    tracks[0, 3, 0] = 9.0  # the segment keeps its own copy
+    assert seg.tracks[0, 3, 0] == 1.0
+    assert seg == pair_segment(0.0, 1.0, {(0, 1): {"IZ": (1.0, -0.5, 2.0)}, (2, 3): {"XX": (0.25,)}})
+    assert seg != Segment(0.0, 1.0, ((0, 1), (2, 3)), 2 * tracks)
+    assert seg != Segment(0.0, 1.0, ((2, 3), (0, 1)), tracks)
+    assert seg != Segment(0.0, 2.0, ((0, 1), (2, 3)), tracks)
+    constant = Segment(0.0, 1.0, ((0, 1),), np.pad(np.ones((1, 16, 1)), ((0, 0), (0, 0), (0, 4))))
+    assert constant.is_constant and constant.tracks.shape == (1, 16, 1)
+    empty = Segment(0.0, 1.0)
+    assert empty.is_constant and empty.tracks.shape == (0, 16, 1)
+    assert empty == Segment(0.0, 1.0, (), np.zeros((0, 16, 7)))
+
+
+def _reference_cases():
+    """A mixed-degree time-varying segment with pairs out of order, one with
+    an all-zero term, and an empty one."""
+    rng = np.random.default_rng(41)
+    mixed = rng.uniform(-0.5, 0.5, size=(3, 16, 6))
+    mixed[0, :, 1:] = 0.0  # degree 0
+    mixed[1, :, 3:] = 0.0  # degree 2
+    mixed[1, 7, :] = 0.0  # one label absent
+    zero = np.zeros((2, 16, 2))
+    zero[1, 10] = (0.3, -0.7)
+    return [
+        Segment(0.0, 2.0, ((2, 3), (0, 1), (1, 3)), mixed),
+        Segment(0.0, 1.0, ((0, 1), (1, 2)), zero),
+        Segment(0.0, 1.0),
+    ]
+
+
+@pytest.mark.parametrize("seg", _reference_cases())
+def test_matrices_at_matches_polyval_reference(seg):
+    s = HamiltonianSchedule(4, (seg,))
+    for t in np.linspace(seg.t_start, seg.t_end, 7):
+        ref = reference_matrices(seg, t)
+        got = seg.matrices_at(t)
+        assert got.shape == ref.shape == (len(seg.pairs), 4, 4)
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-15
+        snap = snapshot(s, t)
+        rows = [seg.pairs.index(pair) for pair in snap.pairs]
+        assert np.max(np.abs(snap.matrices - ref[rows]), initial=0.0) <= 1e-15
+        active = [pair for pair, m in zip(seg.pairs, ref) if np.any(m != 0)]
+        assert snap.pairs == tuple(sorted(active))
 
 
 def test_eval_pair():
@@ -73,9 +148,10 @@ def test_eval_pair():
 
 
 def test_segment_lookup_is_right_open():
-    term_a = PairTerm((0, 1), tuple([(1.0,)] + [()] * 15))
-    term_b = PairTerm((0, 1), tuple([(2.0,)] + [()] * 15))
-    s = HamiltonianSchedule(2, (Segment(0.0, 0.5, (term_a,)), Segment(0.5, 1.0, (term_b,))))
+    s = HamiltonianSchedule(
+        2,
+        (pair_segment(0.0, 0.5, {(0, 1): {"II": (1.0,)}}), pair_segment(0.5, 1.0, {(0, 1): {"II": (2.0,)}})),
+    )
     assert eval_pair(s, (0, 1), 0.5)[0, 0].real == 2.0
     assert eval_pair(s, (0, 1), 1.0)[0, 0].real == 2.0
     assert eval_pair(s, (0, 1), 0.25)[0, 0].real == 1.0
@@ -95,7 +171,7 @@ def test_snapshot_norms_match_operator_norm():
     s = random_time_varying(6, p=0.6, seed=3)
     for t in (0.0, 0.37, 1.0):
         snap = snapshot(s, t)
-        assert list(snap.pairs) == sorted(term.pair for term in s.segments[0].terms)
+        assert list(snap.pairs) == sorted(s.segments[0].pairs)
         assert snap.matrices.shape == (len(snap.pairs), 4, 4)
         for i, pair in enumerate(snap.pairs):
             matrix = eval_pair(s, pair, t)
@@ -110,12 +186,11 @@ def test_snapshot_norms_match_operator_norm():
 
 
 def test_snapshot_drops_zero_terms():
-    zero = PairTerm((0, 1), tuple(() for _ in range(16)))
-    s = HamiltonianSchedule(3, (Segment(0.0, 1.0, (zero,)),))
+    s = HamiltonianSchedule(3, (Segment(0.0, 1.0, ((0, 1),), np.zeros((1, 16, 1))),))
     snap = snapshot(s, 0.5)
     assert snap.pairs == () and snap.graph.edges == ()
     assert snap.matrices.shape == (0, 4, 4) and snap.norms.shape == (0,)
-    empty = HamiltonianSchedule(3, (Segment(0.0, 1.0, ()),))
+    empty = HamiltonianSchedule(3, (Segment(0.0, 1.0),))
     assert snapshot(empty, 0.5).pairs == ()
 
 
@@ -123,12 +198,8 @@ def test_weighted_chromatic_index_examples():
     assert abs(weighted_chromatic_index(disjoint_pairs(6, coupling=0.8), 0.1) - 0.8) < 1e-9
     assert abs(weighted_chromatic_index(chain(5), 0.7) - 2.0) < 1e-9
     # weighted chain with norms 1, 2, 3 reproduces the level-sum value 5
-    terms = []
-    for i, w in enumerate((1.0, 2.0, 3.0)):
-        coeffs = [()] * 16
-        coeffs[PAULI_LABELS.index("ZZ")] = (w,)
-        terms.append(PairTerm((i, i + 1), tuple(coeffs)))
-    s = HamiltonianSchedule(4, (Segment(0.0, 1.0, tuple(terms)),))
+    terms = {(i, i + 1): {"ZZ": (w,)} for i, w in enumerate((1.0, 2.0, 3.0))}
+    s = HamiltonianSchedule(4, (pair_segment(0.0, 1.0, terms),))
     assert abs(weighted_chromatic_index(s, 0.5) - 5.0) < 1e-9
 
 
@@ -253,12 +324,12 @@ def test_scaling_covariance():
 
 def test_generators():
     s = chain(4, 1.0, 1.0)
-    assert len(s.segments[0].terms) == 3
+    assert len(s.segments[0].pairs) == 3
     assert random_graph(8, p=0.5, seed=7) == random_graph(8, p=0.5, seed=7)
     assert random_time_varying(4, p=0.7, seed=2) == random_time_varying(4, p=0.7, seed=2)
     assert random_graph(8, p=0.5, seed=7) != random_graph(8, p=0.5, seed=8)
     cmf = complete_mean_field(4)
-    assert len(cmf.segments[0].terms) == 6
+    assert len(cmf.segments[0].pairs) == 6
     with pytest.raises(BadParams):
         generate("nope", n=4)
     with pytest.raises(BadParams):
@@ -269,7 +340,8 @@ def test_generators():
 
 def test_time_varying_peak_norm():
     s = random_time_varying(4, p=1.0, seed=5, coupling=1.3, degree=3)
-    peaks = []
-    for term in s.segments[0].terms:
-        peaks.append(max(term.norm_at(t) for t in np.linspace(0, 1, 33)))
-    assert peaks and all(abs(p - 1.3) < 1e-9 for p in peaks)
+    seg = s.segments[0]
+    norms = [[linalg.operator_norm(m) for m in seg.matrices_at(t)] for t in np.linspace(0, 1, 33)]
+    peaks = np.max(norms, axis=0)
+    assert len(peaks) == len(seg.pairs) > 0
+    assert np.all(np.abs(peaks - 1.3) < 1e-9)

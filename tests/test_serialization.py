@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromlc.compiler import Gate, GateSchedule, Step, compile
-from chromlc.errors import ParseError, SchemaVersionMismatch
+from chromlc.errors import ChromlcError, ParseError, SchemaVersionMismatch
 from chromlc.hamiltonian import (
+    PAULI_LABELS,
     chain,
     complete_mean_field,
     disjoint_pairs,
@@ -119,6 +122,71 @@ def test_generator_documents_parse_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loads_schedule(dumps_schedule(schedule))
+
+
+def test_parse_reports_unreadable_json():
+    # json.loads raises plain ValueError and RecursionError for these
+    with pytest.raises(ParseError, match="not a readable JSON document"):
+        loads_schedule('{"n_qubits": 1' + "0" * 5000 + "}")
+    with pytest.raises(ParseError, match="not a readable JSON document"):
+        loads_gates("[" * 100000 + "]" * 100000)
+
+
+def test_parse_trims_coefficients_before_building_the_array():
+    doc = json.loads(dumps_schedule(chain(4)))
+    doc["segments"][0]["terms"][0]["coeffs"]["XX"] += [0.0] * 50000
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        s = loads_schedule(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s == chain(4)
+    # padded to 50001 degrees, the (3, 16, degree + 1) array alone would take 19 MB
+    assert peak < 8e6
+    doc["segments"][0]["terms"][0]["coeffs"]["XX"] = [0.0] * 50000 + [1.0]
+    with pytest.raises(ParseError, match=r"segments\[0\]\.terms\[0\]\.coeffs\.XX: polynomial degree exceeds 8"):
+        loads_schedule(json.dumps(doc))
+
+
+def _gate_document():
+    return json.loads(dumps_gates(GateSchedule(2, (Step((Gate((0, 1), np.eye(4), 0.0),)),))))
+
+
+def _schedule_document():
+    return json.loads(dumps_schedule(chain(4)))
+
+
+@pytest.mark.parametrize(
+    "make_doc, loads, path, field",
+    [
+        (
+            _schedule_document,
+            loads_schedule,
+            ("segments", 0, "terms", 1, "coeffs", "XX", 0),
+            "segments[0].terms[1].coeffs.XX",
+        ),
+        (_schedule_document, loads_schedule, ("segments", 0, "t_start"), "segments[0].t_start"),
+        (_schedule_document, loads_schedule, ("segments", 0, "t_end"), "segments[0].t_end"),
+        (_gate_document, loads_gates, ("steps", 0, "gates", 0, "angle"), "steps[0].gates[0].angle"),
+        (
+            _gate_document,
+            loads_gates,
+            ("steps", 0, "gates", 0, "unitary", 2, 3, 1),
+            "steps[0].gates[0].unitary",
+        ),
+    ],
+)
+def test_parse_rejects_numbers_too_large_for_a_float(make_doc, loads, path, field):
+    doc = make_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 10**400  # a JSON integer no float can hold
+    with pytest.raises(ParseError) as info:
+        loads(json.dumps(doc))
+    assert str(info.value) == f"{field}: number too large for a float"
 
 
 def test_gates_parse_rejects_bad_angle():
@@ -263,3 +331,102 @@ def test_dumps_gates_examples_cover_the_fallback_and_special_entries():
     assert dumps_gates(GateSchedule(2, ())).endswith('"steps": []\n}\n')
     # each gate's generator has norm 100 * 0.05 = 5 > pi: the angle is the unitary's
     assert all(gate.angle < math.pi for step in _PAST_PI.steps for gate in step.gates)
+
+
+# -- fuzzed documents ----------------------------------------------------------
+
+_SCHEDULE_BASE = {
+    "format": "chromlc-schedule",
+    "version": 1,
+    "n_qubits": 3,
+    "segments": [
+        {
+            "t_start": 0.0,
+            "t_end": 0.5,
+            "terms": [{"pair": [0, 1], "coeffs": {"XX": [1.0, -0.5], "ZZ": [0.25]}}],
+        },
+        {
+            "t_start": 0.5,
+            "t_end": 1.0,
+            "terms": [
+                {"pair": [1, 2], "coeffs": {"YY": [0.5]}},
+                {"pair": [0, 2], "coeffs": {"IZ": [0.0, 0.0, 2.0]}},
+            ],
+        },
+    ],
+}
+_GATES_BASE = json.loads(
+    dumps_gates(
+        GateSchedule(
+            3,
+            (
+                Step((Gate((0, 1), np.eye(4), 0.0),)),
+                Step((Gate.from_unitary((1, 2), haar_unitary(4, np.random.default_rng(5))),)),
+            ),
+        )
+    )
+)
+
+
+def _node_paths(node, path=()):
+    """The path of every node of a decoded JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _node_paths(child, path + (key,))
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.sampled_from([10**400, -(10**400), 2**64, 0, 1, -1])
+    | st.floats()  # NaN and infinities included; json writes them as NaN and Infinity
+    | st.text(max_size=4)
+)
+_FUZZ_VALUES = (
+    st.recursive(
+        _JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(PAULI_LABELS) | st.text(max_size=3), inner, max_size=3),
+        max_leaves=8,
+    )
+    | st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=30)  # over-long coefficient lists
+    | st.builds(lambda n: [1.0] + [0.0] * n, st.integers(0, 5000))
+)
+
+
+def _check_fuzzed(base, loads, path, value):
+    """Replace the node at ``path`` by ``value``: the text parses or raises a ChromlcError."""
+    doc = copy.deepcopy(base)
+    if path:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        doc = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a nonzero II component warns
+        try:
+            loads(json.dumps(doc))
+        except ChromlcError:
+            pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(list(_node_paths(_SCHEDULE_BASE))), value=_FUZZ_VALUES)
+@example(path=("segments", 1, "terms", 0, "coeffs", "YY", 0), value=10**400)
+@example(path=("segments", 0, "t_end"), value=10**400)
+@example(path=("segments", 1, "t_end"), value=float("inf"))
+def test_fuzzed_schedule_parses_or_raises_chromlc_error(path, value):
+    _check_fuzzed(_SCHEDULE_BASE, loads_schedule, path, value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(list(_node_paths(_GATES_BASE))), value=_FUZZ_VALUES)
+@example(path=("steps", 1, "gates", 0, "angle"), value=10**400)
+@example(path=("steps", 1, "gates", 0, "unitary", 2, 3, 0), value=-(10**400))
+@example(path=("steps", 1, "gates", 0, "unitary", 2, 3), value={"re": 1.0})
+def test_fuzzed_gates_parse_or_raise_chromlc_error(path, value):
+    _check_fuzzed(_GATES_BASE, loads_gates, path, value)

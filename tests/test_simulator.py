@@ -12,7 +12,6 @@ from chromlc.errors import (
 )
 from chromlc.hamiltonian import (
     HamiltonianSchedule,
-    PairTerm,
     Segment,
     chain,
     random_graph,
@@ -145,12 +144,10 @@ def test_evolve_single_pair_matches_expm():
     h = random_hermitian(4, rng, norm=1.3)
     from chromlc.hamiltonian import pauli_coeffs
 
-    coeffs = pauli_coeffs(h)
-    term = PairTerm((0, 1), tuple((float(c),) for c in coeffs))
-    s = HamiltonianSchedule(2, (Segment(0.0, 0.9, (term,)),))
+    s = HamiltonianSchedule(2, (Segment(0.0, 0.9, ((0, 1),), pauli_coeffs(h).reshape(1, 16, 1)),))
     psi = StateVector(2, haar_unitary(4, rng)[:, 0])
     out = evolve_continuous(psi, s, 1e-10)
-    expected = linalg.expm_i(term.matrix_at(0.0), 0.9) @ psi.amplitudes
+    expected = linalg.expm_i(h, 0.9) @ psi.amplitudes
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-9
 
 
@@ -170,11 +167,7 @@ def test_evolve_time_reversal_inverts():
     reversed_segments = []
     t = 0.0
     for seg in reversed(s.segments):
-        terms = tuple(
-            PairTerm(term.pair, tuple(tuple(-c for c in p) for p in term.coeffs))
-            for term in seg.terms
-        )
-        reversed_segments.append(Segment(t, t + seg.length, terms))
+        reversed_segments.append(Segment(t, t + seg.length, seg.pairs, -seg.tracks))
         t += seg.length
     back = HamiltonianSchedule(s.n_qubits, tuple(reversed_segments))
     psi = StateVector.basis(3, 1)
@@ -200,7 +193,7 @@ def test_evolve_tolerance_validation():
 
 def test_dense_derivative_matches_per_term():
     # constant segments, polynomial ones of degree 1 and 3, and an empty one
-    cases = [(3, Segment(0.0, 1.0, ()))]
+    cases = [(3, Segment(0.0, 1.0))]
     for n in (2, 3, 5):
         cases += [(n, seg) for seg in random_graph(n, 2.0, p=0.7, seed=n, segments=2).segments]
         for degree in (1, 3):
@@ -212,7 +205,7 @@ def test_dense_derivative_matches_per_term():
             x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             for t in np.linspace(seg.t_start, seg.t_end, 5):
                 dense = simulator._dense_derivative(gens, t, x)
-                ref = simulator._derivative(seg.terms, t, x, n)
+                ref = simulator._derivative(seg, t, x, n)
                 assert dense.shape == x.shape
                 assert np.max(np.abs(dense - ref)) < 1e-12
 
