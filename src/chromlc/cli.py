@@ -126,8 +126,10 @@ def _load_state(spec: str, n_qubits: int) -> simulator.StateVector:
             doc = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ParseError(f"{spec}: not a JSON document: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != "chromlc-product" or doc.get("version") != 1:
+    if not isinstance(doc, dict) or doc.get("format") != "chromlc-product":
         raise ParseError(f"{spec}: expected a chromlc-product version 1 document")
+    if type(doc.get("version")) is not int or doc["version"] != 1:
+        raise ParseError(f"{spec}: version: expected 1, got {doc.get('version')!r}")
     qubits = doc.get("qubits")
     if not isinstance(qubits, list) or len(qubits) != n_qubits:
         raise ParseError(f"{spec}: expected {n_qubits} per-qubit states")
@@ -138,6 +140,10 @@ def _load_state(spec: str, n_qubits: int) -> simulator.StateVector:
             raise ParseError(
                 f"{spec}: qubits[{i}]: expected two [re, im] pairs of finite numbers, not both zero"
             )
+        with np.errstate(all="ignore"):  # the squared norm may overflow or underflow
+            unit = vector / np.linalg.norm(vector)
+        if not abs(np.linalg.norm(unit) - 1.0) <= 1e-12:
+            raise ParseError(f"{spec}: qubits[{i}]: amplitudes too large or too small to normalise to norm 1")
         vectors.append(vector)
     return simulator.ProductState.pure(vectors).branches()[0][1]
 

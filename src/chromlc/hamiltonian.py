@@ -386,17 +386,6 @@ def complete_mean_field(n: int, t_total: float = 1.0, coupling: float = 1.0) -> 
     return _uniform_schedule(n, t_total, pairs, {"ZZ": coupling})
 
 
-def _random_pair_coeffs(rng, coupling: float) -> np.ndarray:
-    """i.i.d. traceless coefficients rescaled to operator norm ``coupling``."""
-    for _ in range(100):
-        c = rng.standard_normal(16)
-        c[0] = 0.0  # no global-phase component
-        norm = linalg.operator_norm(pauli_matrix(c))
-        if norm > 1e-9:
-            return c * (coupling / norm)
-    raise RuntimeError("random coefficient draw degenerated repeatedly")
-
-
 def random_graph(
     n: int,
     t_total: float = 1.0,
@@ -417,13 +406,19 @@ def random_graph(
     for i in range(segments):
         t0 = (i * t_total) / segments
         t1 = ((i + 1) * t_total) / segments if i + 1 < segments else float(t_total)
-        pairs, coeffs = [], []
+        pairs, rows = [], []
         for k in range(n):
             for l in range(k + 1, n):
                 if rng.random() < p:
                     pairs.append((k, l))
-                    coeffs.append(_random_pair_coeffs(rng, coupling))
-        segs.append(Segment(t0, t1, tuple(pairs), np.reshape(coeffs, (len(pairs), 16, 1))))
+                    rows.append(rng.standard_normal(16))
+        tracks = np.reshape(rows, (len(pairs), 16, 1))
+        tracks[:, 0] = 0.0  # traceless: no global-phase component
+        raw = Segment(t0, t1, tuple(pairs), tracks)
+        norms = np.max(np.abs(np.linalg.eigvalsh(raw.matrices_at(t0))), axis=-1, initial=0.0)
+        if np.any(norms <= 1e-9):  # 15 Gaussians all near zero: probability zero
+            raise RuntimeError("random coefficient draw degenerated")
+        segs.append(Segment(t0, t1, raw.pairs, (coupling / norms)[:, None, None] * tracks))
     return HamiltonianSchedule(n, tuple(segs))
 
 

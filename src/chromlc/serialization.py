@@ -69,7 +69,7 @@ def _check_header(doc: dict, expected_format: str):
     if fmt != expected_format:
         raise SchemaVersionMismatch(f"format: expected {expected_format!r}, got {fmt!r}")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # not true, 1.0 or "1"
         raise SchemaVersionMismatch(f"version: expected {FORMAT_VERSION}, got {version!r}")
 
 

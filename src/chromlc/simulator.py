@@ -11,13 +11,15 @@ d psi/dt = -i H(t) psi, for a single state (``evolve_continuous``) or the
 columns of the identity (``full_unitary``).  Each pass runs every segment
 with a fixed step count; the counts are doubled (at most
 ``MAX_STEP_HALVINGS`` times) until the endpoint moves by less than a quarter
-of the requested tolerance, which must be finite and at least 1e-12.  On a
-segment, -i H(t) = sum_d t^d G_d, where G_d comes from the degree-d slice of
-the segment's (terms, 16, degree + 1) coefficient array.  Up to
-``DENSE_GENERATOR_MAX_QUBITS`` qubits each G_d is built once per segment
-and pass as a dense matrix, so a derivative costs one matrix product per
-degree; on larger registers each pair matrix of ``Segment.matrices_at`` is
-contracted on its two axes, which needs no 4^n memory.
+of the requested tolerance, which must be finite and at least 1e-12.  The
+first two passes advance together, segment by segment, so that every
+comparison builds each segment's derivative once.  On a segment,
+-i H(t) = sum_d t^d G_d, where G_d comes from the degree-d slice of the
+segment's (terms, 16, degree + 1) coefficient array.  Up to
+``DENSE_GENERATOR_MAX_QUBITS`` qubits each G_d is built as a dense matrix,
+so a derivative costs one matrix product per degree; on larger registers
+each pair matrix of ``Segment.matrices_at`` is contracted on its two axes,
+which needs no 4^n memory.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ FULL_UNITARY_MAX_QUBITS = 6
 # tensor contraction per pair term up to 9 qubits (an 8-qubit RK4 pass is
 # about 7x faster) and loses from 10 qubits on, where the products cost
 # 4^n.  Memory: each matrix takes 16 * 4^n bytes, 4 MB at 9 qubits but
-# 64 MB at 11, and one segment's matrices are held at a time.
+# 64 MB at 11.  One segment's matrices are held at a time, built once per
+# segment and comparison of the step-halving loop.
 DENSE_GENERATOR_MAX_QUBITS = 9
 # convergence_study keeps a block of 20 random states and their 20 evolved
 # images, and RK4 holds about six more copies of the state it integrates:
@@ -211,30 +214,38 @@ def _segment_derivative(seg, n):
     return lambda t, array: _dense_derivative(gens, t, array)
 
 
-def _integrate_fixed(s: HamiltonianSchedule, array, n, counts):
-    for seg, steps in zip(s.segments, counts):
-        f = _segment_derivative(seg, n)
-        h = seg.length / steps
-        for i in range(steps):
-            t0 = seg.t_start + i * h
-            k1 = f(t0, array)
-            k2 = f(t0 + h / 2, array + (h / 2) * k1)
-            k3 = f(t0 + h / 2, array + (h / 2) * k2)
-            k4 = f(t0 + h, array + h * k3)
-            array = array + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        del f  # one segment's generators at a time
+def _rk4(f, seg, steps, array):
+    """``steps`` classic RK4 steps of the map ``f`` across ``seg``."""
+    h = seg.length / steps
+    for i in range(steps):
+        t0 = seg.t_start + i * h
+        k1 = f(t0, array)
+        k2 = f(t0 + h / 2, array + (h / 2) * k1)
+        k3 = f(t0 + h / 2, array + (h / 2) * k2)
+        k4 = f(t0 + h, array + h * k3)
+        array = array + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return array
 
 
 def _integrate_adaptive(s: HamiltonianSchedule, array, tol: float):
-    """Halve the RK4 step until the endpoint difference is below tol/4."""
+    """Halve the RK4 step until the endpoint difference is below tol/4.
+
+    The first comparison advances the c-step and the 2c-step pass segment
+    by segment on one derivative build each; later ones run only the new pass.
+    """
     n = s.n_qubits
     h0 = s.total_time / 16.0
     counts = [max(1, math.ceil(seg.length / h0)) for seg in s.segments]
-    prev = _integrate_fixed(s, array, n, counts)
-    for _ in range(MAX_STEP_HALVINGS):
-        counts = [2 * c for c in counts]
-        cur = _integrate_fixed(s, array, n, counts)
+    prev = cur = array
+    for halving in range(1, MAX_STEP_HALVINGS + 1):
+        if halving > 1:
+            prev, cur = cur, array
+        for seg, steps in zip(s.segments, counts):
+            f = _segment_derivative(seg, n)
+            if halving == 1:
+                prev = _rk4(f, seg, steps, prev)
+            cur = _rk4(f, seg, steps << halving, cur)
+            del f  # one segment's generators at a time
         diff = cur - prev
         if diff.ndim == 1:
             err = float(np.linalg.norm(diff))
@@ -242,7 +253,6 @@ def _integrate_adaptive(s: HamiltonianSchedule, array, tol: float):
             err = float(np.max(np.linalg.norm(diff, axis=0)))
         if err < tol / 4:
             return cur
-        prev = cur
     raise ToleranceUnreachable(
         f"step halving cap {MAX_STEP_HALVINGS} reached without meeting tol={tol}"
     )
@@ -285,6 +295,11 @@ def full_unitary(x, tol: float = 1e-10) -> np.ndarray:
     return u
 
 
+def _norms(stack):
+    """Operator norms of a stack of Hermitian matrices, by one ``eigvalsh``."""
+    return np.max(np.abs(np.linalg.eigvalsh(stack)), axis=-1, initial=0.0)
+
+
 @dataclass(frozen=True)
 class MeanFieldObservable:
     """Sum of one single-qubit Hermitian observable of norm 1 per qubit."""
@@ -293,11 +308,11 @@ class MeanFieldObservable:
 
     def __post_init__(self):
         factors = tuple(np.asarray(f, dtype=np.complex128) for f in self.factors)
-        for f in factors:
-            if f.shape != (2, 2) or not linalg.is_hermitian(f, 1e-10):
-                raise BadParams("observable factors must be 2x2 Hermitian")
-            if abs(linalg.operator_norm(f) - 1.0) > 1e-10:
-                raise BadParams("observable factors must have operator norm 1")
+        stack = np.reshape(factors, (-1, 2, 2)) if all(f.shape == (2, 2) for f in factors) else None
+        if stack is None or not linalg.is_hermitian(stack, 1e-10):
+            raise BadParams("observable factors must be 2x2 Hermitian")
+        if np.any(np.abs(_norms(stack) - 1.0) > 1e-10):
+            raise BadParams("observable factors must have operator norm 1")
         object.__setattr__(self, "factors", factors)
 
     @property
@@ -317,17 +332,13 @@ class MeanFieldObservable:
 
     @classmethod
     def random(cls, n_qubits: int, seed: int = 0) -> "MeanFieldObservable":
-        rng = np.random.default_rng(seed)
-        factors = []
-        for _ in range(n_qubits):
-            while True:
-                h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                h = (h + h.conj().T) / 2
-                norm = linalg.operator_norm(h)
-                if norm > 1e-3:
-                    factors.append(h / norm)
-                    break
-        return cls(tuple(factors))
+        x = np.random.default_rng(seed).normal(size=(n_qubits, 2, 2, 2))  # per qubit: real, imaginary part
+        h = x[:, 0] + 1j * x[:, 1]
+        h = (h + np.swapaxes(h, -1, -2).conj()) / 2
+        norms = _norms(h)
+        if np.any(norms <= 1e-3):
+            raise RuntimeError("random observable draw degenerated")
+        return cls(tuple(h / norms[:, None, None]))
 
 
 def moments(psi: StateVector, a: MeanFieldObservable):

@@ -4,13 +4,20 @@ The oracles here deliberately avoid the package's own code paths: pair
 matrices come from numpy's ``polyval`` one Pauli label at a time, operator
 embedding works bit-by-bit on basis indices, the norm oracle goes through
 the characteristic polynomial, and the chromatic-index oracle is a plain
-depth-first enumeration over edges in natural order.
+depth-first enumeration over edges in natural order.  The parity oracles
+at the end keep earlier, slower forms of package loops (pass by pass RK4,
+per-term and per-qubit random draws) that the package must match bit for bit.
 """
 
+import copy
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
-from chromlc import cli, compiler, hamiltonian, linalg
+from chromlc import cli, compiler, hamiltonian, linalg, simulator
+from chromlc.errors import ToleranceUnreachable
 from chromlc.compiler import Gate, GateSchedule, Step
 from chromlc.hamiltonian import PAULI_LABELS, HamiltonianSchedule, Segment, pauli_matrix
 
@@ -200,3 +207,120 @@ def forbid_integrated_index(monkeypatch):
 
     for module in (hamiltonian, compiler, cli):
         monkeypatch.setattr(module, "integrated_chromatic_index", refuse, raising=False)
+
+
+def node_paths(node, path=()):
+    """The path of every node of a decoded JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from node_paths(child, path + (key,))
+
+
+def replace_node(doc, path, value):
+    """``doc`` with the node at ``path`` replaced by ``value``; ``doc`` itself is left alone."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.sampled_from([10**400, -(10**400), 2**64, 0, 1, -1])
+    | st.sampled_from([1e308, -1e308, 1e-200, 1e-320, 5e-324])  # squares overflow or underflow
+    | st.floats()  # NaN and infinities included; json writes them as NaN and Infinity
+    | st.text(max_size=4)
+)
+FUZZ_VALUES = (
+    st.recursive(
+        _JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(PAULI_LABELS) | st.text(max_size=3), inner, max_size=3),
+        max_leaves=8,
+    )
+    | st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=30)  # over-long coefficient lists
+    | st.builds(lambda n: [1.0] + [0.0] * n, st.integers(0, 5000))
+)
+
+
+# -- parity oracles -------------------------------------------------------------
+
+
+def pass_major_integrate_adaptive(s: HamiltonianSchedule, array, tol):
+    """Step-halving RK4 run pass by pass: each pass builds every segment's derivative anew."""
+    n = s.n_qubits
+
+    def fixed(counts):
+        out = array
+        for seg, steps in zip(s.segments, counts):
+            f = simulator._segment_derivative(seg, n)
+            h = seg.length / steps
+            for i in range(steps):
+                t0 = seg.t_start + i * h
+                k1 = f(t0, out)
+                k2 = f(t0 + h / 2, out + (h / 2) * k1)
+                k3 = f(t0 + h / 2, out + (h / 2) * k2)
+                k4 = f(t0 + h, out + h * k3)
+                out = out + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return out
+
+    h0 = s.total_time / 16.0
+    counts = [max(1, math.ceil(seg.length / h0)) for seg in s.segments]
+    prev = fixed(counts)
+    for _ in range(simulator.MAX_STEP_HALVINGS):
+        counts = [2 * c for c in counts]
+        cur = fixed(counts)
+        diff = cur - prev
+        err = float(np.linalg.norm(diff)) if diff.ndim == 1 else float(np.max(np.linalg.norm(diff, axis=0)))
+        if err < tol / 4:
+            return cur
+        prev = cur
+    raise ToleranceUnreachable("step halving cap reached")
+
+
+def per_term_random_graph(n, t_total=1.0, p=0.5, seed=0, coupling=1.0, segments=1):
+    """``random_graph``'s draws one term at a time, each normed by ``pauli_matrix`` and
+    ``linalg.operator_norm`` and redrawn while degenerate: a list of (pairs, tracks) per segment."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(segments):
+        pairs, coeffs = [], []
+        for k in range(n):
+            for l in range(k + 1, n):
+                if rng.random() < p:
+                    pairs.append((k, l))
+                    for _ in range(100):
+                        c = rng.standard_normal(16)
+                        c[0] = 0.0
+                        norm = linalg.operator_norm(pauli_matrix(c))
+                        if norm > 1e-9:
+                            break
+                    else:
+                        raise RuntimeError("random coefficient draw degenerated repeatedly")
+                    coeffs.append(c * (coupling / norm))
+        out.append((tuple(pairs), np.reshape(coeffs, (len(pairs), 16, 1))))
+    return out
+
+
+def per_qubit_observable_factors(n_qubits, seed):
+    """``MeanFieldObservable.random``'s factors drawn one qubit at a time, redrawn while degenerate."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    for _ in range(n_qubits):
+        for _ in range(100):
+            h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            h = (h + h.conj().T) / 2
+            norm = linalg.operator_norm(h)
+            if norm > 1e-3:
+                factors.append(h / norm)
+                break
+        else:
+            raise RuntimeError("random observable draw degenerated repeatedly")
+    return factors

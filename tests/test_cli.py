@@ -1,12 +1,17 @@
 import json
 import signal
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chromlc import linalg
+from chromlc import cli, linalg
 from chromlc.cli import main
+from chromlc.errors import ChromlcError
 from chromlc.compiler import Gate, GateSchedule, Step
 from chromlc.hamiltonian import (
     MAX_SAMPLES_PER_SEGMENT,
@@ -16,7 +21,7 @@ from chromlc.hamiltonian import (
 )
 from chromlc.serialization import dumps_schedule, load_schedule, loads_gates, loads_schedule
 
-from helpers import forbid_integrated_index, random_hermitian
+from helpers import FUZZ_VALUES, forbid_integrated_index, node_paths, random_hermitian, replace_node
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +227,58 @@ def test_simulate_malformed_product_state_exits_2(tmp_path, capsys, state_text):
     code, _, err = run_cli(capsys, "simulate", str(spath), "--state", str(state))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("entry", [[[1e308, 1e308], [1e308, 0]], [[1e-320, 0], [0, 0]]])
+def test_simulate_unnormalisable_product_state_exits_2(tmp_path, capsys, entry):
+    # the squared norm overflows to inf or underflows to 0
+    spath = tmp_path / "chain.json"
+    run_cli(capsys, "generate", "chain", "--n", "2", "-o", str(spath))
+    state = tmp_path / "state.json"
+    state.write_text(_product_state_text([[[1, 0], [0, 0]], entry]))
+    code, _, err = run_cli(capsys, "simulate", str(spath), "--state", str(state))
+    assert code == 2
+    assert err == f"error: {state}: qubits[1]: amplitudes too large or too small to normalise to norm 1\n"
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_version_must_be_the_integer_1(tmp_path, capsys, version):
+    spath = tmp_path / "chain.json"
+    run_cli(capsys, "generate", "chain", "--n", "3", "-o", str(spath))
+    gpath = tmp_path / "gates.json"
+    run_cli(capsys, "compile", str(spath), "--epsilon", "0.5", "-o", str(gpath))
+    for path, command in ((spath, "index"), (gpath, "simulate")):
+        doc = json.loads(path.read_text())
+        doc["version"] = version
+        edited = tmp_path / f"edited-{path.name}"
+        edited.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(edited))
+        assert (code, out) == (2, "")
+        assert err == f"error: version: expected 1, got {version!r}\n"
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"format": "chromlc-product", "version": version, "qubits": [[[1, 0], [0, 0]]] * 3}))
+    code, _, err = run_cli(capsys, "simulate", str(spath), "--state", str(state))
+    assert code == 2
+    assert err == f"error: {state}: version: expected 1, got {version!r}\n"
+
+
+_PRODUCT_BASE = {"format": "chromlc-product", "version": 1, "qubits": [[[0.6, 0.0], [0.0, 0.8]], [[1, 0], [0, 0]]]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(list(node_paths(_PRODUCT_BASE))), value=FUZZ_VALUES)
+@example(path=("qubits", 0, 1, 1), value=1e308)
+@example(path=("qubits", 1, 0, 0), value=1e-320)
+@example(path=("version",), value=True)
+def test_fuzzed_product_state_loads_or_raises_chromlc_error(path, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        state = Path(tmp) / "state.json"
+        state.write_text(json.dumps(replace_node(_PRODUCT_BASE, path, value)))
+        try:
+            psi = cli._load_state(str(state), 2)
+        except ChromlcError:
+            return
+    assert abs(psi.norm() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("spec", ["basis:x", "basis:", "basis:1.5", "basis:99"])

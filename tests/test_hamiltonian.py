@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chromlc import linalg
+from chromlc.simulator import MeanFieldObservable
 from chromlc.errors import BadParams, OutOfRange
 from chromlc.graphs import chromatic_index_exact, threshold_subgraph
 from chromlc.hamiltonian import (
@@ -27,6 +28,8 @@ from chromlc.hamiltonian import (
 
 from helpers import (
     pair_segment,
+    per_qubit_observable_factors,
+    per_term_random_graph,
     random_gate_schedule,
     random_hermitian,
     reference_matrices,
@@ -320,6 +323,44 @@ def test_scaling_covariance():
         integrated_chromatic_index(scaled).integral
         - lam * integrated_chromatic_index(s).integral
     ) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+@pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
+def test_random_graph_matches_per_term_draws(n, p):
+    for segments in (1, 2, 3, 4):
+        for seed, coupling in ((0, 1.0), (5, 0.37), (2024, 2.5)):
+            s = random_graph(n, 1.5, p=p, seed=seed, coupling=coupling, segments=segments)
+            expected = per_term_random_graph(n, 1.5, p=p, seed=seed, coupling=coupling, segments=segments)
+            assert len(s.segments) == segments
+            for seg, (pairs, tracks) in zip(s.segments, expected):
+                assert seg.pairs == pairs
+                assert np.array_equal(seg.tracks, tracks)
+
+
+class _ZeroRng:
+    """A generator whose every draw is zero."""
+
+    def random(self):
+        return 0.0
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+    def normal(self, size):
+        return np.zeros(size)
+
+
+def test_degenerate_draws_raise(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ZeroRng())
+    for draw in (
+        lambda: random_graph(3, seed=1),
+        lambda: per_term_random_graph(3, seed=1),
+        lambda: MeanFieldObservable.random(3, seed=1),
+        lambda: per_qubit_observable_factors(3, 1),
+    ):
+        with pytest.raises(RuntimeError, match="degenerated"):
+            draw()
 
 
 def test_generators():

@@ -1,4 +1,3 @@
-import copy
 import json
 import math
 import tracemalloc
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from chromlc.compiler import Gate, GateSchedule, Step, compile
 from chromlc.errors import ChromlcError, ParseError, SchemaVersionMismatch
 from chromlc.hamiltonian import (
-    PAULI_LABELS,
     chain,
     complete_mean_field,
     disjoint_pairs,
@@ -29,7 +27,7 @@ from chromlc.serialization import (
     save_schedule,
 )
 
-from helpers import haar_unitary, random_gate_schedule
+from helpers import FUZZ_VALUES, haar_unitary, node_paths, random_gate_schedule, replace_node
 
 
 GENERATOR_OUTPUTS = [
@@ -96,6 +94,16 @@ def test_parse_version_and_format():
     doc["format"] = "something-else"
     with pytest.raises(SchemaVersionMismatch):
         loads_schedule(json.dumps(doc))
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_parse_version_must_be_the_integer_1(version):
+    gates = GateSchedule(2, (Step((Gate((0, 1), np.eye(4), 0.0),)),))
+    for text, loads in ((dumps_schedule(chain(3)), loads_schedule), (dumps_gates(gates), loads_gates)):
+        doc = json.loads(text)
+        doc["version"] = version
+        with pytest.raises(SchemaVersionMismatch, match=r"^version: expected 1, got "):
+            loads(json.dumps(doc))
 
 
 def test_parse_reports_json_syntax_location():
@@ -368,44 +376,9 @@ _GATES_BASE = json.loads(
 )
 
 
-def _node_paths(node, path=()):
-    """The path of every node of a decoded JSON document, the root included."""
-    yield path
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        yield from _node_paths(child, path + (key,))
-
-
-_JSON_LEAVES = (
-    st.none()
-    | st.booleans()
-    | st.integers(-(10**400), 10**400)
-    | st.sampled_from([10**400, -(10**400), 2**64, 0, 1, -1])
-    | st.floats()  # NaN and infinities included; json writes them as NaN and Infinity
-    | st.text(max_size=4)
-)
-_FUZZ_VALUES = (
-    st.recursive(
-        _JSON_LEAVES,
-        lambda inner: st.lists(inner, max_size=4)
-        | st.dictionaries(st.sampled_from(PAULI_LABELS) | st.text(max_size=3), inner, max_size=3),
-        max_leaves=8,
-    )
-    | st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=30)  # over-long coefficient lists
-    | st.builds(lambda n: [1.0] + [0.0] * n, st.integers(0, 5000))
-)
-
-
 def _check_fuzzed(base, loads, path, value):
     """Replace the node at ``path`` by ``value``: the text parses or raises a ChromlcError."""
-    doc = copy.deepcopy(base)
-    if path:
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-    else:
-        doc = value
+    doc = replace_node(base, path, value)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a nonzero II component warns
         try:
@@ -415,7 +388,7 @@ def _check_fuzzed(base, loads, path, value):
 
 
 @settings(max_examples=100, deadline=None)
-@given(path=st.sampled_from(list(_node_paths(_SCHEDULE_BASE))), value=_FUZZ_VALUES)
+@given(path=st.sampled_from(list(node_paths(_SCHEDULE_BASE))), value=FUZZ_VALUES)
 @example(path=("segments", 1, "terms", 0, "coeffs", "YY", 0), value=10**400)
 @example(path=("segments", 0, "t_end"), value=10**400)
 @example(path=("segments", 1, "t_end"), value=float("inf"))
@@ -424,7 +397,7 @@ def test_fuzzed_schedule_parses_or_raises_chromlc_error(path, value):
 
 
 @settings(max_examples=100, deadline=None)
-@given(path=st.sampled_from(list(_node_paths(_GATES_BASE))), value=_FUZZ_VALUES)
+@given(path=st.sampled_from(list(node_paths(_GATES_BASE))), value=FUZZ_VALUES)
 @example(path=("steps", 1, "gates", 0, "angle"), value=10**400)
 @example(path=("steps", 1, "gates", 0, "unitary", 2, 3, 0), value=-(10**400))
 @example(path=("steps", 1, "gates", 0, "unitary", 2, 3), value={"re": 1.0})

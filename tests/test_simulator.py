@@ -8,6 +8,7 @@ from chromlc.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NormDrift,
+    ToleranceUnreachable,
     TooLarge,
 )
 from chromlc.hamiltonian import (
@@ -36,6 +37,8 @@ from helpers import (
     embed_single_operator,
     ghz_amplitudes,
     haar_unitary,
+    pass_major_integrate_adaptive,
+    per_qubit_observable_factors,
     random_gate_schedule,
     random_hermitian,
     single_pair_schedule,
@@ -234,6 +237,85 @@ def test_per_term_path_matches_dense(monkeypatch):
         assert np.max(np.abs(dense - per_term)) < 1e-12
 
 
+def _count_builds(monkeypatch):
+    """Count ``_segment_derivative`` builds and the derivative evaluations of the maps they return."""
+    counts = {"builds": 0, "evaluations": 0}
+    build = simulator._segment_derivative
+
+    def counted(seg, n):
+        counts["builds"] += 1
+        f = build(seg, n)
+
+        def g(t, array):
+            counts["evaluations"] += 1
+            return f(t, array)
+
+        return g
+
+    monkeypatch.setattr(simulator, "_segment_derivative", counted)
+    return counts
+
+
+_STRONG = random_graph(3, 1.0, p=1.0, seed=2, segments=2, coupling=6.0)
+
+
+@pytest.mark.parametrize(
+    "schedule, per_term, tol",
+    [
+        (random_graph(5, 1.0, p=0.5, seed=3, segments=4), False, 1e-8),
+        (random_time_varying(3, 1.0, p=1.0, seed=5, degree=3), False, 1e-10),
+        (_STRONG, False, 1e-11),  # three or more halvings
+        (random_graph(5, 1.0, p=0.5, seed=3, segments=4), True, 1e-8),
+        (random_time_varying(4, 1.0, p=0.8, seed=4, degree=2), True, 1e-9),
+    ],
+)
+def test_integrator_matches_pass_major_oracle(monkeypatch, schedule, per_term, tol):
+    n = schedule.n_qubits
+    if per_term:
+        monkeypatch.setattr(simulator, "DENSE_GENERATOR_MAX_QUBITS", 3)
+        monkeypatch.setattr(simulator, "_dense_generators", _no_dense)
+    state = haar_unitary(2**n, np.random.default_rng(n))[:, 0]
+    arrays = [state] + ([np.eye(2**n, dtype=complex)] if n <= 3 else [])
+    counts = _count_builds(monkeypatch)
+    segments = len(schedule.segments)
+    for array in arrays:
+        start = counts["builds"]
+        got = simulator._integrate_adaptive(schedule, array, tol)
+        builds = counts["builds"] - start
+        assert np.array_equal(got, pass_major_integrate_adaptive(schedule, array, tol))
+        # one build per segment and comparison; the oracle builds its first two passes apart
+        assert builds % segments == 0
+        assert counts["builds"] - start - builds == builds + segments
+        if schedule is _STRONG:
+            assert builds >= 3 * segments
+
+
+def test_one_halving_builds_each_segment_once(monkeypatch):
+    s = random_graph(5, 1.0, p=0.5, seed=3, segments=4, coupling=0.2)
+    psi = StateVector.basis(5, 0)
+    counts = _count_builds(monkeypatch)
+    evolve_continuous(psi, s, 1e-8)
+    assert counts == {"builds": 4, "evaluations": 4 * (16 + 32)}
+    pass_major_integrate_adaptive(s, psi.amplitudes, 1e-8)
+    assert counts == {"builds": 4 + 8, "evaluations": 2 * 4 * (16 + 32)}
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_halving_cap_compares_as_often_as_before(monkeypatch, cap):
+    # equal derivative evaluations mean equal passes, so equal comparisons
+    monkeypatch.setattr(simulator, "MAX_STEP_HALVINGS", cap)
+    psi = StateVector.basis(3, 0).amplitudes
+    counts = _count_builds(monkeypatch)
+    evaluations = []
+    for integrate in (simulator._integrate_adaptive, pass_major_integrate_adaptive):
+        start = counts["evaluations"]
+        with pytest.raises(ToleranceUnreachable):
+            integrate(_STRONG, psi, 1e-12)
+        evaluations.append(counts["evaluations"] - start)
+    steps = 16 * (2 ** (cap + 1) - 1)  # passes of 16, 32, ... steps in all
+    assert evaluations == [4 * steps, 4 * steps]
+
+
 def test_full_unitary_trivials():
     assert np.array_equal(full_unitary(GateSchedule(2, ())), np.eye(4))
     rng = np.random.default_rng(13)
@@ -322,13 +404,23 @@ def test_moments_match_pairwise_double_sum():
 
 
 def test_observable_validation():
-    with pytest.raises(BadParams):
-        MeanFieldObservable((np.diag([2.0, -2.0]),))
-    with pytest.raises(BadParams):
-        MeanFieldObservable((np.array([[0, 1], [0, 0]]),))
+    z = np.diag([1.0, -1.0])
+    with pytest.raises(BadParams, match="^observable factors must be 2x2 Hermitian$"):
+        MeanFieldObservable((z, np.eye(3)))
+    with pytest.raises(BadParams, match="^observable factors must be 2x2 Hermitian$"):
+        MeanFieldObservable((z, np.array([[0, 1], [0, 0]])))
+    with pytest.raises(BadParams, match="^observable factors must have operator norm 1$"):
+        MeanFieldObservable((z, np.diag([2.0, -2.0])))
     obs = MeanFieldObservable.random(4, seed=0)
     for f in obs.factors:
         assert abs(linalg.operator_norm(f) - 1.0) < 1e-10
+
+
+def test_random_observable_matches_per_qubit_draws():
+    for n in (2, 5, 8):
+        for seed in (0, 1, 7, 123456789):
+            got = MeanFieldObservable.random(n, seed=seed).factors
+            assert np.array_equal(np.array(got), np.array(per_qubit_observable_factors(n, seed)))
 
 
 def test_product_state_validation_and_branches():
