@@ -213,15 +213,18 @@ def compile(s: HamiltonianSchedule, epsilon: float):
     exp(-i * H_kl(mid) * d * (r_j - r_{j-1}) / ||H_kl(mid)||).
     Deterministic: levels ascend, matchings keep color order, pairs are
     lexicographic.  A constant segment is sampled once; its later
-    subintervals repeat the first one's ``Step`` objects.
+    subintervals repeat the first one's ``Step`` objects.  The samples of
+    one call share a dict of colorings, so each distinct level edge set is
+    colored once per call.
     """
     steps = []
     intervals = []
+    known = {}
     for seg, delta, mids in _subintervals(s, epsilon):
         block = None
         for t_mid in mids:
             if block is None or not seg.is_constant:
-                block, levels = _sample_steps(s, t_mid, delta)
+                block, levels = _sample_steps(s, t_mid, delta, known)
             steps.extend(block)
             intervals.append(IntervalReport(t_mid, delta, *levels))
     schedule = GateSchedule(s.n_qubits, tuple(steps))
@@ -234,12 +237,13 @@ def compile(s: HamiltonianSchedule, epsilon: float):
     return schedule, report
 
 
-def _sample_steps(s: HamiltonianSchedule, t_mid: float, delta: float):
+def _sample_steps(s: HamiltonianSchedule, t_mid: float, delta: float, known: dict):
     """The steps of one subinterval, and its thresholds, chromatic indices
-    and exactness flags for the :class:`IntervalReport`."""
+    and exactness flags for the :class:`IntervalReport`.  ``known`` is the
+    compilation's dict of colorings for :func:`~chromlc.graphs.level_decompose`."""
     snap = snapshot(s, t_mid)
     rows = {pair: i for i, pair in enumerate(snap.pairs)}
-    decomp = level_decompose(snap.graph)
+    decomp = level_decompose(snap.graph, known)
     steps = []
     prev_r = 0.0
     for level in decomp.levels:

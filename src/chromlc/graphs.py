@@ -9,11 +9,14 @@ next (fewest free colors); deciding it is NP-complete (Holyer 1981), so the
 order buys speed, not a bound.  ``edge_color_vizing`` is the constructive
 max-degree-plus-one fallback (Misra-Gries), and ``color_edges`` picks
 between the two by edge count against ``EXACT_SEARCH_CAP``: it is what
-every caller that needs a coloring goes through.  ``level_decompose`` slices a weighted graph at its
-distinct edge weights, so that the weighted sum of per-level indices equals
-the integral of the chromatic index over the threshold; each level reuses
-the coloring of the level below it when that is provably optimal, and
-searches only otherwise.
+every caller that needs a coloring goes through.  ``level_decompose``
+slices a weighted graph at its distinct edge weights, so that the weighted
+sum of per-level indices equals the integral of the chromatic index over
+the threshold.  Each level inherits the coloring of the level below it,
+dropping only the edges that left, and keeps it when that is provably
+optimal; otherwise it calls ``color_edges``.  A caller that decomposes
+many graphs passes one ``known`` dict, owned by that call, so that each
+distinct level edge set is colored once.
 """
 
 from __future__ import annotations
@@ -110,16 +113,6 @@ class EdgeColoring:
                     return False
                 touched.update((k, l))
         return True
-
-    def restricted_to(self, pairs) -> "EdgeColoring":
-        """The classes cut down to ``pairs``, empty classes dropped."""
-        keep = set(map(tuple, pairs))
-        classes = (tuple(p for p in cls if p in keep) for cls in self.classes)
-        # Subsets of normalized classes are normalized, so __post_init__ is
-        # skipped: level_decompose calls this once per threshold level.
-        out = object.__new__(EdgeColoring)
-        object.__setattr__(out, "classes", tuple(cls for cls in classes if cls))
-        return out
 
 
 @dataclass(frozen=True)
@@ -358,18 +351,28 @@ def edge_color_vizing(g: WeightedGraph) -> EdgeColoring:
     return EdgeColoring(tuple(tuple(sorted(cls)) for cls in classes if cls))
 
 
-def level_decompose(g: WeightedGraph) -> LevelDecomposition:
+def level_decompose(g: WeightedGraph, known: dict | None = None) -> LevelDecomposition:
     """Slice ``g`` at its distinct edge weights, ascending.
 
     Level j is the subgraph of edges with weight >= r_j.  Weights within
     ``WEIGHT_MERGE_TOL`` of each other share a level (threshold = their
     maximum).  Level j+1 is level j minus the edges of weight r_j, so it
-    first inherits level j's coloring with those edges dropped: when the
-    classes left number the new max degree, that coloring is optimal
-    (chi' >= max degree) and is taken as exact, whether or not level j's
-    was.  Otherwise the level is colored by :func:`color_edges`; a fallback
+    first inherits level j's coloring with those edges dropped: only the
+    classes that held them are rebuilt, class order and the order within
+    each class are kept, and classes left empty go.  When the classes left
+    number the new max degree, that coloring is optimal (chi' >= max
+    degree) and is taken as exact, whether or not level j's was.
+    Otherwise the level is colored by :func:`color_edges`; a fallback
     coloring with more classes than the inherited one gives way to it
     (still ``exact=False``), so per-level indices never increase.
+
+    ``known``, when given, maps the frozenset of a level's pairs to the
+    :func:`color_edges` result for that edge set; levels found there are
+    not searched again, and levels searched here are added.  The result
+    depends only on the edge set, so a caller that decomposes many graphs
+    (the samples of one integral or one compilation) passes one dict to all
+    of them and gets the same levels as without it.  Only search results
+    go in, never inherited colorings.
     """
     if not g.edges:
         return LevelDecomposition(())
@@ -383,23 +386,37 @@ def level_decompose(g: WeightedGraph) -> LevelDecomposition:
 
     deg = g.degrees()
     remaining = set(g.pairs)
+    classes = []  # the last level's classes; a class emptied by inheritance stays as ()
+    holder = {}  # pair -> its index in classes
     levels = []
     for j, cluster in enumerate(clusters):
         threshold = max(e[2] for e in cluster)
         inherited = None
         if levels:
+            gone = set()
             for k, l, _ in clusters[j - 1]:
                 deg[k] -= 1
                 deg[l] -= 1
-                remaining.discard((k, l))
-            inherited = levels[-1].coloring.restricted_to(remaining)
+                gone.add((k, l))
+            remaining -= gone
+            for c in {holder.pop(pair) for pair in gone}:
+                classes[c] = tuple(pair for pair in classes[c] if pair not in gone)
+            # Classes of a normalized coloring are normalized, so __post_init__ is skipped.
+            inherited = object.__new__(EdgeColoring)
+            object.__setattr__(inherited, "classes", tuple(cls for cls in classes if cls))
             if inherited.n_classes() == max(deg):
                 levels.append(Level(threshold, inherited.n_classes(), inherited, True))
                 continue
-        sub = WeightedGraph(g.n_vertices, tuple(e for cl in clusters[j:] for e in cl))
-        res = color_edges(sub)
+        key = frozenset(remaining)
+        res = None if known is None else known.get(key)
+        if res is None:
+            res = color_edges(WeightedGraph(g.n_vertices, tuple(e for cl in clusters[j:] for e in cl)))
+            if known is not None:
+                known[key] = res
         if inherited is not None and res.index > inherited.n_classes():
             levels.append(Level(threshold, inherited.n_classes(), inherited, False))
         else:
             levels.append(Level(threshold, res.index, res.coloring, res.exact))
+            classes = list(res.coloring.classes)
+            holder = {pair: c for c, cls in enumerate(classes) for pair in cls}
     return LevelDecomposition(tuple(levels))

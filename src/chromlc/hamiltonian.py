@@ -39,6 +39,14 @@ MAX_POLY_DEGREE = 8
 # typo such as ``--epsilon 1e-13`` or ``--samples 1000000000000`` asks for
 # terabytes before any work starts.
 MAX_SAMPLES_PER_SEGMENT = 2**16
+# Cap on the pair terms a generator may produce, summed over its segments,
+# checked before any draw.  A term stores 16 float coefficients per degree
+# (up to 1.2 kB), its snapshot rows another 0.6 kB, and each compiled
+# subinterval turns it into at least one 2 kB gate, so 2^16 terms make a
+# 130 MB gate document from a single sample.  Uncapped, ``complete_mean_field
+# --n 2000`` asks for two million terms and ``random_graph --segments
+# 1000000`` for a million segments, and neither returns in minutes.
+MAX_GENERATED_TERMS = 2**16
 ZERO_NORM_TOL = 1e-12  # pair terms with a smaller norm count as absent
 
 _P1 = {
@@ -51,6 +59,7 @@ PAULI_LABELS = tuple(a + b for a in "IXYZ" for b in "IXYZ")
 PAULI_PRODUCTS = np.stack([np.kron(_P1[l[0]], _P1[l[1]]) for l in PAULI_LABELS])
 
 __all__ = [
+    "MAX_GENERATED_TERMS",
     "MAX_SAMPLES_PER_SEGMENT",
     "PAULI_LABELS",
     "PAULI_PRODUCTS",
@@ -276,9 +285,12 @@ def interaction_graph(s: HamiltonianSchedule, t: float, r: float = 0.0) -> Weigh
     return threshold_subgraph(snapshot(s, t).graph, r)
 
 
-def weighted_chromatic_index(s: HamiltonianSchedule, t: float) -> float:
-    """W(t): the threshold integral of the chromatic index, as a level sum."""
-    return level_decompose(snapshot(s, t).graph).weighted_sum()
+def weighted_chromatic_index(s: HamiltonianSchedule, t: float, known: dict | None = None) -> float:
+    """W(t): the threshold integral of the chromatic index, as a level sum.
+
+    ``known`` is handed to :func:`~chromlc.graphs.level_decompose`.
+    """
+    return level_decompose(snapshot(s, t).graph, known).weighted_sum()
 
 
 def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int = 64) -> IndexProfile:
@@ -286,7 +298,11 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
 
     Constant segments are integrated exactly from a single midpoint sample;
     the error estimate compares the requested resolution against doubled
-    sampling and is therefore zero for piecewise-constant schedules.
+    sampling and is therefore zero for piecewise-constant schedules.  A
+    time-varying segment still takes a snapshot at each of its N reported
+    and 2N error-estimate samples, but the samples of one call share a
+    dict of colorings, so a level edge set that recurs (neighbouring
+    samples share most of theirs) is colored once per call.
     """
     if samples_per_segment < 1:
         raise BadParams("samples_per_segment must be at least 1")
@@ -298,21 +314,22 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
     values = []
     total = 0.0
     err = 0.0
+    known = {}
     for seg in s.segments:
         length = seg.length
         mids = seg.t_start + (np.arange(samples_per_segment) + 0.5) * (length / samples_per_segment)
         if seg.is_constant:
-            w = weighted_chromatic_index(s, float(mids[0]))
+            w = weighted_chromatic_index(s, float(mids[0]), known)
             times.extend(float(x) for x in mids)
             values.extend([w] * samples_per_segment)
             total += w * length
             continue
-        vals = [weighted_chromatic_index(s, float(x)) for x in mids]
+        vals = [weighted_chromatic_index(s, float(x), known) for x in mids]
         h = length / samples_per_segment
         coarse = h * sum(vals)
         mids2 = seg.t_start + (np.arange(2 * samples_per_segment) + 0.5) * (length / (2 * samples_per_segment))
         fine = (length / (2 * samples_per_segment)) * sum(
-            weighted_chromatic_index(s, float(x)) for x in mids2
+            weighted_chromatic_index(s, float(x), known) for x in mids2
         )
         times.extend(float(x) for x in mids)
         values.extend(vals)
@@ -368,20 +385,20 @@ def _heisenberg(strength: float) -> dict:
 
 def chain(n: int, t_total: float = 1.0, coupling: float = 1.0) -> HamiltonianSchedule:
     """Nearest-neighbor chain with isotropic exchange of norm ``coupling``."""
-    _check_common(n, t_total)
+    _check_common(n, t_total, n - 1)
     return _uniform_schedule(n, t_total, [(i, i + 1) for i in range(n - 1)], _heisenberg(coupling))
 
 
 def disjoint_pairs(n: int, t_total: float = 1.0, coupling: float = 1.0) -> HamiltonianSchedule:
     """Matching (0,1), (2,3), ... -- the fully parallel interaction pattern."""
-    _check_common(n, t_total)
+    _check_common(n, t_total, n // 2)
     pairs = [(2 * i, 2 * i + 1) for i in range(n // 2)]
     return _uniform_schedule(n, t_total, pairs, _heisenberg(coupling))
 
 
 def complete_mean_field(n: int, t_total: float = 1.0, coupling: float = 1.0) -> HamiltonianSchedule:
     """All-to-all ZZ couplings of equal strength."""
-    _check_common(n, t_total)
+    _check_common(n, t_total, n * (n - 1) // 2)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return _uniform_schedule(n, t_total, pairs, {"ZZ": coupling})
 
@@ -396,11 +413,11 @@ def random_graph(
 ) -> HamiltonianSchedule:
     """Piecewise-constant schedule: per segment, an Erdos-Renyi pair set with
     random norm-``coupling`` terms.  Deterministic in ``seed``."""
-    _check_common(n, t_total)
-    if not 0.0 <= p <= 1.0:
-        raise BadParams("edge probability p must lie in [0,1]")
     if segments < 1:
         raise BadParams("segments must be at least 1")
+    _check_common(n, t_total, n * (n - 1) // 2 * segments)
+    if not 0.0 <= p <= 1.0:
+        raise BadParams("edge probability p must lie in [0,1]")
     rng = np.random.default_rng(seed)
     segs = []
     for i in range(segments):
@@ -432,7 +449,7 @@ def random_time_varying(
 ) -> HamiltonianSchedule:
     """Single segment with random polynomial coefficient tracks, rescaled so
     the largest sampled norm over [0,T] equals ``coupling``."""
-    _check_common(n, t_total)
+    _check_common(n, t_total, n * (n - 1) // 2)
     if not 0.0 <= p <= 1.0:
         raise BadParams("edge probability p must lie in [0,1]")
     if not 0 <= degree <= MAX_POLY_DEGREE:
@@ -455,11 +472,18 @@ def random_time_varying(
     return HamiltonianSchedule(n, (Segment(0.0, float(t_total), kept, tracks),))
 
 
-def _check_common(n: int, t_total: float):
+def _check_common(n: int, t_total: float, terms: int):
+    """Checks shared by the generators; ``terms`` is the most pair terms the
+    generator can produce over all its segments (every pair drawn)."""
     if n < 2:
         raise BadParams("need at least two qubits")
     if not (math.isfinite(t_total) and t_total > 0):
         raise BadParams(f"total time must be a finite positive number, got {t_total}")
+    if terms > MAX_GENERATED_TERMS:
+        raise TooLarge(
+            f"the schedule may hold {terms} pair terms (pairs x segments); "
+            f"generators are limited to {MAX_GENERATED_TERMS}"
+        )
 
 
 _GENERATORS = {

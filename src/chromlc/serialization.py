@@ -227,7 +227,9 @@ def dumps_gates(g: GateSchedule) -> str:
     The gate objects are written from a fixed template instead of through
     ``json``'s indenting encoder, which runs in pure Python.  Floats are
     rendered by ``float.__repr__`` as ``json`` does; unitaries and angles
-    are finite (``Gate`` checks both), so no NaN or Infinity arises.
+    are finite (``Gate`` checks both), so no NaN or Infinity arises.  A
+    step object that recurs (``compile`` repeats a constant segment's steps)
+    is formatted once per call and its text reused.
     """
     header = (
         f'{{\n  "format": "{GATES_FORMAT}",\n  "version": {FORMAT_VERSION},\n'
@@ -235,14 +237,19 @@ def dumps_gates(g: GateSchedule) -> str:
     )
     if not g.steps:
         return header + "[]\n}\n"
+    texts = {}  # id(step) -> its text; g holds every step, so no id is reused during the call
     steps = []
     for step in g.steps:
-        gates = [
-            _GATE_TEMPLATE
-            % (*gate.pair, *gate.unitary.view(np.float64).ravel().tolist(), gate.angle)
-            for gate in step.gates
-        ]
-        steps.append('{\n      "gates": [\n        ' + ",\n        ".join(gates) + "\n      ]\n    }")
+        text = texts.get(id(step))
+        if text is None:
+            gates = [
+                _GATE_TEMPLATE
+                % (*gate.pair, *gate.unitary.view(np.float64).ravel().tolist(), gate.angle)
+                for gate in step.gates
+            ]
+            text = '{\n      "gates": [\n        ' + ",\n        ".join(gates) + "\n      ]\n    }"
+            texts[id(step)] = text
+        steps.append(text)
     return header + "[\n    " + ",\n    ".join(steps) + "\n  ]\n}\n"
 
 

@@ -6,7 +6,8 @@ embedding works bit-by-bit on basis indices, the norm oracle goes through
 the characteristic polynomial, and the chromatic-index oracle is a plain
 depth-first enumeration over edges in natural order.  The parity oracles
 at the end keep earlier, slower forms of package loops (pass by pass RK4,
-per-term and per-qubit random draws) that the package must match bit for bit.
+per-term and per-qubit random draws, level decomposition that searches
+every level afresh) that the package must match bit for bit.
 """
 
 import copy
@@ -16,9 +17,10 @@ import numpy as np
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
-from chromlc import cli, compiler, hamiltonian, linalg, simulator
+from chromlc import cli, compiler, graphs, hamiltonian, linalg, simulator
 from chromlc.errors import ToleranceUnreachable
 from chromlc.compiler import Gate, GateSchedule, Step
+from chromlc.graphs import EdgeColoring, Level, LevelDecomposition, WeightedGraph
 from chromlc.hamiltonian import PAULI_LABELS, HamiltonianSchedule, Segment, pauli_matrix
 
 
@@ -324,3 +326,61 @@ def per_qubit_observable_factors(n_qubits, seed):
         else:
             raise RuntimeError("random observable draw degenerated repeatedly")
     return factors
+
+
+def restricted_to(coloring, pairs):
+    """``coloring``'s classes cut down to ``pairs``, empty classes dropped."""
+    keep = set(pairs)
+    classes = (tuple(p for p in cls if p in keep) for cls in coloring.classes)
+    return EdgeColoring(tuple(cls for cls in classes if cls))
+
+
+def restricting_level_decompose(g):
+    """``level_decompose`` with no dict of known colorings: every level that
+    does not keep its inherited coloring is searched through
+    ``graphs.color_edges``, and the inherited coloring is rebuilt from every
+    class of the level below."""
+    if not g.edges:
+        return LevelDecomposition(())
+    ordered = sorted(g.edges, key=lambda e: e[2])
+    clusters = [[ordered[0]]]
+    for e in ordered[1:]:
+        if e[2] - clusters[-1][-1][2] < graphs.WEIGHT_MERGE_TOL:
+            clusters[-1].append(e)
+        else:
+            clusters.append([e])
+    deg = g.degrees()
+    remaining = set(g.pairs)
+    levels = []
+    for j, cluster in enumerate(clusters):
+        threshold = max(e[2] for e in cluster)
+        inherited = None
+        if levels:
+            for k, l, _ in clusters[j - 1]:
+                deg[k] -= 1
+                deg[l] -= 1
+                remaining.discard((k, l))
+            inherited = restricted_to(levels[-1].coloring, remaining)
+            if inherited.n_classes() == max(deg):
+                levels.append(Level(threshold, inherited.n_classes(), inherited, True))
+                continue
+        res = graphs.color_edges(WeightedGraph(g.n_vertices, tuple(e for cl in clusters[j:] for e in cl)))
+        if inherited is not None and res.index > inherited.n_classes():
+            levels.append(Level(threshold, inherited.n_classes(), inherited, False))
+        else:
+            levels.append(Level(threshold, res.index, res.coloring, res.exact))
+    return LevelDecomposition(tuple(levels))
+
+
+def record_searches(monkeypatch):
+    """Wrap ``graphs.color_edges`` (which ``level_decompose`` calls); the
+    returned list gets the edge set of every call, as a frozenset of pairs."""
+    searched = []
+    color_edges = graphs.color_edges
+
+    def recording(g):
+        searched.append(frozenset(g.pairs))
+        return color_edges(g)
+
+    monkeypatch.setattr(graphs, "color_edges", recording)
+    return searched

@@ -1,5 +1,8 @@
 import json
+import os
 import signal
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,6 +17,7 @@ from chromlc.cli import main
 from chromlc.errors import ChromlcError
 from chromlc.compiler import Gate, GateSchedule, Step
 from chromlc.hamiltonian import (
+    MAX_GENERATED_TERMS,
     MAX_SAMPLES_PER_SEGMENT,
     chain,
     embed_discrete,
@@ -375,6 +379,40 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, argv, tol):
     assert code == 2
     assert err.startswith("error: integrator tolerance must be a finite number >= 1e-12")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("complete_mean_field", "--n", "2000"),
+        ("random_graph", "--n", "5", "--segments", "1000000"),
+        ("random_time_varying", "--n", "1000", "--degree", "8"),
+        ("chain", "--n", "1000000000"),
+    ],
+)
+def test_generate_size_is_bounded(capsys, argv):
+    # these used to run past a 30 s timeout; the timer turns such a run into a failure
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 20.0)
+        code, out, err = run_cli(capsys, "generate", *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert err.startswith("error: the schedule may hold ") and str(MAX_GENERATED_TERMS) in err
+    assert out == ""
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chromlc", "--help"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: chromlc")
 
 
 def test_json_params_name_every_input(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chromlc import linalg
+from chromlc import compiler, linalg
 from chromlc.compiler import (
     Gate,
     GateSchedule,
@@ -29,6 +29,8 @@ from helpers import (
     haar_unitary,
     pair_segment,
     random_hermitian,
+    record_searches,
+    restricting_level_decompose,
     single_pair_schedule,
     two_pair_noncommuting,
 )
@@ -158,6 +160,21 @@ def test_compile_repeats_each_constant_segment_block():
             assert iv.delta == pytest.approx(0.05, abs=1e-15)
     assert len({iv.t_mid for iv in report.intervals}) == 20
     assert blocks[0][0] != blocks[5][0]
+
+
+def test_compile_colors_each_distinct_edge_set_once(monkeypatch):
+    # the compile_tv instance: 20 subintervals, 72 level searches without the per-call dict
+    s = random_time_varying(6, p=0.6, seed=3)
+    searched = record_searches(monkeypatch)
+    g, report = compile(s, 0.05)
+    assert len(searched) == len(set(searched)) == 11
+    ours = set(searched)
+    searched.clear()
+    monkeypatch.setattr(compiler, "level_decompose", lambda graph, known: restricting_level_decompose(graph))
+    oracle_g, oracle_report = compile(s, 0.05)
+    assert len(searched) == 72 and set(searched) == ours
+    assert g == oracle_g
+    assert report == oracle_report
 
 
 def test_compile_equal_constant_segments_keep_their_own_delta():

@@ -18,7 +18,7 @@ from chromlc.graphs import (
     threshold_subgraph,
 )
 
-from helpers import oracle_chromatic_index
+from helpers import oracle_chromatic_index, record_searches, restricting_level_decompose
 
 
 def complete_graph(n, w=1.0):
@@ -35,6 +35,22 @@ def small_graphs(draw, max_vertices, weights=(1.0,)):
             if draw(st.booleans()):
                 edges.append((i, j, draw(st.sampled_from(weights))))
     return n, tuple(edges)
+
+
+@st.composite
+def graph_sequences(draw):
+    """Weighted graphs on one vertex set that reuse a few edge sets, each
+    time with freshly drawn weights, so level edge sets recur."""
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edge_sets = draw(st.lists(st.lists(st.sampled_from(pairs), unique=True), min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        chosen = draw(st.sampled_from(edge_sets))
+        weights = st.sampled_from((0.5, 1.0, 1.5, 2.0))
+        weights = draw(st.lists(weights, min_size=len(chosen), max_size=len(chosen)))
+        out.append(WeightedGraph(n, tuple((k, l, w) for (k, l), w in zip(chosen, weights))))
+    return out
 
 
 def petersen_copies(copies, rng):
@@ -253,6 +269,36 @@ def test_level_decompose_fallback_is_reported(monkeypatch):
     for lv in ld.levels:
         sub = WeightedGraph(7, tuple(e for e in edges if e[2] >= lv.threshold))
         assert lv.coloring.is_valid_for(sub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_sequences())
+def test_shared_colorings_give_the_levels_of_each_graph_alone(sequence):
+    known = {}
+    for g in sequence:
+        shared = level_decompose(g, known)
+        assert shared == level_decompose(g)
+        assert shared == restricting_level_decompose(g)
+    n = sequence[0].n_vertices
+    for pairs, res in known.items():  # search results only, keyed by their edge set
+        assert res == color_edges(WeightedGraph(n, tuple((k, l, 1.0) for k, l in sorted(pairs))))
+
+
+def test_shared_colorings_keep_fallbacks(monkeypatch):
+    # the K7 case above three times, once with other weights: each level edge set is searched once
+    monkeypatch.setattr(graphs, "EXACT_SEARCH_CAP", 16)
+    searched = record_searches(monkeypatch)
+    k6 = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    known = {}
+    for low, high in ((1.0, 2.0), (0.5, 3.0), (1.0, 2.0)):
+        edges = tuple((i, j, high) for i, j in k6) + tuple((i, 6, low) for i in range(6))
+        g = WeightedGraph(7, edges)
+        ld = level_decompose(g, known)
+        assert [(lv.chromatic_index, lv.exact) for lv in ld.levels] == [(7, False), (5, True)]
+        assert ld == restricting_level_decompose(g)
+    # two searches in all with the shared dict, two per graph for the oracle
+    assert len(searched) == 3 * 2 + 2
+    assert len(set(searched)) == 2 and set(known) == set(searched)
 
 
 def test_level_sum_matches_midpoint_quadrature():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from chromlc import linalg
+from chromlc import hamiltonian, linalg
 from chromlc.simulator import MeanFieldObservable
-from chromlc.errors import BadParams, OutOfRange
+from chromlc.errors import BadParams, OutOfRange, TooLarge
 from chromlc.graphs import chromatic_index_exact, threshold_subgraph
 from chromlc.hamiltonian import (
+    MAX_GENERATED_TERMS,
     PAULI_LABELS,
     HamiltonianSchedule,
     Segment,
@@ -32,7 +33,9 @@ from helpers import (
     per_term_random_graph,
     random_gate_schedule,
     random_hermitian,
+    record_searches,
     reference_matrices,
+    restricting_level_decompose,
     single_pair_schedule,
 )
 
@@ -258,6 +261,49 @@ def test_integrated_index_equals_segment_sum():
         mid = (seg.t_start + seg.t_end) / 2.0
         per_segment += weighted_chromatic_index(s, mid) * seg.length
     assert abs(prof.integral - per_segment) < 1e-12
+
+
+def test_index_colors_each_distinct_edge_set_once_per_call(monkeypatch):
+    # the index_dense instance: 24 samples of 44 edges, 187 level searches
+    # without the per-call dict, on 82 distinct edge sets
+    s = random_time_varying(12, p=0.7, seed=3)
+    searched = record_searches(monkeypatch)
+    first = integrated_chromatic_index(s, 8)
+    assert len(searched) == len(set(searched)) == 82
+    second = integrated_chromatic_index(s, 8)
+    assert searched[82:] == searched[:82]  # nothing outlives a call
+    assert second.integral == first.integral
+
+    ours = set(searched)
+    searched.clear()
+    monkeypatch.setattr(hamiltonian, "level_decompose", lambda g, known: restricting_level_decompose(g))
+    oracle = integrated_chromatic_index(s, 8)
+    assert len(searched) == 187
+    assert set(searched) == ours
+    assert np.array_equal(oracle.times, first.times)
+    assert np.array_equal(oracle.values, first.values)
+    assert (oracle.integral, oracle.error_estimate) == (first.integral, first.error_estimate)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: chain(MAX_GENERATED_TERMS + 2),
+        lambda: disjoint_pairs(2 * MAX_GENERATED_TERMS + 2),
+        lambda: complete_mean_field(363),  # 65703 pairs
+        lambda: random_graph(2, segments=MAX_GENERATED_TERMS + 1),
+        lambda: random_graph(363, p=0.0),  # the bound counts every pair a draw may keep
+        lambda: random_time_varying(363, p=0.0),
+    ],
+)
+def test_generators_refuse_more_terms_than_the_cap(make):
+    with pytest.raises(TooLarge, match=str(MAX_GENERATED_TERMS)):
+        make()
+
+
+def test_generators_reach_the_cap():
+    s = chain(MAX_GENERATED_TERMS + 1)
+    assert len(s.segments[0].pairs) == MAX_GENERATED_TERMS
 
 
 def test_embed_empty_schedule():

@@ -341,6 +341,16 @@ def test_dumps_gates_examples_cover_the_fallback_and_special_entries():
     assert all(gate.angle < math.pi for step in _PAST_PI.steps for gate in step.gates)
 
 
+def test_dumps_gates_writes_each_repeat_of_a_step():
+    # constant segments repeat their step objects; a, b, a interleaves two of them
+    g, _ = compile(random_graph(5, p=0.6, seed=3, segments=2), 0.25)
+    assert len({id(step) for step in g.steps}) < len(g.steps)
+    assert dumps_gates(g) == _reference_text(g)
+    a, b = g.steps[0], g.steps[-1]
+    abab = GateSchedule(g.n_qubits, (a, b, a, b))
+    assert dumps_gates(abab) == _reference_text(abab)
+
+
 # -- fuzzed documents ----------------------------------------------------------
 
 _SCHEDULE_BASE = {
