@@ -12,8 +12,10 @@ subinterval length shrinks.
 
 Every subinterval of a constant segment has the same snapshot, levels and
 gates, so such a segment is compiled once and its steps repeat, the same
-objects each time.  The integrated index itself is not computed here:
-callers that want it, such as ``chromlc compile --report``, ask
+objects each time.  A sample's gates, over all of its levels, are built
+and checked as one stack (:meth:`Gate.batch`): one unitarity test per
+sample, not one per gate.  The integrated index itself is not computed
+here: callers that want it, such as ``chromlc compile --report``, ask
 :func:`~chromlc.hamiltonian.integrated_chromatic_index`.
 
 ``trotterize`` is the unparallelized baseline (one gate per step, m
@@ -60,6 +62,9 @@ class Gate:
     The angle is the smallest norm of a Hermitian generator of the
     unitary.  :meth:`from_unitary` computes it from the matrix; a caller
     that built the unitary as exp(-i*H) with ||H|| <= pi may pass ||H||.
+    The rules of :func:`_checked_gates` hold for every gate: ``Gate(...)``
+    applies them to a stack of one, :meth:`batch` once to a whole stack.
+    The unitary is read-only.
     """
 
     pair: tuple
@@ -67,25 +72,29 @@ class Gate:
     angle: float
 
     def __post_init__(self):
-        k, l = int(self.pair[0]), int(self.pair[1])
-        if not 0 <= k < l:
-            raise BadParams(f"gate pair ({k},{l}) must satisfy 0 <= k < l")
-        object.__setattr__(self, "pair", (k, l))
-        u = np.array(self.unitary, dtype=np.complex128)
-        if u.shape != (4, 4):
-            raise BadParams(f"gate unitary must be 4x4, got {u.shape}")
-        if not linalg.is_unitary(u, 1e-10):
-            raise NotUnitary("gate matrix is not unitary at tolerance 1e-10")
-        u.flags.writeable = False
+        (pair,), (u,), (angle,) = _checked_gates((self.pair,), (self.unitary,), (self.angle,))
+        object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "unitary", u)
-        angle = float(self.angle)
-        if not math.isfinite(angle):
-            raise BadParams(f"gate angle must be finite, got {angle}")
         object.__setattr__(self, "angle", angle)
 
     @classmethod
     def from_unitary(cls, pair, unitary) -> "Gate":
         return cls(tuple(pair), unitary, linalg.unitary_angle(unitary))
+
+    @classmethod
+    def batch(cls, pairs, unitaries, angles) -> list:
+        """``[Gate(p, u, a) for p, u, a in zip(pairs, unitaries, angles)]``,
+        checked once for the whole stack; each unitary is a view into one
+        read-only copy of ``unitaries``."""
+        pairs, stack, angles = _checked_gates(pairs, unitaries, angles)
+        gates = []
+        for pair, u, angle in zip(pairs, stack, angles):
+            gate = object.__new__(cls)  # set one by one, the attributes keep a compact instance dict
+            object.__setattr__(gate, "pair", pair)
+            object.__setattr__(gate, "unitary", u)
+            object.__setattr__(gate, "angle", angle)
+            gates.append(gate)
+        return gates
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
@@ -95,6 +104,32 @@ class Gate:
             and self.angle == other.angle
             and np.array_equal(self.unitary, other.unitary)
         )
+
+
+def _checked_gates(pairs, unitaries, angles):
+    """The gate rules, applied to a stack at once: every pair has
+    0 <= k < l, every unitary is 4x4 and unitary at 1e-10, every angle is
+    finite.  Returns the pairs as tuples of ints, a read-only complex copy
+    of the ``(g, 4, 4)`` stack and the angles as floats."""
+    pairs = [(int(p[0]), int(p[1])) for p in pairs]
+    for k, l in pairs:
+        if not 0 <= k < l:
+            raise BadParams(f"gate pair ({k},{l}) must satisfy 0 <= k < l")
+    stack = np.array(unitaries, dtype=np.complex128)
+    if stack.shape[1:] != (4, 4):
+        raise BadParams(f"gate unitary must be 4x4, got {stack.shape[1:]}")
+    if not linalg.is_unitary(stack, 1e-10):
+        raise NotUnitary("gate matrix is not unitary at tolerance 1e-10")
+    stack.flags.writeable = False
+    angles = [float(a) for a in angles]
+    for angle in angles:
+        if not math.isfinite(angle):
+            raise BadParams(f"gate angle must be finite, got {angle}")
+    if not len(pairs) == len(stack) == len(angles):
+        raise BadParams(
+            f"gate stack lengths differ: {len(pairs)} pairs, {len(stack)} unitaries, {len(angles)} angles"
+        )
+    return pairs, stack, angles
 
 
 @dataclass(frozen=True)
@@ -244,14 +279,15 @@ def _sample_steps(s: HamiltonianSchedule, t_mid: float, delta: float, known: dic
     snap = snapshot(s, t_mid)
     rows = {pair: i for i, pair in enumerate(snap.pairs)}
     decomp = level_decompose(snap.graph, known)
+    level_pairs = [level.coloring.all_pairs() for level in decomp.levels]
+    level_angles = delta * np.diff(decomp.thresholds(), prepend=0.0)
+    index = [rows[pair] for pairs in level_pairs for pair in pairs]
+    all_gates = _pair_gates(snap, index, np.repeat(level_angles, [len(pairs) for pairs in level_pairs]))
     steps = []
-    prev_r = 0.0
-    for level in decomp.levels:
-        angle = delta * (level.threshold - prev_r)
-        prev_r = level.threshold
-        pairs = level.coloring.all_pairs()
-        index = [rows[pair] for pair in pairs]
-        gates = dict(zip(pairs, _pair_gates(snap, index, np.full(len(index), angle))))
+    start = 0
+    for level, pairs in zip(decomp.levels, level_pairs):
+        gates = dict(zip(pairs, all_gates[start : start + len(pairs)]))
+        start += len(pairs)
         for matching in level.coloring.classes:
             steps.append(Step(tuple(gates[pair] for pair in matching)))
     levels = (
@@ -267,15 +303,16 @@ def _pair_gates(snap, index, angles) -> list:
 
     Row j runs H_e for the duration angles[j] / ||H_e||, so its generator
     has norm angles[j], which is the gate angle up to pi; past pi the
-    principal angle is taken from the unitary.
+    principal angle is taken from the unitary.  The gates up to pi are
+    checked as one stack (:meth:`Gate.batch`).
     """
     w, v = snap.eigenvalues[index], snap.eigenvectors[index]
     phases = np.exp((-1j * angles / snap.norms[index])[:, None] * w)
     unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    return [
-        Gate(snap.pairs[i], u, a) if a <= math.pi else Gate.from_unitary(snap.pairs[i], u)
-        for i, u, a in zip(index, unitaries, angles)
-    ]
+    pairs = [snap.pairs[i] for i in index]
+    small = angles <= math.pi
+    batch = iter(Gate.batch([p for p, ok in zip(pairs, small) if ok], unitaries[small], angles[small]))
+    return [next(batch) if ok else Gate.from_unitary(p, u) for p, u, ok in zip(pairs, unitaries, small)]
 
 
 def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:

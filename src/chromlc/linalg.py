@@ -4,7 +4,8 @@ Everything works on plain ``numpy`` arrays of ``complex128``.  Hermitian
 eigenproblems go to LAPACK (``np.linalg.eigh``, ``eigvalsh``) behind a
 Hermitian check; :func:`hermitian_eig` also takes a stack ``(..., n, n)``
 so that callers can diagonalize all 4x4 pair generators of one sample time
-in a single call.  The unitary functions build on it.
+in a single call, and :func:`is_unitary` checks a stack of gates in one
+call.  The unitary functions build on it.
 
 Sign convention, fixed package-wide: evolutions solve du/dt = -i H(t) u,
 so ``expm_i(h, s)`` returns exp(-i*s*h), and ``unitary_log(u)`` returns the
@@ -61,12 +62,13 @@ def is_hermitian(m, tol: float = 1e-10) -> bool:
 
 
 def is_unitary(m, tol: float = 1e-10) -> bool:
-    """Max-entry deviation of (M^dagger M - 1) below ``tol``."""
+    """Max-entry deviation of (M^dagger M - 1) below ``tol``; a stack
+    ``(..., n, n)`` passes when every member does."""
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    gram = m.conj().T @ m
-    return float(np.max(np.abs(gram - np.eye(m.shape[0])), initial=0.0)) < tol
+    gram = np.swapaxes(m, -1, -2).conj() @ m
+    return float(np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0)) < tol
 
 
 def hermitian_eig(m, tol: float = 1e-10) -> EigenDecomposition:

@@ -114,13 +114,11 @@ def _pair_field(obj, where):
 def dumps_schedule(s: HamiltonianSchedule) -> str:
     segments = []
     for seg in s.segments:
+        # each row's length up to its last nonzero coefficient, 0 for an all-zero row
+        lengths = np.where(seg.tracks != 0, np.arange(1, seg.tracks.shape[-1] + 1), 0).max(axis=-1)
         terms = []
-        for (k, l), rows in zip(seg.pairs, seg.tracks):
-            coeffs = {}
-            for label, row in zip(PAULI_LABELS, rows):
-                poly = np.trim_zeros(row, "b")
-                if poly.size:
-                    coeffs[label] = poly.tolist()
+        for (k, l), rows, widths in zip(seg.pairs, seg.tracks, lengths.tolist()):
+            coeffs = {label: row[:w] for label, row, w in zip(PAULI_LABELS, rows.tolist(), widths) if w}
             terms.append({"pair": [k, l], "coeffs": coeffs})
         segments.append({"t_start": seg.t_start, "t_end": seg.t_end, "terms": terms})
     doc = {
@@ -229,7 +227,10 @@ def dumps_gates(g: GateSchedule) -> str:
     rendered by ``float.__repr__`` as ``json`` does; unitaries and angles
     are finite (``Gate`` checks both), so no NaN or Infinity arises.  A
     step object that recurs (``compile`` repeats a constant segment's steps)
-    is formatted once per call and its text reused.
+    is formatted once per call and its text reused.  The unitaries of each
+    distinct step become Python floats through one ``tolist`` of their
+    stack; stacking the whole file at once would hold every gate's floats
+    at the same time.
     """
     header = (
         f'{{\n  "format": "{GATES_FORMAT}",\n  "version": {FORMAT_VERSION},\n'
@@ -242,10 +243,10 @@ def dumps_gates(g: GateSchedule) -> str:
     for step in g.steps:
         text = texts.get(id(step))
         if text is None:
+            entries = np.array([gate.unitary for gate in step.gates]).view(np.float64).reshape(-1, 32)
             gates = [
-                _GATE_TEMPLATE
-                % (*gate.pair, *gate.unitary.view(np.float64).ravel().tolist(), gate.angle)
-                for gate in step.gates
+                _GATE_TEMPLATE % (*gate.pair, *row, gate.angle)
+                for gate, row in zip(step.gates, entries.tolist())
             ]
             text = '{\n      "gates": [\n        ' + ",\n        ".join(gates) + "\n      ]\n    }"
             texts[id(step)] = text

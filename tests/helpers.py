@@ -7,10 +7,12 @@ the characteristic polynomial, and the chromatic-index oracle is a plain
 depth-first enumeration over edges in natural order.  The parity oracles
 at the end keep earlier, slower forms of package loops (pass by pass RK4,
 per-term and per-qubit random draws, level decomposition that searches
-every level afresh) that the package must match bit for bit.
+every level afresh, gates built and checked one at a time, coefficient
+rows trimmed one at a time) that the package must match bit for bit.
 """
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -384,3 +386,54 @@ def record_searches(monkeypatch):
 
     monkeypatch.setattr(graphs, "color_edges", recording)
     return searched
+
+
+def per_gate_pair_gates(snap, index, angles):
+    """``compiler._pair_gates`` gate by gate: each ``Gate(...)`` checks its own unitary."""
+    w, v = snap.eigenvalues[index], snap.eigenvectors[index]
+    phases = np.exp((-1j * angles / snap.norms[index])[:, None] * w)
+    unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return [
+        Gate(snap.pairs[i], u, a) if a <= math.pi else Gate.from_unitary(snap.pairs[i], u)
+        for i, u, a in zip(index, unitaries, angles)
+    ]
+
+
+def per_level_sample_steps(s, t_mid, delta, known):
+    """``compiler._sample_steps`` with one ``per_gate_pair_gates`` call per level."""
+    snap = hamiltonian.snapshot(s, t_mid)
+    rows = {pair: i for i, pair in enumerate(snap.pairs)}
+    decomp = graphs.level_decompose(snap.graph, known)
+    steps = []
+    prev_r = 0.0
+    for level in decomp.levels:
+        angle = delta * (level.threshold - prev_r)
+        prev_r = level.threshold
+        pairs = level.coloring.all_pairs()
+        index = [rows[pair] for pair in pairs]
+        gates = dict(zip(pairs, per_gate_pair_gates(snap, index, np.full(len(index), angle))))
+        for matching in level.coloring.classes:
+            steps.append(Step(tuple(gates[pair] for pair in matching)))
+    levels = (
+        decomp.thresholds(),
+        tuple(lv.chromatic_index for lv in decomp.levels),
+        tuple(lv.exact for lv in decomp.levels),
+    )
+    return steps, levels
+
+
+def per_row_dumps_schedule(s: HamiltonianSchedule) -> str:
+    """``serialization.dumps_schedule`` with one ``np.trim_zeros`` per coefficient row."""
+    segments = []
+    for seg in s.segments:
+        terms = []
+        for (k, l), rows in zip(seg.pairs, seg.tracks):
+            coeffs = {}
+            for label, row in zip(PAULI_LABELS, rows):
+                poly = np.trim_zeros(row, "b")
+                if poly.size:
+                    coeffs[label] = poly.tolist()
+            terms.append({"pair": [k, l], "coeffs": coeffs})
+        segments.append({"t_start": seg.t_start, "t_end": seg.t_end, "terms": terms})
+    doc = {"format": "chromlc-schedule", "version": 1, "n_qubits": s.n_qubits, "segments": segments}
+    return json.dumps(doc, indent=2) + "\n"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chromlc import compiler, linalg
+from chromlc import cli, compiler, linalg
 from chromlc.compiler import (
     Gate,
     GateSchedule,
@@ -11,7 +11,7 @@ from chromlc.compiler import (
     trotterize,
     weighted_depth,
 )
-from chromlc.errors import BadParams, EpsilonTooLarge, NotConstant, NotUnitary
+from chromlc.errors import BadParams, ChromlcError, EpsilonTooLarge, NotConstant, NotUnitary
 from chromlc.graphs import EXACT_SEARCH_CAP, chromatic_index_exact
 from chromlc.hamiltonian import (
     HamiltonianSchedule,
@@ -28,6 +28,8 @@ from helpers import (
     forbid_integrated_index,
     haar_unitary,
     pair_segment,
+    per_gate_pair_gates,
+    per_level_sample_steps,
     random_hermitian,
     record_searches,
     restricting_level_decompose,
@@ -47,6 +49,105 @@ def test_gate_validation():
             Gate((0, 1), np.eye(4), angle)
     g = Gate.from_unitary((0, 1), haar_unitary(4, rng))
     assert abs(g.angle - linalg.unitary_angle(g.unitary)) < 1e-12
+
+
+def test_gates_are_read_only():
+    rng = np.random.default_rng(2)
+    direct = Gate((0, 1), haar_unitary(4, rng), 0.5)
+    batch = Gate.batch([(0, 1), (2, 3)], np.stack([haar_unitary(4, rng) for _ in range(2)]), [0.5, 0.25])
+    for gate in (direct, *batch):
+        with pytest.raises(ValueError):
+            gate.unitary[0, 0] = 1.0
+    assert batch[1].pair == (2, 3) and all(type(x) is int for x in batch[1].pair)
+    assert batch[1].angle == 0.25 and type(batch[1].angle) is float
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ((2, 1), "haar", 0.5),
+        ((-1, 3), "haar", 0.5),
+        ((0, 1), "ones", 0.5),
+        ((0, 1), "haar", float("nan")),
+        ((0, 1), "haar", float("inf")),
+    ],
+)
+def test_gate_batch_raises_as_gate_does(bad):
+    rng = np.random.default_rng(3)
+    pair, kind, angle = bad
+    u = np.ones((4, 4)) if kind == "ones" else haar_unitary(4, rng)
+    with pytest.raises(ChromlcError) as direct:
+        Gate(pair, u, angle)
+    pairs = [(0, 1), pair, (1, 2)]
+    unitaries = np.stack([haar_unitary(4, rng), u, haar_unitary(4, rng)])
+    with pytest.raises(ChromlcError) as batch:
+        Gate.batch(pairs, unitaries, [0.1, angle, 0.2])
+    assert type(batch.value) is type(direct.value)
+    assert str(batch.value) == str(direct.value)
+
+
+def test_gate_batch_equals_gates_built_one_by_one():
+    rng = np.random.default_rng(5)
+    pairs = [(0, 1), (2, 3), (1, 4)]
+    unitaries = np.stack([haar_unitary(4, rng) for _ in pairs])
+    angles = np.array([0.1, 2.0, 3.0])
+    assert Gate.batch(pairs, unitaries, angles) == [Gate(p, u, a) for p, u, a in zip(pairs, unitaries, angles)]
+    assert Gate.batch([], np.zeros((0, 4, 4)), []) == []
+    with pytest.raises(BadParams, match="lengths differ"):
+        Gate.batch(pairs[:2], unitaries, angles)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        random_time_varying(6, p=0.6, seed=3),
+        random_graph(6, p=0.6, seed=3, segments=4),
+        chain(6, 1.0, 100.0),  # gate angles past pi: taken from the unitaries
+        single_pair_schedule({"XX": (0.0,)}),  # a sample with no edges
+    ],
+)
+def test_compile_gates_match_the_per_level_per_gate_path(schedule, monkeypatch):
+    g, report = compile(schedule, 0.05)
+    monkeypatch.setattr(compiler, "_sample_steps", per_level_sample_steps)
+    oracle_g, oracle_report = compile(schedule, 0.05)
+    assert g == oracle_g
+    assert report == oracle_report
+
+
+@pytest.mark.parametrize("coupling", [1.0, 100.0])
+def test_trotterize_gates_match_the_per_gate_path(coupling, monkeypatch):
+    s = chain(6, 1.0, coupling)
+    g = trotterize(s, 3)
+    monkeypatch.setattr(compiler, "_pair_gates", per_gate_pair_gates)
+    assert g == trotterize(s, 3)
+    # at coupling 100 each generator has norm 100 / 3 and the principal angle is taken
+    assert max(gate.angle for step in g.steps for gate in step.gates) <= np.pi
+
+
+def test_compile_checks_each_samples_gates_as_one_stack(tmp_path, monkeypatch):
+    # the compile_tv instance: 20 samples, 220 levels, 1320 gates
+    path = tmp_path / "tv.json"
+    assert cli.main(["generate", "random_time_varying", "--n", "6", "--p", "0.6", "--seed", "3", "-o", str(path)]) == 0
+    argv = ["compile", str(path), "--epsilon", "0.05", "-o", str(tmp_path / "gates.json")]
+    calls = {"is_unitary": 0, "_pair_gates": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, count)
+
+    counting(linalg, "is_unitary")
+    counting(compiler, "_pair_gates")
+    assert cli.main(argv) == 0
+    assert calls == {"is_unitary": 20, "_pair_gates": 20}
+    calls.update(is_unitary=0, _pair_gates=0)
+    monkeypatch.setattr(compiler, "_sample_steps", per_level_sample_steps)
+    assert cli.main(argv) == 0
+    assert calls == {"is_unitary": 1320, "_pair_gates": 0}
 
 
 def test_step_requires_disjoint_pairs():

@@ -63,6 +63,28 @@ def test_eig_stacked_rejects_one_non_hermitian_member():
         linalg.hermitian_eig(np.zeros((3, 2, 4), dtype=complex))
 
 
+def test_is_unitary_on_stacks():
+    rng = np.random.default_rng(47)
+    stack = np.stack([haar_unitary(4, rng) for _ in range(6)])
+    assert linalg.is_unitary(stack)
+    assert linalg.is_unitary(stack.reshape(2, 3, 4, 4))
+    off = stack.copy()
+    off[4] *= 1.0 + 1e-10  # the Gram entries of member 4 grow by about 2e-10
+    assert not linalg.is_unitary(off, 1e-10)
+    assert linalg.is_unitary(off, 1e-9)
+    nan = stack.copy()
+    nan[2, 1, 3] = np.nan
+    assert not linalg.is_unitary(nan)
+    assert linalg.is_unitary(np.zeros((0, 4, 4)))
+    assert not linalg.is_unitary(np.zeros((3, 4, 2)))
+    assert not linalg.is_unitary(np.zeros(4))
+    for u in stack:
+        assert linalg.is_unitary(u)
+        assert not linalg.is_unitary(u * (1.0 + 1e-10))
+    assert not linalg.is_unitary(np.ones((4, 4)))
+    assert not linalg.is_unitary(np.eye(4)[:, :3])
+
+
 def test_operator_norm_trivials():
     assert linalg.operator_norm(np.zeros((3, 3))) == 0.0
     zz = np.kron(np.diag([1, -1]), np.diag([1, -1])).astype(complex)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chromlc.compiler import Gate, GateSchedule, Step, compile
 from chromlc.errors import ChromlcError, ParseError, SchemaVersionMismatch
 from chromlc.hamiltonian import (
+    HamiltonianSchedule,
     chain,
     complete_mean_field,
     disjoint_pairs,
@@ -27,7 +28,15 @@ from chromlc.serialization import (
     save_schedule,
 )
 
-from helpers import FUZZ_VALUES, haar_unitary, node_paths, random_gate_schedule, replace_node
+from helpers import (
+    FUZZ_VALUES,
+    haar_unitary,
+    node_paths,
+    pair_segment,
+    per_row_dumps_schedule,
+    random_gate_schedule,
+    replace_node,
+)
 
 
 GENERATOR_OUTPUTS = [
@@ -48,6 +57,39 @@ def test_schedule_roundtrip_objects(schedule):
 def test_schedule_roundtrip_text(schedule):
     text = dumps_schedule(schedule)
     assert dumps_schedule(loads_schedule(text)) == text
+
+
+_TRIMMED = HamiltonianSchedule(
+    3,
+    (
+        pair_segment(
+            0.0,
+            0.5,
+            {
+                (0, 1): {"XX": (1.0, 0.0, 0.0), "YZ": (0.0, 0.0, 2.5), "ZZ": (-1.0, 0.0, 3.0, 0.0)},
+                (0, 2): {"XY": (0.5, -0.0), "II": (0.0,)},
+                (1, 2): {},  # every row zero
+            },
+        ),
+        pair_segment(0.5, 1.0, {(1, 2): {"ZX": (0.25,)}}),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    GENERATOR_OUTPUTS + [complete_mean_field(40), random_time_varying(7, p=0.5, seed=5, degree=8), _TRIMMED],
+)
+def test_dumps_schedule_matches_trimming_each_row(schedule):
+    assert dumps_schedule(schedule) == per_row_dumps_schedule(schedule)
+
+
+def test_dumps_schedule_trims_each_row_to_its_last_nonzero_coefficient():
+    doc = json.loads(dumps_schedule(_TRIMMED))
+    terms = doc["segments"][0]["terms"]
+    assert terms[0]["coeffs"] == {"XX": [1.0], "YZ": [0.0, 0.0, 2.5], "ZZ": [-1.0, 0.0, 3.0]}
+    assert terms[1]["coeffs"] == {"XY": [0.5]}
+    assert terms[2]["coeffs"] == {}
 
 
 def test_gates_roundtrip():
