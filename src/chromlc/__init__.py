@@ -49,7 +49,6 @@ from .graphs import (
     Level,
     LevelDecomposition,
     WeightedGraph,
-    chromatic_index_exact,
     color_edges,
     edge_color_vizing,
     level_decompose,

@@ -336,10 +336,10 @@ def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianS
     """Rewrite a schedule so the instantaneous chromatic index stays <= m.
 
     Every subinterval's edge set is split into groups of at most m
-    matchings (from :func:`~chromlc.graphs.color_edges`: exact up to its
-    edge cap, Misra-Gries beyond); the groups run one after the other, each
-    for the full subinterval length, so time stretches by the group count
-    while pair strengths are preserved.
+    matchings (from :func:`~chromlc.graphs.color_edges`: at most max degree
+    + 1 of them, and optimal when it reports ``exact``); the groups run one
+    after the other, each for the full subinterval length, so time
+    stretches by the group count while pair strengths are preserved.
     """
     if m < 1:
         raise BadParams("m must be at least 1")

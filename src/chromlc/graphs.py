@@ -3,39 +3,41 @@ decomposition of a weighted graph into threshold levels.
 
 A proper edge coloring partitions the edge set into matchings; the least
 number of matchings needed is the chromatic index, which by Vizing's
-theorem is either the maximum degree or one more.  ``chromatic_index_exact``
-decides which by backtracking that always colors the most constrained edge
-next (fewest free colors); deciding it is NP-complete (Holyer 1981), so the
-order buys speed, not a bound.  ``edge_color_vizing`` is the constructive
-max-degree-plus-one fallback (Misra-Gries), and ``color_edges`` picks
-between the two by edge count against ``EXACT_SEARCH_CAP``: it is what
-every caller that needs a coloring goes through.  ``level_decompose``
-slices a weighted graph at its distinct edge weights, so that the weighted
-sum of per-level indices equals the integral of the chromatic index over
-the threshold.  Each level inherits the coloring of the level below it,
-dropping only the edges that left, and keeps it when that is provably
-optimal; otherwise it calls ``color_edges``.  A caller that decomposes
-many graphs passes one ``known`` dict, owned by that call, so that each
-distinct level edge set is colored once.
+theorem is either the maximum degree or one more.  ``color_edges``, the
+one coloring entry point, searches for a max-degree coloring by
+backtracking that colors the most constrained edge next; deciding it is
+NP-complete (Holyer 1981), so the search stops after a fixed node count.
+Every other case gets the Misra-Gries coloring of ``edge_color_vizing``
+(at most max degree + 1 classes), reported as exact when the graph is
+overfull, the search finished without a coloring, or it has max degree
+classes.  ``level_decompose`` slices a weighted graph at its distinct
+edge weights, so that the weighted sum of per-level indices equals the
+integral of the chromatic index over the threshold.  Each level inherits
+the coloring of the level below it, dropping only the edges that left,
+and keeps it when that is provably optimal; otherwise it calls
+``color_edges``.  A caller that decomposes many graphs passes one
+``known`` dict, owned by that call, so that each distinct level edge set
+is colored once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadParams, TooLarge
+from .errors import BadParams
 
 EXACT_SEARCH_CAP = 64   # max edge count for the backtracking search
+SEARCH_NODE_BUDGET = 20_000  # max nodes of that search before Misra-Gries takes over
 WEIGHT_MERGE_TOL = 1e-12  # edge weights closer than this share one level
 
 __all__ = [
     "EXACT_SEARCH_CAP",
+    "SEARCH_NODE_BUDGET",
     "ChromaticIndexResult",
     "EdgeColoring",
     "Level",
     "LevelDecomposition",
     "WeightedGraph",
-    "chromatic_index_exact",
     "color_edges",
     "edge_color_vizing",
     "level_decompose",
@@ -156,7 +158,7 @@ def threshold_subgraph(g: WeightedGraph, r: float) -> WeightedGraph:
     return WeightedGraph(g.n_vertices, tuple(e for e in g.edges if e[2] > r))
 
 
-def _search_edge_coloring(n_vertices, order, k):
+def _search_edge_coloring(n_vertices, order, k, budget):
     """Backtracking search for a proper k-edge-coloring of ``order``.
 
     Each node colors the uncolored edge with the fewest free colors, ties
@@ -164,16 +166,22 @@ def _search_edge_coloring(n_vertices, order, k):
     some edge has no free color left.  Colors are tried lowest-first and
     capped at one above the highest color used so far: every color above
     that is still unused everywhere, so trying one of them is enough, under
-    any edge order.  Returns the color list (aligned with ``order``) or None.
+    any edge order.  Returns the color list (aligned with ``order``), False
+    when no k-edge-coloring exists, or None after ``budget`` nodes.
     """
     m = len(order)
     colors = [-1] * m
     used = [0] * n_vertices
     full = (1 << k) - 1
+    nodes = 0
 
     def rec(left, high):
+        nonlocal nodes
         if not left:
             return True
+        nodes += 1
+        if nodes > budget:
+            return None
         best, best_free = -1, k + 1
         for i in range(m):
             if colors[i] < 0:
@@ -191,15 +199,17 @@ def _search_edge_coloring(n_vertices, order, k):
             colors[best] = c
             used[u] |= bit
             used[v] |= bit
-            if rec(left - 1, c if c > high else high):
-                return True
+            found = rec(left - 1, c if c > high else high)
+            if found is not False:
+                return found
             used[u] ^= bit
             used[v] ^= bit
             avail ^= bit
         colors[best] = -1
         return False
 
-    return colors if rec(m, -1) else None
+    found = rec(m, -1)
+    return colors if found else found
 
 
 def _coloring_from_assignment(order, colors, k):
@@ -209,47 +219,33 @@ def _coloring_from_assignment(order, colors, k):
     return EdgeColoring(tuple(tuple(sorted(cls)) for cls in classes if cls))
 
 
-def chromatic_index_exact(g: WeightedGraph) -> ChromaticIndexResult:
-    """Exact chromatic index with a witnessing coloring.
+def color_edges(g: WeightedGraph) -> ChromaticIndexResult:
+    """A proper edge coloring, with ``exact`` set when its class count is optimal.
 
-    Decides max-degree colorability by backtracking (ties between equally
-    constrained edges go to the larger degree sum, then the smaller pair);
-    by Vizing's theorem the answer is the max degree or one more.  Raises
-    ``TooLarge`` beyond ``EXACT_SEARCH_CAP`` edges.
+    Only a graph of at most ``EXACT_SEARCH_CAP`` edges that is not overfull
+    is searched for a max-degree coloring (ties between equally constrained
+    edges go to the larger degree sum, then the smaller pair), for at most
+    ``SEARCH_NODE_BUDGET`` nodes.  Otherwise the Misra-Gries coloring is
+    exact when the graph is overfull, when the search finished without a
+    coloring (both prove max degree + 1), or when it has max degree classes.
     """
     pairs = g.pairs
     m = len(pairs)
     if m == 0:
         return ChromaticIndexResult(0, EdgeColoring(()), True)
-    if m > EXACT_SEARCH_CAP:
-        raise TooLarge(f"{m} edges exceed the exact-search cap {EXACT_SEARCH_CAP}")
     deg = g.degrees()
     delta = max(deg)
-    order = sorted(pairs, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
-
     # A color class is a matching, so it covers at most half the touched vertices.
     active = sum(1 for d in deg if d > 0)
-    colors = None
-    if m <= delta * (active // 2):
-        colors = _search_edge_coloring(g.n_vertices, order, delta)
-    if colors is not None:
-        return ChromaticIndexResult(delta, _coloring_from_assignment(order, colors, delta), True)
-    colors = _search_edge_coloring(g.n_vertices, order, delta + 1)
-    if colors is None:  # impossible by Vizing's theorem
-        raise RuntimeError("no (max_degree + 1)-edge-coloring found; this is a bug")
-    return ChromaticIndexResult(delta + 1, _coloring_from_assignment(order, colors, delta + 1), True)
-
-
-def color_edges(g: WeightedGraph) -> ChromaticIndexResult:
-    """The one coloring entry point: exact up to ``EXACT_SEARCH_CAP`` edges.
-
-    Larger graphs get a Misra-Gries coloring, reported with ``exact=False``
-    and its class count as the index (an upper bound, max degree + 1 at most).
-    """
-    if len(g.edges) <= EXACT_SEARCH_CAP:
-        return chromatic_index_exact(g)
+    proven = m > delta * (active // 2)
+    if not proven and m <= EXACT_SEARCH_CAP:
+        order = sorted(pairs, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
+        colors = _search_edge_coloring(g.n_vertices, order, delta, SEARCH_NODE_BUDGET)
+        if colors:
+            return ChromaticIndexResult(delta, _coloring_from_assignment(order, colors, delta), True)
+        proven = colors is False
     coloring = edge_color_vizing(g)
-    return ChromaticIndexResult(coloring.n_classes(), coloring, False)
+    return ChromaticIndexResult(coloring.n_classes(), coloring, proven or coloring.n_classes() == delta)
 
 
 def edge_color_vizing(g: WeightedGraph) -> EdgeColoring:
@@ -362,9 +358,7 @@ def level_decompose(g: WeightedGraph, known: dict | None = None) -> LevelDecompo
     each class are kept, and classes left empty go.  When the classes left
     number the new max degree, that coloring is optimal (chi' >= max
     degree) and is taken as exact, whether or not level j's was.
-    Otherwise the level is colored by :func:`color_edges`; a fallback
-    coloring with more classes than the inherited one gives way to it
-    (still ``exact=False``), so per-level indices never increase.
+    Otherwise the level is colored by :func:`color_edges`.
 
     ``known``, when given, maps the frozenset of a level's pairs to the
     :func:`color_edges` result for that edge set; levels found there are
@@ -413,10 +407,7 @@ def level_decompose(g: WeightedGraph, known: dict | None = None) -> LevelDecompo
             res = color_edges(WeightedGraph(g.n_vertices, tuple(e for cl in clusters[j:] for e in cl)))
             if known is not None:
                 known[key] = res
-        if inherited is not None and res.index > inherited.n_classes():
-            levels.append(Level(threshold, inherited.n_classes(), inherited, False))
-        else:
-            levels.append(Level(threshold, res.index, res.coloring, res.exact))
-            classes = list(res.coloring.classes)
-            holder = {pair: c for c, cls in enumerate(classes) for pair in cls}
+        levels.append(Level(threshold, res.index, res.coloring, res.exact))
+        classes = list(res.coloring.classes)
+        holder = {pair: c for c, cls in enumerate(classes) for pair in cls}
     return LevelDecomposition(tuple(levels))

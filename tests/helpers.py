@@ -11,11 +11,14 @@ every level afresh, gates built and checked one at a time, coefficient
 rows trimmed one at a time) that the package must match bit for bit.
 """
 
+import contextlib
 import copy
 import json
 import math
+import signal
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
@@ -211,6 +214,29 @@ def forbid_integrated_index(monkeypatch):
 
     for module in (hamiltonian, compiler, cli):
         monkeypatch.setattr(module, "integrated_chromatic_index", refuse, raising=False)
+
+
+@contextlib.contextmanager
+def wall_clock_bound(seconds):
+    """Fail the test when the block runs past ``seconds`` of wall time.
+
+    SIGALRM turns a run that would go on for minutes into a failure.  The
+    handler raises through ``pytest.fail``, whose exception is no
+    ``Exception``, so ``cli.main`` (which reports an ``OSError`` such as
+    ``TimeoutError`` as exit 2) cannot swallow it; ``pytrace=False`` keeps
+    pytest from formatting the interrupted frames.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"ran past its {seconds} s bound", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def node_paths(node, path=()):

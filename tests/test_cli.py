@@ -1,6 +1,5 @@
 import json
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -25,7 +24,14 @@ from chromlc.hamiltonian import (
 )
 from chromlc.serialization import dumps_schedule, load_schedule, loads_gates, loads_schedule
 
-from helpers import FUZZ_VALUES, forbid_integrated_index, node_paths, random_hermitian, replace_node
+from helpers import (
+    FUZZ_VALUES,
+    forbid_integrated_index,
+    node_paths,
+    random_hermitian,
+    replace_node,
+    wall_clock_bound,
+)
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +51,16 @@ def test_generate_and_index(tmp_path, capsys):
     first = out.splitlines()[0]
     assert first.startswith("I = ")
     assert abs(float(first.split()[2]) - 2.0) < 1e-9
+
+
+def test_index_on_odd_complete_graph_is_bounded(tmp_path, capsys):
+    # K11 is overfull, so its Misra-Gries coloring has the proven 11 classes and no search runs
+    path = tmp_path / "k11.json"
+    run_cli(capsys, "generate", "complete_mean_field", "--n", "11", "-o", str(path))
+    with wall_clock_bound(2.0):
+        code, out, _ = run_cli(capsys, "index", str(path))
+    assert code == 0
+    assert out.startswith("I = 11.0 ")
 
 
 @pytest.mark.filterwarnings("ignore:.*global phase.*")
@@ -348,11 +364,6 @@ def test_state_qubit_cap_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error: state vectors are limited to 18 qubits")
 
 
-def _too_slow(signum, frame):
-    # not an OSError, which main would report as exit 2
-    pytest.fail("the command ran past its 20 s bound")
-
-
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 @pytest.mark.parametrize(
     "argv",
@@ -369,13 +380,8 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, argv, tol):
     # first count; the timer turns such a run into a failure
     spath = tmp_path / "chain.json"
     run_cli(capsys, "generate", "chain", "--n", "3", "-o", str(spath))
-    previous = signal.signal(signal.SIGALRM, _too_slow)
-    try:
-        signal.setitimer(signal.ITIMER_REAL, 20.0)
+    with wall_clock_bound(20.0):
         code, out, err = run_cli(capsys, *(a.format(doc=spath) for a in argv), "--tol", tol)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 2
     assert err.startswith("error: integrator tolerance must be a finite number >= 1e-12")
     assert out == ""
@@ -392,13 +398,8 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, argv, tol):
 )
 def test_generate_size_is_bounded(capsys, argv):
     # these used to run past a 30 s timeout; the timer turns such a run into a failure
-    previous = signal.signal(signal.SIGALRM, _too_slow)
-    try:
-        signal.setitimer(signal.ITIMER_REAL, 20.0)
+    with wall_clock_bound(20.0):
         code, out, err = run_cli(capsys, "generate", *argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 2
     assert err.startswith("error: the schedule may hold ") and str(MAX_GENERATED_TERMS) in err
     assert out == ""

@@ -12,7 +12,7 @@ from chromlc.compiler import (
     weighted_depth,
 )
 from chromlc.errors import BadParams, ChromlcError, EpsilonTooLarge, NotConstant, NotUnitary
-from chromlc.graphs import EXACT_SEARCH_CAP, chromatic_index_exact
+from chromlc.graphs import EXACT_SEARCH_CAP, color_edges
 from chromlc.hamiltonian import (
     HamiltonianSchedule,
     chain,
@@ -355,6 +355,16 @@ def test_compile_reports_fallback_coloring():
     assert report.to_dict()["intervals"][0]["exact"] == [False]
 
 
+def test_compile_certifies_overfull_beyond_cap():
+    # K13 (78 edges) is past the cap but overfull: its 13 Misra-Gries classes are optimal
+    s = complete_mean_field(13)
+    g, report = compile(s, 1.0)
+    (interval,) = report.intervals
+    assert interval.exact == (True,)
+    assert interval.chromatic_indices == (13,)
+    assert len(g.steps) == 13
+
+
 def test_compile_skips_empty_subintervals():
     s = single_pair_schedule({}, t_total=1.0)
     gates, report = compile(s, 0.25)
@@ -413,7 +423,7 @@ def test_rechromatize_chain_to_matchings():
     for seg in out.segments:
         mid = (seg.t_start + seg.t_end) / 2.0
         g = interaction_graph(out, mid)
-        assert chromatic_index_exact(g).index <= 1
+        assert color_edges(g).index <= 1
 
 
 def test_rechromatize_respects_cap_random():
@@ -423,7 +433,7 @@ def test_rechromatize_respects_cap_random():
             out = rechromatize(s, m, 0.5)
             for seg in out.segments:
                 mid = (seg.t_start + seg.t_end) / 2.0
-                assert chromatic_index_exact(interaction_graph(out, mid)).index <= m
+                assert color_edges(interaction_graph(out, mid)).index <= m
 
 
 def test_rechromatize_beyond_exact_cap_falls_back():
@@ -436,7 +446,7 @@ def test_rechromatize_beyond_exact_cap_falls_back():
     seen = []
     for seg in out.segments:
         g = interaction_graph(out, (seg.t_start + seg.t_end) / 2.0)
-        assert chromatic_index_exact(g).index <= 4
+        assert color_edges(g).index <= 4
         seen.extend(g.pairs)
     assert sorted(seen) == [(i, j) for i in range(12) for j in range(i + 1, 12)]
 

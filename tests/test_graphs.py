@@ -1,28 +1,37 @@
-import signal
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromlc import graphs
-from chromlc.errors import BadParams, TooLarge
+from chromlc.errors import BadParams
 from chromlc.graphs import (
     EXACT_SEARCH_CAP,
     WeightedGraph,
-    chromatic_index_exact,
     color_edges,
     edge_color_vizing,
     level_decompose,
     threshold_subgraph,
 )
 
-from helpers import oracle_chromatic_index, record_searches, restricting_level_decompose
+from helpers import oracle_chromatic_index, record_searches, restricting_level_decompose, wall_clock_bound
 
 
 def complete_graph(n, w=1.0):
     return WeightedGraph(n, tuple((i, j, w) for i in range(n) for j in range(i + 1, n)))
+
+
+def exact_index(g):
+    """``color_edges(g).index``, checked to be the chromatic index and not a bound."""
+    res = color_edges(g)
+    assert res.exact
+    return res.index
+
+
+def fallback_k8_edges():
+    """K8 as K7 (weight 2) plus a vertex joined by weight-1 edges."""
+    edges = tuple((i, j, 2.0) for i in range(7) for j in range(i + 1, 7))
+    return edges + tuple((i, 7, 1.0) for i in range(7))
 
 
 @st.composite
@@ -89,11 +98,11 @@ def test_threshold_subgraph():
 
 def test_chromatic_index_examples():
     matching = WeightedGraph(6, ((0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)))
-    assert chromatic_index_exact(matching).index == 1
+    assert exact_index(matching) == 1
     path = WeightedGraph(5, tuple((i, i + 1, 1.0) for i in range(4)))
-    assert chromatic_index_exact(path).index == 2
-    assert chromatic_index_exact(complete_graph(4)).index == 3
-    assert chromatic_index_exact(WeightedGraph(3)).index == 0
+    assert exact_index(path) == 2
+    assert exact_index(complete_graph(4)) == 3
+    assert exact_index(WeightedGraph(3)) == 0
 
 
 def test_chromatic_index_witness_is_valid():
@@ -104,7 +113,8 @@ def test_chromatic_index_witness_is_valid():
             (i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
         )
         g = WeightedGraph(n, edges)
-        res = chromatic_index_exact(g)
+        res = color_edges(g)
+        assert res.exact
         assert res.coloring.is_valid_for(g)
         assert res.coloring.n_classes() == res.index or res.index == 0
         assert res.index >= g.max_degree()
@@ -119,7 +129,7 @@ def test_chromatic_index_matches_enumeration_oracle():
             (i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6
         )
         g = WeightedGraph(n, edges)
-        assert chromatic_index_exact(g).index == oracle_chromatic_index(g.pairs, n)
+        assert exact_index(g) == oracle_chromatic_index(g.pairs, n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,35 +137,51 @@ def test_chromatic_index_matches_enumeration_oracle():
 def test_chromatic_index_matches_oracle_property(graph):
     n, edges = graph
     g = WeightedGraph(n, edges)
-    res = chromatic_index_exact(g)
+    res = color_edges(g)
     assert res.exact
     assert res.index == oracle_chromatic_index(g.pairs, n)
     assert res.coloring.is_valid_for(g)
-
-
-def _too_slow(signum, frame):
-    raise TimeoutError("exact coloring ran past its 2 s bound")
 
 
 def test_shuffled_petersen_copies_finish_fast():
     # four disjoint Petersen graphs: 60 edges, chromatic index 4 = max degree + 1;
     # the timer turns a search that would run for minutes into a failure
     rng = np.random.default_rng(17)
-    previous = signal.signal(signal.SIGALRM, _too_slow)
-    try:
-        for _ in range(10):
-            g = petersen_copies(4, rng)
-            assert len(g.edges) == 60 <= EXACT_SEARCH_CAP
-            start = time.perf_counter()
-            signal.setitimer(signal.ITIMER_REAL, 2.0)
-            res = chromatic_index_exact(g)
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            assert time.perf_counter() - start < 2.0
-            assert res.index == 4
-            assert res.coloring.is_valid_for(g)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    for _ in range(10):
+        g = petersen_copies(4, rng)
+        assert len(g.edges) == 60 <= EXACT_SEARCH_CAP
+        with wall_clock_bound(2.0):
+            res = color_edges(g)
+        assert res.exact
+        assert res.index == 4
+        assert res.coloring.is_valid_for(g)
+
+
+@pytest.mark.parametrize(
+    "n, missing, index",
+    [
+        (9, (), 9),  # overfull: Misra-Gries has the proven max degree + 1 classes
+        (11, (), 11),
+        # not overfull; the max-degree search would take millions of nodes, so it
+        # stops at its budget and the Misra-Gries coloring has max degree classes
+        (11, ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)), 10),
+    ],
+)
+def test_dense_colorings_finish_fast(n, missing, index):
+    g = WeightedGraph(n, tuple(e for e in complete_graph(n).edges if e[:2] not in missing))
+    with wall_clock_bound(2.0):
+        res = color_edges(g)
+    assert (res.index, res.exact) == (index, True)
+    assert res.coloring.is_valid_for(g)
+
+
+def test_spent_search_budget_is_reported(monkeypatch):
+    # K8 is 7-colorable, but a search stopped at once leaves Misra-Gries's 8 classes
+    monkeypatch.setattr(graphs, "SEARCH_NODE_BUDGET", 1)
+    g = complete_graph(8)
+    res = color_edges(g)
+    assert (res.index, res.exact) == (8, False)
+    assert res.coloring.is_valid_for(g)
 
 
 def test_color_edges_falls_back_beyond_cap():
@@ -164,22 +190,15 @@ def test_color_edges_falls_back_beyond_cap():
     assert not res.exact
     assert res.coloring.is_valid_for(g)
     assert res.index == res.coloring.n_classes() in (11, 12)
-    small = complete_graph(6)
-    assert color_edges(small) == chromatic_index_exact(small)
 
 
 def test_class_two_graphs():
     # odd cycles and odd complete graphs need max degree + 1 colors
     c5 = WeightedGraph(5, tuple((i, (i + 1) % 5, 1.0) for i in range(4)) + ((0, 4, 1.0),))
-    assert chromatic_index_exact(c5).index == 3
-    assert chromatic_index_exact(complete_graph(5)).index == 5
-    assert chromatic_index_exact(complete_graph(6)).index == 5
-    assert chromatic_index_exact(complete_graph(7)).index == 7
-
-
-def test_exact_search_cap():
-    with pytest.raises(TooLarge):
-        chromatic_index_exact(complete_graph(12))
+    assert exact_index(c5) == 3
+    assert exact_index(complete_graph(5)) == 5
+    assert exact_index(complete_graph(6)) == 5
+    assert exact_index(complete_graph(7)) == 7
 
 
 def test_vizing_trivials():
@@ -256,18 +275,18 @@ def test_level_colorings_are_exact_property(graph):
         sub = WeightedGraph(n, tuple(e for e in edges if e[2] >= lv.threshold))
         assert lv.coloring.is_valid_for(sub)
         assert lv.exact
-        assert lv.chromatic_index == chromatic_index_exact(sub).index
+        assert lv.chromatic_index == exact_index(sub)
 
 
 def test_level_decompose_fallback_is_reported(monkeypatch):
-    # K7 as K6 (weight 2) plus a vertex joined by weight-1 edges: only K6 fits the cap
+    # past the cap, K8 (not overfull) keeps Misra-Gries's 8 classes unproven, while
+    # K7 (overfull) has its 7 proven
     monkeypatch.setattr(graphs, "EXACT_SEARCH_CAP", 16)
-    edges = tuple((i, j, 2.0) for i in range(6) for j in range(i + 1, 6))
-    edges += tuple((i, 6, 1.0) for i in range(6))
-    ld = level_decompose(WeightedGraph(7, edges))
-    assert [(lv.chromatic_index, lv.exact) for lv in ld.levels] == [(7, False), (5, True)]
+    edges = fallback_k8_edges()
+    ld = level_decompose(WeightedGraph(8, edges))
+    assert [(lv.chromatic_index, lv.exact) for lv in ld.levels] == [(8, False), (7, True)]
     for lv in ld.levels:
-        sub = WeightedGraph(7, tuple(e for e in edges if e[2] >= lv.threshold))
+        sub = WeightedGraph(8, tuple(e for e in edges if e[2] >= lv.threshold))
         assert lv.coloring.is_valid_for(sub)
 
 
@@ -275,26 +294,29 @@ def test_level_decompose_fallback_is_reported(monkeypatch):
 @given(graph_sequences())
 def test_shared_colorings_give_the_levels_of_each_graph_alone(sequence):
     known = {}
+    n = sequence[0].n_vertices
     for g in sequence:
         shared = level_decompose(g, known)
         assert shared == level_decompose(g)
         assert shared == restricting_level_decompose(g)
-    n = sequence[0].n_vertices
+        for lv in shared.levels:
+            sub = WeightedGraph(n, tuple(e for e in g.edges if e[2] >= lv.threshold))
+            assert sub.max_degree() <= lv.chromatic_index <= sub.max_degree() + 1
+            assert lv.coloring.is_valid_for(sub)
     for pairs, res in known.items():  # search results only, keyed by their edge set
         assert res == color_edges(WeightedGraph(n, tuple((k, l, 1.0) for k, l in sorted(pairs))))
 
 
 def test_shared_colorings_keep_fallbacks(monkeypatch):
-    # the K7 case above three times, once with other weights: each level edge set is searched once
+    # the K8 case above three times, once with other weights: each level edge set is searched once
     monkeypatch.setattr(graphs, "EXACT_SEARCH_CAP", 16)
     searched = record_searches(monkeypatch)
-    k6 = [(i, j) for i in range(6) for j in range(i + 1, 6)]
     known = {}
     for low, high in ((1.0, 2.0), (0.5, 3.0), (1.0, 2.0)):
-        edges = tuple((i, j, high) for i, j in k6) + tuple((i, 6, low) for i in range(6))
-        g = WeightedGraph(7, edges)
+        edges = tuple((k, l, high if w == 2.0 else low) for k, l, w in fallback_k8_edges())
+        g = WeightedGraph(8, edges)
         ld = level_decompose(g, known)
-        assert [(lv.chromatic_index, lv.exact) for lv in ld.levels] == [(7, False), (5, True)]
+        assert [(lv.chromatic_index, lv.exact) for lv in ld.levels] == [(8, False), (7, True)]
         assert ld == restricting_level_decompose(g)
     # two searches in all with the shared dict, two per graph for the oracle
     assert len(searched) == 3 * 2 + 2
@@ -320,7 +342,7 @@ def test_level_sum_matches_midpoint_quadrature():
             h = (lv.threshold - prev) / 10.0
             for i in range(10):
                 r = prev + (i + 0.5) * h
-                total += chromatic_index_exact(threshold_subgraph(g, r)).index * h
+                total += exact_index(threshold_subgraph(g, r)) * h
             prev = lv.threshold
         assert abs(total - ld.weighted_sum()) < 1e-12
 
@@ -337,8 +359,8 @@ def test_threshold_monotonicity():
         )
         g = WeightedGraph(n, edges)
         r1, r2 = sorted(rng.uniform(0.0, 2.2, size=2))
-        i1 = chromatic_index_exact(threshold_subgraph(g, r1)).index
-        i2 = chromatic_index_exact(threshold_subgraph(g, r2)).index
+        i1 = exact_index(threshold_subgraph(g, r1))
+        i2 = exact_index(threshold_subgraph(g, r2))
         assert i2 <= i1
 
 

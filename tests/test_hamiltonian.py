@@ -4,7 +4,7 @@ import pytest
 from chromlc import hamiltonian, linalg
 from chromlc.simulator import MeanFieldObservable
 from chromlc.errors import BadParams, OutOfRange, TooLarge
-from chromlc.graphs import chromatic_index_exact, threshold_subgraph
+from chromlc.graphs import color_edges, threshold_subgraph
 from chromlc.hamiltonian import (
     MAX_GENERATED_TERMS,
     PAULI_LABELS,
@@ -221,7 +221,9 @@ def test_weighted_index_matches_direct_threshold_integration():
         prev = 0.0
         for r in thresholds:
             mid = (prev + r) / 2.0
-            total += chromatic_index_exact(threshold_subgraph(g, mid)).index * (r - prev)
+            res = color_edges(threshold_subgraph(g, mid))
+            assert res.exact
+            total += res.index * (r - prev)
             prev = r
         assert abs(total - weighted_chromatic_index(s, 0.5)) < 1e-12
 
