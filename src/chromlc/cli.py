@@ -26,15 +26,7 @@ _GENERATOR_PARAMS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chromlc",
-        description="Compile pair-interaction Hamiltonian schedules into parallel "
-        "two-qubit gate schedules and verify the chromatic-index accounting.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write a schedule from a named generator")
+def _generate_arguments(p):
     p.add_argument("kind", choices=sorted(_GENERATOR_PARAMS))
     p.add_argument("--n", type=int, required=True, help="number of qubits")
     p.add_argument("--t", type=float, default=1.0, help="total time (default 1.0)")
@@ -45,25 +37,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", help="output path (default stdout)")
 
-    p = sub.add_parser("index", help="print W(t) samples and the integrated index")
+
+def _index_arguments(p):
     p.add_argument("schedule")
     p.add_argument("--samples", type=int, default=64, help="samples per segment")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("compile", help="compile a schedule into gate steps")
+
+def _compile_arguments(p):
     p.add_argument("schedule")
     p.add_argument("--epsilon", type=float, required=True, help="subinterval length")
     p.add_argument("-o", "--output", help="gate file path (default stdout)")
     p.add_argument("--report", help="write compilation diagnostics to this JSON file")
 
-    p = sub.add_parser("simulate", help="run a gate or Hamiltonian schedule on a state")
+
+def _simulate_arguments(p):
     p.add_argument("input", help="schedule or gate document")
     p.add_argument("--state", default="basis:0", help="basis:K or a product-state file")
     p.add_argument("--observable", choices=("x", "y", "z"), default="z")
     p.add_argument("--tol", type=float, default=1e-10, help="integrator tolerance")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("verify", help="run a verification study")
+
+def _verify_arguments(p):
     vsub = p.add_subparsers(dest="study", required=True)
 
     v = vsub.add_parser("theorem1", help="compiled-unitary and weighted-depth convergence")
@@ -80,13 +76,43 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol", type=float, default=1e-8)
     v.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("trotter", help="sequential baseline vs parallel compilation")
+
+def _trotter_arguments(p):
     p.add_argument("schedule")
     p.add_argument("--m-list", type=_int_list, required=True, help="comma-separated slice counts")
     p.add_argument("--epsilons", type=_float_list, default=[], help="comma-separated compile epsilons")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+
+# name: (help, adds the arguments), in the order of the top-level help
+_COMMANDS = {
+    "generate": ("write a schedule from a named generator", _generate_arguments),
+    "index": ("print W(t) samples and the integrated index", _index_arguments),
+    "compile": ("compile a schedule into gate steps", _compile_arguments),
+    "simulate": ("run a gate or Hamiltonian schedule on a state", _simulate_arguments),
+    "verify": ("run a verification study", _verify_arguments),
+    "trotter": ("sequential baseline vs parallel compilation", _trotter_arguments),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The chromlc parser, with every subcommand or, given a command name, only that one.
+
+    A one-command parser still names every command in its usage line, so
+    it prints the same help, usage and error text for that command; only
+    the full parser can report a missing or unknown command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="chromlc",
+        description="Compile pair-interaction Hamiltonian schedules into parallel "
+        "two-qubit gate schedules and verify the chromatic-index accounting.",
+    )
+    listing = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listing)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -330,7 +356,9 @@ def _cmd_trotter(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # -h, --help, an unknown or a missing command get the full parser and its listing
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints its own diagnostics

@@ -51,7 +51,7 @@ class NotConstant(ChromlcError, ValueError):
 
 
 class ToleranceUnreachable(ChromlcError, RuntimeError):
-    """Integrator step halving bottomed out before meeting the tolerance."""
+    """The integrator cannot meet its tolerance within its work caps."""
 
 
 class NormDrift(ChromlcError, RuntimeError):

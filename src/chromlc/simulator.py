@@ -6,20 +6,33 @@ state reshaped to (2,)*n has qubit q on axis q.  Gates are applied through
 tensor contractions on the two relevant axes; a gate schedule's 2^n x 2^n
 operator is never materialized.
 
-The reference integrator is classic fixed-step RK4 on
-d psi/dt = -i H(t) psi, for a single state (``evolve_continuous``) or the
-columns of the identity (``full_unitary``).  Each pass runs every segment
-with a fixed step count; the counts are doubled (at most
-``MAX_STEP_HALVINGS`` times) until the endpoint moves by less than a quarter
-of the requested tolerance, which must be finite and at least 1e-12.  The
-first two passes advance together, segment by segment, so that every
-comparison builds each segment's derivative once.  On a segment,
--i H(t) = sum_d t^d G_d, where G_d comes from the degree-d slice of the
-segment's (terms, 16, degree + 1) coefficient array.  Up to
+The reference integrator propagates d psi/dt = -i H(t) psi for a single
+state (``evolve_continuous``) or the columns of the identity
+(``full_unitary``), one segment after the other.  A segment of length L
+gets the share tol * L / T of the tolerance, which must be finite and at
+least 1e-12.  On a segment, -i H(t) = sum_d t^d G_d, where G_d comes from
+the degree-d slice of the segment's (terms, 16, degree + 1) coefficient
+array, and the segment builds this map once:
+
+- A constant segment is propagated by a truncated Taylor series of
+  exp(L G_0) applied to the array (Al-Mohy & Higham, SIAM J. Sci. Comput.
+  33, 2011), with no eigendecomposition.  Every Pauli product has norm 1,
+  so nu = L * sum |coefficients| bounds ||L G_0||.  The segment takes
+  s = ceil(nu) substeps of norm at most 1, and each is a Taylor polynomial
+  of the smallest order whose remainder bound keeps the s substeps within
+  share/4 together.  Over ``MAX_TAYLOR_SUBSTEPS`` substeps the segment is
+  refused with ``ToleranceUnreachable``.
+- A time-varying segment runs classic fixed-step RK4, doubling its step
+  count (at most ``MAX_STEP_HALVINGS`` times) until its endpoint moves by
+  less than share/4.  It starts from the count of steps of length T/16 that
+  cover it.  A segment whose norm bound makes RK4 unstable even at the
+  finest allowed step is refused before any step.
+
+All refusals come before the first segment is integrated.  Up to
 ``DENSE_GENERATOR_MAX_QUBITS`` qubits each G_d is built as a dense matrix,
-so a derivative costs one matrix product per degree; on larger registers
-each pair matrix of ``Segment.matrices_at`` is contracted on its two axes,
-which needs no 4^n memory.
+so an operator application costs one matrix product per degree; on larger
+registers each pair matrix of ``Segment.matrices_at`` is contracted on its
+two axes, which needs no 4^n memory.
 """
 
 from __future__ import annotations
@@ -44,13 +57,13 @@ from .errors import (
 from .hamiltonian import PAULI_PRODUCTS, HamiltonianSchedule
 
 FULL_UNITARY_MAX_QUBITS = 6
-# Up to this size RK4 applies a segment's generator as dense 2^n x 2^n
-# matrices, one per polynomial degree.  Speed: one matrix product beats one
-# tensor contraction per pair term up to 9 qubits (an 8-qubit RK4 pass is
-# about 7x faster) and loses from 10 qubits on, where the products cost
-# 4^n.  Memory: each matrix takes 16 * 4^n bytes, 4 MB at 9 qubits but
+# Up to this size the integrator applies a segment's generator as dense
+# 2^n x 2^n matrices, one per polynomial degree.  Speed: one matrix product
+# beats one tensor contraction per pair term up to 9 qubits (an 8-qubit RK4
+# pass is about 7x faster) and loses from 10 qubits on, where the products
+# cost 4^n.  Memory: each matrix takes 16 * 4^n bytes, 4 MB at 9 qubits but
 # 64 MB at 11.  One segment's matrices are held at a time, built once per
-# segment and comparison of the step-halving loop.
+# segment.
 DENSE_GENERATOR_MAX_QUBITS = 9
 # convergence_study keeps a block of 20 random states and their 20 evolved
 # images, and RK4 holds about six more copies of the state it integrates:
@@ -58,6 +71,14 @@ DENSE_GENERATOR_MAX_QUBITS = 9
 STATE_MAX_QUBITS = 18
 NORM_DRIFT_LIMIT = 1e-6
 MAX_STEP_HALVINGS = 24
+# RK4's stability region reaches 2 sqrt(2) ~ 2.83 on the imaginary axis; a
+# time-varying segment whose step times norm bound stays above this even
+# after MAX_STEP_HALVINGS halvings is refused before any step.
+RK4_STABILITY_LIMIT = 2.8
+# A constant segment of norm bound nu takes ceil(nu) Taylor substeps of at
+# most 20 operator applications each (at tol >= 1e-12), so this caps one
+# segment at about 1.3 million applications.
+MAX_TAYLOR_SUBSTEPS = 2**16
 MIXED_BRANCH_CAP = 1024
 BRANCH_CUTOFF = 1e-12  # mixture weights at or below this drop out of a product state
 
@@ -227,35 +248,102 @@ def _rk4(f, seg, steps, array):
     return array
 
 
-def _integrate_adaptive(s: HamiltonianSchedule, array, tol: float):
-    """Halve the RK4 step until the endpoint difference is below tol/4.
-
-    The first comparison advances the c-step and the 2c-step pass segment
-    by segment on one derivative build each; later ones run only the new pass.
-    """
-    n = s.n_qubits
-    h0 = s.total_time / 16.0
-    counts = [max(1, math.ceil(seg.length / h0)) for seg in s.segments]
-    prev = cur = array
-    for halving in range(1, MAX_STEP_HALVINGS + 1):
-        if halving > 1:
-            prev, cur = cur, array
-        for seg, steps in zip(s.segments, counts):
-            f = _segment_derivative(seg, n)
-            if halving == 1:
-                prev = _rk4(f, seg, steps, prev)
-            cur = _rk4(f, seg, steps << halving, cur)
-            del f  # one segment's generators at a time
+def _rk4_halving(f, seg, steps, share, array):
+    """Double the RK4 step count from ``steps`` until the endpoint moves by less than share/4."""
+    prev = _rk4(f, seg, steps, array)
+    for _ in range(MAX_STEP_HALVINGS):
+        steps *= 2
+        cur = _rk4(f, seg, steps, array)
         diff = cur - prev
         if diff.ndim == 1:
             err = float(np.linalg.norm(diff))
         else:
             err = float(np.max(np.linalg.norm(diff, axis=0)))
-        if err < tol / 4:
+        if err < share / 4:
             return cur
+        prev = cur
     raise ToleranceUnreachable(
-        f"step halving cap {MAX_STEP_HALVINGS} reached without meeting tol={tol}"
+        f"step halving cap {MAX_STEP_HALVINGS} reached without meeting the tolerance share "
+        f"{share:.3g} of segment [{seg.t_start}, {seg.t_end}]"
     )
+
+
+def _taylor(f, seg, substeps, order, array):
+    """exp(L G_0) array as ``substeps`` Taylor polynomials of degree ``order`` in (L / substeps) G_0."""
+    tau = seg.length / substeps
+    for _ in range(substeps):
+        term = total = array
+        for j in range(1, order + 1):
+            term = f(seg.t_start, term) * (tau / j)
+            total = total + term
+        array = total
+    return array
+
+
+def _norm_bound(seg):
+    """sum |c_d| t_max^d over the segment's coefficients, t_max = max(|t_start|, |t_end|).
+
+    Every Pauli product has norm 1, so this bounds ||H(t)|| on the segment
+    (inf or nan when the powers overflow).
+    """
+    t_max = max(abs(seg.t_start), abs(seg.t_end))
+    with np.errstate(all="ignore"):
+        return float(np.abs(seg.tracks).sum(axis=(0, 1)) @ t_max ** np.arange(seg.tracks.shape[2]))
+
+
+def _taylor_plan(nu, share):
+    """Substeps s and order m for exp(L G_0) with ||L G_0|| <= nu, within share/4.
+
+    s = ceil(nu) substeps of norm theta = nu / s <= 1; m is the smallest
+    order whose remainder bound theta^(m+1) / (m+1)! e^theta is at most
+    share / (4 s), so the s truncations err by at most share/4 together.
+    """
+    if not nu <= MAX_TAYLOR_SUBSTEPS:
+        raise ToleranceUnreachable(
+            f"a constant segment needs {nu:.3g} Taylor substeps, over the cap {MAX_TAYLOR_SUBSTEPS}"
+        )
+    substeps = math.ceil(nu)
+    if substeps == 0:
+        return 0, 0
+    theta = nu / substeps
+    order, remainder = 0, theta * math.exp(theta)
+    while remainder > share / (4 * substeps):
+        order += 1
+        remainder *= theta / (order + 1)
+    return substeps, order
+
+
+def _integrate_adaptive(s: HamiltonianSchedule, array, tol: float):
+    """Propagate segment by segment, each within its share tol * L / T of the tolerance.
+
+    Every segment's work is bounded before the first step: a constant
+    segment's Taylor plan is fixed and capped, and a time-varying segment
+    must keep RK4 stable at its finest allowed step.  Each segment builds
+    its derivative once.
+    """
+    n = s.n_qubits
+    h0 = s.total_time / 16.0
+    work = []
+    for seg in s.segments:
+        share = tol * (seg.length / s.total_time)
+        bound = _norm_bound(seg)
+        if seg.is_constant:
+            substeps, order = _taylor_plan(seg.length * bound, share)
+            if substeps:  # else H = 0 and the array stays as it is
+                work.append((seg, _taylor, (substeps, order)))
+            continue
+        steps = max(1, math.ceil(seg.length / h0))
+        if not bound * seg.length / (steps << MAX_STEP_HALVINGS) <= RK4_STABILITY_LIMIT:
+            raise ToleranceUnreachable(
+                f"segment [{seg.t_start}, {seg.t_end}] has norm bound {bound:.3g}: RK4 is unstable "
+                f"even after {MAX_STEP_HALVINGS} step halvings"
+            )
+        work.append((seg, _rk4_halving, (steps, share)))
+    for seg, propagate, plan in work:
+        f = _segment_derivative(seg, n)
+        array = propagate(f, seg, *plan, array)
+        del f  # one segment's generators at a time
+    return array
 
 
 def evolve_continuous(psi: StateVector, s: HamiltonianSchedule, tol: float = 1e-10) -> StateVector:

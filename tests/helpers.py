@@ -8,7 +8,8 @@ depth-first enumeration over edges in natural order.  The parity oracles
 at the end keep earlier, slower forms of package loops (pass by pass RK4,
 per-term and per-qubit random draws, level decomposition that searches
 every level afresh, gates built and checked one at a time, coefficient
-rows trimmed one at a time) that the package must match bit for bit.
+rows trimmed one at a time, rechromatization sampling every subinterval)
+that the package must match bit for bit.
 """
 
 import contextlib
@@ -119,6 +120,17 @@ def dense_hamiltonian(s: HamiltonianSchedule, t):
     for pair, mat in zip(seg.pairs, reference_matrices(seg, t)):
         h += embed_pair_operator(mat, s.n_qubits, *pair)
     return h
+
+
+def time_varying_schedule(n, segments, seed=0, **kwargs):
+    """``segments`` equal time-varying segments tiling [0, 1].  Segment i keeps the
+    tracks of ``random_time_varying(n, (i + 1) / segments, seed=seed + i, **kwargs)``
+    on the last stretch of that draw's span, where its sampled norms stay at most the coupling."""
+    out = []
+    for i in range(segments):
+        (seg,) = hamiltonian.random_time_varying(n, (i + 1) / segments, seed=seed + i, **kwargs).segments
+        out.append(Segment(i / segments, (i + 1) / segments, seg.pairs, seg.tracks))
+    return HamiltonianSchedule(n, tuple(out))
 
 
 def exact_unitary_piecewise_constant(s: HamiltonianSchedule):
@@ -284,35 +296,40 @@ FUZZ_VALUES = (
 
 
 def pass_major_integrate_adaptive(s: HamiltonianSchedule, array, tol):
-    """Step-halving RK4 run pass by pass: each pass builds every segment's derivative anew."""
+    """Step-halving RK4 on each segment in turn, within its share tol * L / T of the
+    tolerance, pass by pass: each pass builds the segment's derivative anew."""
     n = s.n_qubits
 
-    def fixed(counts):
+    def fixed(seg, steps):
+        f = simulator._segment_derivative(seg, n)
         out = array
-        for seg, steps in zip(s.segments, counts):
-            f = simulator._segment_derivative(seg, n)
-            h = seg.length / steps
-            for i in range(steps):
-                t0 = seg.t_start + i * h
-                k1 = f(t0, out)
-                k2 = f(t0 + h / 2, out + (h / 2) * k1)
-                k3 = f(t0 + h / 2, out + (h / 2) * k2)
-                k4 = f(t0 + h, out + h * k3)
-                out = out + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        h = seg.length / steps
+        for i in range(steps):
+            t0 = seg.t_start + i * h
+            k1 = f(t0, out)
+            k2 = f(t0 + h / 2, out + (h / 2) * k1)
+            k3 = f(t0 + h / 2, out + (h / 2) * k2)
+            k4 = f(t0 + h, out + h * k3)
+            out = out + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         return out
 
     h0 = s.total_time / 16.0
-    counts = [max(1, math.ceil(seg.length / h0)) for seg in s.segments]
-    prev = fixed(counts)
-    for _ in range(simulator.MAX_STEP_HALVINGS):
-        counts = [2 * c for c in counts]
-        cur = fixed(counts)
-        diff = cur - prev
-        err = float(np.linalg.norm(diff)) if diff.ndim == 1 else float(np.max(np.linalg.norm(diff, axis=0)))
-        if err < tol / 4:
-            return cur
-        prev = cur
-    raise ToleranceUnreachable("step halving cap reached")
+    for seg in s.segments:
+        share = tol * (seg.length / s.total_time)
+        steps = max(1, math.ceil(seg.length / h0))
+        prev = fixed(seg, steps)
+        for _ in range(simulator.MAX_STEP_HALVINGS):
+            steps *= 2
+            cur = fixed(seg, steps)
+            diff = cur - prev
+            err = float(np.linalg.norm(diff)) if diff.ndim == 1 else float(np.max(np.linalg.norm(diff, axis=0)))
+            if err < share / 4:
+                break
+            prev = cur
+        else:
+            raise ToleranceUnreachable("step halving cap reached")
+        array = cur
+    return array
 
 
 def per_term_random_graph(n, t_total=1.0, p=0.5, seed=0, coupling=1.0, segments=1):
@@ -446,6 +463,28 @@ def per_level_sample_steps(s, t_mid, delta, known):
         tuple(lv.exact for lv in decomp.levels),
     )
     return steps, levels
+
+
+def per_subinterval_rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianSchedule:
+    """``compiler.rechromatize`` sampling and coloring every subinterval afresh."""
+    out_segments = []
+    t_cursor = 0.0
+    for _, delta, mids in compiler._subintervals(s, epsilon):
+        for t_mid in mids:
+            snap = hamiltonian.snapshot(s, t_mid)
+            if not snap.pairs:
+                out_segments.append(Segment(t_cursor, t_cursor + delta))
+                t_cursor += delta
+                continue
+            rows = {pair: i for i, pair in enumerate(snap.pairs)}
+            classes = graphs.color_edges(snap.graph).coloring.classes
+            for i in range(0, len(classes), m):
+                pairs = sorted(pair for matching in classes[i : i + m] for pair in matching)
+                coeffs = [hamiltonian.pauli_coeffs(snap.matrices[rows[pair]]) for pair in pairs]
+                tracks = np.reshape(coeffs, (len(pairs), 16, 1))
+                out_segments.append(Segment(t_cursor, t_cursor + delta, tuple(pairs), tracks))
+                t_cursor += delta
+    return HamiltonianSchedule(s.n_qubits, tuple(out_segments))
 
 
 def per_row_dumps_schedule(s: HamiltonianSchedule) -> str:

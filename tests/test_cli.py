@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -388,6 +389,24 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, argv, tol):
 
 
 @pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("chain", "error: a constant segment needs 1e+09 Taylor substeps, over the cap 65536"),
+        ("random_time_varying", "error: segment [0.0, 1.0] has norm bound "),
+    ],
+)
+def test_simulate_refuses_unbounded_integration(tmp_path, capsys, kind, message):
+    # both used to run for over 10 s, printing NaN warnings, on their way to 2^24 step halvings
+    spath = tmp_path / "strong.json"
+    run_cli(capsys, "generate", kind, "--n", "2", "--p", "1", "--coupling", "1e9", "-o", str(spath))
+    with wall_clock_bound(3.0):
+        code, out, err = run_cli(capsys, "simulate", str(spath))
+    assert code == 2
+    assert err.startswith(message) and err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("complete_mean_field", "--n", "2000"),
@@ -414,6 +433,48 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: chromlc")
+
+
+def test_top_level_help_lists_every_command(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: chromlc [-h] {generate,index,compile,simulate,verify,trotter} ...\n")
+    for name in ("generate", "index", "compile", "simulate", "verify", "trotter"):
+        assert f"\n    {name} " in out
+
+
+def _full_parser_output(capsys, argv):
+    """Exit code and output of the parser with every subcommand."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return int(exc.value.code or 0), captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--help"], ["generate", "nope", "--n", "2"], ["generate", "chain"],
+        ["index", "-h"], ["index"], ["index", "doc.json", "--samples", "x"],
+        ["compile", "--help"], ["compile", "doc.json"], ["compile", "doc.json", "--epsilon", "0.1", "--bogus"],
+        ["simulate", "-h"], ["simulate", "doc.json", "--format", "xml"],
+        ["verify", "--help"], ["verify"], ["verify", "nope"], ["verify", "theorem1", "-h"],
+        ["verify", "variance", "--help"], ["verify", "variance", "--n", "x", "--alpha", "0.1"],
+        ["trotter", "-h"], ["trotter", "doc.json", "--m-list", "a,b"], ["trotter", "doc.json", "--m-list", "2", "extra"],
+    ],
+)
+def test_one_command_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    expected = _full_parser_output(capsys, argv)
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run_cli(capsys, *argv) == expected
+    assert built == [argv[0]] + (["theorem1", "variance"] if argv[0] == "verify" else [])
 
 
 def test_json_params_name_every_input(tmp_path, capsys):

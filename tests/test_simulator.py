@@ -15,8 +15,10 @@ from chromlc.hamiltonian import (
     HamiltonianSchedule,
     Segment,
     chain,
+    integrated_chromatic_index,
     random_graph,
     random_time_varying,
+    scale_schedule,
 )
 from chromlc.simulator import (
     MeanFieldObservable,
@@ -35,6 +37,7 @@ from helpers import (
     dense_hamiltonian,
     dense_schedule_unitary,
     embed_single_operator,
+    exact_unitary_piecewise_constant,
     ghz_amplitudes,
     haar_unitary,
     pass_major_integrate_adaptive,
@@ -42,6 +45,8 @@ from helpers import (
     random_gate_schedule,
     random_hermitian,
     single_pair_schedule,
+    time_varying_schedule,
+    wall_clock_bound,
 )
 
 SWAP = np.array(
@@ -256,16 +261,17 @@ def _count_builds(monkeypatch):
     return counts
 
 
-_STRONG = random_graph(3, 1.0, p=1.0, seed=2, segments=2, coupling=6.0)
+_STRONG = time_varying_schedule(3, 2, seed=2, p=1.0, coupling=3.0)
+_WEAK = time_varying_schedule(5, 4, seed=3, p=0.5, coupling=0.1)  # one halving per segment
 
 
 @pytest.mark.parametrize(
     "schedule, per_term, tol",
     [
-        (random_graph(5, 1.0, p=0.5, seed=3, segments=4), False, 1e-8),
+        (time_varying_schedule(5, 4, seed=3, p=0.5), False, 1e-8),
         (random_time_varying(3, 1.0, p=1.0, seed=5, degree=3), False, 1e-10),
-        (_STRONG, False, 1e-11),  # three or more halvings
-        (random_graph(5, 1.0, p=0.5, seed=3, segments=4), True, 1e-8),
+        (_STRONG, False, 1e-11),  # three or more halvings per segment
+        (time_varying_schedule(5, 4, seed=3, p=0.5), True, 1e-8),
         (random_time_varying(4, 1.0, p=0.8, seed=4, degree=2), True, 1e-9),
     ],
 )
@@ -279,30 +285,30 @@ def test_integrator_matches_pass_major_oracle(monkeypatch, schedule, per_term, t
     counts = _count_builds(monkeypatch)
     segments = len(schedule.segments)
     for array in arrays:
-        start = counts["builds"]
+        start = dict(counts)
         got = simulator._integrate_adaptive(schedule, array, tol)
-        builds = counts["builds"] - start
+        mid = dict(counts)
         assert np.array_equal(got, pass_major_integrate_adaptive(schedule, array, tol))
-        # one build per segment and comparison; the oracle builds its first two passes apart
-        assert builds % segments == 0
-        assert counts["builds"] - start - builds == builds + segments
+        # the same passes; one build per segment, where the oracle builds one per pass
+        assert mid["builds"] - start["builds"] == segments
+        assert counts["evaluations"] - mid["evaluations"] == mid["evaluations"] - start["evaluations"]
         if schedule is _STRONG:
-            assert builds >= 3 * segments
+            assert counts["builds"] - mid["builds"] - segments >= 3 * segments  # the oracle's halvings
 
 
 def test_one_halving_builds_each_segment_once(monkeypatch):
-    s = random_graph(5, 1.0, p=0.5, seed=3, segments=4, coupling=0.2)
     psi = StateVector.basis(5, 0)
     counts = _count_builds(monkeypatch)
-    evolve_continuous(psi, s, 1e-8)
+    evolve_continuous(psi, _WEAK, 1e-8)
     assert counts == {"builds": 4, "evaluations": 4 * (16 + 32)}
-    pass_major_integrate_adaptive(s, psi.amplitudes, 1e-8)
+    pass_major_integrate_adaptive(_WEAK, psi.amplitudes, 1e-8)
     assert counts == {"builds": 4 + 8, "evaluations": 2 * 4 * (16 + 32)}
 
 
 @pytest.mark.parametrize("cap", [1, 2])
 def test_halving_cap_compares_as_often_as_before(monkeypatch, cap):
-    # equal derivative evaluations mean equal passes, so equal comparisons
+    # equal derivative evaluations mean equal passes, so equal comparisons; the
+    # first segment, of 8 steps at first, misses its share and ends the run
     monkeypatch.setattr(simulator, "MAX_STEP_HALVINGS", cap)
     psi = StateVector.basis(3, 0).amplitudes
     counts = _count_builds(monkeypatch)
@@ -312,8 +318,70 @@ def test_halving_cap_compares_as_often_as_before(monkeypatch, cap):
         with pytest.raises(ToleranceUnreachable):
             integrate(_STRONG, psi, 1e-12)
         evaluations.append(counts["evaluations"] - start)
-    steps = 16 * (2 ** (cap + 1) - 1)  # passes of 16, 32, ... steps in all
+    steps = 8 * (2 ** (cap + 1) - 1)  # passes of 8, 16, ... steps in all
     assert evaluations == [4 * steps, 4 * steps]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_constant_segments_match_exact_exponentials(monkeypatch, n):
+    # coupling 2 needs several Taylor substeps per segment
+    s = random_graph(n, 1.0, p=0.8, seed=n, segments=2, coupling=2.0)
+    assert all(seg.length * simulator._norm_bound(seg) > 2 for seg in s.segments)
+    exact = exact_unitary_piecewise_constant(s)
+    psi = StateVector(n, haar_unitary(2**n, np.random.default_rng(n))[:, 0])
+    runs = []
+    for per_term in (False, True):
+        if per_term:
+            monkeypatch.setattr(simulator, "DENSE_GENERATOR_MAX_QUBITS", n - 1)
+            monkeypatch.setattr(simulator, "_dense_generators", _no_dense)
+        state = evolve_continuous(psi, s).amplitudes
+        block = full_unitary(s)
+        assert np.max(np.abs(state - exact @ psi.amplitudes)) <= 1e-12
+        assert np.max(np.abs(block - exact)) <= 1e-12
+        runs.append((state, block))
+    for dense, per_term in zip(*runs):
+        assert np.max(np.abs(dense - per_term)) <= 1e-12
+
+
+def test_mixed_schedule_meets_its_tolerance():
+    constant = random_graph(4, 1.0, p=0.7, seed=6, segments=4)
+    varying = time_varying_schedule(4, 4, seed=6, p=0.7)
+    s = HamiltonianSchedule(4, tuple(
+        (constant if i % 2 == 0 else varying).segments[i] for i in range(4)
+    ))
+    assert [seg.is_constant for seg in s.segments] == [True, False, True, False]
+    psi = StateVector(4, haar_unitary(16, np.random.default_rng(6))[:, 0])
+    state, block = evolve_continuous(psi, s, 1e-12).amplitudes, full_unitary(s, 1e-12)
+    for tol in (1e-6, 1e-8):
+        assert np.linalg.norm(evolve_continuous(psi, s, tol).amplitudes - state) <= tol
+        assert np.max(np.linalg.norm(full_unitary(s, tol) - block, axis=0)) <= tol
+
+
+def test_variance_trial_evolution_applies_the_generator_33_times(monkeypatch):
+    # the draw and scaling of one verify-variance trial at n = 8, alpha = 0.25:
+    # four substeps of Taylor orders 8, 9, 8, 8, against 4 * (16 + 32) = 192
+    # derivative evaluations of step-halving RK4
+    draw = random_graph(8, 1.0, p=0.4, seed=1, segments=4)
+    s = scale_schedule(draw, 0.25 / integrated_chromatic_index(draw).integral)
+    counts = _count_builds(monkeypatch)
+    evolve_continuous(StateVector.basis(8, 0), s, 1e-8)
+    assert counts == {"builds": 4, "evaluations": 33}
+
+
+def test_unbounded_work_is_refused_before_any_step(monkeypatch):
+    counts = _count_builds(monkeypatch)
+    psi = StateVector.basis(2, 0)
+    with wall_clock_bound(2.0):
+        with pytest.raises(ToleranceUnreachable, match="Taylor substeps, over the cap 65536"):
+            evolve_continuous(psi, chain(2, 1.0, 1e9))
+        with pytest.raises(ToleranceUnreachable, match="RK4 is unstable even after 24 step halvings"):
+            evolve_continuous(psi, random_time_varying(2, 1.0, p=1.0, coupling=1e9))
+        # a refused segment stops the run before an earlier segment is integrated
+        calm, wild = chain(2, 0.5).segments[0], chain(2, 1.0, 1e9).segments[0]
+        s = HamiltonianSchedule(2, (calm, Segment(0.5, 1.0, wild.pairs, wild.tracks)))
+        with pytest.raises(ToleranceUnreachable):
+            full_unitary(s)
+    assert counts["builds"] == 0
 
 
 def test_full_unitary_trivials():
