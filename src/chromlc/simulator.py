@@ -196,26 +196,29 @@ def _dense_generators(seg, n):
     """Stack [G_0, G_1, ...] of 2^n x 2^n matrices with -i H(t) = sum_d t^d G_d.
 
     Entry (i, j) of a pair term's embedded operator is nonzero only where i
-    and j agree on every qubit outside the pair, so each term scatters
-    4 * 2^n entries of its 4x4 matrices; terms sharing a qubit share entries.
+    and j agree on every qubit outside the pair: i = rest + bits(a) and
+    j = rest + bits(b) for the term's 4x4 entry (a, b), where ``rest`` runs
+    over the 2^(n-2) indices with both pair bits zero.  So each term
+    scatters its 16 entries 2^(n-2) times; terms sharing a qubit share
+    entries.
     """
     dim = 2**n
     if not seg.pairs:
         return np.zeros((1, dim, dim), dtype=np.complex128)
     degrees = seg.tracks.shape[2]
     blocks = -1j * np.tensordot(seg.tracks, PAULI_PRODUCTS, axes=(1, 0))  # (terms, degrees, 4, 4)
-    shifts = n - 1 - np.array(seg.pairs)  # bit positions of k and l
+    shifts = n - 1 - np.array(seg.pairs)  # bit positions of k and l; k's is the higher
     k, l = shifts[:, :1], shifts[:, 1:]
-    rows = np.arange(dim)
-    sub = 2 * ((rows >> k) & 1) + ((rows >> l) & 1)  # (terms, dim): each row's index into the 4x4
-    b = np.arange(4)
-    rest = rows & ~((1 << k) | (1 << l))
-    cols = rest[..., None] | ((b >> 1) << k[..., None]) | ((b & 1) << l[..., None])  # (terms, dim, 4)
-    flat = (rows[:, None] * dim + cols).ravel()
-    term_index = np.arange(len(seg.pairs))[:, None]
+    rest = np.arange(dim // 4)
+    for p in (l, k):  # insert a zero bit at l's position, then at k's
+        rest = ((rest >> p) << (p + 1)) | (rest & ((1 << p) - 1))
+    a = np.arange(4)
+    bits = ((a >> 1) << k) | ((a & 1) << l)  # (terms, 4): the pair bits of 4x4 index a
+    offsets = bits[:, :, None] * dim + bits[:, None, :]  # (terms, 4, 4): entry (a, b) at rest 0
+    flat = (rest * (dim + 1))[:, :, None] + offsets.reshape(-1, 1, 16)  # (terms, 2^(n-2), 16)
     gens = np.zeros((degrees, dim * dim), dtype=np.complex128)
-    for d in range(degrees):
-        np.add.at(gens[d], flat, blocks[:, d][term_index, sub].ravel())
+    for d in range(degrees):  # add.at is far faster on 1-D indices than on (terms, 2^(n-2), 16) ones
+        np.add.at(gens[d], flat.ravel(), np.broadcast_to(blocks[:, d].reshape(-1, 1, 16), flat.shape).ravel())
     return gens.reshape(degrees, dim, dim)
 
 
