@@ -218,7 +218,8 @@ def _dense_generators(seg, n):
     flat = (rest * (dim + 1))[:, :, None] + offsets.reshape(-1, 1, 16)  # (terms, 2^(n-2), 16)
     gens = np.zeros((degrees, dim * dim), dtype=np.complex128)
     for d in range(degrees):  # add.at is far faster on 1-D indices than on (terms, 2^(n-2), 16) ones
-        np.add.at(gens[d], flat.ravel(), np.broadcast_to(blocks[:, d].reshape(-1, 1, 16), flat.shape).ravel())
+        values = np.broadcast_to(blocks[:, d].reshape(-1, 1, 16), flat.shape)
+        np.add.at(gens[d], flat.ravel(), values.ravel())
     return gens.reshape(degrees, dim, dim)
 
 
