@@ -339,36 +339,26 @@ def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianS
     matchings (from :func:`~chromlc.graphs.color_edges`: at most max degree
     + 1 of them, and optimal when it reports ``exact``); the groups run one
     after the other, each for the full subinterval length, so time
-    stretches by the group count while pair strengths are preserved.  A
-    constant segment is sampled once; its later subintervals repeat the
-    first one's groups, shifted in time.
+    stretches by the group count while pair strengths are preserved.
     """
     if m < 1:
         raise BadParams("m must be at least 1")
     out_segments = []
     t_cursor = 0.0
-    for seg, delta, mids in _subintervals(s, epsilon):
-        groups = None
-        for t_mid in mids:
-            if groups is None or not seg.is_constant:
-                groups = _matching_groups(s, t_mid, m)
-            for pairs, tracks in groups:
-                out_segments.append(Segment(t_cursor, t_cursor + delta, pairs, tracks))
-                t_cursor += delta
+    subintervals = [(t_mid, delta) for _, delta, mids in _subintervals(s, epsilon) for t_mid in mids]
+    for t_mid, delta in subintervals:
+        snap = snapshot(s, t_mid)
+        if not snap.pairs:
+            out_segments.append(Segment(t_cursor, t_cursor + delta))
+            t_cursor += delta
+            continue
+        rows = {pair: i for i, pair in enumerate(snap.pairs)}
+        classes = color_edges(snap.graph).coloring.classes
+        groups = [classes[i : i + m] for i in range(0, len(classes), m)]
+        for group in groups:
+            pairs = sorted(pair for matching in group for pair in matching)
+            coeffs = [pauli_coeffs(snap.matrices[rows[pair]]) for pair in pairs]
+            tracks = np.reshape(coeffs, (len(pairs), 16, 1))
+            out_segments.append(Segment(t_cursor, t_cursor + delta, tuple(pairs), tracks))
+            t_cursor += delta
     return HamiltonianSchedule(s.n_qubits, tuple(out_segments))
-
-
-def _matching_groups(s: HamiltonianSchedule, t_mid: float, m: int) -> list:
-    """``(pairs, tracks)`` of each group of at most m matchings at ``t_mid``,
-    constant at the sampled terms; one empty group when no pair interacts."""
-    snap = snapshot(s, t_mid)
-    if not snap.pairs:
-        return [((), None)]
-    rows = {pair: i for i, pair in enumerate(snap.pairs)}
-    classes = color_edges(snap.graph).coloring.classes
-    groups = []
-    for i in range(0, len(classes), m):
-        pairs = sorted(pair for matching in classes[i : i + m] for pair in matching)
-        coeffs = [pauli_coeffs(snap.matrices[rows[pair]]) for pair in pairs]
-        groups.append((tuple(pairs), np.reshape(coeffs, (len(pairs), 16, 1))))
-    return groups

@@ -20,19 +20,23 @@ array, and the segment builds this map once:
   so nu = L * sum |coefficients| bounds ||L G_0||.  The segment takes
   s = ceil(nu) substeps of norm at most 1, and each is a Taylor polynomial
   of the smallest order whose remainder bound keeps the s substeps within
-  share/4 together.  Over ``MAX_TAYLOR_SUBSTEPS`` substeps the segment is
-  refused with ``ToleranceUnreachable``.
+  share/4 together.
 - A time-varying segment runs classic fixed-step RK4, doubling its step
-  count (at most ``MAX_STEP_HALVINGS`` times) until its endpoint moves by
-  less than share/4.  It starts from the count of steps of length T/16 that
-  cover it.  A segment whose norm bound makes RK4 unstable even at the
-  finest allowed step is refused before any step.
+  count until its endpoint moves by less than share/4.  It starts from the
+  count of steps of length T/16 that cover it, doubled until the norm bound
+  keeps the first pass inside RK4's stability region.
 
-All refusals come before the first segment is integrated.  Up to
-``DENSE_GENERATOR_MAX_QUBITS`` qubits each G_d is built as a dense matrix,
-so an operator application costs one matrix product per degree; on larger
-registers each pair matrix of ``Segment.matrices_at`` is contracted on its
-two axes, which needs no 4^n memory.
+The work is bounded before the first step, for the whole schedule: the
+constant segments take at most ``MAX_TAYLOR_SUBSTEPS`` substeps in all,
+and the time-varying ones at most ``MAX_RK4_STEPS`` RK4 steps in all, which
+caps their step halvings (at most ``MAX_STEP_HALVINGS``).  A schedule over
+either cap, or with a time-varying segment whose share/4 is below the
+rounding that two RK4 passes show, is refused with ``ToleranceUnreachable``.
+
+Up to ``DENSE_GENERATOR_MAX_QUBITS`` qubits each G_d is built as a dense
+matrix, so an operator application costs one matrix product per degree; on
+larger registers each pair matrix of ``Segment.matrices_at`` is contracted
+on its two axes, which needs no 4^n memory.
 """
 
 from __future__ import annotations
@@ -71,14 +75,20 @@ DENSE_GENERATOR_MAX_QUBITS = 9
 STATE_MAX_QUBITS = 18
 NORM_DRIFT_LIMIT = 1e-6
 MAX_STEP_HALVINGS = 24
-# RK4's stability region reaches 2 sqrt(2) ~ 2.83 on the imaginary axis; a
-# time-varying segment whose step times norm bound stays above this even
-# after MAX_STEP_HALVINGS halvings is refused before any step.
+# RK4's stability region reaches 2 sqrt(2) ~ 2.83 on the imaginary axis: a
+# time-varying segment's first pass takes steps whose length times the norm
+# bound is at most this.
 RK4_STABILITY_LIMIT = 2.8
-# A constant segment of norm bound nu takes ceil(nu) Taylor substeps of at
-# most 20 operator applications each (at tol >= 1e-12), so this caps one
-# segment at about 1.3 million applications.
+# Two RK4 passes over a segment differ by up to about 7e-15 in rounding
+# alone (measured on 2 to 6 qubits, states and identity blocks), so a
+# time-varying segment whose comparison target share/4 is below 32 eps is
+# refused: halving could not reach it.
+RK4_MIN_SHARE = 128 * np.finfo(np.float64).eps
+# Work caps for one schedule.  A Taylor substep of norm at most 1 takes about
+# 20 operator applications at most, and an RK4 step 4 derivative
+# evaluations, so each cap stands for about a million applications.
 MAX_TAYLOR_SUBSTEPS = 2**16
+MAX_RK4_STEPS = 2**18
 MIXED_BRANCH_CAP = 1024
 BRANCH_CUTOFF = 1e-12  # mixture weights at or below this drop out of a product state
 
@@ -252,10 +262,11 @@ def _rk4(f, seg, steps, array):
     return array
 
 
-def _rk4_halving(f, seg, steps, share, array):
-    """Double the RK4 step count from ``steps`` until the endpoint moves by less than share/4."""
+def _rk4_halving(f, seg, steps, share, halvings, array):
+    """Double the RK4 step count from ``steps``, at most ``halvings`` times,
+    until the endpoint moves by less than share/4."""
     prev = _rk4(f, seg, steps, array)
-    for _ in range(MAX_STEP_HALVINGS):
+    for _ in range(halvings):
         steps *= 2
         cur = _rk4(f, seg, steps, array)
         diff = cur - prev
@@ -267,7 +278,7 @@ def _rk4_halving(f, seg, steps, share, array):
             return cur
         prev = cur
     raise ToleranceUnreachable(
-        f"step halving cap {MAX_STEP_HALVINGS} reached without meeting the tolerance share "
+        f"step halving cap {halvings} reached without meeting the tolerance share "
         f"{share:.3g} of segment [{seg.t_start}, {seg.t_end}]"
     )
 
@@ -302,10 +313,6 @@ def _taylor_plan(nu, share):
     order whose remainder bound theta^(m+1) / (m+1)! e^theta is at most
     share / (4 s), so the s truncations err by at most share/4 together.
     """
-    if not nu <= MAX_TAYLOR_SUBSTEPS:
-        raise ToleranceUnreachable(
-            f"a constant segment needs {nu:.3g} Taylor substeps, over the cap {MAX_TAYLOR_SUBSTEPS}"
-        )
     substeps = math.ceil(nu)
     if substeps == 0:
         return 0, 0
@@ -317,35 +324,67 @@ def _taylor_plan(nu, share):
     return substeps, order
 
 
+def _rk4_start(seg, nu, h0):
+    """The steps of length h0 that cover ``seg``, doubled until nu / steps is
+    inside RK4's stability region; inf when that takes over ``MAX_RK4_STEPS``."""
+    if not nu <= RK4_STABILITY_LIMIT * MAX_RK4_STEPS:
+        return math.inf
+    steps = max(1, math.ceil(seg.length / h0))
+    while nu > RK4_STABILITY_LIMIT * steps:
+        steps *= 2
+    return steps
+
+
 def _integrate_adaptive(s: HamiltonianSchedule, array, tol: float):
     """Propagate segment by segment, each within its share tol * L / T of the tolerance.
 
-    Every segment's work is bounded before the first step: a constant
-    segment's Taylor plan is fixed and capped, and a time-varying segment
-    must keep RK4 stable at its finest allowed step.  Each segment builds
-    its derivative once.
+    The whole schedule's work is bounded before the first step: the
+    constant segments' Taylor substeps and the time-varying segments' first
+    comparisons must fit their caps, and what ``MAX_RK4_STEPS`` leaves sets
+    how often each time-varying segment may halve its step.  Each segment
+    builds its derivative once.
     """
     n = s.n_qubits
     h0 = s.total_time / 16.0
-    work = []
+    plans = []
+    substeps = starts = 0
     for seg in s.segments:
         share = tol * (seg.length / s.total_time)
-        bound = _norm_bound(seg)
+        nu = seg.length * _norm_bound(seg)  # inf or nan when the bound overflows
         if seg.is_constant:
-            substeps, order = _taylor_plan(seg.length * bound, share)
-            if substeps:  # else H = 0 and the array stays as it is
-                work.append((seg, _taylor, (substeps, order)))
-            continue
-        steps = max(1, math.ceil(seg.length / h0))
-        if not bound * seg.length / (steps << MAX_STEP_HALVINGS) <= RK4_STABILITY_LIMIT:
-            raise ToleranceUnreachable(
-                f"segment [{seg.t_start}, {seg.t_end}] has norm bound {bound:.3g}: RK4 is unstable "
-                f"even after {MAX_STEP_HALVINGS} step halvings"
-            )
-        work.append((seg, _rk4_halving, (steps, share)))
-    for seg, propagate, plan in work:
+            # substeps is whole, so this holds iff substeps + ceil(nu) is within the cap
+            if not substeps + nu <= MAX_TAYLOR_SUBSTEPS:
+                raise ToleranceUnreachable(
+                    f"the constant segments need more than {MAX_TAYLOR_SUBSTEPS} Taylor substeps"
+                )
+            plan = _taylor_plan(nu, share)
+            substeps += plan[0]
+        else:
+            if share < RK4_MIN_SHARE:
+                raise ToleranceUnreachable(
+                    f"segment [{seg.t_start}, {seg.t_end}] gets the tolerance share {share:.3g}, "
+                    f"below the {RK4_MIN_SHARE:.3g} that RK4 step halving can resolve"
+                )
+            plan = (_rk4_start(seg, nu, h0), share)
+            starts += plan[0]
+        plans.append((seg, plan))
+    # the first comparison runs 1 + 2 times the starting steps
+    if not 3 * starts <= MAX_RK4_STEPS:
+        raise ToleranceUnreachable(
+            f"the time-varying segments need more than {MAX_RK4_STEPS} RK4 steps to run stably"
+        )
+    # h halvings run at most 2^(h+1) - 1 times the starting steps
+    halvings = 1
+    while halvings < MAX_STEP_HALVINGS and starts * ((4 << halvings) - 1) <= MAX_RK4_STEPS:
+        halvings += 1
+    for seg, plan in plans:
+        if seg.is_constant and plan[0] == 0:
+            continue  # H = 0: the array stays as it is
         f = _segment_derivative(seg, n)
-        array = propagate(f, seg, *plan, array)
+        if seg.is_constant:
+            array = _taylor(f, seg, *plan, array)
+        else:
+            array = _rk4_halving(f, seg, *plan, halvings, array)
         del f  # one segment's generators at a time
     return array
 

@@ -8,8 +8,7 @@ depth-first enumeration over edges in natural order.  The parity oracles
 at the end keep earlier, slower forms of package loops (pass by pass RK4,
 per-term and per-qubit random draws, level decomposition that searches
 every level afresh, gates built and checked one at a time, coefficient
-rows trimmed one at a time, rechromatization sampling every subinterval)
-that the package must match bit for bit.
+rows trimmed one at a time) that the package must match bit for bit.
 """
 
 import contextlib
@@ -297,7 +296,9 @@ FUZZ_VALUES = (
 
 def pass_major_integrate_adaptive(s: HamiltonianSchedule, array, tol):
     """Step-halving RK4 on each segment in turn, within its share tol * L / T of the
-    tolerance, pass by pass: each pass builds the segment's derivative anew."""
+    tolerance, pass by pass: each pass builds the segment's derivative anew.  A
+    segment starts from the steps of length T/16 that cover it, doubled while
+    a step times its norm bound exceeds ``simulator.RK4_STABILITY_LIMIT``."""
     n = s.n_qubits
 
     def fixed(seg, steps):
@@ -317,6 +318,8 @@ def pass_major_integrate_adaptive(s: HamiltonianSchedule, array, tol):
     for seg in s.segments:
         share = tol * (seg.length / s.total_time)
         steps = max(1, math.ceil(seg.length / h0))
+        while seg.length * simulator._norm_bound(seg) / steps > simulator.RK4_STABILITY_LIMIT:
+            steps *= 2
         prev = fixed(seg, steps)
         for _ in range(simulator.MAX_STEP_HALVINGS):
             steps *= 2
@@ -463,28 +466,6 @@ def per_level_sample_steps(s, t_mid, delta, known):
         tuple(lv.exact for lv in decomp.levels),
     )
     return steps, levels
-
-
-def per_subinterval_rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianSchedule:
-    """``compiler.rechromatize`` sampling and coloring every subinterval afresh."""
-    out_segments = []
-    t_cursor = 0.0
-    for _, delta, mids in compiler._subintervals(s, epsilon):
-        for t_mid in mids:
-            snap = hamiltonian.snapshot(s, t_mid)
-            if not snap.pairs:
-                out_segments.append(Segment(t_cursor, t_cursor + delta))
-                t_cursor += delta
-                continue
-            rows = {pair: i for i, pair in enumerate(snap.pairs)}
-            classes = graphs.color_edges(snap.graph).coloring.classes
-            for i in range(0, len(classes), m):
-                pairs = sorted(pair for matching in classes[i : i + m] for pair in matching)
-                coeffs = [hamiltonian.pauli_coeffs(snap.matrices[rows[pair]]) for pair in pairs]
-                tracks = np.reshape(coeffs, (len(pairs), 16, 1))
-                out_segments.append(Segment(t_cursor, t_cursor + delta, tuple(pairs), tracks))
-                t_cursor += delta
-    return HamiltonianSchedule(s.n_qubits, tuple(out_segments))
 
 
 def per_row_dumps_schedule(s: HamiltonianSchedule) -> str:

@@ -389,16 +389,20 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, argv, tol):
 
 
 @pytest.mark.parametrize(
-    "kind, message",
+    "generator, message",
     [
-        ("chain", "error: a constant segment needs 1e+09 Taylor substeps, over the cap 65536"),
-        ("random_time_varying", "error: segment [0.0, 1.0] has norm bound "),
+        (["chain"], "error: the constant segments need more than 65536 Taylor substeps"),
+        # some 1e4 substeps a segment, 1e7 in all
+        (["random_graph", "--segments", "1000", "--coupling", "1e7"], "error: the constant segments need more"),
+        (["random_time_varying"], "error: the time-varying segments need more than 262144 RK4 steps"),
     ],
 )
-def test_simulate_refuses_unbounded_integration(tmp_path, capsys, kind, message):
-    # both used to run for over 10 s, printing NaN warnings, on their way to 2^24 step halvings
+def test_simulate_refuses_unbounded_integration(tmp_path, capsys, generator, message):
+    # the coupling-1e9 documents used to run for over 10 s, printing NaN
+    # warnings, on their way to 2^24 step halvings
     spath = tmp_path / "strong.json"
-    run_cli(capsys, "generate", kind, "--n", "2", "--p", "1", "--coupling", "1e9", "-o", str(spath))
+    argv = ["generate", *generator, "--n", "2", "--p", "1", "-o", str(spath)]
+    run_cli(capsys, *(argv if "--coupling" in generator else argv + ["--coupling", "1e9"]))
     with wall_clock_bound(3.0):
         code, out, err = run_cli(capsys, "simulate", str(spath))
     assert code == 2

@@ -30,7 +30,6 @@ from helpers import (
     pair_segment,
     per_gate_pair_gates,
     per_level_sample_steps,
-    per_subinterval_rechromatize,
     random_hermitian,
     record_searches,
     restricting_level_decompose,
@@ -435,24 +434,6 @@ def test_rechromatize_respects_cap_random():
             for seg in out.segments:
                 mid = (seg.t_start + seg.t_end) / 2.0
                 assert color_edges(interaction_graph(out, mid)).index <= m
-
-
-@pytest.mark.parametrize(
-    "schedule, m, epsilon, samples",
-    [
-        # a constant segment of 5 subintervals is sampled once
-        (random_graph(6, 1.0, p=0.7, seed=2, segments=4, coupling=0.8), 2, 0.05, 4),
-        (random_graph(5, 1.0, p=0.5, seed=1, segments=2), 1, 0.25, 2),
-        (random_time_varying(5, 1.0, p=0.7, seed=4), 2, 0.1, 10),
-    ],
-)
-def test_rechromatize_matches_per_subinterval_sampling(monkeypatch, schedule, m, epsilon, samples):
-    expected = per_subinterval_rechromatize(schedule, m, epsilon)
-    calls = []
-    take = compiler.snapshot
-    monkeypatch.setattr(compiler, "snapshot", lambda s, t: calls.append(t) or take(s, t))
-    assert rechromatize(schedule, m, epsilon) == expected
-    assert len(calls) == samples
 
 
 def test_rechromatize_beyond_exact_cap_falls_back():

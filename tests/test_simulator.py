@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,7 @@ _WEAK = time_varying_schedule(5, 4, seed=3, p=0.5, coupling=0.1)  # one halving 
         (_STRONG, False, 1e-11),  # three or more halvings per segment
         (time_varying_schedule(5, 4, seed=3, p=0.5), True, 1e-8),
         (random_time_varying(4, 1.0, p=0.8, seed=4, degree=2), True, 1e-9),
+        (time_varying_schedule(3, 400, seed=1, p=1.0, coupling=2.0), False, 1e-10),  # shares of 2.5e-13
     ],
 )
 def test_integrator_matches_pass_major_oracle(monkeypatch, schedule, per_term, tol):
@@ -368,19 +371,31 @@ def test_variance_trial_evolution_applies_the_generator_33_times(monkeypatch):
     assert counts == {"builds": 4, "evaluations": 33}
 
 
-def test_unbounded_work_is_refused_before_any_step(monkeypatch):
+_WILD = chain(2, 1.0, 1e9).segments[0]
+_CALM_THEN_WILD = HamiltonianSchedule(2, (chain(2, 0.5).segments[0], Segment(0.5, 1.0, _WILD.pairs, _WILD.tracks)))
+
+
+@pytest.mark.parametrize(
+    "schedule, tol, message",
+    [
+        (chain(2, 1.0, 1e9), 1e-10, "the constant segments need more than 65536 Taylor substeps"),
+        # each segment needs only some 1e4 substeps, the schedule 1e7
+        (random_graph(2, 1.0, p=1.0, segments=1000, coupling=1e7), 1e-10, "more than 65536 Taylor substeps"),
+        (random_time_varying(2, 1.0, p=1.0, coupling=1e9), 1e-10, "need more than 262144 RK4 steps to run stably"),
+        # each segment needs some 100 steps to run stably, the schedule 1e5
+        (time_varying_schedule(2, 1000, p=1.0, coupling=1e5), 1e-6, "more than 262144 RK4 steps"),
+        # a share of 1e-15 per segment is below RK4's rounding
+        (time_varying_schedule(3, 1000, p=1.0), 1e-12, "gets the tolerance share 1e-15, below the 2.84e-14"),
+        # a refused segment stops the run before an earlier one is integrated
+        (_CALM_THEN_WILD, 1e-10, "more than 65536 Taylor substeps"),
+    ],
+)
+def test_unbounded_work_is_refused_before_any_step(monkeypatch, schedule, tol, message):
     counts = _count_builds(monkeypatch)
-    psi = StateVector.basis(2, 0)
+    psi = StateVector.basis(schedule.n_qubits, 0)
     with wall_clock_bound(2.0):
-        with pytest.raises(ToleranceUnreachable, match="Taylor substeps, over the cap 65536"):
-            evolve_continuous(psi, chain(2, 1.0, 1e9))
-        with pytest.raises(ToleranceUnreachable, match="RK4 is unstable even after 24 step halvings"):
-            evolve_continuous(psi, random_time_varying(2, 1.0, p=1.0, coupling=1e9))
-        # a refused segment stops the run before an earlier segment is integrated
-        calm, wild = chain(2, 0.5).segments[0], chain(2, 1.0, 1e9).segments[0]
-        s = HamiltonianSchedule(2, (calm, Segment(0.5, 1.0, wild.pairs, wild.tracks)))
-        with pytest.raises(ToleranceUnreachable):
-            full_unitary(s)
+        with pytest.raises(ToleranceUnreachable, match=re.escape(message)):
+            evolve_continuous(psi, schedule, tol)
     assert counts["builds"] == 0
 
 
