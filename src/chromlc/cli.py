@@ -36,12 +36,14 @@ def _generate_arguments(p):
     p.add_argument("--degree", type=int, default=2, help="polynomial degree (random_time_varying)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", help="output path (default stdout)")
+    p.set_defaults(handler=_cmd_generate)
 
 
 def _index_arguments(p):
     p.add_argument("schedule")
     p.add_argument("--samples", type=int, default=64, help="samples per segment")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(handler=_cmd_index)
 
 
 def _compile_arguments(p):
@@ -49,6 +51,7 @@ def _compile_arguments(p):
     p.add_argument("--epsilon", type=float, required=True, help="subinterval length")
     p.add_argument("-o", "--output", help="gate file path (default stdout)")
     p.add_argument("--report", help="write compilation diagnostics to this JSON file")
+    p.set_defaults(handler=_cmd_compile)
 
 
 def _simulate_arguments(p):
@@ -57,6 +60,7 @@ def _simulate_arguments(p):
     p.add_argument("--observable", choices=("x", "y", "z"), default="z")
     p.add_argument("--tol", type=float, default=1e-10, help="integrator tolerance")
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(handler=_cmd_simulate)
 
 
 def _verify_arguments(p):
@@ -67,6 +71,7 @@ def _verify_arguments(p):
     v.add_argument("--epsilons", type=_float_list, required=True, help="comma-separated, strictly decreasing")
     v.add_argument("--tol", type=float, default=1e-10)
     v.add_argument("--format", choices=("csv", "json"), default="csv")
+    v.set_defaults(handler=_cmd_verify_theorem1)
 
     v = vsub.add_parser("variance", help="mean-field variance bound sweep")
     v.add_argument("--n", type=int, required=True)
@@ -75,6 +80,7 @@ def _verify_arguments(p):
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=1e-8)
     v.add_argument("--format", choices=("csv", "json"), default="csv")
+    v.set_defaults(handler=_cmd_verify_variance)
 
 
 def _trotter_arguments(p):
@@ -83,9 +89,10 @@ def _trotter_arguments(p):
     p.add_argument("--epsilons", type=_float_list, default=[], help="comma-separated compile epsilons")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(handler=_cmd_trotter)
 
 
-# name: (help, adds the arguments), in the order of the top-level help
+# name: (help, adds the arguments and the handler), in the order of the top-level help
 _COMMANDS = {
     "generate": ("write a schedule from a named generator", _generate_arguments),
     "index": ("print W(t) samples and the integrated index", _index_arguments),
@@ -363,19 +370,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints its own diagnostics
         return int(exc.code or 0)
-    handlers = {
-        "generate": _cmd_generate,
-        "index": _cmd_index,
-        "compile": _cmd_compile,
-        "simulate": _cmd_simulate,
-        "trotter": _cmd_trotter,
-    }
     try:
-        if args.command == "verify":
-            if args.study == "theorem1":
-                return _cmd_verify_theorem1(args)
-            return _cmd_verify_variance(args)
-        return handlers[args.command](args)
+        return args.handler(args)
     except ChromlcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

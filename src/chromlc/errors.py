@@ -51,7 +51,7 @@ class NotConstant(ChromlcError, ValueError):
 
 
 class ToleranceUnreachable(ChromlcError, RuntimeError):
-    """The integrator cannot meet its tolerance within its work caps."""
+    """The integrator cannot meet its tolerance within its work cap."""
 
 
 class NormDrift(ChromlcError, RuntimeError):

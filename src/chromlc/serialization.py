@@ -131,7 +131,10 @@ def dumps_schedule(s: HamiltonianSchedule) -> str:
 
 
 def loads_schedule(text: str) -> HamiltonianSchedule:
-    doc = _decode(text)
+    return _schedule_from_doc(_decode(text))
+
+
+def _schedule_from_doc(doc: dict) -> HamiltonianSchedule:
     _check_header(doc, SCHEDULE_FORMAT)
     n_qubits = _int_field(doc, "n_qubits", "document")
     raw_segments = _list_field(doc, "segments", "document")
@@ -192,7 +195,7 @@ def _term_polys(raw_term: dict, where: str) -> dict:
             warnings.warn(
                 f"{where}: II component only shifts the global phase; "
                 "it still counts toward the interaction norm",
-                stacklevel=3,
+                stacklevel=4,  # the caller of loads_schedule or load_document
             )
         polys[PAULI_LABELS.index(label)] = poly
     return polys
@@ -255,7 +258,10 @@ def dumps_gates(g: GateSchedule) -> str:
 
 
 def loads_gates(text: str) -> GateSchedule:
-    doc = _decode(text)
+    return _gates_from_doc(_decode(text))
+
+
+def _gates_from_doc(doc: dict) -> GateSchedule:
     _check_header(doc, GATES_FORMAT)
     n_qubits = _int_field(doc, "n_qubits", "document")
     steps = []
@@ -325,11 +331,10 @@ def load_gates(path) -> GateSchedule:
 def load_document(path):
     """Load either document type, dispatching on the ``format`` field."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    doc = _decode(text)
+        doc = _decode(fh.read())
     fmt = doc.get("format")
     if fmt == SCHEDULE_FORMAT:
-        return loads_schedule(text)
+        return _schedule_from_doc(doc)
     if fmt == GATES_FORMAT:
-        return loads_gates(text)
+        return _gates_from_doc(doc)
     raise SchemaVersionMismatch(f"format: unknown document format {fmt!r}")

@@ -12,31 +12,26 @@ state (``evolve_continuous``) or the columns of the identity
 gets the share tol * L / T of the tolerance, which must be finite and at
 least 1e-12.  On a segment, -i H(t) = sum_d t^d G_d, where G_d comes from
 the degree-d slice of the segment's (terms, 16, degree + 1) coefficient
-array, and the segment builds this map once:
+array, and the segment builds this map once.
 
-- A constant segment is propagated by a truncated Taylor series of
-  exp(L G_0) applied to the array (Al-Mohy & Higham, SIAM J. Sci. Comput.
-  33, 2011), with no eigendecomposition.  Every Pauli product has norm 1,
-  so nu = L * sum |coefficients| bounds ||L G_0||.  The segment takes
-  s = ceil(nu) substeps of norm at most 1, and each is a Taylor polynomial
-  of the smallest order whose remainder bound keeps the s substeps within
-  share/4 together.
-- A time-varying segment runs classic fixed-step RK4, doubling its step
-  count until its endpoint moves by less than share/4.  It starts from the
-  count of steps of length T/16 that cover it, doubled until the norm bound
-  keeps the first pass inside RK4's stability region.
+Every segment is propagated by the classical Taylor-series method, with
+no eigendecomposition; on a constant segment it is a truncated Taylor
+series of exp(L G_0) (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
+Every Pauli product has norm 1, so nu = L * sum |c_d| t_max^d over the
+segment's coefficients bounds the integral of ||H(t)|| over it.  The
+segment takes s = ceil(nu) substeps, and each is a Taylor polynomial of
+the smallest order whose remainder bound keeps the s substeps within
+share/4 together.  Each order applies every G_d once.
 
-The work is bounded before the first step, for the whole schedule: the
-constant segments take at most ``MAX_TAYLOR_SUBSTEPS`` substeps in all,
-and the time-varying ones at most ``MAX_RK4_STEPS`` RK4 steps in all, which
-caps their step halvings (at most ``MAX_STEP_HALVINGS``).  A schedule over
-either cap, or with a time-varying segment whose share/4 is below the
-rounding that two RK4 passes show, is refused with ``ToleranceUnreachable``.
+The work is bounded before the first step, for the whole schedule: a
+substep of a degree-D segment counts (D + 1)^2, and a schedule whose
+substeps count over ``MAX_TAYLOR_SUBSTEPS`` in all is refused with
+``ToleranceUnreachable``.
 
 Up to ``DENSE_GENERATOR_MAX_QUBITS`` qubits each G_d is built as a dense
-matrix, so an operator application costs one matrix product per degree; on
-larger registers each pair matrix of ``Segment.matrices_at`` is contracted
-on its two axes, which needs no 4^n memory.
+matrix, so an operator application costs one matrix product; on larger
+registers each term's degree-d pair matrix is contracted on its two axes,
+which needs no 4^n memory.
 """
 
 from __future__ import annotations
@@ -63,32 +58,22 @@ from .hamiltonian import PAULI_PRODUCTS, HamiltonianSchedule
 FULL_UNITARY_MAX_QUBITS = 6
 # Up to this size the integrator applies a segment's generator as dense
 # 2^n x 2^n matrices, one per polynomial degree.  Speed: one matrix product
-# beats one tensor contraction per pair term up to 9 qubits (an 8-qubit RK4
-# pass is about 7x faster) and loses from 10 qubits on, where the products
-# cost 4^n.  Memory: each matrix takes 16 * 4^n bytes, 4 MB at 9 qubits but
-# 64 MB at 11.  One segment's matrices are held at a time, built once per
-# segment.
+# beats one tensor contraction per pair term up to 9 qubits (an 8-qubit
+# operator application is about 7x faster) and loses from 10 qubits on,
+# where the products cost 4^n.  Memory: each matrix takes 16 * 4^n bytes,
+# 4 MB at 9 qubits but 64 MB at 11.  One segment's matrices are held at a
+# time, built once per segment.
 DENSE_GENERATOR_MAX_QUBITS = 9
 # convergence_study keeps a block of 20 random states and their 20 evolved
-# images, and RK4 holds about six more copies of the state it integrates:
-# some 46 columns of 2^n amplitudes at 16 bytes, about 0.2 GB at 18 qubits.
+# images, and the Taylor recurrence holds up to 12 more copies of the state
+# it integrates (degree 8): some 52 columns of 2^n amplitudes at 16 bytes,
+# about 0.2 GB at 18 qubits.
 STATE_MAX_QUBITS = 18
 NORM_DRIFT_LIMIT = 1e-6
-MAX_STEP_HALVINGS = 24
-# RK4's stability region reaches 2 sqrt(2) ~ 2.83 on the imaginary axis: a
-# time-varying segment's first pass takes steps whose length times the norm
-# bound is at most this.
-RK4_STABILITY_LIMIT = 2.8
-# Two RK4 passes over a segment differ by up to about 7e-15 in rounding
-# alone (measured on 2 to 6 qubits, states and identity blocks), so a
-# time-varying segment whose comparison target share/4 is below 32 eps is
-# refused: halving could not reach it.
-RK4_MIN_SHARE = 128 * np.finfo(np.float64).eps
-# Work caps for one schedule.  A Taylor substep of norm at most 1 takes about
-# 20 operator applications at most, and an RK4 step 4 derivative
-# evaluations, so each cap stands for about a million applications.
+# Work cap for one schedule.  A Taylor substep of a constant segment takes
+# about 20 operator applications at most, so the cap stands for about a
+# million applications.
 MAX_TAYLOR_SUBSTEPS = 2**16
-MAX_RK4_STEPS = 2**18
 MIXED_BRANCH_CAP = 1024
 BRANCH_CUTOFF = 1e-12  # mixture weights at or below this drop out of a product state
 
@@ -158,12 +143,16 @@ class StateVector:
 
 def _apply_pair_matrix(mat4, array, n, k, l):
     """Apply a 4x4 operator to axes (k, l); array may carry a column axis."""
-    shape = (2,) * n + array.shape[1:]
-    tensor = array.reshape(shape)
-    u = np.asarray(mat4).reshape(2, 2, 2, 2)
-    out = np.tensordot(u, tensor, axes=([2, 3], [k, l]))
+    return _apply_pair_stack(np.asarray(mat4)[None], array[None], n, k, l)
+
+
+def _apply_pair_stack(mats, stack, n, k, l):
+    """sum_d of the 4x4 operator mats[d] applied to axes (k, l) of stack[d]."""
+    tensor = stack.reshape((len(mats),) + (2,) * n + stack.shape[2:])
+    u = mats.reshape(-1, 2, 2, 2, 2)
+    out = np.tensordot(u, tensor, axes=([0, 3, 4], [0, k + 1, l + 1]))
     out = np.moveaxis(out, [0, 1], [k, l])
-    return out.reshape(array.shape)
+    return out.reshape(stack.shape[1:])
 
 
 def _apply_single_matrix(mat2, array, n, q):
@@ -192,14 +181,6 @@ def run_schedule(psi: StateVector, g: GateSchedule) -> StateVector:
         for gate in step.gates:
             amps = _apply_pair_matrix(gate.unitary, amps, psi.n_qubits, *gate.pair)
     return StateVector(psi.n_qubits, amps)
-
-
-def _derivative(seg, t, array, n):
-    """-i H(t) array on one segment, one tensor contraction per pair term."""
-    out = np.zeros_like(array)
-    for (k, l), mat in zip(seg.pairs, seg.matrices_at(t)):
-        out += _apply_pair_matrix(mat, array, n, k, l)
-    return -1j * out
 
 
 def _dense_generators(seg, n):
@@ -233,64 +214,60 @@ def _dense_generators(seg, n):
     return gens.reshape(degrees, dim, dim)
 
 
-def _dense_derivative(gens, t, array):
-    """sum_d t^d (G_d @ array), by Horner's rule in t."""
-    out = gens[-1] @ array
-    for g in gens[-2::-1]:
-        out = out * t + g @ array
-    return out
+def _segment_generator(seg, n):
+    """The map xs -> sum_d G_d xs[d] on one segment, where -i H(t) = sum_d t^d G_d
+    and xs stacks one array per polynomial degree.
+
+    Up to ``DENSE_GENERATOR_MAX_QUBITS`` qubits this is one product with
+    [G_0 G_1 ...]; past it, one contraction per pair term of its degree-d
+    matrices, rounded as ``Segment.matrices_at`` rounds them, with xs[d].
+    """
+    if n <= DENSE_GENERATOR_MAX_QUBITS:
+        gens = _dense_generators(seg, n)
+        wide = gens.transpose(1, 0, 2).reshape(gens.shape[1], -1)
+        return lambda xs: wide @ xs.reshape(-1, *xs.shape[2:])
+    products = PAULI_PRODUCTS.reshape(16, 16)
+    terms, _, degrees = seg.tracks.shape
+    per_degree = [np.matmul(seg.tracks[:, None, :, d], products) for d in range(degrees)]
+    mats = np.stack(per_degree, axis=1).reshape(terms, degrees, 4, 4)
+
+    def apply(xs):
+        out = np.zeros_like(xs[0])
+        for (k, l), stack in zip(seg.pairs, mats):
+            out += _apply_pair_stack(stack, xs, n, k, l)
+        return -1j * out
+
+    return apply
 
 
-def _segment_derivative(seg, n):
-    """The map (t, array) -> -i H(t) array on one segment."""
-    if n > DENSE_GENERATOR_MAX_QUBITS:
-        return lambda t, array: _derivative(seg, t, array, n)
-    gens = _dense_generators(seg, n)
-    return lambda t, array: _dense_derivative(gens, t, array)
+def _taylor(apply, seg, substeps, order, array):
+    """``array`` carried across ``seg`` by ``substeps`` Taylor polynomials of degree ``order``.
 
-
-def _rk4(f, seg, steps, array):
-    """``steps`` classic RK4 steps of the map ``f`` across ``seg``."""
-    h = seg.length / steps
-    for i in range(steps):
-        t0 = seg.t_start + i * h
-        k1 = f(t0, array)
-        k2 = f(t0 + h / 2, array + (h / 2) * k1)
-        k3 = f(t0 + h / 2, array + (h / 2) * k2)
-        k4 = f(t0 + h, array + h * k3)
-        array = array + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return array
-
-
-def _rk4_halving(f, seg, steps, share, halvings, array):
-    """Double the RK4 step count from ``steps``, at most ``halvings`` times,
-    until the endpoint moves by less than share/4."""
-    prev = _rk4(f, seg, steps, array)
-    for _ in range(halvings):
-        steps *= 2
-        cur = _rk4(f, seg, steps, array)
-        diff = cur - prev
-        if diff.ndim == 1:
-            err = float(np.linalg.norm(diff))
-        else:
-            err = float(np.max(np.linalg.norm(diff, axis=0)))
-        if err < share / 4:
-            return cur
-        prev = cur
-    raise ToleranceUnreachable(
-        f"step halving cap {halvings} reached without meeting the tolerance share "
-        f"{share:.3g} of segment [{seg.t_start}, {seg.t_end}]"
-    )
-
-
-def _taylor(f, seg, substeps, order, array):
-    """exp(L G_0) array as ``substeps`` Taylor polynomials of degree ``order`` in (L / substeps) G_0."""
+    On the substep of length tau from t0, -i H(t0 + u) = sum_j u^j A_j with
+    A_j = sum_{d >= j} C(d, j) t0^(d-j) G_d.  The scaled Taylor terms
+    e_k = c_k tau^k of psi(t0 + u) = sum_k c_k u^k follow from e_0 = psi(t0) by
+    e_{k+1} = tau / (k+1) * sum_{j <= min(k, D)} tau^j A_j e_{k-j}
+            = tau / (k+1) * sum_d G_d (sum_{j <= min(d, k)} C(d, j) t0^(d-j) tau^j e_{k-j}),
+    so each order applies every G_d once, to one combination of the last
+    D + 1 terms.  A constant segment applies G_0 to e_k as it is.
+    """
+    degrees = seg.tracks.shape[2]
     tau = seg.length / substeps
-    for _ in range(substeps):
-        term = total = array
-        for j in range(1, order + 1):
-            term = f(seg.t_start, term) * (tau / j)
+    for i in range(substeps):
+        t0 = seg.t_start + i * tau
+        weights = np.array(  # (d, j): C(d, j) t0^(d-j) tau^j, zero for j > d
+            [[math.comb(d, j) * t0 ** (d - j) * tau**j if j <= d else 0.0 for j in range(degrees)] for d in range(degrees)]
+        )
+        recent = [array]  # e_k, e_(k-1), ...: the last ``degrees`` terms, newest first
+        total = array
+        for k in range(1, order + 1):
+            if degrees == 1:
+                xs = recent[0][None]
+            else:
+                xs = (weights[:, : len(recent)] @ np.reshape(recent, (len(recent), -1))).reshape(-1, *array.shape)
+            term = apply(xs) * (tau / k)
             total = total + term
+            recent = [term] + recent[: degrees - 1]
         array = total
     return array
 
@@ -306,86 +283,56 @@ def _norm_bound(seg):
         return float(np.abs(seg.tracks).sum(axis=(0, 1)) @ t_max ** np.arange(seg.tracks.shape[2]))
 
 
-def _taylor_plan(nu, share):
-    """Substeps s and order m for exp(L G_0) with ||L G_0|| <= nu, within share/4.
+def _taylor_plan(nu, share, degrees):
+    """Substeps s and order m for a segment of ``degrees`` polynomial
+    degrees and norm bound nu = L * ``_norm_bound``, within share/4.
 
-    s = ceil(nu) substeps of norm theta = nu / s <= 1; m is the smallest
-    order whose remainder bound theta^(m+1) / (m+1)! e^theta is at most
+    s = ceil(nu) substeps, each of majorant exponent at most theta = nu / s
+    <= 1.  Past order m = degrees * r - 1 the majorant series
+    exp(sum_j b_j w^(j+1)), sum_j b_j <= theta, keeps only products of r or
+    more of its Poisson factors' terms, so its tail is at most
+    e^theta theta^r / r!.  r is the smallest count whose bound is at most
     share / (4 s), so the s truncations err by at most share/4 together.
     """
     substeps = math.ceil(nu)
     if substeps == 0:
         return 0, 0
     theta = nu / substeps
-    order, remainder = 0, theta * math.exp(theta)
+    r, remainder = 1, theta * math.exp(theta)
     while remainder > share / (4 * substeps):
-        order += 1
-        remainder *= theta / (order + 1)
-    return substeps, order
-
-
-def _rk4_start(seg, nu, h0):
-    """The steps of length h0 that cover ``seg``, doubled until nu / steps is
-    inside RK4's stability region; inf when that takes over ``MAX_RK4_STEPS``."""
-    if not nu <= RK4_STABILITY_LIMIT * MAX_RK4_STEPS:
-        return math.inf
-    steps = max(1, math.ceil(seg.length / h0))
-    while nu > RK4_STABILITY_LIMIT * steps:
-        steps *= 2
-    return steps
+        r += 1
+        remainder *= theta / r
+    return substeps, degrees * r - 1
 
 
 def _integrate_adaptive(s: HamiltonianSchedule, array, tol: float):
     """Propagate segment by segment, each within its share tol * L / T of the tolerance.
 
-    The whole schedule's work is bounded before the first step: the
-    constant segments' Taylor substeps and the time-varying segments' first
-    comparisons must fit their caps, and what ``MAX_RK4_STEPS`` leaves sets
-    how often each time-varying segment may halve its step.  Each segment
-    builds its derivative once.
+    The whole schedule's work is bounded before the first step: a substep
+    of a degree-D segment takes (D + 1) r - 1 orders of D + 1 operator
+    applications each, where a constant segment's takes r - 1 of one, so it
+    counts (D + 1)^2 against ``MAX_TAYLOR_SUBSTEPS``.  Each segment builds
+    its generators once.
     """
-    n = s.n_qubits
-    h0 = s.total_time / 16.0
     plans = []
-    substeps = starts = 0
+    work = 0
     for seg in s.segments:
-        share = tol * (seg.length / s.total_time)
+        degrees = seg.tracks.shape[2]
         nu = seg.length * _norm_bound(seg)  # inf or nan when the bound overflows
-        if seg.is_constant:
-            # substeps is whole, so this holds iff substeps + ceil(nu) is within the cap
-            if not substeps + nu <= MAX_TAYLOR_SUBSTEPS:
-                raise ToleranceUnreachable(
-                    f"the constant segments need more than {MAX_TAYLOR_SUBSTEPS} Taylor substeps"
-                )
-            plan = _taylor_plan(nu, share)
-            substeps += plan[0]
-        else:
-            if share < RK4_MIN_SHARE:
-                raise ToleranceUnreachable(
-                    f"segment [{seg.t_start}, {seg.t_end}] gets the tolerance share {share:.3g}, "
-                    f"below the {RK4_MIN_SHARE:.3g} that RK4 step halving can resolve"
-                )
-            plan = (_rk4_start(seg, nu, h0), share)
-            starts += plan[0]
+        if not nu <= MAX_TAYLOR_SUBSTEPS or work + math.ceil(nu) * degrees**2 > MAX_TAYLOR_SUBSTEPS:
+            raise ToleranceUnreachable(
+                f"the schedule needs more than {MAX_TAYLOR_SUBSTEPS} Taylor substeps "
+                "(a substep of a degree-d segment counts (d+1)^2)"
+            )
+        plan = _taylor_plan(nu, tol * (seg.length / s.total_time), degrees)
+        work += plan[0] * degrees**2
         plans.append((seg, plan))
-    # the first comparison runs 1 + 2 times the starting steps
-    if not 3 * starts <= MAX_RK4_STEPS:
-        raise ToleranceUnreachable(
-            f"the time-varying segments need more than {MAX_RK4_STEPS} RK4 steps to run stably"
-        )
-    # h halvings run at most 2^(h+1) - 1 times the starting steps
-    halvings = 1
-    while halvings < MAX_STEP_HALVINGS and starts * ((4 << halvings) - 1) <= MAX_RK4_STEPS:
-        halvings += 1
     for seg, plan in plans:
-        if seg.is_constant and plan[0] == 0:
+        if plan[0] == 0:
             continue  # H = 0: the array stays as it is
-        f = _segment_derivative(seg, n)
-        if seg.is_constant:
-            array = _taylor(f, seg, *plan, array)
-        else:
-            array = _rk4_halving(f, seg, *plan, halvings, array)
-        del f  # one segment's generators at a time
+        apply = _segment_generator(seg, s.n_qubits)
+        array = _taylor(apply, seg, *plan, array)
+        del apply  # one segment's generators at a time
     return array
 
 

@@ -4,11 +4,14 @@ The oracles here deliberately avoid the package's own code paths: pair
 matrices come from numpy's ``polyval`` one Pauli label at a time, operator
 embedding works bit-by-bit on basis indices, the norm oracle goes through
 the characteristic polynomial, and the chromatic-index oracle is a plain
-depth-first enumeration over edges in natural order.  The parity oracles
-at the end keep earlier, slower forms of package loops (pass by pass RK4,
-per-term and per-qubit random draws, level decomposition that searches
-every level afresh, gates built and checked one at a time, coefficient
-rows trimmed one at a time) that the package must match bit for bit.
+depth-first enumeration over edges in natural order.  The reference
+integrator is classic RK4, fixed-step or step-halving, on generators
+built from the embedding oracle: the package integrates by Taylor series
+and must agree with it within the tolerance.  The parity oracles at the
+end keep earlier, slower forms of package loops (per-term and per-qubit
+random draws, level decomposition that searches every level afresh, gates
+built and checked one at a time, coefficient rows trimmed one at a time)
+that the package must match bit for bit.
 """
 
 import contextlib
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
-from chromlc import cli, compiler, graphs, hamiltonian, linalg, simulator
+from chromlc import cli, compiler, graphs, hamiltonian, linalg
 from chromlc.errors import ToleranceUnreachable
 from chromlc.compiler import Gate, GateSchedule, Step
 from chromlc.graphs import EdgeColoring, Level, LevelDecomposition, WeightedGraph
@@ -291,39 +294,62 @@ FUZZ_VALUES = (
 )
 
 
-# -- parity oracles -------------------------------------------------------------
+# -- reference integrator -------------------------------------------------------
+
+# RK4's stability region reaches 2 sqrt(2) ~ 2.83 on the imaginary axis: a
+# segment's first pass takes steps whose length times the norm bound is at
+# most this.
+RK4_STABILITY_LIMIT = 2.8
+RK4_MAX_HALVINGS = 24
+
+
+def oracle_generators(seg: Segment, n):
+    """[G_0, G_1, ...] with -i H(t) = sum_d t^d G_d on ``seg``, each term's degree-d
+    coefficients turned into a matrix by ``pauli_matrix`` and embedded bit by bit."""
+    gens = np.zeros((seg.tracks.shape[2], 2**n, 2**n), dtype=complex)
+    for pair, rows in zip(seg.pairs, seg.tracks):
+        for d in range(seg.tracks.shape[2]):
+            gens[d] -= 1j * embed_pair_operator(pauli_matrix(rows[:, d]), n, *pair)
+    return gens
+
+
+def rk4_pass(gens, seg: Segment, steps, array):
+    """``steps`` classic RK4 steps across ``seg`` of d array / dt = sum_d t^d G_d array."""
+
+    def f(t, x):
+        return sum(t**d * (g @ x) for d, g in enumerate(gens))
+
+    h = seg.length / steps
+    for i in range(steps):
+        t0 = seg.t_start + i * h
+        k1 = f(t0, array)
+        k2 = f(t0 + h / 2, array + (h / 2) * k1)
+        k3 = f(t0 + h / 2, array + (h / 2) * k2)
+        k4 = f(t0 + h, array + h * k3)
+        array = array + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return array
 
 
 def pass_major_integrate_adaptive(s: HamiltonianSchedule, array, tol):
     """Step-halving RK4 on each segment in turn, within its share tol * L / T of the
-    tolerance, pass by pass: each pass builds the segment's derivative anew.  A
-    segment starts from the steps of length T/16 that cover it, doubled while
-    a step times its norm bound exceeds ``simulator.RK4_STABILITY_LIMIT``."""
+    tolerance: whole passes over the segment, the step count doubled until the
+    endpoint moves by less than share/4.  A segment starts from the steps of
+    length T/16 that cover it, doubled while a step times the norm bound
+    sum |c_d| t_max^d exceeds ``RK4_STABILITY_LIMIT``."""
     n = s.n_qubits
-
-    def fixed(seg, steps):
-        f = simulator._segment_derivative(seg, n)
-        out = array
-        h = seg.length / steps
-        for i in range(steps):
-            t0 = seg.t_start + i * h
-            k1 = f(t0, out)
-            k2 = f(t0 + h / 2, out + (h / 2) * k1)
-            k3 = f(t0 + h / 2, out + (h / 2) * k2)
-            k4 = f(t0 + h, out + h * k3)
-            out = out + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return out
-
     h0 = s.total_time / 16.0
     for seg in s.segments:
+        gens = oracle_generators(seg, n)
         share = tol * (seg.length / s.total_time)
+        t_max = max(abs(seg.t_start), abs(seg.t_end))
+        bound = sum(np.abs(seg.tracks[:, :, d]).sum() * t_max**d for d in range(seg.tracks.shape[2]))
         steps = max(1, math.ceil(seg.length / h0))
-        while seg.length * simulator._norm_bound(seg) / steps > simulator.RK4_STABILITY_LIMIT:
+        while seg.length * bound / steps > RK4_STABILITY_LIMIT:
             steps *= 2
-        prev = fixed(seg, steps)
-        for _ in range(simulator.MAX_STEP_HALVINGS):
+        prev = rk4_pass(gens, seg, steps, array)
+        for _ in range(RK4_MAX_HALVINGS):
             steps *= 2
-            cur = fixed(seg, steps)
+            cur = rk4_pass(gens, seg, steps, array)
             diff = cur - prev
             err = float(np.linalg.norm(diff)) if diff.ndim == 1 else float(np.max(np.linalg.norm(diff, axis=0)))
             if err < share / 4:
@@ -333,6 +359,9 @@ def pass_major_integrate_adaptive(s: HamiltonianSchedule, array, tol):
             raise ToleranceUnreachable("step halving cap reached")
         array = cur
     return array
+
+
+# -- parity oracles -------------------------------------------------------------
 
 
 def per_term_random_graph(n, t_total=1.0, p=0.5, seed=0, coupling=1.0, segments=1):

@@ -64,13 +64,6 @@ def test_variance_experiment_alpha_zero_baseline():
         assert r.variance <= 5.0 + 1e-9
 
 
-def test_variance_experiment_random_product_initial():
-    records = analysis.variance_bound_experiment(
-        3, 0.2, trials=3, seed=2, initial="random_product"
-    )
-    assert all(r.slack >= 0 for r in records)
-
-
 def test_variance_experiment_validation():
     with pytest.raises(BadParams, match="alpha < 1/2"):
         analysis.variance_bound_experiment(4, 0.6, trials=1)
@@ -78,8 +71,6 @@ def test_variance_experiment_validation():
         analysis.variance_bound_experiment(14, 0.2, trials=1)
     with pytest.raises(BadParams):
         analysis.variance_bound_experiment(4, 0.2, trials=0)
-    with pytest.raises(BadParams):
-        analysis.variance_bound_experiment(4, 0.2, trials=1, initial="ghz")
 
 
 def test_variance_experiment_deterministic():

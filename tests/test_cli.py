@@ -187,6 +187,28 @@ def test_simulate_gates(tmp_path, capsys):
     assert abs(doc["expectation"] - 4.0) < 1e-9
 
 
+def test_simulate_decodes_its_document_once(tmp_path, capsys, monkeypatch):
+    # load_document reads the format field from the decoded document and
+    # builds the schedule or gates from that same document
+    spath = tmp_path / "chain.json"
+    gpath = tmp_path / "gates.json"
+    run_cli(capsys, "generate", "chain", "--n", "3", "-o", str(spath))
+    run_cli(capsys, "compile", str(spath), "--epsilon", "0.5", "-o", str(gpath))
+    decoded = []
+    loads = json.loads
+
+    def counted(text, *args, **kwargs):
+        decoded.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    for path in (spath, gpath):
+        decoded.clear()
+        code, _, _ = run_cli(capsys, "simulate", str(path))
+        assert code == 0
+        assert decoded == [path.stat().st_size]
+
+
 def test_simulate_schedule_and_product_state(tmp_path, capsys):
     spath = tmp_path / "pairs.json"
     run_cli(capsys, "generate", "disjoint_pairs", "--n", "4", "-o", str(spath))
@@ -391,10 +413,10 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, argv, tol):
 @pytest.mark.parametrize(
     "generator, message",
     [
-        (["chain"], "error: the constant segments need more than 65536 Taylor substeps"),
+        (["chain"], "error: the schedule needs more than 65536 Taylor substeps"),
         # some 1e4 substeps a segment, 1e7 in all
-        (["random_graph", "--segments", "1000", "--coupling", "1e7"], "error: the constant segments need more"),
-        (["random_time_varying"], "error: the time-varying segments need more than 262144 RK4 steps"),
+        (["random_graph", "--segments", "1000", "--coupling", "1e7"], "error: the schedule needs more"),
+        (["random_time_varying"], "error: the schedule needs more than 65536 Taylor substeps"),
     ],
 )
 def test_simulate_refuses_unbounded_integration(tmp_path, capsys, generator, message):

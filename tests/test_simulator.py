@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -42,10 +43,12 @@ from helpers import (
     exact_unitary_piecewise_constant,
     ghz_amplitudes,
     haar_unitary,
+    oracle_generators,
     pass_major_integrate_adaptive,
     per_qubit_observable_factors,
     random_gate_schedule,
     random_hermitian,
+    rk4_pass,
     single_pair_schedule,
     time_varying_schedule,
     wall_clock_bound,
@@ -201,7 +204,7 @@ def test_evolve_tolerance_validation():
         evolve_continuous(StateVector.basis(3, 0), s, 1e-9)
 
 
-def test_dense_derivative_matches_per_term():
+def test_dense_generators_match_per_term(monkeypatch):
     # constant segments, polynomial ones of degree 1 and 3, and an empty one
     cases = [(3, Segment(0.0, 1.0))]
     for n in (2, 3, 5):
@@ -210,14 +213,19 @@ def test_dense_derivative_matches_per_term():
             cases.append((n, random_time_varying(n, 1.5, p=0.8, seed=n, degree=degree).segments[0]))
     rng = np.random.default_rng(31)
     for n, seg in cases:
-        gens = simulator._dense_generators(seg, n)
+        dense = simulator._segment_generator(seg, n)
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "DENSE_GENERATOR_MAX_QUBITS", 1)
+            m.setattr(simulator, "_dense_generators", _no_dense)
+            per_term = simulator._segment_generator(seg, n)
+        oracle = oracle_generators(seg, n)
         for shape in ((2**n,), (2**n, 3)):
-            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            for t in np.linspace(seg.t_start, seg.t_end, 5):
-                dense = simulator._dense_derivative(gens, t, x)
-                ref = simulator._derivative(seg, t, x, n)
-                assert dense.shape == x.shape
-                assert np.max(np.abs(dense - ref)) < 1e-12
+            xs = rng.normal(size=(len(oracle), *shape)) + 1j * rng.normal(size=(len(oracle), *shape))
+            ref = sum(g @ x for g, x in zip(oracle, xs))
+            for apply in (dense, per_term):
+                got = apply(xs)
+                assert got.shape == shape
+                assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def _no_dense(seg, n):
@@ -225,8 +233,8 @@ def _no_dense(seg, n):
 
 
 def test_per_term_path_matches_dense(monkeypatch):
-    # both paths run the same RK4 steps; only the rounding of the derivative
-    # differs
+    # both paths run the same Taylor substeps; only the rounding of the
+    # operator applications differs
     n = 4
     pwc = random_graph(n, 1.0, p=0.6, seed=n, segments=3, coupling=0.7)
     tv = random_time_varying(n, 1.0, p=0.6, seed=n, coupling=0.7)
@@ -245,84 +253,98 @@ def test_per_term_path_matches_dense(monkeypatch):
 
 
 def _count_builds(monkeypatch):
-    """Count ``_segment_derivative`` builds and the derivative evaluations of the maps they return."""
+    """Count ``_segment_generator`` builds and the calls of the maps they return, one per Taylor order."""
     counts = {"builds": 0, "evaluations": 0}
-    build = simulator._segment_derivative
+    build = simulator._segment_generator
 
     def counted(seg, n):
         counts["builds"] += 1
-        f = build(seg, n)
+        apply = build(seg, n)
 
-        def g(t, array):
+        def g(xs):
             counts["evaluations"] += 1
-            return f(t, array)
+            return apply(xs)
 
         return g
 
-    monkeypatch.setattr(simulator, "_segment_derivative", counted)
+    monkeypatch.setattr(simulator, "_segment_generator", counted)
     return counts
 
 
-_STRONG = time_varying_schedule(3, 2, seed=2, p=1.0, coupling=3.0)
-_WEAK = time_varying_schedule(5, 4, seed=3, p=0.5, coupling=0.1)  # one halving per segment
+def _late_segment(n, degree):
+    """A zero segment on [0, 10], then a time-varying one on [10, 11] that keeps the
+    tracks of a draw over [0, 11], so its polynomials are evaluated around t = 10."""
+    (seg,) = random_time_varying(n, 11.0, p=1.0, seed=degree, degree=degree).segments
+    return HamiltonianSchedule(n, (Segment(0.0, 10.0), Segment(10.0, 11.0, seg.pairs, seg.tracks)))
 
 
 @pytest.mark.parametrize(
-    "schedule, per_term, tol",
-    [
-        (time_varying_schedule(5, 4, seed=3, p=0.5), False, 1e-8),
-        (random_time_varying(3, 1.0, p=1.0, seed=5, degree=3), False, 1e-10),
-        (_STRONG, False, 1e-11),  # three or more halvings per segment
-        (time_varying_schedule(5, 4, seed=3, p=0.5), True, 1e-8),
-        (random_time_varying(4, 1.0, p=0.8, seed=4, degree=2), True, 1e-9),
-        (time_varying_schedule(3, 400, seed=1, p=1.0, coupling=2.0), False, 1e-10),  # shares of 2.5e-13
+    "schedule, per_term",
+    [(random_time_varying(3, 1.0, p=1.0, seed=d, degree=d), False) for d in range(1, 9)]
+    + [
+        (random_time_varying(3, 1.0, p=1.0, seed=8, degree=8), True),
+        (_late_segment(3, 3), False),
+        (_late_segment(4, 2), True),
+        (time_varying_schedule(3, 400, seed=1, p=1.0, coupling=2.0), False),  # shares of 2.5e-12
+        (time_varying_schedule(4, 4, seed=3, p=0.5), True),
     ],
 )
-def test_integrator_matches_pass_major_oracle(monkeypatch, schedule, per_term, tol):
+def test_time_varying_segments_meet_their_tolerance(monkeypatch, schedule, per_term):
+    # against step-halving RK4 at a tenth of the tolerance, on a state and
+    # on the identity block
+    tol = 1e-9
     n = schedule.n_qubits
     if per_term:
-        monkeypatch.setattr(simulator, "DENSE_GENERATOR_MAX_QUBITS", 3)
+        monkeypatch.setattr(simulator, "DENSE_GENERATOR_MAX_QUBITS", n - 1)
         monkeypatch.setattr(simulator, "_dense_generators", _no_dense)
-    state = haar_unitary(2**n, np.random.default_rng(n))[:, 0]
-    arrays = [state] + ([np.eye(2**n, dtype=complex)] if n <= 3 else [])
-    counts = _count_builds(monkeypatch)
-    segments = len(schedule.segments)
-    for array in arrays:
-        start = dict(counts)
-        got = simulator._integrate_adaptive(schedule, array, tol)
-        mid = dict(counts)
-        assert np.array_equal(got, pass_major_integrate_adaptive(schedule, array, tol))
-        # the same passes; one build per segment, where the oracle builds one per pass
-        assert mid["builds"] - start["builds"] == segments
-        assert counts["evaluations"] - mid["evaluations"] == mid["evaluations"] - start["evaluations"]
-        if schedule is _STRONG:
-            assert counts["builds"] - mid["builds"] - segments >= 3 * segments  # the oracle's halvings
+    psi = StateVector(n, haar_unitary(2**n, np.random.default_rng(n))[:, 0])
+    state = evolve_continuous(psi, schedule, tol).amplitudes
+    block = full_unitary(schedule, tol)
+    assert np.linalg.norm(state - pass_major_integrate_adaptive(schedule, psi.amplitudes, tol / 10)) <= tol
+    ref = pass_major_integrate_adaptive(schedule, np.eye(2**n, dtype=complex), tol / 10)
+    assert np.max(np.linalg.norm(block - ref, axis=0)) <= tol
 
 
-def test_one_halving_builds_each_segment_once(monkeypatch):
-    psi = StateVector.basis(5, 0)
-    counts = _count_builds(monkeypatch)
-    evolve_continuous(psi, _WEAK, 1e-8)
-    assert counts == {"builds": 4, "evaluations": 4 * (16 + 32)}
-    pass_major_integrate_adaptive(_WEAK, psi.amplitudes, 1e-8)
-    assert counts == {"builds": 4 + 8, "evaluations": 2 * 4 * (16 + 32)}
+def test_strong_coupling_integrates():
+    # step-halving RK4 does not reach 1e-10 on this schedule: the rounding of
+    # its passes outgrows the tolerance
+    s = random_time_varying(4, 1.0, p=0.8, seed=4, coupling=100.0)
+    (seg,) = s.segments
+    psi = haar_unitary(16, np.random.default_rng(4))[:, 0]
+    with wall_clock_bound(20.0):
+        state = evolve_continuous(StateVector(4, psi), s, 1e-10).amplitudes
+        block = full_unitary(s, 1e-10)
+    # 2^13 fixed RK4 steps come within 3e-7 of the result
+    gens = oracle_generators(seg, 4)
+    assert np.linalg.norm(state - rk4_pass(gens, seg, 2**13, psi)) <= 1e-6
+    assert np.max(np.linalg.norm(block - rk4_pass(gens, seg, 2**13, np.eye(16, dtype=complex)), axis=0)) <= 1e-6
 
 
-@pytest.mark.parametrize("cap", [1, 2])
-def test_halving_cap_compares_as_often_as_before(monkeypatch, cap):
-    # equal derivative evaluations mean equal passes, so equal comparisons; the
-    # first segment, of 8 steps at first, misses its share and ends the run
-    monkeypatch.setattr(simulator, "MAX_STEP_HALVINGS", cap)
-    psi = StateVector.basis(3, 0).amplitudes
-    counts = _count_builds(monkeypatch)
-    evaluations = []
-    for integrate in (simulator._integrate_adaptive, pass_major_integrate_adaptive):
-        start = counts["evaluations"]
-        with pytest.raises(ToleranceUnreachable):
-            integrate(_STRONG, psi, 1e-12)
-        evaluations.append(counts["evaluations"] - start)
-    steps = 8 * (2 ** (cap + 1) - 1)  # passes of 8, 16, ... steps in all
-    assert evaluations == [4 * steps, 4 * steps]
+def test_shares_below_rk4_rounding_integrate():
+    # a share of 1e-15 per segment, below the rounding of two RK4 passes;
+    # four RK4 steps a segment come within 1e-15 of the result
+    s = time_varying_schedule(3, 1000, p=1.0)
+    psi = StateVector(3, haar_unitary(8, np.random.default_rng(3))[:, 0])
+    state = evolve_continuous(psi, s, 1e-12).amplitudes
+    ref = psi.amplitudes
+    for seg in s.segments:
+        ref = rk4_pass(oracle_generators(seg, 3), seg, 4, ref)
+    assert np.linalg.norm(state - ref) <= 1e-12
+
+
+def test_taylor_plan_keeps_the_constant_segment_orders():
+    # a constant segment takes the smallest order m whose remainder bound
+    # e^theta theta^(m+1) / (m+1)! is within share / (4 s); a segment of D + 1
+    # degrees takes the order (D + 1)(m + 1) - 1 with the same bound
+    rng = np.random.default_rng(12)
+    for nu, share in zip(rng.uniform(0.0, 50.0, 2000), 10.0 ** rng.uniform(-16.0, -4.0, 2000)):
+        substeps, order = simulator._taylor_plan(nu, share, 1)
+        theta = nu / substeps
+        bounds = [math.exp(theta) * theta**r / math.factorial(r) for r in (order, order + 1)]
+        assert substeps == math.ceil(nu)
+        assert bounds[1] <= share / (4 * substeps) < bounds[0]
+        for degrees in (2, 9):
+            assert simulator._taylor_plan(nu, share, degrees) == (substeps, degrees * (order + 1) - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -378,14 +400,14 @@ _CALM_THEN_WILD = HamiltonianSchedule(2, (chain(2, 0.5).segments[0], Segment(0.5
 @pytest.mark.parametrize(
     "schedule, tol, message",
     [
-        (chain(2, 1.0, 1e9), 1e-10, "the constant segments need more than 65536 Taylor substeps"),
+        (chain(2, 1.0, 1e9), 1e-10, "the schedule needs more than 65536 Taylor substeps"),
         # each segment needs only some 1e4 substeps, the schedule 1e7
         (random_graph(2, 1.0, p=1.0, segments=1000, coupling=1e7), 1e-10, "more than 65536 Taylor substeps"),
-        (random_time_varying(2, 1.0, p=1.0, coupling=1e9), 1e-10, "need more than 262144 RK4 steps to run stably"),
-        # each segment needs some 100 steps to run stably, the schedule 1e5
-        (time_varying_schedule(2, 1000, p=1.0, coupling=1e5), 1e-6, "more than 262144 RK4 steps"),
-        # a share of 1e-15 per segment is below RK4's rounding
-        (time_varying_schedule(3, 1000, p=1.0), 1e-12, "gets the tolerance share 1e-15, below the 2.84e-14"),
+        (random_time_varying(2, 1.0, p=1.0, coupling=1e9), 1e-10, "more than 65536 Taylor substeps"),
+        # each segment needs some 300 substeps of weight 9, the schedule 3e6
+        (time_varying_schedule(2, 1000, p=1.0, coupling=1e5), 1e-6, "more than 65536 Taylor substeps"),
+        # some 1300 substeps, which would pass on a constant segment, of weight 81
+        (random_time_varying(2, 1.0, p=1.0, degree=8, coupling=200.0), 1e-10, "more than 65536 Taylor substeps"),
         # a refused segment stops the run before an earlier one is integrated
         (_CALM_THEN_WILD, 1e-10, "more than 65536 Taylor substeps"),
     ],
