@@ -90,12 +90,10 @@ from .serialization import (
 )
 from .simulator import (
     MeanFieldObservable,
-    ProductState,
     StateVector,
     apply_gate,
     evolve_continuous,
     full_unitary,
-    mixed_variance,
     run_schedule,
     variance,
 )

@@ -27,6 +27,11 @@ RATIO_RANGE = (1.7, 2.3)
 RATIO_ENGAGE = 1e-2   # ratio checks apply once the error is below this
 NOISE_FLOOR = 1e-9    # and only while the error stays above this
 REFERENCE_STATES = 20  # random initial states of a study past full unitaries
+# Three 8-byte seeds are drawn per trial before the first one runs, and a
+# trial takes about 7 ms at 8 qubits and 80 ms at 12, so 2^16 trials are
+# minutes to an hour and a half of work; uncapped, a typo such as
+# ``--trials 1000000000000`` asks for 22 TiB of seeds.
+MAX_TRIALS = 2**16
 
 __all__ = [
     "ConvergenceRow",
@@ -168,6 +173,8 @@ def variance_bound_experiment(
         raise BadParams("trials are limited to 2..12 qubits")
     if trials < 1:
         raise BadParams("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise TooLarge(f"trials are limited to {MAX_TRIALS}, got {trials}")
     master = np.random.default_rng(seed)
     trial_seeds = [int(x) for x in master.integers(0, 2**62, size=3 * trials)]
     bound = _variance_bound(n, alpha)

@@ -178,7 +178,7 @@ def _load_state(spec: str, n_qubits: int) -> simulator.StateVector:
         if not abs(np.linalg.norm(unit) - 1.0) <= 1e-12:
             raise ParseError(f"{spec}: qubits[{i}]: amplitudes too large or too small to normalise to norm 1")
         vectors.append(vector)
-    return simulator.ProductState.pure(vectors).branches()[0][1]
+    return simulator.StateVector.product(vectors)
 
 
 def _qubit_vector(q):

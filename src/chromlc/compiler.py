@@ -320,10 +320,13 @@ def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:
 
     m passes over the pair list in lexicographic order, one gate
     exp(-i * H_kl * T/m) per step; depth is m times the pair count and no
-    parallelization is attempted.
+    parallelization is attempted.  m is capped, as ``compile``'s
+    subintervals are, at ``MAX_SAMPLES_PER_SEGMENT``.
     """
     if m < 1:
         raise BadParams("m must be at least 1")
+    if m > MAX_SAMPLES_PER_SEGMENT:
+        raise TooLarge(f"slice counts are limited to {MAX_SAMPLES_PER_SEGMENT}, got {m}")
     if not s.is_constant:
         raise NotConstant("trotterize requires a single constant segment")
     snap = snapshot(s, s.segments[0].t_start)

@@ -23,7 +23,7 @@ class DimensionMismatch(ChromlcError, ValueError):
 
 
 class TooLarge(ChromlcError, ValueError):
-    """Input exceeds a documented size cap (qubits, samples, generated terms, branches)."""
+    """Input exceeds a documented size cap (qubits, samples, generated terms, trials)."""
 
 
 class OutOfRange(ChromlcError, ValueError):

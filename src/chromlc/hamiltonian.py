@@ -33,11 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 MAX_POLY_DEGREE = 8
 # Cap on the samples of one segment: quadrature points of
-# integrated_chromatic_index, subintervals of compile.  A compiled subinterval
-# adds at least one gate of about 2 kB to the gate document, so 2^16
-# subintervals of a single pair already make a 130 MB document; uncapped, a
-# typo such as ``--epsilon 1e-13`` or ``--samples 1000000000000`` asks for
-# terabytes before any work starts.
+# integrated_chromatic_index, subintervals of compile, slices of trotterize.
+# A compiled subinterval adds at least one gate of about 2 kB to the gate
+# document, so 2^16 subintervals of a single pair already make a 130 MB
+# document; uncapped, a typo such as ``--epsilon 1e-13`` or ``--samples
+# 1000000000000`` asks for terabytes before any work starts.
 MAX_SAMPLES_PER_SEGMENT = 2**16
 # Cap on the pair terms a generator may produce, summed over its segments,
 # checked before any draw.  A term stores 16 float coefficients per degree
@@ -432,7 +432,7 @@ def random_graph(
         tracks = np.reshape(rows, (len(pairs), 16, 1))
         tracks[:, 0] = 0.0  # traceless: no global-phase component
         raw = Segment(t0, t1, tuple(pairs), tracks)
-        norms = np.max(np.abs(np.linalg.eigvalsh(raw.matrices_at(t0))), axis=-1, initial=0.0)
+        norms = linalg.hermitian_norms(raw.matrices_at(t0))
         if np.any(norms <= 1e-9):  # 15 Gaussians all near zero: probability zero
             raise RuntimeError("random coefficient draw degenerated")
         segs.append(Segment(t0, t1, raw.pairs, (coupling / norms)[:, None, None] * tracks))
@@ -465,7 +465,7 @@ def random_time_varying(
     tracks[:, 0, :] = 0.0
     raw = Segment(0.0, float(t_total), tuple(pairs), tracks)
     probe = np.stack([raw.matrices_at(float(t)) for t in np.linspace(0.0, t_total, 33)])
-    peaks = np.max(np.abs(np.linalg.eigvalsh(probe)), axis=(0, 2), initial=0.0)
+    peaks = linalg.hermitian_norms(probe).max(axis=0)
     keep = peaks > 1e-9
     tracks = (coupling / peaks[keep])[:, None, None] * tracks[keep]
     kept = tuple(pair for pair, active in zip(pairs, keep) if active)

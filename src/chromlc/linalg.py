@@ -1,11 +1,12 @@
 """Dense complex linear-algebra kernel for small operator matrices.
 
 Everything works on plain ``numpy`` arrays of ``complex128``.  Hermitian
-eigenproblems go to LAPACK (``np.linalg.eigh``, ``eigvalsh``) behind a
-Hermitian check; :func:`hermitian_eig` also takes a stack ``(..., n, n)``
-so that callers can diagonalize all 4x4 pair generators of one sample time
-in a single call, and :func:`is_unitary` checks a stack of gates in one
-call.  The unitary functions build on it.
+eigenproblems go to LAPACK (``np.linalg.eigh``, ``eigvalsh``);
+:func:`hermitian_eig` checks its input first and also takes a stack
+``(..., n, n)`` so that callers can diagonalize all 4x4 pair generators of
+one sample time in a single call.  :func:`hermitian_norms` takes the
+operator norms of such a stack, and :func:`is_unitary` checks a stack of
+gates in one call.  The unitary functions build on :func:`hermitian_eig`.
 
 Sign convention, fixed package-wide: evolutions solve du/dt = -i H(t) u,
 so ``expm_i(h, s)`` returns exp(-i*s*h), and ``unitary_log(u)`` returns the
@@ -28,6 +29,7 @@ __all__ = [
     "EigenDecomposition",
     "expm_i",
     "hermitian_eig",
+    "hermitian_norms",
     "is_hermitian",
     "is_unitary",
     "operator_norm",
@@ -86,11 +88,21 @@ def hermitian_eig(m, tol: float = 1e-10) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
+def hermitian_norms(m) -> np.ndarray:
+    """Operator norms of a Hermitian matrix or a stack ``(..., n, n)``, by one
+    ``eigvalsh``: the largest |eigenvalue| of each, 0 for an empty matrix.
+
+    The input is not checked; callers pass matrices Hermitian by
+    construction or checked with :func:`is_hermitian`.
+    """
+    return np.max(np.abs(np.linalg.eigvalsh(m)), axis=-1, initial=0.0)
+
+
 def operator_norm(m) -> float:
     """Largest singular value; for Hermitian input the largest |eigenvalue|."""
     m = _as_square(m, "operator_norm")
     if is_hermitian(m, 1e-10):
-        return float(np.max(np.abs(np.linalg.eigvalsh(m)), initial=0.0))
+        return float(hermitian_norms(m))
     return float(np.linalg.norm(m, 2))
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iproduct
 
 import numpy as np
 
@@ -74,20 +73,16 @@ NORM_DRIFT_LIMIT = 1e-6
 # about 20 operator applications at most, so the cap stands for about a
 # million applications.
 MAX_TAYLOR_SUBSTEPS = 2**16
-MIXED_BRANCH_CAP = 1024
-BRANCH_CUTOFF = 1e-12  # mixture weights at or below this drop out of a product state
 
 __all__ = [
     "FULL_UNITARY_MAX_QUBITS",
     "STATE_MAX_QUBITS",
     "MeanFieldObservable",
-    "ProductState",
     "StateVector",
     "apply_gate",
     "check_tolerance",
     "evolve_continuous",
     "full_unitary",
-    "mixed_variance",
     "moments",
     "run_schedule",
     "variance",
@@ -131,14 +126,23 @@ class StateVector:
         amps[index] = 1.0
         return cls(n_qubits, amps)
 
+    @classmethod
+    def product(cls, vectors) -> "StateVector":
+        """The product state of one 2-vector per qubit, qubit 0 first.
+
+        Each vector is divided by its norm and keeps its phase; the size
+        cap is checked before any amplitude is allocated.
+        """
+        vectors = list(vectors)
+        _check_state_size(len(vectors))
+        amps = np.ones(1, dtype=np.complex128)
+        for v in vectors:
+            v = np.asarray(v, dtype=np.complex128)
+            amps = np.kron(amps, v / np.linalg.norm(v))
+        return cls(len(vectors), amps)
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes / self.norm())
-
-    def inner(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def _apply_pair_matrix(mat4, array, n, k, l):
@@ -373,11 +377,6 @@ def full_unitary(x, tol: float = 1e-10) -> np.ndarray:
     return u
 
 
-def _norms(stack):
-    """Operator norms of a stack of Hermitian matrices, by one ``eigvalsh``."""
-    return np.max(np.abs(np.linalg.eigvalsh(stack)), axis=-1, initial=0.0)
-
-
 @dataclass(frozen=True)
 class MeanFieldObservable:
     """Sum of one single-qubit Hermitian observable of norm 1 per qubit."""
@@ -389,7 +388,7 @@ class MeanFieldObservable:
         stack = np.reshape(factors, (-1, 2, 2)) if all(f.shape == (2, 2) for f in factors) else None
         if stack is None or not linalg.is_hermitian(stack, 1e-10):
             raise BadParams("observable factors must be 2x2 Hermitian")
-        if np.any(np.abs(_norms(stack) - 1.0) > 1e-10):
+        if np.any(np.abs(linalg.hermitian_norms(stack) - 1.0) > 1e-10):
             raise BadParams("observable factors must have operator norm 1")
         object.__setattr__(self, "factors", factors)
 
@@ -413,7 +412,7 @@ class MeanFieldObservable:
         x = np.random.default_rng(seed).normal(size=(n_qubits, 2, 2, 2))  # per qubit: real, imaginary part
         h = x[:, 0] + 1j * x[:, 1]
         h = (h + np.swapaxes(h, -1, -2).conj()) / 2
-        norms = _norms(h)
+        norms = linalg.hermitian_norms(h)
         if np.any(norms <= 1e-3):
             raise RuntimeError("random observable draw degenerated")
         return cls(tuple(h / norms[:, None, None]))
@@ -435,90 +434,11 @@ def moments(psi: StateVector, a: MeanFieldObservable):
     return m1, m2
 
 
-def variance(state, a: MeanFieldObservable) -> float:
-    """tr(s a^2) - tr(s a)^2 for a pure state or an unevolved product state."""
-    if isinstance(state, ProductState):
-        return mixed_variance(state, a)
-    if state.n_qubits != a.n_qubits:
+def variance(psi: StateVector, a: MeanFieldObservable) -> float:
+    """<a^2> - <a>^2 in the pure state ``psi``."""
+    if psi.n_qubits != a.n_qubits:
         raise DimensionMismatch(
-            f"observable on {a.n_qubits} qubits, state on {state.n_qubits}"
+            f"observable on {a.n_qubits} qubits, state on {psi.n_qubits}"
         )
-    m1, m2 = moments(state, a)
-    return m2 - m1 * m1
-
-
-class ProductState:
-    """Per-qubit 2x2 density matrices (pure states are the rank-1 case)."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        fs = tuple(np.asarray(f, dtype=np.complex128) for f in factors)
-        for f in fs:
-            if f.shape != (2, 2) or not linalg.is_hermitian(f, 1e-10):
-                raise BadParams("product-state factors must be 2x2 Hermitian")
-            if abs(float(np.trace(f).real) - 1.0) > 1e-12:
-                raise BadParams("product-state factors must have unit trace")
-            if float(np.min(linalg.hermitian_eig(f).eigenvalues)) < -1e-12:
-                raise BadParams("product-state factors must be positive semidefinite")
-        self.factors = fs
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.factors)
-
-    @classmethod
-    def pure(cls, vectors) -> "ProductState":
-        factors = []
-        for v in vectors:
-            v = np.asarray(v, dtype=np.complex128)
-            v = v / np.linalg.norm(v)
-            factors.append(np.outer(v, v.conj()))
-        return cls(tuple(factors))
-
-    @classmethod
-    def uniform(cls, n_qubits: int, rho) -> "ProductState":
-        return cls((np.asarray(rho, dtype=np.complex128),) * n_qubits)
-
-    def branches(self):
-        """Decompose into pure product branches (probability, StateVector)."""
-        _check_state_size(self.n_qubits)
-        options = []
-        for f in self.factors:
-            w, v = linalg.hermitian_eig(f)
-            opts = [(float(w[i]), v[:, i]) for i in range(2) if w[i] > BRANCH_CUTOFF]
-            options.append(opts)
-        count = 1
-        for opts in options:
-            count *= len(opts)
-        if count > MIXED_BRANCH_CAP:
-            raise TooLarge(f"{count} product branches exceed the cap {MIXED_BRANCH_CAP}")
-        out = []
-        for combo in _iproduct(*options):
-            prob = 1.0
-            vec = np.array([1.0 + 0.0j])
-            for p, v in combo:
-                prob *= p
-                vec = np.kron(vec, v)
-            out.append((prob, StateVector(len(self.factors), vec)))
-        return out
-
-
-def mixed_variance(state: ProductState, a: MeanFieldObservable, evolve=None) -> float:
-    """Variance of a mean-field observable in an (optionally evolved) product state.
-
-    ``evolve`` maps a pure StateVector to its evolved image; moments are
-    combined across branches before the variance is formed.
-    """
-    if state.n_qubits != a.n_qubits:
-        raise DimensionMismatch(
-            f"observable on {a.n_qubits} qubits, state on {state.n_qubits}"
-        )
-    m1 = 0.0
-    m2 = 0.0
-    for prob, branch in state.branches():
-        psi = evolve(branch) if evolve is not None else branch
-        b1, b2 = moments(psi, a)
-        m1 += prob * b1
-        m2 += prob * b2
+    m1, m2 = moments(psi, a)
     return m2 - m1 * m1

@@ -28,7 +28,6 @@ from chromlc.serialization import (
 )
 from chromlc.simulator import (
     MeanFieldObservable,
-    ProductState,
     StateVector,
     full_unitary,
     variance,
@@ -266,7 +265,7 @@ def test_c07_witness_sanity():
         if abs(variance(ghz, obs) - n * n) >= 1e-9:
             ok = False
         plus = np.full(2, 1 / np.sqrt(2), dtype=complex)
-        uniform = ProductState.pure([plus] * n).branches()[0][1]
+        uniform = StateVector.product([plus] * n)
         if abs(variance(uniform, obs) - n) >= 1e-9:
             ok = False
     _report(7, "entanglement witness sanity", ok, "GHZ gives n^2, product gives n", started)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,36 @@ def test_fuzzed_product_state_loads_or_raises_chromlc_error(path, value):
     assert abs(psi.norm() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "qubits",
+    [
+        _PRODUCT_BASE["qubits"],
+        [[[-0.3, 1.7], [2.5, -0.1]], [[0, -1], [1e-3, 0]], [[1e100, 0], [0, -1e100]]],
+        np.random.default_rng(5).normal(size=(6, 2, 2)).tolist(),
+    ],
+)
+def test_product_state_is_the_product_of_the_normalized_vectors(tmp_path, qubits):
+    # an eigh round trip of each |v><v| returned the vectors up to a phase
+    state = tmp_path / "state.json"
+    state.write_text(_product_state_text(qubits))
+    vectors = [np.array([complex(re, im) for re, im in q]) for q in qubits]
+    expected = reduce(np.kron, [v / np.linalg.norm(v) for v in vectors])
+    assert np.array_equal(cli._load_state(str(state), len(qubits)).amplitudes, expected)
+
+
+def test_simulate_keeps_the_given_phase(tmp_path, capsys):
+    # the eigh round trip printed re = -0.6 and im = -0.8000000000000002
+    spath = tmp_path / "chain.json"
+    run_cli(capsys, "generate", "chain", "--n", "2", "--t", "1e-300", "-o", str(spath))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(_PRODUCT_BASE))
+    code, out, _ = run_cli(capsys, "simulate", str(spath), "--state", str(state))
+    assert code == 0
+    rows = {row["bitstring"]: row for row in json.loads(out)["amplitudes"]}
+    assert (rows["00"]["re"], rows["00"]["im"]) == (0.6, 0.0)
+    assert (rows["10"]["re"], rows["10"]["im"], rows["10"]["probability"]) == (0.0, 0.8, 0.8 * 0.8)
+
+
 @pytest.mark.parametrize("spec", ["basis:x", "basis:", "basis:1.5", "basis:99"])
 def test_simulate_bad_basis_state_exits_2(tmp_path, capsys, spec):
     spath = tmp_path / "chain.json"
@@ -539,6 +570,24 @@ def test_verify_variance_alpha_cap(capsys):
     )
     assert code == 2
     assert "alpha < 1/2" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("trotter", "{doc}", "--m-list", "1000000000000"), "slice counts are limited to 65536"),
+        (("verify", "variance", "--n", "2", "--alpha", "0.1", "--trials", "1000000000000"), "trials are limited to 65536"),
+    ],
+)
+def test_count_caps_exit_2(tmp_path, capsys, argv, message):
+    # uncapped, the trotter baseline built 10^12 passes of steps until a
+    # timeout stopped it, and the sweep asked for 22 TiB of trial seeds
+    spath = tmp_path / "c3.json"
+    run_cli(capsys, "generate", "random_graph", "--n", "3", "--p", "1", "-o", str(spath))
+    with wall_clock_bound(5.0):
+        code, out, err = run_cli(capsys, *(a.format(doc=spath) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}, got 1000000000000\n"
 
 
 def test_verify_theorem1(tmp_path, capsys):

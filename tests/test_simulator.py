@@ -1,5 +1,6 @@
 import math
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -25,12 +26,10 @@ from chromlc.hamiltonian import (
 )
 from chromlc.simulator import (
     MeanFieldObservable,
-    ProductState,
     StateVector,
     apply_gate,
     evolve_continuous,
     full_unitary,
-    mixed_variance,
     moments,
     run_schedule,
     variance,
@@ -464,7 +463,7 @@ def test_variance_ghz():
 def test_variance_uniform_product():
     n = 5
     plus = np.full(2, 1 / np.sqrt(2), dtype=complex)
-    psi = ProductState.pure([plus] * n).branches()[0][1]
+    psi = StateVector.product([plus] * n)
     obs = MeanFieldObservable.pauli(n, "z")
     assert abs(variance(psi, obs) - n) < 1e-9
 
@@ -475,7 +474,7 @@ def test_variance_of_product_states_grows_linearly():
     for _ in range(20):
         n = int(rng.integers(2, 7))
         qubits = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-        psi = ProductState.pure(list(qubits)).branches()[0][1]
+        psi = StateVector.product(qubits)
         obs = MeanFieldObservable.random(n, seed=int(rng.integers(0, 1000)))
         assert variance(psi, obs) <= n + 1e-9
 
@@ -528,45 +527,13 @@ def test_random_observable_matches_per_qubit_draws():
             assert np.array_equal(np.array(got), np.array(per_qubit_observable_factors(n, seed)))
 
 
-def test_product_state_validation_and_branches():
-    with pytest.raises(BadParams):
-        ProductState((np.diag([0.5, 0.6]),))
-    with pytest.raises(BadParams):
-        ProductState((np.array([[1.5, 0], [0, -0.5]]),))
-    pure = ProductState.pure([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    branches = pure.branches()
-    assert len(branches) == 1
-    prob, psi = branches[0]
-    assert abs(prob - 1.0) < 1e-12
+def test_state_vector_product():
+    psi = StateVector.product([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+    assert psi.n_qubits == 2
     assert abs(psi.amplitudes[0b01] - 1.0) < 1e-12
-
-
-def test_mixed_variance_matches_dense_oracle():
-    # maximally mixed pair of qubits against the dense density-matrix formula
-    rho = np.diag([0.75, 0.25]).astype(complex)
-    state = ProductState.uniform(2, rho)
-    obs = MeanFieldObservable.random(2, seed=9)
-    rho_full = np.kron(rho, rho)
-    a_dense = sum(embed_single_operator(obs.factors[j], 2, j) for j in range(2))
-    m1 = np.trace(rho_full @ a_dense).real
-    m2 = np.trace(rho_full @ a_dense @ a_dense).real
-    assert abs(mixed_variance(state, obs) - (m2 - m1 * m1)) < 1e-10
-    assert abs(variance(state, obs) - (m2 - m1 * m1)) < 1e-10
-
-
-def test_mixed_variance_with_evolution():
-    rho = np.diag([0.6, 0.4]).astype(complex)
-    state = ProductState.uniform(2, rho)
-    obs = MeanFieldObservable.pauli(2, "z")
-    s = single_pair_schedule({"XX": (0.7,), "ZI": (0.4,)})
-
-    def evolve(psi):
-        return evolve_continuous(psi, s, 1e-10)
-
-    value = mixed_variance(state, obs, evolve=evolve)
-    u = full_unitary(s, 1e-11)
-    rho_full = u @ np.kron(rho, rho) @ u.conj().T
-    a_dense = sum(embed_single_operator(obs.factors[j], 2, j) for j in range(2))
-    m1 = np.trace(rho_full @ a_dense).real
-    m2 = np.trace(rho_full @ a_dense @ a_dense).real
-    assert abs(value - (m2 - m1 * m1)) < 1e-8
+    # each vector is normalized once and keeps its phase
+    vectors = [np.array([3.0, 4.0j]), np.array([-1j, 1.0]), np.array([0.5 - 2j, -0.25])]
+    expected = reduce(np.kron, [v / np.linalg.norm(v) for v in vectors])
+    assert np.array_equal(StateVector.product(vectors).amplitudes, expected)
+    with pytest.raises(TooLarge, match="state vectors are limited to 18 qubits, got 40"):
+        StateVector.product([[1.0, 0.0]] * 40)
