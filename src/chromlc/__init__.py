@@ -91,9 +91,9 @@ from .serialization import (
 from .simulator import (
     MeanFieldObservable,
     StateVector,
-    apply_gate,
     evolve_continuous,
     full_unitary,
+    propagate,
     run_schedule,
     variance,
 )

@@ -216,8 +216,8 @@ def _subintervals(s: HamiltonianSchedule, epsilon: float) -> list:
 
     Each segment splits into ceil(length/epsilon) equal parts of length
     delta, so epsilon must be positive and at most the shortest segment
-    length, and a segment may not split into more than
-    ``MAX_SAMPLES_PER_SEGMENT`` parts.
+    length, and the schedule may not split into more than
+    ``MAX_SAMPLES_PER_SEGMENT`` parts in all.
     """
     if not epsilon > 0:
         raise BadParams("epsilon must be positive")
@@ -226,14 +226,16 @@ def _subintervals(s: HamiltonianSchedule, epsilon: float) -> list:
             f"epsilon {epsilon} exceeds the shortest segment length {s.min_segment_length()}"
         )
     out = []
+    left = MAX_SAMPLES_PER_SEGMENT
     for seg in s.segments:
-        parts = seg.length / epsilon - 1e-12
-        if parts > MAX_SAMPLES_PER_SEGMENT:
+        parts = seg.length / epsilon - 1e-12  # inf when 1 / epsilon overflows
+        if not parts <= left:
             raise TooLarge(
-                f"epsilon {epsilon} splits a segment of length {seg.length} into more than "
+                f"epsilon {epsilon} splits the schedule into more than "
                 f"{MAX_SAMPLES_PER_SEGMENT} subintervals"
             )
         count = max(1, math.ceil(parts))
+        left -= count
         delta = seg.length / count
         out.append((seg, delta, [seg.t_start + (i + 0.5) * delta for i in range(count)]))
     return out

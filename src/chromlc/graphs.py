@@ -73,15 +73,16 @@ class WeightedGraph:
     def pairs(self):
         return tuple((k, l) for k, l, _ in self.edges)
 
-    def degrees(self):
-        deg = [0] * self.n_vertices
+    def degrees(self) -> dict:
+        """vertex -> degree for the touched vertices; no table is sized by ``n_vertices``."""
+        deg = {}
         for k, l, _ in self.edges:
-            deg[k] += 1
-            deg[l] += 1
+            deg[k] = deg.get(k, 0) + 1
+            deg[l] = deg.get(l, 0) + 1
         return deg
 
     def max_degree(self) -> int:
-        return max(self.degrees(), default=0) if self.edges else 0
+        return max(self.degrees().values(), default=0)
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,8 @@ def _search_edge_coloring(n_vertices, order, k, budget):
     capped at one above the highest color used so far: every color above
     that is still unused everywhere, so trying one of them is enough, under
     any edge order.  Returns the color list (aligned with ``order``), False
-    when no k-edge-coloring exists, or None after ``budget`` nodes.
+    when no k-edge-coloring exists, or None after ``budget`` nodes.  The
+    vertices of ``order`` are 0 .. ``n_vertices`` - 1.
     """
     m = len(order)
     colors = [-1] * m
@@ -234,13 +236,13 @@ def color_edges(g: WeightedGraph) -> ChromaticIndexResult:
     if m == 0:
         return ChromaticIndexResult(0, EdgeColoring(()), True)
     deg = g.degrees()
-    delta = max(deg)
+    delta = max(deg.values())
     # A color class is a matching, so it covers at most half the touched vertices.
-    active = sum(1 for d in deg if d > 0)
-    proven = m > delta * (active // 2)
+    proven = m > delta * (len(deg) // 2)
     if not proven and m <= EXACT_SEARCH_CAP:
         order = sorted(pairs, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
-        colors = _search_edge_coloring(g.n_vertices, order, delta, SEARCH_NODE_BUDGET)
+        label = dict(zip(deg, range(len(deg))))  # the touched vertices, relabeled 0, 1, ...
+        colors = _search_edge_coloring(len(label), [(label[u], label[v]) for u, v in order], delta, SEARCH_NODE_BUDGET)
         if colors:
             return ChromaticIndexResult(delta, _coloring_from_assignment(order, colors, delta), True)
         proven = colors is False
@@ -257,10 +259,9 @@ def edge_color_vizing(g: WeightedGraph) -> EdgeColoring:
     pairs = sorted(g.pairs)
     if not pairs:
         return EdgeColoring(())
-    deg = g.degrees()
-    n_colors = max(deg) + 1
+    n_colors = g.max_degree() + 1
     colour = {}
-    incident = [dict() for _ in range(g.n_vertices)]  # vertex -> {color: neighbor}
+    incident = {v: {} for pair in pairs for v in pair}  # vertex -> {color: neighbor}
 
     def key(a, b):
         return (a, b) if a < b else (b, a)
@@ -398,13 +399,17 @@ def level_decompose(g: WeightedGraph, known: dict | None = None) -> LevelDecompo
             # Classes of a normalized coloring are normalized, so __post_init__ is skipped.
             inherited = object.__new__(EdgeColoring)
             object.__setattr__(inherited, "classes", tuple(cls for cls in classes if cls))
-            if inherited.n_classes() == max(deg):
+            if inherited.n_classes() == max(deg.values()):
                 levels.append(Level(threshold, inherited.n_classes(), inherited, True))
                 continue
         key = frozenset(remaining)
         res = None if known is None else known.get(key)
         if res is None:
-            res = color_edges(WeightedGraph(g.n_vertices, tuple(e for cl in clusters[j:] for e in cl)))
+            # The level's edges are edges of g, valid already, so __post_init__ is skipped.
+            sub = object.__new__(WeightedGraph)
+            object.__setattr__(sub, "n_vertices", g.n_vertices)
+            object.__setattr__(sub, "edges", tuple(e for cl in clusters[j:] for e in cl))
+            res = color_edges(sub)
             if known is not None:
                 known[key] = res
         levels.append(Level(threshold, res.index, res.coloring, res.exact))

@@ -32,12 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .compiler import GateSchedule
 
 MAX_POLY_DEGREE = 8
-# Cap on the samples of one segment: quadrature points of
-# integrated_chromatic_index, subintervals of compile, slices of trotterize.
-# A compiled subinterval adds at least one gate of about 2 kB to the gate
-# document, so 2^16 subintervals of a single pair already make a 130 MB
-# document; uncapped, a typo such as ``--epsilon 1e-13`` or ``--samples
-# 1000000000000`` asks for terabytes before any work starts.
+# Cap on samples: quadrature points per segment of integrated_chromatic_index,
+# subintervals of a whole compile (all segments together), slices of
+# trotterize.  A compiled subinterval adds at least one gate of about 2 kB to
+# the gate document, so 2^16 subintervals of a single pair already make a
+# 130 MB document; uncapped, a typo such as ``--epsilon 1e-13`` or
+# ``--samples 1000000000000`` asks for terabytes before any work starts.
 MAX_SAMPLES_PER_SEGMENT = 2**16
 # Cap on the pair terms a generator may produce, summed over its segments,
 # checked before any draw.  A term stores 16 float coefficients per degree
@@ -221,10 +221,7 @@ class HamiltonianSchedule:
         """Segment containing t, right-open except at t = T."""
         if t < 0.0 or t > self.total_time:
             raise OutOfRange(f"t={t} outside [0, {self.total_time}]")
-        if t == self.total_time:
-            return self.segments[-1]
-        starts = [seg.t_start for seg in self.segments]
-        return self.segments[bisect_right(starts, t) - 1]
+        return self.segments[bisect_right(self.segments, t, key=lambda seg: seg.t_start) - 1]
 
 
 @dataclass(frozen=True)

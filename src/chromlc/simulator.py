@@ -6,13 +6,13 @@ state reshaped to (2,)*n has qubit q on axis q.  Gates are applied through
 tensor contractions on the two relevant axes; a gate schedule's 2^n x 2^n
 operator is never materialized.
 
-The reference integrator propagates d psi/dt = -i H(t) psi for a single
-state (``evolve_continuous``) or the columns of the identity
-(``full_unitary``), one segment after the other.  A segment of length L
-gets the share tol * L / T of the tolerance, which must be finite and at
-least 1e-12.  On a segment, -i H(t) = sum_d t^d G_d, where G_d comes from
-the degree-d slice of the segment's (terms, 16, degree + 1) coefficient
-array, and the segment builds this map once.
+``propagate`` carries a state (2^n,) or a block of states (2^n, k)
+through a gate schedule, gate by gate, or through a Hamiltonian schedule,
+by integrating d psi/dt = -i H(t) psi one segment after the other.  A
+segment of length L gets the share tol * L / T of the tolerance, which
+must be finite and at least 1e-12.  On a segment, -i H(t) = sum_d t^d G_d,
+where G_d comes from the degree-d slice of the segment's (terms, 16,
+degree + 1) coefficient array, and the segment builds this map once.
 
 Every segment is propagated by the classical Taylor-series method, with
 no eigendecomposition; on a constant segment it is a truncated Taylor
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .compiler import Gate, GateSchedule
+from .compiler import GateSchedule
 from .errors import (
     BadParams,
     DimensionMismatch,
@@ -63,10 +63,10 @@ FULL_UNITARY_MAX_QUBITS = 6
 # 4 MB at 9 qubits but 64 MB at 11.  One segment's matrices are held at a
 # time, built once per segment.
 DENSE_GENERATOR_MAX_QUBITS = 9
-# convergence_study keeps a block of 20 random states and their 20 evolved
-# images, and the Taylor recurrence holds up to 12 more copies of the state
-# it integrates (degree 8): some 52 columns of 2^n amplitudes at 16 bytes,
-# about 0.2 GB at 18 qubits.
+# convergence_study integrates a block of 20 random states at once, and on
+# a degree-8 segment the Taylor recurrence holds about 37 copies of the block
+# it integrates (5 on a constant segment): some 760 columns of 2^n amplitudes
+# at 16 bytes, about 3.2 GB at 18 qubits (0.5 GB on constant segments).
 STATE_MAX_QUBITS = 18
 NORM_DRIFT_LIMIT = 1e-6
 # Work cap for one schedule.  A Taylor substep of a constant segment takes
@@ -79,11 +79,11 @@ __all__ = [
     "STATE_MAX_QUBITS",
     "MeanFieldObservable",
     "StateVector",
-    "apply_gate",
     "check_tolerance",
     "evolve_continuous",
     "full_unitary",
     "moments",
+    "propagate",
     "run_schedule",
     "variance",
 ]
@@ -119,9 +119,9 @@ class StateVector:
 
     @classmethod
     def basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
+        _check_state_size(n_qubits)  # before 2**n_qubits, which takes minutes past 10^10 qubits
         if not 0 <= index < 2**n_qubits:
             raise IndexOutOfRange(f"basis index {index} outside register of {n_qubits} qubits")
-        _check_state_size(n_qubits)
         amps = np.zeros(2**n_qubits, dtype=np.complex128)
         amps[index] = 1.0
         return cls(n_qubits, amps)
@@ -145,13 +145,9 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _apply_pair_matrix(mat4, array, n, k, l):
-    """Apply a 4x4 operator to axes (k, l); array may carry a column axis."""
-    return _apply_pair_stack(np.asarray(mat4)[None], array[None], n, k, l)
-
-
 def _apply_pair_stack(mats, stack, n, k, l):
-    """sum_d of the 4x4 operator mats[d] applied to axes (k, l) of stack[d]."""
+    """sum_d of the 4x4 operator mats[d] applied to axes (k, l) of stack[d];
+    each stack[d] may carry a column axis."""
     tensor = stack.reshape((len(mats),) + (2,) * n + stack.shape[2:])
     u = mats.reshape(-1, 2, 2, 2, 2)
     out = np.tensordot(u, tensor, axes=([0, 3, 4], [0, k + 1, l + 1]))
@@ -167,24 +163,11 @@ def _apply_single_matrix(mat2, array, n, q):
     return out.reshape(array.shape)
 
 
-def apply_gate(psi: StateVector, gate: Gate) -> StateVector:
-    k, l = gate.pair
-    if l >= psi.n_qubits:
-        raise IndexOutOfRange(f"gate pair {gate.pair} outside register of {psi.n_qubits} qubits")
-    return StateVector(
-        psi.n_qubits, _apply_pair_matrix(gate.unitary, psi.amplitudes, psi.n_qubits, k, l)
-    )
-
-
 def run_schedule(psi: StateVector, g: GateSchedule) -> StateVector:
     """Apply the steps in order; gates within a step commute by disjointness."""
     if g.n_qubits != psi.n_qubits:
         raise DimensionMismatch(f"schedule is on {g.n_qubits} qubits, state on {psi.n_qubits}")
-    amps = psi.amplitudes
-    for step in g.steps:
-        for gate in step.gates:
-            amps = _apply_pair_matrix(gate.unitary, amps, psi.n_qubits, *gate.pair)
-    return StateVector(psi.n_qubits, amps)
+    return StateVector(psi.n_qubits, propagate(g, psi.amplitudes))
 
 
 def _dense_generators(seg, n):
@@ -340,20 +323,41 @@ def _integrate_adaptive(s: HamiltonianSchedule, array, tol: float):
     return array
 
 
-def evolve_continuous(psi: StateVector, s: HamiltonianSchedule, tol: float = 1e-10) -> StateVector:
-    """Integrate the Schrodinger equation for the schedule's full duration.
+def propagate(x, array, tol: float = 1e-10) -> np.ndarray:
+    """``array``, one state (2^n,) or a block of states (2^n, k), carried through ``x``.
 
-    The result is renormalized (drift is checked first and must stay below
-    ``NORM_DRIFT_LIMIT``, otherwise ``NormDrift`` is raised).
+    A ``GateSchedule`` applies its steps in order.  A ``HamiltonianSchedule``
+    is integrated to ``tol``, and every column, a unit vector at the start,
+    must end within ``NORM_DRIFT_LIMIT`` of norm 1 (``NormDrift`` otherwise);
+    the columns are not renormalized.
     """
+    if not isinstance(x, (GateSchedule, HamiltonianSchedule)):
+        raise BadParams(f"cannot propagate through a {type(x).__name__}")
+    n = x.n_qubits
+    _check_state_size(n)
+    array = np.asarray(array, dtype=np.complex128)
+    if array.ndim not in (1, 2) or array.shape[0] != 2**n:
+        raise DimensionMismatch(f"expected 2^{n} rows of amplitudes, got an array of shape {array.shape}")
+    if isinstance(x, GateSchedule):
+        for step in x.steps:
+            for gate in step.gates:
+                array = _apply_pair_stack(gate.unitary[None], array[None], n, *gate.pair)
+        return array
+    check_tolerance(tol)
+    array = _integrate_adaptive(x, array, tol)
+    norms = np.linalg.norm(array.reshape(len(array), -1), axis=0)
+    worst = float(norms[np.argmax(np.abs(norms - 1.0))])  # nan when any column is
+    if not abs(worst - 1.0) <= NORM_DRIFT_LIMIT:
+        raise NormDrift(f"integration drifted the norm to {worst}")
+    return array
+
+
+def evolve_continuous(psi: StateVector, s: HamiltonianSchedule, tol: float = 1e-10) -> StateVector:
+    """The state integrated over the whole schedule, renormalized after ``propagate``'s drift check."""
     if s.n_qubits != psi.n_qubits:
         raise DimensionMismatch(f"schedule is on {s.n_qubits} qubits, state on {psi.n_qubits}")
-    check_tolerance(tol)
-    final = _integrate_adaptive(s, psi.amplitudes, tol)
-    norm = float(np.linalg.norm(final))
-    if abs(norm - 1.0) > NORM_DRIFT_LIMIT:
-        raise NormDrift(f"integration drifted the norm to {norm}")
-    return StateVector(psi.n_qubits, final / norm)
+    final = propagate(s, psi.amplitudes, tol)
+    return StateVector(psi.n_qubits, final / np.linalg.norm(final))
 
 
 def full_unitary(x, tol: float = 1e-10) -> np.ndarray:
@@ -362,16 +366,7 @@ def full_unitary(x, tol: float = 1e-10) -> np.ndarray:
     n = x.n_qubits
     if n > FULL_UNITARY_MAX_QUBITS:
         raise TooLarge(f"full unitaries are limited to {FULL_UNITARY_MAX_QUBITS} qubits")
-    dim = 2**n
-    u = np.eye(dim, dtype=np.complex128)
-    if isinstance(x, GateSchedule):
-        for step in x.steps:
-            for gate in step.gates:
-                u = _apply_pair_matrix(gate.unitary, u, n, *gate.pair)
-    elif isinstance(x, HamiltonianSchedule):
-        u = _integrate_adaptive(x, u, tol)
-    else:
-        raise BadParams(f"cannot extract a unitary from {type(x).__name__}")
+    u = propagate(x, np.eye(2**n, dtype=np.complex128), tol)
     if not linalg.is_unitary(u, max(10 * tol, 1e-12)):
         raise NotUnitary("extracted matrix failed the unitarity check")
     return u

@@ -11,7 +11,9 @@ and must agree with it within the tolerance.  The parity oracles at the
 end keep earlier, slower forms of package loops (per-term and per-qubit
 random draws, level decomposition that searches every level afresh, gates
 built and checked one at a time, coefficient rows trimmed one at a time)
-that the package must match bit for bit.
+that the package must match bit for bit, and the convergence study's
+reference states evolved one at a time, which its block of states must
+match to rounding.
 """
 
 import contextlib
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
-from chromlc import cli, compiler, graphs, hamiltonian, linalg
+from chromlc import analysis, cli, compiler, graphs, hamiltonian, linalg, simulator
 from chromlc.errors import ToleranceUnreachable
 from chromlc.compiler import Gate, GateSchedule, Step
 from chromlc.graphs import EdgeColoring, Level, LevelDecomposition, WeightedGraph
@@ -438,7 +440,7 @@ def restricting_level_decompose(g):
                 deg[l] -= 1
                 remaining.discard((k, l))
             inherited = restricted_to(levels[-1].coloring, remaining)
-            if inherited.n_classes() == max(deg):
+            if inherited.n_classes() == max(deg.values()):
                 levels.append(Level(threshold, inherited.n_classes(), inherited, True))
                 continue
         res = graphs.color_edges(WeightedGraph(g.n_vertices, tuple(e for cl in clusters[j:] for e in cl)))
@@ -512,3 +514,23 @@ def per_row_dumps_schedule(s: HamiltonianSchedule) -> str:
         segments.append({"t_start": seg.t_start, "t_end": seg.t_end, "terms": terms})
     doc = {"format": "chromlc-schedule", "version": 1, "n_qubits": s.n_qubits, "segments": segments}
     return json.dumps(doc, indent=2) + "\n"
+
+
+def per_state_convergence_errors(s: HamiltonianSchedule, epsilons, tol):
+    """``analysis.convergence_study``'s error column past full unitaries, one
+    reference state at a time: one ``evolve_continuous`` per state, then one
+    ``run_schedule`` per state and epsilon."""
+    n, k = s.n_qubits, analysis.REFERENCE_STATES
+    rng = np.random.default_rng(0)
+    raw = rng.normal(size=(2**n, k)) + 1j * rng.normal(size=(2**n, k))
+    raw /= np.linalg.norm(raw, axis=0)
+    initial = [simulator.StateVector(n, raw[:, i]) for i in range(k)]
+    reference = [simulator.evolve_continuous(psi, s, tol) for psi in initial]
+    errors = []
+    for eps in epsilons:
+        gates, _ = compiler.compile(s, eps)
+        errors.append(max(
+            float(np.linalg.norm(simulator.run_schedule(psi, gates).amplitudes - ref.amplitudes))
+            for psi, ref in zip(initial, reference)
+        ))
+    return errors

@@ -6,9 +6,9 @@ import pytest
 
 from chromlc import analysis
 from chromlc.errors import BadParams
-from chromlc.hamiltonian import chain, random_graph
+from chromlc.hamiltonian import chain, random_graph, random_time_varying
 
-from helpers import single_pair_schedule
+from helpers import per_state_convergence_errors, single_pair_schedule
 
 
 def test_convergence_study_piecewise_constant():
@@ -20,6 +20,16 @@ def test_convergence_study_piecewise_constant():
     for row in rows:
         assert row.depth_gap < 1e-9
     assert analysis.check_convergence(rows) == []
+
+
+def test_convergence_study_past_full_unitaries_matches_per_state_errors():
+    # 7 qubits: the study carries its 20 reference states as one block
+    s = random_time_varying(7, 0.5, p=0.4, seed=3, degree=2)
+    epsilons = [0.25, 0.125]
+    rows = analysis.convergence_study(s, epsilons, tol=1e-10)
+    assert [r.epsilon for r in rows] == epsilons
+    for row, error in zip(rows, per_state_convergence_errors(s, epsilons, 1e-10)):
+        assert abs(row.error - error) <= 1e-12 * error
 
 
 def test_convergence_study_rejects_unsorted():

@@ -418,6 +418,42 @@ def test_state_qubit_cap_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error: state vectors are limited to 18 qubits")
 
 
+def _one_term_document(path, n_qubits):
+    doc = {
+        "format": "chromlc-schedule", "version": 1, "n_qubits": n_qubits,
+        "segments": [{"t_start": 0.0, "t_end": 1.0, "terms": [{"pair": [0, 1], "coeffs": {"ZZ": [1.0]}}]}],
+    }
+    path.write_text(json.dumps(doc))
+
+
+def test_basis_state_on_a_huge_register_exits_2(tmp_path, capsys):
+    # 2**n was computed before the size cap was checked: 7 s at 10^9 qubits,
+    # and past 10^11 a 20 s timeout stopped it
+    spath = tmp_path / "huge.json"
+    _one_term_document(spath, 10**9)
+    with wall_clock_bound(2.0):
+        code, out, err = run_cli(capsys, "simulate", str(spath), "--state", "basis:0")
+    assert (code, out) == (2, "")
+    assert err == "error: state vectors are limited to 18 qubits, got 1000000000\n"
+
+
+@pytest.mark.parametrize("command", ["index", "compile"])
+def test_index_and_compile_on_a_huge_register(tmp_path, capsys, command):
+    # per-vertex tables sized by the register asked for 800 GB at 10^11
+    # qubits; at 2^61 such a list fails at once with a MemoryError
+    spath, gpath = tmp_path / "huge.json", tmp_path / "gates.json"
+    _one_term_document(spath, 2**61)
+    argv = ["index", str(spath)] if command == "index" else ["compile", str(spath), "--epsilon", "0.5", "-o", str(gpath)]
+    with wall_clock_bound(5.0):
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    if command == "index":
+        assert out.startswith("I = 1.0 (error estimate 0.0)\n")
+    else:
+        assert err == "compiled 2 steps, weighted depth 1.0\n"
+        assert loads_gates(gpath.read_text()).n_qubits == 2**61
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 @pytest.mark.parametrize(
     "argv",

@@ -11,7 +11,7 @@ from chromlc.compiler import (
     trotterize,
     weighted_depth,
 )
-from chromlc.errors import BadParams, ChromlcError, EpsilonTooLarge, NotConstant, NotUnitary
+from chromlc.errors import BadParams, ChromlcError, EpsilonTooLarge, NotConstant, NotUnitary, TooLarge
 from chromlc.graphs import EXACT_SEARCH_CAP, color_edges
 from chromlc.hamiltonian import (
     HamiltonianSchedule,
@@ -35,6 +35,7 @@ from helpers import (
     restricting_level_decompose,
     single_pair_schedule,
     two_pair_noncommuting,
+    wall_clock_bound,
 )
 
 
@@ -476,3 +477,17 @@ def test_rechromatize_param_validation():
         rechromatize(s, 0, 0.25)
     with pytest.raises(EpsilonTooLarge):
         rechromatize(s, 1, 2.0)
+
+
+def test_subinterval_cap_holds_for_the_whole_schedule():
+    # 65 unit segments at epsilon 1/1024: 1024 subintervals each, within the
+    # cap one by one but 66,560 in all.  Counted per segment, 1000 unit
+    # segments at epsilon 1.53e-5 asked for 65.4 million subintervals (a
+    # gate file of some 130 GB) and ran past a 10 s timeout.
+    s = random_graph(2, 65.0, p=1.0, seed=1, segments=65)
+    message = "epsilon 0.0009765625 splits the schedule into more than 65536 subintervals"
+    with wall_clock_bound(5.0):
+        for run in (lambda: compile(s, 1 / 1024), lambda: rechromatize(s, 1, 1 / 1024)):
+            with pytest.raises(TooLarge) as info:
+                run()
+            assert str(info.value) == message

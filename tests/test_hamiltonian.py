@@ -37,6 +37,7 @@ from helpers import (
     reference_matrices,
     restricting_level_decompose,
     single_pair_schedule,
+    wall_clock_bound,
 )
 
 
@@ -161,6 +162,19 @@ def test_segment_lookup_is_right_open():
     assert eval_pair(s, (0, 1), 0.5)[0, 0].real == 2.0
     assert eval_pair(s, (0, 1), 1.0)[0, 0].real == 2.0
     assert eval_pair(s, (0, 1), 0.25)[0, 0].real == 1.0
+
+
+def test_segment_lookup_is_bounded_on_many_segments():
+    # rebuilding the list of segment starts on every lookup made these
+    # 20,000 lookups, one per compiled subinterval of a 20,000-segment
+    # schedule, take seconds
+    n = 20_000
+    ends = [i / n for i in range(n + 1)]
+    s = HamiltonianSchedule(2, tuple(Segment(a, b) for a, b in zip(ends, ends[1:])))
+    with wall_clock_bound(2.0):
+        found = [s.segment_at((a + b) / 2) for a, b in zip(ends, ends[1:])]
+    assert all(seg is want for seg, want in zip(found, s.segments))
+    assert s.segment_at(1.0) is s.segments[-1]
 
 
 def test_interaction_graph():

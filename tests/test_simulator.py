@@ -27,10 +27,10 @@ from chromlc.hamiltonian import (
 from chromlc.simulator import (
     MeanFieldObservable,
     StateVector,
-    apply_gate,
     evolve_continuous,
     full_unitary,
     moments,
+    propagate,
     run_schedule,
     variance,
 )
@@ -69,22 +69,29 @@ def test_state_vector_validation():
     assert psi.amplitudes[5] == 1.0
 
 
-def test_apply_gate_identity_and_swap():
+def one_gate_schedule(n, pair, unitary):
+    return GateSchedule(n, (Step((Gate.from_unitary(pair, unitary),)),))
+
+
+def test_run_schedule_identity_and_swap():
     psi = StateVector.basis(2, 0b01)
-    out = apply_gate(psi, Gate.from_unitary((0, 1), np.eye(4)))
+    out = run_schedule(psi, one_gate_schedule(2, (0, 1), np.eye(4)))
     assert np.array_equal(out.amplitudes, psi.amplitudes)
-    swapped = apply_gate(psi, Gate.from_unitary((0, 1), SWAP))
+    swapped = run_schedule(psi, one_gate_schedule(2, (0, 1), SWAP))
     assert abs(swapped.amplitudes[0b10] - 1.0) < 1e-14
 
 
-def test_apply_gate_qubit_order_convention():
+def test_run_schedule_qubit_order_convention():
     # qubit 0 is the most significant bit: a gate on (0,1) of a 3-qubit
     # register must leave qubit 2 alone
     psi = StateVector.basis(3, 0b011)
-    out = apply_gate(psi, Gate.from_unitary((0, 1), SWAP))
+    out = run_schedule(psi, one_gate_schedule(3, (0, 1), SWAP))
     assert abs(out.amplitudes[0b101] - 1.0) < 1e-14
-    with pytest.raises(IndexOutOfRange):
-        apply_gate(psi, Gate.from_unitary((1, 3), SWAP))
+    # a gate outside the register never reaches the state
+    with pytest.raises(BadParams):
+        one_gate_schedule(3, (1, 3), SWAP)
+    with pytest.raises(DimensionMismatch):
+        run_schedule(psi, one_gate_schedule(4, (1, 3), SWAP))
 
 
 def test_norm_preserved_over_many_gates():
@@ -93,11 +100,8 @@ def test_norm_preserved_over_many_gates():
         Gate.from_unitary(tuple(sorted(rng.choice(5, size=2, replace=False))), haar_unitary(4, rng))
         for _ in range(64)
     ]
-    psi = StateVector.basis(5, 0)
-    amps = psi.amplitudes
-    for i in range(10_000):
-        g = gates[i % len(gates)]
-        psi = apply_gate(psi, g)
+    schedule = GateSchedule(5, tuple(Step((gates[i % len(gates)],)) for i in range(10_000)))
+    psi = run_schedule(StateVector.basis(5, 0), schedule)
     assert abs(psi.norm() - 1.0) < 1e-9
 
 
@@ -142,6 +146,46 @@ def test_run_schedule_matches_dense_oracle():
             psi = StateVector.basis(n, int(rng.integers(0, 2**n)))
             out = run_schedule(psi, g)
             assert np.max(np.abs(out.amplitudes - dense @ psi.amplitudes)) < 1e-10
+
+
+def random_states(n, k, rng):
+    block = rng.normal(size=(2**n, k)) + 1j * rng.normal(size=(2**n, k))
+    return block / np.linalg.norm(block, axis=0)
+
+
+def test_propagate_block_matches_its_columns():
+    # gates: bit for bit; integrator: to rounding, on the dense generators
+    # (4 qubits) and on the per-term contractions (10 qubits)
+    rng = np.random.default_rng(21)
+    g = random_gate_schedule(5, rng, max_steps=12)
+    block = random_states(5, 6, rng)
+    out = propagate(g, block)
+    for j in range(block.shape[1]):
+        assert np.array_equal(out[:, j], propagate(g, block[:, j]))
+    for s, k in (
+        (time_varying_schedule(4, 3, seed=2, p=0.8, degree=3), 6),
+        (random_graph(10, 0.5, p=0.2, seed=4, segments=2), 3),
+    ):
+        block = random_states(s.n_qubits, k, rng)
+        out = propagate(s, block, 1e-10)
+        for j in range(k):
+            assert np.max(np.abs(out[:, j] - propagate(s, block[:, j], 1e-10))) <= 1e-15
+
+
+def test_propagate_validation():
+    s = single_pair_schedule({"ZZ": [1.0]})
+    psi = StateVector.basis(2, 0).amplitudes
+    for shape in ((5,), (4, 2, 1)):
+        with pytest.raises(DimensionMismatch):
+            propagate(s, np.zeros(shape))
+    with pytest.raises(BadParams):
+        propagate("not a schedule", psi)
+    with pytest.raises(BadParams):
+        propagate(s, psi, float("nan"))
+    # every column of a block is drift-checked, not just the first
+    block = np.stack([psi, 2 * psi], axis=1)
+    with pytest.raises(NormDrift, match="norm to 2.0"):
+        propagate(s, block)
 
 
 def test_evolve_zero_hamiltonian():
