@@ -61,7 +61,8 @@ class Gate:
 
     The angle is the smallest norm of a Hermitian generator of the
     unitary.  :meth:`from_unitary` computes it from the matrix; a caller
-    that built the unitary as exp(-i*H) with ||H|| <= pi may pass ||H||.
+    that built the unitary as exp(-i*H) with ||H|| <= pi may pass ||H||,
+    and one that knows its eigenvalues the largest |phase| among them.
     The rules of :func:`_checked_gates` hold for every gate: ``Gate(...)``
     applies them to a stack of one, :meth:`batch` once to a whole stack.
     The unitary is read-only.
@@ -305,16 +306,14 @@ def _pair_gates(snap, index, angles) -> list:
 
     Row j runs H_e for the duration angles[j] / ||H_e||, so its generator
     has norm angles[j], which is the gate angle up to pi; past pi the
-    principal angle is taken from the unitary.  The gates up to pi are
+    angle is the largest |phase| of the gate's eigenvalues.  The gates are
     checked as one stack (:meth:`Gate.batch`).
     """
     w, v = snap.eigenvalues[index], snap.eigenvectors[index]
     phases = np.exp((-1j * angles / snap.norms[index])[:, None] * w)
     unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    pairs = [snap.pairs[i] for i in index]
-    small = angles <= math.pi
-    batch = iter(Gate.batch([p for p, ok in zip(pairs, small) if ok], unitaries[small], angles[small]))
-    return [next(batch) if ok else Gate.from_unitary(p, u) for p, u, ok in zip(pairs, unitaries, small)]
+    angles = np.where(angles <= math.pi, angles, np.max(np.abs(np.angle(phases)), axis=-1))
+    return Gate.batch([snap.pairs[i] for i in index], unitaries, angles)
 
 
 def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:

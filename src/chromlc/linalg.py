@@ -6,7 +6,9 @@ eigenproblems go to LAPACK (``np.linalg.eigh``, ``eigvalsh``);
 ``(..., n, n)`` so that callers can diagonalize all 4x4 pair generators of
 one sample time in a single call.  :func:`hermitian_norms` takes the
 operator norms of such a stack, and :func:`is_unitary` checks a stack of
-gates in one call.  The unitary functions build on :func:`hermitian_eig`.
+gates in one call.  The unitary functions go to LAPACK's general
+eigensolver: :func:`unitary_angle` through ``eigvals``,
+:func:`unitary_log` through ``eig`` and a ``qr`` of the eigenvectors.
 
 Sign convention, fixed package-wide: evolutions solve du/dt = -i H(t) u,
 so ``expm_i(h, s)`` returns exp(-i*s*h), and ``unitary_log(u)`` returns the
@@ -22,7 +24,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotUnitary
 
-EIG_CLUSTER_TOL = 1e-8     # eigenvalue spacing below this is treated as degenerate
 PHASE_SNAP_TOL = 1e-12     # eigenphases this close to -pi are reported as +pi
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "operator_norm",
     "spectral_distance",
     "unitary_angle",
-    "unitary_eig",
     "unitary_log",
 ]
 
@@ -99,9 +99,14 @@ def hermitian_norms(m) -> np.ndarray:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; for Hermitian input the largest |eigenvalue|."""
+    """Largest singular value; for Hermitian input the largest |eigenvalue|.
+
+    A matrix counts as Hermitian when it is so to 1e-10 of its largest
+    entry: ``eigvalsh`` reads one triangle only, so an absolute test would
+    take a small anti-Hermitian difference for a Hermitian one.
+    """
     m = _as_square(m, "operator_norm")
-    if is_hermitian(m, 1e-10):
+    if is_hermitian(m, 1e-10 * np.max(np.abs(m), initial=0.0)):
         return float(hermitian_norms(m))
     return float(np.linalg.norm(m, 2))
 
@@ -112,53 +117,35 @@ def expm_i(h, s: float) -> np.ndarray:
     return (v * np.exp(-1j * s * w)) @ v.conj().T
 
 
-def unitary_eig(u, tol: float = 1e-10) -> EigenDecomposition:
-    """Eigenphases in (-pi, pi] and eigenvectors of a unitary matrix.
-
-    Works through the two commuting Hermitian parts (u + u^dagger)/2 and
-    (u - u^dagger)/(2i): degenerate clusters of the first (spacing below
-    ``EIG_CLUSTER_TOL``) are resolved by rediagonalizing the second inside
-    the cluster.  Phases within ``PHASE_SNAP_TOL`` of -pi snap to +pi so
-    the principal branch is closed at the upper end.
-    """
-    u = _as_square(u, "unitary_eig")
-    if not is_unitary(u, tol):
-        raise NotUnitary(f"matrix is not unitary at tolerance {tol}")
-    h_re = (u + u.conj().T) / 2.0
-    h_im = (u - u.conj().T) / 2.0j
-    w1, v = hermitian_eig(h_re)
-    n = u.shape[0]
-
-    start = 0
-    while start < n:
-        stop_idx = start + 1
-        while stop_idx < n and w1[stop_idx] - w1[stop_idx - 1] < EIG_CLUSTER_TOL:
-            stop_idx += 1
-        if stop_idx - start > 1:
-            block = v[:, start:stop_idx].conj().T @ h_im @ v[:, start:stop_idx]
-            block = (block + block.conj().T) / 2.0
-            _, rot = hermitian_eig(block)
-            v[:, start:stop_idx] = v[:, start:stop_idx] @ rot
-        start = stop_idx
-
-    uv = u @ v
-    lam = np.einsum("ij,ij->j", v.conj(), uv)
-    phases = np.arctan2(lam.imag, lam.real)
-    phases[phases <= -math.pi + PHASE_SNAP_TOL] = math.pi
-    order = np.argsort(phases, kind="stable")
-    return EigenDecomposition(phases[order], v[:, order])
+def _as_unitary(u, what: str) -> np.ndarray:
+    u = _as_square(u, what)
+    if not is_unitary(u, 1e-10):
+        raise NotUnitary("matrix is not unitary at tolerance 1e-10")
+    return u
 
 
 def unitary_angle(u) -> float:
-    """Smallest norm of a Hermitian generator: max |principal eigenphase|."""
-    phases, _ = unitary_eig(u)
-    return float(np.max(np.abs(phases)))
+    """Smallest norm of a Hermitian generator: max |principal eigenphase|,
+    from one LAPACK ``eigvals``."""
+    lam = np.linalg.eigvals(_as_unitary(u, "unitary_angle"))
+    return float(np.max(np.abs(np.angle(lam))))
 
 
 def unitary_log(u) -> np.ndarray:
-    """Principal Hermitian logarithm: exp(i * unitary_log(u)) = u."""
-    phases, v = unitary_eig(u)
-    h = (v * phases) @ v.conj().T
+    """Principal Hermitian logarithm: exp(i * unitary_log(u)) = u.
+
+    LAPACK ``eig`` gives the eigenvalues and an eigenvector basis; ``qr``
+    makes that basis orthonormal.  As u is normal, eigenvectors of distinct
+    eigenvalues are already orthogonal, so the QR step only mixes vectors
+    within one (near-)degenerate cluster.  Eigenphases within
+    ``PHASE_SNAP_TOL`` of -pi snap to +pi, closing the principal branch at
+    the upper end.
+    """
+    lam, v = np.linalg.eig(_as_unitary(u, "unitary_log"))
+    q, _ = np.linalg.qr(v)
+    phases = np.angle(lam)
+    phases[phases <= -math.pi + PHASE_SNAP_TOL] = math.pi
+    h = (q * phases) @ q.conj().T
     return (h + h.conj().T) / 2.0
 
 

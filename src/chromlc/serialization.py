@@ -195,7 +195,7 @@ def _term_polys(raw_term: dict, where: str) -> dict:
             warnings.warn(
                 f"{where}: II component only shifts the global phase; "
                 "it still counts toward the interaction norm",
-                stacklevel=4,  # the caller of loads_schedule or load_document
+                stacklevel=4,  # the caller of loads_schedule, load_schedule or load_document
             )
         polys[PAULI_LABELS.index(label)] = poly
     return polys
@@ -313,9 +313,19 @@ def save_schedule(s: HamiltonianSchedule, path):
         fh.write(dumps_schedule(s))
 
 
-def load_schedule(path) -> HamiltonianSchedule:
+def _read_document(path) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; a ``ParseError`` for
+    bytes that are not UTF-8 or text that is not such an object."""
     with open(path, encoding="utf-8") as fh:
-        return loads_schedule(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    return _decode(text)
+
+
+def load_schedule(path) -> HamiltonianSchedule:
+    return _schedule_from_doc(_read_document(path))
 
 
 def save_gates(g: GateSchedule, path):
@@ -324,14 +334,12 @@ def save_gates(g: GateSchedule, path):
 
 
 def load_gates(path) -> GateSchedule:
-    with open(path, encoding="utf-8") as fh:
-        return loads_gates(fh.read())
+    return _gates_from_doc(_read_document(path))
 
 
 def load_document(path):
     """Load either document type, dispatching on the ``format`` field."""
-    with open(path, encoding="utf-8") as fh:
-        doc = _decode(fh.read())
+    doc = _read_document(path)
     fmt = doc.get("format")
     if fmt == SCHEDULE_FORMAT:
         return _schedule_from_doc(doc)

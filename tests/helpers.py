@@ -466,13 +466,14 @@ def record_searches(monkeypatch):
 
 
 def per_gate_pair_gates(snap, index, angles):
-    """``compiler._pair_gates`` gate by gate: each ``Gate(...)`` checks its own unitary."""
+    """``compiler._pair_gates`` gate by gate: each ``Gate(...)`` checks its own
+    unitary, and a gate past pi takes the largest |phase| of its own eigenvalues."""
     w, v = snap.eigenvalues[index], snap.eigenvectors[index]
     phases = np.exp((-1j * angles / snap.norms[index])[:, None] * w)
     unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
     return [
-        Gate(snap.pairs[i], u, a) if a <= math.pi else Gate.from_unitary(snap.pairs[i], u)
-        for i, u, a in zip(index, unitaries, angles)
+        Gate(snap.pairs[i], u, a if a <= math.pi else np.max(np.abs(np.angle(p))))
+        for i, u, a, p in zip(index, unitaries, angles, phases)
     ]
 
 

@@ -170,6 +170,24 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        (["index"], []),
+        (["compile"], ["--epsilon", "0.1"]),
+        (["simulate"], []),
+        (["verify", "theorem1"], ["--epsilons", "0.2,0.1"]),
+        (["trotter"], ["--m-list", "1,2"]),
+    ],
+)
+def test_document_that_is_not_utf8_exits_2(tmp_path, capsys, command, options):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"a":1}')
+    code, _, err = run_cli(capsys, *command, str(bad), *options)
+    assert code == 2
+    assert err.startswith("error:") and "not UTF-8" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "index", "/nonexistent/path.json")
     assert code == 2

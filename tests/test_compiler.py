@@ -323,9 +323,10 @@ def test_compile_angles_match_unitaries_time_varying():
             assert abs(gate.angle - linalg.unitary_angle(gate.unitary)) < 1e-12
 
 
-def test_compile_angle_past_pi_falls_back_to_unitary_angle():
-    # one level of width 100 per subinterval of 0.05: generator norm 5 > pi
-    s = chain(4, coupling=100.0)
+@pytest.mark.parametrize("coupling", [100.0, 1000.0])
+def test_compile_angle_past_pi_falls_back_to_unitary_angle(coupling):
+    # one level of width `coupling` per subinterval of 0.05: generator norm 5 or 50 > pi
+    s = chain(4, coupling=coupling)
     g, _ = compile(s, 0.05)
     h = s.segments[0].matrices_at(0.0)[0]
     expected = linalg.expm_i(h, 0.05)

@@ -171,6 +171,30 @@ def test_unitary_log_roundtrip_random():
         assert abs(linalg.operator_norm(h) - linalg.unitary_angle(u)) < 1e-9
 
 
+@pytest.mark.parametrize("center", [math.pi / 2, -math.pi / 2, math.pi, -math.pi])
+def test_unitary_angle_and_log_resolve_near_degenerate_clusters(center):
+    # a cluster of 2..dim eigenphases spaced 0 or 1e-16..1e-9 apart; the one
+    # near -pi starts 1e-8 above it, clear of the snap to +pi, and the one
+    # near +pi runs down from pi, where a computed -pi snaps back
+    rng = np.random.default_rng(53)
+    for dim in range(2, 9):
+        for spacing in [0.0] + [10.0**e for e in range(-16, -8)]:
+            size = int(rng.integers(2, dim + 1))
+            offsets = spacing * np.arange(size)
+            if center == math.pi:
+                cluster = center - offsets
+            elif center == -math.pi:
+                cluster = center + 1e-8 + offsets
+            else:
+                cluster = center + offsets - offsets.mean()
+            phases = np.concatenate([cluster, rng.uniform(-2.5, 2.5, size=dim - size)])
+            v = haar_unitary(dim, rng)
+            u = (v * np.exp(1j * phases)) @ v.conj().T
+            assert abs(linalg.unitary_angle(u) - np.max(np.abs(phases))) < 1e-12
+            h = linalg.unitary_log(u)
+            assert np.max(np.abs(h - (v * phases) @ v.conj().T)) < 1e-12
+
+
 def test_unitary_log_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         linalg.unitary_log(np.ones((2, 2)))
@@ -187,6 +211,17 @@ def test_spectral_distance():
     assert abs(linalg.spectral_distance(np.eye(4), -np.eye(4)) - 2.0) < 1e-12
     with pytest.raises(DimensionMismatch):
         linalg.spectral_distance(np.eye(2), np.eye(3))
+
+
+def test_spectral_distance_of_a_small_anti_hermitian_difference():
+    # 1 - exp(-i*s*H) is anti-Hermitian to first order in s; at s = 1e-11 its
+    # entries are too small for an absolute test to tell it from a Hermitian one
+    u = linalg.expm_i(np.diag([1.0, 0.5, -0.2, -1.0]), 1e-11)
+    assert abs(linalg.spectral_distance(np.eye(4), u) - 1e-11) < 1e-20
+    rng = np.random.default_rng(59)
+    for _ in range(10):
+        u = linalg.expm_i(random_hermitian(4, rng, norm=1.0), 1e-11)
+        assert abs(linalg.spectral_distance(np.eye(4), u) - 1e-11) < 1e-15
 
 
 def test_spectral_distance_triangle_inequality():

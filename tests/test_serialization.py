@@ -248,6 +248,16 @@ def test_gates_parse_rejects_bad_angle():
         loads_gates(json.dumps(doc))
 
 
+def test_gates_roundtrip_keeps_a_gate_with_a_near_degenerate_angle():
+    # two eigenphases 6e-9 apart around -pi/2: the angle check on loading
+    # must resolve them to better than ANGLE_CHECK_TOL
+    v = haar_unitary(4, np.random.default_rng(0))
+    phases = np.array([-math.pi / 2 - 3e-9, -math.pi / 2 + 3e-9, 0.5, 0.2])
+    u = (v * np.exp(1j * phases)) @ v.conj().T
+    g = GateSchedule(2, (Step((Gate((0, 1), u, math.pi / 2 + 3e-9),)),))
+    assert loads_gates(dumps_gates(g)) == g
+
+
 @pytest.mark.parametrize("angle", ["NaN", "Infinity"])
 def test_gates_parse_rejects_non_finite_angle(angle):
     # json reads these literals; the encoder could not write them back
