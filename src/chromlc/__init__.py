@@ -82,6 +82,7 @@ from .serialization import (
     dumps_schedule,
     load_document,
     load_gates,
+    load_product_state,
     load_schedule,
     loads_gates,
     loads_schedule,

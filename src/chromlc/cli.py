@@ -147,51 +147,14 @@ def _write_text(text: str, path):
 
 
 def _load_state(spec: str, n_qubits: int) -> simulator.StateVector:
-    if spec.startswith("basis:"):
-        index = spec.split(":", 1)[1]
-        try:
-            index = int(index)
-        except ValueError:
-            raise ParseError(f"--state {spec}: basis index {index!r} is not an integer") from None
-        return simulator.StateVector.basis(n_qubits, index)
-    with open(spec, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise ParseError(f"{spec}: not a JSON document: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != "chromlc-product":
-        raise ParseError(f"{spec}: expected a chromlc-product version 1 document")
-    if type(doc.get("version")) is not int or doc["version"] != 1:
-        raise ParseError(f"{spec}: version: expected 1, got {doc.get('version')!r}")
-    qubits = doc.get("qubits")
-    if not isinstance(qubits, list) or len(qubits) != n_qubits:
-        raise ParseError(f"{spec}: expected {n_qubits} per-qubit states")
-    vectors = []
-    for i, q in enumerate(qubits):
-        vector = _qubit_vector(q)
-        if vector is None:
-            raise ParseError(
-                f"{spec}: qubits[{i}]: expected two [re, im] pairs of finite numbers, not both zero"
-            )
-        with np.errstate(all="ignore"):  # the squared norm may overflow or underflow
-            unit = vector / np.linalg.norm(vector)
-        if not abs(np.linalg.norm(unit) - 1.0) <= 1e-12:
-            raise ParseError(f"{spec}: qubits[{i}]: amplitudes too large or too small to normalise to norm 1")
-        vectors.append(vector)
-    return simulator.StateVector.product(vectors)
-
-
-def _qubit_vector(q):
-    """The two amplitudes of a product-state qubit entry, or None if malformed."""
-    if not (isinstance(q, list) and len(q) == 2 and all(isinstance(a, list) and len(a) == 2 for a in q)):
-        return None
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for a in q for x in a):
-        return None
+    if not spec.startswith("basis:"):
+        return serialization.load_product_state(spec, n_qubits)
+    index = spec.split(":", 1)[1]
     try:
-        v = np.array([complex(re, im) for re, im in q])
-    except OverflowError:  # an integer too large for a float
-        return None
-    return v if np.all(np.isfinite(v)) and v.any() else None
+        index = int(index)
+    except ValueError:
+        raise ParseError(f"--state {spec}: basis index {index!r} is not an integer") from None
+    return simulator.StateVector.basis(n_qubits, index)
 
 
 def _cmd_generate(args) -> int:
@@ -231,13 +194,13 @@ def _cmd_index(args) -> int:
 def _cmd_compile(args) -> int:
     schedule = serialization.load_schedule(args.schedule)
     gates, report = compiler.compile(schedule, args.epsilon)
-    _write_text(serialization.dumps_gates(gates), args.output)
-    if args.report:
+    if args.report:  # before the gate file, so an index too large for JSON leaves no file behind
         doc = report.to_dict()
         doc["source_integrated_index"] = integrated_chromatic_index(schedule).integral
         doc["intervals"] = doc.pop("intervals")  # the last key, as in earlier reports
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+    _write_text(serialization.dumps_gates(gates), args.output)
+    if args.report:
+        _write_text(json.dumps(doc, indent=2) + "\n", args.report)
     print(
         f"compiled {report.n_steps} steps, weighted depth {report.weighted_depth!r}",
         file=sys.stderr,
@@ -372,10 +335,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ChromlcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ChromlcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

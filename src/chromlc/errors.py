@@ -23,7 +23,7 @@ class DimensionMismatch(ChromlcError, ValueError):
 
 
 class TooLarge(ChromlcError, ValueError):
-    """Input exceeds a documented size cap (qubits, samples, generated terms, trials)."""
+    """Input exceeds a size cap (qubits, samples, generated terms, trials) or the float range."""
 
 
 class OutOfRange(ChromlcError, ValueError):

@@ -299,7 +299,8 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
     time-varying segment still takes a snapshot at each of its N reported
     and 2N error-estimate samples, but the samples of one call share a
     dict of colorings, so a level edge set that recurs (neighbouring
-    samples share most of theirs) is colored once per call.
+    samples share most of theirs) is colored once per call.  An integral
+    or error estimate beyond the float range raises ``TooLarge``.
     """
     if samples_per_segment < 1:
         raise BadParams("samples_per_segment must be at least 1")
@@ -332,6 +333,8 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
         values.extend(vals)
         total += coarse
         err += abs(fine - coarse)
+    if not (math.isfinite(total) and math.isfinite(err)):
+        raise TooLarge(f"integrated chromatic index overflows the float range: {total!r}")
     return IndexProfile(np.array(times), np.array(values), total, err)
 
 

@@ -7,7 +7,7 @@ eigenproblems go to LAPACK (``np.linalg.eigh``, ``eigvalsh``);
 one sample time in a single call.  :func:`hermitian_norms` takes the
 operator norms of such a stack, and :func:`is_unitary` checks a stack of
 gates in one call.  The unitary functions go to LAPACK's general
-eigensolver: :func:`unitary_angle` through ``eigvals``,
+eigensolver: :func:`unitary_angle` through ``eigvals``, also on a stack,
 :func:`unitary_log` through ``eig`` and a ``qr`` of the eigenvectors.
 
 Sign convention, fixed package-wide: evolutions solve du/dt = -i H(t) u,
@@ -117,18 +117,19 @@ def expm_i(h, s: float) -> np.ndarray:
     return (v * np.exp(-1j * s * w)) @ v.conj().T
 
 
-def _as_unitary(u, what: str) -> np.ndarray:
-    u = _as_square(u, what)
+def _as_unitary(u, what: str, stacked: bool = False) -> np.ndarray:
+    u = _as_square(u, what, stacked)
     if not is_unitary(u, 1e-10):
         raise NotUnitary("matrix is not unitary at tolerance 1e-10")
     return u
 
 
-def unitary_angle(u) -> float:
-    """Smallest norm of a Hermitian generator: max |principal eigenphase|,
-    from one LAPACK ``eigvals``."""
-    lam = np.linalg.eigvals(_as_unitary(u, "unitary_angle"))
-    return float(np.max(np.abs(np.angle(lam))))
+def unitary_angle(u):
+    """Smallest norm of a Hermitian generator: max |principal eigenphase|, from
+    one LAPACK ``eigvals``; a stack ``(..., n, n)`` gives one angle per member."""
+    u = _as_unitary(u, "unitary_angle", stacked=True)
+    angles = np.max(np.abs(np.angle(np.linalg.eigvals(u))), axis=-1, initial=0.0)
+    return float(angles) if u.ndim == 2 else angles
 
 
 def unitary_log(u) -> np.ndarray:

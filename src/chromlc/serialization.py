@@ -1,6 +1,6 @@
-"""JSON wire formats for schedule documents.
+"""JSON wire formats: every document the package reads or writes.
 
-Two document types, distinguished by their ``format`` field:
+Three document types, distinguished by their ``format`` field:
 
 * ``chromlc-schedule`` -- piecewise-polynomial Hamiltonian schedules.
   Pauli keys are two-letter strings over {I,X,Y,Z}; omitted keys are zero;
@@ -10,7 +10,10 @@ Two document types, distinguished by their ``format`` field:
   is built.  An ``II`` component is legal (it only shifts the global phase)
   but parsing one emits a warning.
 * ``chromlc-gates`` -- gate schedules; unitaries are 4x4 arrays of
-  ``[re, im]`` pairs and every gate carries its angle.
+  ``[re, im]`` pairs and every gate carries its angle, checked on loading
+  by one stacked eigensolve per document.
+* ``chromlc-product`` -- product states (read only): two ``[re, im]``
+  amplitudes per qubit; their parse errors name the file.
 
 Serialization is canonical (fixed key order, shortest round-trip float
 rendering), so serialize(parse(text)) reproduces canonical documents and
@@ -31,9 +34,11 @@ from . import linalg
 from .compiler import Gate, GateSchedule, Step
 from .errors import BadParams, NotUnitary, ParseError, SchemaVersionMismatch
 from .hamiltonian import MAX_POLY_DEGREE, PAULI_LABELS, HamiltonianSchedule, Segment
+from .simulator import StateVector
 
 SCHEDULE_FORMAT = "chromlc-schedule"
 GATES_FORMAT = "chromlc-gates"
+PRODUCT_FORMAT = "chromlc-product"
 FORMAT_VERSION = 1
 ANGLE_CHECK_TOL = 1e-9
 
@@ -44,6 +49,7 @@ __all__ = [
     "dumps_schedule",
     "load_document",
     "load_gates",
+    "load_product_state",
     "load_schedule",
     "loads_gates",
     "loads_schedule",
@@ -90,6 +96,18 @@ def _number(value, where) -> float:
         raise ParseError(f"{where}: number too large for a float") from None
 
 
+def _floats(value, shape, where, what) -> np.ndarray:
+    """Nested lists of JSON numbers of ``shape`` as a float array; a ``ParseError``
+    at ``where`` expecting ``what`` for another shape or an entry that is no number."""
+    array = np.array(value, dtype=object)
+    if array.shape != shape or not set(map(type, array.flat)) <= {int, float}:
+        raise ParseError(f"{where}: expected {what}")
+    try:
+        return array.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(f"{where}: number too large for a float") from None
+
+
 def _list_field(obj, key, where):
     value = obj.get(key)
     if not isinstance(value, list):
@@ -99,11 +117,7 @@ def _list_field(obj, key, where):
 
 def _pair_field(obj, where):
     pair = obj.get("pair")
-    if (
-        not isinstance(pair, list)
-        or len(pair) != 2
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-    ):
+    if not isinstance(pair, list) or len(pair) != 2 or not set(map(type, pair)) <= {int}:
         raise ParseError(f"{where}.pair: expected [k, l] with integer entries")
     return tuple(pair)
 
@@ -264,7 +278,7 @@ def loads_gates(text: str) -> GateSchedule:
 def _gates_from_doc(doc: dict) -> GateSchedule:
     _check_header(doc, GATES_FORMAT)
     n_qubits = _int_field(doc, "n_qubits", "document")
-    steps = []
+    steps, loci = [], []  # loci[k] names the k-th gate of the document
     for i, raw_step in enumerate(_list_field(doc, "steps", "document")):
         where = f"steps[{i}]"
         if not isinstance(raw_step, dict):
@@ -275,30 +289,24 @@ def _gates_from_doc(doc: dict) -> GateSchedule:
             if not isinstance(raw_gate, dict):
                 raise ParseError(f"{gwhere}: expected an object")
             pair = _pair_field(raw_gate, gwhere)
-            raw_u = raw_gate.get("unitary")
-            if (
-                not isinstance(raw_u, list)
-                or len(raw_u) != 4
-                or any(not isinstance(row, list) or len(row) != 4 for row in raw_u)
-                or any(not isinstance(entry, list) or len(entry) != 2 for row in raw_u for entry in row)
-            ):
-                raise ParseError(f"{gwhere}.unitary: expected a 4x4 array of [re, im] pairs")
-            uwhere = f"{gwhere}.unitary"
-            u = [[complex(_number(re, uwhere), _number(im, uwhere)) for re, im in row] for row in raw_u]
+            u = _floats(raw_gate.get("unitary"), (4, 4, 2), f"{gwhere}.unitary", "a 4x4 array of [re, im] pairs")
             angle = _number(raw_gate.get("angle"), f"{gwhere}.angle")
             try:
-                gate = Gate(pair, u, angle)
+                gates.append(Gate(pair, u.view(np.complex128)[..., 0], angle))
             except (BadParams, NotUnitary) as exc:
                 raise ParseError(f"{gwhere}: {exc}") from None
-            if abs(gate.angle - linalg.unitary_angle(gate.unitary)) > ANGLE_CHECK_TOL:
-                raise ParseError(
-                    f"{gwhere}.angle: {gate.angle} does not match the unitary's angle"
-                )
-            gates.append(gate)
+            loci.append(gwhere)
         try:
             steps.append(Step(tuple(gates)))
         except BadParams as exc:
             raise ParseError(f"{where}: {exc}") from None
+    # every angle against its unitary's by one stacked eigensolve; the first mismatch is reported
+    every = [gate for step in steps for gate in step.gates]
+    angles = linalg.unitary_angle(np.reshape([gate.unitary for gate in every], (-1, 4, 4)))
+    mismatched = np.flatnonzero(np.abs([gate.angle for gate in every] - angles) > ANGLE_CHECK_TOL)
+    if mismatched.size:
+        k = mismatched[0]
+        raise ParseError(f"{loci[k]}.angle: {every[k].angle} does not match the unitary's angle")
     try:
         return GateSchedule(n_qubits, tuple(steps))
     except BadParams as exc:
@@ -314,14 +322,15 @@ def save_schedule(s: HamiltonianSchedule, path):
 
 
 def _read_document(path) -> dict:
-    """The JSON object in the UTF-8 file at ``path``; a ``ParseError`` for
-    bytes that are not UTF-8 or text that is not such an object."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
-    return _decode(text)
+    """The JSON object in the UTF-8 file at ``path``; a ``ParseError`` naming the
+    path for bytes that are not UTF-8 or text that is not such an object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _decode(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def load_schedule(path) -> HamiltonianSchedule:
@@ -346,3 +355,28 @@ def load_document(path):
     if fmt == GATES_FORMAT:
         return _gates_from_doc(doc)
     raise SchemaVersionMismatch(f"format: unknown document format {fmt!r}")
+
+
+def load_product_state(path, n_qubits: int) -> StateVector:
+    """The ``chromlc-product`` state at ``path``: the product of its ``n_qubits``
+    amplitude pairs, each divided by its norm.  Every ``ParseError`` names the path."""
+    doc = _read_document(path)
+    try:
+        _check_header(doc, PRODUCT_FORMAT)
+        qubits = doc.get("qubits")
+        if not isinstance(qubits, list) or len(qubits) != n_qubits:
+            raise ParseError(f"expected {n_qubits} per-qubit states")
+        what = "two [re, im] pairs of finite numbers, not both zero"
+        vectors = []
+        for i, q in enumerate(qubits):
+            vector = _floats(q, (2, 2), f"qubits[{i}]", what).view(np.complex128)[:, 0]
+            if not (np.all(np.isfinite(vector)) and vector.any()):
+                raise ParseError(f"qubits[{i}]: expected {what}")
+            with np.errstate(all="ignore"):  # the squared norm may overflow or underflow
+                unit = vector / np.linalg.norm(vector)
+            if not abs(np.linalg.norm(unit) - 1.0) <= 1e-12:
+                raise ParseError(f"qubits[{i}]: amplitudes too large or too small to normalise to norm 1")
+            vectors.append(vector)
+    except ParseError as exc:  # SchemaVersionMismatch keeps its type
+        raise type(exc)(f"{path}: {exc}") from None
+    return StateVector.product(vectors)

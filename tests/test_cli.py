@@ -24,7 +24,13 @@ from chromlc.hamiltonian import (
     embed_discrete,
     integrated_chromatic_index,
 )
-from chromlc.serialization import dumps_schedule, load_schedule, loads_gates, loads_schedule
+from chromlc.serialization import (
+    dumps_schedule,
+    load_product_state,
+    load_schedule,
+    loads_gates,
+    loads_schedule,
+)
 
 from helpers import (
     FUZZ_VALUES,
@@ -109,6 +115,24 @@ def test_compile_subcommand(tmp_path, capsys):
     report = json.loads(rpath.read_text())
     assert abs(report["weighted_depth"] - 2.0) < 1e-9
     assert report["n_steps"] == len(gates.steps)
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("index", []),
+        ("index", ["--format", "json"]),
+        ("compile", ["--epsilon", "0.5", "--report", "report.json", "-o", "gates.json"]),
+    ],
+)
+def test_index_beyond_the_float_range_exits_2(tmp_path, capsys, monkeypatch, command, options):
+    # the sum of two pair norms of 1e308 is inf, which no JSON document can carry
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "generate", "random_graph", "--n", "3", "--coupling", "1e308", "-o", "big.json")
+    code, out, err = run_cli(capsys, command, "big.json", *options)
+    assert (code, out) == (2, "")
+    assert err == "error: integrated chromatic index overflows the float range: inf\n"
+    assert sorted(os.listdir(tmp_path)) == ["big.json"]  # no gate file, no report
 
 
 def test_compile_computes_the_index_only_for_the_report(tmp_path, capsys, monkeypatch):
@@ -261,6 +285,17 @@ def test_simulate_bad_state_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_simulate_product_state_that_is_not_utf8_names_the_path_once(tmp_path, capsys):
+    spath = tmp_path / "chain.json"
+    run_cli(capsys, "generate", "chain", "--n", "2", "-o", str(spath))
+    state = tmp_path / "state.json"
+    state.write_bytes(b'\xff\xfe{"a":1}')
+    code, out, err = run_cli(capsys, "simulate", str(spath), "--state", str(state))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {state}: not UTF-8 text: ")
+    assert err.count(str(state)) == 1
+
+
 def _product_state_text(qubits):
     return json.dumps({"format": "chromlc-product", "version": 1, "qubits": qubits})
 
@@ -337,7 +372,7 @@ def test_fuzzed_product_state_loads_or_raises_chromlc_error(path, value):
         state = Path(tmp) / "state.json"
         state.write_text(json.dumps(replace_node(_PRODUCT_BASE, path, value)))
         try:
-            psi = cli._load_state(str(state), 2)
+            psi = load_product_state(str(state), 2)
         except ChromlcError:
             return
     assert abs(psi.norm() - 1.0) < 1e-12
@@ -357,7 +392,7 @@ def test_product_state_is_the_product_of_the_normalized_vectors(tmp_path, qubits
     state.write_text(_product_state_text(qubits))
     vectors = [np.array([complex(re, im) for re, im in q]) for q in qubits]
     expected = reduce(np.kron, [v / np.linalg.norm(v) for v in vectors])
-    assert np.array_equal(cli._load_state(str(state), len(qubits)).amplitudes, expected)
+    assert np.array_equal(load_product_state(str(state), len(qubits)).amplitudes, expected)
 
 
 def test_simulate_keeps_the_given_phase(tmp_path, capsys):

@@ -155,6 +155,17 @@ def test_angle_bounded_by_generator_norm():
             assert abs(angle - norm) < 1e-9
 
 
+def test_unitary_angle_of_a_stack_is_the_angle_of_each_member():
+    rng = np.random.default_rng(37)
+    stack = np.array([haar_unitary(4, rng) for _ in range(12)]).reshape(3, 4, 4, 4)
+    angles = linalg.unitary_angle(stack)
+    assert angles.shape == (3, 4)
+    assert np.array_equal(angles, [[linalg.unitary_angle(u) for u in row] for row in stack])
+    stack[1, 2, 0, 0] += 0.1
+    with pytest.raises(NotUnitary):
+        linalg.unitary_angle(stack)
+
+
 def test_unitary_log_trivials():
     assert np.max(np.abs(linalg.unitary_log(np.eye(3)))) < 1e-12
     lg = linalg.unitary_log(np.diag([1j, -1j]))

@@ -3,6 +3,8 @@
 Modules share only public names: none imports an underscore name from a
 sibling or reads ``sibling._name``, every ``__all__`` entry is defined in
 its module, and the package namespace re-exports no underscore name.
+Only ``serialization`` parses JSON: no other module calls ``json.load``
+or ``json.loads``.
 """
 
 import ast
@@ -78,6 +80,14 @@ def _violations(path):
             and _private(node.attr)
         ):
             problems.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+            and node.attr in ("load", "loads")
+            and path.name != "serialization.py"
+        ):
+            problems.append(f"line {node.lineno}: parses JSON outside serialization")
     defined = _defined_names(tree)
     for name in _exported(tree):
         if name not in defined:
@@ -97,12 +107,15 @@ def test_rules_catch_violations(tmp_path):
         "from .graphs import _search, level_decompose\n"
         "__all__ = ['level_decompose', 'write_csv']\n"
         "x = linalg._as_square\n"
+        "import json\n"
+        "doc = json.loads('{}')\n"
     )
     problems = _violations(bad)
-    assert len(problems) == 3
+    assert len(problems) == 4
     assert any("_search" in p for p in problems)
     assert any("linalg._as_square" in p for p in problems)
     assert any("write_csv" in p for p in problems)
+    assert "line 6: parses JSON outside serialization" in problems
     package = tmp_path / "__init__.py"
     package.write_text("from numpy import _pytesttester\nfrom os import path\n")
     assert len(_violations(package)) == 1

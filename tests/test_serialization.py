@@ -248,6 +248,19 @@ def test_gates_parse_rejects_bad_angle():
         loads_gates(json.dumps(doc))
 
 
+def test_gates_parse_names_the_gate_whose_angle_is_wrong():
+    # the angles of every step are checked in one stack: the error maps back to its gate
+    rng = np.random.default_rng(6)
+    steps = [
+        Step((Gate.from_unitary((0, 1), haar_unitary(4, rng)), Gate.from_unitary((2, 3), haar_unitary(4, rng)))),
+        Step((Gate.from_unitary((1, 2), haar_unitary(4, rng)), Gate.from_unitary((0, 3), haar_unitary(4, rng)))),
+    ]
+    doc = json.loads(dumps_gates(GateSchedule(4, tuple(steps))))
+    doc["steps"][1]["gates"][0]["angle"] += 1e-6
+    with pytest.raises(ParseError, match=r"^steps\[1\]\.gates\[0\]\.angle: .* does not match"):
+        loads_gates(json.dumps(doc))
+
+
 def test_gates_roundtrip_keeps_a_gate_with_a_near_degenerate_angle():
     # two eigenphases 6e-9 apart around -pi/2: the angle check on loading
     # must resolve them to better than ANGLE_CHECK_TOL
