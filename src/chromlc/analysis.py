@@ -174,6 +174,8 @@ def variance_bound_experiment(
         raise BadParams("need at least one trial")
     if trials > MAX_TRIALS:
         raise TooLarge(f"trials are limited to {MAX_TRIALS}, got {trials}")
+    if seed < 0:
+        raise BadParams(f"seed must be non-negative, got {seed}")
     master = np.random.default_rng(seed)
     trial_seeds = [int(x) for x in master.integers(0, 2**62, size=3 * trials)]
     bound = _variance_bound(n, alpha)

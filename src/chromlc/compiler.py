@@ -321,7 +321,8 @@ def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:
 
     m passes over the pair list in lexicographic order, one gate
     exp(-i * H_kl * T/m) per step; depth is m times the pair count and no
-    parallelization is attempted.  m is capped, as ``compile``'s
+    parallelization is attempted.  Every pass repeats the first one's
+    ``Step`` objects.  m is capped, as ``compile``'s
     subintervals are, at ``MAX_SAMPLES_PER_SEGMENT``.
     """
     if m < 1:
@@ -332,8 +333,7 @@ def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:
         raise NotConstant("trotterize requires a single constant segment")
     snap = snapshot(s, s.segments[0].t_start)
     pass_gates = _pair_gates(snap, list(range(len(snap.pairs))), s.total_time / m * snap.norms)
-    steps = tuple(Step((g,)) for _ in range(m) for g in pass_gates)
-    return GateSchedule(s.n_qubits, steps)
+    return GateSchedule(s.n_qubits, tuple(Step((g,)) for g in pass_gates) * m)
 
 
 def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianSchedule:

@@ -34,16 +34,16 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_POLY_DEGREE = 8
 # Cap on samples: quadrature points per segment of integrated_chromatic_index,
 # subintervals of a whole compile (all segments together), slices of
-# trotterize.  A compiled subinterval adds at least one gate of about 2 kB to
-# the gate document, so 2^16 subintervals of a single pair already make a
-# 130 MB document; uncapped, a typo such as ``--epsilon 1e-13`` or
+# trotterize.  A compiled subinterval adds at least one gate of about 0.8 kB
+# to the gate document, so 2^16 subintervals of a single pair already make a
+# 53 MB document; uncapped, a typo such as ``--epsilon 1e-13`` or
 # ``--samples 1000000000000`` asks for terabytes before any work starts.
 MAX_SAMPLES_PER_SEGMENT = 2**16
 # Cap on the pair terms a generator may produce, summed over its segments,
 # checked before any draw.  A term stores 16 float coefficients per degree
 # (up to 1.2 kB), its snapshot rows another 0.6 kB, and each compiled
-# subinterval turns it into at least one 2 kB gate, so 2^16 terms make a
-# 130 MB gate document from a single sample.  Uncapped, ``complete_mean_field
+# subinterval turns it into at least one 0.8 kB gate, so 2^16 terms make a
+# 53 MB gate document from a single sample.  Uncapped, ``complete_mean_field
 # --n 2000`` asks for two million terms and ``random_graph --segments
 # 1000000`` for a million segments, and neither returns in minutes.
 MAX_GENERATED_TERMS = 2**16
@@ -170,12 +170,18 @@ class Segment:
         return self.tracks.shape[2] == 1
 
     def matrices_at(self, t: float) -> np.ndarray:
-        """H_kl(t) of every term, stacked (terms, 4, 4) in the order of ``pairs``."""
+        """H_kl(t) of every term, stacked (terms, 4, 4) in the order of ``pairs``;
+        ``TooLarge`` when an entry of one is beyond the float range."""
         c = np.zeros(self.tracks.shape[:2])
-        for d in range(self.tracks.shape[2] - 1, -1, -1):
-            c = c * t + self.tracks[:, :, d]
-        # rounds as pauli_matrix does; tensordot or einsum over the stack can differ in the last bit
-        return np.matmul(c[:, None, :], PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for d in range(self.tracks.shape[2] - 1, -1, -1):
+                c = c * t + self.tracks[:, :, d]
+            # rounds as pauli_matrix does; tensordot or einsum over the stack can differ in the last bit
+            matrices = np.matmul(c[:, None, :], PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4)
+        if not np.isfinite(matrices).all():
+            pair = self.pairs[int(np.argmin(np.isfinite(matrices).all(axis=(1, 2))))]
+            raise TooLarge(f"pair {pair}: the term at t={t!r} exceeds the float range")
+        return matrices
 
 
 @dataclass(frozen=True)
@@ -418,6 +424,8 @@ def random_graph(
     _check_common(n, t_total, n * (n - 1) // 2 * segments)
     if not 0.0 <= p <= 1.0:
         raise BadParams("edge probability p must lie in [0,1]")
+    if seed < 0:
+        raise BadParams(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     segs = []
     for i in range(segments):
@@ -454,6 +462,8 @@ def random_time_varying(
         raise BadParams("edge probability p must lie in [0,1]")
     if not 0 <= degree <= MAX_POLY_DEGREE:
         raise BadParams(f"degree must lie in [0, {MAX_POLY_DEGREE}]")
+    if seed < 0:
+        raise BadParams(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     pairs, polys = [], []
     for k in range(n):

@@ -18,9 +18,9 @@ Three document types, distinguished by their ``format`` field:
 Serialization is canonical (fixed key order, shortest round-trip float
 rendering), so serialize(parse(text)) reproduces canonical documents and
 parse(serialize(obj)) reproduces objects exactly.  Both document types are
-laid out as ``json.dumps(doc, indent=2)`` lays them out; gate documents,
-which run to megabytes, are written from a fixed per-gate template instead
-of through ``json``'s indenting encoder, which runs in pure Python.
+written compact, as ``json.dumps(doc, separators=(",", ":")) + "\n"``
+writes them; ``python -m json.tool`` pretty-prints them.  The readers take
+any layout.
 """
 
 from __future__ import annotations
@@ -56,6 +56,11 @@ __all__ = [
     "save_gates",
     "save_schedule",
 ]
+
+
+# one layout for every document: the standard library's C encoder, no whitespace;
+# the documents are built here and hold no cycles, so none is looked for
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _decode(text: str) -> dict:
@@ -141,7 +146,7 @@ def dumps_schedule(s: HamiltonianSchedule) -> str:
         "n_qubits": s.n_qubits,
         "segments": segments,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _compact(doc) + "\n"
 
 
 def loads_schedule(text: str) -> HamiltonianSchedule:
@@ -218,57 +223,31 @@ def _term_polys(raw_term: dict, where: str) -> dict:
 # -- gate schedules ----------------------------------------------------------
 
 
-def _gate_template() -> str:
-    """``%``-template of one gate object as ``json.dumps(indent=2)`` lays it
-    out at ``steps[i].gates[j]``: two ``%d`` slots for the pair, 32 ``%r``
-    slots for the unitary's (re, im) entries in row order, and one for the
-    angle."""
-    pad = [" " * n for n in range(18)]
-    entry = f"[\n{pad[16]}%r,\n{pad[16]}%r\n{pad[14]}]"
-    row = f"[\n{pad[14]}" + f",\n{pad[14]}".join([entry] * 4) + f"\n{pad[12]}]"
-    return (
-        f'{{\n{pad[10]}"pair": [\n{pad[12]}%d,\n{pad[12]}%d\n{pad[10]}],\n'
-        f'{pad[10]}"unitary": [\n{pad[12]}' + f",\n{pad[12]}".join([row] * 4) + f"\n{pad[10]}],\n"
-        f'{pad[10]}"angle": %r\n{pad[8]}}}'
-    )
-
-
-_GATE_TEMPLATE = _gate_template()
-
-
 def dumps_gates(g: GateSchedule) -> str:
-    """The bytes of ``json.dumps(doc, indent=2) + "\\n"`` for the gate document.
+    """The bytes of ``json.dumps(doc, separators=(",", ":")) + "\\n"`` for the gate document.
 
-    The gate objects are written from a fixed template instead of through
-    ``json``'s indenting encoder, which runs in pure Python.  Floats are
-    rendered by ``float.__repr__`` as ``json`` does; unitaries and angles
-    are finite (``Gate`` checks both), so no NaN or Infinity arises.  A
-    step object that recurs (``compile`` repeats a constant segment's steps)
-    is formatted once per call and its text reused.  The unitaries of each
-    distinct step become Python floats through one ``tolist`` of their
-    stack; stacking the whole file at once would hold every gate's floats
-    at the same time.
+    A step object that recurs (``compile`` repeats a constant segment's
+    steps) is encoded once per call and its text reused; the steps' texts
+    follow a fixed header.  The unitaries of each distinct step become
+    Python floats through one ``tolist`` of their stack; stacking the whole
+    file at once would hold every gate's floats at the same time.
+    Unitaries and angles are finite (``Gate`` checks both), so no NaN or
+    Infinity arises.
     """
-    header = (
-        f'{{\n  "format": "{GATES_FORMAT}",\n  "version": {FORMAT_VERSION},\n'
-        f'  "n_qubits": {g.n_qubits:d},\n  "steps": '
-    )
-    if not g.steps:
-        return header + "[]\n}\n"
     texts = {}  # id(step) -> its text; g holds every step, so no id is reused during the call
     steps = []
     for step in g.steps:
         text = texts.get(id(step))
         if text is None:
-            entries = np.array([gate.unitary for gate in step.gates]).view(np.float64).reshape(-1, 32)
+            entries = np.array([gate.unitary for gate in step.gates]).view(np.float64).reshape(-1, 4, 4, 2)
             gates = [
-                _GATE_TEMPLATE % (*gate.pair, *row, gate.angle)
-                for gate, row in zip(step.gates, entries.tolist())
+                {"pair": gate.pair, "unitary": u, "angle": gate.angle}
+                for gate, u in zip(step.gates, entries.tolist())
             ]
-            text = '{\n      "gates": [\n        ' + ",\n        ".join(gates) + "\n      ]\n    }"
-            texts[id(step)] = text
+            text = texts[id(step)] = _compact({"gates": gates})
         steps.append(text)
-    return header + "[\n    " + ",\n    ".join(steps) + "\n  ]\n}\n"
+    header = f'{{"format":"{GATES_FORMAT}","version":{FORMAT_VERSION},"n_qubits":{g.n_qubits:d},"steps":['
+    return header + ",".join(steps) + "]}\n"
 
 
 def loads_gates(text: str) -> GateSchedule:
@@ -283,19 +262,24 @@ def _gates_from_doc(doc: dict) -> GateSchedule:
         where = f"steps[{i}]"
         if not isinstance(raw_step, dict):
             raise ParseError(f"{where}: expected an object")
-        gates = []
+        fields = []  # (pair, unitary, angle) of each gate of the step
         for j, raw_gate in enumerate(_list_field(raw_step, "gates", where)):
             gwhere = f"{where}.gates[{j}]"
             if not isinstance(raw_gate, dict):
                 raise ParseError(f"{gwhere}: expected an object")
             pair = _pair_field(raw_gate, gwhere)
             u = _floats(raw_gate.get("unitary"), (4, 4, 2), f"{gwhere}.unitary", "a 4x4 array of [re, im] pairs")
-            angle = _number(raw_gate.get("angle"), f"{gwhere}.angle")
-            try:
-                gates.append(Gate(pair, u.view(np.complex128)[..., 0], angle))
-            except (BadParams, NotUnitary) as exc:
-                raise ParseError(f"{gwhere}: {exc}") from None
+            fields.append((pair, u.view(np.complex128)[..., 0], _number(raw_gate.get("angle"), f"{gwhere}.angle")))
             loci.append(gwhere)
+        try:
+            gates = Gate.batch(*zip(*fields)) if fields else ()
+        except (BadParams, NotUnitary):
+            for j, gate in enumerate(fields):  # the stack holds a bad gate: name the first one
+                try:
+                    Gate(*gate)
+                except (BadParams, NotUnitary) as exc:
+                    raise ParseError(f"{where}.gates[{j}]: {exc}") from None
+            raise  # not reached: a stack fails only where one of its gates does
         try:
             steps.append(Step(tuple(gates)))
         except BadParams as exc:

@@ -514,7 +514,7 @@ def per_row_dumps_schedule(s: HamiltonianSchedule) -> str:
             terms.append({"pair": [k, l], "coeffs": coeffs})
         segments.append({"t_start": seg.t_start, "t_end": seg.t_end, "terms": terms})
     doc = {"format": "chromlc-schedule", "version": 1, "n_qubits": s.n_qubits, "segments": segments}
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def per_state_convergence_errors(s: HamiltonianSchedule, epsilons, tol):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -734,6 +735,40 @@ def test_generate_rejects_non_finite_total_time(tmp_path, capsys, t):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "random_graph", "--n", "3", "--seed", "-1"],
+        ["generate", "random_time_varying", "--n", "3", "--seed", "-1"],
+        ["verify", "variance", "--n", "3", "--alpha", "0.1", "--trials", "1", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, pair",
+    [
+        (["generate", "random_time_varying", "--n", "3", "--t", "1e40", "--degree", "8"], r"\(0, \d\)"),
+        (["index", "{doc}"], r"\(0, 1\)"),
+        (["compile", "{doc}", "--epsilon", "1e40"], r"\(0, 1\)"),
+        (["verify", "theorem1", "{doc}", "--epsilons", "1e40,5e39"], r"\(0, 1\)"),
+    ],
+)
+def test_pair_term_beyond_the_float_range_exits_2(tmp_path, capsys, argv, pair):
+    # t^8 overflows at t = 1e40: the pair term, not a matrix check, is reported
+    doc = tmp_path / "big.json"
+    term = {"pair": [0, 1], "coeffs": {"XX": [0, 0, 0, 0, 0, 0, 0, 0, 1.0]}}
+    segment = {"t_start": 0.0, "t_end": 1e40, "terms": [term]}
+    doc.write_text(json.dumps({"format": "chromlc-schedule", "version": 1, "n_qubits": 2, "segments": [segment]}))
+    code, out, err = run_cli(capsys, *(a.format(doc=doc) for a in argv))
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"error: pair {pair}: the term at t=\S+ exceeds the float range\n", err), err
+
+
 @pytest.mark.parametrize("argv", [["index"], ["simulate"], ["compile", "--epsilon", "0.1"]])
 @pytest.mark.parametrize(
     "literal, message",
@@ -749,8 +784,8 @@ def test_generate_rejects_non_finite_total_time(tmp_path, capsys, t):
 def test_unrepresentable_segment_end_exits_2(tmp_path, capsys, argv, literal, message):
     path = tmp_path / "chain.json"
     text = dumps_schedule(chain(2))
-    assert '"t_end": 1.0' in text
-    path.write_text(text.replace('"t_end": 1.0', f'"t_end": {literal}'))
+    assert '"t_end":1.0' in text
+    path.write_text(text.replace('"t_end":1.0', f'"t_end": {literal}'))
     code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert code == 2
     assert err == message + "\n"

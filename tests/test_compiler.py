@@ -374,6 +374,14 @@ def test_compile_skips_empty_subintervals():
     assert report.weighted_depth == 0.0
 
 
+def test_trotterize_repeats_one_pass_of_steps():
+    s = random_graph(4, p=1.0, seed=0)
+    g = trotterize(s, 5)
+    width = len(s.segments[0].pairs)
+    assert len(g.steps) == 5 * width
+    assert all(step is g.steps[i % width] for i, step in enumerate(g.steps))
+
+
 def test_trotterize_single_pair_matches_compile():
     s = single_pair_schedule({"XX": (0.4,), "YY": (0.2,)})
     a = trotterize(s, 1)

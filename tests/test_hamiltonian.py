@@ -140,6 +140,20 @@ def test_matrices_at_matches_polyval_reference(seg):
         assert snap.pairs == tuple(sorted(active))
 
 
+def test_matrices_at_beyond_the_float_range_raises_too_large():
+    tracks = np.zeros((2, 16, 9))
+    tracks[1, PAULI_LABELS.index("XX"), 8] = 1.0
+    seg = Segment(0.0, 1e40, ((0, 1), (1, 2)), tracks)
+    assert np.abs(seg.matrices_at(1e30)).max() == pytest.approx(1e240)
+    with pytest.raises(TooLarge, match=r"^pair \(1, 2\): the term at t=1e\+40 exceeds the float range$"):
+        seg.matrices_at(1e40)
+    # finite coefficients whose sum overflows in one matrix entry
+    tracks = np.zeros((1, 16, 1))
+    tracks[0, [PAULI_LABELS.index("XX"), PAULI_LABELS.index("YY")]] = 1e308
+    with pytest.raises(TooLarge, match=r"^pair \(0, 1\): the term at t=0\.5 exceeds the float range$"):
+        Segment(0.0, 1.0, ((0, 1),), tracks).matrices_at(0.5)
+
+
 def test_eval_pair():
     s = single_pair_schedule({"XX": (0.0, 1.0)}, t_total=2.0)
     m = eval_pair(s, (0, 1), 1.5)

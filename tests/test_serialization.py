@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chromlc import linalg
 from chromlc.compiler import Gate, GateSchedule, Step, compile
 from chromlc.errors import ChromlcError, ParseError, SchemaVersionMismatch
 from chromlc.hamiltonian import (
@@ -275,9 +276,9 @@ def test_gates_roundtrip_keeps_a_gate_with_a_near_degenerate_angle():
 def test_gates_parse_rejects_non_finite_angle(angle):
     # json reads these literals; the encoder could not write them back
     text = dumps_gates(GateSchedule(2, (Step((Gate((0, 1), np.eye(4), 0.0),)),)))
-    assert '"angle": 0.0' in text
+    assert '"angle":0.0' in text
     with pytest.raises(ParseError, match=r"steps\[0\].gates\[0\]: gate angle must be finite"):
-        loads_gates(text.replace('"angle": 0.0', f'"angle": {angle}'))
+        loads_gates(text.replace('"angle":0.0', f'"angle": {angle}'))
 
 
 def test_gates_parse_rejects_non_unitary():
@@ -287,6 +288,41 @@ def test_gates_parse_rejects_non_unitary():
     doc["steps"][0]["gates"][0]["unitary"][0][0] = [5.0, 0.0]
     with pytest.raises(ParseError, match=r"steps\[0\].gates\[0\]"):
         loads_gates(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("unitary", 0, 0), [5.0, 0.0], "gate matrix is not unitary at tolerance 1e-10"),
+        (("angle",), float("nan"), "gate angle must be finite, got nan"),
+        (("pair",), [3, 2], r"gate pair \(3,2\) must satisfy 0 <= k < l"),
+    ],
+)
+def test_gates_parse_names_the_bad_gate_of_a_step(path, value, message):
+    # each step's gates are checked as one stack; a failure still names its gate
+    doc = json.loads(dumps_gates(compile(disjoint_pairs(6), 0.5)[0]))
+    node = doc["steps"][1]["gates"][2]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ParseError, match=rf"^steps\[1\]\.gates\[2\]: {message}$"):
+        loads_gates(json.dumps(doc))
+
+
+def test_gates_parse_checks_each_step_as_one_stack(monkeypatch):
+    g, _ = compile(disjoint_pairs(6), 0.25)  # 4 steps of 3 gates
+    text = dumps_gates(g)
+    calls = []
+    original = linalg.is_unitary
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "is_unitary", counting)
+    assert loads_gates(text) == g
+    assert len(g.steps) == 4
+    assert len(calls) == 4 + 1  # one per step, one in the document's stacked angle check
 
 
 def test_gates_parse_rejects_overlapping_step():
@@ -327,7 +363,7 @@ def test_file_helpers_and_dispatch(tmp_path):
 
 
 def _reference_text(g):
-    """The gate document as ``json.dumps(indent=2)`` writes it, built here."""
+    """The gate document as ``json.dumps(separators=(",", ":"))`` writes it, built here."""
     steps = [
         {
             "gates": [
@@ -344,7 +380,7 @@ def _reference_text(g):
         for step in g.steps
     ]
     doc = {"format": "chromlc-gates", "version": 1, "n_qubits": g.n_qubits, "steps": steps}
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 @st.composite
@@ -401,9 +437,27 @@ def test_dumps_gates_examples_cover_the_fallback_and_special_entries():
     assert text == _reference_text(g)
     for literal in ("1e-17", "-0.0", "0.1"):
         assert literal in text
-    assert dumps_gates(GateSchedule(2, ())).endswith('"steps": []\n}\n')
+    assert dumps_gates(GateSchedule(2, ())).endswith('"steps":[]}\n')
     # each gate's generator has norm 100 * 0.05 = 5 > pi: the angle is the unitary's
     assert all(gate.angle < math.pi for step in _PAST_PI.steps for gate in step.gates)
+
+
+@pytest.mark.parametrize(
+    "obj, dumps, loads",
+    [
+        (random_time_varying(4, p=0.8, seed=2), dumps_schedule, loads_schedule),
+        (compile(random_graph(4, p=0.8, seed=1, segments=2), 0.5)[0], dumps_gates, loads_gates),
+    ],
+    ids=["schedule", "gates"],
+)
+def test_indented_documents_load_and_dump_compact(obj, dumps, loads):
+    # documents were once written as json.dumps(doc, indent=2) lays them out
+    text = dumps(obj)
+    indented = json.dumps(json.loads(text), indent=2) + "\n"
+    assert "\n  " in indented and "\n" not in text[:-1] and " " not in text
+    assert loads(indented) == obj
+    assert dumps(loads(indented)) == text
+    assert text == json.dumps(json.loads(indented), separators=(",", ":")) + "\n"
 
 
 def test_dumps_gates_writes_each_repeat_of_a_step():
