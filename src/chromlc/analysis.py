@@ -89,8 +89,7 @@ def convergence_study(s: HamiltonianSchedule, epsilons, tol: float = 1e-10) -> l
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise BadParams("epsilons must be strictly decreasing")
     n = s.n_qubits
-    if n > simulator.STATE_MAX_QUBITS:
-        raise TooLarge(f"state vectors are limited to {simulator.STATE_MAX_QUBITS} qubits, got {n}")
+    simulator.check_state_size(n)
     samples = 64 if s.is_piecewise_constant else 512
     target = integrated_chromatic_index(s, samples_per_segment=samples).integral
 

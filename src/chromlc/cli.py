@@ -8,6 +8,7 @@ convergence ratios out of range), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -15,19 +16,11 @@ import numpy as np
 
 from . import analysis, compiler, serialization, simulator
 from .errors import ChromlcError, ParseError
-from .hamiltonian import HamiltonianSchedule, generate, integrated_chromatic_index
-
-_GENERATOR_PARAMS = {
-    "chain": ("n", "t_total", "coupling"),
-    "disjoint_pairs": ("n", "t_total", "coupling"),
-    "complete_mean_field": ("n", "t_total", "coupling"),
-    "random_graph": ("n", "t_total", "coupling", "p", "seed", "segments"),
-    "random_time_varying": ("n", "t_total", "coupling", "p", "seed", "degree"),
-}
+from .hamiltonian import GENERATORS, HamiltonianSchedule, generate, integrated_chromatic_index
 
 
 def _generate_arguments(p):
-    p.add_argument("kind", choices=sorted(_GENERATOR_PARAMS))
+    p.add_argument("kind", choices=sorted(GENERATORS))
     p.add_argument("--n", type=int, required=True, help="number of qubits")
     p.add_argument("--t", type=float, default=1.0, help="total time (default 1.0)")
     p.add_argument("--coupling", type=float, default=1.0, help="pair norm (default 1.0)")
@@ -146,6 +139,17 @@ def _write_text(text: str, path):
         sys.stdout.write(text)
 
 
+def _write_rows(args, study: str, rows):
+    """A study's rows on stdout, as CSV or as JSON whose params are the parsed
+    arguments but the command, the study, the format and the handler."""
+    if args.format == "json":
+        skip = ("command", "study", "format", "handler")
+        params = {key: value for key, value in vars(args).items() if key not in skip}
+        sys.stdout.write(analysis.summary_json(study, params, rows))
+    else:
+        sys.stdout.write(analysis.rows_to_csv(rows))
+
+
 def _load_state(spec: str, n_qubits: int) -> simulator.StateVector:
     if not spec.startswith("basis:"):
         return serialization.load_product_state(spec, n_qubits)
@@ -161,7 +165,7 @@ def _cmd_generate(args) -> int:
     params = {"n": args.n, "t_total": args.t, "coupling": args.coupling,
               "p": args.p, "seed": args.seed, "segments": args.segments,
               "degree": args.degree}
-    allowed = _GENERATOR_PARAMS[args.kind]
+    allowed = inspect.signature(GENERATORS[args.kind]).parameters
     schedule = generate(args.kind, **{k: v for k, v in params.items() if k in allowed})
     _write_text(serialization.dumps_schedule(schedule), args.output)
     if args.output:
@@ -265,16 +269,7 @@ def _cmd_verify_theorem1(args) -> int:
                     f"weighted depth misses the integrated index by {row.depth_gap:.3e} "
                     f"at eps {row.epsilon} on a piecewise-constant schedule"
                 )
-    if args.format == "json":
-        sys.stdout.write(
-            analysis.summary_json(
-                "theorem1",
-                {"schedule": args.schedule, "epsilons": args.epsilons, "tol": args.tol},
-                rows,
-            )
-        )
-    else:
-        sys.stdout.write(analysis.rows_to_csv(rows))
+    _write_rows(args, "theorem1", rows)
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
     if not problems:
@@ -286,17 +281,7 @@ def _cmd_verify_variance(args) -> int:
     records = analysis.variance_bound_experiment(
         args.n, args.alpha, args.trials, seed=args.seed, tol=args.tol
     )
-    if args.format == "json":
-        sys.stdout.write(
-            analysis.summary_json(
-                "variance",
-                {"n": args.n, "alpha": args.alpha, "trials": args.trials, "seed": args.seed,
-                 "tol": args.tol},
-                records,
-            )
-        )
-    else:
-        sys.stdout.write(analysis.rows_to_csv(records))
+    _write_rows(args, "variance", records)
     violations = [r for r in records if r.slack < 0]
     for record in violations:
         print(
@@ -311,17 +296,7 @@ def _cmd_verify_variance(args) -> int:
 def _cmd_trotter(args) -> int:
     schedule = serialization.load_schedule(args.schedule)
     rows = analysis.trotter_comparison(schedule, args.m_list, args.epsilons, tol=args.tol)
-    if args.format == "json":
-        sys.stdout.write(
-            analysis.summary_json(
-                "trotter",
-                {"schedule": args.schedule, "m_list": args.m_list, "epsilons": args.epsilons,
-                 "tol": args.tol},
-                rows,
-            )
-        )
-    else:
-        sys.stdout.write(analysis.rows_to_csv(rows))
+    _write_rows(args, "trotter", rows)
     return 0
 
 

@@ -59,6 +59,7 @@ PAULI_LABELS = tuple(a + b for a in "IXYZ" for b in "IXYZ")
 PAULI_PRODUCTS = np.stack([np.kron(_P1[l[0]], _P1[l[1]]) for l in PAULI_LABELS])
 
 __all__ = [
+    "GENERATORS",
     "MAX_GENERATED_TERMS",
     "MAX_SAMPLES_PER_SEGMENT",
     "PAULI_LABELS",
@@ -421,29 +422,12 @@ def random_graph(
     random norm-``coupling`` terms.  Deterministic in ``seed``."""
     if segments < 1:
         raise BadParams("segments must be at least 1")
-    _check_common(n, t_total, n * (n - 1) // 2 * segments)
-    if not 0.0 <= p <= 1.0:
-        raise BadParams("edge probability p must lie in [0,1]")
-    if seed < 0:
-        raise BadParams(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = _random_source(n, t_total, p, seed, segments)
     segs = []
     for i in range(segments):
         t0 = (i * t_total) / segments
         t1 = ((i + 1) * t_total) / segments if i + 1 < segments else float(t_total)
-        pairs, rows = [], []
-        for k in range(n):
-            for l in range(k + 1, n):
-                if rng.random() < p:
-                    pairs.append((k, l))
-                    rows.append(rng.standard_normal(16))
-        tracks = np.reshape(rows, (len(pairs), 16, 1))
-        tracks[:, 0] = 0.0  # traceless: no global-phase component
-        raw = Segment(t0, t1, tuple(pairs), tracks)
-        norms = linalg.hermitian_norms(raw.matrices_at(t0))
-        if np.any(norms <= 1e-9):  # 15 Gaussians all near zero: probability zero
-            raise RuntimeError("random coefficient draw degenerated")
-        segs.append(Segment(t0, t1, raw.pairs, (coupling / norms)[:, None, None] * tracks))
+        segs.append(_random_segment(rng, n, p, coupling, t0, t1, width=1, probes=[t0]))
     return HamiltonianSchedule(n, tuple(segs))
 
 
@@ -457,29 +441,42 @@ def random_time_varying(
 ) -> HamiltonianSchedule:
     """Single segment with random polynomial coefficient tracks, rescaled so
     the largest sampled norm over [0,T] equals ``coupling``."""
-    _check_common(n, t_total, n * (n - 1) // 2)
-    if not 0.0 <= p <= 1.0:
-        raise BadParams("edge probability p must lie in [0,1]")
+    rng = _random_source(n, t_total, p, seed, 1)
     if not 0 <= degree <= MAX_POLY_DEGREE:
         raise BadParams(f"degree must lie in [0, {MAX_POLY_DEGREE}]")
+    probes = np.linspace(0.0, t_total, 33).tolist()
+    segment = _random_segment(rng, n, p, coupling, 0.0, float(t_total), width=degree + 1, probes=probes)
+    return HamiltonianSchedule(n, (segment,))
+
+
+def _random_source(n: int, t_total: float, p: float, seed: int, segments: int):
+    """The generator of a random schedule of ``segments`` segments, after the
+    checks the random kinds share."""
+    _check_common(n, t_total, n * (n - 1) // 2 * segments)
+    if not 0.0 <= p <= 1.0:
+        raise BadParams("edge probability p must lie in [0,1]")
     if seed < 0:
         raise BadParams(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    pairs, polys = [], []
+    return np.random.default_rng(seed)
+
+
+def _random_segment(rng, n, p, coupling, t_start, t_end, width, probes) -> Segment:
+    """An Erdos-Renyi segment: each pair, kept with probability ``p``, draws a
+    (16, ``width``) track of standard normals with a zero II row, scaled so
+    that its largest norm at the ``probes`` is ``coupling``."""
+    pairs, draws = [], []
     for k in range(n):
         for l in range(k + 1, n):
             if rng.random() < p:
                 pairs.append((k, l))
-                polys.append(rng.standard_normal((16, degree + 1)))
-    tracks = np.reshape(polys, (len(pairs), 16, degree + 1))
-    tracks[:, 0, :] = 0.0
-    raw = Segment(0.0, float(t_total), tuple(pairs), tracks)
-    probe = np.stack([raw.matrices_at(float(t)) for t in np.linspace(0.0, t_total, 33)])
-    peaks = linalg.hermitian_norms(probe).max(axis=0)
-    keep = peaks > 1e-9
-    tracks = (coupling / peaks[keep])[:, None, None] * tracks[keep]
-    kept = tuple(pair for pair, active in zip(pairs, keep) if active)
-    return HamiltonianSchedule(n, (Segment(0.0, float(t_total), kept, tracks),))
+                draws.append(rng.standard_normal((16, width)))
+    tracks = np.reshape(draws, (len(pairs), 16, width))
+    tracks[:, 0] = 0.0  # traceless: no global-phase component
+    raw = Segment(t_start, t_end, tuple(pairs), tracks)
+    peaks = linalg.hermitian_norms(np.stack([raw.matrices_at(t) for t in probes])).max(axis=0)
+    if np.any(peaks <= 1e-9):  # every Gaussian of a term near zero: probability zero
+        raise RuntimeError("random coefficient draw degenerated")
+    return Segment(t_start, t_end, raw.pairs, (coupling / peaks)[:, None, None] * tracks)
 
 
 def _check_common(n: int, t_total: float, terms: int):
@@ -496,7 +493,7 @@ def _check_common(n: int, t_total: float, terms: int):
         )
 
 
-_GENERATORS = {
+GENERATORS = {
     "chain": chain,
     "disjoint_pairs": disjoint_pairs,
     "complete_mean_field": complete_mean_field,
@@ -506,11 +503,11 @@ _GENERATORS = {
 
 
 def generate(kind: str, **params) -> HamiltonianSchedule:
-    """Dispatch to a named schedule generator; see ``_GENERATORS`` for kinds."""
+    """Dispatch to a named schedule generator; see ``GENERATORS`` for kinds."""
     try:
-        fn = _GENERATORS[kind]
+        fn = GENERATORS[kind]
     except KeyError:
-        raise BadParams(f"unknown generator kind {kind!r}; choose from {sorted(_GENERATORS)}")
+        raise BadParams(f"unknown generator kind {kind!r}; choose from {sorted(GENERATORS)}")
     try:
         return fn(**params)
     except TypeError as exc:

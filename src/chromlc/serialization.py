@@ -10,8 +10,8 @@ Three document types, distinguished by their ``format`` field:
   is built.  An ``II`` component is legal (it only shifts the global phase)
   but parsing one emits a warning.
 * ``chromlc-gates`` -- gate schedules; unitaries are 4x4 arrays of
-  ``[re, im]`` pairs and every gate carries its angle, checked on loading
-  by one stacked eigensolve per document.
+  ``[re, im]`` pairs and every gate carries its angle.  On loading, the
+  unitaries and the angles of the whole document are checked as one stack.
 * ``chromlc-product`` -- product states (read only): two ``[re, im]``
   amplitudes per qubit; their parse errors name the file.
 
@@ -257,12 +257,11 @@ def loads_gates(text: str) -> GateSchedule:
 def _gates_from_doc(doc: dict) -> GateSchedule:
     _check_header(doc, GATES_FORMAT)
     n_qubits = _int_field(doc, "n_qubits", "document")
-    steps, loci = [], []  # loci[k] names the k-th gate of the document
+    fields, loci, ends = [], [], []  # (pair, unitary, angle) and name of every gate; each step's end
     for i, raw_step in enumerate(_list_field(doc, "steps", "document")):
         where = f"steps[{i}]"
         if not isinstance(raw_step, dict):
             raise ParseError(f"{where}: expected an object")
-        fields = []  # (pair, unitary, angle) of each gate of the step
         for j, raw_gate in enumerate(_list_field(raw_step, "gates", where)):
             gwhere = f"{where}.gates[{j}]"
             if not isinstance(raw_gate, dict):
@@ -271,26 +270,28 @@ def _gates_from_doc(doc: dict) -> GateSchedule:
             u = _floats(raw_gate.get("unitary"), (4, 4, 2), f"{gwhere}.unitary", "a 4x4 array of [re, im] pairs")
             fields.append((pair, u.view(np.complex128)[..., 0], _number(raw_gate.get("angle"), f"{gwhere}.angle")))
             loci.append(gwhere)
-        try:
-            gates = Gate.batch(*zip(*fields)) if fields else ()
-        except (BadParams, NotUnitary):
-            for j, gate in enumerate(fields):  # the stack holds a bad gate: name the first one
-                try:
-                    Gate(*gate)
-                except (BadParams, NotUnitary) as exc:
-                    raise ParseError(f"{where}.gates[{j}]: {exc}") from None
-            raise  # not reached: a stack fails only where one of its gates does
-        try:
-            steps.append(Step(tuple(gates)))
-        except BadParams as exc:
-            raise ParseError(f"{where}: {exc}") from None
+        ends.append(len(fields))
+    try:
+        gates = Gate.batch(*zip(*fields)) if fields else []
+    except (BadParams, NotUnitary):
+        for locus, gate in zip(loci, fields):  # the stack holds a bad gate: name the first one
+            try:
+                Gate(*gate)
+            except (BadParams, NotUnitary) as exc:
+                raise ParseError(f"{locus}: {exc}") from None
+        raise  # not reached: a stack fails only where one of its gates does
     # every angle against its unitary's by one stacked eigensolve; the first mismatch is reported
-    every = [gate for step in steps for gate in step.gates]
-    angles = linalg.unitary_angle(np.reshape([gate.unitary for gate in every], (-1, 4, 4)))
-    mismatched = np.flatnonzero(np.abs([gate.angle for gate in every] - angles) > ANGLE_CHECK_TOL)
+    angles = linalg.unitary_angle(np.reshape([gate.unitary for gate in gates], (-1, 4, 4)))
+    mismatched = np.flatnonzero(np.abs([gate.angle for gate in gates] - angles) > ANGLE_CHECK_TOL)
     if mismatched.size:
         k = mismatched[0]
-        raise ParseError(f"{loci[k]}.angle: {every[k].angle} does not match the unitary's angle")
+        raise ParseError(f"{loci[k]}.angle: {gates[k].angle} does not match the unitary's angle")
+    steps = []
+    for i, (start, end) in enumerate(zip([0] + ends, ends)):
+        try:
+            steps.append(Step(tuple(gates[start:end])))
+        except BadParams as exc:
+            raise ParseError(f"steps[{i}]: {exc}") from None
     try:
         return GateSchedule(n_qubits, tuple(steps))
     except BadParams as exc:

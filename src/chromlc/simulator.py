@@ -26,7 +26,8 @@ share/4 together.  Each order applies every G_d once.
 The work is bounded before the first step, for the whole schedule: a
 substep of a degree-D segment counts (D + 1)^2, and a schedule whose
 substeps count over ``MAX_TAYLOR_SUBSTEPS`` in all is refused with
-``ToleranceUnreachable``.
+``ToleranceUnreachable``, unless a pair term is beyond the float range at
+an end of its segment, which raises ``TooLarge`` naming the pair.
 
 Up to ``DENSE_GENERATOR_MAX_QUBITS`` qubits each G_d is built as a dense
 matrix, so an operator application costs one matrix product; on larger
@@ -79,6 +80,7 @@ __all__ = [
     "STATE_MAX_QUBITS",
     "MeanFieldObservable",
     "StateVector",
+    "check_state_size",
     "check_tolerance",
     "evolve_continuous",
     "full_unitary",
@@ -95,7 +97,8 @@ def check_tolerance(tol: float):
         raise BadParams(f"integrator tolerance must be a finite number >= 1e-12, got {tol}")
 
 
-def _check_state_size(n_qubits: int):
+def check_state_size(n_qubits: int):
+    """Raise ``TooLarge`` for a register past ``STATE_MAX_QUBITS`` qubits."""
     if n_qubits > STATE_MAX_QUBITS:
         raise TooLarge(f"state vectors are limited to {STATE_MAX_QUBITS} qubits, got {n_qubits}")
 
@@ -119,7 +122,7 @@ class StateVector:
 
     @classmethod
     def basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
-        _check_state_size(n_qubits)  # before 2**n_qubits, which takes minutes past 10^10 qubits
+        check_state_size(n_qubits)  # before 2**n_qubits, which takes minutes past 10^10 qubits
         if not 0 <= index < 2**n_qubits:
             raise IndexOutOfRange(f"basis index {index} outside register of {n_qubits} qubits")
         amps = np.zeros(2**n_qubits, dtype=np.complex128)
@@ -134,7 +137,7 @@ class StateVector:
         cap is checked before any amplitude is allocated.
         """
         vectors = list(vectors)
-        _check_state_size(len(vectors))
+        check_state_size(len(vectors))
         amps = np.ones(1, dtype=np.complex128)
         for v in vectors:
             v = np.asarray(v, dtype=np.complex128)
@@ -305,7 +308,11 @@ def _integrate_adaptive(s: HamiltonianSchedule, array, tol: float):
     work = 0
     for seg in s.segments:
         degrees = seg.tracks.shape[2]
-        nu = seg.length * _norm_bound(seg)  # inf or nan when the bound overflows
+        bound = _norm_bound(seg)
+        if not math.isfinite(bound):  # TooLarge names a term beyond the float range at either end
+            seg.matrices_at(seg.t_start)
+            seg.matrices_at(seg.t_end)
+        nu = seg.length * bound  # inf or nan when the bound overflows
         if not nu <= MAX_TAYLOR_SUBSTEPS or work + math.ceil(nu) * degrees**2 > MAX_TAYLOR_SUBSTEPS:
             raise ToleranceUnreachable(
                 f"the schedule needs more than {MAX_TAYLOR_SUBSTEPS} Taylor substeps "
@@ -334,7 +341,7 @@ def propagate(x, array, tol: float = 1e-10) -> np.ndarray:
     if not isinstance(x, (GateSchedule, HamiltonianSchedule)):
         raise BadParams(f"cannot propagate through a {type(x).__name__}")
     n = x.n_qubits
-    _check_state_size(n)
+    check_state_size(n)
     array = np.asarray(array, dtype=np.complex128)
     if array.ndim not in (1, 2) or array.shape[0] != 2**n:
         raise DimensionMismatch(f"expected 2^{n} rows of amplitudes, got an array of shape {array.shape}")

@@ -641,6 +641,11 @@ def test_json_params_name_every_input(tmp_path, capsys):
     assert json.loads(out)["params"] == {
         "schedule": str(spath), "m_list": [1, 2], "epsilons": [1.0], "tol": 1e-9,
     }
+    code, out, _ = run_cli(
+        capsys, "verify", "theorem1", str(spath), "--epsilons", "1.0,0.5", "--tol", "1e-9", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["params"] == {"schedule": str(spath), "epsilons": [1.0, 0.5], "tol": 1e-9}
 
 
 def test_verify_variance(capsys):
@@ -756,6 +761,7 @@ def test_negative_seed_exits_2(capsys, argv):
         (["index", "{doc}"], r"\(0, 1\)"),
         (["compile", "{doc}", "--epsilon", "1e40"], r"\(0, 1\)"),
         (["verify", "theorem1", "{doc}", "--epsilons", "1e40,5e39"], r"\(0, 1\)"),
+        (["simulate", "{doc}"], r"\(0, 1\)"),
     ],
 )
 def test_pair_term_beyond_the_float_range_exits_2(tmp_path, capsys, argv, pair):

@@ -431,6 +431,7 @@ def test_degenerate_draws_raise(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ZeroRng())
     for draw in (
         lambda: random_graph(3, seed=1),
+        lambda: random_time_varying(3, seed=1),
         lambda: per_term_random_graph(3, seed=1),
         lambda: MeanFieldObservable.random(3, seed=1),
         lambda: per_qubit_observable_factors(3, 1),

@@ -4,7 +4,8 @@ Modules share only public names: none imports an underscore name from a
 sibling or reads ``sibling._name``, every ``__all__`` entry is defined in
 its module, and the package namespace re-exports no underscore name.
 Only ``serialization`` parses JSON: no other module calls ``json.load``
-or ``json.loads``.
+or ``json.loads``.  Only ``cli`` writes to standard output: no other
+module calls ``print`` or touches ``sys.stdout``.
 """
 
 import ast
@@ -88,6 +89,16 @@ def _violations(path):
             and path.name != "serialization.py"
         ):
             problems.append(f"line {node.lineno}: parses JSON outside serialization")
+        if path.name != "cli.py" and (
+            (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print")
+            or (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+                and node.attr == "stdout"
+            )
+        ):
+            problems.append(f"line {node.lineno}: writes to standard output outside cli")
     defined = _defined_names(tree)
     for name in _exported(tree):
         if name not in defined:
@@ -109,13 +120,15 @@ def test_rules_catch_violations(tmp_path):
         "x = linalg._as_square\n"
         "import json\n"
         "doc = json.loads('{}')\n"
+        "print(doc)\n"
     )
     problems = _violations(bad)
-    assert len(problems) == 4
+    assert len(problems) == 5
     assert any("_search" in p for p in problems)
     assert any("linalg._as_square" in p for p in problems)
     assert any("write_csv" in p for p in problems)
     assert "line 6: parses JSON outside serialization" in problems
+    assert "line 7: writes to standard output outside cli" in problems
     package = tmp_path / "__init__.py"
     package.write_text("from numpy import _pytesttester\nfrom os import path\n")
     assert len(_violations(package)) == 1

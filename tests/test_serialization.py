@@ -309,7 +309,7 @@ def test_gates_parse_names_the_bad_gate_of_a_step(path, value, message):
         loads_gates(json.dumps(doc))
 
 
-def test_gates_parse_checks_each_step_as_one_stack(monkeypatch):
+def test_gates_parse_checks_the_document_as_one_stack(monkeypatch):
     g, _ = compile(disjoint_pairs(6), 0.25)  # 4 steps of 3 gates
     text = dumps_gates(g)
     calls = []
@@ -322,7 +322,7 @@ def test_gates_parse_checks_each_step_as_one_stack(monkeypatch):
     monkeypatch.setattr(linalg, "is_unitary", counting)
     assert loads_gates(text) == g
     assert len(g.steps) == 4
-    assert len(calls) == 4 + 1  # one per step, one in the document's stacked angle check
+    assert len(calls) == 1 + 1  # one for the document's gates, one in its stacked angle check
 
 
 def test_gates_parse_rejects_overlapping_step():
