@@ -67,7 +67,6 @@ from .hamiltonian import (
     weighted_chromatic_index,
 )
 from .linalg import (
-    EigenDecomposition,
     expm_i,
     hermitian_eig,
     is_hermitian,

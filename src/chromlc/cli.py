@@ -8,7 +8,6 @@ convergence ratios out of range), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
@@ -20,14 +19,17 @@ from .hamiltonian import GENERATORS, HamiltonianSchedule, generate, integrated_c
 
 
 def _generate_arguments(p):
+    # Defaults live in the generator signatures: a flag not given is not
+    # passed on, and a flag the kind does not take is refused.
+    optional = {"default": argparse.SUPPRESS}
     p.add_argument("kind", choices=sorted(GENERATORS))
     p.add_argument("--n", type=int, required=True, help="number of qubits")
-    p.add_argument("--t", type=float, default=1.0, help="total time (default 1.0)")
-    p.add_argument("--coupling", type=float, default=1.0, help="pair norm (default 1.0)")
-    p.add_argument("--p", type=float, default=0.5, help="edge probability (random kinds)")
-    p.add_argument("--segments", type=int, default=1, help="segment count (random_graph)")
-    p.add_argument("--degree", type=int, default=2, help="polynomial degree (random_time_varying)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--t", dest="t_total", metavar="T", type=float, help="total time", **optional)
+    p.add_argument("--coupling", type=float, help="pair norm", **optional)
+    p.add_argument("--p", type=float, help="edge probability (random kinds)", **optional)
+    p.add_argument("--segments", type=int, help="segment count (random_graph)", **optional)
+    p.add_argument("--degree", type=int, help="polynomial degree (random_time_varying)", **optional)
+    p.add_argument("--seed", type=int, help="random seed (random kinds)", **optional)
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.set_defaults(handler=_cmd_generate)
 
@@ -162,11 +164,8 @@ def _load_state(spec: str, n_qubits: int) -> simulator.StateVector:
 
 
 def _cmd_generate(args) -> int:
-    params = {"n": args.n, "t_total": args.t, "coupling": args.coupling,
-              "p": args.p, "seed": args.seed, "segments": args.segments,
-              "degree": args.degree}
-    allowed = inspect.signature(GENERATORS[args.kind]).parameters
-    schedule = generate(args.kind, **{k: v for k, v in params.items() if k in allowed})
+    skip = ("command", "kind", "output", "handler")
+    schedule = generate(args.kind, **{key: value for key, value in vars(args).items() if key not in skip})
     _write_text(serialization.dumps_schedule(schedule), args.output)
     if args.output:
         print(f"wrote {args.kind} schedule to {args.output}", file=sys.stderr)

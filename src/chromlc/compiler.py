@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -278,21 +279,18 @@ def compile(s: HamiltonianSchedule, epsilon: float):
 def _sample_steps(s: HamiltonianSchedule, t_mid: float, delta: float, known: dict):
     """The steps of one subinterval, and its thresholds, chromatic indices
     and exactness flags for the :class:`IntervalReport`.  ``known`` is the
-    compilation's dict of colorings for :func:`~chromlc.graphs.level_decompose`."""
+    compilation's dict of colorings for :func:`~chromlc.graphs.level_decompose`.
+
+    The gates are built as one stack in class order (levels ascending,
+    classes in color order) and each class cuts its step off that stack."""
     snap = snapshot(s, t_mid)
     rows = {pair: i for i, pair in enumerate(snap.pairs)}
     decomp = level_decompose(snap.graph, known)
-    level_pairs = [level.coloring.all_pairs() for level in decomp.levels]
-    level_angles = delta * np.diff(decomp.thresholds(), prepend=0.0)
-    index = [rows[pair] for pairs in level_pairs for pair in pairs]
-    all_gates = _pair_gates(snap, index, np.repeat(level_angles, [len(pairs) for pairs in level_pairs]))
-    steps = []
-    start = 0
-    for level, pairs in zip(decomp.levels, level_pairs):
-        gates = dict(zip(pairs, all_gates[start : start + len(pairs)]))
-        start += len(pairs)
-        for matching in level.coloring.classes:
-            steps.append(Step(tuple(gates[pair] for pair in matching)))
+    classes = [cls for level in decomp.levels for cls in level.coloring.classes]
+    sizes = [sum(map(len, level.coloring.classes)) for level in decomp.levels]
+    angles = np.repeat(delta * np.diff(decomp.thresholds(), prepend=0.0), sizes)
+    gates = iter(_pair_gates(snap, [rows[pair] for cls in classes for pair in cls], angles))
+    steps = [Step(tuple(islice(gates, len(cls)))) for cls in classes]
     levels = (
         decomp.thresholds(),
         tuple(lv.chromatic_index for lv in decomp.levels),

@@ -266,20 +266,18 @@ def edge_color_vizing(g: WeightedGraph) -> EdgeColoring:
     def key(a, b):
         return (a, b) if a < b else (b, a)
 
+    # assign colors an uncolored edge and unassign uncolors a colored one:
+    # the path inversion uncolors every path edge before it recolors any,
+    # and the fan rotation uncolors (u, fan[i+1]) before it colors (u, fan[i]).
     def assign(a, b, c):
-        old = colour.get(key(a, b))
-        if old is not None:
-            del incident[a][old]
-            del incident[b][old]
         colour[key(a, b)] = c
         incident[a][c] = b
         incident[b][c] = a
 
     def unassign(a, b):
-        old = colour.pop(key(a, b), None)
-        if old is not None:
-            del incident[a][old]
-            del incident[b][old]
+        old = colour.pop(key(a, b))
+        del incident[a][old]
+        del incident[b][old]
 
     def is_free(v, c):
         return c not in incident[v]

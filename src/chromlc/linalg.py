@@ -18,7 +18,6 @@ Hermitian ``h`` with exp(+i*h) = u.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .errors import DimensionMismatch, NotHermitian, NotUnitary
 PHASE_SNAP_TOL = 1e-12     # eigenphases this close to -pi are reported as +pi
 
 __all__ = [
-    "EigenDecomposition",
     "expm_i",
     "hermitian_eig",
     "hermitian_norms",
@@ -38,13 +36,6 @@ __all__ = [
     "unitary_angle",
     "unitary_log",
 ]
-
-
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues (ascending) and the unitary matrix of column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _as_square(m, what: str, stacked: bool = False) -> np.ndarray:
@@ -73,19 +64,19 @@ def is_unitary(m, tol: float = 1e-10) -> bool:
     return float(np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0)) < tol
 
 
-def hermitian_eig(m, tol: float = 1e-10) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix or a stack ``(..., n, n)``.
+def hermitian_eig(m):
+    """Eigendecomposition of a Hermitian matrix or a stack ``(..., n, n)``:
+    LAPACK ``eigh``'s own result, unpacking as ``(w, v)``.
 
-    LAPACK ``eigh``: eigenvalues come back real and ascending along the last
-    axis; eigenvectors are the columns of unitary matrices, so
+    Eigenvalues come back real and ascending along the last axis;
+    eigenvectors are the columns of unitary matrices, so
     ``V diag(w) V^dagger`` reconstructs each input.  Raises ``NotHermitian``
-    when any member fails :func:`is_hermitian` at ``tol``.
+    when any member fails :func:`is_hermitian` at 1e-10.
     """
     m = _as_square(m, "hermitian_eig", stacked=True)
-    if not is_hermitian(m, tol):
-        raise NotHermitian(f"matrix is not Hermitian at tolerance {tol}")
-    w, v = np.linalg.eigh(m)
-    return EigenDecomposition(w, v)
+    if not is_hermitian(m, 1e-10):
+        raise NotHermitian("matrix is not Hermitian at tolerance 1e-10")
+    return np.linalg.eigh(m)
 
 
 def hermitian_norms(m) -> np.ndarray:

@@ -41,6 +41,7 @@ GATES_FORMAT = "chromlc-gates"
 PRODUCT_FORMAT = "chromlc-product"
 FORMAT_VERSION = 1
 ANGLE_CHECK_TOL = 1e-9
+_PAULI_ROWS = {label: row for row, label in enumerate(PAULI_LABELS)}  # Pauli key -> its row of a term's tracks
 
 __all__ = [
     "GATES_FORMAT",
@@ -198,7 +199,8 @@ def _term_polys(raw_term: dict, where: str) -> dict:
         raise ParseError(f"{where}.coeffs: expected an object of Pauli keys")
     polys = {}
     for label, coeff_list in raw_coeffs.items():
-        if label not in PAULI_LABELS:
+        row = _PAULI_ROWS.get(label)
+        if row is None:
             raise ParseError(
                 f"{where}.coeffs: unknown Pauli key {label!r}; keys are two letters over I, X, Y, Z"
             )
@@ -216,7 +218,7 @@ def _term_polys(raw_term: dict, where: str) -> dict:
                 "it still counts toward the interaction norm",
                 stacklevel=4,  # the caller of loads_schedule, load_schedule or load_document
             )
-        polys[PAULI_LABELS.index(label)] = poly
+        polys[row] = poly
     return polys
 
 

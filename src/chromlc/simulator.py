@@ -173,8 +173,9 @@ def run_schedule(psi: StateVector, g: GateSchedule) -> StateVector:
     return StateVector(psi.n_qubits, propagate(g, psi.amplitudes))
 
 
-def _dense_generators(seg, n):
-    """Stack [G_0, G_1, ...] of 2^n x 2^n matrices with -i H(t) = sum_d t^d G_d.
+def _dense_generators(pairs, blocks, n):
+    """Stack [G_0, G_1, ...] of 2^n x 2^n matrices with -i H(t) = sum_d t^d G_d,
+    from the (terms, degree + 1, 4, 4) blocks of the terms on ``pairs``.
 
     Entry (i, j) of a pair term's embedded operator is nonzero only where i
     and j agree on every qubit outside the pair: i = rest + bits(a) and
@@ -184,11 +185,10 @@ def _dense_generators(seg, n):
     entries.
     """
     dim = 2**n
-    if not seg.pairs:
+    if not pairs:
         return np.zeros((1, dim, dim), dtype=np.complex128)
-    degrees = seg.tracks.shape[2]
-    blocks = -1j * np.tensordot(seg.tracks, PAULI_PRODUCTS, axes=(1, 0))  # (terms, degrees, 4, 4)
-    shifts = n - 1 - np.array(seg.pairs)  # bit positions of k and l; k's is the higher
+    degrees = blocks.shape[1]
+    shifts = n - 1 - np.array(pairs)  # bit positions of k and l; k's is the higher
     k, l = shifts[:, :1], shifts[:, 1:]
     rest = np.arange(dim // 4)
     for p in (l, k):  # insert a zero bit at l's position, then at k's
@@ -208,24 +208,22 @@ def _segment_generator(seg, n):
     """The map xs -> sum_d G_d xs[d] on one segment, where -i H(t) = sum_d t^d G_d
     and xs stacks one array per polynomial degree.
 
-    Up to ``DENSE_GENERATOR_MAX_QUBITS`` qubits this is one product with
-    [G_0 G_1 ...]; past it, one contraction per pair term of its degree-d
-    matrices, rounded as ``Segment.matrices_at`` rounds them, with xs[d].
+    Each term's degree-d 4x4 block of -i H is built once, as one stack.  Up
+    to ``DENSE_GENERATOR_MAX_QUBITS`` qubits the map is one product with
+    [G_0 G_1 ...] scattered from those blocks; past it, one contraction per
+    pair term of its blocks with xs.
     """
+    blocks = -1j * np.tensordot(seg.tracks, PAULI_PRODUCTS, axes=(1, 0))  # (terms, degree + 1, 4, 4)
     if n <= DENSE_GENERATOR_MAX_QUBITS:
-        gens = _dense_generators(seg, n)
+        gens = _dense_generators(seg.pairs, blocks, n)
         wide = gens.transpose(1, 0, 2).reshape(gens.shape[1], -1)
         return lambda xs: wide @ xs.reshape(-1, *xs.shape[2:])
-    products = PAULI_PRODUCTS.reshape(16, 16)
-    terms, _, degrees = seg.tracks.shape
-    per_degree = [np.matmul(seg.tracks[:, None, :, d], products) for d in range(degrees)]
-    mats = np.stack(per_degree, axis=1).reshape(terms, degrees, 4, 4)
 
     def apply(xs):
         out = np.zeros_like(xs[0])
-        for (k, l), stack in zip(seg.pairs, mats):
+        for (k, l), stack in zip(seg.pairs, blocks):
             out += _apply_pair_stack(stack, xs, n, k, l)
-        return -1j * out
+        return out
 
     return apply
 

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chromlc import cli, linalg
+from chromlc import analysis, cli, linalg
 from chromlc.cli import main
 from chromlc.errors import ChromlcError
 from chromlc.compiler import Gate, GateSchedule, Step
 from chromlc.hamiltonian import (
+    GENERATORS,
     MAX_GENERATED_TERMS,
     MAX_SAMPLES_PER_SEGMENT,
     chain,
@@ -536,21 +537,44 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, argv, tol):
     [
         (["chain"], "error: the schedule needs more than 65536 Taylor substeps"),
         # some 1e4 substeps a segment, 1e7 in all
-        (["random_graph", "--segments", "1000", "--coupling", "1e7"], "error: the schedule needs more"),
-        (["random_time_varying"], "error: the schedule needs more than 65536 Taylor substeps"),
+        (["random_graph", "--p", "1", "--segments", "1000", "--coupling", "1e7"], "error: the schedule needs more"),
+        (["random_time_varying", "--p", "1"], "error: the schedule needs more than 65536 Taylor substeps"),
     ],
 )
 def test_simulate_refuses_unbounded_integration(tmp_path, capsys, generator, message):
     # the coupling-1e9 documents used to run for over 10 s, printing NaN
     # warnings, on their way to 2^24 step halvings
     spath = tmp_path / "strong.json"
-    argv = ["generate", *generator, "--n", "2", "--p", "1", "-o", str(spath)]
+    argv = ["generate", *generator, "--n", "2", "-o", str(spath)]
     run_cli(capsys, *(argv if "--coupling" in generator else argv + ["--coupling", "1e9"]))
     with wall_clock_bound(3.0):
         code, out, err = run_cli(capsys, "simulate", str(spath))
     assert code == 2
     assert err.startswith(message) and err.count("\n") == 1
     assert out == ""
+
+
+def test_generate_defaults_are_the_generators(capsys):
+    for kind, generator in GENERATORS.items():
+        code, out, _ = run_cli(capsys, "generate", kind, "--n", "4")
+        assert code == 0
+        assert out == dumps_schedule(generator(4))
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["chain", "--n", "4", "--p", "0.3", "--degree", "4", "--seed", "3"], "'p'"),
+        (["random_time_varying", "--n", "3", "--segments", "4", "--seed", "2"], "'segments'"),
+    ],
+)
+def test_generate_refuses_a_flag_its_kind_does_not_take(tmp_path, capsys, argv, flag):
+    # both used to exit 0, dropping the flags the kind does not take
+    path = tmp_path / "s.json"
+    code, out, err = run_cli(capsys, "generate", *argv, "-o", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -657,6 +681,35 @@ def test_verify_variance(capsys):
     assert lines[0] == "seed,n_qubits,alpha,variance,bound,slack"
     assert len(lines) == 4
     assert "satisfy the bound" in err
+
+
+@pytest.mark.parametrize(
+    "study, row, message",
+    [
+        (
+            "convergence_study",
+            analysis.ConvergenceRow(epsilon=0.5, error=1e-3, weighted_depth=1.5, depth_gap=0.25),
+            "FAIL: weighted depth misses the integrated index by 2.500e-01 at eps 0.5 on a piecewise-constant schedule",
+        ),
+        (
+            "variance_bound_experiment",
+            analysis.VarianceTrialRecord(seed=7, n_qubits=3, alpha=0.2, variance=40.0, bound=38.5, slack=-1.5),
+            "FAIL: trial 7 variance 40.0 exceeds bound 38.5",
+        ),
+    ],
+)
+def test_verify_reports_a_failing_row(tmp_path, capsys, monkeypatch, study, row, message):
+    spath = tmp_path / "pairs.json"
+    run_cli(capsys, "generate", "disjoint_pairs", "--n", "4", "-o", str(spath))
+    monkeypatch.setattr(analysis, study, lambda *args, **kwargs: [row])
+    if study == "convergence_study":
+        argv = ["theorem1", str(spath), "--epsilons", "0.5"]
+    else:
+        argv = ["variance", "--n", "3", "--alpha", "0.2", "--trials", "1"]
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert out == analysis.rows_to_csv([row])
+    assert err == message + "\n"
 
 
 def test_verify_variance_alpha_cap(capsys):

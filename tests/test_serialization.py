@@ -23,6 +23,7 @@ from chromlc.serialization import (
     dumps_gates,
     dumps_schedule,
     load_document,
+    load_gates,
     loads_gates,
     loads_schedule,
     save_gates,
@@ -353,6 +354,7 @@ def test_file_helpers_and_dispatch(tmp_path):
     save_gates(g, gpath)
     assert load_document(spath) == s
     assert load_document(gpath) == g
+    assert load_gates(gpath) == g
     other = tmp_path / "other.json"
     other.write_text('{"format": "nope", "version": 1}')
     with pytest.raises(SchemaVersionMismatch):
