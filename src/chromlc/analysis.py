@@ -7,10 +7,7 @@ derived from the base seed and the trial index, and trials run in order.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +36,6 @@ __all__ = [
     "VarianceTrialRecord",
     "check_convergence",
     "convergence_study",
-    "rows_to_csv",
-    "summary_json",
     "trotter_comparison",
     "variance_bound_experiment",
 ]
@@ -228,23 +223,3 @@ def trotter_comparison(s: HamiltonianSchedule, m_list, epsilons=(), tol: float =
         rows.append(TrotterRow("compile", float(eps), float(err), report.weighted_depth, report.n_steps))
     return rows
 
-
-# -- emission ----------------------------------------------------------------
-
-
-def rows_to_csv(rows) -> str:
-    """RFC-4180 CSV with a header line; one line per record."""
-    if not rows:
-        return ""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    names = [f.name for f in fields(rows[0])]
-    writer.writerow(names)
-    for row in rows:
-        writer.writerow([getattr(row, name) for name in names])
-    return buf.getvalue()
-
-
-def summary_json(study: str, params: dict, rows) -> str:
-    doc = {"study": study, "params": params, "rows": [asdict(r) for r in rows]}
-    return json.dumps(doc, indent=2) + "\n"

@@ -8,8 +8,12 @@ convergence ratios out of range), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -141,15 +145,27 @@ def _write_text(text: str, path):
         sys.stdout.write(text)
 
 
+def _render(fmt: str, doc: dict, key: str, rows: list, head: str = "") -> str:
+    """A command's result as text.  JSON is ``doc`` with ``rows`` under
+    ``key``, last; CSV is ``head``, a line of the rows' keys and one line
+    per row.  Every table has at least one row."""
+    if fmt == "json":
+        return json.dumps({**doc, key: rows}, indent=2) + "\n"
+    buf = io.StringIO()
+    buf.write(head)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
+    return buf.getvalue()
+
+
 def _write_rows(args, study: str, rows):
-    """A study's rows on stdout, as CSV or as JSON whose params are the parsed
-    arguments but the command, the study, the format and the handler."""
-    if args.format == "json":
-        skip = ("command", "study", "format", "handler")
-        params = {key: value for key, value in vars(args).items() if key not in skip}
-        sys.stdout.write(analysis.summary_json(study, params, rows))
-    else:
-        sys.stdout.write(analysis.rows_to_csv(rows))
+    """A study's rows on stdout; the JSON params are the parsed arguments
+    but the command, the study, the format and the handler."""
+    skip = ("command", "study", "format", "handler")
+    params = {key: value for key, value in vars(args).items() if key not in skip}
+    doc = {"study": study, "params": params}
+    sys.stdout.write(_render(args.format, doc, "rows", [asdict(row) for row in rows]))
 
 
 def _load_state(spec: str, n_qubits: int) -> simulator.StateVector:
@@ -175,35 +191,37 @@ def _cmd_generate(args) -> int:
 def _cmd_index(args) -> int:
     schedule = serialization.load_schedule(args.schedule)
     profile = integrated_chromatic_index(schedule, samples_per_segment=args.samples)
-    if args.format == "json":
-        doc = {
-            "study": "index",
-            "params": {"schedule": args.schedule, "samples": args.samples},
-            "I": profile.integral,
-            "error_estimate": profile.error_estimate,
-            "samples": [
-                {"t": float(t), "W": float(w)} for t, w in zip(profile.times, profile.values)
-            ],
-        }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        sys.stdout.write(f"I = {profile.integral!r} (error estimate {profile.error_estimate!r})\n")
-        sys.stdout.write("t,W\n")
-        for t, w in zip(profile.times, profile.values):
-            sys.stdout.write(f"{float(t)!r},{float(w)!r}\n")
+    doc = {
+        "study": "index",
+        "params": {"schedule": args.schedule, "samples": args.samples},
+        "I": profile.integral,
+        "error_estimate": profile.error_estimate,
+    }
+    samples = [{"t": float(t), "W": float(w)} for t, w in zip(profile.times, profile.values)]
+    head = f"I = {profile.integral!r} (error estimate {profile.error_estimate!r})\n"
+    sys.stdout.write(_render(args.format, doc, "samples", samples, head))
     return 0
 
 
 def _cmd_compile(args) -> int:
     schedule = serialization.load_schedule(args.schedule)
     gates, report = compiler.compile(schedule, args.epsilon)
-    if args.report:  # before the gate file, so an index too large for JSON leaves no file behind
-        doc = report.to_dict()
-        doc["source_integrated_index"] = integrated_chromatic_index(schedule).integral
-        doc["intervals"] = doc.pop("intervals")  # the last key, as in earlier reports
-    _write_text(serialization.dumps_gates(gates), args.output)
+    outputs = [(serialization.dumps_gates(gates), args.output)]
     if args.report:
-        _write_text(json.dumps(doc, indent=2) + "\n", args.report)
+        doc = asdict(report)
+        intervals = doc.pop("intervals")
+        doc["source_integrated_index"] = integrated_chromatic_index(schedule).integral
+        outputs.append((_render("json", doc, "intervals", intervals), args.report))
+    written = []
+    try:  # every text is built before the first write, and a failed write leaves no file behind
+        for text, path in outputs:
+            _write_text(text, path)
+            if path:
+                written.append(path)
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
     print(
         f"compiled {report.n_steps} steps, weighted depth {report.weighted_depth!r}",
         file=sys.stderr,
@@ -233,27 +251,15 @@ def _cmd_simulate(args) -> int:
         }
         for i in top
     ]
-    if args.format == "json":
-        doc_out = {
-            "n_qubits": doc.n_qubits,
-            "norm": out.norm(),
-            "observable": args.observable,
-            "expectation": m1,
-            "variance": m2 - m1 * m1,
-            "amplitudes": rows,
-        }
-        sys.stdout.write(json.dumps(doc_out, indent=2) + "\n")
-    else:
-        sys.stdout.write(f"n_qubits,{doc.n_qubits}\n")
-        sys.stdout.write(f"norm,{out.norm()!r}\n")
-        sys.stdout.write(f"observable,{args.observable}\n")
-        sys.stdout.write(f"expectation,{m1!r}\n")
-        sys.stdout.write(f"variance,{m2 - m1 * m1!r}\n")
-        sys.stdout.write("index,bitstring,re,im,probability\n")
-        for row in rows:
-            sys.stdout.write(
-                f"{row['index']},{row['bitstring']},{row['re']!r},{row['im']!r},{row['probability']!r}\n"
-            )
+    scalars = {
+        "n_qubits": doc.n_qubits,
+        "norm": out.norm(),
+        "observable": args.observable,
+        "expectation": m1,
+        "variance": m2 - m1 * m1,
+    }
+    head = "".join(f"{key},{value}\n" for key, value in scalars.items())
+    sys.stdout.write(_render(args.format, scalars, "amplitudes", rows, head))
     return 0
 
 

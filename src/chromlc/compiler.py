@@ -187,15 +187,6 @@ class IntervalReport:
     chromatic_indices: tuple
     exact: tuple
 
-    def to_dict(self):
-        return {
-            "t_mid": self.t_mid,
-            "delta": self.delta,
-            "thresholds": list(self.thresholds),
-            "chromatic_indices": list(self.chromatic_indices),
-            "exact": list(self.exact),
-        }
-
 
 @dataclass(frozen=True)
 class CompilationReport:
@@ -203,14 +194,6 @@ class CompilationReport:
     n_steps: int
     weighted_depth: float
     intervals: tuple = field(default=())
-
-    def to_dict(self):
-        return {
-            "epsilon": self.epsilon,
-            "n_steps": self.n_steps,
-            "weighted_depth": self.weighted_depth,
-            "intervals": [iv.to_dict() for iv in self.intervals],
-        }
 
 
 def _subintervals(s: HamiltonianSchedule, epsilon: float) -> list:

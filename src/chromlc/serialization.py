@@ -276,12 +276,12 @@ def _gates_from_doc(doc: dict) -> GateSchedule:
     try:
         gates = Gate.batch(*zip(*fields)) if fields else []
     except (BadParams, NotUnitary):
+        gates = []
         for locus, gate in zip(loci, fields):  # the stack holds a bad gate: name the first one
             try:
-                Gate(*gate)
+                gates.append(Gate(*gate))
             except (BadParams, NotUnitary) as exc:
                 raise ParseError(f"{locus}: {exc}") from None
-        raise  # not reached: a stack fails only where one of its gates does
     # every angle against its unitary's by one stacked eigensolve; the first mismatch is reported
     angles = linalg.unitary_angle(np.reshape([gate.unitary for gate in gates], (-1, 4, 4)))
     mismatched = np.flatnonzero(np.abs([gate.angle for gate in gates] - angles) > ANGLE_CHECK_TOL)

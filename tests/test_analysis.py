@@ -1,7 +1,3 @@
-import csv
-import io
-import json
-
 import pytest
 
 from chromlc import analysis
@@ -100,28 +96,3 @@ def test_trotter_comparison_rows():
     for r in rows:
         assert r.error < 1e-9
 
-
-def test_csv_emission():
-    records = analysis.variance_bound_experiment(3, 0.1, trials=2, seed=0)
-    text = analysis.rows_to_csv(records)
-    parsed = list(csv.reader(io.StringIO(text)))
-    assert parsed[0] == ["seed", "n_qubits", "alpha", "variance", "bound", "slack"]
-    assert len(parsed) == 3
-    assert float(parsed[1][2]) == 0.1
-    assert analysis.rows_to_csv([]) == ""
-
-
-def test_csv_excludes_wall_time():
-    rows = [analysis.ConvergenceRow(0.2, 1e-3, 1.0, 0.0)]
-    text = analysis.rows_to_csv(rows)
-    assert "wall_time" not in text
-    assert text == "epsilon,error,weighted_depth,depth_gap\n0.2,0.001,1.0,0.0\n"
-
-
-def test_summary_json_shape():
-    records = analysis.variance_bound_experiment(3, 0.1, trials=2, seed=0)
-    doc = json.loads(analysis.summary_json("variance", {"n": 3}, records))
-    assert doc["study"] == "variance"
-    assert doc["params"] == {"n": 3}
-    assert len(doc["rows"]) == 2
-    assert set(doc["rows"][0]) == {"seed", "n_qubits", "alpha", "variance", "bound", "slack"}

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import os
 import re
@@ -160,6 +162,21 @@ def test_compile_computes_the_index_only_for_the_report(tmp_path, capsys, monkey
     assert code == 0
     assert again == err
     assert gpath.read_text() == gate_text
+
+
+@pytest.mark.parametrize("missing", ["report", "output"])
+def test_compile_failed_write_leaves_no_file(tmp_path, capsys, missing):
+    spath = tmp_path / "pairs.json"
+    run_cli(capsys, "generate", "disjoint_pairs", "--n", "4", "-o", str(spath))
+    paths = {"output": tmp_path / "g.json", "report": tmp_path / "r.json"}
+    paths[missing] = tmp_path / "missing_dir" / paths[missing].name
+    code, out, err = run_cli(
+        capsys, "compile", str(spath), "--epsilon", "0.5", "-o", str(paths["output"]), "--report", str(paths["report"])
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno 2] No such file or directory") and "missing_dir" in err
+    assert os.listdir(tmp_path) == ["pairs.json"]
 
 
 @pytest.mark.parametrize(
@@ -684,21 +701,23 @@ def test_verify_variance(capsys):
 
 
 @pytest.mark.parametrize(
-    "study, row, message",
+    "study, row, text, message",
     [
         (
             "convergence_study",
             analysis.ConvergenceRow(epsilon=0.5, error=1e-3, weighted_depth=1.5, depth_gap=0.25),
+            "epsilon,error,weighted_depth,depth_gap\n0.5,0.001,1.5,0.25\n",
             "FAIL: weighted depth misses the integrated index by 2.500e-01 at eps 0.5 on a piecewise-constant schedule",
         ),
         (
             "variance_bound_experiment",
             analysis.VarianceTrialRecord(seed=7, n_qubits=3, alpha=0.2, variance=40.0, bound=38.5, slack=-1.5),
+            "seed,n_qubits,alpha,variance,bound,slack\n7,3,0.2,40.0,38.5,-1.5\n",
             "FAIL: trial 7 variance 40.0 exceeds bound 38.5",
         ),
     ],
 )
-def test_verify_reports_a_failing_row(tmp_path, capsys, monkeypatch, study, row, message):
+def test_verify_reports_a_failing_row(tmp_path, capsys, monkeypatch, study, row, text, message):
     spath = tmp_path / "pairs.json"
     run_cli(capsys, "generate", "disjoint_pairs", "--n", "4", "-o", str(spath))
     monkeypatch.setattr(analysis, study, lambda *args, **kwargs: [row])
@@ -708,8 +727,40 @@ def test_verify_reports_a_failing_row(tmp_path, capsys, monkeypatch, study, row,
         argv = ["variance", "--n", "3", "--alpha", "0.2", "--trials", "1"]
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 1
-    assert out == analysis.rows_to_csv([row])
+    assert out == text
     assert err == message + "\n"
+
+
+def test_csv_emission(capsys):
+    code, out, _ = run_cli(capsys, "verify", "variance", "--n", "3", "--alpha", "0.1", "--trials", "2", "--seed", "0")
+    assert code == 0
+    parsed = list(csv.reader(io.StringIO(out)))
+    assert parsed[0] == ["seed", "n_qubits", "alpha", "variance", "bound", "slack"]
+    assert len(parsed) == 3
+    assert float(parsed[1][2]) == 0.1
+
+
+def test_csv_excludes_wall_time(tmp_path, capsys, monkeypatch):
+    spath = tmp_path / "pairs.json"
+    run_cli(capsys, "generate", "disjoint_pairs", "--n", "4", "-o", str(spath))
+    row = analysis.ConvergenceRow(0.2, 1e-3, 1.0, 0.0)
+    monkeypatch.setattr(analysis, "convergence_study", lambda *args, **kwargs: [row])
+    code, out, _ = run_cli(capsys, "verify", "theorem1", str(spath), "--epsilons", "0.2")
+    assert code == 0
+    assert "wall_time" not in out
+    assert out == "epsilon,error,weighted_depth,depth_gap\n0.2,0.001,1.0,0.0\n"
+
+
+def test_summary_json_shape(capsys):
+    argv = ["--n", "3", "--alpha", "0.1", "--trials", "2", "--seed", "0", "--format", "json"]
+    code, out, _ = run_cli(capsys, "verify", "variance", *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["study", "params", "rows"]
+    assert doc["study"] == "variance"
+    assert doc["params"] == {"n": 3, "alpha": 0.1, "trials": 2, "seed": 0, "tol": 1e-8}
+    assert len(doc["rows"]) == 2
+    assert set(doc["rows"][0]) == {"seed", "n_qubits", "alpha", "variance", "bound", "slack"}
 
 
 def test_verify_variance_alpha_cap(capsys):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -230,7 +232,7 @@ def test_compile_does_not_compute_the_integrated_index(monkeypatch):
     forbid_integrated_index(monkeypatch)
     g, report = compile(s, 0.25)
     assert g == expected
-    assert "source_integrated_index" not in report.to_dict()
+    assert "source_integrated_index" not in asdict(report)
 
 
 def _interval_blocks(g, report):
@@ -354,7 +356,7 @@ def test_compile_reports_fallback_coloring():
     assert interval.exact == (False,)
     assert interval.chromatic_indices[0] in (11, 12)
     assert len(g.steps) == interval.chromatic_indices[0]
-    assert report.to_dict()["intervals"][0]["exact"] == [False]
+    assert asdict(report)["intervals"][0]["exact"] == (False,)
 
 
 def test_compile_certifies_overfull_beyond_cap():

@@ -4,8 +4,10 @@ Modules share only public names: none imports an underscore name from a
 sibling or reads ``sibling._name``, every ``__all__`` entry is defined in
 its module, and the package namespace re-exports no underscore name.
 Only ``serialization`` parses JSON: no other module calls ``json.load``
-or ``json.loads``.  Only ``cli`` writes to standard output: no other
-module calls ``print`` or touches ``sys.stdout``.
+or ``json.loads``, and only it and ``cli`` write JSON: no other module
+uses ``json.dump``, ``json.dumps`` or ``json.JSONEncoder``.  Only ``cli``
+writes to standard output and CSV: no other module calls ``print``,
+touches ``sys.stdout`` or imports ``csv``.
 """
 
 import ast
@@ -89,6 +91,19 @@ def _violations(path):
             and path.name != "serialization.py"
         ):
             problems.append(f"line {node.lineno}: parses JSON outside serialization")
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+            and node.attr in ("dump", "dumps", "JSONEncoder")
+            and path.name not in ("cli.py", "serialization.py")
+        ):
+            problems.append(f"line {node.lineno}: writes JSON outside cli and serialization")
+        if path.name != "cli.py" and (
+            (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "csv")
+        ):
+            problems.append(f"line {node.lineno}: imports csv outside cli")
         if path.name != "cli.py" and (
             (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print")
             or (
@@ -121,14 +136,18 @@ def test_rules_catch_violations(tmp_path):
         "import json\n"
         "doc = json.loads('{}')\n"
         "print(doc)\n"
+        "text = json.dumps(doc)\n"
+        "import csv\n"
     )
     problems = _violations(bad)
-    assert len(problems) == 5
+    assert len(problems) == 7
     assert any("_search" in p for p in problems)
     assert any("linalg._as_square" in p for p in problems)
     assert any("write_csv" in p for p in problems)
     assert "line 6: parses JSON outside serialization" in problems
     assert "line 7: writes to standard output outside cli" in problems
+    assert "line 8: writes JSON outside cli and serialization" in problems
+    assert "line 9: imports csv outside cli" in problems
     package = tmp_path / "__init__.py"
     package.write_text("from numpy import _pytesttester\nfrom os import path\n")
     assert len(_violations(package)) == 1
