@@ -41,6 +41,7 @@ from .hamiltonian import (
     Segment,
     pauli_coeffs,
     snapshot,
+    snapshots,
 )
 
 __all__ = [
@@ -234,19 +235,21 @@ def compile(s: HamiltonianSchedule, epsilon: float):
     level's coloring, one step of gates
     exp(-i * H_kl(mid) * d * (r_j - r_{j-1}) / ||H_kl(mid)||).
     Deterministic: levels ascend, matchings keep color order, pairs are
-    lexicographic.  A constant segment is sampled once; its later
-    subintervals repeat the first one's ``Step`` objects.  The samples of
-    one call share a dict of colorings, so each distinct level edge set is
-    colored once per call.
+    lexicographic.  A time-varying segment is sampled at all of its
+    midpoints as one grid of :func:`~chromlc.hamiltonian.snapshots`; a
+    constant segment is sampled once, and its later subintervals repeat the
+    first one's ``Step`` objects.  The samples of one call share a dict of
+    colorings, so each distinct level edge set is colored once per call.
     """
     steps = []
     intervals = []
     known = {}
     for seg, delta, mids in _subintervals(s, epsilon):
+        samples = snapshots(s, seg, mids[:1] if seg.is_constant else mids)
         block = None
         for t_mid in mids:
             if block is None or not seg.is_constant:
-                block, levels = _sample_steps(s, t_mid, delta, known)
+                block, levels = _sample_steps(next(samples), delta, known)
             steps.extend(block)
             intervals.append(IntervalReport(t_mid, delta, *levels))
     schedule = GateSchedule(s.n_qubits, tuple(steps))
@@ -259,14 +262,14 @@ def compile(s: HamiltonianSchedule, epsilon: float):
     return schedule, report
 
 
-def _sample_steps(s: HamiltonianSchedule, t_mid: float, delta: float, known: dict):
-    """The steps of one subinterval, and its thresholds, chromatic indices
-    and exactness flags for the :class:`IntervalReport`.  ``known`` is the
-    compilation's dict of colorings for :func:`~chromlc.graphs.level_decompose`.
+def _sample_steps(snap, delta: float, known: dict):
+    """The steps of the subinterval sampled by snapshot ``snap``, and its
+    thresholds, chromatic indices and exactness flags for the
+    :class:`IntervalReport`.  ``known`` is the compilation's dict of
+    colorings for :func:`~chromlc.graphs.level_decompose`.
 
     The gates are built as one stack in class order (levels ascending,
     classes in color order) and each class cuts its step off that stack."""
-    snap = snapshot(s, t_mid)
     rows = {pair: i for i, pair in enumerate(snap.pairs)}
     decomp = level_decompose(snap.graph, known)
     classes = [cls for level in decomp.levels for cls in level.coloring.classes]
@@ -330,20 +333,19 @@ def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianS
         raise BadParams("m must be at least 1")
     out_segments = []
     t_cursor = 0.0
-    subintervals = [(t_mid, delta) for _, delta, mids in _subintervals(s, epsilon) for t_mid in mids]
-    for t_mid, delta in subintervals:
-        snap = snapshot(s, t_mid)
-        if not snap.pairs:
-            out_segments.append(Segment(t_cursor, t_cursor + delta))
-            t_cursor += delta
-            continue
-        rows = {pair: i for i, pair in enumerate(snap.pairs)}
-        classes = color_edges(snap.graph).coloring.classes
-        groups = [classes[i : i + m] for i in range(0, len(classes), m)]
-        for group in groups:
-            pairs = sorted(pair for matching in group for pair in matching)
-            coeffs = [pauli_coeffs(snap.matrices[rows[pair]]) for pair in pairs]
-            tracks = np.reshape(coeffs, (len(pairs), 16, 1))
-            out_segments.append(Segment(t_cursor, t_cursor + delta, tuple(pairs), tracks))
-            t_cursor += delta
+    for seg, delta, mids in _subintervals(s, epsilon):
+        for snap in snapshots(s, seg, mids):
+            if not snap.pairs:
+                out_segments.append(Segment(t_cursor, t_cursor + delta))
+                t_cursor += delta
+                continue
+            rows = {pair: i for i, pair in enumerate(snap.pairs)}
+            classes = color_edges(snap.graph).coloring.classes
+            groups = [classes[i : i + m] for i in range(0, len(classes), m)]
+            for group in groups:
+                pairs = sorted(pair for matching in group for pair in matching)
+                coeffs = [pauli_coeffs(snap.matrices[rows[pair]]) for pair in pairs]
+                tracks = np.reshape(coeffs, (len(pairs), 16, 1))
+                out_segments.append(Segment(t_cursor, t_cursor + delta, tuple(pairs), tracks))
+                t_cursor += delta
     return HamiltonianSchedule(s.n_qubits, tuple(out_segments))

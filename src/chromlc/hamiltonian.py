@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import compress
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,10 @@ MAX_SAMPLES_PER_SEGMENT = 2**16
 # 1000000`` for a million segments, and neither returns in minutes.
 MAX_GENERATED_TERMS = 2**16
 ZERO_NORM_TOL = 1e-12  # pair terms with a smaller norm count as absent
+# Pair matrices per stacked eigensolve of a sample grid (:func:`snapshots`):
+# about 1.3 kB of arrays each, so a chunk stays near 1.3 MB however many
+# samples and terms the grid has.
+EIG_CHUNK = 1024
 
 _P1 = {
     "I": np.eye(2, dtype=np.complex128),
@@ -59,6 +64,7 @@ PAULI_LABELS = tuple(a + b for a in "IXYZ" for b in "IXYZ")
 PAULI_PRODUCTS = np.stack([np.kron(_P1[l[0]], _P1[l[1]]) for l in PAULI_LABELS])
 
 __all__ = [
+    "EIG_CHUNK",
     "GENERATORS",
     "MAX_GENERATED_TERMS",
     "MAX_SAMPLES_PER_SEGMENT",
@@ -83,6 +89,7 @@ __all__ = [
     "random_time_varying",
     "scale_schedule",
     "snapshot",
+    "snapshots",
     "weighted_chromatic_index",
 ]
 
@@ -170,19 +177,26 @@ class Segment:
     def is_constant(self) -> bool:
         return self.tracks.shape[2] == 1
 
-    def matrices_at(self, t: float) -> np.ndarray:
+    def matrices_at(self, t) -> np.ndarray:
         """H_kl(t) of every term, stacked (terms, 4, 4) in the order of ``pairs``;
-        ``TooLarge`` when an entry of one is beyond the float range."""
-        c = np.zeros(self.tracks.shape[:2])
+        for a vector of times, one such stack per time, (times, terms, 4, 4).
+
+        ``TooLarge`` names the first time, and at it the first pair, whose
+        matrix has an entry beyond the float range.
+        """
+        times = np.asarray(t, dtype=float)
+        c = np.zeros(times.shape + self.tracks.shape[:2])
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             for d in range(self.tracks.shape[2] - 1, -1, -1):
-                c = c * t + self.tracks[:, :, d]
-            # rounds as pauli_matrix does; tensordot or einsum over the stack can differ in the last bit
-            matrices = np.matmul(c[:, None, :], PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4)
-        if not np.isfinite(matrices).all():
-            pair = self.pairs[int(np.argmin(np.isfinite(matrices).all(axis=(1, 2))))]
-            raise TooLarge(f"pair {pair}: the term at t={t!r} exceeds the float range")
-        return matrices
+                c *= times[..., None, None]
+                c += self.tracks[:, :, d]
+            # one (1, 16) row per matrix rounds as pauli_matrix does; tensordot or einsum can differ in the last bit
+            matrices = np.matmul(c.reshape(-1, 1, 16), PAULI_PRODUCTS.reshape(16, 16))
+        finite = np.isfinite(matrices).all(axis=(1, 2)).reshape(times.size, len(self.pairs))
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise TooLarge(f"pair {self.pairs[j]}: the term at t={float(times.flat[i])!r} exceeds the float range")
+        return matrices.reshape(times.shape + (len(self.pairs), 4, 4))
 
 
 @dataclass(frozen=True)
@@ -270,18 +284,37 @@ class Snapshot(NamedTuple):
     graph: WeightedGraph
 
 
-def snapshot(s: HamiltonianSchedule, t: float) -> Snapshot:
-    """Every pair term at time t, with one stacked eigendecomposition."""
-    seg = s.segment_at(t)
+def snapshots(s: HamiltonianSchedule, seg: Segment, times) -> Iterator[Snapshot]:
+    """The snapshot of segment ``seg`` of ``s`` at each of ``times``, in order.
+
+    A generator over a sample grid of one segment: it evaluates the times in
+    chunks of at most ``EIG_CHUNK`` pair matrices (one time per chunk when a
+    time alone has more), each with one :meth:`Segment.matrices_at` and one
+    stacked eigendecomposition, so that only one chunk's arrays are alive at
+    a time.  LAPACK diagonalizes every matrix of a stack by itself, so each
+    snapshot is bit for bit the one a grid of that time alone gives.
+    """
     order = sorted(range(len(seg.pairs)), key=seg.pairs.__getitem__)
-    matrices = seg.matrices_at(t)[order]
-    w, v = linalg.hermitian_eig(matrices)
-    norms = np.max(np.abs(w), axis=-1, initial=0.0)
-    keep = norms > ZERO_NORM_TOL
-    pairs = tuple(seg.pairs[i] for i, active in zip(order, keep) if active)
-    norms = norms[keep]
-    graph = WeightedGraph(s.n_qubits, tuple((k, l, float(x)) for (k, l), x in zip(pairs, norms)))
-    return Snapshot(pairs, matrices[keep], w[keep], v[keep], norms, graph)
+    pairs = tuple(seg.pairs[i] for i in order)
+    times = np.asarray(times, dtype=float)
+    step = max(1, EIG_CHUNK // max(1, len(pairs)))
+    for start in range(0, len(times), step):
+        matrices = seg.matrices_at(times[start : start + step])[:, order]
+        w, v = linalg.hermitian_eig(matrices)
+        norms = np.max(np.abs(w), axis=-1, initial=0.0)
+        keep = norms > ZERO_NORM_TOL
+        for m, wi, vi, ni, on, full in zip(matrices, w, v, norms, keep, keep.all(axis=-1).tolist()):
+            active = pairs
+            if not full:
+                active = tuple(compress(pairs, on))
+                m, wi, vi, ni = m[on], wi[on], vi[on], ni[on]
+            edges = tuple((k, l, x) for (k, l), x in zip(active, ni.tolist()))
+            yield Snapshot(active, m, wi, vi, ni, WeightedGraph(s.n_qubits, edges))
+
+
+def snapshot(s: HamiltonianSchedule, t: float) -> Snapshot:
+    """Every pair term at time t: :func:`snapshots` on a grid of one time."""
+    return next(snapshots(s, s.segment_at(t), [t]))
 
 
 def interaction_graph(s: HamiltonianSchedule, t: float, r: float = 0.0) -> WeightedGraph:
@@ -303,11 +336,12 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
     Constant segments are integrated exactly from a single midpoint sample;
     the error estimate compares the requested resolution against doubled
     sampling and is therefore zero for piecewise-constant schedules.  A
-    time-varying segment still takes a snapshot at each of its N reported
-    and 2N error-estimate samples, but the samples of one call share a
-    dict of colorings, so a level edge set that recurs (neighbouring
-    samples share most of theirs) is colored once per call.  An integral
-    or error estimate beyond the float range raises ``TooLarge``.
+    time-varying segment is sampled at its N reported and 2N error-estimate
+    midpoints as one grid of :func:`snapshots`, and the samples of one call
+    share a dict of colorings, so a level edge set that recurs (neighbouring
+    samples share most of theirs) is colored once per call.  Each value is
+    bit for bit the :func:`weighted_chromatic_index` of its time.  An
+    integral or error estimate beyond the float range raises ``TooLarge``.
     """
     if samples_per_segment < 1:
         raise BadParams("samples_per_segment must be at least 1")
@@ -315,6 +349,7 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
         raise TooLarge(
             f"samples per segment are limited to {MAX_SAMPLES_PER_SEGMENT}, got {samples_per_segment}"
         )
+    n = samples_per_segment
     times = []
     values = []
     total = 0.0
@@ -322,27 +357,28 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
     known = {}
     for seg in s.segments:
         length = seg.length
-        mids = seg.t_start + (np.arange(samples_per_segment) + 0.5) * (length / samples_per_segment)
+        mids = seg.t_start + (np.arange(n) + 0.5) * (length / n)
+        times.extend(mids.tolist())
         if seg.is_constant:
-            w = weighted_chromatic_index(s, float(mids[0]), known)
-            times.extend(float(x) for x in mids)
-            values.extend([w] * samples_per_segment)
+            (w,) = _grid_values(s, seg, mids[:1], known)
+            values.extend([w] * n)
             total += w * length
             continue
-        vals = [weighted_chromatic_index(s, float(x), known) for x in mids]
-        h = length / samples_per_segment
-        coarse = h * sum(vals)
-        mids2 = seg.t_start + (np.arange(2 * samples_per_segment) + 0.5) * (length / (2 * samples_per_segment))
-        fine = (length / (2 * samples_per_segment)) * sum(
-            weighted_chromatic_index(s, float(x), known) for x in mids2
-        )
-        times.extend(float(x) for x in mids)
-        values.extend(vals)
+        mids2 = seg.t_start + (np.arange(2 * n) + 0.5) * (length / (2 * n))
+        vals = _grid_values(s, seg, np.concatenate([mids, mids2]), known)
+        coarse = (length / n) * sum(vals[:n])
+        fine = (length / (2 * n)) * sum(vals[n:])
+        values.extend(vals[:n])
         total += coarse
         err += abs(fine - coarse)
     if not (math.isfinite(total) and math.isfinite(err)):
         raise TooLarge(f"integrated chromatic index overflows the float range: {total!r}")
     return IndexProfile(np.array(times), np.array(values), total, err)
+
+
+def _grid_values(s: HamiltonianSchedule, seg: Segment, times, known: dict) -> list:
+    """W at each of ``times`` in segment ``seg``, colorings shared through ``known``."""
+    return [level_decompose(snap.graph, known).weighted_sum() for snap in snapshots(s, seg, times)]
 
 
 def embed_discrete(g: "GateSchedule") -> HamiltonianSchedule:

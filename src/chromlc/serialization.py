@@ -5,7 +5,8 @@ Three document types, distinguished by their ``format`` field:
 * ``chromlc-schedule`` -- piecewise-polynomial Hamiltonian schedules.
   Pauli keys are two-letter strings over {I,X,Y,Z}; omitted keys are zero;
   coefficient lists are ascending-degree.  Each term's lists fill one row of
-  its segment's coefficient array; trailing zeros are dropped, and a list
+  its segment's coefficient array, checked and filled in one pass over
+  all of the segment's lists; trailing zeros are dropped, and a list
   of higher degree than ``MAX_POLY_DEGREE`` is rejected before that array
   is built.  An ``II`` component is legal (it only shifts the global phase)
   but parsing one emits a warning.
@@ -167,21 +168,17 @@ def _schedule_from_doc(doc: dict) -> HamiltonianSchedule:
             raise ParseError(f"{where}: expected an object")
         t_start = _number(raw_seg.get("t_start"), f"{where}.t_start")
         t_end = _number(raw_seg.get("t_end"), f"{where}.t_end")
-        pairs, polys = [], []
-        for j, raw_term in enumerate(_list_field(raw_seg, "terms", where)):
-            twhere = f"{where}.terms[{j}]"
-            if not isinstance(raw_term, dict):
-                raise ParseError(f"{twhere}: expected an object")
-            k, l = _pair_field(raw_term, twhere)
-            if not 0 <= k < l:
-                raise ParseError(f"{twhere}.pair: indices must satisfy 0 <= k < l, got [{k}, {l}]")
-            pairs.append((k, l))
-            polys.append(_term_polys(raw_term, twhere))
-        width = max([1] + [len(poly) for term in polys for poly in term.values()])
-        tracks = np.zeros((len(pairs), 16, width))
-        for i, term in enumerate(polys):
-            for j, poly in term.items():
-                tracks[i, j, : len(poly)] = poly
+        raw_terms = _list_field(raw_seg, "terms", where)
+        parsed = _terms_in_one_pass(raw_terms)
+        if parsed is None:  # some field is wrong: find and name the first one
+            parsed = _terms_one_by_one(raw_terms, where)
+        pairs, tracks = parsed
+        for j in np.flatnonzero(tracks[:, 0].any(axis=-1)).tolist():
+            warnings.warn(
+                f"{where}.terms[{j}]: II component only shifts the global phase; "
+                "it still counts toward the interaction norm",
+                stacklevel=3,  # the caller of loads_schedule, load_schedule or load_document
+            )
         try:
             segments.append(Segment(t_start, t_end, tuple(pairs), tracks))
         except BadParams as exc:
@@ -190,6 +187,72 @@ def _schedule_from_doc(doc: dict) -> HamiltonianSchedule:
         return HamiltonianSchedule(n_qubits, tuple(segments))
     except BadParams as exc:
         raise ParseError(str(exc)) from None
+
+
+def _terms_in_one_pass(raw_terms: list):
+    """The pairs and the ``(terms, 16, width)`` coefficient array of a segment's
+    terms, or ``None`` when any term breaks a rule of :func:`_terms_one_by_one`
+    or has a coefficient list longer than ``MAX_POLY_DEGREE + 1``.
+
+    Every coefficient list is type-checked by one pass over all of them and
+    scattered into the array by one assignment; entries past a list's last
+    nonzero one are stored as 0.0, as dropping its trailing zeros does.
+    """
+    pairs, rows, lists = [], [], []
+    for raw_term in raw_terms:
+        if type(raw_term) is not dict:
+            return None
+        pair, raw_coeffs = raw_term.get("pair"), raw_term.get("coeffs")
+        if type(pair) is not list or len(pair) != 2 or type(raw_coeffs) is not dict:
+            return None
+        k, l = pair
+        if type(k) is not int or type(l) is not int or not 0 <= k < l:
+            return None
+        for label, coeff_list in raw_coeffs.items():
+            row = _PAULI_ROWS.get(label)
+            if row is None or type(coeff_list) is not list:
+                return None
+            rows.append(16 * len(pairs) + row)
+            lists.append(coeff_list)
+        pairs.append((k, l))
+    lengths = np.array([len(coeff_list) for coeff_list in lists], dtype=np.intp)
+    width = max(1, int(lengths.max(initial=0)))
+    if width > MAX_POLY_DEGREE + 1:
+        return None
+    numbers = [c for coeff_list in lists for c in coeff_list]
+    if not set(map(type, numbers)) <= {int, float}:
+        return None
+    try:
+        values = np.array(numbers, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    columns = np.arange(values.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    tracks = np.zeros((16 * len(pairs), width))
+    tracks[np.repeat(np.array(rows, dtype=np.intp), lengths), columns] = values
+    ends = np.where(tracks != 0.0, np.arange(1, width + 1), 0).max(axis=-1)
+    tracks[np.arange(width) >= ends[:, None]] = 0.0
+    return pairs, tracks.reshape(len(pairs), 16, width)
+
+
+def _terms_one_by_one(raw_terms: list, where: str):
+    """:func:`_terms_in_one_pass` field by field: the first field that breaks a
+    rule raises a ``ParseError`` that names it."""
+    pairs, polys = [], []
+    for j, raw_term in enumerate(raw_terms):
+        twhere = f"{where}.terms[{j}]"
+        if not isinstance(raw_term, dict):
+            raise ParseError(f"{twhere}: expected an object")
+        k, l = _pair_field(raw_term, twhere)
+        if not 0 <= k < l:
+            raise ParseError(f"{twhere}.pair: indices must satisfy 0 <= k < l, got [{k}, {l}]")
+        pairs.append((k, l))
+        polys.append(_term_polys(raw_term, twhere))
+    width = max([1] + [len(poly) for term in polys for poly in term.values()])
+    tracks = np.zeros((len(pairs), 16, width))
+    for i, term in enumerate(polys):
+        for j, poly in term.items():
+            tracks[i, j, : len(poly)] = poly
+    return pairs, tracks
 
 
 def _term_polys(raw_term: dict, where: str) -> dict:
@@ -212,12 +275,6 @@ def _term_polys(raw_term: dict, where: str) -> dict:
             poly.pop()
         if len(poly) > MAX_POLY_DEGREE + 1:
             raise ParseError(f"{field}: polynomial degree exceeds {MAX_POLY_DEGREE}")
-        if label == "II" and any(poly):
-            warnings.warn(
-                f"{where}: II component only shifts the global phase; "
-                "it still counts toward the interaction norm",
-                stacklevel=4,  # the caller of loads_schedule, load_schedule or load_document
-            )
         polys[row] = poly
     return polys
 

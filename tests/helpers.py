@@ -10,8 +10,9 @@ built from the embedding oracle: the package integrates by Taylor series
 and must agree with it within the tolerance.  The parity oracles at the
 end keep earlier, slower forms of package loops (per-term and per-qubit
 random draws, level decomposition that searches every level afresh, gates
-built and checked one at a time, coefficient rows trimmed one at a time)
-that the package must match bit for bit, and the convergence study's
+built and checked one at a time, coefficient rows trimmed one at a time,
+pair matrices and W evaluated one sample time at a time) that the package
+must match bit for bit, and the convergence study's
 reference states evolved one at a time, which its block of states must
 match to rounding.
 """
@@ -477,9 +478,8 @@ def per_gate_pair_gates(snap, index, angles):
     ]
 
 
-def per_level_sample_steps(s, t_mid, delta, known):
+def per_level_sample_steps(snap, delta, known):
     """``compiler._sample_steps`` with one ``per_gate_pair_gates`` call per level."""
-    snap = hamiltonian.snapshot(s, t_mid)
     rows = {pair: i for i, pair in enumerate(snap.pairs)}
     decomp = graphs.level_decompose(snap.graph, known)
     steps = []
@@ -498,6 +498,47 @@ def per_level_sample_steps(s, t_mid, delta, known):
         tuple(lv.exact for lv in decomp.levels),
     )
     return steps, levels
+
+
+def per_time_matrices(seg: Segment, t):
+    """``Segment.matrices_at(t)`` for one time, as it was written before it took
+    vectors: Horner on the (terms, 16) coefficients, then one (1, 16) row
+    times the Pauli stack per term."""
+    c = np.zeros(seg.tracks.shape[:2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(seg.tracks.shape[2] - 1, -1, -1):
+            c = c * t + seg.tracks[:, :, d]
+        return np.matmul(c[:, None, :], hamiltonian.PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4)
+
+
+def per_time_integrated_chromatic_index(s: HamiltonianSchedule, samples: int):
+    """``hamiltonian.integrated_chromatic_index`` with one
+    ``weighted_chromatic_index`` call per sample time, in the same order and
+    sharing one dict of colorings."""
+    times, values, total, err, known = [], [], 0.0, 0.0, {}
+    for seg in s.segments:
+        mids = seg.t_start + (np.arange(samples) + 0.5) * (seg.length / samples)
+        times.extend(float(x) for x in mids)
+        if seg.is_constant:
+            w = hamiltonian.weighted_chromatic_index(s, float(mids[0]), known)
+            values.extend([w] * samples)
+            total += w * seg.length
+            continue
+        vals = [hamiltonian.weighted_chromatic_index(s, float(x), known) for x in mids]
+        coarse = seg.length / samples * sum(vals)
+        mids2 = seg.t_start + (np.arange(2 * samples) + 0.5) * (seg.length / (2 * samples))
+        fine = seg.length / (2 * samples) * sum(
+            hamiltonian.weighted_chromatic_index(s, float(x), known) for x in mids2
+        )
+        values.extend(vals)
+        total += coarse
+        err += abs(fine - coarse)
+    return hamiltonian.IndexProfile(np.array(times), np.array(values), total, err)
+
+
+def per_time_snapshots(s, seg, times):
+    """``hamiltonian.snapshots`` as one ``snapshot`` call per time."""
+    return (hamiltonian.snapshot(s, t) for t in times)
 
 
 def per_row_dumps_schedule(s: HamiltonianSchedule) -> str:

@@ -1,6 +1,7 @@
 import pytest
 
-from chromlc import analysis
+from chromlc import analysis, linalg, simulator
+from chromlc.compiler import trotterize, weighted_depth
 from chromlc.errors import BadParams
 from chromlc.hamiltonian import chain, random_graph, random_time_varying
 
@@ -96,3 +97,13 @@ def test_trotter_comparison_rows():
     for r in rows:
         assert r.error < 1e-9
 
+
+def test_trotter_comparison_matches_applying_every_pass():
+    s = random_graph(4, p=0.6, seed=3)
+    reference = simulator.full_unitary(s)
+    rows = analysis.trotter_comparison(s, [1, 3, 16])
+    for row in rows:
+        gates = trotterize(s, int(row.parameter))
+        error = linalg.spectral_distance(simulator.full_unitary(gates), reference)
+        assert abs(row.error - error) <= 1e-13
+        assert (row.weighted_depth, row.n_steps) == (weighted_depth(gates), len(gates.steps))

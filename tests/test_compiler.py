@@ -32,10 +32,12 @@ from helpers import (
     pair_segment,
     per_gate_pair_gates,
     per_level_sample_steps,
+    per_time_snapshots,
     random_hermitian,
     record_searches,
     restricting_level_decompose,
     single_pair_schedule,
+    time_varying_schedule,
     two_pair_noncommuting,
     wall_clock_bound,
 )
@@ -115,6 +117,25 @@ def test_compile_gates_match_the_per_level_per_gate_path(schedule, monkeypatch):
     oracle_g, oracle_report = compile(schedule, 0.05)
     assert g == oracle_g
     assert report == oracle_report
+
+
+@pytest.mark.parametrize(
+    "schedule, epsilon",
+    [
+        (random_time_varying(6, p=0.6, seed=3), 0.05),
+        (random_time_varying(8, p=0.9, seed=2, degree=4), 0.02),  # 50 midpoints of 25 terms: two chunks
+        (time_varying_schedule(5, 3, seed=1), 0.05),
+        (random_graph(6, p=0.6, seed=3, segments=4), 0.05),
+    ],
+)
+def test_compile_and_rechromatize_match_per_midpoint_snapshots(schedule, epsilon, monkeypatch):
+    g, report = compile(schedule, epsilon)
+    capped = rechromatize(schedule, 2, epsilon)
+    monkeypatch.setattr(compiler, "snapshots", per_time_snapshots)
+    oracle_g, oracle_report = compile(schedule, epsilon)
+    assert g == oracle_g
+    assert report == oracle_report
+    assert capped == rechromatize(schedule, 2, epsilon)
 
 
 @pytest.mark.parametrize("coupling", [1.0, 100.0])

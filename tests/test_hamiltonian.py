@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromlc import hamiltonian, linalg
 from chromlc.simulator import MeanFieldObservable
@@ -24,6 +28,7 @@ from chromlc.hamiltonian import (
     random_time_varying,
     scale_schedule,
     snapshot,
+    snapshots,
     weighted_chromatic_index,
 )
 
@@ -31,12 +36,15 @@ from helpers import (
     pair_segment,
     per_qubit_observable_factors,
     per_term_random_graph,
+    per_time_integrated_chromatic_index,
+    per_time_matrices,
     random_gate_schedule,
     random_hermitian,
     record_searches,
     reference_matrices,
     restricting_level_decompose,
     single_pair_schedule,
+    time_varying_schedule,
     wall_clock_bound,
 )
 
@@ -152,6 +160,74 @@ def test_matrices_at_beyond_the_float_range_raises_too_large():
     tracks[0, [PAULI_LABELS.index("XX"), PAULI_LABELS.index("YY")]] = 1e308
     with pytest.raises(TooLarge, match=r"^pair \(0, 1\): the term at t=0\.5 exceeds the float range$"):
         Segment(0.0, 1.0, ((0, 1),), tracks).matrices_at(0.5)
+
+
+_PAIRS = ((2, 3), (0, 1), (1, 3), (0, 2))  # out of lexicographic order
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    degree=st.integers(0, 8),
+    terms=st.integers(0, len(_PAIRS)),
+    seed=st.integers(0, 2**32 - 1),
+    t_start=st.floats(0.0, 10.0),
+    length=st.floats(1e-3, 10.0),
+    inner=st.lists(st.floats(0.0, 1.0), max_size=6),
+)
+def test_matrices_at_on_a_vector_equals_the_per_time_calls(degree, terms, seed, t_start, length, inner):
+    tracks = np.random.default_rng(seed).normal(size=(terms, 16, degree + 1))
+    seg = Segment(t_start, t_start + length, _PAIRS[:terms], tracks)
+    times = [seg.t_start, *(seg.t_start + f * seg.length for f in inner), seg.t_end]
+    got = seg.matrices_at(np.array(times))
+    assert got.shape == (len(times), terms, 4, 4)
+    per_time = np.stack([seg.matrices_at(t) for t in times])
+    assert got.tobytes() == per_time.tobytes() == np.stack([per_time_matrices(seg, t) for t in times]).tobytes()
+
+
+def test_matrices_at_on_a_vector_names_the_first_overflowing_time_and_pair():
+    tracks = np.zeros((3, 16, 9))
+    tracks[0, PAULI_LABELS.index("ZZ"), 8] = 1e10  # pair (2, 3) overflows from t = 1.9e37 on
+    tracks[2, PAULI_LABELS.index("XX"), 8] = 1.0  # pair (1, 3) only from 3.4e38 on
+    seg = Segment(0.0, 1e40, ((2, 3), (0, 1), (1, 3)), tracks)
+
+    def first_failure(times):
+        for t in times:
+            try:
+                seg.matrices_at(t)
+            except TooLarge as exc:
+                return str(exc)
+
+    for times in ([1.0, 1e30, 1e39, 1e38], [1e38, 1e39], [0.5, 1e30, 1e40]):
+        with pytest.raises(TooLarge) as info:
+            seg.matrices_at(np.array(times))
+        assert str(info.value) == first_failure(times)
+    assert first_failure([1.0, 1e39]) == "pair (2, 3): the term at t=1e+39 exceeds the float range"
+    # a grid of snapshots first fails in its third chunk of EIG_CHUNK // 3 times
+    s = HamiltonianSchedule(4, (seg,))
+    grid = np.linspace(0.0, 1e38, 5 * hamiltonian.EIG_CHUNK)
+    with pytest.raises(TooLarge) as info:
+        for _ in snapshots(s, seg, grid):
+            pass
+    assert str(info.value) == first_failure(grid)
+
+
+def test_snapshots_of_a_grid_equal_the_one_time_snapshots():
+    # one chunk holds EIG_CHUNK // 10 times of this 10-term segment, and a term vanishes at t = 0.5
+    tracks = np.random.default_rng(5).normal(size=(10, 16, 3))
+    tracks[3] = 0.0
+    tracks[3, PAULI_LABELS.index("XY"), :2] = (-0.5, 1.0)
+    pairs = tuple((k, l) for k in range(5) for l in range(k + 1, 5))[::-1]
+    seg = Segment(0.0, 1.0, pairs, tracks)
+    s = HamiltonianSchedule(5, (seg,))
+    grid = np.concatenate([[0.5], np.linspace(0.0, 1.0, 3 * (hamiltonian.EIG_CHUNK // 10) + 7), [0.5]])
+    got = list(snapshots(s, seg, grid))
+    assert len(got) == len(grid)
+    assert len(got[0].pairs) == len(got[-1].pairs) == 9
+    for snap, t in zip(got, grid):
+        one = snapshot(s, t)
+        assert snap.pairs == one.pairs and snap.graph == one.graph
+        for a, b in zip(snap[1:5], one[1:5]):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_eval_pair():
@@ -313,6 +389,43 @@ def test_index_colors_each_distinct_edge_set_once_per_call(monkeypatch):
     assert np.array_equal(oracle.times, first.times)
     assert np.array_equal(oracle.values, first.values)
     assert (oracle.integral, oracle.error_estimate) == (first.integral, first.error_estimate)
+
+
+@pytest.mark.parametrize(
+    "schedule, samples",
+    [
+        (random_time_varying(5, p=0.7, seed=0), 8),
+        (random_time_varying(6, p=0.6, seed=3, degree=3), 16),
+        (random_time_varying(8, p=0.5, seed=1, degree=8), 5),
+        (random_time_varying(4, p=1.0, seed=2, degree=1), 400),  # 1200 times of 6 terms: several chunks
+        (time_varying_schedule(5, 3, seed=4), 8),
+        (random_graph(5, p=0.6, seed=2, segments=3), 8),
+    ],
+)
+def test_integrated_index_equals_the_per_time_weighted_index(schedule, samples):
+    prof = integrated_chromatic_index(schedule, samples)
+    oracle = per_time_integrated_chromatic_index(schedule, samples)
+    assert prof.times.tobytes() == oracle.times.tobytes()
+    assert prof.values.tobytes() == oracle.values.tobytes()
+    assert (prof.integral, prof.error_estimate) == (oracle.integral, oracle.error_estimate)
+
+
+def test_integrated_index_samples_a_long_grid_chunk_by_chunk(monkeypatch):
+    s = single_pair_schedule({"XX": (0.5, 1.0)})
+    samples = 2 * hamiltonian.EIG_CHUNK  # 3 * samples one-pair matrices: six chunks
+    calls = []
+    eig = linalg.hermitian_eig
+    monkeypatch.setattr(linalg, "hermitian_eig", lambda m: calls.append(len(m)) or eig(m))
+    tracemalloc.start()
+    try:
+        prof = integrated_chromatic_index(s, samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prof.integral == pytest.approx(1.0, abs=1e-12)  # W(t) = 0.5 + t
+    assert calls == [hamiltonian.EIG_CHUNK] * 6
+    # one chunk's arrays take about 1.3 MB; the 6144 matrices at once took 5 MB
+    assert peak < 3e6
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,16 @@ PATH = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
             ParseError,
             r"segments\[0\]\.terms\[0\]\.coeffs\.XX: expected a list of numbers",
         ),
+        (
+            lambda: loads_schedule(SCHEDULE_WITH_COEFFS % '{"XX": [0.5, true]}'),
+            ParseError,
+            r"segments\[0\]\.terms\[0\]\.coeffs\.XX: expected a number, got True",
+        ),
+        (
+            lambda: loads_schedule(SCHEDULE_WITH_A_NUMBER_SEGMENT.replace("[1]", '[{"t_start": 0, "t_end": 1, "terms": [1]}]')),
+            ParseError,
+            r"segments\[0\]\.terms\[0\]: expected an object",
+        ),
         (lambda: loads_gates(GATES % (1, "[]")), ParseError, "gate schedules need at least two qubits"),
         (lambda: loads_gates(GATES % (2.5, "[]")), ParseError, "document.n_qubits: expected an integer"),
         (lambda: loads_gates(GATES % (2, "{}")), ParseError, "document.steps: expected a list"),

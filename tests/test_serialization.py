@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chromlc import linalg
+from chromlc import linalg, serialization
 from chromlc.compiler import Gate, GateSchedule, Step, compile
 from chromlc.errors import ChromlcError, ParseError, SchemaVersionMismatch
 from chromlc.hamiltonian import (
+    PAULI_LABELS,
     HamiltonianSchedule,
     chain,
     complete_mean_field,
@@ -174,6 +175,50 @@ def test_generator_documents_parse_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loads_schedule(dumps_schedule(schedule))
+
+
+_COEFFICIENTS = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, -3]),
+    st.floats(-1e3, 1e3),
+    st.integers(-(10**6), 10**6),
+)
+_TERMS = st.lists(
+    st.dictionaries(st.sampled_from(PAULI_LABELS), st.lists(_COEFFICIENTS, max_size=9), max_size=5),
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=_TERMS)
+def test_parse_in_one_pass_equals_the_field_by_field_parse(terms):
+    pairs = [[k, l] for k in range(4) for l in range(k + 1, 4)]
+    doc = {
+        "format": "chromlc-schedule",
+        "version": 1,
+        "n_qubits": 4,
+        "segments": [{"t_start": 0, "t_end": 1, "terms": [{"pair": p, "coeffs": c} for p, c in zip(pairs, terms)]}],
+    }
+    text = json.dumps(doc)
+    with warnings.catch_warnings(record=True) as fast_warnings:
+        warnings.simplefilter("always")
+        fast = loads_schedule(text)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as slow_warnings:
+        warnings.simplefilter("always")
+        mp.setattr(serialization, "_terms_in_one_pass", lambda raw_terms: None)
+        slow = loads_schedule(text)
+    (seg,), (oracle,) = fast.segments, slow.segments
+    assert seg.pairs == oracle.pairs
+    assert seg.tracks.shape == oracle.tracks.shape and seg.tracks.tobytes() == oracle.tracks.tobytes()
+    assert [str(w.message) for w in fast_warnings] == [str(w.message) for w in slow_warnings]
+
+
+def test_valid_documents_parse_in_one_pass(monkeypatch):
+    def refuse(raw_terms, where):
+        raise AssertionError(f"{where} was parsed field by field")
+
+    monkeypatch.setattr(serialization, "_terms_one_by_one", refuse)
+    for schedule in GENERATOR_OUTPUTS + [_TRIMMED]:
+        assert loads_schedule(dumps_schedule(schedule)) == schedule
 
 
 def test_parse_reports_unreadable_json():
