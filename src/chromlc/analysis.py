@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import compiler, linalg, simulator
+from . import compiler, graphs, linalg, simulator
 from .errors import BadParams, TooLarge
 from .hamiltonian import (
     HamiltonianSchedule,
@@ -154,7 +154,10 @@ def variance_bound_experiment(
     probability 0.4), scales it so its integrated chromatic index equals
     ``alpha`` exactly (couplings scale linearly, chromatic indices do not
     change), evolves the basis state |0...0>, and measures the variance of
-    a random norm-1 mean-field observable.  Each trial takes three seeds
+    a random norm-1 mean-field observable.  Every pair term of the draw has
+    norm 1, so W on a segment is the chromatic index of its pair graph and
+    the draw's integrated index is the sum of chromatic index times length
+    over its segments, with no eigensolve.  Each trial takes three seeds
     from the master generator and uses the first two; drawing the third
     keeps the trials of every ``seed`` as they were when it seeded a random
     initial product state.
@@ -181,7 +184,11 @@ def variance_bound_experiment(
         if alpha > 0.0:
             for attempt in range(64):  # skip degenerate empty draws
                 candidate = random_graph(n, 1.0, p=0.4, seed=draw_seed + attempt, segments=4)
-                base = integrated_chromatic_index(candidate).integral
+                base = sum(
+                    graphs.color_edges(graphs.WeightedGraph(n, tuple((k, l, 1.0) for k, l in seg.pairs))).index
+                    * seg.length
+                    for seg in candidate.segments
+                )
                 if base > 1e-9:
                     schedule = scale_schedule(candidate, alpha / base)
                     break
@@ -210,8 +217,10 @@ def trotter_comparison(s: HamiltonianSchedule, m_list, epsilons=(), tol: float =
 
     Every pass of ``trotterize(s, m)`` repeats the first one's steps, so
     its unitary is that of one pass raised to the m-th power
-    (``np.linalg.matrix_power``, about 2 log2(m) products); depth and step
-    count are those of the whole schedule.
+    (``np.linalg.matrix_power``, about 2 log2(m) products), and its
+    weighted depth sums one pass's step angles m times over, left to right
+    as ``compiler.weighted_depth`` sums the whole schedule's; the step count
+    is that of the whole schedule.
     """
     if not m_list:
         raise BadParams("need at least one slice count")
@@ -222,9 +231,8 @@ def trotter_comparison(s: HamiltonianSchedule, m_list, epsilons=(), tol: float =
         one_pass = compiler.GateSchedule(gates.n_qubits, gates.steps[: len(gates.steps) // m])
         u = np.linalg.matrix_power(simulator.full_unitary(one_pass, tol), m)
         err = linalg.spectral_distance(u, reference)
-        rows.append(
-            TrotterRow("trotter", float(m), float(err), compiler.weighted_depth(gates), len(gates.steps))
-        )
+        depth = sum([step.max_angle() for step in one_pass.steps] * m)
+        rows.append(TrotterRow("trotter", float(m), float(err), depth, len(gates.steps)))
     for eps in epsilons:
         gates, report = compiler.compile(s, float(eps))
         err = linalg.spectral_distance(simulator.full_unitary(gates, tol), reference)

@@ -37,6 +37,7 @@ which needs no 4^n memory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,14 +159,6 @@ def _apply_pair_stack(mats, stack, n, k, l):
     return out.reshape(stack.shape[1:])
 
 
-def _apply_single_matrix(mat2, array, n, q):
-    shape = (2,) * n + array.shape[1:]
-    tensor = array.reshape(shape)
-    out = np.tensordot(np.asarray(mat2), tensor, axes=([1], [q]))
-    out = np.moveaxis(out, 0, q)
-    return out.reshape(array.shape)
-
-
 def run_schedule(psi: StateVector, g: GateSchedule) -> StateVector:
     """Apply the steps in order; gates within a step commute by disjointness."""
     if g.n_qubits != psi.n_qubits:
@@ -173,30 +166,43 @@ def run_schedule(psi: StateVector, g: GateSchedule) -> StateVector:
     return StateVector(psi.n_qubits, propagate(g, psi.amplitudes))
 
 
+@functools.cache
+def _scatter_offsets(n, k, l):
+    """Flat indices into a 2^n x 2^n matrix of the embedded entries of a
+    pair term on (k, l): row r holds entry (a, b) of the term's 4x4 at
+    position 4a + b, for the r-th of the 2^(n-2) settings of the other
+    qubits.
+
+    Entry (i, j) of the embedded operator is nonzero only where i and j
+    agree on every qubit outside the pair: i = rest + bits(a) and
+    j = rest + bits(b), where ``rest`` runs over the indices with both pair
+    bits zero.  The table depends on (n, k, l) alone and is built once; it
+    is read-only because every caller shares it.
+    """
+    dim = 2**n
+    hi, lo = n - 1 - k, n - 1 - l  # bit positions of k and l; k's is the higher
+    rest = np.arange(dim // 4)
+    for p in (lo, hi):  # insert a zero bit at l's position, then at k's
+        rest = ((rest >> p) << (p + 1)) | (rest & ((1 << p) - 1))
+    a = np.arange(4)
+    bits = ((a >> 1) << hi) | ((a & 1) << lo)  # the pair bits of 4x4 index a
+    flat = (rest * (dim + 1))[:, None] + (bits[:, None] * dim + bits[None, :]).reshape(16)
+    flat.flags.writeable = False
+    return flat
+
+
 def _dense_generators(pairs, blocks, n):
     """Stack [G_0, G_1, ...] of 2^n x 2^n matrices with -i H(t) = sum_d t^d G_d,
     from the (terms, degree + 1, 4, 4) blocks of the terms on ``pairs``.
 
-    Entry (i, j) of a pair term's embedded operator is nonzero only where i
-    and j agree on every qubit outside the pair: i = rest + bits(a) and
-    j = rest + bits(b) for the term's 4x4 entry (a, b), where ``rest`` runs
-    over the 2^(n-2) indices with both pair bits zero.  So each term
-    scatters its 16 entries 2^(n-2) times; terms sharing a qubit share
-    entries.
+    Each term scatters its 16 entries 2^(n-2) times, through the
+    ``_scatter_offsets`` of its pair; terms sharing a qubit share entries.
     """
     dim = 2**n
     if not pairs:
         return np.zeros((1, dim, dim), dtype=np.complex128)
     degrees = blocks.shape[1]
-    shifts = n - 1 - np.array(pairs)  # bit positions of k and l; k's is the higher
-    k, l = shifts[:, :1], shifts[:, 1:]
-    rest = np.arange(dim // 4)
-    for p in (l, k):  # insert a zero bit at l's position, then at k's
-        rest = ((rest >> p) << (p + 1)) | (rest & ((1 << p) - 1))
-    a = np.arange(4)
-    bits = ((a >> 1) << k) | ((a & 1) << l)  # (terms, 4): the pair bits of 4x4 index a
-    offsets = bits[:, :, None] * dim + bits[:, None, :]  # (terms, 4, 4): entry (a, b) at rest 0
-    flat = (rest * (dim + 1))[:, :, None] + offsets.reshape(-1, 1, 16)  # (terms, 2^(n-2), 16)
+    flat = np.stack([_scatter_offsets(n, k, l) for k, l in pairs])  # (terms, 2^(n-2), 16)
     gens = np.zeros((degrees, dim * dim), dtype=np.complex128)
     for d in range(degrees):  # add.at is far faster on 1-D indices than on (terms, 2^(n-2), 16) ones
         values = np.broadcast_to(blocks[:, d].reshape(-1, 1, 16), flat.shape)
@@ -422,13 +428,13 @@ def moments(psi: StateVector, a: MeanFieldObservable):
     """First and second moment of the mean-field observable in a pure state.
 
     With A = sum_j A_j Hermitian, <A^2> = ||A psi||^2, so the second moment
-    needs one image per qubit, not a product per pair of qubits.
+    needs one image per qubit, not a product per pair of qubits.  Qubit j
+    is the middle axis of the amplitudes as (2^j, 2, 2^(n-j-1)).
     """
-    n = psi.n_qubits
     amps = psi.amplitudes
     image = np.zeros_like(amps)
-    for j in range(n):
-        image += _apply_single_matrix(a.factors[j], amps, n, j)
+    for j in range(psi.n_qubits):
+        image.reshape(2**j, 2, -1)[...] += np.einsum("ab,ibr->iar", a.factors[j], amps.reshape(2**j, 2, -1))
     m1 = float(np.vdot(amps, image).real)
     m2 = float(np.vdot(image, image).real)
     return m1, m2

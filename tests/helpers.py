@@ -229,7 +229,7 @@ def forbid_integrated_index(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("integrated_chromatic_index was called")
 
-    for module in (hamiltonian, compiler, cli):
+    for module in (hamiltonian, compiler, cli, analysis):
         monkeypatch.setattr(module, "integrated_chromatic_index", refuse, raising=False)
 
 

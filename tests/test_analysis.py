@@ -3,9 +3,17 @@ import pytest
 from chromlc import analysis, linalg, simulator
 from chromlc.compiler import trotterize, weighted_depth
 from chromlc.errors import BadParams
-from chromlc.hamiltonian import chain, random_graph, random_time_varying
+from chromlc.graphs import WeightedGraph, color_edges
+from chromlc.hamiltonian import (
+    HamiltonianSchedule,
+    Segment,
+    chain,
+    integrated_chromatic_index,
+    random_graph,
+    random_time_varying,
+)
 
-from helpers import per_state_convergence_errors, single_pair_schedule
+from helpers import forbid_integrated_index, per_state_convergence_errors, single_pair_schedule
 
 
 def test_convergence_study_piecewise_constant():
@@ -78,6 +86,54 @@ def test_variance_experiment_validation():
         analysis.variance_bound_experiment(14, 0.2, trials=1)
     with pytest.raises(BadParams):
         analysis.variance_bound_experiment(4, 0.2, trials=0)
+
+
+def test_unit_norm_draws_integrate_to_chromatic_index_times_length():
+    # every term of a coupling-1 draw has norm 1, so W on a segment is the
+    # chromatic index of its pair graph; the variance sweep rescales by this sum
+    empty = 0
+    for n in range(2, 13):
+        for seed in range(48):  # two-qubit seeds 42 and 45 draw no pair at all
+            draw = random_graph(n, 1.0, p=0.4, seed=seed, segments=4)
+            unit = sum(
+                color_edges(WeightedGraph(n, tuple((k, l, 1.0) for k, l in seg.pairs))).index * seg.length
+                for seg in draw.segments
+            )
+            integral = integrated_chromatic_index(draw).integral
+            assert abs(unit - integral) <= 4e-15 * integral
+            assert (unit == 0) == (integral == 0)
+            empty += integral == 0
+    assert empty > 0
+
+
+def test_variance_experiment_scales_each_draw_to_alpha_without_the_integrated_index(monkeypatch):
+    scaled = []
+    scale = analysis.scale_schedule
+
+    def recording(s, factor):
+        scaled.append(scale(s, factor))
+        return scaled[-1]
+
+    with monkeypatch.context() as m:
+        forbid_integrated_index(m)
+        m.setattr(analysis, "scale_schedule", recording)
+        records = analysis.variance_bound_experiment(6, 0.3, trials=6, seed=5)
+    assert len(scaled) == len(records) == 6
+    for s in scaled:
+        assert abs(integrated_chromatic_index(s).integral - 0.3) <= 1e-14
+
+
+def test_variance_experiment_reports_a_degenerate_ensemble(monkeypatch):
+    draws = []
+
+    def empty_draw(n, t_total, p, seed, segments):
+        draws.append(seed)
+        return HamiltonianSchedule(n, (Segment(0.0, t_total),))
+
+    monkeypatch.setattr(analysis, "random_graph", empty_draw)
+    with pytest.raises(RuntimeError, match="^random schedule ensemble degenerated repeatedly$"):
+        analysis.variance_bound_experiment(3, 0.25, trials=1)
+    assert len(draws) == 64 and draws == list(range(draws[0], draws[0] + 64))
 
 
 def test_variance_experiment_deterministic():

@@ -271,6 +271,30 @@ def test_dense_generators_match_per_term(monkeypatch):
                 assert np.max(np.abs(got - ref)) < 1e-12
 
 
+def _kron_pair_embedding(mat4, n, k, l):
+    """``mat4`` on qubits (k, l) of n: kron with the identity on the other
+    qubits, then the qubit axes permuted into place."""
+    order = [k, l] + [q for q in range(n) if q not in (k, l)]
+    tensor = np.kron(mat4, np.eye(2 ** (n - 2))).reshape((2,) * (2 * n))
+    back = list(np.argsort(order))
+    return tensor.transpose(back + [n + q for q in back]).reshape(2**n, 2**n)
+
+
+def test_scatter_offsets_place_every_entry_as_the_kron_embedding():
+    mat = np.arange(1.0, 17.0).reshape(4, 4)  # distinct values, so a misplaced entry shows
+    for n in range(2, simulator.DENSE_GENERATOR_MAX_QUBITS + 1):
+        for k in range(n):
+            for l in range(k + 1, n):
+                table = simulator._scatter_offsets(n, k, l)
+                assert table.shape == (2 ** (n - 2), 16)
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0, 0] = 0
+                got = np.zeros(4**n)
+                got[table] = mat.reshape(16)
+                assert np.array_equal(got.reshape(2**n, 2**n), _kron_pair_embedding(mat, n, k, l))
+
+
 def _no_dense(seg, n):
     raise AssertionError("dense generators built above the cutoff")
 
@@ -549,6 +573,25 @@ def test_moments_match_pairwise_double_sum():
         got1, got2 = moments(psi, obs)
         assert abs(got1 - m1) < 1e-12
         assert abs(got2 - m2) < 1e-12
+
+
+def test_moments_match_kron_built_observable_at_every_qubit():
+    # a random factor on one qubit and the identity (Hermitian, norm 1) on the
+    # others puts each qubit position through moments on its own
+    rng = np.random.default_rng(23)
+    for n in range(2, 7):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi = StateVector(n, amps / np.linalg.norm(amps))
+        factors = MeanFieldObservable.random(n, seed=n).factors
+        cases = [factors] + [tuple(factors[j] if q == j else np.eye(2) for q in range(n)) for j in range(n)]
+        for case in cases:
+            dense = sum(
+                reduce(np.kron, [case[j] if q == j else np.eye(2) for q in range(n)]) for j in range(n)
+            )
+            image = dense @ psi.amplitudes
+            got1, got2 = moments(psi, MeanFieldObservable(case))
+            assert abs(got1 - np.vdot(psi.amplitudes, image).real) < 1e-12
+            assert abs(got2 - np.vdot(image, image).real) < 1e-12
 
 
 def test_observable_validation():
