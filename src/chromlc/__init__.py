@@ -33,7 +33,6 @@ from .errors import (
     ChromlcError,
     DimensionMismatch,
     EpsilonTooLarge,
-    IndexOutOfRange,
     NormDrift,
     NotConstant,
     NotHermitian,

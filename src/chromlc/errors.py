@@ -27,7 +27,7 @@ class TooLarge(ChromlcError, ValueError):
 
 
 class OutOfRange(ChromlcError, ValueError):
-    """Time or index outside the valid domain."""
+    """Time, pair or basis index outside the valid domain."""
 
 
 class BadParams(ChromlcError, ValueError):
@@ -56,7 +56,3 @@ class ToleranceUnreachable(ChromlcError, RuntimeError):
 
 class NormDrift(ChromlcError, RuntimeError):
     """State norm drifted beyond the silent-renormalization limit."""
-
-
-class IndexOutOfRange(ChromlcError, IndexError):
-    """Qubit index outside the register."""

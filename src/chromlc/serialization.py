@@ -4,12 +4,13 @@ Three document types, distinguished by their ``format`` field:
 
 * ``chromlc-schedule`` -- piecewise-polynomial Hamiltonian schedules.
   Pauli keys are two-letter strings over {I,X,Y,Z}; omitted keys are zero;
-  coefficient lists are ascending-degree.  Each term's lists fill one row of
-  its segment's coefficient array, checked and filled in one pass over
-  all of the segment's lists; trailing zeros are dropped, and a list
-  of higher degree than ``MAX_POLY_DEGREE`` is rejected before that array
-  is built.  An ``II`` component is legal (it only shifts the global phase)
-  but parsing one emits a warning.
+  coefficient lists are ascending-degree.  One walker reads a segment's
+  terms: each term once, then all of the segment's coefficient lists as
+  one stack that fills its coefficient array, one row per list; trailing
+  zeros are dropped, and entries past ``MAX_POLY_DEGREE`` must be zero and
+  are dropped before that array is built.  A parse error names the first
+  bad field.  An ``II`` component is legal (it only shifts the global
+  phase) but parsing one emits a warning.
 * ``chromlc-gates`` -- gate schedules; unitaries are 4x4 arrays of
   ``[re, im]`` pairs and every gate carries its angle.  On loading, the
   unitaries and the angles of the whole document are checked as one stack.
@@ -169,10 +170,7 @@ def _schedule_from_doc(doc: dict) -> HamiltonianSchedule:
         t_start = _number(raw_seg.get("t_start"), f"{where}.t_start")
         t_end = _number(raw_seg.get("t_end"), f"{where}.t_end")
         raw_terms = _list_field(raw_seg, "terms", where)
-        parsed = _terms_in_one_pass(raw_terms)
-        if parsed is None:  # some field is wrong: find and name the first one
-            parsed = _terms_one_by_one(raw_terms, where)
-        pairs, tracks = parsed
+        pairs, tracks = _segment_terms(raw_terms, where)
         for j in np.flatnonzero(tracks[:, 0].any(axis=-1)).tolist():
             warnings.warn(
                 f"{where}.terms[{j}]: II component only shifts the global phase; "
@@ -189,94 +187,68 @@ def _schedule_from_doc(doc: dict) -> HamiltonianSchedule:
         raise ParseError(str(exc)) from None
 
 
-def _terms_in_one_pass(raw_terms: list):
-    """The pairs and the ``(terms, 16, width)`` coefficient array of a segment's
-    terms, or ``None`` when any term breaks a rule of :func:`_terms_one_by_one`
-    or has a coefficient list longer than ``MAX_POLY_DEGREE + 1``.
+def _segment_terms(raw_terms: list, where: str):
+    """The pairs and the ``(terms, 16, width)`` coefficient array of the
+    segment at ``where``; a ``ParseError`` names the first field that breaks
+    a rule.
 
-    Every coefficient list is type-checked by one pass over all of them and
-    scattered into the array by one assignment; entries past a list's last
-    nonzero one are stored as 0.0, as dropping its trailing zeros does.
+    Each term is read once.  Then every coefficient list of the segment is
+    type-checked and converted as one stack and scattered into the array by
+    one assignment; only when the stack holds an entry that is no number,
+    or a nonzero one past degree ``MAX_POLY_DEGREE``, are the lists walked
+    again, to name the first such list.  Entries past that degree are
+    dropped before the array is built, and entries past a list's last
+    nonzero one are stored as 0.0.
     """
     pairs, rows, lists = [], [], []
-    for raw_term in raw_terms:
+    for j, raw_term in enumerate(raw_terms):
         if type(raw_term) is not dict:
-            return None
+            raise ParseError(f"{where}.terms[{j}]: expected an object")
         pair, raw_coeffs = raw_term.get("pair"), raw_term.get("coeffs")
-        if type(pair) is not list or len(pair) != 2 or type(raw_coeffs) is not dict:
-            return None
+        if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
+            raise ParseError(f"{where}.terms[{j}].pair: expected [k, l] with integer entries")
         k, l = pair
-        if type(k) is not int or type(l) is not int or not 0 <= k < l:
-            return None
+        if not 0 <= k < l:
+            raise ParseError(f"{where}.terms[{j}].pair: indices must satisfy 0 <= k < l, got [{k}, {l}]")
+        if type(raw_coeffs) is not dict:
+            raise ParseError(f"{where}.terms[{j}].coeffs: expected an object of Pauli keys")
         for label, coeff_list in raw_coeffs.items():
             row = _PAULI_ROWS.get(label)
-            if row is None or type(coeff_list) is not list:
-                return None
-            rows.append(16 * len(pairs) + row)
+            if row is None:
+                raise ParseError(
+                    f"{where}.terms[{j}].coeffs: unknown Pauli key {label!r}; keys are two letters over I, X, Y, Z"
+                )
+            if type(coeff_list) is not list:
+                raise ParseError(f"{where}.terms[{j}].coeffs.{label}: expected a list of numbers")
+            rows.append(16 * j + row)
             lists.append(coeff_list)
         pairs.append((k, l))
     lengths = np.array([len(coeff_list) for coeff_list in lists], dtype=np.intp)
-    width = max(1, int(lengths.max(initial=0)))
-    if width > MAX_POLY_DEGREE + 1:
-        return None
     numbers = [c for coeff_list in lists for c in coeff_list]
-    if not set(map(type, numbers)) <= {int, float}:
-        return None
-    try:
-        values = np.array(numbers, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    columns = np.arange(values.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    values = None
+    if set(map(type, numbers)) <= {int, float}:
+        try:
+            values = np.array(numbers, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    rows = np.repeat(np.array(rows, dtype=np.intp), lengths)
+    columns = np.arange(len(numbers)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    width = int(lengths.max(initial=1))
+    if values is not None and width > MAX_POLY_DEGREE + 1:  # entries past the top degree must be zero
+        kept = columns <= MAX_POLY_DEGREE
+        values = None if values[~kept].any() else values[kept]
+        rows, columns, width = rows[kept], columns[kept], MAX_POLY_DEGREE + 1
+    if values is None:  # name the first list with an entry that is no number or a nonzero one too high
+        for j, raw_term in enumerate(raw_terms):
+            for label, coeff_list in raw_term["coeffs"].items():
+                field = f"{where}.terms[{j}].coeffs.{label}"
+                if any([_number(c, field) for c in coeff_list][MAX_POLY_DEGREE + 1 :]):
+                    raise ParseError(f"{field}: polynomial degree exceeds {MAX_POLY_DEGREE}")
     tracks = np.zeros((16 * len(pairs), width))
-    tracks[np.repeat(np.array(rows, dtype=np.intp), lengths), columns] = values
+    tracks[rows, columns] = values
     ends = np.where(tracks != 0.0, np.arange(1, width + 1), 0).max(axis=-1)
     tracks[np.arange(width) >= ends[:, None]] = 0.0
     return pairs, tracks.reshape(len(pairs), 16, width)
-
-
-def _terms_one_by_one(raw_terms: list, where: str):
-    """:func:`_terms_in_one_pass` field by field: the first field that breaks a
-    rule raises a ``ParseError`` that names it."""
-    pairs, polys = [], []
-    for j, raw_term in enumerate(raw_terms):
-        twhere = f"{where}.terms[{j}]"
-        if not isinstance(raw_term, dict):
-            raise ParseError(f"{twhere}: expected an object")
-        k, l = _pair_field(raw_term, twhere)
-        if not 0 <= k < l:
-            raise ParseError(f"{twhere}.pair: indices must satisfy 0 <= k < l, got [{k}, {l}]")
-        pairs.append((k, l))
-        polys.append(_term_polys(raw_term, twhere))
-    width = max([1] + [len(poly) for term in polys for poly in term.values()])
-    tracks = np.zeros((len(pairs), 16, width))
-    for i, term in enumerate(polys):
-        for j, poly in term.items():
-            tracks[i, j, : len(poly)] = poly
-    return pairs, tracks
-
-
-def _term_polys(raw_term: dict, where: str) -> dict:
-    """Each Pauli label's row index mapped to its coefficients, trailing zeros dropped."""
-    raw_coeffs = raw_term.get("coeffs")
-    if not isinstance(raw_coeffs, dict):
-        raise ParseError(f"{where}.coeffs: expected an object of Pauli keys")
-    polys = {}
-    for label, coeff_list in raw_coeffs.items():
-        row = _PAULI_ROWS.get(label)
-        if row is None:
-            raise ParseError(
-                f"{where}.coeffs: unknown Pauli key {label!r}; keys are two letters over I, X, Y, Z"
-            )
-        field = f"{where}.coeffs.{label}"
-        if not isinstance(coeff_list, list):
-            raise ParseError(f"{field}: expected a list of numbers")
-        poly = [_number(c, field) for c in coeff_list]
-        while poly and poly[-1] == 0.0:
-            poly.pop()
-        if len(poly) > MAX_POLY_DEGREE + 1:
-            raise ParseError(f"{field}: polynomial degree exceeds {MAX_POLY_DEGREE}")
-        polys[row] = poly
-    return polys
 
 
 # -- gate schedules ----------------------------------------------------------

@@ -48,9 +48,9 @@ from .compiler import GateSchedule
 from .errors import (
     BadParams,
     DimensionMismatch,
-    IndexOutOfRange,
     NormDrift,
     NotUnitary,
+    OutOfRange,
     ToleranceUnreachable,
     TooLarge,
 )
@@ -125,7 +125,7 @@ class StateVector:
     def basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
         check_state_size(n_qubits)  # before 2**n_qubits, which takes minutes past 10^10 qubits
         if not 0 <= index < 2**n_qubits:
-            raise IndexOutOfRange(f"basis index {index} outside register of {n_qubits} qubits")
+            raise OutOfRange(f"basis index {index} outside register of {n_qubits} qubits")
         amps = np.zeros(2**n_qubits, dtype=np.complex128)
         amps[index] = 1.0
         return cls(n_qubits, amps)
@@ -431,6 +431,8 @@ def moments(psi: StateVector, a: MeanFieldObservable):
     needs one image per qubit, not a product per pair of qubits.  Qubit j
     is the middle axis of the amplitudes as (2^j, 2, 2^(n-j-1)).
     """
+    if psi.n_qubits != a.n_qubits:
+        raise DimensionMismatch(f"observable on {a.n_qubits} qubits, state on {psi.n_qubits}")
     amps = psi.amplitudes
     image = np.zeros_like(amps)
     for j in range(psi.n_qubits):
@@ -442,9 +444,5 @@ def moments(psi: StateVector, a: MeanFieldObservable):
 
 def variance(psi: StateVector, a: MeanFieldObservable) -> float:
     """<a^2> - <a>^2 in the pure state ``psi``."""
-    if psi.n_qubits != a.n_qubits:
-        raise DimensionMismatch(
-            f"observable on {a.n_qubits} qubits, state on {psi.n_qubits}"
-        )
     m1, m2 = moments(psi, a)
     return m2 - m1 * m1

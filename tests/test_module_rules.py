@@ -7,10 +7,14 @@ Only ``serialization`` parses JSON: no other module calls ``json.load``
 or ``json.loads``, and only it and ``cli`` write JSON: no other module
 uses ``json.dump``, ``json.dumps`` or ``json.JSONEncoder``.  Only ``cli``
 writes to standard output and CSV: no other module calls ``print``,
-touches ``sys.stdout`` or imports ``csv``.
+touches ``sys.stdout`` or imports ``csv``.  Every module-level underscore
+function is called or named by its own module outside its own body: since
+no sibling may read it, a private function nothing in the package uses is
+dead code, or a second code path kept alive only by the tests.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,6 +60,26 @@ def _exported(tree):
         ):
             return ast.literal_eval(node.value)
     return []
+
+
+def _names(node):
+    """How often each name is read, written or looked up as an attribute under ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _unreferenced_private_functions(tree):
+    names = _names(tree)
+    return [
+        node.name
+        for node in _top_level(tree.body)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _private(node.name)
+        and names[node.name] == _names(node)[node.name]  # only its own body names it
+    ]
 
 
 def _violations(path):
@@ -118,6 +142,8 @@ def _violations(path):
     for name in _exported(tree):
         if name not in defined:
             problems.append(f"__all__ lists {name!r}, which the module does not define")
+    for name in _unreferenced_private_functions(tree):
+        problems.append(f"nothing in the package uses the private function {name}")
     return problems
 
 
@@ -151,3 +177,21 @@ def test_rules_catch_violations(tmp_path):
     package = tmp_path / "__init__.py"
     package.write_text("from numpy import _pytesttester\nfrom os import path\n")
     assert len(_violations(package)) == 1
+
+
+def test_rules_catch_an_unreferenced_private_function(tmp_path):
+    module = tmp_path / "orphan.py"
+    module.write_text(
+        "def _used(x):\n"
+        "    return x\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else 0\n"
+        "def _unused():\n"
+        "    pass\n"
+        "def public(x):\n"
+        "    return _used(x)\n"
+    )
+    assert _violations(module) == [
+        "nothing in the package uses the private function _recursive",
+        "nothing in the package uses the private function _unused",
+    ]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chromlc import linalg, serialization
+from chromlc import linalg
 from chromlc.compiler import Gate, GateSchedule, Step, compile
 from chromlc.errors import ChromlcError, ParseError, SchemaVersionMismatch
 from chromlc.hamiltonian import (
@@ -190,35 +190,51 @@ _TERMS = st.lists(
 
 @settings(max_examples=100, deadline=None)
 @given(terms=_TERMS)
-def test_parse_in_one_pass_equals_the_field_by_field_parse(terms):
-    pairs = [[k, l] for k in range(4) for l in range(k + 1, 4)]
+def test_parse_fills_the_array_as_trimming_each_list(terms):
+    pairs = [(k, l) for k in range(4) for l in range(k + 1, 4)][: len(terms)]
     doc = {
         "format": "chromlc-schedule",
         "version": 1,
         "n_qubits": 4,
         "segments": [{"t_start": 0, "t_end": 1, "terms": [{"pair": p, "coeffs": c} for p, c in zip(pairs, terms)]}],
     }
-    text = json.dumps(doc)
-    with warnings.catch_warnings(record=True) as fast_warnings:
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fast = loads_schedule(text)
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as slow_warnings:
-        warnings.simplefilter("always")
-        mp.setattr(serialization, "_terms_in_one_pass", lambda raw_terms: None)
-        slow = loads_schedule(text)
-    (seg,), (oracle,) = fast.segments, slow.segments
-    assert seg.pairs == oracle.pairs
-    assert seg.tracks.shape == oracle.tracks.shape and seg.tracks.tobytes() == oracle.tracks.tobytes()
-    assert [str(w.message) for w in fast_warnings] == [str(w.message) for w in slow_warnings]
+        (seg,) = loads_schedule(json.dumps(doc)).segments
+    # the oracle: each list with its trailing zeros dropped, written into a zero array
+    polys = [{label: np.trim_zeros(np.array(c, dtype=float), "b") for label, c in term.items()} for term in terms]
+    oracle = np.zeros((len(terms), 16, max([1] + [poly.size for term in polys for poly in term.values()])))
+    for i, term in enumerate(polys):
+        for label, poly in term.items():
+            oracle[i, PAULI_LABELS.index(label), : poly.size] = poly
+    assert seg.pairs == tuple(pairs)
+    assert seg.tracks.shape == oracle.shape and seg.tracks.tobytes() == oracle.tobytes()
+    assert [str(w.message) for w in caught] == [
+        f"segments[0].terms[{i}]: II component only shifts the global phase; it still counts toward the interaction norm"
+        for i, term in enumerate(polys)
+        if term.get("II", np.zeros(0)).size
+    ]
 
 
-def test_valid_documents_parse_in_one_pass(monkeypatch):
-    def refuse(raw_terms, where):
-        raise AssertionError(f"{where} was parsed field by field")
-
-    monkeypatch.setattr(serialization, "_terms_one_by_one", refuse)
-    for schedule in GENERATOR_OUTPUTS + [_TRIMMED]:
-        assert loads_schedule(dumps_schedule(schedule)) == schedule
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ([0.5, True], "expected a number, got True"),
+        ([0.5, "x"], "expected a number, got 'x'"),
+        ([0.5, 10**400], "number too large for a float"),
+        ([0] * 9 + [1], "polynomial degree exceeds 8"),
+        ([0] * 50000 + [1], "polynomial degree exceeds 8"),
+    ],
+    ids=["true", "string", "10**400", "degree-9", "degree-50000"],
+)
+def test_parse_names_a_bad_list_of_a_later_term(coeffs, message):
+    # the lists of a segment are checked as one stack; a failure still names its list
+    doc = _schedule_document()
+    labels = list(doc["segments"][0]["terms"][2]["coeffs"])
+    doc["segments"][0]["terms"][2]["coeffs"][labels[1]] = coeffs
+    with pytest.raises(ParseError) as info:
+        loads_schedule(json.dumps(doc))
+    assert str(info.value) == f"segments[0].terms[2].coeffs.{labels[1]}: {message}"
 
 
 def test_parse_reports_unreadable_json():

@@ -10,8 +10,8 @@ from chromlc.compiler import Gate, GateSchedule, Step, compile
 from chromlc.errors import (
     BadParams,
     DimensionMismatch,
-    IndexOutOfRange,
     NormDrift,
+    OutOfRange,
     ToleranceUnreachable,
     TooLarge,
 )
@@ -63,7 +63,7 @@ def test_state_vector_validation():
         StateVector(2, np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(DimensionMismatch):
         StateVector(2, np.array([1.0, 0.0]))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(OutOfRange, match="^basis index 7 outside register of 2 qubits$"):
         StateVector.basis(2, 7)
     psi = StateVector.basis(3, 5)
     assert psi.amplitudes[5] == 1.0
@@ -592,6 +592,13 @@ def test_moments_match_kron_built_observable_at_every_qubit():
             got1, got2 = moments(psi, MeanFieldObservable(case))
             assert abs(got1 - np.vdot(psi.amplitudes, image).real) < 1e-12
             assert abs(got2 - np.vdot(image, image).real) < 1e-12
+
+
+@pytest.mark.parametrize("n_observable", [5, 2])
+def test_moments_refuse_an_observable_on_another_register(n_observable):
+    # 5 factors on a 3-qubit state would drop two; 2 would leave qubit 2 without one
+    with pytest.raises(DimensionMismatch, match="^observable on %d qubits, state on 3$" % n_observable):
+        moments(StateVector.basis(3), MeanFieldObservable.pauli(n_observable, "z"))
 
 
 def test_observable_validation():
