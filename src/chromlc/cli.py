@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analysis, compiler, serialization, simulator
-from .errors import ChromlcError, ParseError
+from .errors import BadParams, ChromlcError, ParseError
 from .hamiltonian import GENERATORS, HamiltonianSchedule, generate, integrated_chromatic_index
 
 
@@ -204,6 +204,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    if args.output and args.report and os.path.realpath(args.output) == os.path.realpath(args.report):
+        raise BadParams(f"-o and --report name the same file: {args.report}")
     schedule = serialization.load_schedule(args.schedule)
     gates, report = compiler.compile(schedule, args.epsilon)
     outputs = [(serialization.dumps_gates(gates), args.output)]
@@ -318,7 +320,3 @@ def main(argv=None) -> int:
     except (ChromlcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

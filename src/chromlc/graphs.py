@@ -254,39 +254,14 @@ def edge_color_vizing(g: WeightedGraph) -> EdgeColoring:
     """Proper edge coloring with at most max_degree + 1 classes (Misra-Gries).
 
     Deterministic: edges are processed in lexicographic order and the
-    lowest admissible color always wins.
+    lowest admissible color always wins.  ``incident`` is the only color
+    table: an edge's color is a key in the rows of both its ends.
     """
     pairs = sorted(g.pairs)
     if not pairs:
         return EdgeColoring(())
-    n_colors = g.max_degree() + 1
-    colour = {}
+    colors = range(1, g.max_degree() + 2)
     incident = {v: {} for pair in pairs for v in pair}  # vertex -> {color: neighbor}
-
-    def key(a, b):
-        return (a, b) if a < b else (b, a)
-
-    # assign colors an uncolored edge and unassign uncolors a colored one:
-    # the path inversion uncolors every path edge before it recolors any,
-    # and the fan rotation uncolors (u, fan[i+1]) before it colors (u, fan[i]).
-    def assign(a, b, c):
-        colour[key(a, b)] = c
-        incident[a][c] = b
-        incident[b][c] = a
-
-    def unassign(a, b):
-        old = colour.pop(key(a, b))
-        del incident[a][old]
-        del incident[b][old]
-
-    def is_free(v, c):
-        return c not in incident[v]
-
-    def lowest_free(v):
-        for c in range(1, n_colors + 1):
-            if c not in incident[v]:
-                return c
-        raise RuntimeError("vertex saturated beyond max degree; this is a bug")
 
     for u, v in pairs:
         fan = [v]
@@ -295,7 +270,7 @@ def edge_color_vizing(g: WeightedGraph) -> EdgeColoring:
             nxt = None
             for c in sorted(incident[u]):
                 w = incident[u][c]
-                if w not in in_fan and is_free(fan[-1], c):
+                if w not in in_fan and c not in incident[fan[-1]]:
                     nxt = w
                     break
             if nxt is None:
@@ -303,46 +278,46 @@ def edge_color_vizing(g: WeightedGraph) -> EdgeColoring:
             fan.append(nxt)
             in_fan.add(nxt)
 
-        c = lowest_free(u)
-        d = lowest_free(fan[-1])
+        # Every next(...) has a candidate.  A vertex has at most max degree
+        # colored edges, so one of the max degree + 1 colors is free, and
+        # after the d/c path is inverted the first fan vertex with d free ends
+        # a prefix that is still a fan (Misra & Gries 1992).  Were either ever
+        # false, next(...) would raise rather than color an edge wrongly.
+        c = next(x for x in colors if x not in incident[u])
+        d = next(x for x in colors if x not in incident[fan[-1]])
 
-        if not is_free(u, d):
-            # invert the alternating d/c path that starts at u
+        if d in incident[u]:
+            # invert the alternating d/c path that starts at u: swap c and d in each row on it
             path = [u]
             want = d
             while want in incident[path[-1]]:
-                nxt = incident[path[-1]][want]
-                path.append(nxt)
+                path.append(incident[path[-1]][want])
                 want = c if want == d else d
-            path_edges = [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-            olds = [colour[key(a, b)] for a, b in path_edges]
-            for a, b in path_edges:
-                unassign(a, b)
-            for (a, b), old in zip(path_edges, olds):
-                assign(a, b, c if old == d else d)
+            for a in path:
+                row = incident[a]
+                at_c, at_d = row.pop(c, None), row.pop(d, None)
+                if at_c is not None:
+                    row[d] = at_c
+                if at_d is not None:
+                    row[c] = at_d
 
-        # first fan vertex with d free whose prefix is still a fan
-        w_idx = None
-        for idx in range(len(fan)):
-            if idx > 0:
-                cc = colour.get(key(u, fan[idx]))
-                if cc is None or not is_free(fan[idx - 1], cc):
-                    break
-            if is_free(fan[idx], d):
-                w_idx = idx
-                break
-        if w_idx is None:  # excluded by the Misra-Gries invariant
-            raise RuntimeError("fan rotation target not found; this is a bug")
+        w_idx = next(i for i, w in enumerate(fan) if d not in incident[w])
+        if w_idx:
+            # rotate the fan: (u, fan[i]) takes the color of (u, fan[i + 1])
+            color_of = {b: x for x, b in incident[u].items()}
+            for i in range(w_idx):
+                moved = color_of[fan[i + 1]]
+                del incident[fan[i + 1]][moved]
+                incident[u][moved] = fan[i]
+                incident[fan[i]][moved] = u
+        incident[u][d] = fan[w_idx]
+        incident[fan[w_idx]][d] = u
 
-        for i in range(w_idx):
-            moved = colour[key(u, fan[i + 1])]
-            unassign(u, fan[i + 1])
-            assign(u, fan[i], moved)
-        assign(u, fan[w_idx], d)
-
-    classes = [[] for _ in range(n_colors)]
-    for (a, b), c in colour.items():
-        classes[c - 1].append((a, b))
+    classes = [[] for _ in colors]
+    for a, row in incident.items():
+        for x, b in row.items():
+            if a < b:
+                classes[x - 1].append((a, b))
     return EdgeColoring(tuple(tuple(sorted(cls)) for cls in classes if cls))
 
 

@@ -40,6 +40,11 @@ MAX_POLY_DEGREE = 8
 # 53 MB document; uncapped, a typo such as ``--epsilon 1e-13`` or
 # ``--samples 1000000000000`` asks for terabytes before any work starts.
 MAX_SAMPLES_PER_SEGMENT = 2**16
+# Cap on the quadrature points of integrated_chromatic_index summed over all
+# segments: the index command holds about 300 bytes per point, so the cap is
+# about 1.3 GB.  compile admits at most 2^16 segments and its report samples
+# 64 per segment, so every schedule compile accepts still gets its report.
+MAX_INDEX_SAMPLES = 64 * 2**16
 # Cap on the pair terms a generator may produce, summed over its segments,
 # checked before any draw.  A term stores 16 float coefficients per degree
 # (up to 1.2 kB), its snapshot rows another 0.6 kB, and each compiled
@@ -54,21 +59,22 @@ ZERO_NORM_TOL = 1e-12  # pair terms with a smaller norm count as absent
 # samples and terms the grid has.
 EIG_CHUNK = 1024
 
-_P1 = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
+# I, X, Y, Z, and their 16 two-qubit products in the order of PAULI_LABELS.
+# Both tables are read-only: every H(t) is built from them.
+PAULI_MATRICES = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 PAULI_LABELS = tuple(a + b for a in "IXYZ" for b in "IXYZ")
-PAULI_PRODUCTS = np.stack([np.kron(_P1[l[0]], _P1[l[1]]) for l in PAULI_LABELS])
+PAULI_PRODUCTS = np.stack([np.kron(a, b) for a in PAULI_MATRICES for b in PAULI_MATRICES])
+PAULI_MATRICES.flags.writeable = False
+PAULI_PRODUCTS.flags.writeable = False
 
 __all__ = [
     "EIG_CHUNK",
     "GENERATORS",
     "MAX_GENERATED_TERMS",
+    "MAX_INDEX_SAMPLES",
     "MAX_SAMPLES_PER_SEGMENT",
     "PAULI_LABELS",
+    "PAULI_MATRICES",
     "PAULI_PRODUCTS",
     "HamiltonianSchedule",
     "IndexProfile",
@@ -349,6 +355,11 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
         raise TooLarge(
             f"samples per segment are limited to {MAX_SAMPLES_PER_SEGMENT}, got {samples_per_segment}"
         )
+    if samples_per_segment * len(s.segments) > MAX_INDEX_SAMPLES:
+        raise TooLarge(
+            f"{samples_per_segment} samples on each of {len(s.segments)} segments exceed "
+            f"the {MAX_INDEX_SAMPLES} samples of one integral"
+        )
     n = samples_per_segment
     times = []
     values = []
@@ -509,7 +520,7 @@ def _random_segment(rng, n, p, coupling, t_start, t_end, width, probes) -> Segme
     tracks = np.reshape(draws, (len(pairs), 16, width))
     tracks[:, 0] = 0.0  # traceless: no global-phase component
     raw = Segment(t_start, t_end, tuple(pairs), tracks)
-    peaks = linalg.hermitian_norms(np.stack([raw.matrices_at(t) for t in probes])).max(axis=0)
+    peaks = linalg.hermitian_norms(raw.matrices_at(probes)).max(axis=0)
     if np.any(peaks <= 1e-9):  # every Gaussian of a term near zero: probability zero
         raise RuntimeError("random coefficient draw degenerated")
     return Segment(t_start, t_end, raw.pairs, (coupling / peaks)[:, None, None] * tracks)

@@ -54,7 +54,7 @@ from .errors import (
     ToleranceUnreachable,
     TooLarge,
 )
-from .hamiltonian import PAULI_PRODUCTS, HamiltonianSchedule
+from .hamiltonian import PAULI_MATRICES, PAULI_PRODUCTS, HamiltonianSchedule
 
 FULL_UNITARY_MAX_QUBITS = 6
 # Up to this size the integrator applies a segment's generator as dense
@@ -404,14 +404,10 @@ class MeanFieldObservable:
 
     @classmethod
     def pauli(cls, n_qubits: int, axis: str = "z") -> "MeanFieldObservable":
-        mats = {
-            "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-            "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-            "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-        }
-        if axis not in mats:
-            raise BadParams(f"axis must be one of {sorted(mats)}")
-        return cls((mats[axis],) * n_qubits)
+        axes = ["x", "y", "z"]
+        if axis not in axes:
+            raise BadParams(f"axis must be one of {axes}")
+        return cls((PAULI_MATRICES[1 + axes.index(axis)],) * n_qubits)
 
     @classmethod
     def random(cls, n_qubits: int, seed: int = 0) -> "MeanFieldObservable":

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -23,6 +24,7 @@ from chromlc.compiler import Gate, GateSchedule, Step
 from chromlc.hamiltonian import (
     GENERATORS,
     MAX_GENERATED_TERMS,
+    MAX_INDEX_SAMPLES,
     MAX_SAMPLES_PER_SEGMENT,
     chain,
     embed_discrete,
@@ -195,6 +197,32 @@ def test_sample_cap_exits_2(tmp_path, capsys, argv, message):
     assert code == 2
     assert err.startswith("error: ") and message in err and str(MAX_SAMPLES_PER_SEGMENT) in err
     assert out == ""
+
+
+def test_index_samples_are_capped_over_the_whole_schedule(tmp_path, capsys):
+    # the cap was per segment only, so the samples grew with the segment
+    # count: a 100 kB document of about 1100 such segments asked for 22 GB
+    segments = [
+        {"t_start": float(j), "t_end": float(j + 1), "terms": [{"pair": [0, 1], "coeffs": {"ZZ": [1.0]}}]}
+        for j in range(65)
+    ]
+    spath = tmp_path / "many.json"
+    spath.write_text(json.dumps({"format": "chromlc-schedule", "version": 1, "n_qubits": 2, "segments": segments}))
+    with wall_clock_bound(2.0):
+        code, out, err = run_cli(capsys, "index", str(spath), "--samples", str(MAX_SAMPLES_PER_SEGMENT))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(MAX_INDEX_SAMPLES) in err
+
+
+@pytest.mark.parametrize("report", ["same.json", "./same.json"])
+def test_compile_refuses_one_file_for_gates_and_report(tmp_path, capsys, monkeypatch, report):
+    # the report used to overwrite the gate file, and the command exited 0
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "generate", "chain", "--n", "3", "-o", "chain.json")
+    code, out, err = run_cli(capsys, "compile", "chain.json", "--epsilon", "0.5", "-o", "same.json", "--report", report)
+    assert (code, out) == (2, "")
+    assert err == f"error: -o and --report name the same file: {report}\n"
+    assert sorted(os.listdir(tmp_path)) == ["chain.json"]
 
 
 def test_compile_epsilon_too_large_exits_2(tmp_path, capsys):
@@ -612,7 +640,7 @@ def test_generate_size_is_bounded(capsys, argv):
     assert out == ""
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def test_python_dash_m_runs_the_cli(tmp_path, capsys, monkeypatch):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -621,6 +649,12 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: chromlc")
+    # the same entry point in this process, so that a line tracer sees it run
+    monkeypatch.setattr(sys, "argv", ["chromlc", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("chromlc", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: chromlc")
 
 
 def test_top_level_help_lists_every_command(capsys):

@@ -57,6 +57,18 @@ def test_pauli_roundtrip():
         assert np.max(np.abs(pauli_matrix(c) - m)) < 1e-12
 
 
+def test_pauli_tables_are_read_only():
+    # a stray in-place write used to change every H(t) evaluated after it
+    for table in (hamiltonian.PAULI_MATRICES, hamiltonian.PAULI_PRODUCTS):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1, 0, 0] = 5.0
+    # the mean-field Paulis are views of the one 2x2 table
+    x = MeanFieldObservable.pauli(3, "x")
+    assert np.shares_memory(x.factors[0], hamiltonian.PAULI_MATRICES)
+    assert np.array_equal(x.factors[0], [[0, 1], [1, 0]])
+
+
 def test_pauli_coeffs_reject_non_hermitian():
     with pytest.raises(Exception):
         pauli_coeffs(np.triu(np.ones((4, 4))))
@@ -367,6 +379,14 @@ def test_integrated_index_equals_segment_sum():
         mid = (seg.t_start + seg.t_end) / 2.0
         per_segment += weighted_chromatic_index(s, mid) * seg.length
     assert abs(prof.integral - per_segment) < 1e-12
+
+
+def test_integrated_index_caps_its_samples_over_all_segments(monkeypatch):
+    s = random_graph(4, p=0.7, seed=3, segments=3)
+    monkeypatch.setattr(hamiltonian, "MAX_INDEX_SAMPLES", 6)
+    assert len(integrated_chromatic_index(s, 2).times) == 6
+    with pytest.raises(TooLarge, match="3 samples on each of 3 segments exceed the 6 samples of one integral"):
+        integrated_chromatic_index(s, 3)
 
 
 def test_index_colors_each_distinct_edge_set_once_per_call(monkeypatch):
