@@ -203,8 +203,14 @@ def _cmd_index(args) -> int:
     return 0
 
 
+def _same_file(a, b) -> bool:
+    """One path, or (for files that exist) one file under two links."""
+    same_path = os.path.realpath(a) == os.path.realpath(b)
+    return same_path or (os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
+
+
 def _cmd_compile(args) -> int:
-    if args.output and args.report and os.path.realpath(args.output) == os.path.realpath(args.report):
+    if args.output and args.report and _same_file(args.output, args.report):
         raise BadParams(f"-o and --report name the same file: {args.report}")
     schedule = serialization.load_schedule(args.schedule)
     gates, report = compiler.compile(schedule, args.epsilon)

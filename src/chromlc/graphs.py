@@ -5,8 +5,9 @@ A proper edge coloring partitions the edge set into matchings; the least
 number of matchings needed is the chromatic index, which by Vizing's
 theorem is either the maximum degree or one more.  ``color_edges``, the
 one coloring entry point, searches for a max-degree coloring by
-backtracking that colors the most constrained edge next; deciding it is
-NP-complete (Holyer 1981), so the search stops after a fixed node count.
+backtracking that colors the most constrained edge next, scanning only
+the edges still uncolored; deciding it is NP-complete (Holyer 1981), so
+the search stops after a fixed node count.
 Every other case gets the Misra-Gries coloring of ``edge_color_vizing``
 (at most max degree + 1 classes), reported as exact when the graph is
 overfull, the search finished without a coloring, or it has max degree
@@ -15,7 +16,10 @@ edge weights, so that the weighted sum of per-level indices equals the
 integral of the chromatic index over the threshold.  Each level inherits
 the coloring of the level below it, dropping only the edges that left,
 and keeps it when that is provably optimal; otherwise it calls
-``color_edges``.  A caller that decomposes many graphs passes one
+``color_edges``.  The sweep keeps the max degree in a histogram of vertex
+degrees and the inherited class count in a counter, so deciding whether a
+level keeps its coloring costs a constant amount per dropped edge, not a
+pass over all vertices.  A caller that decomposes many graphs passes one
 ``known`` dict, owned by that call, so that each distinct level edge set
 is colored once.
 """
@@ -162,37 +166,40 @@ def threshold_subgraph(g: WeightedGraph, r: float) -> WeightedGraph:
 def _search_edge_coloring(n_vertices, order, k, budget):
     """Backtracking search for a proper k-edge-coloring of ``order``.
 
-    Each node colors the uncolored edge with the fewest free colors, ties
-    going to the edge that comes first in ``order``, and fails at once when
-    some edge has no free color left.  Colors are tried lowest-first and
-    capped at one above the highest color used so far: every color above
-    that is still unused everywhere, so trying one of them is enough, under
-    any edge order.  Returns the color list (aligned with ``order``), False
-    when no k-edge-coloring exists, or None after ``budget`` nodes.  The
-    vertices of ``order`` are 0 .. ``n_vertices`` - 1.
+    Each node colors the uncolored edge with the fewest free colors (the
+    most colors taken at its two ends), ties going to the edge that comes
+    first in ``order``, and fails at once when some edge has no free color
+    left.  Only the uncolored edges are scanned: ``uncolored`` lists their
+    indices in ``order`` order, and the chosen edge leaves it while it is
+    colored and goes back to its place on backtrack.  Colors are tried
+    lowest-first and capped at one above the highest color used so far:
+    every color above that is still unused everywhere, so trying one of
+    them is enough, under any edge order.  Returns the color list (aligned
+    with ``order``), False when no k-edge-coloring exists, or None after
+    ``budget`` nodes.  The vertices of ``order`` are 0 .. ``n_vertices`` - 1.
     """
-    m = len(order)
-    colors = [-1] * m
+    colors = [-1] * len(order)
+    uncolored = list(range(len(order)))
     used = [0] * n_vertices
     full = (1 << k) - 1
     nodes = 0
 
-    def rec(left, high):
+    def rec(high):
         nonlocal nodes
-        if not left:
+        if not uncolored:
             return True
         nodes += 1
         if nodes > budget:
             return None
-        best, best_free = -1, k + 1
-        for i in range(m):
-            if colors[i] < 0:
-                u, v = order[i]
-                free = (full & ~(used[u] | used[v])).bit_count()
-                if free < best_free:
-                    if not free:
-                        return False
-                    best, best_free = i, free
+        best_busy = -1
+        for at, i in enumerate(uncolored):
+            u, v = order[i]
+            busy = (used[u] | used[v]).bit_count()
+            if busy > best_busy:
+                if busy == k:
+                    return False
+                best_at, best_busy = at, busy
+        best = uncolored.pop(best_at)
         u, v = order[best]
         avail = full & ~(used[u] | used[v]) & ((2 << (high + 1)) - 1)
         while avail:
@@ -201,24 +208,31 @@ def _search_edge_coloring(n_vertices, order, k, budget):
             colors[best] = c
             used[u] |= bit
             used[v] |= bit
-            found = rec(left - 1, c if c > high else high)
+            found = rec(c if c > high else high)
             if found is not False:
                 return found
             used[u] ^= bit
             used[v] ^= bit
             avail ^= bit
-        colors[best] = -1
+        uncolored.insert(best_at, best)
         return False
 
-    found = rec(m, -1)
+    found = rec(-1)
     return colors if found else found
+
+
+def _trusted(cls, **fields):
+    """A ``cls`` instance holding ``fields`` as given, already normalized: __post_init__ is skipped."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _coloring_from_assignment(order, colors, k):
     classes = [[] for _ in range(k)]
     for pair, c in zip(order, colors):
         classes[c].append(pair)
-    return EdgeColoring(tuple(tuple(sorted(cls)) for cls in classes if cls))
+    return _trusted(EdgeColoring, classes=tuple(tuple(sorted(cls)) for cls in classes if cls))
 
 
 def color_edges(g: WeightedGraph) -> ChromaticIndexResult:
@@ -332,7 +346,11 @@ def level_decompose(g: WeightedGraph, known: dict | None = None) -> LevelDecompo
     each class are kept, and classes left empty go.  When the classes left
     number the new max degree, that coloring is optimal (chi' >= max
     degree) and is taken as exact, whether or not level j's was.
-    Otherwise the level is colored by :func:`color_edges`.
+    Otherwise the level is colored by :func:`color_edges`.  Both sides of
+    that test are updated as edges leave, at a constant cost per edge: the
+    max degree through a histogram of vertex degrees, the class count
+    through a count of non-empty classes.  The inherited coloring is built
+    only for a level that keeps it.
 
     ``known``, when given, maps the frozenset of a level's pairs to the
     :func:`color_edges` result for that edge set; levels found there are
@@ -353,39 +371,46 @@ def level_decompose(g: WeightedGraph, known: dict | None = None) -> LevelDecompo
             clusters.append([e])
 
     deg = g.degrees()
+    delta = max(deg.values())
+    hist = [0] * (delta + 1)  # hist[d]: the number of touched vertices of degree d
+    for d in deg.values():
+        hist[d] += 1
     remaining = set(g.pairs)
     classes = []  # the last level's classes; a class emptied by inheritance stays as ()
+    live = 0  # how many entries of classes are non-empty
     holder = {}  # pair -> its index in classes
     levels = []
     for j, cluster in enumerate(clusters):
-        threshold = max(e[2] for e in cluster)
-        inherited = None
+        threshold = cluster[-1][2]
         if levels:
-            gone = set()
+            gone = []
             for k, l, _ in clusters[j - 1]:
-                deg[k] -= 1
-                deg[l] -= 1
-                gone.add((k, l))
-            remaining -= gone
+                for v in (k, l):
+                    hist[deg[v]] -= 1
+                    deg[v] -= 1
+                    hist[deg[v]] += 1
+                gone.append((k, l))
+            while not hist[delta]:
+                delta -= 1
+            remaining.difference_update(gone)
             for c in {holder.pop(pair) for pair in gone}:
                 classes[c] = tuple(pair for pair in classes[c] if pair not in gone)
-            # Classes of a normalized coloring are normalized, so __post_init__ is skipped.
-            inherited = object.__new__(EdgeColoring)
-            object.__setattr__(inherited, "classes", tuple(cls for cls in classes if cls))
-            if inherited.n_classes() == max(deg.values()):
-                levels.append(Level(threshold, inherited.n_classes(), inherited, True))
+                if not classes[c]:
+                    live -= 1
+            if live == delta:
+                inherited = _trusted(EdgeColoring, classes=tuple(cls for cls in classes if cls))
+                levels.append(Level(threshold, live, inherited, True))
                 continue
         key = frozenset(remaining)
         res = None if known is None else known.get(key)
         if res is None:
-            # The level's edges are edges of g, valid already, so __post_init__ is skipped.
-            sub = object.__new__(WeightedGraph)
-            object.__setattr__(sub, "n_vertices", g.n_vertices)
-            object.__setattr__(sub, "edges", tuple(e for cl in clusters[j:] for e in cl))
+            # The level's edges are edges of g, valid already.
+            sub = _trusted(WeightedGraph, n_vertices=g.n_vertices, edges=tuple(e for cl in clusters[j:] for e in cl))
             res = color_edges(sub)
             if known is not None:
                 known[key] = res
         levels.append(Level(threshold, res.index, res.coloring, res.exact))
         classes = list(res.coloring.classes)
+        live = len(classes)
         holder = {pair: c for c, cls in enumerate(classes) for pair in cls}
     return LevelDecomposition(tuple(levels))

@@ -9,7 +9,9 @@ integrator is classic RK4, fixed-step or step-halving, on generators
 built from the embedding oracle: the package integrates by Taylor series
 and must agree with it within the tolerance.  The parity oracles at the
 end keep earlier, slower forms of package loops (per-term and per-qubit
-random draws, level decomposition that searches every level afresh, gates
+random draws, level decomposition that searches every level afresh or
+recounts the max degree and the classes on every level, the coloring
+search that scans every edge at every node, gates
 built and checked one at a time, coefficient rows trimmed one at a time,
 pair matrices and W evaluated one sample time at a time) that the package
 must match bit for bit, and the convergence study's
@@ -464,6 +466,98 @@ def record_searches(monkeypatch):
 
     monkeypatch.setattr(graphs, "color_edges", recording)
     return searched
+
+
+def full_scan_search_edge_coloring(n_vertices, order, k, budget):
+    """``graphs._search_edge_coloring`` as it was before it kept a list of the
+    uncolored edges: every node scans all of ``order`` and skips the colored
+    edges, and counts the free colors at each edge's ends."""
+    m = len(order)
+    colors = [-1] * m
+    used = [0] * n_vertices
+    full = (1 << k) - 1
+    nodes = 0
+
+    def rec(left, high):
+        nonlocal nodes
+        if not left:
+            return True
+        nodes += 1
+        if nodes > budget:
+            return None
+        best, best_free = -1, k + 1
+        for i in range(m):
+            if colors[i] < 0:
+                u, v = order[i]
+                free = (full & ~(used[u] | used[v])).bit_count()
+                if free < best_free:
+                    if not free:
+                        return False
+                    best, best_free = i, free
+        u, v = order[best]
+        avail = full & ~(used[u] | used[v]) & ((2 << (high + 1)) - 1)
+        while avail:
+            bit = avail & -avail
+            c = bit.bit_length() - 1
+            colors[best] = c
+            used[u] |= bit
+            used[v] |= bit
+            found = rec(left - 1, c if c > high else high)
+            if found is not False:
+                return found
+            used[u] ^= bit
+            used[v] ^= bit
+            avail ^= bit
+        colors[best] = -1
+        return False
+
+    found = rec(m, -1)
+    return colors if found else found
+
+
+def recounting_level_decompose(g, known=None):
+    """``graphs.level_decompose`` as it was before it kept a degree histogram
+    and a class count: every level takes the max degree over all vertices,
+    builds its inherited coloring and counts that coloring's classes."""
+    if not g.edges:
+        return LevelDecomposition(())
+    ordered = sorted(g.edges, key=lambda e: e[2])
+    clusters = [[ordered[0]]]
+    for e in ordered[1:]:
+        if e[2] - clusters[-1][-1][2] < graphs.WEIGHT_MERGE_TOL:
+            clusters[-1].append(e)
+        else:
+            clusters.append([e])
+    deg = g.degrees()
+    remaining = set(g.pairs)
+    classes = []
+    holder = {}
+    levels = []
+    for j, cluster in enumerate(clusters):
+        threshold = max(e[2] for e in cluster)
+        if levels:
+            gone = set()
+            for k, l, _ in clusters[j - 1]:
+                deg[k] -= 1
+                deg[l] -= 1
+                gone.add((k, l))
+            remaining -= gone
+            for c in {holder.pop(pair) for pair in gone}:
+                classes[c] = tuple(pair for pair in classes[c] if pair not in gone)
+            inherited = EdgeColoring(tuple(cls for cls in classes if cls))
+            if inherited.n_classes() == max(deg.values()):
+                levels.append(Level(threshold, inherited.n_classes(), inherited, True))
+                continue
+        key = frozenset(remaining)
+        res = None if known is None else known.get(key)
+        if res is None:
+            res = graphs.color_edges(WeightedGraph(g.n_vertices, tuple(e for cl in clusters[j:] for e in cl)))
+            if known is not None:
+                known[key] = res
+        levels.append(Level(threshold, res.index, res.coloring, res.exact))
+        classes = list(res.coloring.classes)
+        holder = {pair: c for c, cls in enumerate(classes) for pair in cls}
+    return LevelDecomposition(tuple(levels))
 
 
 def per_gate_pair_gates(snap, index, angles):

@@ -225,6 +225,18 @@ def test_compile_refuses_one_file_for_gates_and_report(tmp_path, capsys, monkeyp
     assert sorted(os.listdir(tmp_path)) == ["chain.json"]
 
 
+def test_compile_refuses_a_hard_link_of_the_gate_file_as_report(tmp_path, capsys, monkeypatch):
+    # two links to one file passed the path comparison, and the report replaced the gates
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "generate", "chain", "--n", "3", "-o", "chain.json")
+    (tmp_path / "g.json").write_text("old gates\n")
+    os.link(tmp_path / "g.json", tmp_path / "link.json")
+    code, out, err = run_cli(capsys, "compile", "chain.json", "--epsilon", "0.5", "-o", "g.json", "--report", "link.json")
+    assert (code, out) == (2, "")
+    assert err == "error: -o and --report name the same file: link.json\n"
+    assert (tmp_path / "g.json").read_text() == "old gates\n"
+
+
 def test_compile_epsilon_too_large_exits_2(tmp_path, capsys):
     spath = tmp_path / "chain.json"
     run_cli(capsys, "generate", "chain", "--n", "4", "--t", "0.5", "-o", str(spath))

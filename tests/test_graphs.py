@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromlc import graphs
@@ -14,7 +14,14 @@ from chromlc.graphs import (
     threshold_subgraph,
 )
 
-from helpers import oracle_chromatic_index, record_searches, restricting_level_decompose, wall_clock_bound
+from helpers import (
+    full_scan_search_edge_coloring,
+    oracle_chromatic_index,
+    recounting_level_decompose,
+    record_searches,
+    restricting_level_decompose,
+    wall_clock_bound,
+)
 
 
 def complete_graph(n, w=1.0):
@@ -60,6 +67,14 @@ def graph_sequences(draw):
         weights = draw(st.lists(weights, min_size=len(chosen), max_size=len(chosen)))
         out.append(WeightedGraph(n, tuple((k, l, w) for (k, l), w in zip(chosen, weights))))
     return out
+
+
+@st.composite
+def search_orders(draw):
+    """(n, order): 1 to 24 distinct edges on n <= 9 vertices, in a drawn order."""
+    n = draw(st.integers(2, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return n, draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=24))
 
 
 def petersen_copies(copies, rng):
@@ -182,6 +197,20 @@ def test_spent_search_budget_is_reported(monkeypatch):
     res = color_edges(g)
     assert (res.index, res.exact) == (8, False)
     assert res.coloring.is_valid_for(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_orders(), st.integers(1, 200))
+def test_search_matches_the_full_scan(instance, budget):
+    # same node order and node count: the same colors, False, or None at every budget
+    n, order = instance
+    delta = WeightedGraph(n, tuple((k, l, 1.0) for k, l in order)).max_degree()
+    found = graphs._search_edge_coloring(n, order, delta, budget)
+    assert found == full_scan_search_edge_coloring(n, order, delta, budget)
+    if found is not None:  # the least budget that finishes is the same too
+        least = next(b for b in range(1, budget + 1) if full_scan_search_edge_coloring(n, order, delta, b) is not None)
+        assert graphs._search_edge_coloring(n, order, delta, least - 1) is None
+        assert graphs._search_edge_coloring(n, order, delta, least) == found
 
 
 def test_color_edges_falls_back_beyond_cap():
@@ -321,6 +350,19 @@ def test_shared_colorings_keep_fallbacks(monkeypatch):
     # two searches in all with the shared dict, two per graph for the oracle
     assert len(searched) == 3 * 2 + 2
     assert len(set(searched)) == 2 and set(known) == set(searched)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_sequences())
+@example([WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0), (0, 2, 2.0), (1, 3, 2.0)))])
+def test_levels_match_recounting_every_level(sequence):
+    # weights take four values, so clusters of several edges leave at once; in the
+    # 4-cycle the weight-1 edges are one class, which empties as the max degree drops
+    known, oracle_known = {}, {}
+    for g in sequence:
+        assert level_decompose(g) == recounting_level_decompose(g)
+        assert level_decompose(g, known) == recounting_level_decompose(g, oracle_known)
+    assert known == oracle_known
 
 
 def test_level_sum_matches_midpoint_quadrature():
