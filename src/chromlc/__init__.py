@@ -51,19 +51,15 @@ from .graphs import (
     color_edges,
     edge_color_vizing,
     level_decompose,
-    threshold_subgraph,
 )
 from .hamiltonian import (
     HamiltonianSchedule,
     IndexProfile,
     Segment,
     embed_discrete,
-    eval_pair,
     generate,
     integrated_chromatic_index,
-    interaction_graph,
     scale_schedule,
-    weighted_chromatic_index,
 )
 from .linalg import (
     expm_i,
@@ -84,8 +80,6 @@ from .serialization import (
     load_schedule,
     loads_gates,
     loads_schedule,
-    save_gates,
-    save_schedule,
 )
 from .simulator import (
     MeanFieldObservable,

@@ -62,9 +62,9 @@ class Gate:
     """Two-qubit gate: a 4x4 unitary on pair (k, l) plus its angle.
 
     The angle is the smallest norm of a Hermitian generator of the
-    unitary.  :meth:`from_unitary` computes it from the matrix; a caller
-    that built the unitary as exp(-i*H) with ||H|| <= pi may pass ||H||,
-    and one that knows its eigenvalues the largest |phase| among them.
+    unitary: :func:`~chromlc.linalg.unitary_angle` of the matrix, or, for
+    a unitary built as exp(-i*H) with ||H|| <= pi, ||H||, or, from known
+    eigenvalues, the largest |phase| among them.
     The rules of :func:`_checked_gates` hold for every gate: ``Gate(...)``
     applies them to a stack of one, :meth:`batch` once to a whole stack.
     The unitary is read-only.
@@ -79,10 +79,6 @@ class Gate:
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "angle", angle)
-
-    @classmethod
-    def from_unitary(cls, pair, unitary) -> "Gate":
-        return cls(tuple(pair), unitary, linalg.unitary_angle(unitary))
 
     @classmethod
     def batch(cls, pairs, unitaries, angles) -> list:
@@ -168,9 +164,6 @@ class GateSchedule:
             for g in step.gates:
                 if g.pair[1] >= self.n_qubits:
                     raise BadParams(f"gate pair {g.pair} exceeds register of {self.n_qubits}")
-
-    def n_gates(self) -> int:
-        return sum(len(step.gates) for step in self.steps)
 
 
 def weighted_depth(g: GateSchedule) -> float:

@@ -27,6 +27,7 @@ is colored once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BadParams
 
@@ -45,7 +46,6 @@ __all__ = [
     "color_edges",
     "edge_color_vizing",
     "level_decompose",
-    "threshold_subgraph",
 ]
 
 
@@ -129,8 +129,7 @@ class ChromaticIndexResult:
     exact: bool = True
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     """One threshold slice: the subgraph of edges with weight >= threshold."""
 
     threshold: float
@@ -154,13 +153,6 @@ class LevelDecomposition:
             total += lv.chromatic_index * (lv.threshold - prev)
             prev = lv.threshold
         return total
-
-
-def threshold_subgraph(g: WeightedGraph, r: float) -> WeightedGraph:
-    """Subgraph keeping exactly the edges with weight strictly above ``r``."""
-    if r < 0:
-        raise BadParams("threshold must be non-negative")
-    return WeightedGraph(g.n_vertices, tuple(e for e in g.edges if e[2] > r))
 
 
 def _search_edge_coloring(n_vertices, order, k, budget):
@@ -335,7 +327,7 @@ def edge_color_vizing(g: WeightedGraph) -> EdgeColoring:
     return EdgeColoring(tuple(tuple(sorted(cls)) for cls in classes if cls))
 
 
-def level_decompose(g: WeightedGraph, known: dict | None = None) -> LevelDecomposition:
+def level_decompose(g: WeightedGraph, known: dict) -> LevelDecomposition:
     """Slice ``g`` at its distinct edge weights, ascending.
 
     Level j is the subgraph of edges with weight >= r_j.  Weights within
@@ -352,13 +344,13 @@ def level_decompose(g: WeightedGraph, known: dict | None = None) -> LevelDecompo
     through a count of non-empty classes.  The inherited coloring is built
     only for a level that keeps it.
 
-    ``known``, when given, maps the frozenset of a level's pairs to the
+    ``known`` maps the frozenset of a level's pairs to the
     :func:`color_edges` result for that edge set; levels found there are
     not searched again, and levels searched here are added.  The result
     depends only on the edge set, so a caller that decomposes many graphs
     (the samples of one integral or one compilation) passes one dict to all
-    of them and gets the same levels as without it.  Only search results
-    go in, never inherited colorings.
+    of them and gets the same levels as with a fresh dict for each.  Only
+    search results go in, never inherited colorings.
     """
     if not g.edges:
         return LevelDecomposition(())
@@ -402,13 +394,11 @@ def level_decompose(g: WeightedGraph, known: dict | None = None) -> LevelDecompo
                 levels.append(Level(threshold, live, inherited, True))
                 continue
         key = frozenset(remaining)
-        res = None if known is None else known.get(key)
+        res = known.get(key)
         if res is None:
             # The level's edges are edges of g, valid already.
             sub = _trusted(WeightedGraph, n_vertices=g.n_vertices, edges=tuple(e for cl in clusters[j:] for e in cl))
-            res = color_edges(sub)
-            if known is not None:
-                known[key] = res
+            res = known[key] = color_edges(sub)
         levels.append(Level(threshold, res.index, res.coloring, res.exact))
         classes = list(res.coloring.classes)
         live = len(classes)

@@ -3,11 +3,11 @@
 A schedule assigns every unordered qubit pair (k, l) a 4x4 Hermitian
 matrix H_kl(t), written in the two-qubit Pauli basis with polynomial
 time dependence on each segment.  From it derive, at any time t, the
-interaction graph (edges where ||H_kl(t)|| exceeds a threshold), the
-weighted chromatic index W(t) (threshold integral of the chromatic
-index, a finite sum over distinct norms), and the schedule-level
-integral I of W over [0, T] -- the running-time measure the compiler
-targets.
+snapshot (every active pair term with its eigendecomposition, and the
+interaction graph weighted by the terms' norms), the weighted chromatic
+index W(t) (threshold integral of that graph's chromatic index, a
+finite sum over distinct norms), and the schedule-level integral I of W
+over [0, T] -- the running-time measure the compiler targets.
 
 ``embed_discrete`` maps a gate schedule to an equivalent continuous
 schedule (one unit-length constant segment per step, generators taken
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadParams, NotHermitian, OutOfRange, TooLarge
-from .graphs import WeightedGraph, level_decompose, threshold_subgraph
+from .graphs import WeightedGraph, level_decompose
 
 if TYPE_CHECKING:  # pragma: no cover
     from .compiler import GateSchedule
@@ -85,10 +85,8 @@ __all__ = [
     "complete_mean_field",
     "disjoint_pairs",
     "embed_discrete",
-    "eval_pair",
     "generate",
     "integrated_chromatic_index",
-    "interaction_graph",
     "pauli_coeffs",
     "pauli_matrix",
     "random_graph",
@@ -96,7 +94,6 @@ __all__ = [
     "scale_schedule",
     "snapshot",
     "snapshots",
-    "weighted_chromatic_index",
 ]
 
 
@@ -261,17 +258,6 @@ class IndexProfile:
     error_estimate: float
 
 
-def eval_pair(s: HamiltonianSchedule, pair, t: float) -> np.ndarray:
-    """H_kl(t) as a 4x4 Hermitian matrix; zero when the pair is absent."""
-    k, l = int(pair[0]), int(pair[1])
-    if not 0 <= k < l < s.n_qubits:
-        raise OutOfRange(f"pair ({k},{l}) invalid for {s.n_qubits} qubits")
-    seg = s.segment_at(t)
-    if (k, l) in seg.pairs:
-        return seg.matrices_at(t)[seg.pairs.index((k, l))]
-    return np.zeros((4, 4), dtype=np.complex128)
-
-
 class Snapshot(NamedTuple):
     """The active pair terms at one instant, diagonalized together.
 
@@ -323,19 +309,6 @@ def snapshot(s: HamiltonianSchedule, t: float) -> Snapshot:
     return next(snapshots(s, s.segment_at(t), [t]))
 
 
-def interaction_graph(s: HamiltonianSchedule, t: float, r: float = 0.0) -> WeightedGraph:
-    """Graph of pairs whose interaction norm strictly exceeds max(r, zero tol)."""
-    return threshold_subgraph(snapshot(s, t).graph, r)
-
-
-def weighted_chromatic_index(s: HamiltonianSchedule, t: float, known: dict | None = None) -> float:
-    """W(t): the threshold integral of the chromatic index, as a level sum.
-
-    ``known`` is handed to :func:`~chromlc.graphs.level_decompose`.
-    """
-    return level_decompose(snapshot(s, t).graph, known).weighted_sum()
-
-
 def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int = 64) -> IndexProfile:
     """Composite midpoint quadrature of W(t) over every segment.
 
@@ -346,7 +319,8 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
     midpoints as one grid of :func:`snapshots`, and the samples of one call
     share a dict of colorings, so a level edge set that recurs (neighbouring
     samples share most of theirs) is colored once per call.  Each value is
-    bit for bit the :func:`weighted_chromatic_index` of its time.  An
+    bit for bit the level sum of the snapshot graph of its time t,
+    ``level_decompose(snapshot(s, t).graph, {}).weighted_sum()``.  An
     integral or error estimate beyond the float range raises ``TooLarge``.
     """
     if samples_per_segment < 1:

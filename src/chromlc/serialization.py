@@ -56,8 +56,6 @@ __all__ = [
     "load_schedule",
     "loads_gates",
     "loads_schedule",
-    "save_gates",
-    "save_schedule",
 ]
 
 
@@ -332,11 +330,6 @@ def _gates_from_doc(doc: dict) -> GateSchedule:
 # -- file helpers ------------------------------------------------------------
 
 
-def save_schedule(s: HamiltonianSchedule, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_schedule(s))
-
-
 def _read_document(path) -> dict:
     """The JSON object in the UTF-8 file at ``path``; a ``ParseError`` naming the
     path for bytes that are not UTF-8 or text that is not such an object."""
@@ -351,11 +344,6 @@ def _read_document(path) -> dict:
 
 def load_schedule(path) -> HamiltonianSchedule:
     return _schedule_from_doc(_read_document(path))
-
-
-def save_gates(g: GateSchedule, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_gates(g))
 
 
 def load_gates(path) -> GateSchedule:

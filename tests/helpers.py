@@ -52,6 +52,21 @@ def random_hermitian(dim, rng, norm=None):
     return m
 
 
+def gate_from_unitary(pair, u):
+    """A gate on ``pair`` whose angle is ``unitary_angle`` of its unitary."""
+    return Gate(pair, u, linalg.unitary_angle(u))
+
+
+def w_at(s, t, known=None):
+    """W(t) as ``index`` computes it: the level sum of the snapshot graph at ``t``."""
+    return graphs.level_decompose(hamiltonian.snapshot(s, t).graph, {} if known is None else known).weighted_sum()
+
+
+def heavier_than(g, r):
+    """The subgraph of ``g``'s edges of weight above ``r``: the threshold slice at ``r``."""
+    return WeightedGraph(g.n_vertices, tuple(e for e in g.edges if e[2] > r))
+
+
 def random_gate_schedule(n, rng, max_steps=6, two_gate_prob=0.5):
     """Random gate schedule with Haar gates, at most two disjoint gates per step."""
     steps = []
@@ -61,7 +76,7 @@ def random_gate_schedule(n, rng, max_steps=6, two_gate_prob=0.5):
             pairs = [tuple(sorted(perm[:2])), tuple(sorted(perm[2:]))]
         else:
             pairs = [tuple(sorted(rng.choice(n, size=2, replace=False)))]
-        gates = [Gate.from_unitary(p, haar_unitary(4, rng)) for p in sorted(pairs)]
+        gates = [gate_from_unitary(p, haar_unitary(4, rng)) for p in sorted(pairs)]
         steps.append(Step(tuple(gates)))
     return GateSchedule(n, tuple(steps))
 
@@ -606,24 +621,21 @@ def per_time_matrices(seg: Segment, t):
 
 
 def per_time_integrated_chromatic_index(s: HamiltonianSchedule, samples: int):
-    """``hamiltonian.integrated_chromatic_index`` with one
-    ``weighted_chromatic_index`` call per sample time, in the same order and
-    sharing one dict of colorings."""
+    """``hamiltonian.integrated_chromatic_index`` with one ``w_at`` call per
+    sample time, in the same order and sharing one dict of colorings."""
     times, values, total, err, known = [], [], 0.0, 0.0, {}
     for seg in s.segments:
         mids = seg.t_start + (np.arange(samples) + 0.5) * (seg.length / samples)
         times.extend(float(x) for x in mids)
         if seg.is_constant:
-            w = hamiltonian.weighted_chromatic_index(s, float(mids[0]), known)
+            w = w_at(s, float(mids[0]), known)
             values.extend([w] * samples)
             total += w * seg.length
             continue
-        vals = [hamiltonian.weighted_chromatic_index(s, float(x), known) for x in mids]
+        vals = [w_at(s, float(x), known) for x in mids]
         coarse = seg.length / samples * sum(vals)
         mids2 = seg.t_start + (np.arange(2 * samples) + 0.5) * (seg.length / (2 * samples))
-        fine = seg.length / (2 * samples) * sum(
-            hamiltonian.weighted_chromatic_index(s, float(x), known) for x in mids2
-        )
+        fine = seg.length / (2 * samples) * sum(w_at(s, float(x), known) for x in mids2)
         values.extend(vals)
         total += coarse
         err += abs(fine - coarse)

@@ -17,8 +17,8 @@ from chromlc.hamiltonian import (
     chain,
     embed_discrete,
     integrated_chromatic_index,
-    interaction_graph,
     random_graph,
+    snapshot,
 )
 from chromlc.serialization import (
     dumps_gates,
@@ -302,7 +302,7 @@ def test_c09_rechromatize_throttles_chain():
             ok = False
         for seg in out.segments:
             mid = (seg.t_start + seg.t_end) / 2.0
-            if color_edges(interaction_graph(out, mid)).index > 1:
+            if color_edges(snapshot(out, mid).graph).index > 1:
                 ok = False
         errors.append(linalg.spectral_distance(full_unitary(out, 1e-10), reference))
     ratios = [a / b for a, b in zip(errors, errors[1:])]

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from chromlc import analysis, cli, linalg
 from chromlc.cli import main
 from chromlc.errors import ChromlcError
-from chromlc.compiler import Gate, GateSchedule, Step
+from chromlc.compiler import GateSchedule, Step
 from chromlc.hamiltonian import (
     GENERATORS,
     MAX_GENERATED_TERMS,
@@ -41,6 +41,7 @@ from chromlc.serialization import (
 from helpers import (
     FUZZ_VALUES,
     forbid_integrated_index,
+    gate_from_unitary,
     node_paths,
     random_hermitian,
     replace_node,
@@ -85,7 +86,7 @@ def test_index_on_embedded_two_step_schedule(tmp_path, capsys):
     gates = []
     for norm in (0.3, 0.7):
         h = random_hermitian(4, rng, norm=norm)
-        gates.append(Gate.from_unitary((0, 1), linalg.expm_i(h, 1.0)))
+        gates.append(gate_from_unitary((0, 1), linalg.expm_i(h, 1.0)))
     schedule = embed_discrete(GateSchedule(2, (Step((gates[0],)), Step((gates[1],)))))
     path = tmp_path / "embedded.json"
     path.write_text(dumps_schedule(schedule))

@@ -11,14 +11,14 @@ from chromlc.graphs import (
     color_edges,
     edge_color_vizing,
     level_decompose,
-    threshold_subgraph,
 )
 
 from helpers import (
     full_scan_search_edge_coloring,
+    heavier_than,
     oracle_chromatic_index,
-    recounting_level_decompose,
     record_searches,
+    recounting_level_decompose,
     restricting_level_decompose,
     wall_clock_bound,
 )
@@ -100,15 +100,6 @@ def test_graph_validation():
         WeightedGraph(3, ((0, 1, 0.0),))
     with pytest.raises(BadParams):
         WeightedGraph(3, ((1, 3, 1.0),))
-
-
-def test_threshold_subgraph():
-    g = WeightedGraph(4, ((0, 1, 0.5), (1, 2, 1.0), (2, 3, 1.0)))
-    assert threshold_subgraph(g, 0.0).edges == g.edges
-    assert threshold_subgraph(g, 1.0).edges == ()
-    assert threshold_subgraph(g, 0.5).pairs == ((1, 2), (2, 3))
-    with pytest.raises(BadParams):
-        threshold_subgraph(g, -0.1)
 
 
 def test_chromatic_index_examples():
@@ -255,7 +246,7 @@ def test_vizing_random_graphs():
 
 def test_level_decompose_single_level():
     g = WeightedGraph(4, ((0, 1, 0.7), (1, 2, 0.7), (2, 3, 0.7)))
-    ld = level_decompose(g)
+    ld = level_decompose(g, {})
     assert len(ld.levels) == 1
     assert ld.levels[0].threshold == 0.7
     assert ld.levels[0].chromatic_index == 2
@@ -265,7 +256,7 @@ def test_level_decompose_single_level():
 def test_level_decompose_weighted_chain():
     # chain 0-1-2-3 with weights 1,2,3: levels (1,2), (2,2), (3,1), sum 5
     g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)))
-    ld = level_decompose(g)
+    ld = level_decompose(g, {})
     assert ld.thresholds() == (1.0, 2.0, 3.0)
     assert tuple(lv.chromatic_index for lv in ld.levels) == (2, 2, 1)
     assert abs(ld.weighted_sum() - 5.0) < 1e-12
@@ -284,7 +275,7 @@ def test_level_indices_non_increasing_and_colorings_valid():
             if rng.random() < 0.55
         )
         g = WeightedGraph(n, edges)
-        ld = level_decompose(g)
+        ld = level_decompose(g, {})
         indices = [lv.chromatic_index for lv in ld.levels]
         assert indices == sorted(indices, reverse=True)
         prev = 0.0
@@ -299,7 +290,7 @@ def test_level_indices_non_increasing_and_colorings_valid():
 @given(small_graphs(9, weights=(0.5, 1.0, 1.5, 2.0)))
 def test_level_colorings_are_exact_property(graph):
     n, edges = graph
-    ld = level_decompose(WeightedGraph(n, edges))
+    ld = level_decompose(WeightedGraph(n, edges), {})
     for lv in ld.levels:
         sub = WeightedGraph(n, tuple(e for e in edges if e[2] >= lv.threshold))
         assert lv.coloring.is_valid_for(sub)
@@ -312,7 +303,7 @@ def test_level_decompose_fallback_is_reported(monkeypatch):
     # K7 (overfull) has its 7 proven
     monkeypatch.setattr(graphs, "EXACT_SEARCH_CAP", 16)
     edges = fallback_k8_edges()
-    ld = level_decompose(WeightedGraph(8, edges))
+    ld = level_decompose(WeightedGraph(8, edges), {})
     assert [(lv.chromatic_index, lv.exact) for lv in ld.levels] == [(8, False), (7, True)]
     for lv in ld.levels:
         sub = WeightedGraph(8, tuple(e for e in edges if e[2] >= lv.threshold))
@@ -326,7 +317,7 @@ def test_shared_colorings_give_the_levels_of_each_graph_alone(sequence):
     n = sequence[0].n_vertices
     for g in sequence:
         shared = level_decompose(g, known)
-        assert shared == level_decompose(g)
+        assert shared == level_decompose(g, {})
         assert shared == restricting_level_decompose(g)
         for lv in shared.levels:
             sub = WeightedGraph(n, tuple(e for e in g.edges if e[2] >= lv.threshold))
@@ -360,7 +351,7 @@ def test_levels_match_recounting_every_level(sequence):
     # 4-cycle the weight-1 edges are one class, which empties as the max degree drops
     known, oracle_known = {}, {}
     for g in sequence:
-        assert level_decompose(g) == recounting_level_decompose(g)
+        assert level_decompose(g, {}) == recounting_level_decompose(g)
         assert level_decompose(g, known) == recounting_level_decompose(g, oracle_known)
     assert known == oracle_known
 
@@ -377,14 +368,14 @@ def test_level_sum_matches_midpoint_quadrature():
             if rng.random() < 0.5
         )
         g = WeightedGraph(n, edges)
-        ld = level_decompose(g)
+        ld = level_decompose(g, {})
         total = 0.0
         prev = 0.0
         for lv in ld.levels:
             h = (lv.threshold - prev) / 10.0
             for i in range(10):
                 r = prev + (i + 0.5) * h
-                total += exact_index(threshold_subgraph(g, r)) * h
+                total += exact_index(heavier_than(g, r)) * h
             prev = lv.threshold
         assert abs(total - ld.weighted_sum()) < 1e-12
 
@@ -401,13 +392,13 @@ def test_threshold_monotonicity():
         )
         g = WeightedGraph(n, edges)
         r1, r2 = sorted(rng.uniform(0.0, 2.2, size=2))
-        i1 = exact_index(threshold_subgraph(g, r1))
-        i2 = exact_index(threshold_subgraph(g, r2))
+        i1 = exact_index(heavier_than(g, r1))
+        i2 = exact_index(heavier_than(g, r2))
         assert i2 <= i1
 
 
 def test_near_equal_weights_merge():
     g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0 + 1e-13)))
-    ld = level_decompose(g)
+    ld = level_decompose(g, {})
     assert len(ld.levels) == 1
     assert ld.levels[0].chromatic_index == 2

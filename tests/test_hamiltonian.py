@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chromlc import hamiltonian, linalg
 from chromlc.simulator import MeanFieldObservable
 from chromlc.errors import BadParams, OutOfRange, TooLarge
-from chromlc.graphs import color_edges, threshold_subgraph
+from chromlc.graphs import color_edges
 from chromlc.hamiltonian import (
     MAX_GENERATED_TERMS,
     PAULI_LABELS,
@@ -18,10 +18,8 @@ from chromlc.hamiltonian import (
     complete_mean_field,
     disjoint_pairs,
     embed_discrete,
-    eval_pair,
     generate,
     integrated_chromatic_index,
-    interaction_graph,
     pauli_coeffs,
     pauli_matrix,
     random_graph,
@@ -29,10 +27,11 @@ from chromlc.hamiltonian import (
     scale_schedule,
     snapshot,
     snapshots,
-    weighted_chromatic_index,
 )
 
 from helpers import (
+    gate_from_unitary,
+    heavier_than,
     pair_segment,
     per_qubit_observable_factors,
     per_term_random_graph,
@@ -45,6 +44,7 @@ from helpers import (
     restricting_level_decompose,
     single_pair_schedule,
     time_varying_schedule,
+    w_at,
     wall_clock_bound,
 )
 
@@ -242,18 +242,17 @@ def test_snapshots_of_a_grid_equal_the_one_time_snapshots():
             assert a.tobytes() == b.tobytes()
 
 
-def test_eval_pair():
+def test_pair_matrices_at_a_time():
     s = single_pair_schedule({"XX": (0.0, 1.0)}, t_total=2.0)
-    m = eval_pair(s, (0, 1), 1.5)
+    (m,) = s.segment_at(1.5).matrices_at(1.5)
     xx = pauli_matrix(np.eye(16)[PAULI_LABELS.index("XX")])
     assert np.max(np.abs(m - 1.5 * xx)) < 1e-12
     zz = single_pair_schedule({"ZZ": (1.0,)}, t_total=1.0, n=3)
-    assert np.max(np.abs(eval_pair(zz, (0, 2), 0.5))) == 0.0
-    assert abs(linalg.operator_norm(eval_pair(zz, (0, 1), 0.25)) - 1.0) < 1e-12
+    seg = zz.segment_at(0.25)
+    assert seg.pairs == snapshot(zz, 0.25).pairs == ((0, 1),)  # pair (0, 2) has no term
+    assert abs(linalg.operator_norm(seg.matrices_at(0.25)[0]) - 1.0) < 1e-12
     with pytest.raises(OutOfRange):
-        eval_pair(s, (0, 1), 2.5)
-    with pytest.raises(OutOfRange):
-        eval_pair(s, (0, 3), 0.5)
+        s.segment_at(2.5)
 
 
 def test_segment_lookup_is_right_open():
@@ -261,9 +260,8 @@ def test_segment_lookup_is_right_open():
         2,
         (pair_segment(0.0, 0.5, {(0, 1): {"II": (1.0,)}}), pair_segment(0.5, 1.0, {(0, 1): {"II": (2.0,)}})),
     )
-    assert eval_pair(s, (0, 1), 0.5)[0, 0].real == 2.0
-    assert eval_pair(s, (0, 1), 1.0)[0, 0].real == 2.0
-    assert eval_pair(s, (0, 1), 0.25)[0, 0].real == 1.0
+    for t, want in ((0.5, 2.0), (1.0, 2.0), (0.25, 1.0)):
+        assert s.segment_at(t).matrices_at(t)[0, 0, 0].real == want
 
 
 def test_segment_lookup_is_bounded_on_many_segments():
@@ -279,14 +277,13 @@ def test_segment_lookup_is_bounded_on_many_segments():
     assert s.segment_at(1.0) is s.segments[-1]
 
 
-def test_interaction_graph():
+def test_snapshot_graph():
     s = chain(4, 1.0, 1.0)
-    g = interaction_graph(s, 0.5, 0.0)
+    g = snapshot(s, 0.5).graph
     assert g.pairs == ((0, 1), (1, 2), (2, 3))
     assert all(abs(w - 1.0) < 1e-9 for _, _, w in g.edges)
-    assert interaction_graph(s, 0.5, 2.0).edges == ()
     zero = single_pair_schedule({}, t_total=1.0)
-    assert interaction_graph(zero, 0.2, 0.0).edges == ()
+    assert snapshot(zero, 0.2).graph.edges == ()
 
 
 def test_snapshot_norms_match_operator_norm():
@@ -295,8 +292,10 @@ def test_snapshot_norms_match_operator_norm():
         snap = snapshot(s, t)
         assert list(snap.pairs) == sorted(s.segments[0].pairs)
         assert snap.matrices.shape == (len(snap.pairs), 4, 4)
+        seg = s.segment_at(t)
+        matrices = dict(zip(seg.pairs, seg.matrices_at(t)))
         for i, pair in enumerate(snap.pairs):
-            matrix = eval_pair(s, pair, t)
+            matrix = matrices[pair]
             assert abs(snap.norms[i] - linalg.operator_norm(matrix)) < 1e-12
             assert np.array_equal(snap.matrices[i], matrix)
             w, v = snap.eigenvalues[i], snap.eigenvectors[i]
@@ -304,7 +303,6 @@ def test_snapshot_norms_match_operator_norm():
         assert snap.graph.edges == tuple(
             (k, l, float(x)) for (k, l), x in zip(snap.pairs, snap.norms)
         )
-        assert snap.graph == interaction_graph(s, t)
 
 
 def test_snapshot_drops_zero_terms():
@@ -317,19 +315,19 @@ def test_snapshot_drops_zero_terms():
 
 
 def test_weighted_chromatic_index_examples():
-    assert abs(weighted_chromatic_index(disjoint_pairs(6, coupling=0.8), 0.1) - 0.8) < 1e-9
-    assert abs(weighted_chromatic_index(chain(5), 0.7) - 2.0) < 1e-9
+    assert abs(w_at(disjoint_pairs(6, coupling=0.8), 0.1) - 0.8) < 1e-9
+    assert abs(w_at(chain(5), 0.7) - 2.0) < 1e-9
     # weighted chain with norms 1, 2, 3 reproduces the level-sum value 5
     terms = {(i, i + 1): {"ZZ": (w,)} for i, w in enumerate((1.0, 2.0, 3.0))}
     s = HamiltonianSchedule(4, (pair_segment(0.0, 1.0, terms),))
-    assert abs(weighted_chromatic_index(s, 0.5) - 5.0) < 1e-9
+    assert abs(w_at(s, 0.5) - 5.0) < 1e-9
 
 
 def test_weighted_index_matches_direct_threshold_integration():
     rng = np.random.default_rng(6)
     for seed in range(8):
         s = random_graph(5, p=0.6, seed=seed, coupling=float(rng.uniform(0.5, 2.0)))
-        g = interaction_graph(s, 0.5, 0.0)
+        g = snapshot(s, 0.5).graph
         if not g.edges:
             continue
         thresholds = sorted(set(w for _, _, w in g.edges))
@@ -337,21 +335,21 @@ def test_weighted_index_matches_direct_threshold_integration():
         prev = 0.0
         for r in thresholds:
             mid = (prev + r) / 2.0
-            res = color_edges(threshold_subgraph(g, mid))
+            res = color_edges(heavier_than(g, mid))
             assert res.exact
             total += res.index * (r - prev)
             prev = r
-        assert abs(total - weighted_chromatic_index(s, 0.5)) < 1e-12
+        assert abs(total - w_at(s, 0.5)) < 1e-12
 
 
 def test_weighted_index_bounds():
     rng = np.random.default_rng(8)
     for seed in range(10):
         s = random_graph(6, p=0.5, seed=seed)
-        g = interaction_graph(s, 0.3, 0.0)
+        g = snapshot(s, 0.3).graph
         if not g.edges:
             continue
-        w = weighted_chromatic_index(s, 0.3)
+        w = w_at(s, 0.3)
         max_norm = max(e[2] for e in g.edges)
         assert max_norm - 1e-12 <= w <= len(g.edges) * max_norm + 1e-12
 
@@ -377,7 +375,7 @@ def test_integrated_index_equals_segment_sum():
     per_segment = 0.0
     for seg in s.segments:
         mid = (seg.t_start + seg.t_end) / 2.0
-        per_segment += weighted_chromatic_index(s, mid) * seg.length
+        per_segment += w_at(s, mid) * seg.length
     assert abs(prof.integral - per_segment) < 1e-12
 
 
@@ -478,23 +476,23 @@ def test_embed_empty_schedule():
 
 
 def test_embed_single_gate_angle():
-    from chromlc.compiler import Gate, GateSchedule, Step
+    from chromlc.compiler import GateSchedule, Step
 
     rng = np.random.default_rng(12)
     h = random_hermitian(4, rng, norm=0.7)
-    gate = Gate.from_unitary((0, 1), linalg.expm_i(h, 1.0))
+    gate = gate_from_unitary((0, 1), linalg.expm_i(h, 1.0))
     s = embed_discrete(GateSchedule(2, (Step((gate,)),)))
     assert abs(integrated_chromatic_index(s).integral - 0.7) < 1e-9
 
 
 def test_embed_two_steps_sums_angles():
-    from chromlc.compiler import Gate, GateSchedule, Step
+    from chromlc.compiler import GateSchedule, Step
 
     rng = np.random.default_rng(14)
     gates = []
     for norm in (0.3, 0.7):
         h = random_hermitian(4, rng, norm=norm)
-        gates.append(Gate.from_unitary((0, 1), linalg.expm_i(h, 1.0)))
+        gates.append(gate_from_unitary((0, 1), linalg.expm_i(h, 1.0)))
     s = embed_discrete(GateSchedule(2, (Step((gates[0],)), Step((gates[1],)))))
     assert abs(integrated_chromatic_index(s).integral - 1.0) < 1e-9
 
@@ -525,9 +523,7 @@ def test_scaling_covariance():
     lam = 2.75
     scaled = scale_schedule(s, lam)
     for t in (0.1, 0.6, 0.9):
-        assert abs(
-            weighted_chromatic_index(scaled, t) - lam * weighted_chromatic_index(s, t)
-        ) < 1e-9
+        assert abs(w_at(scaled, t) - lam * w_at(s, t)) < 1e-9
     assert abs(
         integrated_chromatic_index(scaled).integral
         - lam * integrated_chromatic_index(s).integral

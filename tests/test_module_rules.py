@@ -10,7 +10,11 @@ writes to standard output and CSV: no other module calls ``print``,
 touches ``sys.stdout`` or imports ``csv``.  Every module-level underscore
 function is called or named by its own module outside its own body: since
 no sibling may read it, a private function nothing in the package uses is
-dead code, or a second code path kept alive only by the tests.
+dead code, or a second code path kept alive only by the tests.  For the
+same reason every public name, an ``__all__`` entry or a public method of
+a class, is read somewhere in the package outside its own body and the
+bodies of other unused names (``__all__`` strings and the package's
+re-exports do not count), unless ``KEPT_UNUSED`` lists it with its reason.
 """
 
 import ast
@@ -21,6 +25,17 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chromlc"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# Public names nothing in the package reads, each kept for the reason given.
+KEPT_UNUSED = {
+    "hamiltonian.embed_discrete": "paper construction C01: a gate network as a continuous schedule",
+    "compiler.rechromatize": "paper construction C09: chromatic throttling",
+    "hamiltonian.pauli_matrix": "test oracle: the inverse of pauli_coeffs",
+    "linalg.expm_i": "test oracle: exp(-i*s*h) from one eigendecomposition",
+    "graphs.EdgeColoring.is_valid_for": "test oracle: a proper coloring of exactly the graph's edges",
+    "serialization.loads_schedule": "text reader, the inverse of dumps_schedule, driven by the fuzz tests",
+    "serialization.loads_gates": "text reader, the inverse of dumps_gates, driven by the fuzz tests",
+    "serialization.load_gates": "perfbench's compile check loads every gate file with it",
+}
 
 
 def _private(name):
@@ -147,9 +162,70 @@ def _violations(path):
     return problems
 
 
+def _reads(node):
+    """How often each name is read, or read as an attribute, under ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def _public_definitions(tree, module):
+    """{qualified name: defining node} for the ``__all__`` names of ``module``
+    and the public methods of its classes."""
+    exported = set(_exported(tree))
+    out = {}
+    for node in _top_level(tree.body):
+        if isinstance(node, ast.Assign):
+            names = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = [getattr(node, "name", None)]
+        out.update((f"{module}.{name}", node) for name in names if name in exported)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name[0] != "_":
+                    out[f"{module}.{node.name}.{item.name}"] = item
+    return out
+
+
+def _unused_public_names(paths, kept):
+    """The qualified public names nothing in the modules at ``paths`` reads
+    outside their own body.  Reads in the body of an unused name not in
+    ``kept`` do not count either, so a helper only dead code calls is dead."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in paths if p.name != "__init__.py"}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    defined = {}
+    for module, tree in trees.items():
+        defined.update(_public_definitions(tree, module))
+    unused = set()
+    while True:
+        live = reads - sum((_reads(defined[q]) for q in unused - set(kept)), Counter())
+        found = set()
+        for q, node in defined.items():
+            name = q.rsplit(".", 1)[1]
+            if live[name] <= _reads(node)[name]:
+                found.add(q)
+        if found == unused:
+            return unused
+        unused = found
+
+
+def _public_name_problems(paths, kept):
+    unused = _unused_public_names(paths, kept)
+    return [f"nothing in the package uses the public {q}" for q in sorted(unused - set(kept))] + [
+        f"{q} is kept as unused, but the package uses it or does not define it"
+        for q in sorted(set(kept) - unused)
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_rules(path):
     assert _violations(path) == []
+
+
+def test_every_public_name_is_used_or_kept():
+    assert _public_name_problems(MODULES, KEPT_UNUSED) == []
 
 
 def test_rules_catch_violations(tmp_path):
@@ -194,4 +270,40 @@ def test_rules_catch_an_unreferenced_private_function(tmp_path):
     assert _violations(module) == [
         "nothing in the package uses the private function _recursive",
         "nothing in the package uses the private function _unused",
+    ]
+
+
+def test_rules_catch_an_unused_public_name(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import dead, helper, kept, used\n")
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['LIMIT', 'Box', 'dead', 'helper', 'kept', 'kept_calls', 'used', 'recursive']\n"
+        "LIMIT = 3\n"
+        "def helper(x):\n"
+        "    return x\n"
+        "def dead(x):\n"
+        "    return helper(x)\n"
+        "def kept(x):\n"
+        "    return kept_calls(x)\n"
+        "def kept_calls(x):\n"
+        "    return x\n"
+        "def used(x):\n"
+        "    return x\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "class Box:\n"
+        "    def size(self):\n"
+        "        return LIMIT\n"
+        "    def unread(self):\n"
+        "        return self.size()\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import Box, used\nvalue = used(Box().size())\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    kept = {"a.kept": "reason", "a.used": "stale: b reads it", "a.gone": "stale: not defined"}
+    assert _public_name_problems(paths, kept) == [
+        "nothing in the package uses the public a.Box.unread",
+        "nothing in the package uses the public a.dead",
+        "nothing in the package uses the public a.helper",
+        "nothing in the package uses the public a.recursive",
+        "a.gone is kept as unused, but the package uses it or does not define it",
+        "a.used is kept as unused, but the package uses it or does not define it",
     ]

@@ -25,14 +25,14 @@ from chromlc.serialization import (
     dumps_schedule,
     load_document,
     load_gates,
+    load_schedule,
     loads_gates,
     loads_schedule,
-    save_gates,
-    save_schedule,
 )
 
 from helpers import (
     FUZZ_VALUES,
+    gate_from_unitary,
     haar_unitary,
     node_paths,
     pair_segment,
@@ -304,7 +304,7 @@ def test_parse_rejects_numbers_too_large_for_a_float(make_doc, loads, path, fiel
 
 def test_gates_parse_rejects_bad_angle():
     rng = np.random.default_rng(2)
-    g = GateSchedule(2, (Step((Gate.from_unitary((0, 1), haar_unitary(4, rng)),)),))
+    g = GateSchedule(2, (Step((gate_from_unitary((0, 1), haar_unitary(4, rng)),)),))
     doc = json.loads(dumps_gates(g))
     doc["steps"][0]["gates"][0]["angle"] += 0.1
     with pytest.raises(ParseError, match="angle"):
@@ -315,8 +315,8 @@ def test_gates_parse_names_the_gate_whose_angle_is_wrong():
     # the angles of every step are checked in one stack: the error maps back to its gate
     rng = np.random.default_rng(6)
     steps = [
-        Step((Gate.from_unitary((0, 1), haar_unitary(4, rng)), Gate.from_unitary((2, 3), haar_unitary(4, rng)))),
-        Step((Gate.from_unitary((1, 2), haar_unitary(4, rng)), Gate.from_unitary((0, 3), haar_unitary(4, rng)))),
+        Step((gate_from_unitary((0, 1), haar_unitary(4, rng)), gate_from_unitary((2, 3), haar_unitary(4, rng)))),
+        Step((gate_from_unitary((1, 2), haar_unitary(4, rng)), gate_from_unitary((0, 3), haar_unitary(4, rng)))),
     ]
     doc = json.loads(dumps_gates(GateSchedule(4, tuple(steps))))
     doc["steps"][1]["gates"][0]["angle"] += 1e-6
@@ -345,7 +345,7 @@ def test_gates_parse_rejects_non_finite_angle(angle):
 
 def test_gates_parse_rejects_non_unitary():
     rng = np.random.default_rng(3)
-    g = GateSchedule(2, (Step((Gate.from_unitary((0, 1), haar_unitary(4, rng)),)),))
+    g = GateSchedule(2, (Step((gate_from_unitary((0, 1), haar_unitary(4, rng)),)),))
     doc = json.loads(dumps_gates(g))
     doc["steps"][0]["gates"][0]["unitary"][0][0] = [5.0, 0.0]
     with pytest.raises(ParseError, match=r"steps\[0\].gates\[0\]"):
@@ -389,8 +389,8 @@ def test_gates_parse_checks_the_document_as_one_stack(monkeypatch):
 
 def test_gates_parse_rejects_overlapping_step():
     rng = np.random.default_rng(4)
-    a = Gate.from_unitary((0, 1), haar_unitary(4, rng))
-    b = Gate.from_unitary((1, 2), haar_unitary(4, rng))
+    a = gate_from_unitary((0, 1), haar_unitary(4, rng))
+    b = gate_from_unitary((1, 2), haar_unitary(4, rng))
     doc = {
         "format": "chromlc-gates",
         "version": 1,
@@ -411,8 +411,9 @@ def test_file_helpers_and_dispatch(tmp_path):
     g, _ = compile(s, 0.5)
     spath = tmp_path / "s.json"
     gpath = tmp_path / "g.json"
-    save_schedule(s, spath)
-    save_gates(g, gpath)
+    spath.write_text(dumps_schedule(s), encoding="utf-8")
+    gpath.write_text(dumps_gates(g), encoding="utf-8")
+    assert load_schedule(spath) == s
     assert load_document(spath) == s
     assert load_document(gpath) == g
     assert load_gates(gpath) == g
@@ -561,7 +562,7 @@ _GATES_BASE = json.loads(
             3,
             (
                 Step((Gate((0, 1), np.eye(4), 0.0),)),
-                Step((Gate.from_unitary((1, 2), haar_unitary(4, np.random.default_rng(5))),)),
+                Step((gate_from_unitary((1, 2), haar_unitary(4, np.random.default_rng(5))),)),
             ),
         )
     )

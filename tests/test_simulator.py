@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chromlc import linalg, simulator
-from chromlc.compiler import Gate, GateSchedule, Step, compile
+from chromlc.compiler import GateSchedule, Step, compile
 from chromlc.errors import (
     BadParams,
     DimensionMismatch,
@@ -40,6 +40,7 @@ from helpers import (
     dense_schedule_unitary,
     embed_single_operator,
     exact_unitary_piecewise_constant,
+    gate_from_unitary,
     ghz_amplitudes,
     haar_unitary,
     oracle_generators,
@@ -70,7 +71,7 @@ def test_state_vector_validation():
 
 
 def one_gate_schedule(n, pair, unitary):
-    return GateSchedule(n, (Step((Gate.from_unitary(pair, unitary),)),))
+    return GateSchedule(n, (Step((gate_from_unitary(pair, unitary),)),))
 
 
 def test_run_schedule_identity_and_swap():
@@ -97,7 +98,7 @@ def test_run_schedule_qubit_order_convention():
 def test_norm_preserved_over_many_gates():
     rng = np.random.default_rng(3)
     gates = [
-        Gate.from_unitary(tuple(sorted(rng.choice(5, size=2, replace=False))), haar_unitary(4, rng))
+        gate_from_unitary(tuple(sorted(rng.choice(5, size=2, replace=False))), haar_unitary(4, rng))
         for _ in range(64)
     ]
     schedule = GateSchedule(5, tuple(Step((gates[i % len(gates)],)) for i in range(10_000)))
@@ -116,7 +117,7 @@ def test_run_schedule_inverse_roundtrip():
     rng = np.random.default_rng(5)
     g = random_gate_schedule(4, rng)
     inverse_steps = tuple(
-        Step(tuple(Gate.from_unitary(x.pair, x.unitary.conj().T) for x in step.gates))
+        Step(tuple(gate_from_unitary(x.pair, x.unitary.conj().T) for x in step.gates))
         for step in reversed(g.steps)
     )
     inv = GateSchedule(4, inverse_steps)
@@ -127,8 +128,8 @@ def test_run_schedule_inverse_roundtrip():
 
 def test_split_steps_equivalent():
     rng = np.random.default_rng(7)
-    a = Gate.from_unitary((0, 1), haar_unitary(4, rng))
-    b = Gate.from_unitary((2, 3), haar_unitary(4, rng))
+    a = gate_from_unitary((0, 1), haar_unitary(4, rng))
+    b = gate_from_unitary((2, 3), haar_unitary(4, rng))
     joint = GateSchedule(4, (Step((a, b)),))
     split = GateSchedule(4, (Step((a,)), Step((b,))))
     psi = StateVector(4, haar_unitary(16, rng)[:, 0])
@@ -492,7 +493,7 @@ def test_full_unitary_trivials():
     assert np.array_equal(full_unitary(GateSchedule(2, ())), np.eye(4))
     rng = np.random.default_rng(13)
     u = haar_unitary(4, rng)
-    g = GateSchedule(2, (Step((Gate.from_unitary((0, 1), u),)),))
+    g = GateSchedule(2, (Step((gate_from_unitary((0, 1), u),)),))
     assert np.max(np.abs(full_unitary(g) - u)) < 1e-12
     with pytest.raises(TooLarge):
         full_unitary(GateSchedule(7, ()))
