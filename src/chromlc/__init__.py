@@ -66,7 +66,6 @@ from .linalg import (
     hermitian_eig,
     is_hermitian,
     is_unitary,
-    operator_norm,
     spectral_distance,
     unitary_angle,
     unitary_log,

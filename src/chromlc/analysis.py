@@ -184,11 +184,7 @@ def variance_bound_experiment(
         if alpha > 0.0:
             for attempt in range(64):  # skip degenerate empty draws
                 candidate = random_graph(n, 1.0, p=0.4, seed=draw_seed + attempt, segments=4)
-                base = sum(
-                    graphs.color_edges(graphs.WeightedGraph(n, tuple((k, l, 1.0) for k, l in seg.pairs))).index
-                    * seg.length
-                    for seg in candidate.segments
-                )
+                base = sum(len(graphs.color_edges(seg.pairs).classes) * seg.length for seg in candidate.segments)
                 if base > 1e-9:
                     schedule = scale_schedule(candidate, alpha / base)
                     break
@@ -231,7 +227,7 @@ def trotter_comparison(s: HamiltonianSchedule, m_list, epsilons=(), tol: float =
         one_pass = compiler.GateSchedule(gates.n_qubits, gates.steps[: len(gates.steps) // m])
         u = np.linalg.matrix_power(simulator.full_unitary(one_pass, tol), m)
         err = linalg.spectral_distance(u, reference)
-        depth = sum([step.max_angle() for step in one_pass.steps] * m)
+        depth = sum([step.max_angle() for step in one_pass.steps] * m, 0.0)
         rows.append(TrotterRow("trotter", float(m), float(err), depth, len(gates.steps)))
     for eps in epsilons:
         gates, report = compiler.compile(s, float(eps))

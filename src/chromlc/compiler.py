@@ -168,7 +168,7 @@ class GateSchedule:
 
 def weighted_depth(g: GateSchedule) -> float:
     """Sum over steps of the largest gate angle in the step."""
-    return sum(step.max_angle() for step in g.steps)
+    return sum((step.max_angle() for step in g.steps), 0.0)
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ def _sample_steps(snap, delta: float, known: dict):
     steps = [Step(tuple(islice(gates, len(cls)))) for cls in classes]
     levels = (
         decomp.thresholds(),
-        tuple(lv.chromatic_index for lv in decomp.levels),
+        tuple(len(lv.coloring.classes) for lv in decomp.levels),
         tuple(lv.exact for lv in decomp.levels),
     )
     return steps, levels
@@ -333,7 +333,7 @@ def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianS
                 t_cursor += delta
                 continue
             rows = {pair: i for i, pair in enumerate(snap.pairs)}
-            classes = color_edges(snap.graph).coloring.classes
+            classes = color_edges(snap.pairs).classes
             groups = [classes[i : i + m] for i in range(0, len(classes), m)]
             for group in groups:
                 pairs = sorted(pair for matching in group for pair in matching)

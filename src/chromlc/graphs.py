@@ -1,27 +1,31 @@
 """Weighted interaction graphs, edge colorings into matchings, and the
 decomposition of a weighted graph into threshold levels.
 
-A proper edge coloring partitions the edge set into matchings; the least
+A proper edge coloring partitions an edge set into matchings; the least
 number of matchings needed is the chromatic index, which by Vizing's
-theorem is either the maximum degree or one more.  ``color_edges``, the
-one coloring entry point, searches for a max-degree coloring by
-backtracking that colors the most constrained edge next, scanning only
-the edges still uncolored; deciding it is NP-complete (Holyer 1981), so
-the search stops after a fixed node count.
-Every other case gets the Misra-Gries coloring of ``edge_color_vizing``
-(at most max degree + 1 classes), reported as exact when the graph is
-overfull, the search finished without a coloring, or it has max degree
-classes.  ``level_decompose`` slices a weighted graph at its distinct
-edge weights, so that the weighted sum of per-level indices equals the
-integral of the chromatic index over the threshold.  Each level inherits
-the coloring of the level below it, dropping only the edges that left,
-and keeps it when that is provably optimal; otherwise it calls
-``color_edges``.  The sweep keeps the max degree in a histogram of vertex
-degrees and the inherited class count in a counter, so deciding whether a
-level keeps its coloring costs a constant amount per dropped edge, not a
-pass over all vertices.  A caller that decomposes many graphs passes one
-``known`` dict, owned by that call, so that each distinct level edge set
-is colored once.
+theorem is either the maximum degree or one more.  A coloring depends on
+which pairs interact and never on the weights, so ``color_edges``, the one
+coloring entry point, takes the pairs alone.  It returns an
+``EdgeColoring``, the one coloring record: the classes and whether their
+count is provably optimal.  The chromatic index is the class count,
+``len(coloring.classes)``, and is stored nowhere else.  ``color_edges``
+searches for a max-degree coloring by backtracking that colors the most
+constrained edge next, scanning only the edges still uncolored; deciding
+it is NP-complete (Holyer 1981), so the search stops after a fixed node
+count.  Every other case gets the Misra-Gries coloring of
+``edge_color_vizing`` (at most max degree + 1 classes), reported as exact
+when the edge set is overfull, the search finished without a coloring, or
+it has max degree classes.  ``level_decompose`` slices a weighted graph at
+its distinct edge weights, so that the weighted sum of per-level indices
+equals the integral of the chromatic index over the threshold.  Each level
+inherits the coloring of the level below it, dropping only the edges that
+left, and keeps it when that is provably optimal; otherwise it calls
+``color_edges`` on the level's pairs.  The sweep keeps the max degree in a
+histogram of vertex degrees and the inherited class count in a counter, so
+deciding whether a level keeps its coloring costs a constant amount per
+dropped edge, not a pass over all vertices.  A caller that decomposes many
+graphs passes one ``known`` dict, owned by that call, so that each distinct
+level edge set is colored once.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ WEIGHT_MERGE_TOL = 1e-12  # edge weights closer than this share one level
 __all__ = [
     "EXACT_SEARCH_CAP",
     "SEARCH_NODE_BUDGET",
-    "ChromaticIndexResult",
     "EdgeColoring",
     "Level",
     "LevelDecomposition",
@@ -77,41 +80,26 @@ class WeightedGraph:
     def pairs(self):
         return tuple((k, l) for k, l, _ in self.edges)
 
-    def degrees(self) -> dict:
-        """vertex -> degree for the touched vertices; no table is sized by ``n_vertices``."""
-        deg = {}
-        for k, l, _ in self.edges:
-            deg[k] = deg.get(k, 0) + 1
-            deg[l] = deg.get(l, 0) + 1
-        return deg
 
-    def max_degree(self) -> int:
-        return max(self.degrees().values(), default=0)
+def _degrees(pairs) -> dict:
+    """vertex -> degree for the vertices ``pairs`` touch; no table is sized by the register."""
+    deg = {}
+    for k, l in pairs:
+        deg[k] = deg.get(k, 0) + 1
+        deg[l] = deg.get(l, 0) + 1
+    return deg
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """Partition of an edge set into matchings (the color classes)."""
+class EdgeColoring(NamedTuple):
+    """A partition of an edge set into matchings, the color ``classes`` (each a
+    tuple of pairs), and ``exact``, set when no coloring has fewer classes."""
 
-    classes: tuple = ()
+    classes: tuple
+    exact: bool
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "classes",
-            tuple(tuple(tuple(map(int, p)) for p in cls) for cls in self.classes),
-        )
-
-    def n_classes(self) -> int:
-        return len(self.classes)
-
-    def all_pairs(self):
-        return tuple(p for cls in self.classes for p in cls)
-
-    def is_valid_for(self, g: WeightedGraph) -> bool:
-        """Every graph edge in exactly one class, classes vertex-disjoint."""
-        covered = sorted(self.all_pairs())
-        if covered != sorted(g.pairs):
+    def is_valid_for(self, pairs) -> bool:
+        """Every one of ``pairs`` in exactly one class, classes vertex-disjoint."""
+        if sorted(p for cls in self.classes for p in cls) != sorted(pairs):
             return False
         for cls in self.classes:
             touched = set()
@@ -122,35 +110,35 @@ class EdgeColoring:
         return True
 
 
-@dataclass(frozen=True)
-class ChromaticIndexResult:
-    index: int
-    coloring: EdgeColoring
-    exact: bool = True
-
-
 class Level(NamedTuple):
-    """One threshold slice: the subgraph of edges with weight >= threshold."""
+    """One threshold slice: the coloring of the edges with weight >= threshold."""
 
     threshold: float
-    chromatic_index: int
     coloring: EdgeColoring
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        """The coloring's flag: no coloring of the level has fewer classes."""
+        return self.coloring.exact
 
 
 @dataclass(frozen=True)
 class LevelDecomposition:
+    """The levels of a weighted graph, thresholds ascending.  A level's
+    chromatic index, or an upper bound on it when the level is not exact,
+    is the class count of its coloring."""
+
     levels: tuple = field(default=())
 
     def thresholds(self):
         return tuple(lv.threshold for lv in self.levels)
 
     def weighted_sum(self) -> float:
-        """Sum of chromatic_index * (r_j - r_{j-1}) over levels, r_0 = 0."""
+        """Sum of class count * (r_j - r_{j-1}) over levels, r_0 = 0."""
         total = 0.0
         prev = 0.0
         for lv in self.levels:
-            total += lv.chromatic_index * (lv.threshold - prev)
+            total += len(lv.coloring.classes) * (lv.threshold - prev)
             prev = lv.threshold
         return total
 
@@ -213,35 +201,29 @@ def _search_edge_coloring(n_vertices, order, k, budget):
     return colors if found else found
 
 
-def _trusted(cls, **fields):
-    """A ``cls`` instance holding ``fields`` as given, already normalized: __post_init__ is skipped."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
-def _coloring_from_assignment(order, colors, k):
+def _classes_from_assignment(order, colors, k) -> tuple:
     classes = [[] for _ in range(k)]
     for pair, c in zip(order, colors):
         classes[c].append(pair)
-    return _trusted(EdgeColoring, classes=tuple(tuple(sorted(cls)) for cls in classes if cls))
+    return tuple(tuple(sorted(cls)) for cls in classes if cls)
 
 
-def color_edges(g: WeightedGraph) -> ChromaticIndexResult:
-    """A proper edge coloring, with ``exact`` set when its class count is optimal.
+def color_edges(pairs) -> EdgeColoring:
+    """A proper edge coloring of ``pairs``, distinct ``(k, l)`` pairs with
+    k < l in any order, with ``exact`` set when its class count is optimal.
 
-    Only a graph of at most ``EXACT_SEARCH_CAP`` edges that is not overfull
-    is searched for a max-degree coloring (ties between equally constrained
-    edges go to the larger degree sum, then the smaller pair), for at most
-    ``SEARCH_NODE_BUDGET`` nodes.  Otherwise the Misra-Gries coloring is
-    exact when the graph is overfull, when the search finished without a
-    coloring (both prove max degree + 1), or when it has max degree classes.
+    Only an edge set of at most ``EXACT_SEARCH_CAP`` pairs that is not
+    overfull is searched for a max-degree coloring (ties between equally
+    constrained edges go to the larger degree sum, then the smaller pair),
+    for at most ``SEARCH_NODE_BUDGET`` nodes.  Otherwise the Misra-Gries
+    coloring is exact when the edge set is overfull, when the search
+    finished without a coloring (both prove max degree + 1), or when it has
+    max degree classes.  The result depends on the set of pairs alone.
     """
-    pairs = g.pairs
+    deg = _degrees(pairs)
+    if not deg:
+        return EdgeColoring((), True)
     m = len(pairs)
-    if m == 0:
-        return ChromaticIndexResult(0, EdgeColoring(()), True)
-    deg = g.degrees()
     delta = max(deg.values())
     # A color class is a matching, so it covers at most half the touched vertices.
     proven = m > delta * (len(deg) // 2)
@@ -250,23 +232,22 @@ def color_edges(g: WeightedGraph) -> ChromaticIndexResult:
         label = dict(zip(deg, range(len(deg))))  # the touched vertices, relabeled 0, 1, ...
         colors = _search_edge_coloring(len(label), [(label[u], label[v]) for u, v in order], delta, SEARCH_NODE_BUDGET)
         if colors:
-            return ChromaticIndexResult(delta, _coloring_from_assignment(order, colors, delta), True)
+            return EdgeColoring(_classes_from_assignment(order, colors, delta), True)
         proven = colors is False
-    coloring = edge_color_vizing(g)
-    return ChromaticIndexResult(coloring.n_classes(), coloring, proven or coloring.n_classes() == delta)
+    classes = edge_color_vizing(pairs)
+    return EdgeColoring(classes, proven or len(classes) == delta)
 
 
-def edge_color_vizing(g: WeightedGraph) -> EdgeColoring:
-    """Proper edge coloring with at most max_degree + 1 classes (Misra-Gries).
+def edge_color_vizing(pairs) -> tuple:
+    """The classes of a proper edge coloring of ``pairs`` with at most max
+    degree + 1 of them (Misra-Gries), in color order.
 
     Deterministic: edges are processed in lexicographic order and the
     lowest admissible color always wins.  ``incident`` is the only color
     table: an edge's color is a key in the rows of both its ends.
     """
-    pairs = sorted(g.pairs)
-    if not pairs:
-        return EdgeColoring(())
-    colors = range(1, g.max_degree() + 2)
+    pairs = sorted(pairs)
+    colors = range(1, max(_degrees(pairs).values(), default=0) + 2)
     incident = {v: {} for pair in pairs for v in pair}  # vertex -> {color: neighbor}
 
     for u, v in pairs:
@@ -324,7 +305,7 @@ def edge_color_vizing(g: WeightedGraph) -> EdgeColoring:
         for x, b in row.items():
             if a < b:
                 classes[x - 1].append((a, b))
-    return EdgeColoring(tuple(tuple(sorted(cls)) for cls in classes if cls))
+    return tuple(tuple(sorted(cls)) for cls in classes if cls)
 
 
 def level_decompose(g: WeightedGraph, known: dict) -> LevelDecomposition:
@@ -338,14 +319,15 @@ def level_decompose(g: WeightedGraph, known: dict) -> LevelDecomposition:
     each class are kept, and classes left empty go.  When the classes left
     number the new max degree, that coloring is optimal (chi' >= max
     degree) and is taken as exact, whether or not level j's was.
-    Otherwise the level is colored by :func:`color_edges`.  Both sides of
+    Otherwise the level's pairs are colored by :func:`color_edges`.  Both sides of
     that test are updated as edges leave, at a constant cost per edge: the
     max degree through a histogram of vertex degrees, the class count
     through a count of non-empty classes.  The inherited coloring is built
     only for a level that keeps it.
 
-    ``known`` maps the frozenset of a level's pairs to the
-    :func:`color_edges` result for that edge set; levels found there are
+    ``known`` maps the frozenset of a level's pairs to its
+    :class:`EdgeColoring`, the :func:`color_edges` result for that edge set,
+    which is also what the level is colored from; levels found there are
     not searched again, and levels searched here are added.  The result
     depends only on the edge set, so a caller that decomposes many graphs
     (the samples of one integral or one compilation) passes one dict to all
@@ -362,7 +344,7 @@ def level_decompose(g: WeightedGraph, known: dict) -> LevelDecomposition:
         else:
             clusters.append([e])
 
-    deg = g.degrees()
+    deg = _degrees(g.pairs)
     delta = max(deg.values())
     hist = [0] * (delta + 1)  # hist[d]: the number of touched vertices of degree d
     for d in deg.values():
@@ -390,17 +372,14 @@ def level_decompose(g: WeightedGraph, known: dict) -> LevelDecomposition:
                 if not classes[c]:
                     live -= 1
             if live == delta:
-                inherited = _trusted(EdgeColoring, classes=tuple(cls for cls in classes if cls))
-                levels.append(Level(threshold, live, inherited, True))
+                levels.append(Level(threshold, EdgeColoring(tuple(cls for cls in classes if cls), True)))
                 continue
         key = frozenset(remaining)
-        res = known.get(key)
-        if res is None:
-            # The level's edges are edges of g, valid already.
-            sub = _trusted(WeightedGraph, n_vertices=g.n_vertices, edges=tuple(e for cl in clusters[j:] for e in cl))
-            res = known[key] = color_edges(sub)
-        levels.append(Level(threshold, res.index, res.coloring, res.exact))
-        classes = list(res.coloring.classes)
+        coloring = known.get(key)
+        if coloring is None:
+            coloring = known[key] = color_edges(key)
+        levels.append(Level(threshold, coloring))
+        classes = list(coloring.classes)
         live = len(classes)
         holder = {pair: c for c, cls in enumerate(classes) for pair in cls}
     return LevelDecomposition(tuple(levels))

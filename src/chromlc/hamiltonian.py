@@ -413,20 +413,20 @@ def _heisenberg(strength: float) -> dict:
 
 def chain(n: int, t_total: float = 1.0, coupling: float = 1.0) -> HamiltonianSchedule:
     """Nearest-neighbor chain with isotropic exchange of norm ``coupling``."""
-    _check_common(n, t_total, n - 1)
+    _check_common(n, t_total, coupling, n - 1)
     return _uniform_schedule(n, t_total, [(i, i + 1) for i in range(n - 1)], _heisenberg(coupling))
 
 
 def disjoint_pairs(n: int, t_total: float = 1.0, coupling: float = 1.0) -> HamiltonianSchedule:
     """Matching (0,1), (2,3), ... -- the fully parallel interaction pattern."""
-    _check_common(n, t_total, n // 2)
+    _check_common(n, t_total, coupling, n // 2)
     pairs = [(2 * i, 2 * i + 1) for i in range(n // 2)]
     return _uniform_schedule(n, t_total, pairs, _heisenberg(coupling))
 
 
 def complete_mean_field(n: int, t_total: float = 1.0, coupling: float = 1.0) -> HamiltonianSchedule:
     """All-to-all ZZ couplings of equal strength."""
-    _check_common(n, t_total, n * (n - 1) // 2)
+    _check_common(n, t_total, coupling, n * (n - 1) // 2)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return _uniform_schedule(n, t_total, pairs, {"ZZ": coupling})
 
@@ -443,7 +443,7 @@ def random_graph(
     random norm-``coupling`` terms.  Deterministic in ``seed``."""
     if segments < 1:
         raise BadParams("segments must be at least 1")
-    rng = _random_source(n, t_total, p, seed, segments)
+    rng = _random_source(n, t_total, p, seed, coupling, segments)
     segs = []
     for i in range(segments):
         t0 = (i * t_total) / segments
@@ -462,7 +462,7 @@ def random_time_varying(
 ) -> HamiltonianSchedule:
     """Single segment with random polynomial coefficient tracks, rescaled so
     the largest sampled norm over [0,T] equals ``coupling``."""
-    rng = _random_source(n, t_total, p, seed, 1)
+    rng = _random_source(n, t_total, p, seed, coupling, 1)
     if not 0 <= degree <= MAX_POLY_DEGREE:
         raise BadParams(f"degree must lie in [0, {MAX_POLY_DEGREE}]")
     probes = np.linspace(0.0, t_total, 33).tolist()
@@ -470,10 +470,10 @@ def random_time_varying(
     return HamiltonianSchedule(n, (segment,))
 
 
-def _random_source(n: int, t_total: float, p: float, seed: int, segments: int):
+def _random_source(n: int, t_total: float, p: float, seed: int, coupling: float, segments: int):
     """The generator of a random schedule of ``segments`` segments, after the
     checks the random kinds share."""
-    _check_common(n, t_total, n * (n - 1) // 2 * segments)
+    _check_common(n, t_total, coupling, n * (n - 1) // 2 * segments)
     if not 0.0 <= p <= 1.0:
         raise BadParams("edge probability p must lie in [0,1]")
     if seed < 0:
@@ -500,13 +500,15 @@ def _random_segment(rng, n, p, coupling, t_start, t_end, width, probes) -> Segme
     return Segment(t_start, t_end, raw.pairs, (coupling / peaks)[:, None, None] * tracks)
 
 
-def _check_common(n: int, t_total: float, terms: int):
+def _check_common(n: int, t_total: float, coupling: float, terms: int):
     """Checks shared by the generators; ``terms`` is the most pair terms the
     generator can produce over all its segments (every pair drawn)."""
     if n < 2:
         raise BadParams("need at least two qubits")
     if not (math.isfinite(t_total) and t_total > 0):
         raise BadParams(f"total time must be a finite positive number, got {t_total}")
+    if not math.isfinite(coupling):
+        raise BadParams(f"coupling must be a finite number, got {coupling}")
     if terms > MAX_GENERATED_TERMS:
         raise TooLarge(
             f"the schedule may hold {terms} pair terms (pairs x segments); "

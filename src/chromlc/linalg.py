@@ -31,7 +31,6 @@ __all__ = [
     "hermitian_norms",
     "is_hermitian",
     "is_unitary",
-    "operator_norm",
     "spectral_distance",
     "unitary_angle",
     "unitary_log",
@@ -89,19 +88,6 @@ def hermitian_norms(m) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvalsh(m)), axis=-1, initial=0.0)
 
 
-def operator_norm(m) -> float:
-    """Largest singular value; for Hermitian input the largest |eigenvalue|.
-
-    A matrix counts as Hermitian when it is so to 1e-10 of its largest
-    entry: ``eigvalsh`` reads one triangle only, so an absolute test would
-    take a small anti-Hermitian difference for a Hermitian one.
-    """
-    m = _as_square(m, "operator_norm")
-    if is_hermitian(m, 1e-10 * np.max(np.abs(m), initial=0.0)):
-        return float(hermitian_norms(m))
-    return float(np.linalg.norm(m, 2))
-
-
 def expm_i(h, s: float) -> np.ndarray:
     """exp(-i*s*h) for Hermitian ``h``, via the eigendecomposition."""
     w, v = hermitian_eig(_as_square(h, "expm_i"))
@@ -147,4 +133,4 @@ def spectral_distance(a, b) -> float:
     b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
-    return operator_norm(a - b)
+    return float(np.linalg.norm(a - b, 2))

@@ -24,6 +24,7 @@ import copy
 import json
 import math
 import signal
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from numpy.polynomial.polynomial import polyval
 from chromlc import analysis, cli, compiler, graphs, hamiltonian, linalg, simulator
 from chromlc.errors import ToleranceUnreachable
 from chromlc.compiler import Gate, GateSchedule, Step
-from chromlc.graphs import EdgeColoring, Level, LevelDecomposition, WeightedGraph
+from chromlc.graphs import EdgeColoring, Level, LevelDecomposition
 from chromlc.hamiltonian import PAULI_LABELS, HamiltonianSchedule, Segment, pauli_matrix
 
 
@@ -48,7 +49,7 @@ def random_hermitian(dim, rng, norm=None):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = (m + m.conj().T) / 2.0
     if norm is not None:
-        m *= norm / linalg.operator_norm(m)
+        m *= norm / float(linalg.hermitian_norms(m))
     return m
 
 
@@ -63,8 +64,18 @@ def w_at(s, t, known=None):
 
 
 def heavier_than(g, r):
-    """The subgraph of ``g``'s edges of weight above ``r``: the threshold slice at ``r``."""
-    return WeightedGraph(g.n_vertices, tuple(e for e in g.edges if e[2] > r))
+    """The pairs of ``g``'s edges of weight above ``r``: the threshold slice at ``r``."""
+    return tuple((k, l) for k, l, w in g.edges if w > r)
+
+
+def degrees(pairs):
+    """vertex -> degree over the vertices ``pairs`` touch."""
+    return Counter(v for pair in pairs for v in pair)
+
+
+def max_degree(pairs):
+    """The largest vertex degree of ``pairs``, 0 for none."""
+    return max(degrees(pairs).values(), default=0)
 
 
 def random_gate_schedule(n, rng, max_steps=6, two_gate_prob=0.5):
@@ -386,7 +397,7 @@ def pass_major_integrate_adaptive(s: HamiltonianSchedule, array, tol):
 
 def per_term_random_graph(n, t_total=1.0, p=0.5, seed=0, coupling=1.0, segments=1):
     """``random_graph``'s draws one term at a time, each normed by ``pauli_matrix`` and
-    ``linalg.operator_norm`` and redrawn while degenerate: a list of (pairs, tracks) per segment."""
+    ``linalg.hermitian_norms`` and redrawn while degenerate: a list of (pairs, tracks) per segment."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(segments):
@@ -398,7 +409,7 @@ def per_term_random_graph(n, t_total=1.0, p=0.5, seed=0, coupling=1.0, segments=
                     for _ in range(100):
                         c = rng.standard_normal(16)
                         c[0] = 0.0
-                        norm = linalg.operator_norm(pauli_matrix(c))
+                        norm = float(linalg.hermitian_norms(pauli_matrix(c)))
                         if norm > 1e-9:
                             break
                     else:
@@ -416,7 +427,7 @@ def per_qubit_observable_factors(n_qubits, seed):
         for _ in range(100):
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             h = (h + h.conj().T) / 2
-            norm = linalg.operator_norm(h)
+            norm = float(linalg.hermitian_norms(h))
             if norm > 1e-3:
                 factors.append(h / norm)
                 break
@@ -425,11 +436,21 @@ def per_qubit_observable_factors(n_qubits, seed):
     return factors
 
 
+def two_branch_spectral_distance(a, b):
+    """``linalg.spectral_distance`` as it was while the operator norm had a
+    Hermitian branch: the largest |eigenvalue| when a - b is Hermitian to
+    1e-10 of its largest entry, the largest singular value otherwise."""
+    d = np.asarray(a, dtype=np.complex128) - np.asarray(b, dtype=np.complex128)
+    if linalg.is_hermitian(d, 1e-10 * np.max(np.abs(d), initial=0.0)):
+        return float(linalg.hermitian_norms(d))
+    return float(np.linalg.norm(d, 2))
+
+
 def restricted_to(coloring, pairs):
-    """``coloring``'s classes cut down to ``pairs``, empty classes dropped."""
+    """``coloring``'s classes cut down to ``pairs``, empty classes dropped, marked exact."""
     keep = set(pairs)
     classes = (tuple(p for p in cls if p in keep) for cls in coloring.classes)
-    return EdgeColoring(tuple(cls for cls in classes if cls))
+    return EdgeColoring(tuple(cls for cls in classes if cls), True)
 
 
 def restricting_level_decompose(g):
@@ -446,7 +467,7 @@ def restricting_level_decompose(g):
             clusters[-1].append(e)
         else:
             clusters.append([e])
-    deg = g.degrees()
+    deg = degrees(g.pairs)
     remaining = set(g.pairs)
     levels = []
     for j, cluster in enumerate(clusters):
@@ -458,14 +479,14 @@ def restricting_level_decompose(g):
                 deg[l] -= 1
                 remaining.discard((k, l))
             inherited = restricted_to(levels[-1].coloring, remaining)
-            if inherited.n_classes() == max(deg.values()):
-                levels.append(Level(threshold, inherited.n_classes(), inherited, True))
+            if len(inherited.classes) == max(deg.values()):
+                levels.append(Level(threshold, inherited))
                 continue
-        res = graphs.color_edges(WeightedGraph(g.n_vertices, tuple(e for cl in clusters[j:] for e in cl)))
-        if inherited is not None and res.index > inherited.n_classes():
-            levels.append(Level(threshold, inherited.n_classes(), inherited, False))
+        coloring = graphs.color_edges(tuple(e[:2] for cl in clusters[j:] for e in cl))
+        if inherited is not None and len(coloring.classes) > len(inherited.classes):
+            levels.append(Level(threshold, inherited._replace(exact=False)))
         else:
-            levels.append(Level(threshold, res.index, res.coloring, res.exact))
+            levels.append(Level(threshold, coloring))
     return LevelDecomposition(tuple(levels))
 
 
@@ -475,9 +496,9 @@ def record_searches(monkeypatch):
     searched = []
     color_edges = graphs.color_edges
 
-    def recording(g):
-        searched.append(frozenset(g.pairs))
-        return color_edges(g)
+    def recording(pairs):
+        searched.append(frozenset(pairs))
+        return color_edges(pairs)
 
     monkeypatch.setattr(graphs, "color_edges", recording)
     return searched
@@ -543,7 +564,7 @@ def recounting_level_decompose(g, known=None):
             clusters[-1].append(e)
         else:
             clusters.append([e])
-    deg = g.degrees()
+    deg = degrees(g.pairs)
     remaining = set(g.pairs)
     classes = []
     holder = {}
@@ -559,18 +580,18 @@ def recounting_level_decompose(g, known=None):
             remaining -= gone
             for c in {holder.pop(pair) for pair in gone}:
                 classes[c] = tuple(pair for pair in classes[c] if pair not in gone)
-            inherited = EdgeColoring(tuple(cls for cls in classes if cls))
-            if inherited.n_classes() == max(deg.values()):
-                levels.append(Level(threshold, inherited.n_classes(), inherited, True))
+            inherited = EdgeColoring(tuple(cls for cls in classes if cls), True)
+            if len(inherited.classes) == max(deg.values()):
+                levels.append(Level(threshold, inherited))
                 continue
         key = frozenset(remaining)
-        res = None if known is None else known.get(key)
-        if res is None:
-            res = graphs.color_edges(WeightedGraph(g.n_vertices, tuple(e for cl in clusters[j:] for e in cl)))
+        coloring = None if known is None else known.get(key)
+        if coloring is None:
+            coloring = graphs.color_edges(tuple(e[:2] for cl in clusters[j:] for e in cl))
             if known is not None:
-                known[key] = res
-        levels.append(Level(threshold, res.index, res.coloring, res.exact))
-        classes = list(res.coloring.classes)
+                known[key] = coloring
+        levels.append(Level(threshold, coloring))
+        classes = list(coloring.classes)
         holder = {pair: c for c, cls in enumerate(classes) for pair in cls}
     return LevelDecomposition(tuple(levels))
 
@@ -596,15 +617,15 @@ def per_level_sample_steps(snap, delta, known):
     for level in decomp.levels:
         angle = delta * (level.threshold - prev_r)
         prev_r = level.threshold
-        pairs = level.coloring.all_pairs()
+        pairs = [pair for cls in level.coloring.classes for pair in cls]
         index = [rows[pair] for pair in pairs]
         gates = dict(zip(pairs, per_gate_pair_gates(snap, index, np.full(len(index), angle))))
         for matching in level.coloring.classes:
             steps.append(Step(tuple(gates[pair] for pair in matching)))
     levels = (
         decomp.thresholds(),
-        tuple(lv.chromatic_index for lv in decomp.levels),
-        tuple(lv.exact for lv in decomp.levels),
+        tuple(len(lv.coloring.classes) for lv in decomp.levels),
+        tuple(lv.coloring.exact for lv in decomp.levels),
     )
     return steps, levels
 

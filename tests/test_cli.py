@@ -45,6 +45,7 @@ from helpers import (
     node_paths,
     random_hermitian,
     replace_node,
+    two_branch_spectral_distance,
     wall_clock_bound,
 )
 
@@ -862,6 +863,56 @@ def test_trotter_subcommand(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "method,parameter,error,weighted_depth,n_steps"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        ["random_graph", "--n", "5", "--seed", "4"],
+        ["complete_mean_field", "--n", "4"],
+        ["disjoint_pairs", "--n", "4"],
+        ["chain", "--n", "4", "--coupling", "0"],
+    ],
+    ids=["random", "all-zz", "disjoint-pairs", "zero-coupling"],
+)
+def test_study_errors_match_the_two_branch_norm(tmp_path, capsys, monkeypatch, generator):
+    # the Hermitian branch of the deleted operator norm never ran on a study's
+    # difference of unitaries, so theorem1 and trotter print what they printed with it
+    spath = tmp_path / "s.json"
+    run_cli(capsys, "generate", *generator, "-o", str(spath))
+    studies = [
+        ["verify", "theorem1", str(spath), "--epsilons", "0.5,0.25,0.1"],
+        ["trotter", str(spath), "--m-list", "1,4,16", "--epsilons", "0.5,0.25"],
+    ]
+    outputs = [run_cli(capsys, *argv) for argv in studies]
+    assert [out[0] for out in outputs] == [0, 0]
+    monkeypatch.setattr(linalg, "spectral_distance", two_branch_spectral_distance)
+    assert [run_cli(capsys, *argv) for argv in studies] == outputs
+
+
+def test_empty_compilation_has_float_depth(tmp_path, capsys):
+    # a sum over no steps starts at 0.0, so the depth prints and writes as a float
+    spath, gpath, rpath = tmp_path / "zero.json", tmp_path / "gates.json", tmp_path / "report.json"
+    run_cli(capsys, "generate", "chain", "--n", "4", "--coupling", "0", "-o", str(spath))
+    code, _, err = run_cli(capsys, "compile", str(spath), "--epsilon", "0.5", "-o", str(gpath), "--report", str(rpath))
+    assert (code, err) == (0, "compiled 0 steps, weighted depth 0.0\n")
+    assert '"weighted_depth": 0.0,' in rpath.read_text()
+    code, out, _ = run_cli(capsys, "trotter", str(spath), "--m-list", "2", "--epsilons", "0.5")
+    assert (code, out.splitlines()[1:]) == (0, ["trotter,2.0,0.0,0.0,0", "compile,0.5,0.0,0.0,0"])
+
+
+@pytest.mark.parametrize("coupling", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_generate_refuses_a_non_finite_coupling(tmp_path, capsys, kind, coupling):
+    # the coupling is refused by name before numpy multiplies by it, so no warning escapes
+    path = tmp_path / "s.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "generate", kind, "--n", "3", f"--coupling={coupling}", "-o", str(path))
+    assert (code, out, caught) == (2, "", [])
+    assert err == f"error: coupling must be a finite number, got {float(coupling)}\n"
+    assert "Warning" not in err
+    assert not path.exists()
 
 
 def test_cli_outputs_deterministic(tmp_path, capsys):

@@ -187,7 +187,8 @@ def test_step_requires_disjoint_pairs():
 
 
 def test_weighted_depth_trivials():
-    assert weighted_depth(GateSchedule(2, ())) == 0.0
+    empty = weighted_depth(GateSchedule(2, ()))
+    assert (empty, type(empty)) == (0.0, float)
     rng = np.random.default_rng(4)
 
     def gate(pair, norm):
@@ -456,8 +457,7 @@ def test_rechromatize_chain_to_matchings():
     assert abs(out.total_time - 2.0) < 1e-12
     for seg in out.segments:
         mid = (seg.t_start + seg.t_end) / 2.0
-        g = snapshot(out, mid).graph
-        assert color_edges(g).index <= 1
+        assert len(color_edges(snapshot(out, mid).pairs).classes) <= 1
 
 
 def test_rechromatize_respects_cap_random():
@@ -467,7 +467,7 @@ def test_rechromatize_respects_cap_random():
             out = rechromatize(s, m, 0.5)
             for seg in out.segments:
                 mid = (seg.t_start + seg.t_end) / 2.0
-                assert color_edges(snapshot(out, mid).graph).index <= m
+                assert len(color_edges(snapshot(out, mid).pairs).classes) <= m
 
 
 def test_rechromatize_beyond_exact_cap_falls_back():
@@ -479,9 +479,9 @@ def test_rechromatize_beyond_exact_cap_falls_back():
     assert abs(out.total_time - 3.0) < 1e-12
     seen = []
     for seg in out.segments:
-        g = snapshot(out, (seg.t_start + seg.t_end) / 2.0).graph
-        assert color_edges(g).index <= 4
-        seen.extend(g.pairs)
+        pairs = snapshot(out, (seg.t_start + seg.t_end) / 2.0).pairs
+        assert len(color_edges(pairs).classes) <= 4
+        seen.extend(pairs)
     assert sorted(seen) == [(i, j) for i in range(12) for j in range(i + 1, 12)]
 
 

@@ -7,6 +7,7 @@ from chromlc import graphs
 from chromlc.errors import BadParams
 from chromlc.graphs import (
     EXACT_SEARCH_CAP,
+    EdgeColoring,
     WeightedGraph,
     color_edges,
     edge_color_vizing,
@@ -16,6 +17,7 @@ from chromlc.graphs import (
 from helpers import (
     full_scan_search_edge_coloring,
     heavier_than,
+    max_degree,
     oracle_chromatic_index,
     record_searches,
     recounting_level_decompose,
@@ -28,11 +30,21 @@ def complete_graph(n, w=1.0):
     return WeightedGraph(n, tuple((i, j, w) for i in range(n) for j in range(i + 1, n)))
 
 
-def exact_index(g):
-    """``color_edges(g).index``, checked to be the chromatic index and not a bound."""
-    res = color_edges(g)
+def exact_index(pairs):
+    """The class count of ``color_edges(pairs)``, checked to be the chromatic index and not a bound."""
+    res = color_edges(pairs)
     assert res.exact
-    return res.index
+    return len(res.classes)
+
+
+def indices(ld):
+    """The class count of each level of ``ld``."""
+    return [len(lv.coloring.classes) for lv in ld.levels]
+
+
+def slice_at(edges, r):
+    """The pairs of ``edges`` of weight at least ``r``: the level at threshold ``r``."""
+    return tuple(e[:2] for e in edges if e[2] >= r)
 
 
 def fallback_k8_edges():
@@ -88,7 +100,7 @@ def petersen_copies(copies, rng):
             edges.append((base + 5 + i, base + 5 + (i + 2) % 5))  # inner pentagram
     perm = rng.permutation(10 * copies)
     relabeled = (tuple(sorted((int(perm[a]), int(perm[b])))) for a, b in edges)
-    return WeightedGraph(10 * copies, tuple((a, b, 1.0) for a, b in relabeled))
+    return tuple(relabeled)
 
 
 def test_graph_validation():
@@ -103,50 +115,40 @@ def test_graph_validation():
 
 
 def test_chromatic_index_examples():
-    matching = WeightedGraph(6, ((0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)))
-    assert exact_index(matching) == 1
-    path = WeightedGraph(5, tuple((i, i + 1, 1.0) for i in range(4)))
-    assert exact_index(path) == 2
-    assert exact_index(complete_graph(4)) == 3
-    assert exact_index(WeightedGraph(3)) == 0
+    assert exact_index(((0, 1), (2, 3), (4, 5))) == 1  # a matching
+    assert exact_index(tuple((i, i + 1) for i in range(4))) == 2  # a path
+    assert exact_index(complete_graph(4).pairs) == 3
+    assert exact_index(()) == 0
 
 
 def test_chromatic_index_witness_is_valid():
     rng = np.random.default_rng(3)
     for _ in range(60):
         n = int(rng.integers(2, 8))
-        edges = tuple(
-            (i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
-        )
-        g = WeightedGraph(n, edges)
-        res = color_edges(g)
+        pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5)
+        res = color_edges(pairs)
         assert res.exact
-        assert res.coloring.is_valid_for(g)
-        assert res.coloring.n_classes() == res.index or res.index == 0
-        assert res.index >= g.max_degree()
-        assert res.index <= g.max_degree() + 1 or res.index == 0
+        assert res.is_valid_for(pairs)
+        assert max_degree(pairs) <= len(res.classes) <= max_degree(pairs) + 1
 
 
 def test_chromatic_index_matches_enumeration_oracle():
     rng = np.random.default_rng(5)
     for _ in range(80):
         n = int(rng.integers(2, 7))
-        edges = tuple(
-            (i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6
-        )
-        g = WeightedGraph(n, edges)
-        assert exact_index(g) == oracle_chromatic_index(g.pairs, n)
+        pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6)
+        assert exact_index(pairs) == oracle_chromatic_index(pairs, n)
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(7))
 def test_chromatic_index_matches_oracle_property(graph):
     n, edges = graph
-    g = WeightedGraph(n, edges)
-    res = color_edges(g)
+    pairs = tuple(e[:2] for e in edges)
+    res = color_edges(pairs)
     assert res.exact
-    assert res.index == oracle_chromatic_index(g.pairs, n)
-    assert res.coloring.is_valid_for(g)
+    assert len(res.classes) == oracle_chromatic_index(pairs, n)
+    assert res.is_valid_for(pairs)
 
 
 def test_shuffled_petersen_copies_finish_fast():
@@ -154,13 +156,13 @@ def test_shuffled_petersen_copies_finish_fast():
     # the timer turns a search that would run for minutes into a failure
     rng = np.random.default_rng(17)
     for _ in range(10):
-        g = petersen_copies(4, rng)
-        assert len(g.edges) == 60 <= EXACT_SEARCH_CAP
+        pairs = petersen_copies(4, rng)
+        assert len(pairs) == 60 <= EXACT_SEARCH_CAP
         with wall_clock_bound(2.0):
-            res = color_edges(g)
+            res = color_edges(pairs)
         assert res.exact
-        assert res.index == 4
-        assert res.coloring.is_valid_for(g)
+        assert len(res.classes) == 4
+        assert res.is_valid_for(pairs)
 
 
 @pytest.mark.parametrize(
@@ -174,20 +176,20 @@ def test_shuffled_petersen_copies_finish_fast():
     ],
 )
 def test_dense_colorings_finish_fast(n, missing, index):
-    g = WeightedGraph(n, tuple(e for e in complete_graph(n).edges if e[:2] not in missing))
+    pairs = tuple(pair for pair in complete_graph(n).pairs if pair not in missing)
     with wall_clock_bound(2.0):
-        res = color_edges(g)
-    assert (res.index, res.exact) == (index, True)
-    assert res.coloring.is_valid_for(g)
+        res = color_edges(pairs)
+    assert (len(res.classes), res.exact) == (index, True)
+    assert res.is_valid_for(pairs)
 
 
 def test_spent_search_budget_is_reported(monkeypatch):
     # K8 is 7-colorable, but a search stopped at once leaves Misra-Gries's 8 classes
     monkeypatch.setattr(graphs, "SEARCH_NODE_BUDGET", 1)
-    g = complete_graph(8)
-    res = color_edges(g)
-    assert (res.index, res.exact) == (8, False)
-    assert res.coloring.is_valid_for(g)
+    pairs = complete_graph(8).pairs
+    res = color_edges(pairs)
+    assert (len(res.classes), res.exact) == (8, False)
+    assert res.is_valid_for(pairs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -195,7 +197,7 @@ def test_spent_search_budget_is_reported(monkeypatch):
 def test_search_matches_the_full_scan(instance, budget):
     # same node order and node count: the same colors, False, or None at every budget
     n, order = instance
-    delta = WeightedGraph(n, tuple((k, l, 1.0) for k, l in order)).max_degree()
+    delta = max_degree(order)
     found = graphs._search_edge_coloring(n, order, delta, budget)
     assert found == full_scan_search_edge_coloring(n, order, delta, budget)
     if found is not None:  # the least budget that finishes is the same too
@@ -205,28 +207,29 @@ def test_search_matches_the_full_scan(instance, budget):
 
 
 def test_color_edges_falls_back_beyond_cap():
-    g = complete_graph(12)  # 66 edges
-    res = color_edges(g)
+    pairs = complete_graph(12).pairs  # 66 edges
+    res = color_edges(pairs)
     assert not res.exact
-    assert res.coloring.is_valid_for(g)
-    assert res.index == res.coloring.n_classes() in (11, 12)
+    assert res.is_valid_for(pairs)
+    assert len(res.classes) in (11, 12)
+    assert color_edges(pairs[::-1]) == res
 
 
 def test_class_two_graphs():
     # odd cycles and odd complete graphs need max degree + 1 colors
-    c5 = WeightedGraph(5, tuple((i, (i + 1) % 5, 1.0) for i in range(4)) + ((0, 4, 1.0),))
+    c5 = tuple((i, i + 1) for i in range(4)) + ((0, 4),)
     assert exact_index(c5) == 3
-    assert exact_index(complete_graph(5)) == 5
-    assert exact_index(complete_graph(6)) == 5
-    assert exact_index(complete_graph(7)) == 7
+    assert exact_index(complete_graph(5).pairs) == 5
+    assert exact_index(complete_graph(6).pairs) == 5
+    assert exact_index(complete_graph(7).pairs) == 7
 
 
 def test_vizing_trivials():
-    assert edge_color_vizing(WeightedGraph(4)).n_classes() == 0
-    star = WeightedGraph(6, tuple((0, i, 1.0) for i in range(1, 6)))
-    col = edge_color_vizing(star)
-    assert col.n_classes() == 5
-    assert col.is_valid_for(star)
+    assert edge_color_vizing(()) == ()
+    star = tuple((0, i) for i in range(1, 6))
+    classes = edge_color_vizing(star)
+    assert len(classes) == 5
+    assert EdgeColoring(classes, True).is_valid_for(star)
 
 
 def test_vizing_random_graphs():
@@ -234,14 +237,10 @@ def test_vizing_random_graphs():
     for _ in range(300):
         n = int(rng.integers(2, 16))
         p = float(rng.uniform(0.05, 0.95))
-        edges = tuple(
-            (i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-        )
-        g = WeightedGraph(n, edges)
-        col = edge_color_vizing(g)
-        assert col.is_valid_for(g)
-        if edges:
-            assert g.max_degree() <= col.n_classes() <= g.max_degree() + 1
+        pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p)
+        classes = edge_color_vizing(pairs)
+        assert EdgeColoring(classes, False).is_valid_for(pairs)
+        assert max_degree(pairs) <= len(classes) <= max_degree(pairs) + 1
 
 
 def test_level_decompose_single_level():
@@ -249,7 +248,7 @@ def test_level_decompose_single_level():
     ld = level_decompose(g, {})
     assert len(ld.levels) == 1
     assert ld.levels[0].threshold == 0.7
-    assert ld.levels[0].chromatic_index == 2
+    assert indices(ld) == [2]
     assert abs(ld.weighted_sum() - 1.4) < 1e-12
 
 
@@ -258,7 +257,7 @@ def test_level_decompose_weighted_chain():
     g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)))
     ld = level_decompose(g, {})
     assert ld.thresholds() == (1.0, 2.0, 3.0)
-    assert tuple(lv.chromatic_index for lv in ld.levels) == (2, 2, 1)
+    assert indices(ld) == [2, 2, 1]
     assert abs(ld.weighted_sum() - 5.0) < 1e-12
     for lv in ld.levels:
         assert lv.exact
@@ -276,14 +275,12 @@ def test_level_indices_non_increasing_and_colorings_valid():
         )
         g = WeightedGraph(n, edges)
         ld = level_decompose(g, {})
-        indices = [lv.chromatic_index for lv in ld.levels]
-        assert indices == sorted(indices, reverse=True)
+        assert indices(ld) == sorted(indices(ld), reverse=True)
         prev = 0.0
         for lv in ld.levels:
             assert lv.threshold > prev
             prev = lv.threshold
-            sub = WeightedGraph(n, tuple(e for e in edges if e[2] >= lv.threshold))
-            assert lv.coloring.is_valid_for(sub)
+            assert lv.coloring.is_valid_for(slice_at(edges, lv.threshold))
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,10 +289,24 @@ def test_level_colorings_are_exact_property(graph):
     n, edges = graph
     ld = level_decompose(WeightedGraph(n, edges), {})
     for lv in ld.levels:
-        sub = WeightedGraph(n, tuple(e for e in edges if e[2] >= lv.threshold))
+        sub = slice_at(edges, lv.threshold)
         assert lv.coloring.is_valid_for(sub)
         assert lv.exact
-        assert lv.chromatic_index == exact_index(sub)
+        assert len(lv.coloring.classes) == exact_index(sub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(8, weights=(0.5, 1.0, 1.0 + 1e-13, 1.5, 2.0)), st.data())
+def test_results_do_not_depend_on_edge_order(graph, data):
+    # a coloring is a function of the pair set, and a decomposition of the weighted edge set
+    n, edges = graph
+    shuffled = data.draw(st.permutations(edges))
+    pairs = tuple(e[:2] for e in edges)
+    res = color_edges(pairs)
+    assert color_edges(tuple(e[:2] for e in shuffled)) == res
+    assert color_edges(frozenset(pairs)) == res
+    ld = level_decompose(WeightedGraph(n, edges), {})
+    assert level_decompose(WeightedGraph(n, tuple(shuffled)), {}) == ld
 
 
 def test_level_decompose_fallback_is_reported(monkeypatch):
@@ -304,27 +315,25 @@ def test_level_decompose_fallback_is_reported(monkeypatch):
     monkeypatch.setattr(graphs, "EXACT_SEARCH_CAP", 16)
     edges = fallback_k8_edges()
     ld = level_decompose(WeightedGraph(8, edges), {})
-    assert [(lv.chromatic_index, lv.exact) for lv in ld.levels] == [(8, False), (7, True)]
+    assert [(len(lv.coloring.classes), lv.exact) for lv in ld.levels] == [(8, False), (7, True)]
     for lv in ld.levels:
-        sub = WeightedGraph(8, tuple(e for e in edges if e[2] >= lv.threshold))
-        assert lv.coloring.is_valid_for(sub)
+        assert lv.coloring.is_valid_for(slice_at(edges, lv.threshold))
 
 
 @settings(max_examples=150, deadline=None)
 @given(graph_sequences())
 def test_shared_colorings_give_the_levels_of_each_graph_alone(sequence):
     known = {}
-    n = sequence[0].n_vertices
     for g in sequence:
         shared = level_decompose(g, known)
         assert shared == level_decompose(g, {})
         assert shared == restricting_level_decompose(g)
         for lv in shared.levels:
-            sub = WeightedGraph(n, tuple(e for e in g.edges if e[2] >= lv.threshold))
-            assert sub.max_degree() <= lv.chromatic_index <= sub.max_degree() + 1
+            sub = slice_at(g.edges, lv.threshold)
+            assert max_degree(sub) <= len(lv.coloring.classes) <= max_degree(sub) + 1
             assert lv.coloring.is_valid_for(sub)
-    for pairs, res in known.items():  # search results only, keyed by their edge set
-        assert res == color_edges(WeightedGraph(n, tuple((k, l, 1.0) for k, l in sorted(pairs))))
+    for pairs, coloring in known.items():  # search results only, keyed by their edge set
+        assert coloring == color_edges(sorted(pairs))
 
 
 def test_shared_colorings_keep_fallbacks(monkeypatch):
@@ -336,7 +345,7 @@ def test_shared_colorings_keep_fallbacks(monkeypatch):
         edges = tuple((k, l, high if w == 2.0 else low) for k, l, w in fallback_k8_edges())
         g = WeightedGraph(8, edges)
         ld = level_decompose(g, known)
-        assert [(lv.chromatic_index, lv.exact) for lv in ld.levels] == [(8, False), (7, True)]
+        assert [(len(lv.coloring.classes), lv.exact) for lv in ld.levels] == [(8, False), (7, True)]
         assert ld == restricting_level_decompose(g)
     # two searches in all with the shared dict, two per graph for the oracle
     assert len(searched) == 3 * 2 + 2
@@ -401,4 +410,4 @@ def test_near_equal_weights_merge():
     g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0 + 1e-13)))
     ld = level_decompose(g, {})
     assert len(ld.levels) == 1
-    assert ld.levels[0].chromatic_index == 2
+    assert indices(ld) == [2]

@@ -250,7 +250,7 @@ def test_pair_matrices_at_a_time():
     zz = single_pair_schedule({"ZZ": (1.0,)}, t_total=1.0, n=3)
     seg = zz.segment_at(0.25)
     assert seg.pairs == snapshot(zz, 0.25).pairs == ((0, 1),)  # pair (0, 2) has no term
-    assert abs(linalg.operator_norm(seg.matrices_at(0.25)[0]) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(seg.matrices_at(0.25)[0], 2) - 1.0) < 1e-12
     with pytest.raises(OutOfRange):
         s.segment_at(2.5)
 
@@ -296,7 +296,7 @@ def test_snapshot_norms_match_operator_norm():
         matrices = dict(zip(seg.pairs, seg.matrices_at(t)))
         for i, pair in enumerate(snap.pairs):
             matrix = matrices[pair]
-            assert abs(snap.norms[i] - linalg.operator_norm(matrix)) < 1e-12
+            assert abs(snap.norms[i] - np.linalg.norm(matrix, 2)) < 1e-12
             assert np.array_equal(snap.matrices[i], matrix)
             w, v = snap.eigenvalues[i], snap.eigenvectors[i]
             assert np.max(np.abs((v * w) @ v.conj().T - matrix)) < 1e-12
@@ -337,7 +337,7 @@ def test_weighted_index_matches_direct_threshold_integration():
             mid = (prev + r) / 2.0
             res = color_edges(heavier_than(g, mid))
             assert res.exact
-            total += res.index * (r - prev)
+            total += len(res.classes) * (r - prev)
             prev = r
         assert abs(total - w_at(s, 0.5)) < 1e-12
 
@@ -588,7 +588,7 @@ def test_generators():
 def test_time_varying_peak_norm():
     s = random_time_varying(4, p=1.0, seed=5, coupling=1.3, degree=3)
     seg = s.segments[0]
-    norms = [[linalg.operator_norm(m) for m in seg.matrices_at(t)] for t in np.linspace(0, 1, 33)]
+    norms = [[np.linalg.norm(m, 2) for m in seg.matrices_at(t)] for t in np.linspace(0, 1, 33)]
     peaks = np.max(norms, axis=0)
     assert len(peaks) == len(seg.pairs) > 0
     assert np.all(np.abs(peaks - 1.3) < 1e-9)

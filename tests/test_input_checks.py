@@ -29,7 +29,7 @@ SCHEDULE_WITH_COEFFS = (  # one term on the pair (0,1), its "coeffs" to fill in
 )
 # a gate document, its "n_qubits" and "steps" to fill in
 GATES = '{"format": "chromlc-gates", "version": 1, "n_qubits": %s, "steps": %s}'
-PATH = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+PATH = ((0, 1), (1, 2))
 
 
 @pytest.mark.parametrize(
@@ -85,8 +85,8 @@ def test_non_square_matrix_is_not_hermitian():
     [
         lambda: Gate((0, 1), np.eye(4), 0.0) == 1,
         lambda: Segment(0.0, 1.0) == "x",
-        lambda: EdgeColoring((((0, 1),),)).is_valid_for(PATH),  # misses the edge (1,2)
-        lambda: EdgeColoring((((0, 1), (1, 2)),)).is_valid_for(PATH),  # one class shares vertex 1
+        lambda: EdgeColoring((((0, 1),),), True).is_valid_for(PATH),  # misses the edge (1,2)
+        lambda: EdgeColoring((((0, 1), (1, 2)),), True).is_valid_for(PATH),  # one class shares vertex 1
     ],
     ids=["gate-eq-int", "segment-eq-str", "coloring-misses-an-edge", "class-shares-a-vertex"],
 )

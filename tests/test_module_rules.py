@@ -31,7 +31,7 @@ KEPT_UNUSED = {
     "compiler.rechromatize": "paper construction C09: chromatic throttling",
     "hamiltonian.pauli_matrix": "test oracle: the inverse of pauli_coeffs",
     "linalg.expm_i": "test oracle: exp(-i*s*h) from one eigendecomposition",
-    "graphs.EdgeColoring.is_valid_for": "test oracle: a proper coloring of exactly the graph's edges",
+    "graphs.EdgeColoring.is_valid_for": "test oracle: a proper coloring of exactly the given pairs",
     "serialization.loads_schedule": "text reader, the inverse of dumps_schedule, driven by the fuzz tests",
     "serialization.loads_gates": "text reader, the inverse of dumps_gates, driven by the fuzz tests",
     "serialization.load_gates": "perfbench's compile check loads every gate file with it",

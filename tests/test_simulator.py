@@ -612,7 +612,7 @@ def test_observable_validation():
         MeanFieldObservable((z, np.diag([2.0, -2.0])))
     obs = MeanFieldObservable.random(4, seed=0)
     for f in obs.factors:
-        assert abs(linalg.operator_norm(f) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(f, 2) - 1.0) < 1e-10
 
 
 def test_random_observable_matches_per_qubit_draws():
