@@ -47,7 +47,6 @@ from .graphs import (
     EdgeColoring,
     Level,
     LevelDecomposition,
-    WeightedGraph,
     color_edges,
     edge_color_vizing,
     level_decompose,

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -20,6 +21,18 @@ import numpy as np
 from . import analysis, compiler, serialization, simulator
 from .errors import BadParams, ChromlcError, ParseError
 from .hamiltonian import GENERATORS, HamiltonianSchedule, generate, integrated_chromatic_index
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``argparse.ArgumentParser`` that takes an argument of ``-`` and
+    then a digit, ``.`` and a digit, ``inf`` or ``nan`` for a value, not an
+    option, so that ``--coupling -1e3`` and ``--epsilons -1e-3,-2`` reach
+    the option's own check.  Python 3.11's argparse takes only
+    ``-<digits>`` and ``-<digits>.<digits>`` for negative numbers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _generate_arguments(p):
@@ -109,7 +122,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     it prints the same help, usage and error text for that command; only
     the full parser can report a missing or unknown command.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chromlc",
         description="Compile pair-interaction Hamiltonian schedules into parallel "
         "two-qubit gate schedules and verify the chromatic-index accounting.",

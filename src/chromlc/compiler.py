@@ -238,11 +238,11 @@ def compile(s: HamiltonianSchedule, epsilon: float):
     intervals = []
     known = {}
     for seg, delta, mids in _subintervals(s, epsilon):
-        samples = snapshots(s, seg, mids[:1] if seg.is_constant else mids)
+        samples = snapshots(seg, mids[:1] if seg.is_constant else mids)
         block = None
         for t_mid in mids:
             if block is None or not seg.is_constant:
-                block, levels = _sample_steps(next(samples), delta, known)
+                block, levels = _sample_steps(next(samples), t_mid, delta, known)
             steps.extend(block)
             intervals.append(IntervalReport(t_mid, delta, *levels))
     schedule = GateSchedule(s.n_qubits, tuple(steps))
@@ -255,19 +255,24 @@ def compile(s: HamiltonianSchedule, epsilon: float):
     return schedule, report
 
 
-def _sample_steps(snap, delta: float, known: dict):
-    """The steps of the subinterval sampled by snapshot ``snap``, and its
-    thresholds, chromatic indices and exactness flags for the
-    :class:`IntervalReport`.  ``known`` is the compilation's dict of
+def _sample_steps(snap, t_mid: float, delta: float, known: dict):
+    """The steps of the subinterval sampled by snapshot ``snap`` at
+    ``t_mid``, and its thresholds, chromatic indices and exactness flags for
+    the :class:`IntervalReport`.  ``known`` is the compilation's dict of
     colorings for :func:`~chromlc.graphs.level_decompose`.
 
     The gates are built as one stack in class order (levels ascending,
-    classes in color order) and each class cuts its step off that stack."""
+    classes in color order) and each class cuts its step off that stack.
+    ``TooLarge`` names ``t_mid`` when a level's angle exceeds the float range."""
     rows = {pair: i for i, pair in enumerate(snap.pairs)}
-    decomp = level_decompose(snap.graph, known)
+    decomp = level_decompose(snap.pairs, snap.norms.tolist(), known)
     classes = [cls for level in decomp.levels for cls in level.coloring.classes]
     sizes = [sum(map(len, level.coloring.classes)) for level in decomp.levels]
-    angles = np.repeat(delta * np.diff(decomp.thresholds(), prepend=0.0), sizes)
+    with np.errstate(over="ignore"):  # checked below
+        level_angles = delta * np.diff(decomp.thresholds(), prepend=0.0)
+    if not np.isfinite(level_angles).all():
+        raise TooLarge(f"the gate angles of the subinterval at t={t_mid!r} exceed the float range")
+    angles = np.repeat(level_angles, sizes)
     gates = iter(_pair_gates(snap, [rows[pair] for cls in classes for pair in cls], angles))
     steps = [Step(tuple(islice(gates, len(cls)))) for cls in classes]
     levels = (
@@ -327,7 +332,7 @@ def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianS
     out_segments = []
     t_cursor = 0.0
     for seg, delta, mids in _subintervals(s, epsilon):
-        for snap in snapshots(s, seg, mids):
+        for snap in snapshots(seg, mids):
             if not snap.pairs:
                 out_segments.append(Segment(t_cursor, t_cursor + delta))
                 t_cursor += delta

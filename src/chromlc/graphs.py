@@ -1,5 +1,5 @@
-"""Weighted interaction graphs, edge colorings into matchings, and the
-decomposition of a weighted graph into threshold levels.
+"""Edge colorings of interaction graphs into matchings, and the
+decomposition of a weighted interaction graph into threshold levels.
 
 A proper edge coloring partitions an edge set into matchings; the least
 number of matchings needed is the chromatic index, which by Vizing's
@@ -15,8 +15,9 @@ it is NP-complete (Holyer 1981), so the search stops after a fixed node
 count.  Every other case gets the Misra-Gries coloring of
 ``edge_color_vizing`` (at most max degree + 1 classes), reported as exact
 when the edge set is overfull, the search finished without a coloring, or
-it has max degree classes.  ``level_decompose`` slices a weighted graph at
-its distinct edge weights, so that the weighted sum of per-level indices
+it has max degree classes.  ``level_decompose`` takes a graph as its pairs
+and one positive weight per pair (a snapshot's pairs and norms) and slices
+it at its distinct weights, so that the weighted sum of per-level indices
 equals the integral of the chromatic index over the threshold.  Each level
 inherits the coloring of the level below it, dropping only the edges that
 left, and keeps it when that is provably optimal; otherwise it calls
@@ -33,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import BadParams
-
 EXACT_SEARCH_CAP = 64   # max edge count for the backtracking search
 SEARCH_NODE_BUDGET = 20_000  # max nodes of that search before Misra-Gries takes over
 WEIGHT_MERGE_TOL = 1e-12  # edge weights closer than this share one level
@@ -45,40 +44,10 @@ __all__ = [
     "EdgeColoring",
     "Level",
     "LevelDecomposition",
-    "WeightedGraph",
     "color_edges",
     "edge_color_vizing",
     "level_decompose",
 ]
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Undirected graph on vertices 0..n-1 with strictly positive edge weights."""
-
-    n_vertices: int
-    edges: tuple = ()
-
-    def __post_init__(self):
-        if self.n_vertices < 1:
-            raise BadParams("graph needs at least one vertex")
-        norm = []
-        seen = set()
-        for e in self.edges:
-            k, l, w = int(e[0]), int(e[1]), float(e[2])
-            if not 0 <= k < l < self.n_vertices:
-                raise BadParams(f"edge ({k},{l}) violates 0 <= k < l < {self.n_vertices}")
-            if (k, l) in seen:
-                raise BadParams(f"duplicate edge ({k},{l})")
-            if not w > 0.0:
-                raise BadParams(f"edge ({k},{l}) has non-positive weight {w}")
-            seen.add((k, l))
-            norm.append((k, l, w))
-        object.__setattr__(self, "edges", tuple(norm))
-
-    @property
-    def pairs(self):
-        return tuple((k, l) for k, l, _ in self.edges)
 
 
 def _degrees(pairs) -> dict:
@@ -308,8 +277,10 @@ def edge_color_vizing(pairs) -> tuple:
     return tuple(tuple(sorted(cls)) for cls in classes if cls)
 
 
-def level_decompose(g: WeightedGraph, known: dict) -> LevelDecomposition:
-    """Slice ``g`` at its distinct edge weights, ascending.
+def level_decompose(pairs, weights, known: dict) -> LevelDecomposition:
+    """Slice the graph of ``pairs``, distinct ``(k, l)`` pairs with k < l,
+    at its distinct edge weights, ascending; ``weights[i]`` > 0 is the
+    weight of ``pairs[i]``, and the thresholds are Python floats.
 
     Level j is the subgraph of edges with weight >= r_j.  Weights within
     ``WEIGHT_MERGE_TOL`` of each other share a level (threshold = their
@@ -329,41 +300,40 @@ def level_decompose(g: WeightedGraph, known: dict) -> LevelDecomposition:
     :class:`EdgeColoring`, the :func:`color_edges` result for that edge set,
     which is also what the level is colored from; levels found there are
     not searched again, and levels searched here are added.  The result
-    depends only on the edge set, so a caller that decomposes many graphs
-    (the samples of one integral or one compilation) passes one dict to all
-    of them and gets the same levels as with a fresh dict for each.  Only
-    search results go in, never inherited colorings.
+    depends only on the weighted edge set, so a caller that decomposes many
+    graphs (the samples of one integral or one compilation) passes one dict
+    to all of them and gets the same levels as with a fresh dict for each.
+    Only search results go in, never inherited colorings.
     """
-    if not g.edges:
+    ordered = sorted(zip(pairs, map(float, weights), strict=True), key=lambda e: e[1])
+    if not ordered:
         return LevelDecomposition(())
-    ordered = sorted(g.edges, key=lambda e: e[2])
     clusters = [[ordered[0]]]
     for e in ordered[1:]:
-        if e[2] - clusters[-1][-1][2] < WEIGHT_MERGE_TOL:
+        if e[1] - clusters[-1][-1][1] < WEIGHT_MERGE_TOL:
             clusters[-1].append(e)
         else:
             clusters.append([e])
 
-    deg = _degrees(g.pairs)
+    deg = _degrees(pairs)
     delta = max(deg.values())
     hist = [0] * (delta + 1)  # hist[d]: the number of touched vertices of degree d
     for d in deg.values():
         hist[d] += 1
-    remaining = set(g.pairs)
+    remaining = set(pairs)
     classes = []  # the last level's classes; a class emptied by inheritance stays as ()
     live = 0  # how many entries of classes are non-empty
     holder = {}  # pair -> its index in classes
     levels = []
     for j, cluster in enumerate(clusters):
-        threshold = cluster[-1][2]
+        threshold = cluster[-1][1]
         if levels:
-            gone = []
-            for k, l, _ in clusters[j - 1]:
-                for v in (k, l):
+            gone = [pair for pair, _ in clusters[j - 1]]
+            for pair in gone:
+                for v in pair:
                     hist[deg[v]] -= 1
                     deg[v] -= 1
                     hist[deg[v]] += 1
-                gone.append((k, l))
             while not hist[delta]:
                 delta -= 1
             remaining.difference_update(gone)

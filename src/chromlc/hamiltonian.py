@@ -3,11 +3,12 @@
 A schedule assigns every unordered qubit pair (k, l) a 4x4 Hermitian
 matrix H_kl(t), written in the two-qubit Pauli basis with polynomial
 time dependence on each segment.  From it derive, at any time t, the
-snapshot (every active pair term with its eigendecomposition, and the
-interaction graph weighted by the terms' norms), the weighted chromatic
-index W(t) (threshold integral of that graph's chromatic index, a
-finite sum over distinct norms), and the schedule-level integral I of W
-over [0, T] -- the running-time measure the compiler targets.
+snapshot (every active pair term with its eigendecomposition and norm;
+the pairs are the interaction graph and the norms its edge weights), the
+weighted chromatic index W(t) (threshold integral of that graph's
+chromatic index, a finite sum over distinct norms), and the
+schedule-level integral I of W over [0, T] -- the running-time measure
+the compiler targets.
 
 ``embed_discrete`` maps a gate schedule to an equivalent continuous
 schedule (one unit-length constant segment per step, generators taken
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadParams, NotHermitian, OutOfRange, TooLarge
-from .graphs import WeightedGraph, level_decompose
+from .graphs import level_decompose
 
 if TYPE_CHECKING:  # pragma: no cover
     from .compiler import GateSchedule
@@ -265,7 +266,8 @@ class Snapshot(NamedTuple):
     ``matrices`` (m, 4, 4), their ``eigenvalues`` (m, 4, ascending) and
     ``eigenvectors`` (m, 4, 4, columns), and ``norms`` (m,), the largest
     |eigenvalue| of each.  Terms with norm at most ``ZERO_NORM_TOL`` are
-    left out.  ``graph`` carries the norms as edge weights.
+    left out.  The pairs are the edges of the interaction graph and the
+    norms their weights.
     """
 
     pairs: tuple
@@ -273,11 +275,10 @@ class Snapshot(NamedTuple):
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     norms: np.ndarray
-    graph: WeightedGraph
 
 
-def snapshots(s: HamiltonianSchedule, seg: Segment, times) -> Iterator[Snapshot]:
-    """The snapshot of segment ``seg`` of ``s`` at each of ``times``, in order.
+def snapshots(seg: Segment, times) -> Iterator[Snapshot]:
+    """The snapshot of segment ``seg`` at each of ``times``, in order.
 
     A generator over a sample grid of one segment: it evaluates the times in
     chunks of at most ``EIG_CHUNK`` pair matrices (one time per chunk when a
@@ -300,13 +301,12 @@ def snapshots(s: HamiltonianSchedule, seg: Segment, times) -> Iterator[Snapshot]
             if not full:
                 active = tuple(compress(pairs, on))
                 m, wi, vi, ni = m[on], wi[on], vi[on], ni[on]
-            edges = tuple((k, l, x) for (k, l), x in zip(active, ni.tolist()))
-            yield Snapshot(active, m, wi, vi, ni, WeightedGraph(s.n_qubits, edges))
+            yield Snapshot(active, m, wi, vi, ni)
 
 
 def snapshot(s: HamiltonianSchedule, t: float) -> Snapshot:
     """Every pair term at time t: :func:`snapshots` on a grid of one time."""
-    return next(snapshots(s, s.segment_at(t), [t]))
+    return next(snapshots(s.segment_at(t), [t]))
 
 
 def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int = 64) -> IndexProfile:
@@ -319,9 +319,9 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
     midpoints as one grid of :func:`snapshots`, and the samples of one call
     share a dict of colorings, so a level edge set that recurs (neighbouring
     samples share most of theirs) is colored once per call.  Each value is
-    bit for bit the level sum of the snapshot graph of its time t,
-    ``level_decompose(snapshot(s, t).graph, {}).weighted_sum()``.  An
-    integral or error estimate beyond the float range raises ``TooLarge``.
+    bit for bit the level sum of ``snap = snapshot(s, t)`` at its time t,
+    ``level_decompose(snap.pairs, snap.norms.tolist(), {}).weighted_sum()``.
+    An integral or error estimate beyond the float range raises ``TooLarge``.
     """
     if samples_per_segment < 1:
         raise BadParams("samples_per_segment must be at least 1")
@@ -345,12 +345,12 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
         mids = seg.t_start + (np.arange(n) + 0.5) * (length / n)
         times.extend(mids.tolist())
         if seg.is_constant:
-            (w,) = _grid_values(s, seg, mids[:1], known)
+            (w,) = _grid_values(seg, mids[:1], known)
             values.extend([w] * n)
             total += w * length
             continue
         mids2 = seg.t_start + (np.arange(2 * n) + 0.5) * (length / (2 * n))
-        vals = _grid_values(s, seg, np.concatenate([mids, mids2]), known)
+        vals = _grid_values(seg, np.concatenate([mids, mids2]), known)
         coarse = (length / n) * sum(vals[:n])
         fine = (length / (2 * n)) * sum(vals[n:])
         values.extend(vals[:n])
@@ -361,9 +361,9 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
     return IndexProfile(np.array(times), np.array(values), total, err)
 
 
-def _grid_values(s: HamiltonianSchedule, seg: Segment, times, known: dict) -> list:
+def _grid_values(seg: Segment, times, known: dict) -> list:
     """W at each of ``times`` in segment ``seg``, colorings shared through ``known``."""
-    return [level_decompose(snap.graph, known).weighted_sum() for snap in snapshots(s, seg, times)]
+    return [level_decompose(snap.pairs, snap.norms.tolist(), known).weighted_sum() for snap in snapshots(seg, times)]
 
 
 def embed_discrete(g: "GateSchedule") -> HamiltonianSchedule:

@@ -59,13 +59,14 @@ def gate_from_unitary(pair, u):
 
 
 def w_at(s, t, known=None):
-    """W(t) as ``index`` computes it: the level sum of the snapshot graph at ``t``."""
-    return graphs.level_decompose(hamiltonian.snapshot(s, t).graph, {} if known is None else known).weighted_sum()
+    """W(t) as ``index`` computes it: the level sum of the snapshot's pairs and norms at ``t``."""
+    snap = hamiltonian.snapshot(s, t)
+    return graphs.level_decompose(snap.pairs, snap.norms.tolist(), {} if known is None else known).weighted_sum()
 
 
-def heavier_than(g, r):
-    """The pairs of ``g``'s edges of weight above ``r``: the threshold slice at ``r``."""
-    return tuple((k, l) for k, l, w in g.edges if w > r)
+def heavier_than(pairs, weights, r):
+    """The ``pairs`` of weight above ``r``: the threshold slice at ``r``."""
+    return tuple(pair for pair, w in zip(pairs, weights) if w > r)
 
 
 def degrees(pairs):
@@ -453,22 +454,29 @@ def restricted_to(coloring, pairs):
     return EdgeColoring(tuple(cls for cls in classes if cls), True)
 
 
-def restricting_level_decompose(g):
-    """``level_decompose`` with no dict of known colorings: every level that
-    does not keep its inherited coloring is searched through
-    ``graphs.color_edges``, and the inherited coloring is rebuilt from every
-    class of the level below."""
-    if not g.edges:
-        return LevelDecomposition(())
-    ordered = sorted(g.edges, key=lambda e: e[2])
+def weight_clusters(pairs, weights):
+    """The ``(k, l, w)`` edges in ascending weight, split where consecutive
+    weights differ by at least ``graphs.WEIGHT_MERGE_TOL``."""
+    ordered = sorted(((k, l, float(w)) for (k, l), w in zip(pairs, weights)), key=lambda e: e[2])
     clusters = [[ordered[0]]]
     for e in ordered[1:]:
         if e[2] - clusters[-1][-1][2] < graphs.WEIGHT_MERGE_TOL:
             clusters[-1].append(e)
         else:
             clusters.append([e])
-    deg = degrees(g.pairs)
-    remaining = set(g.pairs)
+    return clusters
+
+
+def restricting_level_decompose(pairs, weights):
+    """``level_decompose`` with no dict of known colorings: every level that
+    does not keep its inherited coloring is searched through
+    ``graphs.color_edges``, and the inherited coloring is rebuilt from every
+    class of the level below."""
+    if not pairs:
+        return LevelDecomposition(())
+    clusters = weight_clusters(pairs, weights)
+    deg = degrees(pairs)
+    remaining = set(pairs)
     levels = []
     for j, cluster in enumerate(clusters):
         threshold = max(e[2] for e in cluster)
@@ -551,21 +559,15 @@ def full_scan_search_edge_coloring(n_vertices, order, k, budget):
     return colors if found else found
 
 
-def recounting_level_decompose(g, known=None):
+def recounting_level_decompose(pairs, weights, known=None):
     """``graphs.level_decompose`` as it was before it kept a degree histogram
     and a class count: every level takes the max degree over all vertices,
     builds its inherited coloring and counts that coloring's classes."""
-    if not g.edges:
+    if not pairs:
         return LevelDecomposition(())
-    ordered = sorted(g.edges, key=lambda e: e[2])
-    clusters = [[ordered[0]]]
-    for e in ordered[1:]:
-        if e[2] - clusters[-1][-1][2] < graphs.WEIGHT_MERGE_TOL:
-            clusters[-1].append(e)
-        else:
-            clusters.append([e])
-    deg = degrees(g.pairs)
-    remaining = set(g.pairs)
+    clusters = weight_clusters(pairs, weights)
+    deg = degrees(pairs)
+    remaining = set(pairs)
     classes = []
     holder = {}
     levels = []
@@ -608,10 +610,11 @@ def per_gate_pair_gates(snap, index, angles):
     ]
 
 
-def per_level_sample_steps(snap, delta, known):
-    """``compiler._sample_steps`` with one ``per_gate_pair_gates`` call per level."""
+def per_level_sample_steps(snap, t_mid, delta, known):
+    """``compiler._sample_steps`` with one ``per_gate_pair_gates`` call per
+    level (``t_mid``, which only names a failing subinterval, is not read)."""
     rows = {pair: i for i, pair in enumerate(snap.pairs)}
-    decomp = graphs.level_decompose(snap.graph, known)
+    decomp = graphs.level_decompose(snap.pairs, snap.norms.tolist(), known)
     steps = []
     prev_r = 0.0
     for level in decomp.levels:
@@ -663,9 +666,10 @@ def per_time_integrated_chromatic_index(s: HamiltonianSchedule, samples: int):
     return hamiltonian.IndexProfile(np.array(times), np.array(values), total, err)
 
 
-def per_time_snapshots(s, seg, times):
-    """``hamiltonian.snapshots`` as one ``snapshot`` call per time."""
-    return (hamiltonian.snapshot(s, t) for t in times)
+def per_time_snapshots(seg, times):
+    """``hamiltonian.snapshots`` as one grid of one time per time, the form
+    of ``hamiltonian.snapshot``."""
+    return (next(hamiltonian.snapshots(seg, [t])) for t in times)
 
 
 def per_row_dumps_schedule(s: HamiltonianSchedule) -> str:

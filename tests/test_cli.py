@@ -908,11 +908,55 @@ def test_generate_refuses_a_non_finite_coupling(tmp_path, capsys, kind, coupling
     path = tmp_path / "s.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run_cli(capsys, "generate", kind, "--n", "3", f"--coupling={coupling}", "-o", str(path))
+        code, out, err = run_cli(capsys, "generate", kind, "--n", "3", "--coupling", coupling, "-o", str(path))
     assert (code, out, caught) == (2, "", [])
     assert err == f"error: coupling must be a finite number, got {float(coupling)}\n"
     assert "Warning" not in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "chain", "--n", "3", "--coupling", "-1e3"],
+        ["generate", "chain", "--n", "3", "--coupling", "-inf"],
+        ["generate", "chain", "--n", "3", "--coupling", "-NaN"],
+        ["generate", "chain", "--n", "3", "--t", "-1e3"],
+        ["generate", "random_graph", "--n", "3", "--p", "-1e-3"],
+        ["compile", "chain.json", "--epsilon", "-1e-3"],
+        ["simulate", "chain.json", "--tol", "-1e-3"],
+        ["verify", "theorem1", "chain.json", "--epsilons", "0.1", "--tol", "-1e-3"],
+        ["verify", "theorem1", "chain.json", "--epsilons", "-1e-3"],
+        ["verify", "variance", "--n", "3", "--alpha", "-1e-3"],
+        ["verify", "variance", "--n", "3", "--alpha", "0.25", "--tol", "-1e-3"],
+        ["trotter", "chain.json", "--m-list", "1", "--epsilons", "-1e-3,-2"],
+        ["trotter", "chain.json", "--m-list", "1", "--tol", "-inf"],
+    ],
+)
+def test_float_options_take_negative_numbers_in_any_spelling(tmp_path, capsys, monkeypatch, argv):
+    # argparse alone reads only -<digits> and -<digits>.<digits> as numbers and
+    # took -1e3 or -inf for an option ("expected one argument"); every float
+    # option now reads them as its value, as its --option=value form does
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "generate", "chain", "--n", "3", "-o", "chain.json")
+    spaced = run_cli(capsys, *argv)
+    joined = run_cli(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
+
+
+def test_compile_refuses_a_gate_angle_beyond_the_float_range(tmp_path, capsys, monkeypatch):
+    # delta * (r_1 - r_0) = 1e300 * 1e300 overflows; it used to leak numpy
+    # warnings and end on a unitarity error
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "generate", "chain", "--n", "3", "--t", "1e300", "--coupling", "1e300", "-o", "h.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "compile", "h.json", "--epsilon", "1e300", "-o", "gates.json")
+    assert (code, out, caught) == (2, "", [])
+    assert err == "error: the gate angles of the subinterval at t=5e+299 exceed the float range\n"
+    assert "Warning" not in err
+    assert sorted(os.listdir(tmp_path)) == ["h.json"]
 
 
 def test_cli_outputs_deterministic(tmp_path, capsys):

@@ -289,6 +289,15 @@ def test_compile_repeats_each_constant_segment_block():
     assert blocks[0][0] != blocks[5][0]
 
 
+def test_report_thresholds_are_python_floats():
+    # numpy 2 writes an np.float64 as np.float64(...), so a numpy scalar here would change the repr
+    _, report = compile(random_time_varying(6, p=0.6, seed=3), 0.05)
+    thresholds = [r for interval in report.intervals for r in interval.thresholds]
+    assert len(thresholds) == 220
+    assert all(type(r) is float for r in thresholds)
+    assert "np." not in repr(report.intervals)
+
+
 def test_compile_colors_each_distinct_edge_set_once(monkeypatch):
     # the compile_tv instance: 20 subintervals, 72 level searches without the per-call dict
     s = random_time_varying(6, p=0.6, seed=3)
@@ -297,7 +306,7 @@ def test_compile_colors_each_distinct_edge_set_once(monkeypatch):
     assert len(searched) == len(set(searched)) == 11
     ours = set(searched)
     searched.clear()
-    monkeypatch.setattr(compiler, "level_decompose", lambda graph, known: restricting_level_decompose(graph))
+    monkeypatch.setattr(compiler, "level_decompose", lambda pairs, weights, known: restricting_level_decompose(pairs, weights))
     oracle_g, oracle_report = compile(s, 0.05)
     assert len(searched) == 72 and set(searched) == ours
     assert g == oracle_g
@@ -448,7 +457,7 @@ def test_rechromatize_k1_is_midpoint_snapshot():
     assert abs(out.total_time - 1.0) < 1e-12
     for seg in out.segments:
         mid = (seg.t_start + seg.t_end) / 2.0
-        assert snapshot(out, mid).graph.pairs == snapshot(s, 0.5).graph.pairs
+        assert snapshot(out, mid).pairs == snapshot(s, 0.5).pairs
 
 
 def test_rechromatize_chain_to_matchings():

@@ -4,11 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromlc import graphs
-from chromlc.errors import BadParams
 from chromlc.graphs import (
     EXACT_SEARCH_CAP,
     EdgeColoring,
-    WeightedGraph,
     color_edges,
     edge_color_vizing,
     level_decompose,
@@ -26,8 +24,9 @@ from helpers import (
 )
 
 
-def complete_graph(n, w=1.0):
-    return WeightedGraph(n, tuple((i, j, w) for i in range(n) for j in range(i + 1, n)))
+def complete_graph(n):
+    """The pairs of the complete graph on ``n`` vertices."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 def exact_index(pairs):
@@ -42,33 +41,48 @@ def indices(ld):
     return [len(lv.coloring.classes) for lv in ld.levels]
 
 
-def slice_at(edges, r):
-    """The pairs of ``edges`` of weight at least ``r``: the level at threshold ``r``."""
-    return tuple(e[:2] for e in edges if e[2] >= r)
+def slice_at(pairs, weights, r):
+    """The ``pairs`` of weight at least ``r``: the level at threshold ``r``."""
+    return tuple(pair for pair, w in zip(pairs, weights) if w >= r)
 
 
-def fallback_k8_edges():
-    """K8 as K7 (weight 2) plus a vertex joined by weight-1 edges."""
-    edges = tuple((i, j, 2.0) for i in range(7) for j in range(i + 1, 7))
-    return edges + tuple((i, 7, 1.0) for i in range(7))
+def random_weighted_pairs(rng, n, p, low, high):
+    """(pairs, weights): each pair on ``n`` vertices kept with probability
+    ``p``, with a weight drawn uniformly from [low, high)."""
+    pairs, weights = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                pairs.append((i, j))
+                weights.append(float(rng.uniform(low, high)))
+    return tuple(pairs), tuple(weights)
+
+
+def fallback_k8():
+    """(pairs, weights): K8 as K7 (weight 2) plus a vertex joined by weight-1 edges."""
+    heavy = complete_graph(7)
+    light = tuple((i, 7) for i in range(7))
+    return heavy + light, (2.0,) * len(heavy) + (1.0,) * len(light)
 
 
 @st.composite
 def small_graphs(draw, max_vertices, weights=(1.0,)):
-    """(n, edges): n <= max_vertices, each pair present or not, weights drawn from ``weights``."""
+    """(n, pairs, weights): n <= max_vertices, each pair present or not,
+    its weight drawn from ``weights``."""
     n = draw(st.integers(1, max_vertices))
-    edges = []
+    pairs, drawn = [], []
     for i in range(n):
         for j in range(i + 1, n):
             if draw(st.booleans()):
-                edges.append((i, j, draw(st.sampled_from(weights))))
-    return n, tuple(edges)
+                pairs.append((i, j))
+                drawn.append(draw(st.sampled_from(weights)))
+    return n, tuple(pairs), tuple(drawn)
 
 
 @st.composite
 def graph_sequences(draw):
-    """Weighted graphs on one vertex set that reuse a few edge sets, each
-    time with freshly drawn weights, so level edge sets recur."""
+    """(pairs, weights) graphs on one vertex set that reuse a few edge sets,
+    each time with freshly drawn weights, so level edge sets recur."""
     n = draw(st.integers(2, 7))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edge_sets = draw(st.lists(st.lists(st.sampled_from(pairs), unique=True), min_size=1, max_size=3))
@@ -77,7 +91,7 @@ def graph_sequences(draw):
         chosen = draw(st.sampled_from(edge_sets))
         weights = st.sampled_from((0.5, 1.0, 1.5, 2.0))
         weights = draw(st.lists(weights, min_size=len(chosen), max_size=len(chosen)))
-        out.append(WeightedGraph(n, tuple((k, l, w) for (k, l), w in zip(chosen, weights))))
+        out.append((tuple(chosen), tuple(weights)))
     return out
 
 
@@ -103,21 +117,10 @@ def petersen_copies(copies, rng):
     return tuple(relabeled)
 
 
-def test_graph_validation():
-    with pytest.raises(BadParams):
-        WeightedGraph(3, ((0, 0, 1.0),))
-    with pytest.raises(BadParams):
-        WeightedGraph(3, ((0, 2, 1.0), (0, 2, 2.0)))
-    with pytest.raises(BadParams):
-        WeightedGraph(3, ((0, 1, 0.0),))
-    with pytest.raises(BadParams):
-        WeightedGraph(3, ((1, 3, 1.0),))
-
-
 def test_chromatic_index_examples():
     assert exact_index(((0, 1), (2, 3), (4, 5))) == 1  # a matching
     assert exact_index(tuple((i, i + 1) for i in range(4))) == 2  # a path
-    assert exact_index(complete_graph(4).pairs) == 3
+    assert exact_index(complete_graph(4)) == 3
     assert exact_index(()) == 0
 
 
@@ -143,8 +146,7 @@ def test_chromatic_index_matches_enumeration_oracle():
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(7))
 def test_chromatic_index_matches_oracle_property(graph):
-    n, edges = graph
-    pairs = tuple(e[:2] for e in edges)
+    n, pairs, _ = graph
     res = color_edges(pairs)
     assert res.exact
     assert len(res.classes) == oracle_chromatic_index(pairs, n)
@@ -176,7 +178,7 @@ def test_shuffled_petersen_copies_finish_fast():
     ],
 )
 def test_dense_colorings_finish_fast(n, missing, index):
-    pairs = tuple(pair for pair in complete_graph(n).pairs if pair not in missing)
+    pairs = tuple(pair for pair in complete_graph(n) if pair not in missing)
     with wall_clock_bound(2.0):
         res = color_edges(pairs)
     assert (len(res.classes), res.exact) == (index, True)
@@ -186,7 +188,7 @@ def test_dense_colorings_finish_fast(n, missing, index):
 def test_spent_search_budget_is_reported(monkeypatch):
     # K8 is 7-colorable, but a search stopped at once leaves Misra-Gries's 8 classes
     monkeypatch.setattr(graphs, "SEARCH_NODE_BUDGET", 1)
-    pairs = complete_graph(8).pairs
+    pairs = complete_graph(8)
     res = color_edges(pairs)
     assert (len(res.classes), res.exact) == (8, False)
     assert res.is_valid_for(pairs)
@@ -207,7 +209,7 @@ def test_search_matches_the_full_scan(instance, budget):
 
 
 def test_color_edges_falls_back_beyond_cap():
-    pairs = complete_graph(12).pairs  # 66 edges
+    pairs = complete_graph(12)  # 66 edges
     res = color_edges(pairs)
     assert not res.exact
     assert res.is_valid_for(pairs)
@@ -219,9 +221,9 @@ def test_class_two_graphs():
     # odd cycles and odd complete graphs need max degree + 1 colors
     c5 = tuple((i, i + 1) for i in range(4)) + ((0, 4),)
     assert exact_index(c5) == 3
-    assert exact_index(complete_graph(5).pairs) == 5
-    assert exact_index(complete_graph(6).pairs) == 5
-    assert exact_index(complete_graph(7).pairs) == 7
+    assert exact_index(complete_graph(5)) == 5
+    assert exact_index(complete_graph(6)) == 5
+    assert exact_index(complete_graph(7)) == 7
 
 
 def test_vizing_trivials():
@@ -244,8 +246,7 @@ def test_vizing_random_graphs():
 
 
 def test_level_decompose_single_level():
-    g = WeightedGraph(4, ((0, 1, 0.7), (1, 2, 0.7), (2, 3, 0.7)))
-    ld = level_decompose(g, {})
+    ld = level_decompose(((0, 1), (1, 2), (2, 3)), (0.7, 0.7, 0.7), {})
     assert len(ld.levels) == 1
     assert ld.levels[0].threshold == 0.7
     assert indices(ld) == [2]
@@ -254,8 +255,7 @@ def test_level_decompose_single_level():
 
 def test_level_decompose_weighted_chain():
     # chain 0-1-2-3 with weights 1,2,3: levels (1,2), (2,2), (3,1), sum 5
-    g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)))
-    ld = level_decompose(g, {})
+    ld = level_decompose(((0, 1), (1, 2), (2, 3)), (1.0, 2.0, 3.0), {})
     assert ld.thresholds() == (1.0, 2.0, 3.0)
     assert indices(ld) == [2, 2, 1]
     assert abs(ld.weighted_sum() - 5.0) < 1e-12
@@ -266,30 +266,23 @@ def test_level_decompose_weighted_chain():
 def test_level_indices_non_increasing_and_colorings_valid():
     rng = np.random.default_rng(21)
     for _ in range(40):
-        n = int(rng.integers(2, 8))
-        edges = tuple(
-            (i, j, float(rng.uniform(0.1, 2.0)))
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < 0.55
-        )
-        g = WeightedGraph(n, edges)
-        ld = level_decompose(g, {})
+        pairs, weights = random_weighted_pairs(rng, int(rng.integers(2, 8)), 0.55, 0.1, 2.0)
+        ld = level_decompose(pairs, weights, {})
         assert indices(ld) == sorted(indices(ld), reverse=True)
         prev = 0.0
         for lv in ld.levels:
             assert lv.threshold > prev
             prev = lv.threshold
-            assert lv.coloring.is_valid_for(slice_at(edges, lv.threshold))
+            assert lv.coloring.is_valid_for(slice_at(pairs, weights, lv.threshold))
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(9, weights=(0.5, 1.0, 1.5, 2.0)))
 def test_level_colorings_are_exact_property(graph):
-    n, edges = graph
-    ld = level_decompose(WeightedGraph(n, edges), {})
+    _, pairs, weights = graph
+    ld = level_decompose(pairs, weights, {})
     for lv in ld.levels:
-        sub = slice_at(edges, lv.threshold)
+        sub = slice_at(pairs, weights, lv.threshold)
         assert lv.coloring.is_valid_for(sub)
         assert lv.exact
         assert len(lv.coloring.classes) == exact_index(sub)
@@ -299,37 +292,36 @@ def test_level_colorings_are_exact_property(graph):
 @given(small_graphs(8, weights=(0.5, 1.0, 1.0 + 1e-13, 1.5, 2.0)), st.data())
 def test_results_do_not_depend_on_edge_order(graph, data):
     # a coloring is a function of the pair set, and a decomposition of the weighted edge set
-    n, edges = graph
-    shuffled = data.draw(st.permutations(edges))
-    pairs = tuple(e[:2] for e in edges)
+    _, pairs, weights = graph
+    shuffled = data.draw(st.permutations(tuple(zip(pairs, weights))))  # each pair keeps its weight
     res = color_edges(pairs)
-    assert color_edges(tuple(e[:2] for e in shuffled)) == res
+    assert color_edges(tuple(pair for pair, _ in shuffled)) == res
     assert color_edges(frozenset(pairs)) == res
-    ld = level_decompose(WeightedGraph(n, edges), {})
-    assert level_decompose(WeightedGraph(n, tuple(shuffled)), {}) == ld
+    ld = level_decompose(pairs, weights, {})
+    assert level_decompose(tuple(pair for pair, _ in shuffled), tuple(w for _, w in shuffled), {}) == ld
 
 
 def test_level_decompose_fallback_is_reported(monkeypatch):
     # past the cap, K8 (not overfull) keeps Misra-Gries's 8 classes unproven, while
     # K7 (overfull) has its 7 proven
     monkeypatch.setattr(graphs, "EXACT_SEARCH_CAP", 16)
-    edges = fallback_k8_edges()
-    ld = level_decompose(WeightedGraph(8, edges), {})
+    pairs, weights = fallback_k8()
+    ld = level_decompose(pairs, weights, {})
     assert [(len(lv.coloring.classes), lv.exact) for lv in ld.levels] == [(8, False), (7, True)]
     for lv in ld.levels:
-        assert lv.coloring.is_valid_for(slice_at(edges, lv.threshold))
+        assert lv.coloring.is_valid_for(slice_at(pairs, weights, lv.threshold))
 
 
 @settings(max_examples=150, deadline=None)
 @given(graph_sequences())
 def test_shared_colorings_give_the_levels_of_each_graph_alone(sequence):
     known = {}
-    for g in sequence:
-        shared = level_decompose(g, known)
-        assert shared == level_decompose(g, {})
-        assert shared == restricting_level_decompose(g)
+    for pairs, weights in sequence:
+        shared = level_decompose(pairs, weights, known)
+        assert shared == level_decompose(pairs, weights, {})
+        assert shared == restricting_level_decompose(pairs, weights)
         for lv in shared.levels:
-            sub = slice_at(g.edges, lv.threshold)
+            sub = slice_at(pairs, weights, lv.threshold)
             assert max_degree(sub) <= len(lv.coloring.classes) <= max_degree(sub) + 1
             assert lv.coloring.is_valid_for(sub)
     for pairs, coloring in known.items():  # search results only, keyed by their edge set
@@ -341,12 +333,12 @@ def test_shared_colorings_keep_fallbacks(monkeypatch):
     monkeypatch.setattr(graphs, "EXACT_SEARCH_CAP", 16)
     searched = record_searches(monkeypatch)
     known = {}
+    pairs, base = fallback_k8()
     for low, high in ((1.0, 2.0), (0.5, 3.0), (1.0, 2.0)):
-        edges = tuple((k, l, high if w == 2.0 else low) for k, l, w in fallback_k8_edges())
-        g = WeightedGraph(8, edges)
-        ld = level_decompose(g, known)
+        weights = tuple(high if w == 2.0 else low for w in base)
+        ld = level_decompose(pairs, weights, known)
         assert [(len(lv.coloring.classes), lv.exact) for lv in ld.levels] == [(8, False), (7, True)]
-        assert ld == restricting_level_decompose(g)
+        assert ld == restricting_level_decompose(pairs, weights)
     # two searches in all with the shared dict, two per graph for the oracle
     assert len(searched) == 3 * 2 + 2
     assert len(set(searched)) == 2 and set(known) == set(searched)
@@ -354,14 +346,14 @@ def test_shared_colorings_keep_fallbacks(monkeypatch):
 
 @settings(max_examples=150, deadline=None)
 @given(graph_sequences())
-@example([WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0), (0, 2, 2.0), (1, 3, 2.0)))])
+@example([(((0, 1), (2, 3), (0, 2), (1, 3)), (1.0, 1.0, 2.0, 2.0))])
 def test_levels_match_recounting_every_level(sequence):
     # weights take four values, so clusters of several edges leave at once; in the
     # 4-cycle the weight-1 edges are one class, which empties as the max degree drops
     known, oracle_known = {}, {}
-    for g in sequence:
-        assert level_decompose(g, {}) == recounting_level_decompose(g)
-        assert level_decompose(g, known) == recounting_level_decompose(g, oracle_known)
+    for pairs, weights in sequence:
+        assert level_decompose(pairs, weights, {}) == recounting_level_decompose(pairs, weights)
+        assert level_decompose(pairs, weights, known) == recounting_level_decompose(pairs, weights, oracle_known)
     assert known == oracle_known
 
 
@@ -369,22 +361,15 @@ def test_level_sum_matches_midpoint_quadrature():
     # midpoint rule at 10x level resolution integrates the level steps exactly
     rng = np.random.default_rng(33)
     for _ in range(30):
-        n = int(rng.integers(2, 7))
-        edges = tuple(
-            (i, j, float(rng.uniform(0.1, 3.0)))
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < 0.5
-        )
-        g = WeightedGraph(n, edges)
-        ld = level_decompose(g, {})
+        pairs, weights = random_weighted_pairs(rng, int(rng.integers(2, 7)), 0.5, 0.1, 3.0)
+        ld = level_decompose(pairs, weights, {})
         total = 0.0
         prev = 0.0
         for lv in ld.levels:
             h = (lv.threshold - prev) / 10.0
             for i in range(10):
                 r = prev + (i + 0.5) * h
-                total += exact_index(heavier_than(g, r)) * h
+                total += exact_index(heavier_than(pairs, weights, r)) * h
             prev = lv.threshold
         assert abs(total - ld.weighted_sum()) < 1e-12
 
@@ -392,22 +377,14 @@ def test_level_sum_matches_midpoint_quadrature():
 def test_threshold_monotonicity():
     rng = np.random.default_rng(41)
     for _ in range(25):
-        n = int(rng.integers(3, 8))
-        edges = tuple(
-            (i, j, float(rng.uniform(0.1, 2.0)))
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < 0.5
-        )
-        g = WeightedGraph(n, edges)
+        pairs, weights = random_weighted_pairs(rng, int(rng.integers(3, 8)), 0.5, 0.1, 2.0)
         r1, r2 = sorted(rng.uniform(0.0, 2.2, size=2))
-        i1 = exact_index(heavier_than(g, r1))
-        i2 = exact_index(heavier_than(g, r2))
+        i1 = exact_index(heavier_than(pairs, weights, r1))
+        i2 = exact_index(heavier_than(pairs, weights, r2))
         assert i2 <= i1
 
 
 def test_near_equal_weights_merge():
-    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0 + 1e-13)))
-    ld = level_decompose(g, {})
+    ld = level_decompose(((0, 1), (1, 2)), (1.0, 1.0 + 1e-13), {})
     assert len(ld.levels) == 1
     assert indices(ld) == [2]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chromlc import hamiltonian, linalg
 from chromlc.simulator import MeanFieldObservable
 from chromlc.errors import BadParams, OutOfRange, TooLarge
-from chromlc.graphs import color_edges
+from chromlc.graphs import color_edges, level_decompose
 from chromlc.hamiltonian import (
     MAX_GENERATED_TERMS,
     PAULI_LABELS,
@@ -218,7 +218,7 @@ def test_matrices_at_on_a_vector_names_the_first_overflowing_time_and_pair():
     s = HamiltonianSchedule(4, (seg,))
     grid = np.linspace(0.0, 1e38, 5 * hamiltonian.EIG_CHUNK)
     with pytest.raises(TooLarge) as info:
-        for _ in snapshots(s, seg, grid):
+        for _ in snapshots(seg, grid):
             pass
     assert str(info.value) == first_failure(grid)
 
@@ -232,13 +232,13 @@ def test_snapshots_of_a_grid_equal_the_one_time_snapshots():
     seg = Segment(0.0, 1.0, pairs, tracks)
     s = HamiltonianSchedule(5, (seg,))
     grid = np.concatenate([[0.5], np.linspace(0.0, 1.0, 3 * (hamiltonian.EIG_CHUNK // 10) + 7), [0.5]])
-    got = list(snapshots(s, seg, grid))
+    got = list(snapshots(seg, grid))
     assert len(got) == len(grid)
     assert len(got[0].pairs) == len(got[-1].pairs) == 9
     for snap, t in zip(got, grid):
         one = snapshot(s, t)
-        assert snap.pairs == one.pairs and snap.graph == one.graph
-        for a, b in zip(snap[1:5], one[1:5]):
+        assert snap.pairs == one.pairs
+        for a, b in zip(snap[1:], one[1:]):
             assert a.tobytes() == b.tobytes()
 
 
@@ -279,11 +279,11 @@ def test_segment_lookup_is_bounded_on_many_segments():
 
 def test_snapshot_graph():
     s = chain(4, 1.0, 1.0)
-    g = snapshot(s, 0.5).graph
-    assert g.pairs == ((0, 1), (1, 2), (2, 3))
-    assert all(abs(w - 1.0) < 1e-9 for _, _, w in g.edges)
+    snap = snapshot(s, 0.5)
+    assert snap.pairs == ((0, 1), (1, 2), (2, 3))
+    assert all(abs(w - 1.0) < 1e-9 for w in snap.norms)
     zero = single_pair_schedule({}, t_total=1.0)
-    assert snapshot(zero, 0.2).graph.edges == ()
+    assert snapshot(zero, 0.2).pairs == ()
 
 
 def test_snapshot_norms_match_operator_norm():
@@ -300,18 +300,27 @@ def test_snapshot_norms_match_operator_norm():
             assert np.array_equal(snap.matrices[i], matrix)
             w, v = snap.eigenvalues[i], snap.eigenvectors[i]
             assert np.max(np.abs((v * w) @ v.conj().T - matrix)) < 1e-12
-        assert snap.graph.edges == tuple(
-            (k, l, float(x)) for (k, l), x in zip(snap.pairs, snap.norms)
-        )
 
 
 def test_snapshot_drops_zero_terms():
     s = HamiltonianSchedule(3, (Segment(0.0, 1.0, ((0, 1),), np.zeros((1, 16, 1))),))
     snap = snapshot(s, 0.5)
-    assert snap.pairs == () and snap.graph.edges == ()
+    assert snap.pairs == ()
     assert snap.matrices.shape == (0, 4, 4) and snap.norms.shape == (0,)
     empty = HamiltonianSchedule(3, (Segment(0.0, 1.0),))
     assert snapshot(empty, 0.5).pairs == ()
+
+
+def test_level_decompose_reads_norms_as_an_array():
+    # the index_dense draw: a snapshot's norms array gives the levels of its
+    # list, and the thresholds stay Python floats either way
+    s = random_time_varying(12, p=0.7, seed=3)
+    for t in (0.1, 0.55, 0.9):
+        snap = snapshot(s, t)
+        ld = level_decompose(snap.pairs, snap.norms, {})
+        assert ld == level_decompose(snap.pairs, snap.norms.tolist(), {})
+        assert len(ld.levels) > 1
+        assert all(type(r) is float for r in ld.thresholds())
 
 
 def test_weighted_chromatic_index_examples():
@@ -327,15 +336,15 @@ def test_weighted_index_matches_direct_threshold_integration():
     rng = np.random.default_rng(6)
     for seed in range(8):
         s = random_graph(5, p=0.6, seed=seed, coupling=float(rng.uniform(0.5, 2.0)))
-        g = snapshot(s, 0.5).graph
-        if not g.edges:
+        snap = snapshot(s, 0.5)
+        if not snap.pairs:
             continue
-        thresholds = sorted(set(w for _, _, w in g.edges))
+        thresholds = sorted(set(snap.norms.tolist()))
         total = 0.0
         prev = 0.0
         for r in thresholds:
             mid = (prev + r) / 2.0
-            res = color_edges(heavier_than(g, mid))
+            res = color_edges(heavier_than(snap.pairs, snap.norms, mid))
             assert res.exact
             total += len(res.classes) * (r - prev)
             prev = r
@@ -346,12 +355,12 @@ def test_weighted_index_bounds():
     rng = np.random.default_rng(8)
     for seed in range(10):
         s = random_graph(6, p=0.5, seed=seed)
-        g = snapshot(s, 0.3).graph
-        if not g.edges:
+        snap = snapshot(s, 0.3)
+        if not snap.pairs:
             continue
         w = w_at(s, 0.3)
-        max_norm = max(e[2] for e in g.edges)
-        assert max_norm - 1e-12 <= w <= len(g.edges) * max_norm + 1e-12
+        max_norm = float(snap.norms.max())
+        assert max_norm - 1e-12 <= w <= len(snap.pairs) * max_norm + 1e-12
 
 
 def test_integrated_index_constant_exact():
@@ -400,7 +409,7 @@ def test_index_colors_each_distinct_edge_set_once_per_call(monkeypatch):
 
     ours = set(searched)
     searched.clear()
-    monkeypatch.setattr(hamiltonian, "level_decompose", lambda g, known: restricting_level_decompose(g))
+    monkeypatch.setattr(hamiltonian, "level_decompose", lambda pairs, weights, known: restricting_level_decompose(pairs, weights))
     oracle = integrated_chromatic_index(s, 8)
     assert len(searched) == 187
     assert set(searched) == ours

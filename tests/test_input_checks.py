@@ -7,7 +7,7 @@ import pytest
 from chromlc import linalg, simulator
 from chromlc.compiler import Gate, GateSchedule
 from chromlc.errors import BadParams, NotUnitary, ParseError
-from chromlc.graphs import EdgeColoring, WeightedGraph
+from chromlc.graphs import EdgeColoring
 from chromlc.hamiltonian import (
     HamiltonianSchedule,
     Segment,
@@ -43,7 +43,6 @@ PATH = ((0, 1), (1, 2))
         (lambda: random_graph(3, segments=0), BadParams, "segments must be at least 1"),
         (lambda: random_graph(3, p=1.5), BadParams, "edge probability"),
         (lambda: random_time_varying(3, degree=9), BadParams, "degree must lie in"),
-        (lambda: WeightedGraph(0), BadParams, "at least one vertex"),
         (lambda: Gate((0, 1), np.eye(2), 0.0), BadParams, "gate unitary must be 4x4"),
         (lambda: GateSchedule(1, ()), BadParams, "at least two qubits"),
         (lambda: MeanFieldObservable.pauli(2, "w"), BadParams, "axis must be one of"),
