@@ -22,6 +22,10 @@ here: callers that want it, such as ``chromlc compile --report``, ask
 passes over the pair list) and ``rechromatize`` rewrites a schedule so
 its instantaneous chromatic index never exceeds a cap, stretching time
 by the matching-group count instead.
+
+``embed_discrete`` is the other direction: a gate schedule as a continuous
+one (a unit-length constant segment per step, generators from the principal
+logarithm) whose integrated index equals its weighted depth exactly.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
     "IntervalReport",
     "Step",
     "compile",
+    "embed_discrete",
     "rechromatize",
     "trotterize",
     "weighted_depth",
@@ -347,3 +352,21 @@ def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianS
                 out_segments.append(Segment(t_cursor, t_cursor + delta, tuple(pairs), tracks))
                 t_cursor += delta
     return HamiltonianSchedule(s.n_qubits, tuple(out_segments))
+
+
+def embed_discrete(g: GateSchedule) -> HamiltonianSchedule:
+    """Continuous schedule equivalent to a gate schedule, step by step.
+
+    Step j becomes the constant segment [j-1, j] whose pair terms generate
+    the step's gates over unit time (H = -log(u), so exp(-i*H*1) = u).  An
+    empty gate schedule maps to a single zero segment of unit length.
+    """
+    if not g.steps:
+        return HamiltonianSchedule(g.n_qubits, (Segment(0.0, 1.0),))
+    segments = []
+    for j, step in enumerate(g.steps):
+        gates = sorted(step.gates, key=lambda gt: gt.pair)
+        coeffs = [pauli_coeffs(-linalg.unitary_log(gate.unitary)) for gate in gates]
+        tracks = np.reshape(coeffs, (len(gates), 16, 1))
+        segments.append(Segment(float(j), float(j + 1), tuple(gate.pair for gate in gates), tracks))
+    return HamiltonianSchedule(g.n_qubits, tuple(segments))

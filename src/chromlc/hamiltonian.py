@@ -9,11 +9,6 @@ weighted chromatic index W(t) (threshold integral of that graph's
 chromatic index, a finite sum over distinct norms), and the
 schedule-level integral I of W over [0, T] -- the running-time measure
 the compiler targets.
-
-``embed_discrete`` maps a gate schedule to an equivalent continuous
-schedule (one unit-length constant segment per step, generators taken
-from the principal logarithm), so that I equals the gate schedule's
-weighted depth exactly.
 """
 
 from __future__ import annotations
@@ -22,16 +17,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .errors import BadParams, NotHermitian, OutOfRange, TooLarge
 from .graphs import level_decompose
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .compiler import GateSchedule
 
 MAX_POLY_DEGREE = 8
 # Cap on samples: quadrature points per segment of integrated_chromatic_index,
@@ -85,7 +77,6 @@ __all__ = [
     "chain",
     "complete_mean_field",
     "disjoint_pairs",
-    "embed_discrete",
     "generate",
     "integrated_chromatic_index",
     "pauli_coeffs",
@@ -364,24 +355,6 @@ def integrated_chromatic_index(s: HamiltonianSchedule, samples_per_segment: int 
 def _grid_values(seg: Segment, times, known: dict) -> list:
     """W at each of ``times`` in segment ``seg``, colorings shared through ``known``."""
     return [level_decompose(snap.pairs, snap.norms.tolist(), known).weighted_sum() for snap in snapshots(seg, times)]
-
-
-def embed_discrete(g: "GateSchedule") -> HamiltonianSchedule:
-    """Continuous schedule equivalent to a gate schedule, step by step.
-
-    Step j becomes the constant segment [j-1, j] whose pair terms generate
-    the step's gates over unit time (H = -log(u), so exp(-i*H*1) = u).  An
-    empty gate schedule maps to a single zero segment of unit length.
-    """
-    if not g.steps:
-        return HamiltonianSchedule(g.n_qubits, (Segment(0.0, 1.0),))
-    segments = []
-    for j, step in enumerate(g.steps):
-        gates = sorted(step.gates, key=lambda gt: gt.pair)
-        coeffs = [pauli_coeffs(-linalg.unitary_log(gate.unitary)) for gate in gates]
-        tracks = np.reshape(coeffs, (len(gates), 16, 1))
-        segments.append(Segment(float(j), float(j + 1), tuple(gate.pair for gate in gates), tracks))
-    return HamiltonianSchedule(g.n_qubits, tuple(segments))
 
 
 def scale_schedule(s: HamiltonianSchedule, factor: float) -> HamiltonianSchedule:

@@ -10,7 +10,9 @@ operator is never materialized.
 through a gate schedule, gate by gate, or through a Hamiltonian schedule,
 by integrating d psi/dt = -i H(t) psi one segment after the other.  A
 segment of length L gets the share tol * L / T of the tolerance, which
-must be finite and at least 1e-12.  On a segment, -i H(t) = sum_d t^d G_d,
+must be at least 1e-12 and below 1.  Every column, a unit vector at the
+start, must end within max(1e-6, tol) of norm 1 (from tol = 1 on, that
+would pass a column of norm 2).  On a segment, -i H(t) = sum_d t^d G_d,
 where G_d comes from the degree-d slice of the segment's (terms, 16,
 degree + 1) coefficient array, and the segment builds this map once.
 
@@ -93,9 +95,9 @@ __all__ = [
 
 
 def check_tolerance(tol: float):
-    """Raise ``BadParams`` unless ``tol`` is a finite integrator tolerance >= 1e-12."""
-    if not (math.isfinite(tol) and tol >= 1e-12):
-        raise BadParams(f"integrator tolerance must be a finite number >= 1e-12, got {tol}")
+    """Raise ``BadParams`` unless ``tol`` is an integrator tolerance in [1e-12, 1)."""
+    if not (1e-12 <= tol < 1):
+        raise BadParams(f"integrator tolerance must be a finite number >= 1e-12 and below 1, got {tol}")
 
 
 def check_state_size(n_qubits: int):
@@ -339,8 +341,8 @@ def propagate(x, array, tol: float = 1e-10) -> np.ndarray:
 
     A ``GateSchedule`` applies its steps in order.  A ``HamiltonianSchedule``
     is integrated to ``tol``, and every column, a unit vector at the start,
-    must end within ``NORM_DRIFT_LIMIT`` of norm 1 (``NormDrift`` otherwise);
-    the columns are not renormalized.
+    must end within ``max(NORM_DRIFT_LIMIT, tol)`` of norm 1 (``NormDrift``
+    otherwise); the columns are not renormalized.
     """
     if not isinstance(x, (GateSchedule, HamiltonianSchedule)):
         raise BadParams(f"cannot propagate through a {type(x).__name__}")
@@ -358,7 +360,7 @@ def propagate(x, array, tol: float = 1e-10) -> np.ndarray:
     array = _integrate_adaptive(x, array, tol)
     norms = np.linalg.norm(array.reshape(len(array), -1), axis=0)
     worst = float(norms[np.argmax(np.abs(norms - 1.0))])  # nan when any column is
-    if not abs(worst - 1.0) <= NORM_DRIFT_LIMIT:
+    if not abs(worst - 1.0) <= max(NORM_DRIFT_LIMIT, tol):
         raise NormDrift(f"integration drifted the norm to {worst}")
     return array
 

@@ -11,11 +11,10 @@ from itertools import combinations, permutations
 import numpy as np
 
 from chromlc import analysis, linalg
-from chromlc.compiler import compile, rechromatize, trotterize, weighted_depth
+from chromlc.compiler import compile, embed_discrete, rechromatize, trotterize, weighted_depth
 from chromlc.graphs import EdgeColoring, color_edges, edge_color_vizing
 from chromlc.hamiltonian import (
     chain,
-    embed_discrete,
     integrated_chromatic_index,
     random_graph,
     snapshot,

@@ -20,14 +20,13 @@ from hypothesis import strategies as st
 from chromlc import analysis, cli, linalg
 from chromlc.cli import main
 from chromlc.errors import ChromlcError
-from chromlc.compiler import GateSchedule, Step
+from chromlc.compiler import GateSchedule, Step, embed_discrete
 from chromlc.hamiltonian import (
     GENERATORS,
     MAX_GENERATED_TERMS,
     MAX_INDEX_SAMPLES,
     MAX_SAMPLES_PER_SEGMENT,
     chain,
-    embed_discrete,
     integrated_chromatic_index,
 )
 from chromlc.serialization import (
@@ -568,7 +567,7 @@ def test_index_and_compile_on_a_huge_register(tmp_path, capsys, command):
         assert loads_gates(gpath.read_text()).n_qubits == 2**61
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "1", "100"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -581,7 +580,9 @@ def test_index_and_compile_on_a_huge_register(tmp_path, capsys, command):
 )
 def test_bad_tolerance_exits_2(tmp_path, capsys, argv, tol):
     # a NaN tolerance used to halve the RK4 step toward 2^24 times the
-    # first count; the timer turns such a run into a failure
+    # first count; the timer turns such a run into a failure.  From 1 on, a
+    # drift check as loose as the tolerance would pass a column of norm 2,
+    # and at 100 the Taylor order falls to 0, leaving the state unevolved
     spath = tmp_path / "chain.json"
     run_cli(capsys, "generate", "chain", "--n", "3", "-o", str(spath))
     with wall_clock_bound(20.0):
@@ -589,6 +590,31 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, argv, tol):
     assert code == 2
     assert err.startswith("error: integrator tolerance must be a finite number >= 1e-12")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "{doc}", "--state", "basis:1"),
+        ("verify", "variance", "--n", "6", "--alpha", "0.3", "--trials", "5"),
+        ("verify", "theorem1", "{doc}", "--epsilons", "0.2,0.1"),
+        ("trotter", "{doc}", "--m-list", "2"),
+    ],
+)
+def test_loose_tolerance_stays_within_it(tmp_path, capsys, argv):
+    # the integrator promises an error of at most tol, so the norm may
+    # drift that far: a fixed 1e-6 drift limit would end in NormDrift
+    spath = tmp_path / "g3.json"
+    run_cli(capsys, "generate", "random_graph", "--n", "3", "--p", "1", "--seed", "2", "-o", str(spath))
+    argv = [a.format(doc=spath) for a in argv]
+    results = []
+    for tol in ("0.1", "1e-10"):
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        assert code == 0, err
+        results.append([float(x) for x in re.findall(r"-?\d+\.\d*(?:e[-+]\d+)?", out)])
+    loose, tight = results
+    assert len(loose) == len(tight) > 0
+    assert np.allclose(loose, tight, rtol=0, atol=0.1)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chromlc import hamiltonian, linalg
 from chromlc.simulator import MeanFieldObservable
+from chromlc.compiler import embed_discrete
 from chromlc.errors import BadParams, OutOfRange, TooLarge
 from chromlc.graphs import color_edges, level_decompose
 from chromlc.hamiltonian import (
@@ -17,7 +18,6 @@ from chromlc.hamiltonian import (
     chain,
     complete_mean_field,
     disjoint_pairs,
-    embed_discrete,
     generate,
     integrated_chromatic_index,
     pauli_coeffs,

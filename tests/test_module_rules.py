@@ -1,8 +1,11 @@
 """Static checks of the package's module rules.
 
 Modules share only public names: none imports an underscore name from a
-sibling or reads ``sibling._name``, every ``__all__`` entry is defined in
-its module, and the package namespace re-exports no underscore name.
+sibling or reads ``sibling._name``, and every ``__all__`` entry is defined
+in its module.  The package namespace is not a second copy of the API:
+``chromlc/__init__.py`` holds only its docstring.  No module imports
+itself through its siblings: the graph of sibling imports, those under
+``if TYPE_CHECKING:`` and inside functions included, has no cycle.
 Only ``serialization`` parses JSON: no other module calls ``json.load``
 or ``json.loads``, and only it and ``cli`` write JSON: no other module
 uses ``json.dump``, ``json.dumps`` or ``json.JSONEncoder``.  Only ``cli``
@@ -13,8 +16,8 @@ no sibling may read it, a private function nothing in the package uses is
 dead code, or a second code path kept alive only by the tests.  For the
 same reason every public name, an ``__all__`` entry or a public method of
 a class, is read somewhere in the package outside its own body and the
-bodies of other unused names (``__all__`` strings and the package's
-re-exports do not count), unless ``KEPT_UNUSED`` lists it with its reason.
+bodies of other unused names (``__all__`` strings do not count), unless
+``KEPT_UNUSED`` lists it with its reason.
 """
 
 import ast
@@ -27,7 +30,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chromlc"
 MODULES = sorted(PACKAGE.glob("*.py"))
 # Public names nothing in the package reads, each kept for the reason given.
 KEPT_UNUSED = {
-    "hamiltonian.embed_discrete": "paper construction C01: a gate network as a continuous schedule",
+    "compiler.embed_discrete": "paper construction C01: a gate network as a continuous schedule",
     "compiler.rechromatize": "paper construction C09: chromatic throttling",
     "hamiltonian.pauli_matrix": "test oracle: the inverse of pauli_coeffs",
     "linalg.expm_i": "test oracle: exp(-i*s*h) from one eigendecomposition",
@@ -45,6 +48,41 @@ def _private(name):
 def _sibling_import(node):
     """True for ``from .x import ...``, ``from . import ...`` and ``from chromlc...``."""
     return node.level > 0 or (node.module or "").split(".")[0] == "chromlc"
+
+
+def _sibling_modules(path, modules):
+    """The modules among ``modules`` that ``path`` imports anywhere in its body."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and _sibling_import(node):
+            parts = (node.module or "").split(".")[node.level == 0 :]  # drop "chromlc"
+            imported.update([parts[0]] if parts and parts[0] else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[1] for a in node.names if a.name.startswith("chromlc."))
+    return imported & modules
+
+
+def _import_cycle(paths):
+    """A cycle ``[a, b, ..., a]`` in the sibling imports of the modules at ``paths``, or ``[]``."""
+    graph = {p.stem: _sibling_modules(p, {q.stem for q in paths}) for p in paths}
+    acyclic = set()
+
+    def visit(module, trail):
+        if module in trail:
+            return trail[trail.index(module) :] + [module]
+        if module not in acyclic:
+            for target in sorted(graph[module]):
+                cycle = visit(target, trail + [module])
+                if cycle:
+                    return cycle
+            acyclic.add(module)
+        return []
+
+    for module in sorted(graph):
+        cycle = visit(module, [])
+        if cycle:
+            return cycle
+    return []
 
 
 def _top_level(body):
@@ -101,10 +139,10 @@ def _violations(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     siblings = set()
     problems = []
-    # the package namespace takes no underscore name from anywhere
-    strict = path.name == "__init__.py"
+    if path.name == "__init__.py" and not (len(tree.body) == 1 and ast.get_docstring(tree) is not None):
+        problems.append("the package namespace holds more than its docstring")
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (strict or _sibling_import(node)):
+        if isinstance(node, ast.ImportFrom) and _sibling_import(node):
             for alias in node.names:
                 if _private(alias.name):
                     problems.append(f"line {node.lineno}: imports {alias.name}")
@@ -193,7 +231,7 @@ def _unused_public_names(paths, kept):
     """The qualified public names nothing in the modules at ``paths`` reads
     outside their own body.  Reads in the body of an unused name not in
     ``kept`` do not count either, so a helper only dead code calls is dead."""
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in paths if p.name != "__init__.py"}
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
     reads = sum((_reads(tree) for tree in trees.values()), Counter())
     defined = {}
     for module, tree in trees.items():
@@ -224,6 +262,10 @@ def test_module_rules(path):
     assert _violations(path) == []
 
 
+def test_sibling_imports_have_no_cycle():
+    assert _import_cycle(MODULES) == []
+
+
 def test_every_public_name_is_used_or_kept():
     assert _public_name_problems(MODULES, KEPT_UNUSED) == []
 
@@ -251,8 +293,23 @@ def test_rules_catch_violations(tmp_path):
     assert "line 8: writes JSON outside cli and serialization" in problems
     assert "line 9: imports csv outside cli" in problems
     package = tmp_path / "__init__.py"
-    package.write_text("from numpy import _pytesttester\nfrom os import path\n")
-    assert len(_violations(package)) == 1
+    package.write_text('"""The package."""\n')
+    assert _violations(package) == []
+    package.write_text('"""The package."""\nfrom .graphs import level_decompose\n')
+    assert _violations(package) == ["the package namespace holds more than its docstring"]
+
+
+def test_rules_catch_an_import_cycle(tmp_path):
+    (tmp_path / "a.py").write_text("from .b import f\nfrom . import c\n")
+    (tmp_path / "b.py").write_text("import numpy\nfrom .errors import BadParams\n")
+    (tmp_path / "c.py").write_text("from chromlc.d import g\n")
+    (tmp_path / "d.py").write_text("def g():\n    import chromlc.b\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert _import_cycle(paths) == []
+    (tmp_path / "b.py").write_text(
+        "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .c import h\n"
+    )
+    assert _import_cycle(paths) == ["b", "c", "d", "b"]
 
 
 def test_rules_catch_an_unreferenced_private_function(tmp_path):
@@ -274,7 +331,6 @@ def test_rules_catch_an_unreferenced_private_function(tmp_path):
 
 
 def test_rules_catch_an_unused_public_name(tmp_path):
-    (tmp_path / "__init__.py").write_text("from .a import dead, helper, kept, used\n")
     (tmp_path / "a.py").write_text(
         "__all__ = ['LIMIT', 'Box', 'dead', 'helper', 'kept', 'kept_calls', 'used', 'recursive']\n"
         "LIMIT = 3\n"
