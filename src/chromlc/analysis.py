@@ -190,9 +190,10 @@ def variance_bound_experiment(
                     break
             if schedule is None:
                 raise RuntimeError("random schedule ensemble degenerated repeatedly")
-        psi = simulator.StateVector.basis(n, 0)
+        psi = simulator.basis_state(n, 0)
         if schedule is not None:
-            psi = simulator.evolve_continuous(psi, schedule, tol)
+            psi = simulator.propagate(schedule, psi, tol)
+            psi = psi / np.linalg.norm(psi)
         obs = simulator.MeanFieldObservable.random(n, seed=obs_seed)
         value = simulator.variance(psi, obs)
         records.append(

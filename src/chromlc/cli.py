@@ -181,15 +181,15 @@ def _write_rows(args, study: str, rows):
     sys.stdout.write(_render(args.format, doc, "rows", [asdict(row) for row in rows]))
 
 
-def _load_state(spec: str, n_qubits: int) -> simulator.StateVector:
+def _load_state(spec: str, n_qubits: int) -> np.ndarray:
     if not spec.startswith("basis:"):
-        return serialization.load_product_state(spec, n_qubits)
+        return simulator.product_state(serialization.load_product_state(spec, n_qubits))
     index = spec.split(":", 1)[1]
     try:
         index = int(index)
     except ValueError:
         raise ParseError(f"--state {spec}: basis index {index!r} is not an integer") from None
-    return simulator.StateVector.basis(n_qubits, index)
+    return simulator.basis_state(n_qubits, index)
 
 
 def _cmd_generate(args) -> int:
@@ -252,14 +252,11 @@ def _cmd_compile(args) -> int:
 
 def _cmd_simulate(args) -> int:
     doc = serialization.load_document(args.input)
-    psi = _load_state(args.state, doc.n_qubits)
+    amp = simulator.propagate(doc, _load_state(args.state, doc.n_qubits), args.tol)
     if isinstance(doc, HamiltonianSchedule):
-        out = simulator.evolve_continuous(psi, doc, args.tol)
-    else:
-        out = simulator.run_schedule(psi, doc)
+        amp = amp / np.linalg.norm(amp)
     obs = simulator.MeanFieldObservable.pauli(doc.n_qubits, args.observable)
-    m1, m2 = simulator.moments(out, obs)
-    amp = out.amplitudes
+    m1, m2 = simulator.moments(amp, obs)
     probs = np.abs(amp) ** 2
     top = sorted(range(len(amp)), key=lambda i: (-probs[i], i))[:16]
     rows = [
@@ -274,7 +271,7 @@ def _cmd_simulate(args) -> int:
     ]
     scalars = {
         "n_qubits": doc.n_qubits,
-        "norm": out.norm(),
+        "norm": float(np.linalg.norm(amp)),
         "observable": args.observable,
         "expectation": m1,
         "variance": m2 - m1 * m1,

@@ -36,7 +36,6 @@ from . import linalg
 from .compiler import Gate, GateSchedule, Step
 from .errors import BadParams, NotUnitary, ParseError, SchemaVersionMismatch
 from .hamiltonian import MAX_POLY_DEGREE, PAULI_LABELS, HamiltonianSchedule, Segment
-from .simulator import StateVector
 
 SCHEDULE_FORMAT = "chromlc-schedule"
 GATES_FORMAT = "chromlc-gates"
@@ -361,9 +360,10 @@ def load_document(path):
     raise SchemaVersionMismatch(f"format: unknown document format {fmt!r}")
 
 
-def load_product_state(path, n_qubits: int) -> StateVector:
-    """The ``chromlc-product`` state at ``path``: the product of its ``n_qubits``
-    amplitude pairs, each divided by its norm.  Every ``ParseError`` names the path."""
+def load_product_state(path, n_qubits: int) -> np.ndarray:
+    """The ``chromlc-product`` state at ``path``: its ``n_qubits`` per-qubit
+    vectors as an (n_qubits, 2) array, as written; ``simulator.product_state``
+    builds the state.  Every ``ParseError`` names the path."""
     doc = _read_document(path)
     try:
         _check_header(doc, PRODUCT_FORMAT)
@@ -383,4 +383,4 @@ def load_product_state(path, n_qubits: int) -> StateVector:
             vectors.append(vector)
     except ParseError as exc:  # SchemaVersionMismatch keeps its type
         raise type(exc)(f"{path}: {exc}") from None
-    return StateVector.product(vectors)
+    return np.reshape(vectors, (n_qubits, 2))

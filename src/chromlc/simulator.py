@@ -6,13 +6,16 @@ state reshaped to (2,)*n has qubit q on axis q.  Gates are applied through
 tensor contractions on the two relevant axes; a gate schedule's 2^n x 2^n
 operator is never materialized.
 
-``propagate`` carries a state (2^n,) or a block of states (2^n, k)
+A state is a plain array of 2^n complex amplitudes, built by
+``basis_state`` or ``product_state``.  ``propagate``, the one path that
+evolves a state, carries a state (2^n,) or a block of states (2^n, k)
 through a gate schedule, gate by gate, or through a Hamiltonian schedule,
-by integrating d psi/dt = -i H(t) psi one segment after the other.  A
-segment of length L gets the share tol * L / T of the tolerance, which
-must be at least 1e-12 and below 1.  Every column, a unit vector at the
-start, must end within max(1e-6, tol) of norm 1 (from tol = 1 on, that
-would pass a column of norm 2).  On a segment, -i H(t) = sum_d t^d G_d,
+by integrating d psi/dt = -i H(t) psi one segment after the other.  For
+either kind the tolerance must be at least 1e-12 and below 1, and a
+segment of length L gets the share tol * L / T of it.  Every column, a
+unit vector at the start, must end within 1e-6 of norm 1 after gates, and
+within max(1e-6, tol) after an integration (from tol = 1 on, that would
+pass a column of norm 2).  On a segment, -i H(t) = sum_d t^d G_d,
 where G_d comes from the degree-d slice of the segment's (terms, 16,
 degree + 1) coefficient array, and the segment builds this map once.
 
@@ -82,14 +85,13 @@ __all__ = [
     "FULL_UNITARY_MAX_QUBITS",
     "STATE_MAX_QUBITS",
     "MeanFieldObservable",
-    "StateVector",
+    "basis_state",
     "check_state_size",
     "check_tolerance",
-    "evolve_continuous",
     "full_unitary",
     "moments",
+    "product_state",
     "propagate",
-    "run_schedule",
     "variance",
 ]
 
@@ -106,49 +108,27 @@ def check_state_size(n_qubits: int):
         raise TooLarge(f"state vectors are limited to {STATE_MAX_QUBITS} qubits, got {n_qubits}")
 
 
-class StateVector:
-    """2^n complex amplitudes, unit norm; qubit 0 = most significant bit."""
+def basis_state(n_qubits: int, index: int) -> np.ndarray:
+    """The 2^n amplitudes of basis state ``index``; qubit 0 = most significant bit."""
+    check_state_size(n_qubits)  # before 2**n_qubits, which takes minutes past 10^10 qubits
+    if not 0 <= index < 2**n_qubits:
+        raise OutOfRange(f"basis index {index} outside register of {n_qubits} qubits")
+    amps = np.zeros(2**n_qubits, dtype=np.complex128)
+    amps[index] = 1.0
+    return amps
 
-    __slots__ = ("n_qubits", "amplitudes")
 
-    def __init__(self, n_qubits: int, amplitudes):
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        if amps.shape != (2**n_qubits,):
-            raise DimensionMismatch(
-                f"expected {2**n_qubits} amplitudes for {n_qubits} qubits, got {amps.shape}"
-            )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_DRIFT_LIMIT:
-            raise NormDrift(f"state norm {norm} drifted beyond {NORM_DRIFT_LIMIT}")
-        self.n_qubits = n_qubits
-        self.amplitudes = amps
+def product_state(vectors) -> np.ndarray:
+    """The product state of one 2-vector per qubit, qubit 0 first.
 
-    @classmethod
-    def basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
-        check_state_size(n_qubits)  # before 2**n_qubits, which takes minutes past 10^10 qubits
-        if not 0 <= index < 2**n_qubits:
-            raise OutOfRange(f"basis index {index} outside register of {n_qubits} qubits")
-        amps = np.zeros(2**n_qubits, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(n_qubits, amps)
-
-    @classmethod
-    def product(cls, vectors) -> "StateVector":
-        """The product state of one 2-vector per qubit, qubit 0 first.
-
-        Each vector is divided by its norm and keeps its phase; the size
-        cap is checked before any amplitude is allocated.
-        """
-        vectors = list(vectors)
-        check_state_size(len(vectors))
-        amps = np.ones(1, dtype=np.complex128)
-        for v in vectors:
-            v = np.asarray(v, dtype=np.complex128)
-            amps = np.kron(amps, v / np.linalg.norm(v))
-        return cls(len(vectors), amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    Each vector is divided by its norm and keeps its phase; the size cap is
+    checked before any amplitude is allocated.
+    """
+    check_state_size(len(vectors))
+    amps = np.ones(1, dtype=np.complex128)
+    for v in np.asarray(vectors, dtype=np.complex128):
+        amps = np.kron(amps, v / np.linalg.norm(v))
+    return amps
 
 
 def _apply_pair_stack(mats, stack, n, k, l):
@@ -159,13 +139,6 @@ def _apply_pair_stack(mats, stack, n, k, l):
     out = np.tensordot(u, tensor, axes=([0, 3, 4], [0, k + 1, l + 1]))
     out = np.moveaxis(out, [0, 1], [k, l])
     return out.reshape(stack.shape[1:])
-
-
-def run_schedule(psi: StateVector, g: GateSchedule) -> StateVector:
-    """Apply the steps in order; gates within a step commute by disjointness."""
-    if g.n_qubits != psi.n_qubits:
-        raise DimensionMismatch(f"schedule is on {g.n_qubits} qubits, state on {psi.n_qubits}")
-    return StateVector(psi.n_qubits, propagate(g, psi.amplitudes))
 
 
 @functools.cache
@@ -339,10 +312,13 @@ def _integrate_adaptive(s: HamiltonianSchedule, array, tol: float):
 def propagate(x, array, tol: float = 1e-10) -> np.ndarray:
     """``array``, one state (2^n,) or a block of states (2^n, k), carried through ``x``.
 
-    A ``GateSchedule`` applies its steps in order.  A ``HamiltonianSchedule``
-    is integrated to ``tol``, and every column, a unit vector at the start,
-    must end within ``max(NORM_DRIFT_LIMIT, tol)`` of norm 1 (``NormDrift``
-    otherwise); the columns are not renormalized.
+    ``tol`` is checked for either kind of schedule.  A ``GateSchedule``
+    applies its steps in order, and every column, a unit vector at the
+    start, must end within ``NORM_DRIFT_LIMIT`` of norm 1: gates promise no
+    tolerance.  A ``HamiltonianSchedule`` is integrated to ``tol``, and
+    every column must end within ``max(NORM_DRIFT_LIMIT, tol)`` of norm 1.
+    A column beyond its limit raises ``NormDrift``; the columns are not
+    renormalized.
     """
     if not isinstance(x, (GateSchedule, HamiltonianSchedule)):
         raise BadParams(f"cannot propagate through a {type(x).__name__}")
@@ -351,26 +327,20 @@ def propagate(x, array, tol: float = 1e-10) -> np.ndarray:
     array = np.asarray(array, dtype=np.complex128)
     if array.ndim not in (1, 2) or array.shape[0] != 2**n:
         raise DimensionMismatch(f"expected 2^{n} rows of amplitudes, got an array of shape {array.shape}")
+    check_tolerance(tol)
     if isinstance(x, GateSchedule):
         for step in x.steps:
             for gate in step.gates:
                 array = _apply_pair_stack(gate.unitary[None], array[None], n, *gate.pair)
-        return array
-    check_tolerance(tol)
-    array = _integrate_adaptive(x, array, tol)
+        limit, drift = NORM_DRIFT_LIMIT, "state norm {worst} drifted beyond {limit}"
+    else:
+        array = _integrate_adaptive(x, array, tol)
+        limit, drift = max(NORM_DRIFT_LIMIT, tol), "integration drifted the norm to {worst}"
     norms = np.linalg.norm(array.reshape(len(array), -1), axis=0)
     worst = float(norms[np.argmax(np.abs(norms - 1.0))])  # nan when any column is
-    if not abs(worst - 1.0) <= max(NORM_DRIFT_LIMIT, tol):
-        raise NormDrift(f"integration drifted the norm to {worst}")
+    if not abs(worst - 1.0) <= limit:
+        raise NormDrift(drift.format(worst=worst, limit=limit))
     return array
-
-
-def evolve_continuous(psi: StateVector, s: HamiltonianSchedule, tol: float = 1e-10) -> StateVector:
-    """The state integrated over the whole schedule, renormalized after ``propagate``'s drift check."""
-    if s.n_qubits != psi.n_qubits:
-        raise DimensionMismatch(f"schedule is on {s.n_qubits} qubits, state on {psi.n_qubits}")
-    final = propagate(s, psi.amplitudes, tol)
-    return StateVector(psi.n_qubits, final / np.linalg.norm(final))
 
 
 def full_unitary(x, tol: float = 1e-10) -> np.ndarray:
@@ -422,25 +392,24 @@ class MeanFieldObservable:
         return cls(tuple(h / norms[:, None, None]))
 
 
-def moments(psi: StateVector, a: MeanFieldObservable):
-    """First and second moment of the mean-field observable in a pure state.
+def moments(psi: np.ndarray, a: MeanFieldObservable):
+    """First and second moment of the mean-field observable in the pure state ``psi``.
 
     With A = sum_j A_j Hermitian, <A^2> = ||A psi||^2, so the second moment
     needs one image per qubit, not a product per pair of qubits.  Qubit j
     is the middle axis of the amplitudes as (2^j, 2, 2^(n-j-1)).
     """
-    if psi.n_qubits != a.n_qubits:
-        raise DimensionMismatch(f"observable on {a.n_qubits} qubits, state on {psi.n_qubits}")
-    amps = psi.amplitudes
-    image = np.zeros_like(amps)
-    for j in range(psi.n_qubits):
-        image.reshape(2**j, 2, -1)[...] += np.einsum("ab,ibr->iar", a.factors[j], amps.reshape(2**j, 2, -1))
-    m1 = float(np.vdot(amps, image).real)
+    if len(psi) != 2**a.n_qubits:
+        raise DimensionMismatch(f"observable on {a.n_qubits} qubits, state on {len(psi).bit_length() - 1}")
+    image = np.zeros_like(psi)
+    for j in range(a.n_qubits):
+        image.reshape(2**j, 2, -1)[...] += np.einsum("ab,ibr->iar", a.factors[j], psi.reshape(2**j, 2, -1))
+    m1 = float(np.vdot(psi, image).real)
     m2 = float(np.vdot(image, image).real)
     return m1, m2
 
 
-def variance(psi: StateVector, a: MeanFieldObservable) -> float:
+def variance(psi: np.ndarray, a: MeanFieldObservable) -> float:
     """<a^2> - <a>^2 in the pure state ``psi``."""
     m1, m2 = moments(psi, a)
     return m2 - m1 * m1

@@ -691,19 +691,21 @@ def per_row_dumps_schedule(s: HamiltonianSchedule) -> str:
 
 def per_state_convergence_errors(s: HamiltonianSchedule, epsilons, tol):
     """``analysis.convergence_study``'s error column past full unitaries, one
-    reference state at a time: one ``evolve_continuous`` per state, then one
-    ``run_schedule`` per state and epsilon."""
+    reference state at a time: one ``propagate`` through ``s`` per state,
+    renormalized, then one ``propagate`` through the gates per state and
+    epsilon."""
     n, k = s.n_qubits, analysis.REFERENCE_STATES
     rng = np.random.default_rng(0)
     raw = rng.normal(size=(2**n, k)) + 1j * rng.normal(size=(2**n, k))
     raw /= np.linalg.norm(raw, axis=0)
-    initial = [simulator.StateVector(n, raw[:, i]) for i in range(k)]
-    reference = [simulator.evolve_continuous(psi, s, tol) for psi in initial]
+    initial = [raw[:, i] for i in range(k)]
+    reference = [simulator.propagate(s, psi, tol) for psi in initial]
+    reference = [ref / np.linalg.norm(ref) for ref in reference]
     errors = []
     for eps in epsilons:
         gates, _ = compiler.compile(s, eps)
         errors.append(max(
-            float(np.linalg.norm(simulator.run_schedule(psi, gates).amplitudes - ref.amplitudes))
+            float(np.linalg.norm(simulator.propagate(gates, psi) - ref))
             for psi, ref in zip(initial, reference)
         ))
     return errors

@@ -27,8 +27,8 @@ from chromlc.serialization import (
 )
 from chromlc.simulator import (
     MeanFieldObservable,
-    StateVector,
     full_unitary,
+    product_state,
     variance,
 )
 
@@ -257,11 +257,11 @@ def test_c07_witness_sanity():
     ok = True
     for n in (4, 8, 12):
         obs = MeanFieldObservable.pauli(n, "z")
-        ghz = StateVector(n, ghz_amplitudes(n))
+        ghz = ghz_amplitudes(n)
         if abs(variance(ghz, obs) - n * n) >= 1e-9:
             ok = False
         plus = np.full(2, 1 / np.sqrt(2), dtype=complex)
-        uniform = StateVector.product([plus] * n)
+        uniform = product_state([plus] * n)
         if abs(variance(uniform, obs) - n) >= 1e-9:
             ok = False
     _report(7, "entanglement witness sanity", ok, "GHZ gives n^2, product gives n", started)

@@ -36,6 +36,7 @@ from chromlc.serialization import (
     loads_gates,
     loads_schedule,
 )
+from chromlc.simulator import product_state
 
 from helpers import (
     FUZZ_VALUES,
@@ -432,10 +433,10 @@ def test_fuzzed_product_state_loads_or_raises_chromlc_error(path, value):
         state = Path(tmp) / "state.json"
         state.write_text(json.dumps(replace_node(_PRODUCT_BASE, path, value)))
         try:
-            psi = load_product_state(str(state), 2)
+            psi = product_state(load_product_state(str(state), 2))
         except ChromlcError:
             return
-    assert abs(psi.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -452,7 +453,9 @@ def test_product_state_is_the_product_of_the_normalized_vectors(tmp_path, qubits
     state.write_text(_product_state_text(qubits))
     vectors = [np.array([complex(re, im) for re, im in q]) for q in qubits]
     expected = reduce(np.kron, [v / np.linalg.norm(v) for v in vectors])
-    assert np.array_equal(load_product_state(str(state), len(qubits)).amplitudes, expected)
+    loaded = load_product_state(str(state), len(qubits))
+    assert loaded.shape == (len(qubits), 2)
+    assert np.array_equal(product_state(loaded), expected)
 
 
 def test_simulate_keeps_the_given_phase(tmp_path, capsys):
@@ -576,17 +579,20 @@ def test_index_and_compile_on_a_huge_register(tmp_path, capsys, command):
         ("verify", "variance", "--n", "3", "--alpha", "0", "--trials", "1"),
         ("verify", "theorem1", "{doc}", "--epsilons", "0.5"),
         ("trotter", "{doc}", "--m-list", "2"),
+        ("simulate", "{gates}"),
     ],
 )
 def test_bad_tolerance_exits_2(tmp_path, capsys, argv, tol):
     # a NaN tolerance used to halve the RK4 step toward 2^24 times the
     # first count; the timer turns such a run into a failure.  From 1 on, a
     # drift check as loose as the tolerance would pass a column of norm 2,
-    # and at 100 the Taylor order falls to 0, leaving the state unevolved
-    spath = tmp_path / "chain.json"
+    # and at 100 the Taylor order falls to 0, leaving the state unevolved.
+    # A gate document takes the same check, though gates ignore the tolerance
+    spath, gpath = tmp_path / "chain.json", tmp_path / "chain.gates"
     run_cli(capsys, "generate", "chain", "--n", "3", "-o", str(spath))
+    run_cli(capsys, "compile", str(spath), "--epsilon", "0.5", "-o", str(gpath))
     with wall_clock_bound(20.0):
-        code, out, err = run_cli(capsys, *(a.format(doc=spath) for a in argv), "--tol", tol)
+        code, out, err = run_cli(capsys, *(a.format(doc=spath, gates=gpath) for a in argv), "--tol", tol)
     assert code == 2
     assert err.startswith("error: integrator tolerance must be a finite number >= 1e-12")
     assert out == ""
