@@ -41,6 +41,7 @@ from .errors import BadParams, EpsilonTooLarge, NotConstant, NotUnitary, TooLarg
 from .graphs import color_edges, level_decompose
 from .hamiltonian import (
     MAX_SAMPLES_PER_SEGMENT,
+    PAULI_PRODUCTS,
     HamiltonianSchedule,
     Segment,
     pauli_coeffs,
@@ -61,44 +62,71 @@ __all__ = [
     "weighted_depth",
 ]
 
+# a flattened 4x4 matrix m times _PAULI_DUAL is tr(P_j m) for every Pauli
+# product P_j, in PAULI_LABELS order: four times m's Pauli coefficients; one
+# (1, 16) row per matrix rounds the same in a stack of any size
+_PAULI_DUAL = PAULI_PRODUCTS.reshape(16, 16).conj().T
+
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """Two-qubit gate: a 4x4 unitary on pair (k, l) plus its angle.
+    """Two-qubit gate exp(-i*A) on pair (k, l): its 4x4 unitary, its angle
+    and its Hermitian generator A, as the 16 Pauli coefficients of A in
+    ``PAULI_LABELS`` order.
 
-    The angle is the smallest norm of a Hermitian generator of the
-    unitary: :func:`~chromlc.linalg.unitary_angle` of the matrix, or, for
-    a unitary built as exp(-i*H) with ||H|| <= pi, ||H||, or, from known
-    eigenvalues, the largest |phase| among them.
+    The angle is the smallest norm of a Hermitian generator of the unitary:
+    ||A|| up to pi, and past pi the largest |phase| of the unitary's
+    eigenvalues.  :func:`compile` builds all three from one eigendecomposition
+    of each pair term; :meth:`from_generators` derives the unitary and the
+    angle from A, as the gate-document reader does.
     The rules of :func:`_checked_gates` hold for every gate: ``Gate(...)``
     applies them to a stack of one, :meth:`batch` once to a whole stack.
-    The unitary is read-only.
+    The unitary and the generator are read-only.
     """
 
     pair: tuple
     unitary: np.ndarray
     angle: float
+    generator: np.ndarray
 
     def __post_init__(self):
-        (pair,), (u,), (angle,) = _checked_gates((self.pair,), (self.unitary,), (self.angle,))
+        (pair,), (u,), (angle,), (generator,) = _checked_gates(
+            (self.pair,), (self.unitary,), (self.angle,), (self.generator,)
+        )
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "generator", generator)
 
     @classmethod
-    def batch(cls, pairs, unitaries, angles) -> list:
-        """``[Gate(p, u, a) for p, u, a in zip(pairs, unitaries, angles)]``,
-        checked once for the whole stack; each unitary is a view into one
-        read-only copy of ``unitaries``."""
-        pairs, stack, angles = _checked_gates(pairs, unitaries, angles)
+    def batch(cls, pairs, unitaries, angles, generators) -> list:
+        """``[Gate(p, u, a, c) for p, u, a, c in zip(pairs, unitaries, angles, generators)]``,
+        checked once for the whole stack; each unitary and generator is a view
+        into one read-only copy of ``unitaries`` and ``generators``."""
+        pairs, stack, angles, generators = _checked_gates(pairs, unitaries, angles, generators)
         gates = []
-        for pair, u, angle in zip(pairs, stack, angles):
+        for pair, u, angle, generator in zip(pairs, stack, angles, generators):
             gate = object.__new__(cls)  # set one by one, the attributes keep a compact instance dict
             object.__setattr__(gate, "pair", pair)
             object.__setattr__(gate, "unitary", u)
             object.__setattr__(gate, "angle", angle)
+            object.__setattr__(gate, "generator", generator)
             gates.append(gate)
         return gates
+
+    @classmethod
+    def from_generators(cls, pairs, generators) -> list:
+        """The gates exp(-i*A) on ``pairs`` for a ``(g, 16)`` stack of
+        generator coefficients, by one stacked ``eigh`` of the matrices A.
+
+        The caller keeps the absolute coefficients of each generator summing
+        to a float, as the gate-document reader checks: that sum bounds
+        ||A||, so every entry and eigenvalue of A is a float.
+        """
+        generators = np.asarray(generators, dtype=float)
+        matrices = np.matmul(generators[:, None, :], PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4)
+        w, v = np.linalg.eigh(matrices)
+        return _gates_from_eig(pairs, np.exp(-1j * w), v, np.max(np.abs(w), axis=-1), generators)
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
@@ -107,14 +135,17 @@ class Gate:
             self.pair == other.pair
             and self.angle == other.angle
             and np.array_equal(self.unitary, other.unitary)
+            and np.array_equal(self.generator, other.generator)
         )
 
 
-def _checked_gates(pairs, unitaries, angles):
+def _checked_gates(pairs, unitaries, angles, generators):
     """The gate rules, applied to a stack at once: every pair has
     0 <= k < l, every unitary is 4x4 and unitary at 1e-10, every angle is
-    finite.  Returns the pairs as tuples of ints, a read-only complex copy
-    of the ``(g, 4, 4)`` stack and the angles as floats."""
+    finite, every generator is 16 finite coefficients.  Returns the pairs
+    as tuples of ints, a read-only complex copy of the ``(g, 4, 4)`` stack,
+    the angles as floats and a read-only float copy of the ``(g, 16)``
+    generators."""
     pairs = [(int(p[0]), int(p[1])) for p in pairs]
     for k, l in pairs:
         if not 0 <= k < l:
@@ -129,11 +160,18 @@ def _checked_gates(pairs, unitaries, angles):
     for angle in angles:
         if not math.isfinite(angle):
             raise BadParams(f"gate angle must be finite, got {angle}")
-    if not len(pairs) == len(stack) == len(angles):
+    generators = np.array(generators, dtype=float)
+    if generators.shape[1:] != (16,):
+        raise BadParams(f"gate generator must hold 16 coefficients, got shape {generators.shape[1:]}")
+    if not np.isfinite(generators).all():
+        raise BadParams("gate generator coefficients must be finite")
+    generators.flags.writeable = False
+    if not len(pairs) == len(stack) == len(angles) == len(generators):
         raise BadParams(
-            f"gate stack lengths differ: {len(pairs)} pairs, {len(stack)} unitaries, {len(angles)} angles"
+            f"gate stack lengths differ: {len(pairs)} pairs, {len(stack)} unitaries, "
+            f"{len(angles)} angles, {len(generators)} generators"
         )
-    return pairs, stack, angles
+    return pairs, stack, angles, generators
 
 
 @dataclass(frozen=True)
@@ -292,15 +330,26 @@ def _pair_gates(snap, index, angles) -> list:
     """Gates exp(-i * angles[j] * H_e / ||H_e||) for the snapshot rows ``index``.
 
     Row j runs H_e for the duration angles[j] / ||H_e||, so its generator
-    has norm angles[j], which is the gate angle up to pi; past pi the
-    angle is the largest |phase| of the gate's eigenvalues.  The gates are
-    checked as one stack (:meth:`Gate.batch`).
+    has norm angles[j], which is the gate angle up to pi.  The unitaries
+    come from the snapshot's eigendecompositions, and the generators'
+    coefficients from one projection of the rows' matrices onto the Pauli
+    products.
     """
-    w, v = snap.eigenvalues[index], snap.eigenvectors[index]
-    phases = np.exp((-1j * angles / snap.norms[index])[:, None] * w)
+    phases = np.exp((-1j * angles / snap.norms[index])[:, None] * snap.eigenvalues[index])
+    coeffs = np.matmul(snap.matrices[index].reshape(-1, 1, 16), _PAULI_DUAL).real.reshape(-1, 16) / 4.0
+    generators = (angles / snap.norms[index])[:, None] * coeffs
+    pairs = [snap.pairs[i] for i in index]
+    return _gates_from_eig(pairs, phases, snap.eigenvectors[index], angles, generators)
+
+
+def _gates_from_eig(pairs, phases, v, norms, generators) -> list:
+    """The gates exp(-i*A) of generators A whose eigenvectors ``v`` (g, 4, 4)
+    carry the eigenvalues ``phases`` (g, 4) of exp(-i*A), and whose norms are
+    ``norms``; the angle is the norm up to pi and past pi the largest
+    |phase|.  The gates are checked as one stack (:meth:`Gate.batch`)."""
     unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    angles = np.where(angles <= math.pi, angles, np.max(np.abs(np.angle(phases)), axis=-1))
-    return Gate.batch([snap.pairs[i] for i in index], unitaries, angles)
+    angles = np.where(norms <= math.pi, norms, np.max(np.abs(np.angle(phases)), axis=-1))
+    return Gate.batch(pairs, unitaries, angles, generators)
 
 
 def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:

@@ -6,9 +6,8 @@ eigenproblems go to LAPACK (``np.linalg.eigh``, ``eigvalsh``);
 ``(..., n, n)`` so that callers can diagonalize all 4x4 pair generators of
 one sample time in a single call.  :func:`hermitian_norms` takes the
 operator norms of such a stack, and :func:`is_unitary` checks a stack of
-gates in one call.  The unitary functions go to LAPACK's general
-eigensolver: :func:`unitary_angle` through ``eigvals``, also on a stack,
-:func:`unitary_log` through ``eig`` and a ``qr`` of the eigenvectors.
+gates in one call.  :func:`unitary_log` goes to LAPACK's general
+eigensolver, ``eig``, and a ``qr`` of the eigenvectors.
 
 Sign convention, fixed package-wide: evolutions solve du/dt = -i H(t) u,
 so ``expm_i(h, s)`` returns exp(-i*s*h), and ``unitary_log(u)`` returns the
@@ -32,7 +31,6 @@ __all__ = [
     "is_hermitian",
     "is_unitary",
     "spectral_distance",
-    "unitary_angle",
     "unitary_log",
 ]
 
@@ -94,21 +92,6 @@ def expm_i(h, s: float) -> np.ndarray:
     return (v * np.exp(-1j * s * w)) @ v.conj().T
 
 
-def _as_unitary(u, what: str, stacked: bool = False) -> np.ndarray:
-    u = _as_square(u, what, stacked)
-    if not is_unitary(u, 1e-10):
-        raise NotUnitary("matrix is not unitary at tolerance 1e-10")
-    return u
-
-
-def unitary_angle(u):
-    """Smallest norm of a Hermitian generator: max |principal eigenphase|, from
-    one LAPACK ``eigvals``; a stack ``(..., n, n)`` gives one angle per member."""
-    u = _as_unitary(u, "unitary_angle", stacked=True)
-    angles = np.max(np.abs(np.angle(np.linalg.eigvals(u))), axis=-1, initial=0.0)
-    return float(angles) if u.ndim == 2 else angles
-
-
 def unitary_log(u) -> np.ndarray:
     """Principal Hermitian logarithm: exp(i * unitary_log(u)) = u.
 
@@ -119,7 +102,10 @@ def unitary_log(u) -> np.ndarray:
     ``PHASE_SNAP_TOL`` of -pi snap to +pi, closing the principal branch at
     the upper end.
     """
-    lam, v = np.linalg.eig(_as_unitary(u, "unitary_log"))
+    u = _as_square(u, "unitary_log")
+    if not is_unitary(u, 1e-10):
+        raise NotUnitary("matrix is not unitary at tolerance 1e-10")
+    lam, v = np.linalg.eig(u)
     q, _ = np.linalg.qr(v)
     phases = np.angle(lam)
     phases[phases <= -math.pi + PHASE_SNAP_TOL] = math.pi

@@ -11,15 +11,23 @@ Three document types, distinguished by their ``format`` field:
   are dropped before that array is built.  A parse error names the first
   bad field.  An ``II`` component is legal (it only shifts the global
   phase) but parsing one emits a warning.
-* ``chromlc-gates`` -- gate schedules; unitaries are 4x4 arrays of
-  ``[re, im]`` pairs and every gate carries its angle.  On loading, the
-  unitaries and the angles of the whole document are checked as one stack.
+* ``chromlc-gates`` -- gate schedules, version 2: every gate is its pair
+  and the 16 Pauli coefficients of its Hermitian generator A, in
+  ``PAULI_LABELS`` order, with unitary exp(-i*A).  No angle is stored: the
+  reader derives every unitary and angle from the generators of the whole
+  document by one stacked eigensolve (:meth:`Gate.from_generators`), so an
+  angle cannot disagree with its unitary.  Version 1, which stored each
+  unitary as 32 floats and its angle, is not read.
 * ``chromlc-product`` -- product states (read only): two ``[re, im]``
   amplitudes per qubit; their parse errors name the file.
 
+Schedule and product documents are version 1.
+
 Serialization is canonical (fixed key order, shortest round-trip float
 rendering), so serialize(parse(text)) reproduces canonical documents and
-parse(serialize(obj)) reproduces objects exactly.  Both document types are
+parse(serialize(obj)) reproduces schedules exactly, and gate schedules up
+to their unitaries and angles, which the reader derives from the generators
+and which may therefore differ in the last bits.  Both document types are
 written compact, as ``json.dumps(doc, separators=(",", ":")) + "\n"``
 writes them; ``python -m json.tool`` pretty-prints them.  The readers take
 any layout.
@@ -32,16 +40,14 @@ import warnings
 
 import numpy as np
 
-from . import linalg
 from .compiler import Gate, GateSchedule, Step
-from .errors import BadParams, NotUnitary, ParseError, SchemaVersionMismatch
+from .errors import BadParams, ParseError, SchemaVersionMismatch
 from .hamiltonian import MAX_POLY_DEGREE, PAULI_LABELS, HamiltonianSchedule, Segment
 
 SCHEDULE_FORMAT = "chromlc-schedule"
 GATES_FORMAT = "chromlc-gates"
 PRODUCT_FORMAT = "chromlc-product"
-FORMAT_VERSION = 1
-ANGLE_CHECK_TOL = 1e-9
+FORMAT_VERSIONS = {SCHEDULE_FORMAT: 1, GATES_FORMAT: 2, PRODUCT_FORMAT: 1}
 _PAULI_ROWS = {label: row for row, label in enumerate(PAULI_LABELS)}  # Pauli key -> its row of a term's tracks
 
 __all__ = [
@@ -79,9 +85,9 @@ def _check_header(doc: dict, expected_format: str):
     fmt = doc.get("format")
     if fmt != expected_format:
         raise SchemaVersionMismatch(f"format: expected {expected_format!r}, got {fmt!r}")
-    version = doc.get("version")
-    if type(version) is not int or version != FORMAT_VERSION:  # not true, 1.0 or "1"
-        raise SchemaVersionMismatch(f"version: expected {FORMAT_VERSION}, got {version!r}")
+    version, expected = doc.get("version"), FORMAT_VERSIONS[expected_format]
+    if type(version) is not int or version != expected:  # not true, 1.0 or "1"
+        raise SchemaVersionMismatch(f"version: expected {expected}, got {version!r}")
 
 
 def _int_field(obj, key, where):
@@ -142,7 +148,7 @@ def dumps_schedule(s: HamiltonianSchedule) -> str:
         segments.append({"t_start": seg.t_start, "t_end": seg.t_end, "terms": terms})
     doc = {
         "format": SCHEDULE_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": FORMAT_VERSIONS[SCHEDULE_FORMAT],
         "n_qubits": s.n_qubits,
         "segments": segments,
     }
@@ -256,25 +262,23 @@ def dumps_gates(g: GateSchedule) -> str:
 
     A step object that recurs (``compile`` repeats a constant segment's
     steps) is encoded once per call and its text reused; the steps' texts
-    follow a fixed header.  The unitaries of each distinct step become
+    follow a fixed header.  The generators of each distinct step become
     Python floats through one ``tolist`` of their stack; stacking the whole
     file at once would hold every gate's floats at the same time.
-    Unitaries and angles are finite (``Gate`` checks both), so no NaN or
-    Infinity arises.
+    Generators are finite (``Gate`` checks them), so no NaN or Infinity
+    arises.
     """
     texts = {}  # id(step) -> its text; g holds every step, so no id is reused during the call
     steps = []
     for step in g.steps:
         text = texts.get(id(step))
         if text is None:
-            entries = np.array([gate.unitary for gate in step.gates]).view(np.float64).reshape(-1, 4, 4, 2)
-            gates = [
-                {"pair": gate.pair, "unitary": u, "angle": gate.angle}
-                for gate, u in zip(step.gates, entries.tolist())
-            ]
+            generators = np.array([gate.generator for gate in step.gates]).tolist()
+            gates = [{"pair": gate.pair, "generator": c} for gate, c in zip(step.gates, generators)]
             text = texts[id(step)] = _compact({"gates": gates})
         steps.append(text)
-    header = f'{{"format":"{GATES_FORMAT}","version":{FORMAT_VERSION},"n_qubits":{g.n_qubits:d},"steps":['
+    version = FORMAT_VERSIONS[GATES_FORMAT]
+    header = f'{{"format":"{GATES_FORMAT}","version":{version},"n_qubits":{g.n_qubits:d},"steps":['
     return header + ",".join(steps) + "]}\n"
 
 
@@ -283,9 +287,18 @@ def loads_gates(text: str) -> GateSchedule:
 
 
 def _gates_from_doc(doc: dict) -> GateSchedule:
+    """The gate schedule of a version-2 document; a ``ParseError`` names the
+    first field that breaks a rule.
+
+    Each gate is read once: its pair and the type and length of its
+    generator list.  Then all generators are converted as one stack, which
+    is walked again only when an integer in it overflows a float, to name
+    its gate, and :meth:`Gate.from_generators` builds every gate by one
+    stacked eigensolve.
+    """
     _check_header(doc, GATES_FORMAT)
     n_qubits = _int_field(doc, "n_qubits", "document")
-    fields, loci, ends = [], [], []  # (pair, unitary, angle) and name of every gate; each step's end
+    pairs, lists, loci, ends = [], [], [], []  # every gate's pair, generator list and name; each step's end
     for i, raw_step in enumerate(_list_field(doc, "steps", "document")):
         where = f"steps[{i}]"
         if not isinstance(raw_step, dict):
@@ -294,26 +307,29 @@ def _gates_from_doc(doc: dict) -> GateSchedule:
             gwhere = f"{where}.gates[{j}]"
             if not isinstance(raw_gate, dict):
                 raise ParseError(f"{gwhere}: expected an object")
-            pair = _pair_field(raw_gate, gwhere)
-            u = _floats(raw_gate.get("unitary"), (4, 4, 2), f"{gwhere}.unitary", "a 4x4 array of [re, im] pairs")
-            fields.append((pair, u.view(np.complex128)[..., 0], _number(raw_gate.get("angle"), f"{gwhere}.angle")))
+            k, l = _pair_field(raw_gate, gwhere)
+            if not 0 <= k < l:
+                raise ParseError(f"{gwhere}.pair: indices must satisfy 0 <= k < l, got [{k}, {l}]")
+            generator = raw_gate.get("generator")
+            if type(generator) is not list or len(generator) != 16 or not set(map(type, generator)) <= {int, float}:
+                raise ParseError(f"{gwhere}.generator: expected a list of 16 numbers")
+            pairs.append((k, l))
+            lists.append(generator)
             loci.append(gwhere)
-        ends.append(len(fields))
+        ends.append(len(pairs))
     try:
-        gates = Gate.batch(*zip(*fields)) if fields else []
-    except (BadParams, NotUnitary):
-        gates = []
-        for locus, gate in zip(loci, fields):  # the stack holds a bad gate: name the first one
-            try:
-                gates.append(Gate(*gate))
-            except (BadParams, NotUnitary) as exc:
-                raise ParseError(f"{locus}: {exc}") from None
-    # every angle against its unitary's by one stacked eigensolve; the first mismatch is reported
-    angles = linalg.unitary_angle(np.reshape([gate.unitary for gate in gates], (-1, 4, 4)))
-    mismatched = np.flatnonzero(np.abs([gate.angle for gate in gates] - angles) > ANGLE_CHECK_TOL)
-    if mismatched.size:
-        k = mismatched[0]
-        raise ParseError(f"{loci[k]}.angle: {gates[k].angle} does not match the unitary's angle")
+        generators = np.array(lists, dtype=float).reshape(-1, 16)
+    except OverflowError:  # an integer beyond the float range: name its gate
+        for locus, generator in zip(loci, lists):
+            _floats(generator, (16,), f"{locus}.generator", "a list of 16 numbers")
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounded = np.isfinite(np.abs(generators).sum(axis=1))
+    if not bounded.all():
+        raise ParseError(
+            f"{loci[int(np.argmin(bounded))]}.generator: expected finite coefficients "
+            "whose absolute values sum within the float range"
+        )
+    gates = Gate.from_generators(pairs, generators)
     steps = []
     for i, (start, end) in enumerate(zip([0] + ends, ends)):
         try:

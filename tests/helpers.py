@@ -53,9 +53,17 @@ def random_hermitian(dim, rng, norm=None):
     return m
 
 
+def unitary_angle(u) -> float:
+    """Smallest norm of a Hermitian generator of ``u``: the largest |phase| of
+    its eigenvalues, from numpy's general eigensolver."""
+    return float(np.max(np.abs(np.angle(np.linalg.eigvals(u)))))
+
+
 def gate_from_unitary(pair, u):
-    """A gate on ``pair`` whose angle is ``unitary_angle`` of its unitary."""
-    return Gate(pair, u, linalg.unitary_angle(u))
+    """The gate on ``pair`` whose generator is the principal logarithm A of
+    ``u`` (u = exp(-i*A)): its unitary is ``u`` to rounding, and it survives
+    a gate document unchanged, since the reader builds it the same way."""
+    return Gate.from_generators([pair], [hamiltonian.pauli_coeffs(-linalg.unitary_log(u))])[0]
 
 
 def w_at(s, t, known=None):
@@ -600,12 +608,17 @@ def recounting_level_decompose(pairs, weights, known=None):
 
 def per_gate_pair_gates(snap, index, angles):
     """``compiler._pair_gates`` gate by gate: each ``Gate(...)`` checks its own
-    unitary, and a gate past pi takes the largest |phase| of its own eigenvalues."""
+    unitary, a gate past pi takes the largest |phase| of its own eigenvalues,
+    and each generator is its own matrix's projection onto the Pauli products."""
     w, v = snap.eigenvalues[index], snap.eigenvectors[index]
     phases = np.exp((-1j * angles / snap.norms[index])[:, None] * w)
     unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    dual = hamiltonian.PAULI_PRODUCTS.reshape(16, 16).conj().T
     return [
-        Gate(snap.pairs[i], u, a if a <= math.pi else np.max(np.abs(np.angle(p))))
+        Gate(
+            snap.pairs[i], u, a if a <= math.pi else np.max(np.abs(np.angle(p))),
+            a / snap.norms[i] * ((snap.matrices[i].reshape(1, 16) @ dual).real[0] / 4.0),
+        )
         for i, u, a, p in zip(index, unitaries, angles, phases)
     ]
 

@@ -26,6 +26,7 @@ from chromlc.hamiltonian import (
     MAX_GENERATED_TERMS,
     MAX_INDEX_SAMPLES,
     MAX_SAMPLES_PER_SEGMENT,
+    PAULI_LABELS,
     chain,
     integrated_chromatic_index,
 )
@@ -400,19 +401,20 @@ def test_simulate_unnormalisable_product_state_exits_2(tmp_path, capsys, entry):
 
 
 @pytest.mark.parametrize("version", [True, 1.0, "1"])
-def test_version_must_be_the_integer_1(tmp_path, capsys, version):
+def test_version_must_be_the_integer_of_the_format(tmp_path, capsys, version):
+    # schedule and product documents are version 1, gate documents version 2
     spath = tmp_path / "chain.json"
     run_cli(capsys, "generate", "chain", "--n", "3", "-o", str(spath))
     gpath = tmp_path / "gates.json"
     run_cli(capsys, "compile", str(spath), "--epsilon", "0.5", "-o", str(gpath))
-    for path, command in ((spath, "index"), (gpath, "simulate")):
+    for path, command, expected in ((spath, "index", 1), (gpath, "simulate", 2)):
         doc = json.loads(path.read_text())
         doc["version"] = version
         edited = tmp_path / f"edited-{path.name}"
         edited.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, command, str(edited))
         assert (code, out) == (2, "")
-        assert err == f"error: version: expected 1, got {version!r}\n"
+        assert err == f"error: version: expected {expected}, got {version!r}\n"
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"format": "chromlc-product", "version": version, "qubits": [[[1, 0], [0, 0]]] * 3}))
     code, _, err = run_cli(capsys, "simulate", str(spath), "--state", str(state))
@@ -480,20 +482,43 @@ def test_simulate_bad_basis_state_exits_2(tmp_path, capsys, spec):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("pair", [["a", 1], [0, [1]], [0.5, 1], [0, 1.9], [False, 1]])
+def _one_gate_document(gate, version=2):
+    return json.dumps({"format": "chromlc-gates", "version": version, "n_qubits": 2, "steps": [{"gates": [gate]}]})
+
+
+@pytest.mark.parametrize("pair", [["a", 1], [0, [1]], [0.5, 1], [0, 1.9], [False, 1], [1, 0]])
 def test_simulate_bad_gate_pair_exits_2(tmp_path, capsys, pair):
-    identity = [[[1.0 if r == c else 0.0, 0.0] for c in range(4)] for r in range(4)]
-    doc = {
-        "format": "chromlc-gates",
-        "version": 1,
-        "n_qubits": 2,
-        "steps": [{"gates": [{"pair": pair, "unitary": identity, "angle": 0.0}]}],
-    }
     gpath = tmp_path / "gates.json"
-    gpath.write_text(json.dumps(doc))
+    gpath.write_text(_one_gate_document({"pair": pair, "generator": [0.0] * 16}))
     code, _, err = run_cli(capsys, "simulate", str(gpath))
     assert code == 2
     assert err.startswith("error: steps[0].gates[0].pair: ")
+
+
+_XX_YY = [1e308 if label in ("XX", "YY") else 0.0 for label in PAULI_LABELS]  # ||A|| = 2e308
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [None, {"XX": 1.0}, [0.0] * 15, [True] + [0.0] * 15, ["x"] + [0.0] * 15, [None] + [0.0] * 15,
+     [10**400] + [0.0] * 15, _XX_YY],
+    ids=["missing", "object", "short", "true", "string", "null", "huge-integer", "overflow"],
+)
+def test_simulate_bad_generator_exits_2(tmp_path, capsys, generator):
+    gate = {"pair": [0, 1]} if generator is None else {"pair": [0, 1], "generator": generator}
+    gpath = tmp_path / "gates.json"
+    gpath.write_text(_one_gate_document(gate))
+    code, out, err = run_cli(capsys, "simulate", str(gpath))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: steps[0].gates[0].generator: ") and err.count("\n") == 1
+
+
+def test_simulate_refuses_a_version_1_gate_document(tmp_path, capsys):
+    identity = [[[1.0 if r == c else 0.0, 0.0] for c in range(4)] for r in range(4)]
+    gpath = tmp_path / "gates.json"
+    gpath.write_text(_one_gate_document({"pair": [0, 1], "unitary": identity, "angle": 0.0}, version=1))
+    code, out, err = run_cli(capsys, "simulate", str(gpath))
+    assert (code, out, err) == (2, "", "error: version: expected 2, got 1\n")
 
 
 @pytest.mark.parametrize(

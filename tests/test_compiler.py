@@ -1,3 +1,4 @@
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -20,6 +21,7 @@ from chromlc.hamiltonian import (
     chain,
     complete_mean_field,
     integrated_chromatic_index,
+    pauli_coeffs,
     random_graph,
     random_time_varying,
     snapshot,
@@ -39,31 +41,43 @@ from helpers import (
     single_pair_schedule,
     time_varying_schedule,
     two_pair_noncommuting,
+    unitary_angle,
     w_at,
     wall_clock_bound,
 )
 
 
+ZERO = np.zeros(16)
+
+
 def test_gate_validation():
     rng = np.random.default_rng(1)
     with pytest.raises(NotUnitary):
-        Gate((0, 1), np.ones((4, 4)), 0.0)
+        Gate((0, 1), np.ones((4, 4)), 0.0, ZERO)
     with pytest.raises(BadParams):
-        Gate((1, 0), np.eye(4), 0.0)
+        Gate((1, 0), np.eye(4), 0.0, ZERO)
     for angle in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(BadParams, match="angle must be finite"):
-            Gate((0, 1), np.eye(4), angle)
+            Gate((0, 1), np.eye(4), angle, ZERO)
+    with pytest.raises(BadParams, match=r"generator must hold 16 coefficients, got shape \(15,\)"):
+        Gate((0, 1), np.eye(4), 0.0, np.zeros(15))
+    with pytest.raises(BadParams, match="generator coefficients must be finite"):
+        Gate((0, 1), np.eye(4), 0.0, np.full(16, np.nan))
     g = gate_from_unitary((0, 1), haar_unitary(4, rng))
-    assert abs(g.angle - linalg.unitary_angle(g.unitary)) < 1e-12
+    assert abs(g.angle - unitary_angle(g.unitary)) < 1e-12
 
 
 def test_gates_are_read_only():
     rng = np.random.default_rng(2)
-    direct = Gate((0, 1), haar_unitary(4, rng), 0.5)
-    batch = Gate.batch([(0, 1), (2, 3)], np.stack([haar_unitary(4, rng) for _ in range(2)]), [0.5, 0.25])
-    for gate in (direct, *batch):
+    direct = Gate((0, 1), haar_unitary(4, rng), 0.5, ZERO)
+    batch = Gate.batch(
+        [(0, 1), (2, 3)], np.stack([haar_unitary(4, rng) for _ in range(2)]), [0.5, 0.25], np.ones((2, 16))
+    )
+    for gate in (direct, *batch, *Gate.from_generators([(0, 1)], [ZERO])):
         with pytest.raises(ValueError):
             gate.unitary[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            gate.generator[0] = 1.0
     assert batch[1].pair == (2, 3) and all(type(x) is int for x in batch[1].pair)
     assert batch[1].angle == 0.25 and type(batch[1].angle) is float
 
@@ -71,23 +85,24 @@ def test_gates_are_read_only():
 @pytest.mark.parametrize(
     "bad",
     [
-        ((2, 1), "haar", 0.5),
-        ((-1, 3), "haar", 0.5),
-        ((0, 1), "ones", 0.5),
-        ((0, 1), "haar", float("nan")),
-        ((0, 1), "haar", float("inf")),
+        ((2, 1), "haar", 0.5, ZERO),
+        ((-1, 3), "haar", 0.5, ZERO),
+        ((0, 1), "ones", 0.5, ZERO),
+        ((0, 1), "haar", float("nan"), ZERO),
+        ((0, 1), "haar", float("inf"), ZERO),
+        ((0, 1), "haar", 0.5, np.full(16, np.inf)),
     ],
 )
 def test_gate_batch_raises_as_gate_does(bad):
     rng = np.random.default_rng(3)
-    pair, kind, angle = bad
+    pair, kind, angle, generator = bad
     u = np.ones((4, 4)) if kind == "ones" else haar_unitary(4, rng)
     with pytest.raises(ChromlcError) as direct:
-        Gate(pair, u, angle)
+        Gate(pair, u, angle, generator)
     pairs = [(0, 1), pair, (1, 2)]
     unitaries = np.stack([haar_unitary(4, rng), u, haar_unitary(4, rng)])
     with pytest.raises(ChromlcError) as batch:
-        Gate.batch(pairs, unitaries, [0.1, angle, 0.2])
+        Gate.batch(pairs, unitaries, [0.1, angle, 0.2], [ZERO, generator, ZERO])
     assert type(batch.value) is type(direct.value)
     assert str(batch.value) == str(direct.value)
 
@@ -97,10 +112,34 @@ def test_gate_batch_equals_gates_built_one_by_one():
     pairs = [(0, 1), (2, 3), (1, 4)]
     unitaries = np.stack([haar_unitary(4, rng) for _ in pairs])
     angles = np.array([0.1, 2.0, 3.0])
-    assert Gate.batch(pairs, unitaries, angles) == [Gate(p, u, a) for p, u, a in zip(pairs, unitaries, angles)]
-    assert Gate.batch([], np.zeros((0, 4, 4)), []) == []
+    generators = rng.normal(size=(3, 16))
+    assert Gate.batch(pairs, unitaries, angles, generators) == [
+        Gate(p, u, a, c) for p, u, a, c in zip(pairs, unitaries, angles, generators)
+    ]
+    assert Gate.batch([], np.zeros((0, 4, 4)), [], np.zeros((0, 16))) == []
     with pytest.raises(BadParams, match="lengths differ"):
-        Gate.batch(pairs[:2], unitaries, angles)
+        Gate.batch(pairs[:2], unitaries, angles, generators)
+
+
+def test_gates_from_generators_are_exp_of_minus_i_a():
+    # angle: ||A|| up to pi, then the largest |phase| of exp(-i A), the smallest generator norm
+    rng = np.random.default_rng(29)
+    norms = np.concatenate([[0.0, 0.3, math.pi], rng.uniform(0.1, 6.0, size=40)])
+    hs = [random_hermitian(4, rng, norm=norm) for norm in norms]
+    hs[2] = np.diag([0.0, 0.0, 0.0, math.pi]).astype(complex)  # exp(-i A) is CZ
+    pairs = [(0, 1)] * len(hs)
+    gates = Gate.from_generators(pairs, [pauli_coeffs(h) for h in hs])
+    assert gates == [Gate.from_generators([(0, 1)], [gate.generator])[0] for gate in gates]
+    assert gates[0].angle == 0.0 and np.array_equal(gates[0].unitary, np.eye(4))
+    assert np.max(np.abs(gates[2].unitary - np.diag([1, 1, 1, -1]))) < 1e-15
+    for gate, h, norm in zip(gates, hs, norms):
+        assert np.max(np.abs(gate.unitary - linalg.expm_i(h, 1.0))) < 1e-12
+        assert np.array_equal(gate.generator, pauli_coeffs(h))
+        assert abs(gate.angle - unitary_angle(gate.unitary)) < 1e-12
+        assert gate.angle <= norm + 1e-12
+        if norm <= math.pi:
+            assert abs(gate.angle - norm) < 1e-12
+    assert Gate.from_generators([], np.zeros((0, 16))) == []
 
 
 @pytest.mark.parametrize(
@@ -354,7 +393,7 @@ def test_compile_angles_match_unitaries_time_varying():
     assert g.steps
     for step in g.steps:
         for gate in step.gates:
-            assert abs(gate.angle - linalg.unitary_angle(gate.unitary)) < 1e-12
+            assert abs(gate.angle - unitary_angle(gate.unitary)) < 1e-12
 
 
 @pytest.mark.parametrize("coupling", [100.0, 1000.0])
@@ -366,7 +405,7 @@ def test_compile_angle_past_pi_falls_back_to_unitary_angle(coupling):
     expected = linalg.expm_i(h, 0.05)
     for step in g.steps:
         for gate in step.gates:
-            angle = linalg.unitary_angle(gate.unitary)
+            angle = unitary_angle(gate.unitary)
             assert angle <= np.pi
             assert abs(gate.angle - angle) < 1e-12
             assert np.max(np.abs(gate.unitary - expected)) < 1e-12

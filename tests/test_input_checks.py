@@ -28,7 +28,8 @@ SCHEDULE_WITH_COEFFS = (  # one term on the pair (0,1), its "coeffs" to fill in
     '[{"t_start": 0.0, "t_end": 1.0, "terms": [{"pair": [0, 1], "coeffs": %s}]}]}'
 )
 # a gate document, its "n_qubits" and "steps" to fill in
-GATES = '{"format": "chromlc-gates", "version": 1, "n_qubits": %s, "steps": %s}'
+GATES = '{"format": "chromlc-gates", "version": 2, "n_qubits": %s, "steps": %s}'
+ONE_GATE = '[{"gates": [{"pair": [0, 1], "generator": %s}]}]'  # a step of one gate, its generator to fill in
 PATH = ((0, 1), (1, 2))
 
 
@@ -43,7 +44,7 @@ PATH = ((0, 1), (1, 2))
         (lambda: random_graph(3, segments=0), BadParams, "segments must be at least 1"),
         (lambda: random_graph(3, p=1.5), BadParams, "edge probability"),
         (lambda: random_time_varying(3, degree=9), BadParams, "degree must lie in"),
-        (lambda: Gate((0, 1), np.eye(2), 0.0), BadParams, "gate unitary must be 4x4"),
+        (lambda: Gate((0, 1), np.eye(2), 0.0, np.zeros(16)), BadParams, "gate unitary must be 4x4"),
         (lambda: GateSchedule(1, ()), BadParams, "at least two qubits"),
         (lambda: MeanFieldObservable.pauli(2, "w"), BadParams, "axis must be one of"),
         (lambda: loads_schedule(SCHEDULE_WITH_A_NUMBER_SEGMENT), ParseError, r"segments\[0\]: expected an object"),
@@ -68,6 +69,16 @@ PATH = ((0, 1), (1, 2))
         (lambda: loads_gates(GATES % (2, "{}")), ParseError, "document.steps: expected a list"),
         (lambda: loads_gates(GATES % (2, "[1]")), ParseError, r"steps\[0\]: expected an object"),
         (lambda: loads_gates(GATES % (2, '[{"gates": [1]}]')), ParseError, r"steps\[0\]\.gates\[0\]: expected an object"),
+        (
+            lambda: loads_gates(GATES % (2, ONE_GATE % "[0.5, true]")),
+            ParseError,
+            r"steps\[0\]\.gates\[0\]\.generator: expected a list of 16 numbers",
+        ),
+        (
+            lambda: loads_gates(GATES % (2, ONE_GATE % ("[1e308, 0, 0, 0, 0, 1e308" + ", 0" * 10 + "]"))),
+            ParseError,
+            r"steps\[0\]\.gates\[0\]\.generator: expected finite coefficients",
+        ),
     ],
 )
 def test_input_check_raises(call, error, message):
@@ -82,7 +93,7 @@ def test_non_square_matrix_is_not_hermitian():
 @pytest.mark.parametrize(
     "check",
     [
-        lambda: Gate((0, 1), np.eye(4), 0.0) == 1,
+        lambda: Gate((0, 1), np.eye(4), 0.0, np.zeros(16)) == 1,
         lambda: Segment(0.0, 1.0) == "x",
         lambda: EdgeColoring((((0, 1),),), True).is_valid_for(PATH),  # misses the edge (1,2)
         lambda: EdgeColoring((((0, 1), (1, 2)),), True).is_valid_for(PATH),  # one class shares vertex 1

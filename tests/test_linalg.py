@@ -6,7 +6,7 @@ import pytest
 from chromlc import linalg
 from chromlc.errors import DimensionMismatch, NotHermitian, NotUnitary
 
-from helpers import charpoly_max_abs_root, haar_unitary, random_hermitian
+from helpers import charpoly_max_abs_root, haar_unitary, random_hermitian, unitary_angle
 
 
 def test_eig_already_diagonal():
@@ -137,40 +137,6 @@ def test_expm_group_law_and_unitarity():
         assert linalg.is_unitary(linalg.expm_i(h, 50.0), 1e-10)
 
 
-def test_unitary_angle_trivials():
-    assert linalg.unitary_angle(np.eye(4)) == 0.0
-    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    assert abs(linalg.unitary_angle(cz) - math.pi) < 1e-12
-
-
-def test_unitary_angle_from_known_generator():
-    rng = np.random.default_rng(23)
-    h = random_hermitian(4, rng, norm=0.3)
-    assert abs(linalg.unitary_angle(linalg.expm_i(h, 1.0)) - 0.3) < 1e-10
-
-
-def test_angle_bounded_by_generator_norm():
-    rng = np.random.default_rng(29)
-    for _ in range(40):
-        norm = float(rng.uniform(0.1, 6.0))
-        h = random_hermitian(4, rng, norm=norm)
-        angle = linalg.unitary_angle(linalg.expm_i(h, -1.0))
-        assert angle <= norm + 1e-9
-        if norm <= math.pi:
-            assert abs(angle - norm) < 1e-9
-
-
-def test_unitary_angle_of_a_stack_is_the_angle_of_each_member():
-    rng = np.random.default_rng(37)
-    stack = np.array([haar_unitary(4, rng) for _ in range(12)]).reshape(3, 4, 4, 4)
-    angles = linalg.unitary_angle(stack)
-    assert angles.shape == (3, 4)
-    assert np.array_equal(angles, [[linalg.unitary_angle(u) for u in row] for row in stack])
-    stack[1, 2, 0, 0] += 0.1
-    with pytest.raises(NotUnitary):
-        linalg.unitary_angle(stack)
-
-
 def test_unitary_log_trivials():
     assert np.max(np.abs(linalg.unitary_log(np.eye(3)))) < 1e-12
     lg = linalg.unitary_log(np.diag([1j, -1j]))
@@ -184,7 +150,7 @@ def test_unitary_log_roundtrip_random():
         h = linalg.unitary_log(u)
         assert linalg.is_hermitian(h, 1e-12)
         assert np.max(np.abs(linalg.expm_i(h, -1.0) - u)) < 1e-9
-        assert abs(np.linalg.norm(h, 2) - linalg.unitary_angle(u)) < 1e-9
+        assert abs(np.linalg.norm(h, 2) - unitary_angle(u)) < 1e-9
 
 
 @pytest.mark.parametrize("center", [math.pi / 2, -math.pi / 2, math.pi, -math.pi])
@@ -206,7 +172,7 @@ def test_unitary_angle_and_log_resolve_near_degenerate_clusters(center):
             phases = np.concatenate([cluster, rng.uniform(-2.5, 2.5, size=dim - size)])
             v = haar_unitary(dim, rng)
             u = (v * np.exp(1j * phases)) @ v.conj().T
-            assert abs(linalg.unitary_angle(u) - np.max(np.abs(phases))) < 1e-12
+            assert abs(unitary_angle(u) - np.max(np.abs(phases))) < 1e-12
             h = linalg.unitary_log(u)
             assert np.max(np.abs(h - (v * phases) @ v.conj().T)) < 1e-12
 

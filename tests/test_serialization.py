@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chromlc import linalg
+from chromlc import cli, linalg
 from chromlc.compiler import Gate, GateSchedule, Step, compile
 from chromlc.errors import ChromlcError, ParseError, SchemaVersionMismatch
 from chromlc.hamiltonian import (
@@ -17,9 +17,11 @@ from chromlc.hamiltonian import (
     chain,
     complete_mean_field,
     disjoint_pairs,
+    pauli_coeffs,
     random_graph,
     random_time_varying,
 )
+from chromlc.simulator import basis_state, propagate
 from chromlc.serialization import (
     dumps_gates,
     dumps_schedule,
@@ -40,6 +42,8 @@ from helpers import (
     random_gate_schedule,
     replace_node,
 )
+
+ZERO = np.zeros(16)
 
 
 GENERATOR_OUTPUTS = [
@@ -104,9 +108,52 @@ def test_gates_roundtrip():
         assert dumps_gates(loads_gates(text)) == text
 
 
+def _assert_same_gates(loaded, g):
+    """Equal pairs, steps and generators; unitaries and angles within 1e-12."""
+    assert loaded.n_qubits == g.n_qubits
+    assert [[gate.pair for gate in step.gates] for step in loaded.steps] == [
+        [gate.pair for gate in step.gates] for step in g.steps
+    ]
+    pairs = [(a, b) for x, y in zip(loaded.steps, g.steps) for a, b in zip(x.gates, y.gates)]
+    assert all(np.array_equal(a.generator, b.generator) for a, b in pairs)
+    assert max((np.max(np.abs(a.unitary - b.unitary)) for a, b in pairs), default=0.0) <= 1e-12
+    assert max((abs(a.angle - b.angle) for a, b in pairs), default=0.0) <= 1e-12
+
+
 def test_compiled_gates_roundtrip():
     gates, _ = compile(chain(4, 1.0, 1.0), 0.25)
-    assert loads_gates(dumps_gates(gates)) == gates
+    _assert_same_gates(loads_gates(dumps_gates(gates)), gates)
+    # one generator per gate: the past-pi angles are the unitaries' again
+    assert max(gate.angle for step in _PAST_PI.steps for gate in step.gates) < math.pi
+    _assert_same_gates(loads_gates(dumps_gates(_PAST_PI)), _PAST_PI)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        ["random_graph", "--n", "8", "--p", "0.5", "--segments", "4", "--seed", "7"],
+        ["random_graph", "--n", "8", "--p", "0.5", "--segments", "4", "--seed", "11"],
+        ["random_time_varying", "--n", "6", "--p", "0.6", "--seed", "3"],
+        ["random_time_varying", "--n", "6", "--p", "0.6", "--seed", "11"],
+    ],
+    ids=["pwc-7", "pwc-11", "tv-3", "tv-11"],
+)
+def test_compiled_gate_documents_roundtrip(generate, tmp_path, capsys):
+    spath, gpath = tmp_path / "doc.json", tmp_path / "gates.json"
+    assert cli.main(["generate", *generate, "-o", str(spath)]) == 0
+    g, _ = compile(load_schedule(spath), 0.05)
+    text = dumps_gates(g)
+    loaded = loads_gates(text)
+    _assert_same_gates(loaded, g)
+    assert dumps_gates(loaded) == text
+    gpath.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["simulate", str(gpath), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    amp = propagate(g, basis_state(g.n_qubits, 0))
+    assert abs(doc["norm"] - np.linalg.norm(amp)) < 1e-12
+    for row in doc["amplitudes"]:
+        assert abs(complex(row["re"], row["im"]) - amp[row["index"]]) < 1e-12
 
 
 def test_parse_rejects_pair_k_equals_l():
@@ -143,12 +190,18 @@ def test_parse_version_and_format():
 
 @pytest.mark.parametrize("version", [True, 1.0, "1"])
 def test_parse_version_must_be_the_integer_1(version):
-    gates = GateSchedule(2, (Step((Gate((0, 1), np.eye(4), 0.0),)),))
-    for text, loads in ((dumps_schedule(chain(3)), loads_schedule), (dumps_gates(gates), loads_gates)):
-        doc = json.loads(text)
-        doc["version"] = version
-        with pytest.raises(SchemaVersionMismatch, match=r"^version: expected 1, got "):
-            loads(json.dumps(doc))
+    doc = json.loads(dumps_schedule(chain(3)))
+    doc["version"] = version
+    with pytest.raises(SchemaVersionMismatch, match=r"^version: expected 1, got "):
+        loads_schedule(json.dumps(doc))
+
+
+@pytest.mark.parametrize("version", [True, 2.0, "2", 1])
+def test_gates_parse_version_must_be_the_integer_2(version):
+    doc = _gate_document()
+    doc["version"] = version
+    with pytest.raises(SchemaVersionMismatch, match=rf"^version: expected 2, got {version!r}$"):
+        loads_gates(json.dumps(doc))
 
 
 def test_parse_reports_json_syntax_location():
@@ -264,7 +317,7 @@ def test_parse_trims_coefficients_before_building_the_array():
 
 
 def _gate_document():
-    return json.loads(dumps_gates(GateSchedule(2, (Step((Gate((0, 1), np.eye(4), 0.0),)),))))
+    return json.loads(dumps_gates(GateSchedule(2, (Step(tuple(Gate.from_generators([(0, 1)], [ZERO]))),))))
 
 
 def _schedule_document():
@@ -282,13 +335,7 @@ def _schedule_document():
         ),
         (_schedule_document, loads_schedule, ("segments", 0, "t_start"), "segments[0].t_start"),
         (_schedule_document, loads_schedule, ("segments", 0, "t_end"), "segments[0].t_end"),
-        (_gate_document, loads_gates, ("steps", 0, "gates", 0, "angle"), "steps[0].gates[0].angle"),
-        (
-            _gate_document,
-            loads_gates,
-            ("steps", 0, "gates", 0, "unitary", 2, 3, 1),
-            "steps[0].gates[0].unitary",
-        ),
+        (_gate_document, loads_gates, ("steps", 0, "gates", 0, "generator", 3), "steps[0].gates[0].generator"),
     ],
 )
 def test_parse_rejects_numbers_too_large_for_a_float(make_doc, loads, path, field):
@@ -302,89 +349,92 @@ def test_parse_rejects_numbers_too_large_for_a_float(make_doc, loads, path, fiel
     assert str(info.value) == f"{field}: number too large for a float"
 
 
-def test_gates_parse_rejects_bad_angle():
-    rng = np.random.default_rng(2)
-    g = GateSchedule(2, (Step((gate_from_unitary((0, 1), haar_unitary(4, rng)),)),))
-    doc = json.loads(dumps_gates(g))
-    doc["steps"][0]["gates"][0]["angle"] += 0.1
-    with pytest.raises(ParseError, match="angle"):
-        loads_gates(json.dumps(doc))
-
-
-def test_gates_parse_names_the_gate_whose_angle_is_wrong():
-    # the angles of every step are checked in one stack: the error maps back to its gate
+def _two_step_gates():
     rng = np.random.default_rng(6)
     steps = [
         Step((gate_from_unitary((0, 1), haar_unitary(4, rng)), gate_from_unitary((2, 3), haar_unitary(4, rng)))),
         Step((gate_from_unitary((1, 2), haar_unitary(4, rng)), gate_from_unitary((0, 3), haar_unitary(4, rng)))),
     ]
-    doc = json.loads(dumps_gates(GateSchedule(4, tuple(steps))))
-    doc["steps"][1]["gates"][0]["angle"] += 1e-6
-    with pytest.raises(ParseError, match=r"^steps\[1\]\.gates\[0\]\.angle: .* does not match"):
+    return GateSchedule(4, tuple(steps))
+
+
+def test_gates_parse_names_the_gate_whose_generator_overflows():
+    # the generators are checked as one stack: the error maps back to its gate
+    doc = json.loads(dumps_gates(_two_step_gates()))
+    doc["steps"][1]["gates"][0]["generator"][5:11:5] = [1e308, 1e308]  # XX + YY: ||A|| = 2e308
+    with pytest.raises(
+        ParseError,
+        match=r"^steps\[1\]\.gates\[0\]\.generator: expected finite coefficients whose absolute values sum "
+        r"within the float range$",
+    ):
         loads_gates(json.dumps(doc))
 
 
-def test_gates_roundtrip_keeps_a_gate_with_a_near_degenerate_angle():
-    # two eigenphases 6e-9 apart around -pi/2: the angle check on loading
-    # must resolve them to better than ANGLE_CHECK_TOL
+def test_gates_roundtrip_keeps_a_gate_with_a_near_degenerate_generator():
+    # two eigenvalues 6e-9 apart around pi/2: eigh resolves them, and the
+    # loaded gate is the gate written, bit for bit
     v = haar_unitary(4, np.random.default_rng(0))
-    phases = np.array([-math.pi / 2 - 3e-9, -math.pi / 2 + 3e-9, 0.5, 0.2])
-    u = (v * np.exp(1j * phases)) @ v.conj().T
-    g = GateSchedule(2, (Step((Gate((0, 1), u, math.pi / 2 + 3e-9),)),))
+    h = (v * np.array([math.pi / 2 - 3e-9, math.pi / 2 + 3e-9, 0.5, 0.2])) @ v.conj().T
+    g = GateSchedule(2, (Step(tuple(Gate.from_generators([(0, 1)], [pauli_coeffs((h + h.conj().T) / 2)]))),))
+    assert abs(g.steps[0].gates[0].angle - (math.pi / 2 + 3e-9)) < 1e-12
     assert loads_gates(dumps_gates(g)) == g
 
 
-@pytest.mark.parametrize("angle", ["NaN", "Infinity"])
-def test_gates_parse_rejects_non_finite_angle(angle):
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_gates_parse_rejects_non_finite_generator(value):
     # json reads these literals; the encoder could not write them back
-    text = dumps_gates(GateSchedule(2, (Step((Gate((0, 1), np.eye(4), 0.0),)),)))
-    assert '"angle":0.0' in text
-    with pytest.raises(ParseError, match=r"steps\[0\].gates\[0\]: gate angle must be finite"):
-        loads_gates(text.replace('"angle":0.0', f'"angle": {angle}'))
-
-
-def test_gates_parse_rejects_non_unitary():
-    rng = np.random.default_rng(3)
-    g = GateSchedule(2, (Step((gate_from_unitary((0, 1), haar_unitary(4, rng)),)),))
-    doc = json.loads(dumps_gates(g))
-    doc["steps"][0]["gates"][0]["unitary"][0][0] = [5.0, 0.0]
-    with pytest.raises(ParseError, match=r"steps\[0\].gates\[0\]"):
-        loads_gates(json.dumps(doc))
+    text = dumps_gates(_two_step_gates())
+    doc = json.loads(text)
+    entry = doc["steps"][0]["gates"][1]["generator"][7]
+    assert text.count(repr(entry)) == 1
+    with pytest.raises(ParseError, match=r"^steps\[0\]\.gates\[1\]\.generator: expected finite coefficients"):
+        loads_gates(text.replace(repr(entry), value))
 
 
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("unitary", 0, 0), [5.0, 0.0], "gate matrix is not unitary at tolerance 1e-10"),
-        (("angle",), float("nan"), "gate angle must be finite, got nan"),
-        (("pair",), [3, 2], r"gate pair \(3,2\) must satisfy 0 <= k < l"),
+        (("generator",), {"XX": 1.0}, r"generator: expected a list of 16 numbers"),
+        (("generator",), [0.0] * 15, r"generator: expected a list of 16 numbers"),
+        (("generator",), [0.0] * 17, r"generator: expected a list of 16 numbers"),
+        (("generator", 4), True, r"generator: expected a list of 16 numbers"),
+        (("generator", 4), "x", r"generator: expected a list of 16 numbers"),
+        (("generator", 4), None, r"generator: expected a list of 16 numbers"),
+        (("generator", 4), 10**400, r"generator: number too large for a float"),
+        (("generator", 4), float("nan"), r"generator: expected finite coefficients .*"),
+        (("pair",), [3, 2], r"pair: indices must satisfy 0 <= k < l, got \[3, 2\]"),
+        (("pair",), ["a", 1], r"pair: expected \[k, l\] with integer entries"),
     ],
 )
 def test_gates_parse_names_the_bad_gate_of_a_step(path, value, message):
-    # each step's gates are checked as one stack; a failure still names its gate
     doc = json.loads(dumps_gates(compile(disjoint_pairs(6), 0.5)[0]))
     node = doc["steps"][1]["gates"][2]
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    with pytest.raises(ParseError, match=rf"^steps\[1\]\.gates\[2\]: {message}$"):
+    with pytest.raises(ParseError, match=rf"^steps\[1\]\.gates\[2\]\.{message}$"):
         loads_gates(json.dumps(doc))
 
 
-def test_gates_parse_checks_the_document_as_one_stack(monkeypatch):
+def test_gates_parse_builds_the_document_by_one_eigensolve(monkeypatch):
     g, _ = compile(disjoint_pairs(6), 0.25)  # 4 steps of 3 gates
     text = dumps_gates(g)
     calls = []
-    original = linalg.is_unitary
+    originals = {"eigh": np.linalg.eigh, "is_unitary": linalg.is_unitary}
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(name):
+        def count(*args):
+            calls.append(name)
+            return originals[name](*args)
 
-    monkeypatch.setattr(linalg, "is_unitary", counting)
-    assert loads_gates(text) == g
-    assert len(g.steps) == 4
-    assert len(calls) == 1 + 1  # one for the document's gates, one in its stacked angle check
+        return count
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh"))
+    monkeypatch.setattr(linalg, "is_unitary", counting("is_unitary"))
+    loaded = loads_gates(text)
+    assert len(loaded.steps) == 4
+    assert calls == ["eigh", "is_unitary"]  # one for the document's generators, one for its unitaries
+    _assert_same_gates(loaded, g)
 
 
 def test_gates_parse_rejects_overlapping_step():
@@ -393,7 +443,7 @@ def test_gates_parse_rejects_overlapping_step():
     b = gate_from_unitary((1, 2), haar_unitary(4, rng))
     doc = {
         "format": "chromlc-gates",
-        "version": 1,
+        "version": 2,
         "n_qubits": 3,
         "steps": [
             {
@@ -415,8 +465,9 @@ def test_file_helpers_and_dispatch(tmp_path):
     gpath.write_text(dumps_gates(g), encoding="utf-8")
     assert load_schedule(spath) == s
     assert load_document(spath) == s
-    assert load_document(gpath) == g
-    assert load_gates(gpath) == g
+    assert load_document(gpath) == loads_gates(dumps_gates(g))
+    assert load_gates(gpath) == loads_gates(dumps_gates(g))
+    _assert_same_gates(load_gates(gpath), g)
     other = tmp_path / "other.json"
     other.write_text('{"format": "nope", "version": 1}')
     with pytest.raises(SchemaVersionMismatch):
@@ -431,53 +482,33 @@ def _reference_text(g):
     steps = [
         {
             "gates": [
-                {
-                    "pair": [gate.pair[0], gate.pair[1]],
-                    "unitary": [
-                        [[float(z.real), float(z.imag)] for z in row] for row in gate.unitary
-                    ],
-                    "angle": gate.angle,
-                }
+                {"pair": [gate.pair[0], gate.pair[1]], "generator": [float(c) for c in gate.generator]}
                 for gate in step.gates
             ]
         }
         for step in g.steps
     ]
-    doc = {"format": "chromlc-gates", "version": 1, "n_qubits": g.n_qubits, "steps": steps}
+    doc = {"format": "chromlc-gates", "version": 2, "n_qubits": g.n_qubits, "steps": steps}
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-@st.composite
-def _unitaries(draw):
-    """Phase diagonals, optionally turned by a Givens rotation with sine 0.1 or
-    0.6, with some zero entries replaced by -0.0, +-1e-17 or 5e-324."""
-    phases = draw(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
-    u = np.diag(np.exp(1j * np.array(phases)))
-    sine = draw(st.sampled_from([None, 0.1, 0.6]))
-    if sine is not None:
-        turn = np.eye(4, dtype=complex)
-        turn[:2, :2] = [[math.sqrt(1.0 - sine * sine), -sine], [sine, math.sqrt(1.0 - sine * sine)]]
-        u = turn @ u
-    flat = u.view(np.float64).ravel()
-    for i in draw(st.lists(st.integers(0, 31), max_size=8)):
-        if flat[i] == 0.0:
-            flat[i] = draw(st.sampled_from([-0.0, 1e-17, -1e-17, 5e-324]))
-    return u
+# finite floats, with the entries whose rendering is easy to get wrong
+_COEFFICIENT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-17, -1e-17, 5e-324, 0.1])
 
 
 @st.composite
 def _gate_schedules(draw):
-    """Zero to four steps of one to three gates on disjoint pairs of six qubits."""
+    """Zero to four steps of one to three gates on disjoint pairs of six
+    qubits, with any finite generators: the encoder writes only pairs and
+    generators, so the unitaries are left the identity."""
     steps = []
     for _ in range(draw(st.integers(0, 4))):
         qubits = draw(st.permutations(range(6)))
-        width = draw(st.integers(1, 3))
         gates = []
-        for j in range(width):
-            finite = st.floats(allow_nan=False, allow_infinity=False)
-            angle = draw(finite | st.sampled_from([-0.0, 1e-17, 0.1]))
+        for j in range(draw(st.integers(1, 3))):
             pair = tuple(sorted(qubits[2 * j : 2 * j + 2]))
-            gates.append(Gate(pair, draw(_unitaries()), angle))
+            generator = draw(st.lists(_COEFFICIENT, min_size=16, max_size=16))
+            gates.append(Gate(pair, np.eye(4), 0.0, generator))
         steps.append(Step(tuple(gates)))
     return GateSchedule(6, tuple(steps))
 
@@ -493,13 +524,13 @@ def test_dumps_gates_matches_json_indent(g):
     assert dumps_gates(g) == _reference_text(g)
 
 
-def test_dumps_gates_examples_cover_the_fallback_and_special_entries():
-    u = np.eye(4, dtype=complex)
-    u[0, 1], u[1, 0], u[2, 2] = 1e-17, complex(-0.0, 1e-17), complex(1.0, -0.0)
-    g = GateSchedule(4, (Step((Gate((0, 1), u, 0.1), Gate((2, 3), np.eye(4), -0.0))),))
+def test_dumps_gates_examples_cover_the_special_entries():
+    generator = np.zeros(16)
+    generator[[1, 5, 10, 15]] = 1e-17, -0.0, 0.1, 1e308
+    g = GateSchedule(4, (Step(tuple(Gate.from_generators([(0, 1), (2, 3)], [generator, ZERO]))),))
     text = dumps_gates(g)
     assert text == _reference_text(g)
-    for literal in ("1e-17", "-0.0", "0.1"):
+    for literal in ("1e-17", "-0.0", "0.1", "1e+308"):
         assert literal in text
     assert dumps_gates(GateSchedule(2, ())).endswith('"steps":[]}\n')
     # each gate's generator has norm 100 * 0.05 = 5 > pi: the angle is the unitary's
@@ -510,7 +541,7 @@ def test_dumps_gates_examples_cover_the_fallback_and_special_entries():
     "obj, dumps, loads",
     [
         (random_time_varying(4, p=0.8, seed=2), dumps_schedule, loads_schedule),
-        (compile(random_graph(4, p=0.8, seed=1, segments=2), 0.5)[0], dumps_gates, loads_gates),
+        (loads_gates(dumps_gates(compile(random_graph(4, p=0.8, seed=1, segments=2), 0.5)[0])), dumps_gates, loads_gates),
     ],
     ids=["schedule", "gates"],
 )
@@ -561,12 +592,14 @@ _GATES_BASE = json.loads(
         GateSchedule(
             3,
             (
-                Step((Gate((0, 1), np.eye(4), 0.0),)),
+                Step(tuple(Gate.from_generators([(0, 1)], [ZERO]))),
                 Step((gate_from_unitary((1, 2), haar_unitary(4, np.random.default_rng(5))),)),
             ),
         )
     )
 )
+# the fuzz values, and generator-shaped lists of any floats
+_GATES_FUZZ_VALUES = FUZZ_VALUES | st.lists(st.floats() | st.sampled_from([1e308, -1e308]), min_size=16, max_size=16)
 
 
 def _check_fuzzed(base, loads, path, value):
@@ -590,9 +623,14 @@ def test_fuzzed_schedule_parses_or_raises_chromlc_error(path, value):
 
 
 @settings(max_examples=100, deadline=None)
-@given(path=st.sampled_from(list(node_paths(_GATES_BASE))), value=FUZZ_VALUES)
-@example(path=("steps", 1, "gates", 0, "angle"), value=10**400)
-@example(path=("steps", 1, "gates", 0, "unitary", 2, 3, 0), value=-(10**400))
-@example(path=("steps", 1, "gates", 0, "unitary", 2, 3), value={"re": 1.0})
+@given(path=st.sampled_from(list(node_paths(_GATES_BASE))), value=_GATES_FUZZ_VALUES)
+@example(path=("steps", 1, "gates", 0, "generator", 3), value=10**400)
+@example(path=("steps", 1, "gates", 0, "generator", 15), value=-(10**400))
+@example(path=("steps", 1, "gates", 0, "generator", 5), value={"re": 1.0})
+@example(path=("steps", 1, "gates", 0, "generator", 5), value=True)
+@example(path=("steps", 1, "gates", 0, "generator", 5), value="x")
+@example(path=("steps", 1, "gates", 0, "generator", 5), value=None)
+@example(path=("steps", 1, "gates", 0, "generator"), value=[1e308] * 16)
+@example(path=("steps", 0, "gates", 0, "generator"), value=[0.0] * 15)
 def test_fuzzed_gates_parse_or_raise_chromlc_error(path, value):
     _check_fuzzed(_GATES_BASE, loads_gates, path, value)
