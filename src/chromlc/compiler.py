@@ -13,8 +13,8 @@ subinterval length shrinks.
 Every subinterval of a constant segment has the same snapshot, levels and
 gates, so such a segment is compiled once and its steps repeat, the same
 objects each time.  A sample's gates, over all of its levels, are built
-and checked as one stack (:meth:`Gate.batch`): one unitarity test per
-sample, not one per gate.  The integrated index itself is not computed
+as one stack from its pair terms' eigendecompositions, so they are
+unitary by construction.  The integrated index itself is not computed
 here: callers that want it, such as ``chromlc compile --report``, ask
 :func:`~chromlc.hamiltonian.integrated_chromatic_index`.
 
@@ -37,7 +37,7 @@ from itertools import islice
 import numpy as np
 
 from . import linalg
-from .errors import BadParams, EpsilonTooLarge, NotConstant, NotUnitary, TooLarge
+from .errors import BadParams, EpsilonTooLarge, NotConstant, TooLarge
 from .graphs import color_edges, level_decompose
 from .hamiltonian import (
     MAX_SAMPLES_PER_SEGMENT,
@@ -76,12 +76,12 @@ class Gate:
 
     The angle is the smallest norm of a Hermitian generator of the unitary:
     ||A|| up to pi, and past pi the largest |phase| of the unitary's
-    eigenvalues.  :func:`compile` builds all three from one eigendecomposition
-    of each pair term; :meth:`from_generators` derives the unitary and the
-    angle from A, as the gate-document reader does.
-    The rules of :func:`_checked_gates` hold for every gate: ``Gate(...)``
-    applies them to a stack of one, :meth:`batch` once to a whole stack.
-    The unitary and the generator are read-only.
+    eigenvalues.  A plain record: the package builds every gate in
+    :func:`_gates_from_eig` from an eigendecomposition (of each pair term in
+    :func:`compile`, of A in :meth:`from_generators`, which the
+    gate-document reader calls), so the unitary is unitary and the angle
+    agrees with it by construction; the unitary and the generator are
+    read-only.
     """
 
     pair: tuple
@@ -89,41 +89,26 @@ class Gate:
     angle: float
     generator: np.ndarray
 
-    def __post_init__(self):
-        (pair,), (u,), (angle,), (generator,) = _checked_gates(
-            (self.pair,), (self.unitary,), (self.angle,), (self.generator,)
-        )
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "angle", angle)
-        object.__setattr__(self, "generator", generator)
-
-    @classmethod
-    def batch(cls, pairs, unitaries, angles, generators) -> list:
-        """``[Gate(p, u, a, c) for p, u, a, c in zip(pairs, unitaries, angles, generators)]``,
-        checked once for the whole stack; each unitary and generator is a view
-        into one read-only copy of ``unitaries`` and ``generators``."""
-        pairs, stack, angles, generators = _checked_gates(pairs, unitaries, angles, generators)
-        gates = []
-        for pair, u, angle, generator in zip(pairs, stack, angles, generators):
-            gate = object.__new__(cls)  # set one by one, the attributes keep a compact instance dict
-            object.__setattr__(gate, "pair", pair)
-            object.__setattr__(gate, "unitary", u)
-            object.__setattr__(gate, "angle", angle)
-            object.__setattr__(gate, "generator", generator)
-            gates.append(gate)
-        return gates
-
     @classmethod
     def from_generators(cls, pairs, generators) -> list:
         """The gates exp(-i*A) on ``pairs`` for a ``(g, 16)`` stack of
         generator coefficients, by one stacked ``eigh`` of the matrices A.
 
-        The caller keeps the absolute coefficients of each generator summing
-        to a float, as the gate-document reader checks: that sum bounds
-        ||A||, so every entry and eigenvalue of A is a float.
+        Every pair must satisfy 0 <= k < l, and the stack holds one
+        generator per pair; it is copied.  The caller keeps the absolute
+        coefficients of each generator summing to a float, as the
+        gate-document reader checks: that sum bounds ||A||, so every entry
+        and eigenvalue of A is a float.
         """
-        generators = np.asarray(generators, dtype=float)
+        pairs = [(int(p[0]), int(p[1])) for p in pairs]
+        for k, l in pairs:
+            if not 0 <= k < l:
+                raise BadParams(f"gate pair ({k},{l}) must satisfy 0 <= k < l")
+        generators = np.array(generators, dtype=float)
+        if generators.ndim != 2 or generators.shape[1] != 16:
+            raise BadParams(f"gate generator must hold 16 coefficients, got shape {generators.shape[1:]}")
+        if len(generators) != len(pairs):
+            raise BadParams(f"gate stack lengths differ: {len(pairs)} pairs, {len(generators)} generators")
         matrices = np.matmul(generators[:, None, :], PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4)
         w, v = np.linalg.eigh(matrices)
         return _gates_from_eig(pairs, np.exp(-1j * w), v, np.max(np.abs(w), axis=-1), generators)
@@ -137,41 +122,6 @@ class Gate:
             and np.array_equal(self.unitary, other.unitary)
             and np.array_equal(self.generator, other.generator)
         )
-
-
-def _checked_gates(pairs, unitaries, angles, generators):
-    """The gate rules, applied to a stack at once: every pair has
-    0 <= k < l, every unitary is 4x4 and unitary at 1e-10, every angle is
-    finite, every generator is 16 finite coefficients.  Returns the pairs
-    as tuples of ints, a read-only complex copy of the ``(g, 4, 4)`` stack,
-    the angles as floats and a read-only float copy of the ``(g, 16)``
-    generators."""
-    pairs = [(int(p[0]), int(p[1])) for p in pairs]
-    for k, l in pairs:
-        if not 0 <= k < l:
-            raise BadParams(f"gate pair ({k},{l}) must satisfy 0 <= k < l")
-    stack = np.array(unitaries, dtype=np.complex128)
-    if stack.shape[1:] != (4, 4):
-        raise BadParams(f"gate unitary must be 4x4, got {stack.shape[1:]}")
-    if not linalg.is_unitary(stack, 1e-10):
-        raise NotUnitary("gate matrix is not unitary at tolerance 1e-10")
-    stack.flags.writeable = False
-    angles = [float(a) for a in angles]
-    for angle in angles:
-        if not math.isfinite(angle):
-            raise BadParams(f"gate angle must be finite, got {angle}")
-    generators = np.array(generators, dtype=float)
-    if generators.shape[1:] != (16,):
-        raise BadParams(f"gate generator must hold 16 coefficients, got shape {generators.shape[1:]}")
-    if not np.isfinite(generators).all():
-        raise BadParams("gate generator coefficients must be finite")
-    generators.flags.writeable = False
-    if not len(pairs) == len(stack) == len(angles) == len(generators):
-        raise BadParams(
-            f"gate stack lengths differ: {len(pairs)} pairs, {len(stack)} unitaries, "
-            f"{len(angles)} angles, {len(generators)} generators"
-        )
-    return pairs, stack, angles, generators
 
 
 @dataclass(frozen=True)
@@ -346,10 +296,17 @@ def _gates_from_eig(pairs, phases, v, norms, generators) -> list:
     """The gates exp(-i*A) of generators A whose eigenvectors ``v`` (g, 4, 4)
     carry the eigenvalues ``phases`` (g, 4) of exp(-i*A), and whose norms are
     ``norms``; the angle is the norm up to pi and past pi the largest
-    |phase|.  The gates are checked as one stack (:meth:`Gate.batch`)."""
+    |phase|.  The one place a gate is built: ``v`` comes from ``eigh`` and
+    every phase has modulus 1, so each unitary is unitary.  The generators
+    are finite: :func:`compile` builds them from finite terms and angles
+    within the float range, and the gate-document reader refuses unbounded
+    ones.  The unitaries and the ``(g, 16)`` array ``generators``, which
+    the caller hands over, become read-only; each gate holds views of them."""
     unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    angles = np.where(norms <= math.pi, norms, np.max(np.abs(np.angle(phases)), axis=-1))
-    return Gate.batch(pairs, unitaries, angles, generators)
+    angles = np.where(norms <= math.pi, norms, np.max(np.abs(np.angle(phases)), axis=-1)).tolist()
+    unitaries.flags.writeable = False
+    generators.flags.writeable = False
+    return [Gate(*gate) for gate in zip(pairs, unitaries, angles, generators)]
 
 
 def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:

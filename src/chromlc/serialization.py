@@ -265,8 +265,8 @@ def dumps_gates(g: GateSchedule) -> str:
     follow a fixed header.  The generators of each distinct step become
     Python floats through one ``tolist`` of their stack; stacking the whole
     file at once would hold every gate's floats at the same time.
-    Generators are finite (``Gate`` checks them), so no NaN or Infinity
-    arises.
+    Generators are finite, so no NaN or Infinity arises: ``compile`` builds
+    them from finite terms and angles, and the reader refuses unbounded ones.
     """
     texts = {}  # id(step) -> its text; g holds every step, so no id is reused during the call
     steps = []

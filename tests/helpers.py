@@ -607,9 +607,10 @@ def recounting_level_decompose(pairs, weights, known=None):
 
 
 def per_gate_pair_gates(snap, index, angles):
-    """``compiler._pair_gates`` gate by gate: each ``Gate(...)`` checks its own
-    unitary, a gate past pi takes the largest |phase| of its own eigenvalues,
-    and each generator is its own matrix's projection onto the Pauli products."""
+    """``compiler._pair_gates`` gate by gate, each built by the plain
+    ``Gate(...)`` record constructor: a gate past pi takes the largest
+    |phase| of its own eigenvalues, and each generator is its own matrix's
+    projection onto the Pauli products."""
     w, v = snap.eigenvalues[index], snap.eigenvectors[index]
     phases = np.exp((-1j * angles / snap.norms[index])[:, None] * w)
     unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)

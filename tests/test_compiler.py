@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -14,7 +15,7 @@ from chromlc.compiler import (
     trotterize,
     weighted_depth,
 )
-from chromlc.errors import BadParams, ChromlcError, EpsilonTooLarge, NotConstant, NotUnitary, TooLarge
+from chromlc.errors import BadParams, EpsilonTooLarge, NotConstant, TooLarge
 from chromlc.graphs import EXACT_SEARCH_CAP, color_edges
 from chromlc.hamiltonian import (
     HamiltonianSchedule,
@@ -51,74 +52,45 @@ ZERO = np.zeros(16)
 
 
 def test_gate_validation():
-    rng = np.random.default_rng(1)
-    with pytest.raises(NotUnitary):
-        Gate((0, 1), np.ones((4, 4)), 0.0, ZERO)
-    with pytest.raises(BadParams):
-        Gate((1, 0), np.eye(4), 0.0, ZERO)
-    for angle in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(BadParams, match="angle must be finite"):
-            Gate((0, 1), np.eye(4), angle, ZERO)
+    # Gate.from_generators, the one way to build gates from outside the compiler, refuses bad input
+    for k, l in ((1, 0), (-1, 3)):
+        with pytest.raises(BadParams, match=re.escape(f"gate pair ({k},{l}) must satisfy 0 <= k < l")):
+            Gate.from_generators([(k, l)], [ZERO])
     with pytest.raises(BadParams, match=r"generator must hold 16 coefficients, got shape \(15,\)"):
-        Gate((0, 1), np.eye(4), 0.0, np.zeros(15))
-    with pytest.raises(BadParams, match="generator coefficients must be finite"):
-        Gate((0, 1), np.eye(4), 0.0, np.full(16, np.nan))
-    g = gate_from_unitary((0, 1), haar_unitary(4, rng))
+        Gate.from_generators([(0, 1)], np.zeros((1, 15)))
+    for pairs in ([(0, 1)], [(0, 1), (1, 2), (2, 3)]):  # zip would drop the surplus
+        with pytest.raises(BadParams, match=f"gate stack lengths differ: {len(pairs)} pairs, 2 generators"):
+            Gate.from_generators(pairs, np.zeros((2, 16)))
+    g = gate_from_unitary((0, 1), haar_unitary(4, np.random.default_rng(1)))
     assert abs(g.angle - unitary_angle(g.unitary)) < 1e-12
 
 
 def test_gates_are_read_only():
-    rng = np.random.default_rng(2)
-    direct = Gate((0, 1), haar_unitary(4, rng), 0.5, ZERO)
-    batch = Gate.batch(
-        [(0, 1), (2, 3)], np.stack([haar_unitary(4, rng) for _ in range(2)]), [0.5, 0.25], np.ones((2, 16))
-    )
-    for gate in (direct, *batch, *Gate.from_generators([(0, 1)], [ZERO])):
+    generators = np.ones((2, 16))
+    gates = Gate.from_generators(np.array([(0, 1), (2, 3)]), generators)
+    for gate in gates:
         with pytest.raises(ValueError):
             gate.unitary[0, 0] = 1.0
         with pytest.raises(ValueError):
             gate.generator[0] = 1.0
-    assert batch[1].pair == (2, 3) and all(type(x) is int for x in batch[1].pair)
-    assert batch[1].angle == 0.25 and type(batch[1].angle) is float
+    generators[1, 0] = 5.0  # the caller's array is copied, not frozen
+    assert np.array_equal(gates[1].generator, np.ones(16))
+    assert gates[1].pair == (2, 3) and all(type(x) is int for x in gates[1].pair)
+    assert type(gates[1].angle) is float
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        ((2, 1), "haar", 0.5, ZERO),
-        ((-1, 3), "haar", 0.5, ZERO),
-        ((0, 1), "ones", 0.5, ZERO),
-        ((0, 1), "haar", float("nan"), ZERO),
-        ((0, 1), "haar", float("inf"), ZERO),
-        ((0, 1), "haar", 0.5, np.full(16, np.inf)),
-    ],
-)
-def test_gate_batch_raises_as_gate_does(bad):
-    rng = np.random.default_rng(3)
-    pair, kind, angle, generator = bad
-    u = np.ones((4, 4)) if kind == "ones" else haar_unitary(4, rng)
-    with pytest.raises(ChromlcError) as direct:
-        Gate(pair, u, angle, generator)
-    pairs = [(0, 1), pair, (1, 2)]
-    unitaries = np.stack([haar_unitary(4, rng), u, haar_unitary(4, rng)])
-    with pytest.raises(ChromlcError) as batch:
-        Gate.batch(pairs, unitaries, [0.1, angle, 0.2], [ZERO, generator, ZERO])
-    assert type(batch.value) is type(direct.value)
-    assert str(batch.value) == str(direct.value)
-
-
-def test_gate_batch_equals_gates_built_one_by_one():
-    rng = np.random.default_rng(5)
-    pairs = [(0, 1), (2, 3), (1, 4)]
-    unitaries = np.stack([haar_unitary(4, rng) for _ in pairs])
-    angles = np.array([0.1, 2.0, 3.0])
-    generators = rng.normal(size=(3, 16))
-    assert Gate.batch(pairs, unitaries, angles, generators) == [
-        Gate(p, u, a, c) for p, u, a, c in zip(pairs, unitaries, angles, generators)
-    ]
-    assert Gate.batch([], np.zeros((0, 4, 4)), [], np.zeros((0, 16))) == []
-    with pytest.raises(BadParams, match="lengths differ"):
-        Gate.batch(pairs[:2], unitaries, angles, generators)
+def _assert_built(g):
+    """What building every gate from an eigendecomposition guarantees: the
+    unitaries are unitary at 1e-10 (checked as one stack), each angle is a
+    finite float, each pair an int tuple (k, l) with k < l, and each unitary
+    and generator is read-only."""
+    gates = [gate for step in g.steps for gate in step.gates]
+    assert linalg.is_unitary(np.reshape([gate.unitary for gate in gates], (-1, 4, 4)), 1e-10)
+    for gate in gates:
+        assert type(gate.angle) is float and math.isfinite(gate.angle)
+        assert type(gate.pair) is tuple and [type(x) for x in gate.pair] == [int, int]
+        assert gate.pair[0] < gate.pair[1]
+        assert not gate.unitary.flags.writeable and not gate.generator.flags.writeable
 
 
 def test_gates_from_generators_are_exp_of_minus_i_a():
@@ -157,6 +129,7 @@ def test_compile_gates_match_the_per_level_per_gate_path(schedule, monkeypatch):
     oracle_g, oracle_report = compile(schedule, 0.05)
     assert g == oracle_g
     assert report == oracle_report
+    _assert_built(g)
 
 
 @pytest.mark.parametrize(
@@ -182,17 +155,17 @@ def test_compile_and_rechromatize_match_per_midpoint_snapshots(schedule, epsilon
 def test_trotterize_gates_match_the_per_gate_path(coupling, monkeypatch):
     s = chain(6, 1.0, coupling)
     g = trotterize(s, 3)
+    _assert_built(g)
     monkeypatch.setattr(compiler, "_pair_gates", per_gate_pair_gates)
     assert g == trotterize(s, 3)
     # at coupling 100 each generator has norm 100 / 3 and the principal angle is taken
     assert max(gate.angle for step in g.steps for gate in step.gates) <= np.pi
 
 
-def test_compile_checks_each_samples_gates_as_one_stack(tmp_path, monkeypatch):
-    # the compile_tv instance: 20 samples, 220 levels, 1320 gates
+def test_compile_builds_each_samples_gates_as_one_stack(tmp_path, monkeypatch):
+    # the compile_tv instance: 20 samples, 220 levels, 1320 gates, unitary by construction
     path = tmp_path / "tv.json"
     assert cli.main(["generate", "random_time_varying", "--n", "6", "--p", "0.6", "--seed", "3", "-o", str(path)]) == 0
-    argv = ["compile", str(path), "--epsilon", "0.05", "-o", str(tmp_path / "gates.json")]
     calls = {"is_unitary": 0, "_pair_gates": 0}
 
     def counting(module, name):
@@ -206,12 +179,8 @@ def test_compile_checks_each_samples_gates_as_one_stack(tmp_path, monkeypatch):
 
     counting(linalg, "is_unitary")
     counting(compiler, "_pair_gates")
-    assert cli.main(argv) == 0
-    assert calls == {"is_unitary": 20, "_pair_gates": 20}
-    calls.update(is_unitary=0, _pair_gates=0)
-    monkeypatch.setattr(compiler, "_sample_steps", per_level_sample_steps)
-    assert cli.main(argv) == 0
-    assert calls == {"is_unitary": 1320, "_pair_gates": 0}
+    assert cli.main(["compile", str(path), "--epsilon", "0.05", "-o", str(tmp_path / "gates.json")]) == 0
+    assert calls == {"is_unitary": 0, "_pair_gates": 20}
 
 
 def test_step_requires_disjoint_pairs():

@@ -44,7 +44,6 @@ PATH = ((0, 1), (1, 2))
         (lambda: random_graph(3, segments=0), BadParams, "segments must be at least 1"),
         (lambda: random_graph(3, p=1.5), BadParams, "edge probability"),
         (lambda: random_time_varying(3, degree=9), BadParams, "degree must lie in"),
-        (lambda: Gate((0, 1), np.eye(2), 0.0, np.zeros(16)), BadParams, "gate unitary must be 4x4"),
         (lambda: GateSchedule(1, ()), BadParams, "at least two qubits"),
         (lambda: MeanFieldObservable.pauli(2, "w"), BadParams, "axis must be one of"),
         (lambda: loads_schedule(SCHEDULE_WITH_A_NUMBER_SEGMENT), ParseError, r"segments\[0\]: expected an object"),

@@ -10,7 +10,10 @@ Only ``serialization`` parses JSON: no other module calls ``json.load``
 or ``json.loads``, and only it and ``cli`` write JSON: no other module
 uses ``json.dump``, ``json.dumps`` or ``json.JSONEncoder``.  Only ``cli``
 writes to standard output and CSV: no other module calls ``print``,
-touches ``sys.stdout`` or imports ``csv``.  Every module-level underscore
+touches ``sys.stdout`` or imports ``csv``.  No module bypasses a
+constructor: none calls ``object.__new__``, and ``object.__setattr__``
+appears only inside a ``__post_init__``, where a frozen dataclass stores
+the values it has checked.  Every module-level underscore
 function is called or named by its own module outside its own body: since
 no sibling may read it, a private function nothing in the package uses is
 dead code, or a second code path kept alive only by the tests.  For the
@@ -152,6 +155,8 @@ def _violations(path):
             for alias in node.names:
                 if alias.name.split(".")[0] == "chromlc" and alias.asname:
                     siblings.add(alias.asname)
+    inits = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+    post_init = {id(n) for f in inits for n in ast.walk(f)}  # the nodes inside a __post_init__
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
@@ -160,6 +165,13 @@ def _violations(path):
             and _private(node.attr)
         ):
             problems.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+            and (node.attr == "__new__" or (node.attr == "__setattr__" and id(node) not in post_init))
+        ):
+            problems.append(f"line {node.lineno}: bypasses a constructor with object.{node.attr}")
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
@@ -282,9 +294,17 @@ def test_rules_catch_violations(tmp_path):
         "print(doc)\n"
         "text = json.dumps(doc)\n"
         "import csv\n"
+        "class Box:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'size', 1)\n"
+        "    @classmethod\n"
+        "    def build(cls):\n"
+        "        box = object.__new__(cls)\n"
+        "        object.__setattr__(box, 'size', 2)\n"
+        "        return box\n"
     )
     problems = _violations(bad)
-    assert len(problems) == 7
+    assert len(problems) == 9
     assert any("_search" in p for p in problems)
     assert any("linalg._as_square" in p for p in problems)
     assert any("write_csv" in p for p in problems)
@@ -292,6 +312,8 @@ def test_rules_catch_violations(tmp_path):
     assert "line 7: writes to standard output outside cli" in problems
     assert "line 8: writes JSON outside cli and serialization" in problems
     assert "line 9: imports csv outside cli" in problems
+    assert "line 15: bypasses a constructor with object.__new__" in problems
+    assert "line 16: bypasses a constructor with object.__setattr__" in problems
     package = tmp_path / "__init__.py"
     package.write_text('"""The package."""\n')
     assert _violations(package) == []
