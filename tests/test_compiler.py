@@ -52,17 +52,46 @@ ZERO = np.zeros(16)
 
 
 def test_gate_validation():
-    # Gate.from_generators, the one way to build gates from outside the compiler, refuses bad input
-    for k, l in ((1, 0), (-1, 3)):
-        with pytest.raises(BadParams, match=re.escape(f"gate pair ({k},{l}) must satisfy 0 <= k < l")):
-            Gate.from_generators([(k, l)], [ZERO])
-    with pytest.raises(BadParams, match=r"generator must hold 16 coefficients, got shape \(15,\)"):
-        Gate.from_generators([(0, 1)], np.zeros((1, 15)))
-    for pairs in ([(0, 1)], [(0, 1), (1, 2), (2, 3)]):  # zip would drop the surplus
-        with pytest.raises(BadParams, match=f"gate stack lengths differ: {len(pairs)} pairs, 2 generators"):
-            Gate.from_generators(pairs, np.zeros((2, 16)))
+    # what Gate.from_generators accepts: any int pairs with 0 <= k < l, one generator each, or nothing
+    assert Gate.from_generators([], np.zeros((0, 16))) == []
+    (gate,) = Gate.from_generators([[np.int64(0), 3.0]], [ZERO.tolist()])
+    assert gate.pair == (0, 3) and gate.angle == 0.0 and np.array_equal(gate.unitary, np.eye(4))
     g = gate_from_unitary((0, 1), haar_unitary(4, np.random.default_rng(1)))
     assert abs(g.angle - unitary_angle(g.unitary)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "pairs, generators, message",
+    [
+        ([(1, 0)], [ZERO], "gate pair (1,0) must satisfy 0 <= k < l"),
+        ([(-1, 3)], [ZERO], "gate pair (-1,3) must satisfy 0 <= k < l"),
+        ([(2, 2)], [ZERO], "gate pair (2,2) must satisfy 0 <= k < l"),
+        ([(0, 1), (3, 2)], [ZERO, ZERO], "gate pair (3,2) must satisfy 0 <= k < l"),
+        ([(0, 1)], np.zeros((1, 15)), "gate generator must hold 16 coefficients, got shape (15,)"),
+        ([(0, 1)], ZERO, "gate generator must hold 16 coefficients, got shape ()"),
+        ([(0, 1)], np.zeros((1, 4, 4)), "gate generator must hold 16 coefficients, got shape (4, 4)"),
+        # zip would drop the surplus of either side
+        ([(0, 1)], np.zeros((2, 16)), "gate stack lengths differ: 1 pairs, 2 generators"),
+        ([(0, 1), (1, 2), (2, 3)], np.zeros((2, 16)), "gate stack lengths differ: 3 pairs, 2 generators"),
+        ([(0, 1)], np.zeros((0, 16)), "gate stack lengths differ: 1 pairs, 0 generators"),
+    ],
+    ids=[
+        "pair-reversed",
+        "pair-negative",
+        "pair-equal",
+        "pair-reversed-after-a-good-one",
+        "fifteen-coefficients",
+        "one-flat-generator",
+        "matrix-generators",
+        "fewer-pairs",
+        "more-pairs",
+        "no-generators",
+    ],
+)
+def test_gates_from_generators_refuses_bad_input(pairs, generators, message):
+    # Gate.from_generators, the one way to build gates from outside the compiler
+    with pytest.raises(BadParams, match=re.escape(message)):
+        Gate.from_generators(pairs, generators)
 
 
 def test_gates_are_read_only():
