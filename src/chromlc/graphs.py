@@ -20,8 +20,9 @@ and one positive weight per pair (a snapshot's pairs and norms) and slices
 it at its distinct weights, so that the weighted sum of per-level indices
 equals the integral of the chromatic index over the threshold.  Each level
 inherits the coloring of the level below it, dropping only the edges that
-left, and keeps it when that is provably optimal; otherwise it calls
-``color_edges`` on the level's pairs.  The sweep keeps the max degree in a
+left, and keeps it when that is provably optimal; otherwise it colors the
+level's pairs as ``color_edges`` does, handing over the degree table it
+already holds.  The sweep keeps the max degree in a
 histogram of vertex degrees and the inherited class count in a counter, so
 deciding whether a level keeps its coloring costs a constant amount per
 dropped edge, not a pass over all vertices.  A caller that decomposes many
@@ -189,7 +190,12 @@ def color_edges(pairs) -> EdgeColoring:
     finished without a coloring (both prove max degree + 1), or when it has
     max degree classes.  The result depends on the set of pairs alone.
     """
-    deg = _degrees(pairs)
+    return _color_edges(pairs, _degrees(pairs))
+
+
+def _color_edges(pairs, deg) -> EdgeColoring:
+    """:func:`color_edges` of ``pairs`` with their degree table ``deg``
+    (vertex -> degree, every touched vertex and no other) given."""
     if not deg:
         return EdgeColoring((), True)
     m = len(pairs)
@@ -290,7 +296,9 @@ def level_decompose(pairs, weights, known: dict) -> LevelDecomposition:
     each class are kept, and classes left empty go.  When the classes left
     number the new max degree, that coloring is optimal (chi' >= max
     degree) and is taken as exact, whether or not level j's was.
-    Otherwise the level's pairs are colored by :func:`color_edges`.  Both sides of
+    Otherwise the level's pairs are colored as :func:`color_edges` colors
+    them, from the sweep's own degree table (its zero entries dropped),
+    with no second degree count.  Both sides of
     that test are updated as edges leave, at a constant cost per edge: the
     max degree through a histogram of vertex degrees, the class count
     through a count of non-empty classes.  The inherited coloring is built
@@ -347,7 +355,7 @@ def level_decompose(pairs, weights, known: dict) -> LevelDecomposition:
         key = frozenset(remaining)
         coloring = known.get(key)
         if coloring is None:
-            coloring = known[key] = color_edges(key)
+            coloring = known[key] = _color_edges(key, {v: d for v, d in deg.items() if d})
         levels.append(Level(threshold, coloring))
         classes = list(coloring.classes)
         live = len(classes)

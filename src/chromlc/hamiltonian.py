@@ -180,18 +180,24 @@ class Segment:
         matrix has an entry beyond the float range.
         """
         times = np.asarray(t, dtype=float)
-        c = np.zeros(times.shape + self.tracks.shape[:2])
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for d in range(self.tracks.shape[2] - 1, -1, -1):
-                c *= times[..., None, None]
-                c += self.tracks[:, :, d]
-            # one (1, 16) row per matrix rounds as pauli_matrix does; tensordot or einsum can differ in the last bit
-            matrices = np.matmul(c.reshape(-1, 1, 16), PAULI_PRODUCTS.reshape(16, 16))
+            matrices = _term_matrices(self.tracks, times)
         finite = np.isfinite(matrices).all(axis=(1, 2)).reshape(times.size, len(self.pairs))
         if not finite.all():
             i, j = np.argwhere(~finite)[0]
             raise TooLarge(f"pair {self.pairs[j]}: the term at t={float(times.flat[i])!r} exceeds the float range")
         return matrices.reshape(times.shape + (len(self.pairs), 4, 4))
+
+
+def _term_matrices(tracks, times) -> np.ndarray:
+    """The (times.size * terms, 4, 4) stack of the pair matrices of ``tracks``
+    at each of ``times``, in Horner's form, unchecked."""
+    c = np.zeros(times.shape + tracks.shape[:2])
+    for d in range(tracks.shape[2] - 1, -1, -1):
+        c *= times[..., None, None]
+        c += tracks[:, :, d]
+    # one (1, 16) row per matrix rounds as pauli_matrix does; tensordot or einsum can differ in the last bit
+    return np.matmul(c.reshape(-1, 1, 16), PAULI_PRODUCTS.reshape(16, 16))
 
 
 @dataclass(frozen=True)
@@ -413,15 +419,23 @@ def random_graph(
     segments: int = 1,
 ) -> HamiltonianSchedule:
     """Piecewise-constant schedule: per segment, an Erdos-Renyi pair set with
-    random norm-``coupling`` terms.  Deterministic in ``seed``."""
+    random norm-``coupling`` terms.  Deterministic in ``seed``.
+
+    Every segment's pairs and tracks are drawn first, segment after
+    segment; then the peak norms of all their terms come from one
+    eigensolve of the stacked pair matrices, and each ``Segment`` is built
+    once, from its scaled tracks.
+    """
     if segments < 1:
         raise BadParams("segments must be at least 1")
     rng = _random_source(n, t_total, p, seed, coupling, segments)
-    segs = []
-    for i in range(segments):
-        t0 = (i * t_total) / segments
-        t1 = ((i + 1) * t_total) / segments if i + 1 < segments else float(t_total)
-        segs.append(_random_segment(rng, n, p, coupling, t0, t1, width=1, probes=[t0]))
+    draws = [_random_terms(rng, n, p, width=1) for _ in range(segments)]
+    tracks = np.concatenate([t for _, t in draws])
+    matrices = _term_matrices(tracks, np.zeros(1))  # a constant track's matrices are the same at every time
+    scaled = _scaled_to_peak(tracks, matrices.reshape(1, len(tracks), 4, 4), coupling)
+    ends = [(i * t_total) / segments for i in range(segments)] + [float(t_total)]
+    parts = np.split(scaled, np.cumsum([len(pairs) for pairs, _ in draws])[:-1])
+    segs = (Segment(t0, t1, pairs, part) for t0, t1, (pairs, _), part in zip(ends, ends[1:], draws, parts))
     return HamiltonianSchedule(n, tuple(segs))
 
 
@@ -438,9 +452,10 @@ def random_time_varying(
     rng = _random_source(n, t_total, p, seed, coupling, 1)
     if not 0 <= degree <= MAX_POLY_DEGREE:
         raise BadParams(f"degree must lie in [0, {MAX_POLY_DEGREE}]")
-    probes = np.linspace(0.0, t_total, 33).tolist()
-    segment = _random_segment(rng, n, p, coupling, 0.0, float(t_total), width=degree + 1, probes=probes)
-    return HamiltonianSchedule(n, (segment,))
+    pairs, tracks = _random_terms(rng, n, p, width=degree + 1)
+    raw = Segment(0.0, float(t_total), pairs, tracks)  # its matrices_at names a term beyond the float range
+    scaled = _scaled_to_peak(tracks, raw.matrices_at(np.linspace(0.0, t_total, 33)), coupling)
+    return HamiltonianSchedule(n, (Segment(0.0, float(t_total), pairs, scaled),))
 
 
 def _random_source(n: int, t_total: float, p: float, seed: int, coupling: float, segments: int):
@@ -454,10 +469,10 @@ def _random_source(n: int, t_total: float, p: float, seed: int, coupling: float,
     return np.random.default_rng(seed)
 
 
-def _random_segment(rng, n, p, coupling, t_start, t_end, width, probes) -> Segment:
-    """An Erdos-Renyi segment: each pair, kept with probability ``p``, draws a
-    (16, ``width``) track of standard normals with a zero II row, scaled so
-    that its largest norm at the ``probes`` is ``coupling``."""
+def _random_terms(rng, n, p, width):
+    """An Erdos-Renyi pair set and its tracks: each pair, kept with
+    probability ``p``, draws a (16, ``width``) track of standard normals
+    with a zero II row."""
     pairs, draws = [], []
     for k in range(n):
         for l in range(k + 1, n):
@@ -466,11 +481,17 @@ def _random_segment(rng, n, p, coupling, t_start, t_end, width, probes) -> Segme
                 draws.append(rng.standard_normal((16, width)))
     tracks = np.reshape(draws, (len(pairs), 16, width))
     tracks[:, 0] = 0.0  # traceless: no global-phase component
-    raw = Segment(t_start, t_end, tuple(pairs), tracks)
-    peaks = linalg.hermitian_norms(raw.matrices_at(probes)).max(axis=0)
+    return tuple(pairs), tracks
+
+
+def _scaled_to_peak(tracks, matrices, coupling):
+    """``tracks`` scaled so that each term's largest norm among its pair
+    ``matrices``, (probes, terms, 4, 4), is ``coupling``: one eigensolve of
+    them all."""
+    peaks = linalg.hermitian_norms(matrices).max(axis=0)
     if np.any(peaks <= 1e-9):  # every Gaussian of a term near zero: probability zero
         raise RuntimeError("random coefficient draw degenerated")
-    return Segment(t_start, t_end, raw.pairs, (coupling / peaks)[:, None, None] * tracks)
+    return (coupling / peaks)[:, None, None] * tracks
 
 
 def _check_common(n: int, t_total: float, coupling: float, terms: int):

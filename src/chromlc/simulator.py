@@ -24,9 +24,13 @@ no eigendecomposition; on a constant segment it is a truncated Taylor
 series of exp(L G_0) (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
 Every Pauli product has norm 1, so nu = L * sum |c_d| t_max^d over the
 segment's coefficients bounds the integral of ||H(t)|| over it.  The
-segment takes s = ceil(nu) substeps, and each is a Taylor polynomial of
-the smallest order whose remainder bound keeps the s substeps within
-share/4 together.  Each order applies every G_d once.
+segment takes s = ceil(nu) substeps, and each is a Taylor polynomial whose
+truncation is within share / (4 s), so the s substeps are within share/4
+together.  The series of a substep stops once a rigorous bound on its rest,
+taken from the norms of its last terms, is within that budget (the
+term-norm test of Al-Mohy & Higham's ``expmv``, made a bound here), and at
+the latest at the order whose majorant remainder bound meets it.  Each
+order applies every G_d once.
 
 The work is bounded before the first step, for the whole schedule: a
 substep of a degree-D segment counts (D + 1)^2, and a schedule whose
@@ -209,18 +213,42 @@ def _segment_generator(seg, n):
     return apply
 
 
-def _taylor(apply, seg, substeps, order, array):
-    """``array`` carried across ``seg`` by ``substeps`` Taylor polynomials of degree ``order``.
+def _largest_column_norm(x) -> float:
+    """The norm of a state, or the largest column norm of a block of states."""
+    if x.ndim == 1:
+        return math.sqrt(np.vdot(x, x).real)  # a quarter of the cost of np.linalg.norm on 256 amplitudes
+    return float(np.max(np.linalg.norm(x, axis=0)))
 
-    On the substep of length tau from t0, -i H(t0 + u) = sum_j u^j A_j with
+
+def _taylor(apply, seg, nu, share, array):
+    """``array`` carried across ``seg``, of norm bound ``nu``, within ``share``/4.
+
+    The plan of :func:`_taylor_plan` gives s substeps, each of majorant
+    exponent at most theta = nu / s <= 1, and a cap on the order.  On the
+    substep of length tau from t0, -i H(t0 + u) = sum_j u^j A_j with
     A_j = sum_{d >= j} C(d, j) t0^(d-j) G_d.  The scaled Taylor terms
     e_k = c_k tau^k of psi(t0 + u) = sum_k c_k u^k follow from e_0 = psi(t0) by
     e_{k+1} = tau / (k+1) * sum_{j <= min(k, D)} tau^j A_j e_{k-j}
             = tau / (k+1) * sum_d G_d (sum_{j <= min(d, k)} C(d, j) t0^(d-j) tau^j e_{k-j}),
     so each order applies every G_d once, to one combination of the last
     D + 1 terms.  A constant segment applies G_0 to e_k as it is.
+
+    The series stops after order k once its rest is provably within
+    share / (4 s), and at the planned order at the latest, so each
+    substep's truncation is within share / (4 s), by the majorant of the
+    plan or by this tail bound.  Since 0 <= t0 (a schedule starts at 0) and
+    t0 + tau <= t_max, sum_j tau^(j+1) ||A_j|| <= tau sum_d ||G_d|| (t0 + tau)^d
+    <= tau * ``_norm_bound`` = theta, so
+    ||e_{k+1}|| <= theta / (k+1) * M_k, where M_k is the largest norm of
+    the last min(k, D) + 1 terms (of a block's columns, the largest column
+    norm).  The window's largest norm therefore shrinks by theta / (k+1)
+    every D + 1 orders, and the rest of the series is at most
+    (D + 1) M_k theta / (k + 1 - theta).  Each term's norm is taken once,
+    when the term is made.
     """
     degrees = seg.tracks.shape[2]
+    substeps, order = _taylor_plan(nu, share, degrees)
+    theta, budget = nu / substeps, share / (4 * substeps)
     tau = seg.length / substeps
     for i in range(substeps):
         t0 = seg.t_start + i * tau
@@ -228,6 +256,7 @@ def _taylor(apply, seg, substeps, order, array):
             [[math.comb(d, j) * t0 ** (d - j) * tau**j if j <= d else 0.0 for j in range(degrees)] for d in range(degrees)]
         )
         recent = [array]  # e_k, e_(k-1), ...: the last ``degrees`` terms, newest first
+        norms = [_largest_column_norm(array)]  # their norms, in the same order
         total = array
         for k in range(1, order + 1):
             if degrees == 1:
@@ -237,6 +266,9 @@ def _taylor(apply, seg, substeps, order, array):
             term = apply(xs) * (tau / k)
             total = total + term
             recent = [term] + recent[: degrees - 1]
+            norms = [_largest_column_norm(term)] + norms[: degrees - 1]
+            if degrees * max(norms) * theta / (k + 1 - theta) <= budget:
+                break
         array = total
     return array
 
@@ -254,7 +286,7 @@ def _norm_bound(seg):
 
 def _taylor_plan(nu, share, degrees):
     """Substeps s and order m for a segment of ``degrees`` polynomial
-    degrees and norm bound nu = L * ``_norm_bound``, within share/4.
+    degrees and norm bound nu = L * ``_norm_bound`` > 0, within share/4.
 
     s = ceil(nu) substeps, each of majorant exponent at most theta = nu / s
     <= 1.  Past order m = degrees * r - 1 the majorant series
@@ -262,10 +294,10 @@ def _taylor_plan(nu, share, degrees):
     more of its Poisson factors' terms, so its tail is at most
     e^theta theta^r / r!.  r is the smallest count whose bound is at most
     share / (4 s), so the s truncations err by at most share/4 together.
+    m is the cap: :func:`_taylor` stops a substep earlier once its own
+    tail bound is within share / (4 s).
     """
     substeps = math.ceil(nu)
-    if substeps == 0:
-        return 0, 0
     theta = nu / substeps
     r, remainder = 1, theta * math.exp(theta)
     while remainder > share / (4 * substeps):
@@ -278,10 +310,13 @@ def _integrate_adaptive(s: HamiltonianSchedule, array, tol: float):
     """Propagate segment by segment, each within its share tol * L / T of the tolerance.
 
     The whole schedule's work is bounded before the first step: a substep
-    of a degree-D segment takes (D + 1) r - 1 orders of D + 1 operator
-    applications each, where a constant segment's takes r - 1 of one, so it
-    counts (D + 1)^2 against ``MAX_TAYLOR_SUBSTEPS``.  Each segment builds
-    its generators once.
+    of a degree-D segment takes at most (D + 1) r - 1 orders of D + 1
+    operator applications each, where a constant segment's takes r - 1 of
+    one, so it counts (D + 1)^2 against ``MAX_TAYLOR_SUBSTEPS``.  Each
+    substep's truncation is within share / (4 s), by the majorant of
+    :func:`_taylor_plan` or by the tail bound of :func:`_taylor`, which
+    stops the series when its terms do.  Each segment builds its generators
+    once.
     """
     plans = []
     work = 0
@@ -297,14 +332,13 @@ def _integrate_adaptive(s: HamiltonianSchedule, array, tol: float):
                 f"the schedule needs more than {MAX_TAYLOR_SUBSTEPS} Taylor substeps "
                 "(a substep of a degree-d segment counts (d+1)^2)"
             )
-        plan = _taylor_plan(nu, tol * (seg.length / s.total_time), degrees)
-        work += plan[0] * degrees**2
-        plans.append((seg, plan))
-    for seg, plan in plans:
-        if plan[0] == 0:
+        work += math.ceil(nu) * degrees**2
+        plans.append((seg, nu, tol * (seg.length / s.total_time)))
+    for seg, nu, share in plans:
+        if nu == 0:
             continue  # H = 0: the array stays as it is
         apply = _segment_generator(seg, s.n_qubits)
-        array = _taylor(apply, seg, *plan, array)
+        array = _taylor(apply, seg, nu, share, array)
         del apply  # one segment's generators at a time
     return array
 

@@ -507,16 +507,17 @@ def restricting_level_decompose(pairs, weights):
 
 
 def record_searches(monkeypatch):
-    """Wrap ``graphs.color_edges`` (which ``level_decompose`` calls); the
-    returned list gets the edge set of every call, as a frozenset of pairs."""
+    """Wrap ``graphs._color_edges``, through which ``color_edges`` and
+    ``level_decompose`` color; the returned list gets the edge set of every
+    call, as a frozenset of pairs."""
     searched = []
-    color_edges = graphs.color_edges
+    color_edges = graphs._color_edges
 
-    def recording(pairs):
+    def recording(pairs, deg):
         searched.append(frozenset(pairs))
-        return color_edges(pairs)
+        return color_edges(pairs, deg)
 
-    monkeypatch.setattr(graphs, "color_edges", recording)
+    monkeypatch.setattr(graphs, "_color_edges", recording)
     return searched
 
 

@@ -388,3 +388,19 @@ def test_near_equal_weights_merge():
     ld = level_decompose(((0, 1), (1, 2)), (1.0, 1.0 + 1e-13), {})
     assert len(ld.levels) == 1
     assert indices(ld) == [2]
+
+
+def test_sweep_searches_take_its_degree_table(monkeypatch):
+    # K4 with a tail: three levels are searched, each from the degree table the
+    # sweep keeps, so only the sweep's own start counts degrees
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (2, 5)]
+    weights = list(range(1, len(pairs) + 1))
+    counted = []
+    degrees = graphs._degrees
+    monkeypatch.setattr(graphs, "_degrees", lambda p: counted.append(p) or degrees(p))
+    searched = record_searches(monkeypatch)
+    ld = level_decompose(pairs, weights, {})
+    assert len(searched) == 3
+    assert counted == [pairs]
+    monkeypatch.undo()
+    assert ld == restricting_level_decompose(pairs, weights)

@@ -438,8 +438,8 @@ def test_constant_segments_match_exact_exponentials(monkeypatch, n):
         if per_term:
             monkeypatch.setattr(simulator, "DENSE_GENERATOR_MAX_QUBITS", n - 1)
             monkeypatch.setattr(simulator, "_dense_generators", _no_dense)
-        state = propagate(s, psi)
-        block = full_unitary(s)
+        state = propagate(s, psi, 1e-12)
+        block = full_unitary(s, 1e-12)
         assert np.max(np.abs(state - exact @ psi)) <= 1e-12
         assert np.max(np.abs(block - exact)) <= 1e-12
         runs.append((state, block))
@@ -461,15 +461,83 @@ def test_mixed_schedule_meets_its_tolerance():
         assert np.max(np.linalg.norm(full_unitary(s, tol) - block, axis=0)) <= tol
 
 
-def test_variance_trial_evolution_applies_the_generator_33_times(monkeypatch):
+def test_variance_trial_evolution_applies_the_generator_21_times(monkeypatch):
     # the draw and scaling of one verify-variance trial at n = 8, alpha = 0.25:
-    # four substeps of Taylor orders 8, 9, 8, 8, against 4 * (16 + 32) = 192
-    # derivative evaluations of step-halving RK4
+    # four substeps whose series stop after orders 5, 6, 5, 5, where the
+    # majorant plans 8, 9, 8, 8, against 4 * (16 + 32) = 192 derivative
+    # evaluations of step-halving RK4
     draw = random_graph(8, 1.0, p=0.4, seed=1, segments=4)
     s = scale_schedule(draw, 0.25 / integrated_chromatic_index(draw).integral)
     counts = _count_builds(monkeypatch)
     propagate(s, basis_state(8, 0), 1e-8)
-    assert counts == {"builds": 4, "evaluations": 33}
+    assert counts == {"builds": 4, "evaluations": 21}
+    plans = [simulator._taylor_plan(seg.length * simulator._norm_bound(seg), 1e-8 * seg.length, 1) for seg in s.segments]
+    assert plans == [(1, 8), (1, 9), (1, 8), (1, 8)]
+
+
+def _planned_taylor(seg, n, nu, share, array):
+    """The substeps of ``simulator._taylor`` on ``seg``, each run to the order
+    the plan caps it at, on the dense oracle generators; returns the array
+    and the planned count of generator applications."""
+    gens = oracle_generators(seg, n)
+    substeps, order = simulator._taylor_plan(nu, share, len(gens))
+    tau = seg.length / substeps
+    for i in range(substeps):
+        t0 = seg.t_start + i * tau
+        a = [sum(math.comb(d, j) * t0 ** (d - j) * gens[d] for d in range(j, len(gens))) for j in range(len(gens))]
+        terms = [array]  # e_0, e_1, ...
+        for k in range(order):
+            nxt = sum(tau**j * (a[j] @ terms[k - j]) for j in range(min(k, len(a) - 1) + 1))
+            terms.append(nxt * (tau / (k + 1)))
+        array = sum(terms)
+    return array, substeps * order
+
+
+@pytest.mark.parametrize("per_term", [False, True])
+@pytest.mark.parametrize(
+    "seg, applications",
+    [
+        (random_graph(4, 1.0, p=0.8, seed=4, coupling=2.0).segments[0], [133, 133, 171, 171]),
+        (_late_segment(4, 3).segments[1], [134, 136, 168, 168]),  # degree 3 on [10, 11]
+        (random_time_varying(4, 1.0, p=0.8, seed=8, degree=8, coupling=0.25).segments[0], [163, 166, 205, 207]),
+    ],
+)
+def test_taylor_series_stop_within_share_of_the_planned_order(monkeypatch, seg, applications, per_term):
+    # the early stop moves a segment by at most share/4 against the same
+    # substeps run to the planned order, on a state and a 20-column block,
+    # and applies the generator less often than the plan: as often as the
+    # tail bound (D + 1) M theta / (k + 1 - theta) asks, which the
+    # difference alone would not pin (it stays far below share/4)
+    n = 4
+    if per_term:
+        monkeypatch.setattr(simulator, "DENSE_GENERATOR_MAX_QUBITS", n - 1)
+        monkeypatch.setattr(simulator, "_dense_generators", _no_dense)
+    counts = _count_builds(monkeypatch)
+    nu = seg.length * simulator._norm_bound(seg)
+    assert nu > 2  # several substeps
+    rng = np.random.default_rng(34)
+    block = rng.normal(size=(2**n, 20)) + 1j * rng.normal(size=(2**n, 20))
+    block /= np.linalg.norm(block, axis=0)
+    cases = [(share, array) for share in (1e-6, 1e-10) for array in (block[:, 0], block)]
+    for (share, array), expected in zip(cases, applications, strict=True):
+        counts["evaluations"] = 0
+        got = simulator._taylor(simulator._segment_generator(seg, n), seg, nu, share, array)
+        ref, planned = _planned_taylor(seg, n, nu, share, array)
+        assert np.max(np.linalg.norm((got - ref).reshape(2**n, -1), axis=0)) <= share / 4
+        assert counts["evaluations"] == expected < planned
+
+
+def test_taylor_series_runs_to_the_cap_when_its_terms_meet_the_majorant(monkeypatch):
+    # ZZ on |00> over three substeps of theta = 1: every term e_k = (-i)^k / k!
+    # has the norm the majorant allows, so no series stops before the planned order
+    (seg,) = single_pair_schedule({"ZZ": (1.0,)}, t_total=3.0).segments
+    counts = _count_builds(monkeypatch)
+    for share in (1e-6, 1e-10):
+        counts["evaluations"] = 0
+        got = simulator._taylor(simulator._segment_generator(seg, 2), seg, 3.0, share, basis_state(2, 0))
+        substeps, order = simulator._taylor_plan(3.0, share, 1)
+        assert counts["evaluations"] == substeps * order
+        assert abs(got[0] - np.exp(-3j)) <= share / 4
 
 
 _WILD = chain(2, 1.0, 1e9).segments[0]
