@@ -14,8 +14,12 @@ Every subinterval of a constant segment has the same snapshot, levels and
 gates, so such a segment is compiled once and its steps repeat, the same
 objects each time.  A sample's gates, over all of its levels, are built
 as one stack from its pair terms' eigendecompositions, so they are
-unitary by construction.  The integrated index itself is not computed
-here: callers that want it, such as ``chromlc compile --report``, ask
+unitary by construction.  Each gate holds the pair term it runs, the
+sample's own Pauli coefficients, and its duration, so an edge's gates
+over one subinterval share one term and their durations sum to the
+subinterval length: the telescoping identity above, in the gate record.
+The integrated index itself is not computed here: callers that want it,
+such as ``chromlc compile --report``, ask
 :func:`~chromlc.hamiltonian.integrated_chromatic_index`.
 
 ``trotterize`` is the unparallelized baseline (one gate per step, m
@@ -62,41 +66,42 @@ __all__ = [
     "weighted_depth",
 ]
 
-# a flattened 4x4 matrix m times _PAULI_DUAL is tr(P_j m) for every Pauli
-# product P_j, in PAULI_LABELS order: four times m's Pauli coefficients; one
-# (1, 16) row per matrix rounds the same in a stack of any size
-_PAULI_DUAL = PAULI_PRODUCTS.reshape(16, 16).conj().T
-
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """Two-qubit gate exp(-i*A) on pair (k, l): its 4x4 unitary, its angle
-    and its Hermitian generator A, as the 16 Pauli coefficients of A in
-    ``PAULI_LABELS`` order.
+    """Two-qubit gate exp(-i*A) on pair (k, l) that runs a pair term H for a
+    time: A = duration * H.  It holds its 4x4 unitary, its angle, the term
+    as its 16 Pauli coefficients in ``PAULI_LABELS`` order, and the
+    duration, a float.
 
     The angle is the smallest norm of a Hermitian generator of the unitary:
     ||A|| up to pi, and past pi the largest |phase| of the unitary's
     eigenvalues.  A plain record: the package builds every gate in
     :func:`_gates_from_eig` from an eigendecomposition (of each pair term in
-    :func:`compile`, of A in :meth:`from_generators`, which the
-    gate-document reader calls), so the unitary is unitary and the angle
-    agrees with it by construction; the unitary and the generator are
-    read-only.
+    :func:`compile`, of A in :meth:`from_terms`, which the gate-document
+    reader calls), so the unitary is unitary and the angle agrees with it
+    by construction; the unitary and the term are read-only.  In
+    :func:`compile` a gate's term is its sample's pair term and its duration
+    d * (r_j - r_{j-1}) / ||H||, so the gates of one edge over one
+    subinterval share the term and their durations sum to d.
     """
 
     pair: tuple
     unitary: np.ndarray
     angle: float
-    generator: np.ndarray
+    term: np.ndarray
+    duration: float
 
     @classmethod
-    def from_generators(cls, pairs, generators) -> list:
-        """The gates exp(-i*A) on ``pairs`` for a ``(g, 16)`` stack of
-        generator coefficients, by one stacked ``eigh`` of the matrices A.
+    def from_terms(cls, pairs, terms, durations) -> list:
+        """The gates exp(-i * durations[j] * H_j) on ``pairs`` for a ``(g, 16)``
+        stack of term coefficients H_j, by one stacked ``eigh`` of the
+        generators A_j = durations[j] * H_j.  A caller with plain generators
+        passes durations of 1.0.
 
-        Every pair must satisfy 0 <= k < l, and the stack holds one
-        generator per pair; it is copied.  The caller keeps the absolute
-        coefficients of each generator summing to a float, as the
+        Every pair must satisfy 0 <= k < l, and the stacks hold one term and
+        one duration per pair; the terms are copied.  The caller keeps the
+        absolute coefficients of each generator summing to a float, as the
         gate-document reader checks: that sum bounds ||A||, so every entry
         and eigenvalue of A is a float.
         """
@@ -104,14 +109,18 @@ class Gate:
         for k, l in pairs:
             if not 0 <= k < l:
                 raise BadParams(f"gate pair ({k},{l}) must satisfy 0 <= k < l")
-        generators = np.array(generators, dtype=float)
-        if generators.ndim != 2 or generators.shape[1] != 16:
-            raise BadParams(f"gate generator must hold 16 coefficients, got shape {generators.shape[1:]}")
-        if len(generators) != len(pairs):
-            raise BadParams(f"gate stack lengths differ: {len(pairs)} pairs, {len(generators)} generators")
+        terms = np.array(terms, dtype=float)
+        if terms.ndim != 2 or terms.shape[1] != 16:
+            raise BadParams(f"gate term must hold 16 coefficients, got shape {terms.shape[1:]}")
+        durations = np.array(durations, dtype=float)
+        if not len(pairs) == len(terms) or durations.shape != (len(pairs),):
+            raise BadParams(
+                f"gate stacks differ: {len(pairs)} pairs, {len(terms)} terms, durations of shape {durations.shape}"
+            )
+        generators = durations[:, None] * terms
         matrices = np.matmul(generators[:, None, :], PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4)
         w, v = np.linalg.eigh(matrices)
-        return _gates_from_eig(pairs, np.exp(-1j * w), v, np.max(np.abs(w), axis=-1), generators)
+        return _gates_from_eig(pairs, np.exp(-1j * w), v, np.max(np.abs(w), axis=-1), terms, durations.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
@@ -119,8 +128,9 @@ class Gate:
         return (
             self.pair == other.pair
             and self.angle == other.angle
+            and self.duration == other.duration
             and np.array_equal(self.unitary, other.unitary)
-            and np.array_equal(self.generator, other.generator)
+            and np.array_equal(self.term, other.term)
         )
 
 
@@ -279,34 +289,36 @@ def _sample_steps(snap, t_mid: float, delta: float, known: dict):
 def _pair_gates(snap, index, angles) -> list:
     """Gates exp(-i * angles[j] * H_e / ||H_e||) for the snapshot rows ``index``.
 
-    Row j runs H_e for the duration angles[j] / ||H_e||, so its generator
-    has norm angles[j], which is the gate angle up to pi.  The unitaries
-    come from the snapshot's eigendecompositions, and the generators'
-    coefficients from one projection of the rows' matrices onto the Pauli
-    products.
+    Row j runs its term H_e, the snapshot's coefficient row, for the
+    duration angles[j] / ||H_e||, so its generator has norm angles[j],
+    which is the gate angle up to pi.  The unitaries come from the
+    snapshot's eigendecompositions.
     """
+    # the complex quotient: -1j * durations differs from it in the last bit of
+    # some phases, and so would the compiled unitaries and angles
     phases = np.exp((-1j * angles / snap.norms[index])[:, None] * snap.eigenvalues[index])
-    coeffs = np.matmul(snap.matrices[index].reshape(-1, 1, 16), _PAULI_DUAL).real.reshape(-1, 16) / 4.0
-    generators = (angles / snap.norms[index])[:, None] * coeffs
+    durations = (angles / snap.norms[index]).tolist()
     pairs = [snap.pairs[i] for i in index]
-    return _gates_from_eig(pairs, phases, snap.eigenvectors[index], angles, generators)
+    return _gates_from_eig(pairs, phases, snap.eigenvectors[index], angles, snap.coeffs[index], durations)
 
 
-def _gates_from_eig(pairs, phases, v, norms, generators) -> list:
-    """The gates exp(-i*A) of generators A whose eigenvectors ``v`` (g, 4, 4)
-    carry the eigenvalues ``phases`` (g, 4) of exp(-i*A), and whose norms are
-    ``norms``; the angle is the norm up to pi and past pi the largest
-    |phase|.  The one place a gate is built: ``v`` comes from ``eigh`` and
-    every phase has modulus 1, so each unitary is unitary.  The generators
-    are finite: :func:`compile` builds them from finite terms and angles
-    within the float range, and the gate-document reader refuses unbounded
-    ones.  The unitaries and the ``(g, 16)`` array ``generators``, which
-    the caller hands over, become read-only; each gate holds views of them."""
+def _gates_from_eig(pairs, phases, v, norms, terms, durations) -> list:
+    """The gates exp(-i*A) of generators A = durations[j] * terms[j] whose
+    eigenvectors ``v`` (g, 4, 4) carry the eigenvalues ``phases`` (g, 4) of
+    exp(-i*A), and whose norms are ``norms``; the angle is the norm up to
+    pi and past pi the largest |phase|.  The one place a gate is built:
+    ``v`` comes from ``eigh`` and every phase has modulus 1, so each unitary
+    is unitary.  The generators are finite: :func:`compile` builds them
+    from finite terms and angles within the float range, and the
+    gate-document reader refuses unbounded ones.  The unitaries and the
+    ``(g, 16)`` array ``terms``, which the caller hands over, become
+    read-only; each gate holds views of them, and its duration from the
+    list ``durations``."""
     unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
     angles = np.where(norms <= math.pi, norms, np.max(np.abs(np.angle(phases)), axis=-1)).tolist()
     unitaries.flags.writeable = False
-    generators.flags.writeable = False
-    return [Gate(*gate) for gate in zip(pairs, unitaries, angles, generators)]
+    terms.flags.writeable = False
+    return [Gate(*gate) for gate in zip(pairs, unitaries, angles, terms, durations)]
 
 
 def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:
@@ -353,8 +365,7 @@ def rechromatize(s: HamiltonianSchedule, m: int, epsilon: float) -> HamiltonianS
             groups = [classes[i : i + m] for i in range(0, len(classes), m)]
             for group in groups:
                 pairs = sorted(pair for matching in group for pair in matching)
-                coeffs = [pauli_coeffs(snap.matrices[rows[pair]]) for pair in pairs]
-                tracks = np.reshape(coeffs, (len(pairs), 16, 1))
+                tracks = snap.coeffs[[rows[pair] for pair in pairs], :, None]
                 out_segments.append(Segment(t_cursor, t_cursor + delta, tuple(pairs), tracks))
                 t_cursor += delta
     return HamiltonianSchedule(s.n_qubits, tuple(out_segments))

@@ -179,25 +179,41 @@ class Segment:
         ``TooLarge`` names the first time, and at it the first pair, whose
         matrix has an entry beyond the float range.
         """
-        times = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            matrices = _term_matrices(self.tracks, times)
-        finite = np.isfinite(matrices).all(axis=(1, 2)).reshape(times.size, len(self.pairs))
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            raise TooLarge(f"pair {self.pairs[j]}: the term at t={float(times.flat[i])!r} exceeds the float range")
-        return matrices.reshape(times.shape + (len(self.pairs), 4, 4))
+        return _terms_at(self.tracks, self.pairs, t)[1]
 
 
-def _term_matrices(tracks, times) -> np.ndarray:
-    """The (times.size * terms, 4, 4) stack of the pair matrices of ``tracks``
-    at each of ``times``, in Horner's form, unchecked."""
+def _terms_at(tracks, pairs, t):
+    """The Pauli coefficients at ``t`` of the terms on ``pairs`` with
+    coefficient ``tracks``, stacked as :meth:`Segment.matrices_at` stacks
+    their matrices but with 16 in place of (4, 4), and that stack of
+    matrices, built from them.  ``TooLarge`` names the first time, and at
+    it the first of ``pairs``, whose matrix has an entry beyond the float
+    range."""
+    times = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        coeffs = _term_coeffs(tracks, times)
+        matrices = _pauli_stack(coeffs)
+    finite = np.isfinite(matrices).all(axis=(1, 2)).reshape(times.size, len(pairs))
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise TooLarge(f"pair {pairs[j]}: the term at t={float(times.flat[i])!r} exceeds the float range")
+    return coeffs, matrices.reshape(coeffs.shape[:-1] + (4, 4))
+
+
+def _term_coeffs(tracks, times) -> np.ndarray:
+    """The Pauli coefficients of the pair terms of ``tracks`` at each of
+    ``times``, (times.shape + (terms, 16)), in Horner's form, unchecked."""
     c = np.zeros(times.shape + tracks.shape[:2])
     for d in range(tracks.shape[2] - 1, -1, -1):
         c *= times[..., None, None]
         c += tracks[:, :, d]
+    return c
+
+
+def _pauli_stack(coeffs) -> np.ndarray:
+    """The (rows, 4, 4) stack of the matrices of the 16-coefficient rows of ``coeffs``."""
     # one (1, 16) row per matrix rounds as pauli_matrix does; tensordot or einsum can differ in the last bit
-    return np.matmul(c.reshape(-1, 1, 16), PAULI_PRODUCTS.reshape(16, 16))
+    return np.matmul(coeffs.reshape(-1, 1, 16), PAULI_PRODUCTS.reshape(16, 16))
 
 
 @dataclass(frozen=True)
@@ -260,15 +276,17 @@ class Snapshot(NamedTuple):
     """The active pair terms at one instant, diagonalized together.
 
     ``pairs`` ascend, and row i of every array belongs to ``pairs[i]``:
-    ``matrices`` (m, 4, 4), their ``eigenvalues`` (m, 4, ascending) and
-    ``eigenvectors`` (m, 4, 4, columns), and ``norms`` (m,), the largest
-    |eigenvalue| of each.  Terms with norm at most ``ZERO_NORM_TOL`` are
-    left out.  The pairs are the edges of the interaction graph and the
-    norms their weights.
+    ``coeffs`` (m, 16), the term's Pauli coefficients in ``PAULI_LABELS``
+    order as the segment's tracks give them at that instant, the
+    ``eigenvalues`` (m, 4, ascending) and ``eigenvectors`` (m, 4, 4,
+    columns) of the matrices built from them, and ``norms`` (m,), the
+    largest |eigenvalue| of each.  Terms with norm at most
+    ``ZERO_NORM_TOL`` are left out.  The pairs are the edges of the
+    interaction graph and the norms their weights.
     """
 
     pairs: tuple
-    matrices: np.ndarray
+    coeffs: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     norms: np.ndarray
@@ -279,26 +297,31 @@ def snapshots(seg: Segment, times) -> Iterator[Snapshot]:
 
     A generator over a sample grid of one segment: it evaluates the times in
     chunks of at most ``EIG_CHUNK`` pair matrices (one time per chunk when a
-    time alone has more), each with one :meth:`Segment.matrices_at` and one
-    stacked eigendecomposition, so that only one chunk's arrays are alive at
-    a time.  LAPACK diagonalizes every matrix of a stack by itself, so each
-    snapshot is bit for bit the one a grid of that time alone gives.
+    time alone has more), each with one evaluation of the terms'
+    coefficients and matrices, in ascending pair order, as
+    :meth:`Segment.matrices_at` evaluates them, and one stacked
+    eigendecomposition, so that only one chunk's arrays are alive at a time.
+    LAPACK diagonalizes every matrix of a stack by itself, so each snapshot
+    is bit for bit the one a grid of that time alone gives.  ``TooLarge``
+    names the first time, and at it the first pair in ascending order,
+    whose matrix has an entry beyond the float range.
     """
     order = sorted(range(len(seg.pairs)), key=seg.pairs.__getitem__)
     pairs = tuple(seg.pairs[i] for i in order)
+    tracks = seg.tracks[order]
     times = np.asarray(times, dtype=float)
     step = max(1, EIG_CHUNK // max(1, len(pairs)))
     for start in range(0, len(times), step):
-        matrices = seg.matrices_at(times[start : start + step])[:, order]
+        coeffs, matrices = _terms_at(tracks, pairs, times[start : start + step])
         w, v = linalg.hermitian_eig(matrices)
         norms = np.max(np.abs(w), axis=-1, initial=0.0)
         keep = norms > ZERO_NORM_TOL
-        for m, wi, vi, ni, on, full in zip(matrices, w, v, norms, keep, keep.all(axis=-1).tolist()):
+        for c, wi, vi, ni, on, full in zip(coeffs, w, v, norms, keep, keep.all(axis=-1).tolist()):
             active = pairs
             if not full:
                 active = tuple(compress(pairs, on))
-                m, wi, vi, ni = m[on], wi[on], vi[on], ni[on]
-            yield Snapshot(active, m, wi, vi, ni)
+                c, wi, vi, ni = c[on], wi[on], vi[on], ni[on]
+            yield Snapshot(active, c, wi, vi, ni)
 
 
 def snapshot(s: HamiltonianSchedule, t: float) -> Snapshot:
@@ -431,7 +454,7 @@ def random_graph(
     rng = _random_source(n, t_total, p, seed, coupling, segments)
     draws = [_random_terms(rng, n, p, width=1) for _ in range(segments)]
     tracks = np.concatenate([t for _, t in draws])
-    matrices = _term_matrices(tracks, np.zeros(1))  # a constant track's matrices are the same at every time
+    matrices = _pauli_stack(_term_coeffs(tracks, np.zeros(1)))  # a constant track's matrices are the same at every time
     scaled = _scaled_to_peak(tracks, matrices.reshape(1, len(tracks), 4, 4), coupling)
     ends = [(i * t_total) / segments for i in range(segments)] + [float(t_total)]
     parts = np.split(scaled, np.cumsum([len(pairs) for pairs, _ in draws])[:-1])

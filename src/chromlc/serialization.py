@@ -11,13 +11,16 @@ Three document types, distinguished by their ``format`` field:
   are dropped before that array is built.  A parse error names the first
   bad field.  An ``II`` component is legal (it only shifts the global
   phase) but parsing one emits a warning.
-* ``chromlc-gates`` -- gate schedules, version 2: every gate is its pair
-  and the 16 Pauli coefficients of its Hermitian generator A, in
-  ``PAULI_LABELS`` order, with unitary exp(-i*A).  No angle is stored: the
-  reader derives every unitary and angle from the generators of the whole
-  document by one stacked eigensolve (:meth:`Gate.from_generators`), so an
-  angle cannot disagree with its unitary.  Version 1, which stored each
-  unitary as 32 floats and its angle, is not read.
+* ``chromlc-gates`` -- gate schedules, version 3: a ``terms`` table of
+  the distinct pair terms H, 16 Pauli coefficients each in
+  ``PAULI_LABELS`` order, written once in the order of first use, and
+  steps whose every gate is its pair, its row of the table and its
+  duration tau: its generator is A = tau * H and its unitary exp(-i*A).
+  No angle is stored: the reader derives every unitary and angle from the
+  generators of the whole document by one stacked eigensolve
+  (:meth:`Gate.from_terms`), so an angle cannot disagree with its
+  unitary.  Versions 1 (each unitary as 32 floats and its angle) and 2
+  (each generator as 16 floats) are not read.
 * ``chromlc-product`` -- product states (read only): two ``[re, im]``
   amplitudes per qubit; their parse errors name the file.
 
@@ -26,16 +29,17 @@ Schedule and product documents are version 1.
 Serialization is canonical (fixed key order, shortest round-trip float
 rendering), so serialize(parse(text)) reproduces canonical documents and
 parse(serialize(obj)) reproduces schedules exactly, and gate schedules up
-to their unitaries and angles, which the reader derives from the generators
-and which may therefore differ in the last bits.  Both document types are
-written compact, as ``json.dumps(doc, separators=(",", ":")) + "\n"``
-writes them; ``python -m json.tool`` pretty-prints them.  The readers take
-any layout.
+to their unitaries and angles, which the reader derives from the terms
+and durations and which may therefore differ in the last bits.  Both
+document types are written compact, as
+``json.dumps(doc, separators=(",", ":")) + "\n"`` writes them;
+``python -m json.tool`` pretty-prints them.  The readers take any layout.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -47,7 +51,7 @@ from .hamiltonian import MAX_POLY_DEGREE, PAULI_LABELS, HamiltonianSchedule, Seg
 SCHEDULE_FORMAT = "chromlc-schedule"
 GATES_FORMAT = "chromlc-gates"
 PRODUCT_FORMAT = "chromlc-product"
-FORMAT_VERSIONS = {SCHEDULE_FORMAT: 1, GATES_FORMAT: 2, PRODUCT_FORMAT: 1}
+FORMAT_VERSIONS = {SCHEDULE_FORMAT: 1, GATES_FORMAT: 3, PRODUCT_FORMAT: 1}
 _PAULI_ROWS = {label: row for row, label in enumerate(PAULI_LABELS)}  # Pauli key -> its row of a term's tracks
 
 __all__ = [
@@ -260,25 +264,29 @@ def _segment_terms(raw_terms: list, where: str):
 def dumps_gates(g: GateSchedule) -> str:
     """The bytes of ``json.dumps(doc, separators=(",", ":")) + "\\n"`` for the gate document.
 
-    A step object that recurs (``compile`` repeats a constant segment's
-    steps) is encoded once per call and its text reused; the steps' texts
-    follow a fixed header.  The generators of each distinct step become
-    Python floats through one ``tolist`` of their stack; stacking the whole
-    file at once would hold every gate's floats at the same time.
-    Generators are finite, so no NaN or Infinity arises: ``compile`` builds
-    them from finite terms and angles, and the reader refuses unbounded ones.
+    Each distinct term (by value) enters the ``terms`` table once, in the
+    order of first use, and each gate names its row.  A step object that
+    recurs (``compile`` repeats a constant segment's steps) is encoded once
+    per call and its text reused; the table and the steps' texts follow a
+    fixed header.  Terms and durations are finite, so no NaN or Infinity
+    arises: ``compile`` builds them from finite terms and angles, and the
+    reader refuses non-finite ones.
     """
+    rows = {}  # a term's bytes -> its row of the table
     texts = {}  # id(step) -> its text; g holds every step, so no id is reused during the call
     steps = []
     for step in g.steps:
         text = texts.get(id(step))
         if text is None:
-            generators = np.array([gate.generator for gate in step.gates]).tolist()
-            gates = [{"pair": gate.pair, "generator": c} for gate, c in zip(step.gates, generators)]
+            gates = [
+                {"pair": gate.pair, "term": rows.setdefault(gate.term.tobytes(), len(rows)), "duration": gate.duration}
+                for gate in step.gates
+            ]
             text = texts[id(step)] = _compact({"gates": gates})
         steps.append(text)
+    terms = _compact(np.frombuffer(b"".join(rows), dtype=float).reshape(-1, 16).tolist())
     version = FORMAT_VERSIONS[GATES_FORMAT]
-    header = f'{{"format":"{GATES_FORMAT}","version":{version},"n_qubits":{g.n_qubits:d},"steps":['
+    header = f'{{"format":"{GATES_FORMAT}","version":{version},"n_qubits":{g.n_qubits:d},"terms":{terms},"steps":['
     return header + ",".join(steps) + "]}\n"
 
 
@@ -287,18 +295,21 @@ def loads_gates(text: str) -> GateSchedule:
 
 
 def _gates_from_doc(doc: dict) -> GateSchedule:
-    """The gate schedule of a version-2 document; a ``ParseError`` names the
+    """The gate schedule of a version-3 document; a ``ParseError`` names the
     first field that breaks a rule.
 
-    Each gate is read once: its pair and the type and length of its
-    generator list.  Then all generators are converted as one stack, which
-    is walked again only when an integer in it overflows a float, to name
-    its gate, and :meth:`Gate.from_generators` builds every gate by one
-    stacked eigensolve.
+    The ``terms`` table is checked row by row for its type and length and
+    converted as one stack.  Then each gate is read once: its pair, its
+    row of the table and its duration.  Each gate's generator is its
+    duration times its row, as :func:`~chromlc.compiler.compile` forms it;
+    the absolute values of its coefficients must sum within the float
+    range, and :meth:`Gate.from_terms` builds every gate by one stacked
+    eigensolve.
     """
     _check_header(doc, GATES_FORMAT)
     n_qubits = _int_field(doc, "n_qubits", "document")
-    pairs, lists, loci, ends = [], [], [], []  # every gate's pair, generator list and name; each step's end
+    table = _term_table(_list_field(doc, "terms", "document"))
+    pairs, rows, durations, loci, ends = [], [], [], [], []  # each gate's pair, row, duration, name; each step's end
     for i, raw_step in enumerate(_list_field(doc, "steps", "document")):
         where = f"steps[{i}]"
         if not isinstance(raw_step, dict):
@@ -310,26 +321,28 @@ def _gates_from_doc(doc: dict) -> GateSchedule:
             k, l = _pair_field(raw_gate, gwhere)
             if not 0 <= k < l:
                 raise ParseError(f"{gwhere}.pair: indices must satisfy 0 <= k < l, got [{k}, {l}]")
-            generator = raw_gate.get("generator")
-            if type(generator) is not list or len(generator) != 16 or not set(map(type, generator)) <= {int, float}:
-                raise ParseError(f"{gwhere}.generator: expected a list of 16 numbers")
+            if l >= n_qubits:
+                raise ParseError(f"{gwhere}.pair: [{k}, {l}] exceeds the register of {n_qubits} qubits")
+            row = raw_gate.get("term")
+            if type(row) is not int or not 0 <= row < len(table):
+                raise ParseError(f"{gwhere}.term: expected an integer in [0, {len(table)}), got {row!r}")
+            duration = _number(raw_gate.get("duration"), f"{gwhere}.duration")
+            if not 0.0 <= duration < math.inf:
+                raise ParseError(f"{gwhere}.duration: expected a finite number >= 0, got {duration!r}")
             pairs.append((k, l))
-            lists.append(generator)
+            rows.append(row)
+            durations.append(duration)
             loci.append(gwhere)
         ends.append(len(pairs))
-    try:
-        generators = np.array(lists, dtype=float).reshape(-1, 16)
-    except OverflowError:  # an integer beyond the float range: name its gate
-        for locus, generator in zip(loci, lists):
-            _floats(generator, (16,), f"{locus}.generator", "a list of 16 numbers")
+    terms = table[rows]
     with np.errstate(over="ignore", invalid="ignore"):
-        bounded = np.isfinite(np.abs(generators).sum(axis=1))
+        bounded = np.isfinite(np.abs(np.array(durations)[:, None] * terms).sum(axis=1))
     if not bounded.all():
         raise ParseError(
-            f"{loci[int(np.argmin(bounded))]}.generator: expected finite coefficients "
-            "whose absolute values sum within the float range"
+            f"{loci[int(np.argmin(bounded))]}.duration: the generator, duration times term, "
+            "must have coefficients whose absolute values sum within the float range"
         )
-    gates = Gate.from_generators(pairs, generators)
+    gates = Gate.from_terms(pairs, terms, durations)
     steps = []
     for i, (start, end) in enumerate(zip([0] + ends, ends)):
         try:
@@ -340,6 +353,25 @@ def _gates_from_doc(doc: dict) -> GateSchedule:
         return GateSchedule(n_qubits, tuple(steps))
     except BadParams as exc:
         raise ParseError(str(exc)) from None
+
+
+def _term_table(raw_terms: list) -> np.ndarray:
+    """The ``(rows, 16)`` float array of a gate document's ``terms``; a
+    ``ParseError`` names the first row that is no list of 16 finite numbers.
+    The rows are converted as one stack, walked again only when an integer
+    in it overflows a float, to name its row."""
+    for i, row in enumerate(raw_terms):
+        if type(row) is not list or len(row) != 16 or not set(map(type, row)) <= {int, float}:
+            raise ParseError(f"terms[{i}]: expected a list of 16 numbers")
+    try:
+        table = np.array(raw_terms, dtype=float).reshape(-1, 16)
+    except OverflowError:  # an integer beyond the float range: name its row
+        for i, row in enumerate(raw_terms):
+            _floats(row, (16,), f"terms[{i}]", "a list of 16 numbers")
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"terms[{int(np.argmin(finite))}]: expected a list of 16 finite numbers")
+    return table
 
 
 # -- file helpers ------------------------------------------------------------

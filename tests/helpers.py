@@ -60,10 +60,11 @@ def unitary_angle(u) -> float:
 
 
 def gate_from_unitary(pair, u):
-    """The gate on ``pair`` whose generator is the principal logarithm A of
-    ``u`` (u = exp(-i*A)): its unitary is ``u`` to rounding, and it survives
-    a gate document unchanged, since the reader builds it the same way."""
-    return Gate.from_generators([pair], [hamiltonian.pauli_coeffs(-linalg.unitary_log(u))])[0]
+    """The gate on ``pair`` that runs the principal logarithm A of ``u``
+    (u = exp(-i*A)) for duration 1.0: its unitary is ``u`` to rounding, and
+    it survives a gate document unchanged, since the reader builds it the
+    same way."""
+    return Gate.from_terms([pair], [hamiltonian.pauli_coeffs(-linalg.unitary_log(u))], [1.0])[0]
 
 
 def w_at(s, t, known=None):
@@ -610,16 +611,15 @@ def recounting_level_decompose(pairs, weights, known=None):
 def per_gate_pair_gates(snap, index, angles):
     """``compiler._pair_gates`` gate by gate, each built by the plain
     ``Gate(...)`` record constructor: a gate past pi takes the largest
-    |phase| of its own eigenvalues, and each generator is its own matrix's
-    projection onto the Pauli products."""
+    |phase| of its own eigenvalues, its term is its snapshot row and its
+    duration its angle over its norm."""
     w, v = snap.eigenvalues[index], snap.eigenvectors[index]
     phases = np.exp((-1j * angles / snap.norms[index])[:, None] * w)
     unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    dual = hamiltonian.PAULI_PRODUCTS.reshape(16, 16).conj().T
     return [
         Gate(
             snap.pairs[i], u, a if a <= math.pi else np.max(np.abs(np.angle(p))),
-            a / snap.norms[i] * ((snap.matrices[i].reshape(1, 16) @ dual).real[0] / 4.0),
+            snap.coeffs[i], float(a / snap.norms[i]),
         )
         for i, u, a, p in zip(index, unitaries, angles, phases)
     ]

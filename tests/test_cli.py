@@ -402,12 +402,12 @@ def test_simulate_unnormalisable_product_state_exits_2(tmp_path, capsys, entry):
 
 @pytest.mark.parametrize("version", [True, 1.0, "1"])
 def test_version_must_be_the_integer_of_the_format(tmp_path, capsys, version):
-    # schedule and product documents are version 1, gate documents version 2
+    # schedule and product documents are version 1, gate documents version 3
     spath = tmp_path / "chain.json"
     run_cli(capsys, "generate", "chain", "--n", "3", "-o", str(spath))
     gpath = tmp_path / "gates.json"
     run_cli(capsys, "compile", str(spath), "--epsilon", "0.5", "-o", str(gpath))
-    for path, command, expected in ((spath, "index", 1), (gpath, "simulate", 2)):
+    for path, command, expected in ((spath, "index", 1), (gpath, "simulate", 3)):
         doc = json.loads(path.read_text())
         doc["version"] = version
         edited = tmp_path / f"edited-{path.name}"
@@ -482,43 +482,84 @@ def test_simulate_bad_basis_state_exits_2(tmp_path, capsys, spec):
     assert err.startswith("error:")
 
 
-def _one_gate_document(gate, version=2):
-    return json.dumps({"format": "chromlc-gates", "version": version, "n_qubits": 2, "steps": [{"gates": [gate]}]})
+def _one_gate_document(gate, terms=([0.0] * 16,)):
+    doc = {"format": "chromlc-gates", "version": 3, "n_qubits": 2, "terms": list(terms), "steps": [{"gates": [gate]}]}
+    return json.dumps(doc)
 
 
-@pytest.mark.parametrize("pair", [["a", 1], [0, [1]], [0.5, 1], [0, 1.9], [False, 1], [1, 0]])
+@pytest.mark.parametrize("pair", [["a", 1], [0, [1]], [0.5, 1], [0, 1.9], [False, 1], [1, 0], [0, 2]])
 def test_simulate_bad_gate_pair_exits_2(tmp_path, capsys, pair):
     gpath = tmp_path / "gates.json"
-    gpath.write_text(_one_gate_document({"pair": pair, "generator": [0.0] * 16}))
+    gpath.write_text(_one_gate_document({"pair": pair, "term": 0, "duration": 1.0}))
     code, _, err = run_cli(capsys, "simulate", str(gpath))
     assert code == 2
     assert err.startswith("error: steps[0].gates[0].pair: ")
 
 
-_XX_YY = [1e308 if label in ("XX", "YY") else 0.0 for label in PAULI_LABELS]  # ||A|| = 2e308
+_XX_YY = [1e308 if label in ("XX", "YY") else 0.0 for label in PAULI_LABELS]  # ||A|| = 2e308 at duration 1
 
 
 @pytest.mark.parametrize(
-    "generator",
-    [None, {"XX": 1.0}, [0.0] * 15, [True] + [0.0] * 15, ["x"] + [0.0] * 15, [None] + [0.0] * 15,
-     [10**400] + [0.0] * 15, _XX_YY],
-    ids=["missing", "object", "short", "true", "string", "null", "huge-integer", "overflow"],
+    "terms, field",
+    [
+        (None, "document.terms"),
+        ({"XX": 1.0}, "document.terms"),
+        ([[0.0] * 15], "terms[0]"),
+        ([[True] + [0.0] * 15], "terms[0]"),
+        ([["x"] + [0.0] * 15], "terms[0]"),
+        ([[None] + [0.0] * 15], "terms[0]"),
+        ([[10**400] + [0.0] * 15], "terms[0]"),
+        ([[float("nan")] + [0.0] * 15], "terms[0]"),
+        ([], "steps[0].gates[0].term"),
+        ([_XX_YY], "steps[0].gates[0].duration"),
+    ],
+    ids=["missing", "object", "short", "true", "string", "null", "huge-integer", "nan", "empty", "overflow"],
 )
-def test_simulate_bad_generator_exits_2(tmp_path, capsys, generator):
-    gate = {"pair": [0, 1]} if generator is None else {"pair": [0, 1], "generator": generator}
+def test_simulate_bad_term_exits_2(tmp_path, capsys, terms, field):
+    doc = json.loads(_one_gate_document({"pair": [0, 1], "term": 0, "duration": 1.0}))
+    if terms is None:
+        del doc["terms"]
+    else:
+        doc["terms"] = terms
+    gpath = tmp_path / "gates.json"
+    gpath.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", str(gpath))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "duration",
+    [None, 10**400, float("nan"), float("inf"), -1, True, "x"],
+    ids=["missing", "huge-integer", "nan", "infinity", "negative", "true", "string"],
+)
+def test_simulate_bad_duration_exits_2(tmp_path, capsys, duration):
+    gate = {"pair": [0, 1], "term": 0} if duration is None else {"pair": [0, 1], "term": 0, "duration": duration}
     gpath = tmp_path / "gates.json"
     gpath.write_text(_one_gate_document(gate))
     code, out, err = run_cli(capsys, "simulate", str(gpath))
     assert (code, out) == (2, "")
-    assert err.startswith("error: steps[0].gates[0].generator: ") and err.count("\n") == 1
+    assert err.startswith("error: steps[0].gates[0].duration: ") and err.count("\n") == 1
 
 
-def test_simulate_refuses_a_version_1_gate_document(tmp_path, capsys):
-    identity = [[[1.0 if r == c else 0.0, 0.0] for c in range(4)] for r in range(4)]
+_IDENTITY = [[[1.0 if r == c else 0.0, 0.0] for c in range(4)] for r in range(4)]
+
+
+@pytest.mark.parametrize(
+    "version, gate",
+    [
+        (1, {"pair": [0, 1], "unitary": _IDENTITY, "angle": 0.0}),
+        (2, {"pair": [0, 1], "generator": [0.0] * 16}),
+    ],
+    ids=["unitary-and-angle", "generator"],
+)
+def test_simulate_refuses_an_earlier_gate_document(tmp_path, capsys, version, gate):
+    # one reader: compile the schedule again for a version-3 file
     gpath = tmp_path / "gates.json"
-    gpath.write_text(_one_gate_document({"pair": [0, 1], "unitary": identity, "angle": 0.0}, version=1))
+    doc = {"format": "chromlc-gates", "version": version, "n_qubits": 2, "steps": [{"gates": [gate]}]}
+    gpath.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "simulate", str(gpath))
-    assert (code, out, err) == (2, "", "error: version: expected 2, got 1\n")
+    assert (code, out, err) == (2, "", f"error: version: expected 3, got {version}\n")
 
 
 @pytest.mark.parametrize(

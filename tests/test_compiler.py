@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from chromlc import cli, compiler, linalg
 from chromlc.compiler import (
@@ -52,28 +53,32 @@ ZERO = np.zeros(16)
 
 
 def test_gate_validation():
-    # what Gate.from_generators accepts: any int pairs with 0 <= k < l, one generator each, or nothing
-    assert Gate.from_generators([], np.zeros((0, 16))) == []
-    (gate,) = Gate.from_generators([[np.int64(0), 3.0]], [ZERO.tolist()])
+    # what Gate.from_terms accepts: any int pairs with 0 <= k < l, one term and one duration each, or nothing
+    assert Gate.from_terms([], np.zeros((0, 16)), []) == []
+    (gate,) = Gate.from_terms([[np.int64(0), 3.0]], [ZERO.tolist()], [2])
     assert gate.pair == (0, 3) and gate.angle == 0.0 and np.array_equal(gate.unitary, np.eye(4))
+    assert (gate.duration, type(gate.duration)) == (2.0, float)
     g = gate_from_unitary((0, 1), haar_unitary(4, np.random.default_rng(1)))
     assert abs(g.angle - unitary_angle(g.unitary)) < 1e-12
 
 
 @pytest.mark.parametrize(
-    "pairs, generators, message",
+    "pairs, terms, durations, message",
     [
-        ([(1, 0)], [ZERO], "gate pair (1,0) must satisfy 0 <= k < l"),
-        ([(-1, 3)], [ZERO], "gate pair (-1,3) must satisfy 0 <= k < l"),
-        ([(2, 2)], [ZERO], "gate pair (2,2) must satisfy 0 <= k < l"),
-        ([(0, 1), (3, 2)], [ZERO, ZERO], "gate pair (3,2) must satisfy 0 <= k < l"),
-        ([(0, 1)], np.zeros((1, 15)), "gate generator must hold 16 coefficients, got shape (15,)"),
-        ([(0, 1)], ZERO, "gate generator must hold 16 coefficients, got shape ()"),
-        ([(0, 1)], np.zeros((1, 4, 4)), "gate generator must hold 16 coefficients, got shape (4, 4)"),
-        # zip would drop the surplus of either side
-        ([(0, 1)], np.zeros((2, 16)), "gate stack lengths differ: 1 pairs, 2 generators"),
-        ([(0, 1), (1, 2), (2, 3)], np.zeros((2, 16)), "gate stack lengths differ: 3 pairs, 2 generators"),
-        ([(0, 1)], np.zeros((0, 16)), "gate stack lengths differ: 1 pairs, 0 generators"),
+        ([(1, 0)], [ZERO], [1.0], "gate pair (1,0) must satisfy 0 <= k < l"),
+        ([(-1, 3)], [ZERO], [1.0], "gate pair (-1,3) must satisfy 0 <= k < l"),
+        ([(2, 2)], [ZERO], [1.0], "gate pair (2,2) must satisfy 0 <= k < l"),
+        ([(0, 1), (3, 2)], [ZERO, ZERO], [1.0, 1.0], "gate pair (3,2) must satisfy 0 <= k < l"),
+        ([(0, 1)], np.zeros((1, 15)), [1.0], "gate term must hold 16 coefficients, got shape (15,)"),
+        ([(0, 1)], ZERO, [1.0], "gate term must hold 16 coefficients, got shape ()"),
+        ([(0, 1)], np.zeros((1, 4, 4)), [1.0], "gate term must hold 16 coefficients, got shape (4, 4)"),
+        # zip would drop the surplus of any side
+        ([(0, 1)], np.zeros((2, 16)), [1.0], "gate stacks differ: 1 pairs, 2 terms, durations of shape (1,)"),
+        ([(0, 1), (1, 2), (2, 3)], np.zeros((2, 16)), [1.0] * 3, "gate stacks differ: 3 pairs, 2 terms"),
+        ([(0, 1)], np.zeros((0, 16)), [1.0], "gate stacks differ: 1 pairs, 0 terms"),
+        ([(0, 1)], [ZERO], [1.0, 1.0], "gate stacks differ: 1 pairs, 1 terms, durations of shape (2,)"),
+        ([(0, 1)], [ZERO], 1.0, "gate stacks differ: 1 pairs, 1 terms, durations of shape ()"),
+        ([(0, 1)], [ZERO], [[1.0]], "gate stacks differ: 1 pairs, 1 terms, durations of shape (1, 1)"),
     ],
     ids=[
         "pair-reversed",
@@ -81,66 +86,77 @@ def test_gate_validation():
         "pair-equal",
         "pair-reversed-after-a-good-one",
         "fifteen-coefficients",
-        "one-flat-generator",
-        "matrix-generators",
+        "one-flat-term",
+        "matrix-terms",
         "fewer-pairs",
         "more-pairs",
-        "no-generators",
+        "no-terms",
+        "more-durations",
+        "scalar-duration",
+        "nested-durations",
     ],
 )
-def test_gates_from_generators_refuses_bad_input(pairs, generators, message):
-    # Gate.from_generators, the one way to build gates from outside the compiler
+def test_gates_from_terms_refuses_bad_input(pairs, terms, durations, message):
+    # Gate.from_terms, the one way to build gates from outside the compiler
     with pytest.raises(BadParams, match=re.escape(message)):
-        Gate.from_generators(pairs, generators)
+        Gate.from_terms(pairs, terms, durations)
 
 
 def test_gates_are_read_only():
-    generators = np.ones((2, 16))
-    gates = Gate.from_generators(np.array([(0, 1), (2, 3)]), generators)
+    terms = np.ones((2, 16))
+    gates = Gate.from_terms(np.array([(0, 1), (2, 3)]), terms, np.array([0.5, 2.0]))
     for gate in gates:
         with pytest.raises(ValueError):
             gate.unitary[0, 0] = 1.0
         with pytest.raises(ValueError):
-            gate.generator[0] = 1.0
-    generators[1, 0] = 5.0  # the caller's array is copied, not frozen
-    assert np.array_equal(gates[1].generator, np.ones(16))
+            gate.term[0] = 1.0
+    terms[1, 0] = 5.0  # the caller's array is copied, not frozen
+    assert np.array_equal(gates[1].term, np.ones(16))
     assert gates[1].pair == (2, 3) and all(type(x) is int for x in gates[1].pair)
     assert type(gates[1].angle) is float
+    assert [(gate.duration, type(gate.duration)) for gate in gates] == [(0.5, float), (2.0, float)]
 
 
 def _assert_built(g):
     """What building every gate from an eigendecomposition guarantees: the
     unitaries are unitary at 1e-10 (checked as one stack), each angle is a
-    finite float, each pair an int tuple (k, l) with k < l, and each unitary
-    and generator is read-only."""
+    finite float, each pair an int tuple (k, l) with k < l, each duration a
+    finite float >= 0, and each unitary and term is read-only."""
     gates = [gate for step in g.steps for gate in step.gates]
     assert linalg.is_unitary(np.reshape([gate.unitary for gate in gates], (-1, 4, 4)), 1e-10)
     for gate in gates:
         assert type(gate.angle) is float and math.isfinite(gate.angle)
         assert type(gate.pair) is tuple and [type(x) for x in gate.pair] == [int, int]
         assert gate.pair[0] < gate.pair[1]
-        assert not gate.unitary.flags.writeable and not gate.generator.flags.writeable
+        assert type(gate.duration) is float and 0.0 <= gate.duration < math.inf
+        assert not gate.unitary.flags.writeable and not gate.term.flags.writeable
 
 
-def test_gates_from_generators_are_exp_of_minus_i_a():
+def test_gates_from_terms_are_exp_of_minus_i_tau_h():
     # angle: ||A|| up to pi, then the largest |phase| of exp(-i A), the smallest generator norm
     rng = np.random.default_rng(29)
     norms = np.concatenate([[0.0, 0.3, math.pi], rng.uniform(0.1, 6.0, size=40)])
     hs = [random_hermitian(4, rng, norm=norm) for norm in norms]
     hs[2] = np.diag([0.0, 0.0, 0.0, math.pi]).astype(complex)  # exp(-i A) is CZ
     pairs = [(0, 1)] * len(hs)
-    gates = Gate.from_generators(pairs, [pauli_coeffs(h) for h in hs])
-    assert gates == [Gate.from_generators([(0, 1)], [gate.generator])[0] for gate in gates]
+    gates = Gate.from_terms(pairs, [pauli_coeffs(h) for h in hs], [1.0] * len(hs))
+    assert gates == [Gate.from_terms([(0, 1)], [gate.term], [1.0])[0] for gate in gates]
     assert gates[0].angle == 0.0 and np.array_equal(gates[0].unitary, np.eye(4))
     assert np.max(np.abs(gates[2].unitary - np.diag([1, 1, 1, -1]))) < 1e-15
     for gate, h, norm in zip(gates, hs, norms):
         assert np.max(np.abs(gate.unitary - linalg.expm_i(h, 1.0))) < 1e-12
-        assert np.array_equal(gate.generator, pauli_coeffs(h))
+        assert np.array_equal(gate.term, pauli_coeffs(h)) and gate.duration == 1.0
         assert abs(gate.angle - unitary_angle(gate.unitary)) < 1e-12
         assert gate.angle <= norm + 1e-12
         if norm <= math.pi:
             assert abs(gate.angle - norm) < 1e-12
-    assert Gate.from_generators([], np.zeros((0, 16))) == []
+    # a duration scales the term: the same unitaries as the generators tau * H at duration 1.0
+    taus = rng.uniform(0.0, 2.0, size=len(hs))
+    scaled = Gate.from_terms(pairs, [pauli_coeffs(h) for h in hs], taus)
+    plain = Gate.from_terms(pairs, [tau * pauli_coeffs(h) for tau, h in zip(taus, hs)], [1.0] * len(hs))
+    for gate, other, tau, h in zip(scaled, plain, taus, hs):
+        assert np.array_equal(gate.unitary, other.unitary) and gate.angle == other.angle
+        assert np.max(np.abs(gate.unitary - linalg.expm_i(h, tau))) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -324,6 +340,51 @@ def test_compile_repeats_each_constant_segment_block():
             assert iv.delta == pytest.approx(0.05, abs=1e-15)
     assert len({iv.t_mid for iv in report.intervals}) == 20
     assert blocks[0][0] != blocks[5][0]
+
+
+def _gates_by_interval(g, report):
+    """``(interval, its gates)`` for every subinterval, in report order."""
+    return [
+        (iv, [gate for step in block for gate in step.gates])
+        for iv, block in zip(report.intervals, _interval_blocks(g, report))
+    ]
+
+
+def test_compile_gates_run_the_schedules_own_coefficients():
+    # a constant segment's gates run its tracks as written; a time-varying
+    # one's run its coefficients at the midpoint, exactly where a track is
+    # zero: a projection of the matrices onto the Pauli products would
+    # leave II noise of up to 5.6e-17 here
+    s = random_graph(6, p=0.6, seed=3, segments=4)
+    g, report = compile(s, 0.05)
+    for iv, gates in _gates_by_interval(g, report):
+        seg = s.segment_at(iv.t_mid)
+        tracks = dict(zip(seg.pairs, seg.tracks[:, :, 0]))
+        assert all(np.array_equal(gate.term, tracks[gate.pair]) for gate in gates)
+    tv = random_time_varying(6, p=0.6, seed=3)
+    g, report = compile(tv, 0.05)
+    (seg,) = tv.segments
+    for iv, gates in _gates_by_interval(g, report):
+        oracle = dict(zip(seg.pairs, [[polyval(iv.t_mid, row) for row in rows] for rows in seg.tracks]))
+        for gate in gates:
+            assert gate.term[0] == 0.0  # II: the generator writes none
+            assert np.max(np.abs(gate.term - oracle[gate.pair])) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_compile_durations_of_an_edge_sum_to_its_subinterval(seed):
+    # the telescoping identity in the gate record: over one subinterval an
+    # edge's gates share one term and run it for d in all
+    s = random_time_varying(6, p=0.6, seed=seed)
+    g, report = compile(s, 0.05)
+    for iv, gates in _gates_by_interval(g, report):
+        totals, terms = {}, {}
+        for gate in gates:
+            totals[gate.pair] = totals.get(gate.pair, 0.0) + gate.duration
+            assert np.array_equal(terms.setdefault(gate.pair, gate.term), gate.term)
+        assert sorted(totals) == list(snapshot(s, iv.t_mid).pairs)
+        for total in totals.values():
+            assert abs(total - iv.delta) <= 1e-12 * iv.delta
 
 
 def test_report_thresholds_are_python_floats():

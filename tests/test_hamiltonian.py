@@ -155,7 +155,8 @@ def test_matrices_at_matches_polyval_reference(seg):
         assert np.max(np.abs(got - ref), initial=0.0) <= 1e-15
         snap = snapshot(s, t)
         rows = [seg.pairs.index(pair) for pair in snap.pairs]
-        assert np.max(np.abs(snap.matrices - ref[rows]), initial=0.0) <= 1e-15
+        built = np.reshape([pauli_matrix(c) for c in snap.coeffs], (-1, 4, 4))
+        assert np.max(np.abs(built - ref[rows]), initial=0.0) <= 1e-15
         active = [pair for pair, m in zip(seg.pairs, ref) if np.any(m != 0)]
         assert snap.pairs == tuple(sorted(active))
 
@@ -221,6 +222,17 @@ def test_matrices_at_on_a_vector_names_the_first_overflowing_time_and_pair():
         for _ in snapshots(seg, grid):
             pass
     assert str(info.value) == first_failure(grid)
+
+
+def test_snapshots_name_the_first_overflowing_pair_in_ascending_order():
+    # a snapshot evaluates its terms in its own pair order; matrices_at in the segment's
+    tracks = np.zeros((2, 16, 9))
+    tracks[:, PAULI_LABELS.index("XX"), 8] = 1.0  # both terms overflow from 3.4e38 on
+    seg = Segment(0.0, 1e40, ((1, 2), (0, 1)), tracks)
+    with pytest.raises(TooLarge, match=r"^pair \(1, 2\): the term at t=1e\+39 exceeds the float range$"):
+        seg.matrices_at(1e39)
+    with pytest.raises(TooLarge, match=r"^pair \(0, 1\): the term at t=1e\+39 exceeds the float range$"):
+        next(snapshots(seg, [1.0, 1e39, 1e40]))
 
 
 def test_snapshots_of_a_grid_equal_the_one_time_snapshots():
@@ -291,22 +303,50 @@ def test_snapshot_norms_match_operator_norm():
     for t in (0.0, 0.37, 1.0):
         snap = snapshot(s, t)
         assert list(snap.pairs) == sorted(s.segments[0].pairs)
-        assert snap.matrices.shape == (len(snap.pairs), 4, 4)
+        assert snap.coeffs.shape == (len(snap.pairs), 16)
         seg = s.segment_at(t)
         matrices = dict(zip(seg.pairs, seg.matrices_at(t)))
         for i, pair in enumerate(snap.pairs):
             matrix = matrices[pair]
             assert abs(snap.norms[i] - np.linalg.norm(matrix, 2)) < 1e-12
-            assert np.array_equal(snap.matrices[i], matrix)
+            assert np.max(np.abs(snap.coeffs[i] - pauli_coeffs(matrix))) < 1e-15
             w, v = snap.eigenvalues[i], snap.eigenvectors[i]
             assert np.max(np.abs((v * w) @ v.conj().T - matrix)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        random_time_varying(6, p=0.6, seed=3),
+        random_time_varying(4, p=0.8, seed=5, degree=8),
+        random_graph(5, p=0.6, seed=3, segments=3),
+    ],
+    ids=["degree-2", "degree-8", "constant"],
+)
+def test_snapshot_coeffs_are_the_tracks_at_the_time(schedule):
+    # the Horner coefficients the matrices are built from, kept: a constant
+    # segment's are its tracks as written, II included
+    for t in (0.0, 0.37, 0.5, 1.0):
+        snap = snapshot(schedule, t)
+        seg = schedule.segment_at(t)
+        tracks = dict(zip(seg.pairs, seg.tracks))
+        assert snap.coeffs.shape == (len(snap.pairs), 16)
+        # the matrices diagonalized are built from these rows, bit for bit those of matrices_at
+        built = np.matmul(snap.coeffs[:, None, :], hamiltonian.PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4)
+        matrices = dict(zip(seg.pairs, seg.matrices_at(t)))
+        assert np.array_equal(built, np.reshape([matrices[pair] for pair in snap.pairs], (-1, 4, 4)))
+        for pair, coeffs in zip(snap.pairs, snap.coeffs):
+            oracle = np.array([np.polynomial.polynomial.polyval(t, row) for row in tracks[pair]])
+            if seg.is_constant:
+                assert np.array_equal(coeffs, tracks[pair][:, 0])
+            assert np.max(np.abs(coeffs - oracle)) <= 1e-15 * max(1.0, np.max(np.abs(oracle)))
 
 
 def test_snapshot_drops_zero_terms():
     s = HamiltonianSchedule(3, (Segment(0.0, 1.0, ((0, 1),), np.zeros((1, 16, 1))),))
     snap = snapshot(s, 0.5)
     assert snap.pairs == ()
-    assert snap.matrices.shape == (0, 4, 4) and snap.norms.shape == (0,)
+    assert snap.coeffs.shape == (0, 16) and snap.norms.shape == (0,)
     empty = HamiltonianSchedule(3, (Segment(0.0, 1.0),))
     assert snapshot(empty, 0.5).pairs == ()
 

@@ -27,9 +27,10 @@ SCHEDULE_WITH_COEFFS = (  # one term on the pair (0,1), its "coeffs" to fill in
     '{"format": "chromlc-schedule", "version": 1, "n_qubits": 2, "segments": '
     '[{"t_start": 0.0, "t_end": 1.0, "terms": [{"pair": [0, 1], "coeffs": %s}]}]}'
 )
-# a gate document, its "n_qubits" and "steps" to fill in
-GATES = '{"format": "chromlc-gates", "version": 2, "n_qubits": %s, "steps": %s}'
-ONE_GATE = '[{"gates": [{"pair": [0, 1], "generator": %s}]}]'  # a step of one gate, its generator to fill in
+# a gate document of one zero term, its "n_qubits" and "steps" to fill in
+ZERO_TERM = "[" + ", ".join(["0"] * 16) + "]"
+GATES = '{"format": "chromlc-gates", "version": 3, "n_qubits": %s, "terms": [' + ZERO_TERM + '], "steps": %s}'
+ONE_GATE = '[{"gates": [{"pair": [0, 1], "term": 0, "duration": %s}]}]'  # a step of one gate, its duration to fill in
 PATH = ((0, 1), (1, 2))
 
 
@@ -69,14 +70,14 @@ PATH = ((0, 1), (1, 2))
         (lambda: loads_gates(GATES % (2, "[1]")), ParseError, r"steps\[0\]: expected an object"),
         (lambda: loads_gates(GATES % (2, '[{"gates": [1]}]')), ParseError, r"steps\[0\]\.gates\[0\]: expected an object"),
         (
-            lambda: loads_gates(GATES % (2, ONE_GATE % "[0.5, true]")),
+            lambda: loads_gates(GATES % (2, ONE_GATE % "[0.5]")),
             ParseError,
-            r"steps\[0\]\.gates\[0\]\.generator: expected a list of 16 numbers",
+            r"steps\[0\]\.gates\[0\]\.duration: expected a number, got \[0\.5\]",
         ),
         (
-            lambda: loads_gates(GATES % (2, ONE_GATE % ("[1e308, 0, 0, 0, 0, 1e308" + ", 0" * 10 + "]"))),
+            lambda: loads_gates(GATES % (2, ONE_GATE % "-0.5")),
             ParseError,
-            r"steps\[0\]\.gates\[0\]\.generator: expected finite coefficients",
+            r"steps\[0\]\.gates\[0\]\.duration: expected a finite number >= 0, got -0\.5",
         ),
     ],
 )
@@ -92,7 +93,7 @@ def test_non_square_matrix_is_not_hermitian():
 @pytest.mark.parametrize(
     "check",
     [
-        lambda: Gate((0, 1), np.eye(4), 0.0, np.zeros(16)) == 1,
+        lambda: Gate((0, 1), np.eye(4), 0.0, np.zeros(16), 1.0) == 1,
         lambda: Segment(0.0, 1.0) == "x",
         lambda: EdgeColoring((((0, 1),),), True).is_valid_for(PATH),  # misses the edge (1,2)
         lambda: EdgeColoring((((0, 1), (1, 2)),), True).is_valid_for(PATH),  # one class shares vertex 1

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromlc import cli, linalg
-from chromlc.compiler import Gate, GateSchedule, Step, compile
+from chromlc.compiler import Gate, GateSchedule, Step, compile, trotterize
 from chromlc.errors import ChromlcError, ParseError, SchemaVersionMismatch
 from chromlc.hamiltonian import (
     PAULI_LABELS,
@@ -109,13 +109,15 @@ def test_gates_roundtrip():
 
 
 def _assert_same_gates(loaded, g):
-    """Equal pairs, steps and generators; unitaries and angles within 1e-12."""
+    """Equal pairs and steps; terms, durations and so generators bit for bit;
+    unitaries and angles within 1e-12."""
     assert loaded.n_qubits == g.n_qubits
     assert [[gate.pair for gate in step.gates] for step in loaded.steps] == [
         [gate.pair for gate in step.gates] for step in g.steps
     ]
     pairs = [(a, b) for x, y in zip(loaded.steps, g.steps) for a, b in zip(x.gates, y.gates)]
-    assert all(np.array_equal(a.generator, b.generator) for a, b in pairs)
+    assert all(a.term.tobytes() == b.term.tobytes() and a.duration == b.duration for a, b in pairs)
+    assert all((a.duration * a.term).tobytes() == (b.duration * b.term).tobytes() for a, b in pairs)
     assert max((np.max(np.abs(a.unitary - b.unitary)) for a, b in pairs), default=0.0) <= 1e-12
     assert max((abs(a.angle - b.angle) for a, b in pairs), default=0.0) <= 1e-12
 
@@ -129,20 +131,25 @@ def test_compiled_gates_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "generate",
+    "generate, n_terms",
     [
-        ["random_graph", "--n", "8", "--p", "0.5", "--segments", "4", "--seed", "7"],
-        ["random_graph", "--n", "8", "--p", "0.5", "--segments", "4", "--seed", "11"],
-        ["random_time_varying", "--n", "6", "--p", "0.6", "--seed", "3"],
-        ["random_time_varying", "--n", "6", "--p", "0.6", "--seed", "11"],
+        (["random_graph", "--n", "8", "--p", "0.5", "--segments", "4", "--seed", "7"], 55),
+        (["random_graph", "--n", "8", "--p", "0.5", "--segments", "4", "--seed", "11"], 50),
+        (["random_time_varying", "--n", "6", "--p", "0.6", "--seed", "3"], 220),
+        (["random_time_varying", "--n", "6", "--p", "0.6", "--seed", "11"], 200),
     ],
     ids=["pwc-7", "pwc-11", "tv-3", "tv-11"],
 )
-def test_compiled_gate_documents_roundtrip(generate, tmp_path, capsys):
+def test_compiled_gate_documents_roundtrip(generate, n_terms, tmp_path, capsys):
+    # the benchmark's compile documents: the table holds one row per sampled
+    # pair term (20 samples of 11 edges for tv-3; for pwc-7, 13 + 10 + 15 +
+    # 17 terms, as a constant segment's repeated subintervals add none), and
+    # the text survives a reload
     spath, gpath = tmp_path / "doc.json", tmp_path / "gates.json"
     assert cli.main(["generate", *generate, "-o", str(spath)]) == 0
     g, _ = compile(load_schedule(spath), 0.05)
     text = dumps_gates(g)
+    assert len(json.loads(text)["terms"]) == n_terms
     loaded = loads_gates(text)
     _assert_same_gates(loaded, g)
     assert dumps_gates(loaded) == text
@@ -196,11 +203,12 @@ def test_parse_version_must_be_the_integer_1(version):
         loads_schedule(json.dumps(doc))
 
 
-@pytest.mark.parametrize("version", [True, 2.0, "2", 1])
-def test_gates_parse_version_must_be_the_integer_2(version):
+@pytest.mark.parametrize("version", [True, 3.0, "3", 2, 1])
+def test_gates_parse_version_must_be_the_integer_3(version):
+    # one reader: version-2 documents, one generator list per gate, are refused
     doc = _gate_document()
     doc["version"] = version
-    with pytest.raises(SchemaVersionMismatch, match=rf"^version: expected 2, got {version!r}$"):
+    with pytest.raises(SchemaVersionMismatch, match=rf"^version: expected 3, got {version!r}$"):
         loads_gates(json.dumps(doc))
 
 
@@ -317,7 +325,7 @@ def test_parse_trims_coefficients_before_building_the_array():
 
 
 def _gate_document():
-    return json.loads(dumps_gates(GateSchedule(2, (Step(tuple(Gate.from_generators([(0, 1)], [ZERO]))),))))
+    return json.loads(dumps_gates(GateSchedule(2, (Step(tuple(Gate.from_terms([(0, 1)], [ZERO], [1.0]))),))))
 
 
 def _schedule_document():
@@ -335,7 +343,8 @@ def _schedule_document():
         ),
         (_schedule_document, loads_schedule, ("segments", 0, "t_start"), "segments[0].t_start"),
         (_schedule_document, loads_schedule, ("segments", 0, "t_end"), "segments[0].t_end"),
-        (_gate_document, loads_gates, ("steps", 0, "gates", 0, "generator", 3), "steps[0].gates[0].generator"),
+        (_gate_document, loads_gates, ("terms", 0, 3), "terms[0]"),
+        (_gate_document, loads_gates, ("steps", 0, "gates", 0, "duration"), "steps[0].gates[0].duration"),
     ],
 )
 def test_parse_rejects_numbers_too_large_for_a_float(make_doc, loads, path, field):
@@ -358,14 +367,23 @@ def _two_step_gates():
     return GateSchedule(4, tuple(steps))
 
 
-def test_gates_parse_names_the_gate_whose_generator_overflows():
-    # the generators are checked as one stack: the error maps back to its gate
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["terms"][2].__setitem__(slice(5, 11, 5), [1e308, 1e308]),  # XX + YY: ||A|| = 2e308
+        lambda doc: doc["steps"][1]["gates"][0].__setitem__("duration", 1e308),
+    ],
+    ids=["term", "duration"],
+)
+def test_gates_parse_names_the_gate_whose_generator_overflows(edit):
+    # the generators, duration times term, are checked as one stack: the error maps back to its gate
     doc = json.loads(dumps_gates(_two_step_gates()))
-    doc["steps"][1]["gates"][0]["generator"][5:11:5] = [1e308, 1e308]  # XX + YY: ||A|| = 2e308
+    assert doc["steps"][1]["gates"][0]["term"] == 2
+    edit(doc)
     with pytest.raises(
         ParseError,
-        match=r"^steps\[1\]\.gates\[0\]\.generator: expected finite coefficients whose absolute values sum "
-        r"within the float range$",
+        match=r"^steps\[1\]\.gates\[0\]\.duration: the generator, duration times term, must have coefficients "
+        r"whose absolute values sum within the float range$",
     ):
         loads_gates(json.dumps(doc))
 
@@ -375,45 +393,110 @@ def test_gates_roundtrip_keeps_a_gate_with_a_near_degenerate_generator():
     # loaded gate is the gate written, bit for bit
     v = haar_unitary(4, np.random.default_rng(0))
     h = (v * np.array([math.pi / 2 - 3e-9, math.pi / 2 + 3e-9, 0.5, 0.2])) @ v.conj().T
-    g = GateSchedule(2, (Step(tuple(Gate.from_generators([(0, 1)], [pauli_coeffs((h + h.conj().T) / 2)]))),))
+    g = GateSchedule(2, (Step(tuple(Gate.from_terms([(0, 1)], [pauli_coeffs((h + h.conj().T) / 2)], [1.0]))),))
     assert abs(g.steps[0].gates[0].angle - (math.pi / 2 + 3e-9)) < 1e-12
     assert loads_gates(dumps_gates(g)) == g
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-def test_gates_parse_rejects_non_finite_generator(value):
+def test_gates_parse_rejects_a_non_finite_term(value):
     # json reads these literals; the encoder could not write them back
     text = dumps_gates(_two_step_gates())
-    doc = json.loads(text)
-    entry = doc["steps"][0]["gates"][1]["generator"][7]
+    entry = json.loads(text)["terms"][1][7]
     assert text.count(repr(entry)) == 1
-    with pytest.raises(ParseError, match=r"^steps\[0\]\.gates\[1\]\.generator: expected finite coefficients"):
+    with pytest.raises(ParseError, match=r"^terms\[1\]: expected a list of 16 finite numbers$"):
         loads_gates(text.replace(repr(entry), value))
+
+
+_MISSING = object()  # a key to delete
+_GATE = ("steps", 1, "gates", 2)  # the last gate of the second step
 
 
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("generator",), {"XX": 1.0}, r"generator: expected a list of 16 numbers"),
-        (("generator",), [0.0] * 15, r"generator: expected a list of 16 numbers"),
-        (("generator",), [0.0] * 17, r"generator: expected a list of 16 numbers"),
-        (("generator", 4), True, r"generator: expected a list of 16 numbers"),
-        (("generator", 4), "x", r"generator: expected a list of 16 numbers"),
-        (("generator", 4), None, r"generator: expected a list of 16 numbers"),
-        (("generator", 4), 10**400, r"generator: number too large for a float"),
-        (("generator", 4), float("nan"), r"generator: expected finite coefficients .*"),
-        (("pair",), [3, 2], r"pair: indices must satisfy 0 <= k < l, got \[3, 2\]"),
-        (("pair",), ["a", 1], r"pair: expected \[k, l\] with integer entries"),
+        (("terms",), {"XX": 1.0}, "document.terms: expected a list"),
+        (("terms", 0), {"XX": 1.0}, "terms[0]: expected a list of 16 numbers"),
+        (("terms", 0), [0.0] * 15, "terms[0]: expected a list of 16 numbers"),
+        (("terms", 0), [0.0] * 17, "terms[0]: expected a list of 16 numbers"),
+        (("terms", 0, 4), True, "terms[0]: expected a list of 16 numbers"),
+        (("terms", 0, 4), "x", "terms[0]: expected a list of 16 numbers"),
+        (("terms", 0, 4), None, "terms[0]: expected a list of 16 numbers"),
+        (("terms", 0, 4), 10**400, "terms[0]: number too large for a float"),
+        (("terms", 0, 4), float("nan"), "terms[0]: expected a list of 16 finite numbers"),
+        (("terms", 0, 4), float("inf"), "terms[0]: expected a list of 16 finite numbers"),
+        (_GATE + ("term",), _MISSING, "term: expected an integer in [0, 1), got None"),
+        (_GATE + ("term",), True, "term: expected an integer in [0, 1), got True"),
+        (_GATE + ("term",), 0.0, "term: expected an integer in [0, 1), got 0.0"),
+        (_GATE + ("term",), 1, "term: expected an integer in [0, 1), got 1"),
+        (_GATE + ("term",), -1, "term: expected an integer in [0, 1), got -1"),
+        (_GATE + ("duration",), 10**400, "duration: number too large for a float"),
+        (_GATE + ("duration",), float("nan"), "duration: expected a finite number >= 0, got nan"),
+        (_GATE + ("duration",), float("inf"), "duration: expected a finite number >= 0, got inf"),
+        (_GATE + ("duration",), -1, "duration: expected a finite number >= 0, got -1.0"),
+        (_GATE + ("duration",), True, "duration: expected a number, got True"),
+        (_GATE + ("duration",), "x", "duration: expected a number, got 'x'"),
+        (_GATE + ("duration",), _MISSING, "duration: expected a number, got None"),
+        (_GATE + ("pair",), [3, 2], "pair: indices must satisfy 0 <= k < l, got [3, 2]"),
+        (_GATE + ("pair",), ["a", 1], "pair: expected [k, l] with integer entries"),
+        (_GATE + ("pair",), [4, 6], "pair: [4, 6] exceeds the register of 6 qubits"),
+    ],
+    ids=[
+        "terms-object",
+        "term-row-object",
+        "term-row-short",
+        "term-row-long",
+        "term-entry-true",
+        "term-entry-string",
+        "term-entry-null",
+        "term-entry-10**400",
+        "term-entry-nan",
+        "term-entry-infinity",
+        "term-missing",
+        "term-true",
+        "term-float",
+        "term-past-the-table",
+        "term-negative",
+        "duration-10**400",
+        "duration-nan",
+        "duration-infinity",
+        "duration-negative",
+        "duration-true",
+        "duration-string",
+        "duration-missing",
+        "pair-reversed",
+        "pair-string",
+        "pair-beyond-the-register",
     ],
 )
-def test_gates_parse_names_the_bad_gate_of_a_step(path, value, message):
+def test_gates_parse_names_the_bad_field(path, value, message):
+    # one rule a case; the document: 2 steps of 3 gates that share one term
     doc = json.loads(dumps_gates(compile(disjoint_pairs(6), 0.5)[0]))
-    node = doc["steps"][1]["gates"][2]
+    assert len(doc["terms"]) == 1
+    node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
-    with pytest.raises(ParseError, match=rf"^steps\[1\]\.gates\[2\]\.{message}$"):
+    if value is _MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    if path[0] == "steps":
+        message = "steps[1].gates[2]." + message
+    with pytest.raises(ParseError) as info:
         loads_gates(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def test_trotterize_documents_hold_one_term_per_pair():
+    # m passes over the pair list run the same ten distinct terms
+    s = random_graph(5, p=1.0, seed=0)
+    g = trotterize(s, 4)
+    text = dumps_gates(g)
+    doc = json.loads(text)
+    assert len(doc["terms"]) == len(s.segments[0].pairs) == 10
+    assert [gate["term"] for step in doc["steps"] for gate in step["gates"]] == list(range(10)) * 4
+    _assert_same_gates(loads_gates(text), g)
+    assert dumps_gates(loads_gates(text)) == text
 
 
 def test_gates_parse_builds_the_document_by_one_eigensolve(monkeypatch):
@@ -441,18 +524,9 @@ def test_gates_parse_rejects_overlapping_step():
     rng = np.random.default_rng(4)
     a = gate_from_unitary((0, 1), haar_unitary(4, rng))
     b = gate_from_unitary((1, 2), haar_unitary(4, rng))
-    doc = {
-        "format": "chromlc-gates",
-        "version": 2,
-        "n_qubits": 3,
-        "steps": [
-            {
-                "gates": json.loads(dumps_gates(GateSchedule(3, (Step((a,)),))))["steps"][0]["gates"]
-                + json.loads(dumps_gates(GateSchedule(3, (Step((b,)),))))["steps"][0]["gates"]
-            }
-        ],
-    }
-    with pytest.raises(ParseError, match="overlap"):
+    doc = json.loads(dumps_gates(GateSchedule(3, (Step((a,)), Step((b,))))))
+    doc["steps"] = [{"gates": doc["steps"][0]["gates"] + doc["steps"][1]["gates"]}]
+    with pytest.raises(ParseError, match=r"^steps\[0\]: step gates overlap at pair \(1, 2\)$"):
         loads_gates(json.dumps(doc))
 
 
@@ -478,37 +552,52 @@ def test_file_helpers_and_dispatch(tmp_path):
 
 
 def _reference_text(g):
-    """The gate document as ``json.dumps(separators=(",", ":"))`` writes it, built here."""
+    """The gate document as ``json.dumps(separators=(",", ":"))`` writes it,
+    built here: each term's row found by a scan of the table for its bytes."""
+    table = []
+
+    def row(term):
+        for i, known in enumerate(table):
+            if known.tobytes() == term.tobytes():
+                return i
+        table.append(term)
+        return len(table) - 1
+
     steps = [
         {
             "gates": [
-                {"pair": [gate.pair[0], gate.pair[1]], "generator": [float(c) for c in gate.generator]}
+                {"pair": [gate.pair[0], gate.pair[1]], "term": row(gate.term), "duration": gate.duration}
                 for gate in step.gates
             ]
         }
         for step in g.steps
     ]
-    doc = {"format": "chromlc-gates", "version": 2, "n_qubits": g.n_qubits, "steps": steps}
+    terms = [[float(c) for c in term] for term in table]
+    doc = {"format": "chromlc-gates", "version": 3, "n_qubits": g.n_qubits, "terms": terms, "steps": steps}
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 # finite floats, with the entries whose rendering is easy to get wrong
 _COEFFICIENT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-17, -1e-17, 5e-324, 0.1])
+_DURATION = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([0.0, 1e-17, 5e-324, 0.1, 1.0])
 
 
 @st.composite
 def _gate_schedules(draw):
     """Zero to four steps of one to three gates on disjoint pairs of six
-    qubits, with any finite generators: the encoder writes only pairs and
-    generators, so the unitaries are left the identity."""
+    qubits, with any finite terms, drawn from a pool of one to three so
+    that gates share them, and any finite durations: the encoder writes
+    only pairs, terms and durations, so the unitaries are left the
+    identity."""
+    pool = draw(st.lists(st.lists(_COEFFICIENT, min_size=16, max_size=16), min_size=1, max_size=3))
     steps = []
     for _ in range(draw(st.integers(0, 4))):
         qubits = draw(st.permutations(range(6)))
         gates = []
         for j in range(draw(st.integers(1, 3))):
             pair = tuple(sorted(qubits[2 * j : 2 * j + 2]))
-            generator = draw(st.lists(_COEFFICIENT, min_size=16, max_size=16))
-            gates.append(Gate(pair, np.eye(4), 0.0, generator))
+            term = np.array(draw(st.sampled_from(pool)))
+            gates.append(Gate(pair, np.eye(4), 0.0, term, draw(_DURATION)))
         steps.append(Step(tuple(gates)))
     return GateSchedule(6, tuple(steps))
 
@@ -525,12 +614,12 @@ def test_dumps_gates_matches_json_indent(g):
 
 
 def test_dumps_gates_examples_cover_the_special_entries():
-    generator = np.zeros(16)
-    generator[[1, 5, 10, 15]] = 1e-17, -0.0, 0.1, 1e308
-    g = GateSchedule(4, (Step(tuple(Gate.from_generators([(0, 1), (2, 3)], [generator, ZERO]))),))
+    term = np.zeros(16)
+    term[[1, 5, 10, 15]] = 1e-17, -0.0, 0.1, 1e308
+    g = GateSchedule(4, (Step(tuple(Gate.from_terms([(0, 1), (2, 3)], [term, ZERO], [5e-324, 0.0]))),))
     text = dumps_gates(g)
     assert text == _reference_text(g)
-    for literal in ("1e-17", "-0.0", "0.1", "1e+308"):
+    for literal in ("1e-17", "-0.0", "0.1", "1e+308", "5e-324"):
         assert literal in text
     assert dumps_gates(GateSchedule(2, ())).endswith('"steps":[]}\n')
     # each gate's generator has norm 100 * 0.05 = 5 > pi: the angle is the unitary's
@@ -592,13 +681,13 @@ _GATES_BASE = json.loads(
         GateSchedule(
             3,
             (
-                Step(tuple(Gate.from_generators([(0, 1)], [ZERO]))),
+                Step(tuple(Gate.from_terms([(0, 1)], [ZERO], [1.0]))),
                 Step((gate_from_unitary((1, 2), haar_unitary(4, np.random.default_rng(5))),)),
             ),
         )
     )
 )
-# the fuzz values, and generator-shaped lists of any floats
+# the fuzz values, and term-shaped lists of any floats
 _GATES_FUZZ_VALUES = FUZZ_VALUES | st.lists(st.floats() | st.sampled_from([1e308, -1e308]), min_size=16, max_size=16)
 
 
@@ -624,13 +713,20 @@ def test_fuzzed_schedule_parses_or_raises_chromlc_error(path, value):
 
 @settings(max_examples=100, deadline=None)
 @given(path=st.sampled_from(list(node_paths(_GATES_BASE))), value=_GATES_FUZZ_VALUES)
-@example(path=("steps", 1, "gates", 0, "generator", 3), value=10**400)
-@example(path=("steps", 1, "gates", 0, "generator", 15), value=-(10**400))
-@example(path=("steps", 1, "gates", 0, "generator", 5), value={"re": 1.0})
-@example(path=("steps", 1, "gates", 0, "generator", 5), value=True)
-@example(path=("steps", 1, "gates", 0, "generator", 5), value="x")
-@example(path=("steps", 1, "gates", 0, "generator", 5), value=None)
-@example(path=("steps", 1, "gates", 0, "generator"), value=[1e308] * 16)
-@example(path=("steps", 0, "gates", 0, "generator"), value=[0.0] * 15)
+@example(path=("terms", 1, 3), value=10**400)
+@example(path=("terms", 1, 15), value=-(10**400))
+@example(path=("terms", 1, 5), value={"re": 1.0})
+@example(path=("terms", 1, 5), value=True)
+@example(path=("terms", 1, 5), value="x")
+@example(path=("terms", 1, 5), value=None)
+@example(path=("terms", 1), value=[1e308] * 16)
+@example(path=("terms", 0), value=[0.0] * 15)
+@example(path=("terms",), value=[])
+@example(path=("steps", 1, "gates", 0, "term"), value=2)
+@example(path=("steps", 1, "gates", 0, "term"), value=True)
+@example(path=("steps", 1, "gates", 0, "duration"), value=10**400)
+@example(path=("steps", 1, "gates", 0, "duration"), value=float("nan"))
+@example(path=("steps", 1, "gates", 0, "duration"), value=1e308)
+@example(path=("steps", 1, "gates", 0, "pair"), value=[1, 3])
 def test_fuzzed_gates_parse_or_raise_chromlc_error(path, value):
     _check_fuzzed(_GATES_BASE, loads_gates, path, value)

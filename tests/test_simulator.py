@@ -106,7 +106,7 @@ def test_norm_preserved_over_many_gates():
 def test_gates_refuse_norm_drift():
     # each gate passes the unitarity check, but 30 000 of them grow the norm
     # by 1.2e-6: gates promise no tolerance, so the fixed 1e-6 limit holds
-    gate = Gate((0, 1), (1 + 4e-11) * np.eye(4), 0.0, np.zeros(16))
+    gate = Gate((0, 1), (1 + 4e-11) * np.eye(4), 0.0, np.zeros(16), 1.0)
     schedule = GateSchedule(2, (Step((gate,)),) * 30_000)
     psi = basis_state(2, 0)
     with pytest.raises(NormDrift, match=r"^state norm 1\.0000012\d* drifted beyond 1e-06$"):
