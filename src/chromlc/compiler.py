@@ -45,10 +45,10 @@ from .errors import BadParams, EpsilonTooLarge, NotConstant, TooLarge
 from .graphs import color_edges, level_decompose
 from .hamiltonian import (
     MAX_SAMPLES_PER_SEGMENT,
-    PAULI_PRODUCTS,
     HamiltonianSchedule,
     Segment,
     pauli_coeffs,
+    pauli_matrix,
     snapshot,
     snapshots,
 )
@@ -76,14 +76,15 @@ class Gate:
 
     The angle is the smallest norm of a Hermitian generator of the unitary:
     ||A|| up to pi, and past pi the largest |phase| of the unitary's
-    eigenvalues.  A plain record: the package builds every gate in
-    :func:`_gates_from_eig` from an eigendecomposition (of each pair term in
-    :func:`compile`, of A in :meth:`from_terms`, which the gate-document
-    reader calls), so the unitary is unitary and the angle agrees with it
-    by construction; the unitary and the term are read-only.  In
-    :func:`compile` a gate's term is its sample's pair term and its duration
-    d * (r_j - r_{j-1}) / ||H||, so the gates of one edge over one
-    subinterval share the term and their durations sum to d.
+    eigenvalues.  A plain record: the package builds every gate by one
+    formula, :func:`_gates_from_eig`, from its term's eigendecomposition and
+    its duration (in :func:`compile` and in :meth:`from_terms`, which the
+    gate-document reader calls), so the unitary is unitary, the angle agrees
+    with it, and a gate read back is bit for bit the gate written; the
+    unitary and the term are read-only.  In :func:`compile` a gate's term is
+    its sample's pair term and its duration d * (r_j - r_{j-1}) / ||H||, so
+    the gates of one edge over one subinterval share the term and their
+    durations sum to d.
     """
 
     pair: tuple
@@ -95,15 +96,13 @@ class Gate:
     @classmethod
     def from_terms(cls, pairs, terms, durations) -> list:
         """The gates exp(-i * durations[j] * H_j) on ``pairs`` for a ``(g, 16)``
-        stack of term coefficients H_j, by one stacked ``eigh`` of the
-        generators A_j = durations[j] * H_j.  A caller with plain generators
-        passes durations of 1.0.
+        stack of term coefficients H_j, by one stacked ``eigh`` of the terms'
+        matrices.  A caller with plain generators passes durations of 1.0.
 
         Every pair must satisfy 0 <= k < l, and the stacks hold one term and
-        one duration per pair; the terms are copied.  The caller keeps the
-        absolute coefficients of each generator summing to a float, as the
-        gate-document reader checks: that sum bounds ||A||, so every entry
-        and eigenvalue of A is a float.
+        one duration per pair; the terms are copied.  The caller keeps each
+        term's matrix and norm, and each generator's absolute coefficients
+        summed, within the float range, as the gate-document reader checks.
         """
         pairs = [(int(p[0]), int(p[1])) for p in pairs]
         for k, l in pairs:
@@ -117,10 +116,8 @@ class Gate:
             raise BadParams(
                 f"gate stacks differ: {len(pairs)} pairs, {len(terms)} terms, durations of shape {durations.shape}"
             )
-        generators = durations[:, None] * terms
-        matrices = np.matmul(generators[:, None, :], PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4)
-        w, v = np.linalg.eigh(matrices)
-        return _gates_from_eig(pairs, np.exp(-1j * w), v, np.max(np.abs(w), axis=-1), terms, durations.tolist())
+        w, v = np.linalg.eigh(pauli_matrix(terms))
+        return _gates_from_eig(pairs, w, v, terms, durations)
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
@@ -275,8 +272,8 @@ def _sample_steps(snap, t_mid: float, delta: float, known: dict):
         level_angles = delta * np.diff(decomp.thresholds(), prepend=0.0)
     if not np.isfinite(level_angles).all():
         raise TooLarge(f"the gate angles of the subinterval at t={t_mid!r} exceed the float range")
-    angles = np.repeat(level_angles, sizes)
-    gates = iter(_pair_gates(snap, [rows[pair] for cls in classes for pair in cls], angles))
+    index = [rows[pair] for cls in classes for pair in cls]
+    gates = iter(_pair_gates(snap, index, np.repeat(level_angles, sizes) / snap.norms[index]))
     steps = [Step(tuple(islice(gates, len(cls)))) for cls in classes]
     levels = (
         decomp.thresholds(),
@@ -286,39 +283,32 @@ def _sample_steps(snap, t_mid: float, delta: float, known: dict):
     return steps, levels
 
 
-def _pair_gates(snap, index, angles) -> list:
-    """Gates exp(-i * angles[j] * H_e / ||H_e||) for the snapshot rows ``index``.
-
-    Row j runs its term H_e, the snapshot's coefficient row, for the
-    duration angles[j] / ||H_e||, so its generator has norm angles[j],
-    which is the gate angle up to pi.  The unitaries come from the
-    snapshot's eigendecompositions.
-    """
-    # the complex quotient: -1j * durations differs from it in the last bit of
-    # some phases, and so would the compiled unitaries and angles
-    phases = np.exp((-1j * angles / snap.norms[index])[:, None] * snap.eigenvalues[index])
-    durations = (angles / snap.norms[index]).tolist()
+def _pair_gates(snap, index, durations) -> list:
+    """Gates exp(-i * durations[j] * H_e) for the snapshot rows ``index``:
+    row j runs its term H_e, the snapshot's coefficient row, for
+    durations[j], from the snapshot's eigendecomposition of H_e."""
     pairs = [snap.pairs[i] for i in index]
-    return _gates_from_eig(pairs, phases, snap.eigenvectors[index], angles, snap.coeffs[index], durations)
+    return _gates_from_eig(pairs, snap.eigenvalues[index], snap.eigenvectors[index], snap.coeffs[index], durations)
 
 
-def _gates_from_eig(pairs, phases, v, norms, terms, durations) -> list:
-    """The gates exp(-i*A) of generators A = durations[j] * terms[j] whose
-    eigenvectors ``v`` (g, 4, 4) carry the eigenvalues ``phases`` (g, 4) of
-    exp(-i*A), and whose norms are ``norms``; the angle is the norm up to
-    pi and past pi the largest |phase|.  The one place a gate is built:
-    ``v`` comes from ``eigh`` and every phase has modulus 1, so each unitary
-    is unitary.  The generators are finite: :func:`compile` builds them
-    from finite terms and angles within the float range, and the
-    gate-document reader refuses unbounded ones.  The unitaries and the
-    ``(g, 16)`` array ``terms``, which the caller hands over, become
-    read-only; each gate holds views of them, and its duration from the
-    list ``durations``."""
+def _gates_from_eig(pairs, w, v, terms, durations) -> list:
+    """The one gate formula: the gates exp(-i * tau * H) that run the
+    ``(g, 16)`` array ``terms`` for the ``(g,)`` float array ``durations``,
+    from the eigendecompositions H = V diag(w) V^dagger that ``eigh`` gives,
+    ``w`` (g, 4) and ``v`` (g, 4, 4).  The unitary is
+    V diag(exp(-i * tau * w)) V^dagger, so it is unitary, and the angle is
+    |tau| * ||H|| up to pi and past pi the largest |phase|.  Every tau * w
+    is finite: :func:`compile` builds its durations from finite angles, and
+    the gate-document reader refuses terms and generators beyond the float
+    range.  The unitaries and ``terms``, which the caller hands over, become
+    read-only; each gate holds views of them."""
+    phases = np.exp(-1j * (durations[:, None] * w))
     unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    norms = np.abs(durations) * np.abs(w).max(axis=-1)
     angles = np.where(norms <= math.pi, norms, np.max(np.abs(np.angle(phases)), axis=-1)).tolist()
     unitaries.flags.writeable = False
     terms.flags.writeable = False
-    return [Gate(*gate) for gate in zip(pairs, unitaries, angles, terms, durations)]
+    return [Gate(*gate) for gate in zip(pairs, unitaries, angles, terms, durations.tolist())]
 
 
 def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:
@@ -337,7 +327,7 @@ def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:
     if not s.is_constant:
         raise NotConstant("trotterize requires a single constant segment")
     snap = snapshot(s, s.segments[0].t_start)
-    pass_gates = _pair_gates(snap, list(range(len(snap.pairs))), s.total_time / m * snap.norms)
+    pass_gates = _pair_gates(snap, list(range(len(snap.pairs))), np.full(len(snap.pairs), s.total_time / m))
     return GateSchedule(s.n_qubits, tuple(Step((g,)) for g in pass_gates) * m)
 
 

@@ -28,9 +28,9 @@ from .graphs import level_decompose
 MAX_POLY_DEGREE = 8
 # Cap on samples: quadrature points per segment of integrated_chromatic_index,
 # subintervals of a whole compile (all segments together), slices of
-# trotterize.  A compiled subinterval adds at least one gate of about 0.8 kB
-# to the gate document, so 2^16 subintervals of a single pair already make a
-# 53 MB document; uncapped, a typo such as ``--epsilon 1e-13`` or
+# trotterize.  Each compiled subinterval writes at least a 65-byte gate, and a
+# varying term a 320-byte table row: 2^16 subintervals of one pair make 4.3 MB,
+# 25 MB if it varies.  Uncapped, a typo such as ``--epsilon 1e-13`` or
 # ``--samples 1000000000000`` asks for terabytes before any work starts.
 MAX_SAMPLES_PER_SEGMENT = 2**16
 # Cap on the quadrature points of integrated_chromatic_index summed over all
@@ -40,16 +40,16 @@ MAX_SAMPLES_PER_SEGMENT = 2**16
 MAX_INDEX_SAMPLES = 64 * 2**16
 # Cap on the pair terms a generator may produce, summed over its segments,
 # checked before any draw.  A term stores 16 float coefficients per degree
-# (up to 1.2 kB), its snapshot rows another 0.6 kB, and each compiled
-# subinterval turns it into at least one 0.8 kB gate, so 2^16 terms make a
-# 53 MB gate document from a single sample.  Uncapped, ``complete_mean_field
-# --n 2000`` asks for two million terms and ``random_graph --segments
-# 1000000`` for a million segments, and neither returns in minutes.
+# (up to 1.2 kB), its snapshot rows 0.4 kB, and each compiled sample writes it
+# as a table row and a gate, about 370 bytes, so 2^16 terms make a 24 MB gate
+# document from a single sample.  Uncapped, ``complete_mean_field --n 2000``
+# asks for two million terms and ``random_graph --segments 1000000`` for a
+# million segments, and neither returns in minutes.
 MAX_GENERATED_TERMS = 2**16
 ZERO_NORM_TOL = 1e-12  # pair terms with a smaller norm count as absent
 # Pair matrices per stacked eigensolve of a sample grid (:func:`snapshots`):
-# about 1.3 kB of arrays each, so a chunk stays near 1.3 MB however many
-# samples and terms the grid has.
+# about 0.7 kB of arrays each (1.0 kB while a chunk is evaluated), so a chunk
+# stays near 1 MB however many samples and terms the grid has.
 EIG_CHUNK = 1024
 
 # I, X, Y, Z, and their 16 two-qubit products in the order of PAULI_LABELS.
@@ -104,11 +104,14 @@ def pauli_coeffs(m) -> np.ndarray:
 
 
 def pauli_matrix(coeffs) -> np.ndarray:
-    """Hermitian 4x4 matrix with the given 16 Pauli coefficients."""
+    """Hermitian 4x4 matrix with the given 16 Pauli coefficients, or the
+    (..., 4, 4) stack of a (..., 16) stack: the one place coefficients become
+    matrices.  Each is one (1, 16) row times the Pauli table, so every caller
+    rounds alike (``tensordot`` or ``einsum`` can differ in the last bit)."""
     c = np.asarray(coeffs, dtype=float)
-    if c.shape != (16,):
+    if c.ndim < 1 or c.shape[-1] != 16:
         raise BadParams(f"expected 16 coefficients, got shape {c.shape}")
-    return np.tensordot(c, PAULI_PRODUCTS, axes=(0, 0))
+    return np.matmul(c.reshape(-1, 1, 16), PAULI_PRODUCTS.reshape(16, 16)).reshape(c.shape[:-1] + (4, 4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,12 +195,12 @@ def _terms_at(tracks, pairs, t):
     times = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         coeffs = _term_coeffs(tracks, times)
-        matrices = _pauli_stack(coeffs)
-    finite = np.isfinite(matrices).all(axis=(1, 2)).reshape(times.size, len(pairs))
+        matrices = pauli_matrix(coeffs)
+    finite = np.isfinite(matrices).all(axis=(-2, -1)).reshape(times.size, len(pairs))
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise TooLarge(f"pair {pairs[j]}: the term at t={float(times.flat[i])!r} exceeds the float range")
-    return coeffs, matrices.reshape(coeffs.shape[:-1] + (4, 4))
+    return coeffs, matrices
 
 
 def _term_coeffs(tracks, times) -> np.ndarray:
@@ -208,12 +211,6 @@ def _term_coeffs(tracks, times) -> np.ndarray:
         c *= times[..., None, None]
         c += tracks[:, :, d]
     return c
-
-
-def _pauli_stack(coeffs) -> np.ndarray:
-    """The (rows, 4, 4) stack of the matrices of the 16-coefficient rows of ``coeffs``."""
-    # one (1, 16) row per matrix rounds as pauli_matrix does; tensordot or einsum can differ in the last bit
-    return np.matmul(coeffs.reshape(-1, 1, 16), PAULI_PRODUCTS.reshape(16, 16))
 
 
 @dataclass(frozen=True)
@@ -454,8 +451,8 @@ def random_graph(
     rng = _random_source(n, t_total, p, seed, coupling, segments)
     draws = [_random_terms(rng, n, p, width=1) for _ in range(segments)]
     tracks = np.concatenate([t for _, t in draws])
-    matrices = _pauli_stack(_term_coeffs(tracks, np.zeros(1)))  # a constant track's matrices are the same at every time
-    scaled = _scaled_to_peak(tracks, matrices.reshape(1, len(tracks), 4, 4), coupling)
+    matrices = pauli_matrix(_term_coeffs(tracks, np.zeros(1)))  # a constant track's matrices are the same at every time
+    scaled = _scaled_to_peak(tracks, matrices, coupling)
     ends = [(i * t_total) / segments for i in range(segments)] + [float(t_total)]
     parts = np.split(scaled, np.cumsum([len(pairs) for pairs, _ in draws])[:-1])
     segs = (Segment(t0, t1, pairs, part) for t0, t1, (pairs, _), part in zip(ends, ends[1:], draws, parts))

@@ -17,10 +17,10 @@ Three document types, distinguished by their ``format`` field:
   steps whose every gate is its pair, its row of the table and its
   duration tau: its generator is A = tau * H and its unitary exp(-i*A).
   No angle is stored: the reader derives every unitary and angle from the
-  generators of the whole document by one stacked eigensolve
-  (:meth:`Gate.from_terms`), so an angle cannot disagree with its
-  unitary.  Versions 1 (each unitary as 32 floats and its angle) and 2
-  (each generator as 16 floats) are not read.
+  terms and durations by one stacked eigensolve of the terms
+  (:meth:`Gate.from_terms`) and ``compile``'s own gate formula, so an angle
+  cannot disagree with its unitary.  Versions 1 (each unitary as 32 floats
+  and its angle) and 2 (each generator as 16 floats) are not read.
 * ``chromlc-product`` -- product states (read only): two ``[re, im]``
   amplitudes per qubit; their parse errors name the file.
 
@@ -28,10 +28,9 @@ Schedule and product documents are version 1.
 
 Serialization is canonical (fixed key order, shortest round-trip float
 rendering), so serialize(parse(text)) reproduces canonical documents and
-parse(serialize(obj)) reproduces schedules exactly, and gate schedules up
-to their unitaries and angles, which the reader derives from the terms
-and durations and which may therefore differ in the last bits.  Both
-document types are written compact, as
+parse(serialize(obj)) reproduces schedules and gate schedules exactly,
+down to the bits of every unitary and angle.  Both document types are
+written compact, as
 ``json.dumps(doc, separators=(",", ":")) + "\n"`` writes them;
 ``python -m json.tool`` pretty-prints them.  The readers take any layout.
 """
@@ -44,9 +43,10 @@ import warnings
 
 import numpy as np
 
+from . import linalg
 from .compiler import Gate, GateSchedule, Step
 from .errors import BadParams, ParseError, SchemaVersionMismatch
-from .hamiltonian import MAX_POLY_DEGREE, PAULI_LABELS, HamiltonianSchedule, Segment
+from .hamiltonian import MAX_POLY_DEGREE, PAULI_LABELS, HamiltonianSchedule, Segment, pauli_matrix
 
 SCHEDULE_FORMAT = "chromlc-schedule"
 GATES_FORMAT = "chromlc-gates"
@@ -300,11 +300,10 @@ def _gates_from_doc(doc: dict) -> GateSchedule:
 
     The ``terms`` table is checked row by row for its type and length and
     converted as one stack.  Then each gate is read once: its pair, its
-    row of the table and its duration.  Each gate's generator is its
-    duration times its row, as :func:`~chromlc.compiler.compile` forms it;
-    the absolute values of its coefficients must sum within the float
-    range, and :meth:`Gate.from_terms` builds every gate by one stacked
-    eigensolve.
+    row of the table and its duration.  The absolute values of the
+    coefficients of each gate's generator, its duration times its row,
+    must sum within the float range, and :meth:`Gate.from_terms` builds
+    every gate by one stacked eigensolve of the terms.
     """
     _check_header(doc, GATES_FORMAT)
     n_qubits = _int_field(doc, "n_qubits", "document")
@@ -357,7 +356,8 @@ def _gates_from_doc(doc: dict) -> GateSchedule:
 
 def _term_table(raw_terms: list) -> np.ndarray:
     """The ``(rows, 16)`` float array of a gate document's ``terms``; a
-    ``ParseError`` names the first row that is no list of 16 finite numbers.
+    ``ParseError`` names the first row that is no list of 16 finite numbers,
+    then the first, used or not, whose matrix or norm exceeds the float range.
     The rows are converted as one stack, walked again only when an integer
     in it overflows a float, to name its row."""
     for i, row in enumerate(raw_terms):
@@ -371,6 +371,12 @@ def _term_table(raw_terms: list) -> np.ndarray:
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise ParseError(f"terms[{int(np.argmin(finite))}]: expected a list of 16 finite numbers")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        matrices = pauli_matrix(table)
+    finite = np.isfinite(matrices).all(axis=(1, 2))
+    finite[finite] = np.isfinite(linalg.hermitian_norms(matrices[finite]))
+    if not finite.all():
+        raise ParseError(f"terms[{int(np.argmin(finite))}]: the term's matrix and norm must lie within the float range")
     return table
 
 

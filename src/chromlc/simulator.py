@@ -63,7 +63,7 @@ from .errors import (
     ToleranceUnreachable,
     TooLarge,
 )
-from .hamiltonian import PAULI_MATRICES, PAULI_PRODUCTS, HamiltonianSchedule
+from .hamiltonian import PAULI_MATRICES, HamiltonianSchedule, pauli_matrix
 
 FULL_UNITARY_MAX_QUBITS = 6
 # Up to this size the integrator applies a segment's generator as dense
@@ -198,7 +198,7 @@ def _segment_generator(seg, n):
     [G_0 G_1 ...] scattered from those blocks; past it, one contraction per
     pair term of its blocks with xs.
     """
-    blocks = -1j * np.tensordot(seg.tracks, PAULI_PRODUCTS, axes=(1, 0))  # (terms, degree + 1, 4, 4)
+    blocks = -1j * pauli_matrix(seg.tracks.swapaxes(1, 2))  # (terms, degree + 1, 4, 4)
     if n <= DENSE_GENERATOR_MAX_QUBITS:
         gens = _dense_generators(seg.pairs, blocks, n)
         wide = gens.transpose(1, 0, 2).reshape(gens.shape[1], -1)

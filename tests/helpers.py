@@ -608,21 +608,20 @@ def recounting_level_decompose(pairs, weights, known=None):
     return LevelDecomposition(tuple(levels))
 
 
-def per_gate_pair_gates(snap, index, angles):
+def per_gate_pair_gates(snap, index, durations):
     """``compiler._pair_gates`` gate by gate, each built by the plain
-    ``Gate(...)`` record constructor: a gate past pi takes the largest
-    |phase| of its own eigenvalues, its term is its snapshot row and its
-    duration its angle over its norm."""
-    w, v = snap.eigenvalues[index], snap.eigenvectors[index]
-    phases = np.exp((-1j * angles / snap.norms[index])[:, None] * w)
-    unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    return [
-        Gate(
-            snap.pairs[i], u, a if a <= math.pi else np.max(np.abs(np.angle(p))),
-            snap.coeffs[i], float(a / snap.norms[i]),
-        )
-        for i, u, a, p in zip(index, unitaries, angles, phases)
-    ]
+    ``Gate(...)`` record constructor from its snapshot row's
+    eigendecomposition: its unitary V diag(exp(-i tau w)) V^dagger, its
+    angle |tau| ||H|| up to pi and past pi the largest |phase| of its own
+    eigenvalues, its term its snapshot row and its duration tau."""
+    gates = []
+    for i, tau in zip(index, durations.tolist()):
+        w, v = snap.eigenvalues[i], snap.eigenvectors[i]
+        phases = np.exp(-1j * (tau * w))
+        angle = abs(tau) * snap.norms[i]
+        angle = float(angle if angle <= math.pi else np.max(np.abs(np.angle(phases))))
+        gates.append(Gate(snap.pairs[i], (v * phases) @ v.conj().T, angle, snap.coeffs[i], tau))
+    return gates
 
 
 def per_level_sample_steps(snap, t_mid, delta, known):
@@ -637,7 +636,7 @@ def per_level_sample_steps(snap, t_mid, delta, known):
         prev_r = level.threshold
         pairs = [pair for cls in level.coloring.classes for pair in cls]
         index = [rows[pair] for pair in pairs]
-        gates = dict(zip(pairs, per_gate_pair_gates(snap, index, np.full(len(index), angle))))
+        gates = dict(zip(pairs, per_gate_pair_gates(snap, index, np.full(len(index), angle) / snap.norms[index])))
         for matching in level.coloring.classes:
             steps.append(Step(tuple(gates[pair] for pair in matching)))
     levels = (

@@ -496,7 +496,7 @@ def test_simulate_bad_gate_pair_exits_2(tmp_path, capsys, pair):
     assert err.startswith("error: steps[0].gates[0].pair: ")
 
 
-_XX_YY = [1e308 if label in ("XX", "YY") else 0.0 for label in PAULI_LABELS]  # ||A|| = 2e308 at duration 1
+_XX_YY = [1e308 if label in ("XX", "YY") else 0.0 for label in PAULI_LABELS]  # matrix entries of 2e308
 
 
 @pytest.mark.parametrize(
@@ -511,7 +511,7 @@ _XX_YY = [1e308 if label in ("XX", "YY") else 0.0 for label in PAULI_LABELS]  # 
         ([[10**400] + [0.0] * 15], "terms[0]"),
         ([[float("nan")] + [0.0] * 15], "terms[0]"),
         ([], "steps[0].gates[0].term"),
-        ([_XX_YY], "steps[0].gates[0].duration"),
+        ([_XX_YY], "terms[0]"),
     ],
     ids=["missing", "object", "short", "true", "string", "null", "huge-integer", "nan", "empty", "overflow"],
 )

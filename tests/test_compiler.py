@@ -150,13 +150,18 @@ def test_gates_from_terms_are_exp_of_minus_i_tau_h():
         assert gate.angle <= norm + 1e-12
         if norm <= math.pi:
             assert abs(gate.angle - norm) < 1e-12
-    # a duration scales the term: the same unitaries as the generators tau * H at duration 1.0
+    # a duration scales the term: the unitaries of the generators tau * H at duration 1.0, to rounding
     taus = rng.uniform(0.0, 2.0, size=len(hs))
     scaled = Gate.from_terms(pairs, [pauli_coeffs(h) for h in hs], taus)
     plain = Gate.from_terms(pairs, [tau * pauli_coeffs(h) for tau, h in zip(taus, hs)], [1.0] * len(hs))
     for gate, other, tau, h in zip(scaled, plain, taus, hs):
-        assert np.array_equal(gate.unitary, other.unitary) and gate.angle == other.angle
+        assert np.max(np.abs(gate.unitary - other.unitary)) < 1e-12 and abs(gate.angle - other.angle) < 1e-12
         assert np.max(np.abs(gate.unitary - linalg.expm_i(h, tau))) < 1e-12
+    # a negative duration runs the term backwards: the angle is |tau| ||H||
+    h = hs[3]
+    (gate,) = Gate.from_terms([(0, 1)], [pauli_coeffs(h)], [-0.5])
+    assert abs(gate.angle - 0.5 * float(linalg.hermitian_norms(h))) < 1e-12
+    assert np.max(np.abs(gate.unitary - linalg.expm_i(h, -0.5))) < 1e-12
 
 
 @pytest.mark.parametrize(

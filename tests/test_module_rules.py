@@ -35,7 +35,6 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 KEPT_UNUSED = {
     "compiler.embed_discrete": "paper construction C01: a gate network as a continuous schedule",
     "compiler.rechromatize": "paper construction C09: chromatic throttling",
-    "hamiltonian.pauli_matrix": "test oracle: the inverse of pauli_coeffs",
     "linalg.expm_i": "test oracle: exp(-i*s*h) from one eigendecomposition",
     "graphs.EdgeColoring.is_valid_for": "test oracle: a proper coloring of exactly the given pairs",
     "serialization.loads_schedule": "text reader, the inverse of dumps_schedule, driven by the fuzz tests",

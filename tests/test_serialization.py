@@ -109,17 +109,16 @@ def test_gates_roundtrip():
 
 
 def _assert_same_gates(loaded, g):
-    """Equal pairs and steps; terms, durations and so generators bit for bit;
-    unitaries and angles within 1e-12."""
-    assert loaded.n_qubits == g.n_qubits
-    assert [[gate.pair for gate in step.gates] for step in loaded.steps] == [
-        [gate.pair for gate in step.gates] for step in g.steps
+    """Equal gate schedules, each gate's unitary, angle, term and duration
+    bit for bit: the reader builds every gate by compile's one formula."""
+    assert loaded == g
+
+    def bits(gate):
+        return gate.unitary.tobytes(), gate.term.tobytes(), np.array([gate.angle, gate.duration]).tobytes()
+
+    assert [bits(gate) for step in loaded.steps for gate in step.gates] == [
+        bits(gate) for step in g.steps for gate in step.gates
     ]
-    pairs = [(a, b) for x, y in zip(loaded.steps, g.steps) for a, b in zip(x.gates, y.gates)]
-    assert all(a.term.tobytes() == b.term.tobytes() and a.duration == b.duration for a, b in pairs)
-    assert all((a.duration * a.term).tobytes() == (b.duration * b.term).tobytes() for a, b in pairs)
-    assert max((np.max(np.abs(a.unitary - b.unitary)) for a, b in pairs), default=0.0) <= 1e-12
-    assert max((abs(a.angle - b.angle) for a, b in pairs), default=0.0) <= 1e-12
 
 
 def test_compiled_gates_roundtrip():
@@ -137,14 +136,16 @@ def test_compiled_gates_roundtrip():
         (["random_graph", "--n", "8", "--p", "0.5", "--segments", "4", "--seed", "11"], 50),
         (["random_time_varying", "--n", "6", "--p", "0.6", "--seed", "3"], 220),
         (["random_time_varying", "--n", "6", "--p", "0.6", "--seed", "11"], 200),
+        (["chain", "--n", "4", "--coupling", "100"], 1),  # _PAST_PI: three pairs of one term, angles past pi
     ],
-    ids=["pwc-7", "pwc-11", "tv-3", "tv-11"],
+    ids=["pwc-7", "pwc-11", "tv-3", "tv-11", "past-pi"],
 )
 def test_compiled_gate_documents_roundtrip(generate, n_terms, tmp_path, capsys):
     # the benchmark's compile documents: the table holds one row per sampled
     # pair term (20 samples of 11 edges for tv-3; for pwc-7, 13 + 10 + 15 +
-    # 17 terms, as a constant segment's repeated subintervals add none), and
-    # the text survives a reload
+    # 17 terms, as a constant segment's repeated subintervals add none); the
+    # gates read back bit for bit, the text survives a reload, and simulate
+    # on the file gives the in-process amplitudes exactly
     spath, gpath = tmp_path / "doc.json", tmp_path / "gates.json"
     assert cli.main(["generate", *generate, "-o", str(spath)]) == 0
     g, _ = compile(load_schedule(spath), 0.05)
@@ -158,9 +159,10 @@ def test_compiled_gate_documents_roundtrip(generate, n_terms, tmp_path, capsys):
     assert cli.main(["simulate", str(gpath), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     amp = propagate(g, basis_state(g.n_qubits, 0))
-    assert abs(doc["norm"] - np.linalg.norm(amp)) < 1e-12
+    assert doc["norm"] == np.linalg.norm(amp)
+    assert len(doc["amplitudes"]) == min(16, len(amp))
     for row in doc["amplitudes"]:
-        assert abs(complex(row["re"], row["im"]) - amp[row["index"]]) < 1e-12
+        assert complex(row["re"], row["im"]) == amp[row["index"]]
 
 
 def test_parse_rejects_pair_k_equals_l():
@@ -367,24 +369,43 @@ def _two_step_gates():
     return GateSchedule(4, tuple(steps))
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda doc: doc["terms"][2].__setitem__(slice(5, 11, 5), [1e308, 1e308]),  # XX + YY: ||A|| = 2e308
-        lambda doc: doc["steps"][1]["gates"][0].__setitem__("duration", 1e308),
-    ],
-    ids=["term", "duration"],
+def _huge(*labels):
+    return [1e308 if label in labels else 0.0 for label in PAULI_LABELS]
+
+
+def _use_row(doc, row, duration):
+    doc["steps"][1]["gates"][0].update(term=row, duration=duration)
+
+
+_BEYOND_ROW = r"the term's matrix and norm must lie within the float range$"
+_BEYOND_GENERATOR = (
+    r"the generator, duration times term, must have coefficients whose absolute values sum within the float range$"
 )
-def test_gates_parse_names_the_gate_whose_generator_overflows(edit):
-    # the generators, duration times term, are checked as one stack: the error maps back to its gate
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["terms"].__setitem__(2, _huge("XX", "YY")), r"terms\[2\]: " + _BEYOND_ROW),
+        # the reader diagonalizes the term itself, so a tiny duration does not bring it back into range
+        (
+            lambda doc: (doc["terms"].__setitem__(2, _huge("XX", "YY")), _use_row(doc, 2, 1e-300)),
+            r"terms\[2\]: " + _BEYOND_ROW,
+        ),
+        # a row no gate uses: entries of 2e308, then entries of 1e308 with eigenvalues of 2e308
+        (lambda doc: doc["terms"].append(_huge("XX", "YY")), r"terms\[4\]: " + _BEYOND_ROW),
+        (lambda doc: doc["terms"].append(_huge("II", "XX")), r"terms\[4\]: " + _BEYOND_ROW),
+        (lambda doc: _use_row(doc, 2, 1e308), r"steps\[1\]\.gates\[0\]\.duration: " + _BEYOND_GENERATOR),
+    ],
+    ids=["term", "term-at-tiny-duration", "unused-term", "unused-term-norm", "duration"],
+)
+def test_gates_parse_names_the_gate_whose_generator_overflows(edit, message):
+    # the table's matrices and norms are checked as one stack, then the
+    # generators, duration times term: each error maps back to its row or gate
     doc = json.loads(dumps_gates(_two_step_gates()))
-    assert doc["steps"][1]["gates"][0]["term"] == 2
+    assert doc["steps"][1]["gates"][0]["term"] == 2 and len(doc["terms"]) == 4
     edit(doc)
-    with pytest.raises(
-        ParseError,
-        match=r"^steps\[1\]\.gates\[0\]\.duration: the generator, duration times term, must have coefficients "
-        r"whose absolute values sum within the float range$",
-    ):
+    with pytest.raises(ParseError, match="^" + message):
         loads_gates(json.dumps(doc))
 
 
@@ -516,7 +537,7 @@ def test_gates_parse_builds_the_document_by_one_eigensolve(monkeypatch):
     monkeypatch.setattr(linalg, "is_unitary", counting("is_unitary"))
     loaded = loads_gates(text)
     assert len(loaded.steps) == 4
-    assert calls == ["eigh"]  # one for the document's generators; the unitaries are unitary by construction
+    assert calls == ["eigh"]  # one for the document's terms; the unitaries are unitary by construction
     _assert_same_gates(loaded, g)
 
 
