@@ -77,14 +77,14 @@ class Gate:
     The angle is the smallest norm of a Hermitian generator of the unitary:
     ||A|| up to pi, and past pi the largest |phase| of the unitary's
     eigenvalues.  A plain record: the package builds every gate by one
-    formula, :func:`_gates_from_eig`, from its term's eigendecomposition and
-    its duration (in :func:`compile` and in :meth:`from_terms`, which the
-    gate-document reader calls), so the unitary is unitary, the angle agrees
-    with it, and a gate read back is bit for bit the gate written; the
-    unitary and the term are read-only.  In :func:`compile` a gate's term is
-    its sample's pair term and its duration d * (r_j - r_{j-1}) / ||H||, so
-    the gates of one edge over one subinterval share the term and their
-    durations sum to d.
+    formula, :func:`_gates_from_eig`, from its row of a term table, one
+    eigensolve per row, and its duration (in :func:`compile`, rows of a
+    snapshot; in :meth:`from_terms`, which the gate-document reader calls),
+    so the unitary is unitary, the angle agrees with it, and a gate read
+    back is bit for bit the gate written; unitary and term are read-only.
+    In :func:`compile` a gate's term is its sample's pair term and its
+    duration d * (r_j - r_{j-1}) / ||H||, so the gates of one edge over one
+    subinterval share the term and their durations sum to d.
     """
 
     pair: tuple
@@ -94,15 +94,15 @@ class Gate:
     duration: float
 
     @classmethod
-    def from_terms(cls, pairs, terms, durations) -> list:
-        """The gates exp(-i * durations[j] * H_j) on ``pairs`` for a ``(g, 16)``
-        stack of term coefficients H_j, by one stacked ``eigh`` of the terms'
-        matrices.  A caller with plain generators passes durations of 1.0.
-
-        Every pair must satisfy 0 <= k < l, and the stacks hold one term and
-        one duration per pair; the terms are copied.  The caller keeps each
-        term's matrix and norm, and each generator's absolute coefficients
-        summed, within the float range, as the gate-document reader checks.
+    def from_terms(cls, pairs, terms, rows, durations) -> list:
+        """The gates exp(-i * durations[j] * H_j) on ``pairs``, H_j the row
+        ``rows[j]`` of the ``(t, 16)`` table ``terms``, by one stacked ``eigh``
+        of the table's matrices; plain generators pass a row each and
+        durations of 1.0.  Pairs satisfy 0 <= k < l, there is one integer row
+        in [0, t) and one duration per pair, and the table is copied.  Before
+        any gate is built, ``TooLarge`` names the first row, used or not, whose
+        matrix or norm is beyond the float range; the caller keeps each
+        generator's absolute coefficients summed within it.
         """
         pairs = [(int(p[0]), int(p[1])) for p in pairs]
         for k, l in pairs:
@@ -111,13 +111,20 @@ class Gate:
         terms = np.array(terms, dtype=float)
         if terms.ndim != 2 or terms.shape[1] != 16:
             raise BadParams(f"gate term must hold 16 coefficients, got shape {terms.shape[1:]}")
-        durations = np.array(durations, dtype=float)
-        if not len(pairs) == len(terms) or durations.shape != (len(pairs),):
-            raise BadParams(
-                f"gate stacks differ: {len(pairs)} pairs, {len(terms)} terms, durations of shape {durations.shape}"
-            )
-        w, v = np.linalg.eigh(pauli_matrix(terms))
-        return _gates_from_eig(pairs, w, v, terms, durations)
+        rows, durations = np.asarray(rows), np.array(durations, dtype=float)
+        if rows.shape != (len(pairs),) or durations.shape != (len(pairs),):
+            raise BadParams(f"gate stacks differ: {len(pairs)} pairs, rows {rows.shape}, durations {durations.shape}")
+        if rows.dtype.kind not in "iu" and rows.size or not ((0 <= rows) & (rows < len(terms))).all():
+            raise BadParams(f"gate rows must be integers in [0, {len(terms)})")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            matrices = pauli_matrix(terms)
+        finite = np.isfinite(matrices).all(axis=(1, 2))
+        matrices[~finite] = 0.0  # LAPACK gets finite entries only; these rows are refused below
+        w, v = np.linalg.eigh(matrices)
+        finite &= np.isfinite(w).all(axis=1)
+        if not finite.all():
+            raise TooLarge(f"terms[{np.argmin(finite)}]: the term's matrix and norm must lie within the float range")
+        return _gates_from_eig(pairs, w, v, terms, rows.astype(np.intp), durations)
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
@@ -272,8 +279,10 @@ def _sample_steps(snap, t_mid: float, delta: float, known: dict):
         level_angles = delta * np.diff(decomp.thresholds(), prepend=0.0)
     if not np.isfinite(level_angles).all():
         raise TooLarge(f"the gate angles of the subinterval at t={t_mid!r} exceed the float range")
-    index = [rows[pair] for cls in classes for pair in cls]
-    gates = iter(_pair_gates(snap, index, np.repeat(level_angles, sizes) / snap.norms[index]))
+    pairs = [pair for cls in classes for pair in cls]
+    index = [rows[pair] for pair in pairs]
+    durations = np.repeat(level_angles, sizes) / snap.norms[index]
+    gates = iter(_gates_from_eig(pairs, snap.eigenvalues, snap.eigenvectors, snap.coeffs, index, durations))
     steps = [Step(tuple(islice(gates, len(cls)))) for cls in classes]
     levels = (
         decomp.thresholds(),
@@ -283,25 +292,18 @@ def _sample_steps(snap, t_mid: float, delta: float, known: dict):
     return steps, levels
 
 
-def _pair_gates(snap, index, durations) -> list:
-    """Gates exp(-i * durations[j] * H_e) for the snapshot rows ``index``:
-    row j runs its term H_e, the snapshot's coefficient row, for
-    durations[j], from the snapshot's eigendecomposition of H_e."""
-    pairs = [snap.pairs[i] for i in index]
-    return _gates_from_eig(pairs, snap.eigenvalues[index], snap.eigenvectors[index], snap.coeffs[index], durations)
-
-
-def _gates_from_eig(pairs, w, v, terms, durations) -> list:
-    """The one gate formula: the gates exp(-i * tau * H) that run the
-    ``(g, 16)`` array ``terms`` for the ``(g,)`` float array ``durations``,
-    from the eigendecompositions H = V diag(w) V^dagger that ``eigh`` gives,
-    ``w`` (g, 4) and ``v`` (g, 4, 4).  The unitary is
+def _gates_from_eig(pairs, w, v, terms, rows, durations) -> list:
+    """The one gate formula: gate j on ``pairs[j]`` runs row ``rows[j]``, H,
+    of the ``(t, 16)`` table ``terms`` for ``durations[j]``, from the rows'
+    eigendecompositions H = V diag(w) V^dagger, ``w`` (t, 4) and ``v``
+    (t, 4, 4) as ``eigh`` gives them, gathered here.  The unitary is
     V diag(exp(-i * tau * w)) V^dagger, so it is unitary, and the angle is
     |tau| * ||H|| up to pi and past pi the largest |phase|.  Every tau * w
     is finite: :func:`compile` builds its durations from finite angles, and
-    the gate-document reader refuses terms and generators beyond the float
-    range.  The unitaries and ``terms``, which the caller hands over, become
+    :meth:`Gate.from_terms` refuses terms, its callers generators, beyond
+    the float range.  The unitaries and the gathered terms become
     read-only; each gate holds views of them."""
+    w, v, terms = w[rows], v[rows], terms[rows]
     phases = np.exp(-1j * (durations[:, None] * w))
     unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
     norms = np.abs(durations) * np.abs(w).max(axis=-1)
@@ -327,7 +329,9 @@ def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:
     if not s.is_constant:
         raise NotConstant("trotterize requires a single constant segment")
     snap = snapshot(s, s.segments[0].t_start)
-    pass_gates = _pair_gates(snap, list(range(len(snap.pairs))), np.full(len(snap.pairs), s.total_time / m))
+    rows = np.arange(len(snap.pairs))
+    durations = np.full(len(rows), s.total_time / m)
+    pass_gates = _gates_from_eig(snap.pairs, snap.eigenvalues, snap.eigenvectors, snap.coeffs, rows, durations)
     return GateSchedule(s.n_qubits, tuple(Step((g,)) for g in pass_gates) * m)
 
 

@@ -16,11 +16,11 @@ Three document types, distinguished by their ``format`` field:
   ``PAULI_LABELS`` order, written once in the order of first use, and
   steps whose every gate is its pair, its row of the table and its
   duration tau: its generator is A = tau * H and its unitary exp(-i*A).
-  No angle is stored: the reader derives every unitary and angle from the
-  terms and durations by one stacked eigensolve of the terms
-  (:meth:`Gate.from_terms`) and ``compile``'s own gate formula, so an angle
-  cannot disagree with its unitary.  Versions 1 (each unitary as 32 floats
-  and its angle) and 2 (each generator as 16 floats) are not read.
+  No angle is stored: the reader only parses, and :meth:`Gate.from_terms`
+  derives every unitary and angle by one eigensolve per row of the table
+  and ``compile``'s own gate formula, so an angle cannot disagree with its
+  unitary.  Versions 1 (each unitary as 32 floats and its angle) and 2
+  (each generator as 16 floats) are not read.
 * ``chromlc-product`` -- product states (read only): two ``[re, im]``
   amplitudes per qubit; their parse errors name the file.
 
@@ -43,10 +43,9 @@ import warnings
 
 import numpy as np
 
-from . import linalg
 from .compiler import Gate, GateSchedule, Step
-from .errors import BadParams, ParseError, SchemaVersionMismatch
-from .hamiltonian import MAX_POLY_DEGREE, PAULI_LABELS, HamiltonianSchedule, Segment, pauli_matrix
+from .errors import BadParams, ParseError, SchemaVersionMismatch, TooLarge
+from .hamiltonian import MAX_POLY_DEGREE, PAULI_LABELS, HamiltonianSchedule, Segment
 
 SCHEDULE_FORMAT = "chromlc-schedule"
 GATES_FORMAT = "chromlc-gates"
@@ -300,15 +299,16 @@ def _gates_from_doc(doc: dict) -> GateSchedule:
 
     The ``terms`` table is checked row by row for its type and length and
     converted as one stack.  Then each gate is read once: its pair, its
-    row of the table and its duration.  The absolute values of the
-    coefficients of each gate's generator, its duration times its row,
-    must sum within the float range, and :meth:`Gate.from_terms` builds
-    every gate by one stacked eigensolve of the terms.
+    row of the table and its duration; the absolute values of the
+    coefficients of each generator, its duration times its row, must sum
+    within the float range.  Last, :meth:`Gate.from_terms` refuses a row
+    whose matrix or norm is beyond that range, as a ``ParseError`` of the
+    same text, and builds the gates by one eigensolve per row.
     """
     _check_header(doc, GATES_FORMAT)
     n_qubits = _int_field(doc, "n_qubits", "document")
     table = _term_table(_list_field(doc, "terms", "document"))
-    pairs, rows, durations, loci, ends = [], [], [], [], []  # each gate's pair, row, duration, name; each step's end
+    pairs, rows, durations, ends = [], [], [], []  # each gate's pair, row and duration; each step's end
     for i, raw_step in enumerate(_list_field(doc, "steps", "document")):
         where = f"steps[{i}]"
         if not isinstance(raw_step, dict):
@@ -331,17 +331,20 @@ def _gates_from_doc(doc: dict) -> GateSchedule:
             pairs.append((k, l))
             rows.append(row)
             durations.append(duration)
-            loci.append(gwhere)
         ends.append(len(pairs))
-    terms = table[rows]
     with np.errstate(over="ignore", invalid="ignore"):
-        bounded = np.isfinite(np.abs(np.array(durations)[:, None] * terms).sum(axis=1))
+        bounded = np.isfinite(np.abs(np.array(durations)[:, None] * table[rows]).sum(axis=1))
     if not bounded.all():
+        gate = int(np.argmin(bounded))
+        i = int(np.searchsorted(ends, gate, side="right"))  # the step that holds the gate
         raise ParseError(
-            f"{loci[int(np.argmin(bounded))]}.duration: the generator, duration times term, "
+            f"steps[{i}].gates[{gate - ([0] + ends)[i]}].duration: the generator, duration times term, "
             "must have coefficients whose absolute values sum within the float range"
         )
-    gates = Gate.from_terms(pairs, terms, durations)
+    try:
+        gates = Gate.from_terms(pairs, table, rows, durations)
+    except TooLarge as exc:
+        raise ParseError(str(exc)) from None
     steps = []
     for i, (start, end) in enumerate(zip([0] + ends, ends)):
         try:
@@ -356,8 +359,7 @@ def _gates_from_doc(doc: dict) -> GateSchedule:
 
 def _term_table(raw_terms: list) -> np.ndarray:
     """The ``(rows, 16)`` float array of a gate document's ``terms``; a
-    ``ParseError`` names the first row that is no list of 16 finite numbers,
-    then the first, used or not, whose matrix or norm exceeds the float range.
+    ``ParseError`` names the first row that is no list of 16 finite numbers.
     The rows are converted as one stack, walked again only when an integer
     in it overflows a float, to name its row."""
     for i, row in enumerate(raw_terms):
@@ -371,12 +373,6 @@ def _term_table(raw_terms: list) -> np.ndarray:
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise ParseError(f"terms[{int(np.argmin(finite))}]: expected a list of 16 finite numbers")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        matrices = pauli_matrix(table)
-    finite = np.isfinite(matrices).all(axis=(1, 2))
-    finite[finite] = np.isfinite(linalg.hermitian_norms(matrices[finite]))
-    if not finite.all():
-        raise ParseError(f"terms[{int(np.argmin(finite))}]: the term's matrix and norm must lie within the float range")
     return table
 
 

@@ -64,7 +64,7 @@ def gate_from_unitary(pair, u):
     (u = exp(-i*A)) for duration 1.0: its unitary is ``u`` to rounding, and
     it survives a gate document unchanged, since the reader builds it the
     same way."""
-    return Gate.from_terms([pair], [hamiltonian.pauli_coeffs(-linalg.unitary_log(u))], [1.0])[0]
+    return Gate.from_terms([pair], [hamiltonian.pauli_coeffs(-linalg.unitary_log(u))], [0], [1.0])[0]
 
 
 def w_at(s, t, known=None):
@@ -608,24 +608,23 @@ def recounting_level_decompose(pairs, weights, known=None):
     return LevelDecomposition(tuple(levels))
 
 
-def per_gate_pair_gates(snap, index, durations):
-    """``compiler._pair_gates`` gate by gate, each built by the plain
-    ``Gate(...)`` record constructor from its snapshot row's
+def per_gate_gates_from_eig(pairs, w, v, terms, rows, durations):
+    """``compiler._gates_from_eig`` gate by gate, each built by the plain
+    ``Gate(...)`` record constructor from its table row's
     eigendecomposition: its unitary V diag(exp(-i tau w)) V^dagger, its
     angle |tau| ||H|| up to pi and past pi the largest |phase| of its own
-    eigenvalues, its term its snapshot row and its duration tau."""
+    eigenvalues, its term its table row and its duration tau."""
     gates = []
-    for i, tau in zip(index, durations.tolist()):
-        w, v = snap.eigenvalues[i], snap.eigenvectors[i]
-        phases = np.exp(-1j * (tau * w))
-        angle = abs(tau) * snap.norms[i]
+    for pair, i, tau in zip(pairs, rows, durations.tolist()):
+        phases = np.exp(-1j * (tau * w[i]))
+        angle = abs(tau) * np.max(np.abs(w[i]))
         angle = float(angle if angle <= math.pi else np.max(np.abs(np.angle(phases))))
-        gates.append(Gate(snap.pairs[i], (v * phases) @ v.conj().T, angle, snap.coeffs[i], tau))
+        gates.append(Gate(pair, (v[i] * phases) @ v[i].conj().T, angle, terms[i], tau))
     return gates
 
 
 def per_level_sample_steps(snap, t_mid, delta, known):
-    """``compiler._sample_steps`` with one ``per_gate_pair_gates`` call per
+    """``compiler._sample_steps`` with one ``per_gate_gates_from_eig`` call per
     level (``t_mid``, which only names a failing subinterval, is not read)."""
     rows = {pair: i for i, pair in enumerate(snap.pairs)}
     decomp = graphs.level_decompose(snap.pairs, snap.norms.tolist(), known)
@@ -636,7 +635,9 @@ def per_level_sample_steps(snap, t_mid, delta, known):
         prev_r = level.threshold
         pairs = [pair for cls in level.coloring.classes for pair in cls]
         index = [rows[pair] for pair in pairs]
-        gates = dict(zip(pairs, per_gate_pair_gates(snap, index, np.full(len(index), angle) / snap.norms[index])))
+        durations = np.full(len(index), angle) / snap.norms[index]
+        eig = (snap.eigenvalues, snap.eigenvectors, snap.coeffs)
+        gates = dict(zip(pairs, per_gate_gates_from_eig(pairs, *eig, index, durations)))
         for matching in level.coloring.classes:
             steps.append(Step(tuple(gates[pair] for pair in matching)))
     levels = (

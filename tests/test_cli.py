@@ -511,9 +511,23 @@ _XX_YY = [1e308 if label in ("XX", "YY") else 0.0 for label in PAULI_LABELS]  # 
         ([[10**400] + [0.0] * 15], "terms[0]"),
         ([[float("nan")] + [0.0] * 15], "terms[0]"),
         ([], "steps[0].gates[0].term"),
-        ([_XX_YY], "terms[0]"),
+        # the gate runs the row for 1.0: its generator, checked on the walk over the steps, is named first
+        ([_XX_YY], "steps[0].gates[0].duration"),
+        ([[0.0] * 16, _XX_YY], "terms[1]"),
     ],
-    ids=["missing", "object", "short", "true", "string", "null", "huge-integer", "nan", "empty", "overflow"],
+    ids=[
+        "missing",
+        "object",
+        "short",
+        "true",
+        "string",
+        "null",
+        "huge-integer",
+        "nan",
+        "empty",
+        "overflow",
+        "unused-overflow",
+    ],
 )
 def test_simulate_bad_term_exits_2(tmp_path, capsys, terms, field):
     doc = json.loads(_one_gate_document({"pair": [0, 1], "term": 0, "duration": 1.0}))

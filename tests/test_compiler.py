@@ -19,6 +19,7 @@ from chromlc.compiler import (
 from chromlc.errors import BadParams, EpsilonTooLarge, NotConstant, TooLarge
 from chromlc.graphs import EXACT_SEARCH_CAP, color_edges
 from chromlc.hamiltonian import (
+    PAULI_LABELS,
     HamiltonianSchedule,
     chain,
     complete_mean_field,
@@ -34,7 +35,7 @@ from helpers import (
     gate_from_unitary,
     haar_unitary,
     pair_segment,
-    per_gate_pair_gates,
+    per_gate_gates_from_eig,
     per_level_sample_steps,
     per_time_snapshots,
     random_hermitian,
@@ -53,9 +54,10 @@ ZERO = np.zeros(16)
 
 
 def test_gate_validation():
-    # what Gate.from_terms accepts: any int pairs with 0 <= k < l, one term and one duration each, or nothing
-    assert Gate.from_terms([], np.zeros((0, 16)), []) == []
-    (gate,) = Gate.from_terms([[np.int64(0), 3.0]], [ZERO.tolist()], [2])
+    # what Gate.from_terms accepts: any int pairs with 0 <= k < l, one integer row and one duration each, or nothing
+    assert Gate.from_terms([], np.zeros((0, 16)), [], []) == []
+    assert Gate.from_terms([], [ZERO], np.array([], dtype=np.uint8), []) == []
+    (gate,) = Gate.from_terms([[np.int64(0), 3.0]], [ZERO.tolist()], [np.uint8(0)], [2])
     assert gate.pair == (0, 3) and gate.angle == 0.0 and np.array_equal(gate.unitary, np.eye(4))
     assert (gate.duration, type(gate.duration)) == (2.0, float)
     g = gate_from_unitary((0, 1), haar_unitary(4, np.random.default_rng(1)))
@@ -63,22 +65,32 @@ def test_gate_validation():
 
 
 @pytest.mark.parametrize(
-    "pairs, terms, durations, message",
+    "pairs, terms, rows, durations, message",
     [
-        ([(1, 0)], [ZERO], [1.0], "gate pair (1,0) must satisfy 0 <= k < l"),
-        ([(-1, 3)], [ZERO], [1.0], "gate pair (-1,3) must satisfy 0 <= k < l"),
-        ([(2, 2)], [ZERO], [1.0], "gate pair (2,2) must satisfy 0 <= k < l"),
-        ([(0, 1), (3, 2)], [ZERO, ZERO], [1.0, 1.0], "gate pair (3,2) must satisfy 0 <= k < l"),
-        ([(0, 1)], np.zeros((1, 15)), [1.0], "gate term must hold 16 coefficients, got shape (15,)"),
-        ([(0, 1)], ZERO, [1.0], "gate term must hold 16 coefficients, got shape ()"),
-        ([(0, 1)], np.zeros((1, 4, 4)), [1.0], "gate term must hold 16 coefficients, got shape (4, 4)"),
+        ([(1, 0)], [ZERO], [0], [1.0], "gate pair (1,0) must satisfy 0 <= k < l"),
+        ([(-1, 3)], [ZERO], [0], [1.0], "gate pair (-1,3) must satisfy 0 <= k < l"),
+        ([(2, 2)], [ZERO], [0], [1.0], "gate pair (2,2) must satisfy 0 <= k < l"),
+        ([(0, 1), (3, 2)], [ZERO], [0, 0], [1.0, 1.0], "gate pair (3,2) must satisfy 0 <= k < l"),
+        ([(0, 1)], np.zeros((1, 15)), [0], [1.0], "gate term must hold 16 coefficients, got shape (15,)"),
+        ([(0, 1)], ZERO, [0], [1.0], "gate term must hold 16 coefficients, got shape ()"),
+        ([(0, 1)], np.zeros((1, 4, 4)), [0], [1.0], "gate term must hold 16 coefficients, got shape (4, 4)"),
         # zip would drop the surplus of any side
-        ([(0, 1)], np.zeros((2, 16)), [1.0], "gate stacks differ: 1 pairs, 2 terms, durations of shape (1,)"),
-        ([(0, 1), (1, 2), (2, 3)], np.zeros((2, 16)), [1.0] * 3, "gate stacks differ: 3 pairs, 2 terms"),
-        ([(0, 1)], np.zeros((0, 16)), [1.0], "gate stacks differ: 1 pairs, 0 terms"),
-        ([(0, 1)], [ZERO], [1.0, 1.0], "gate stacks differ: 1 pairs, 1 terms, durations of shape (2,)"),
-        ([(0, 1)], [ZERO], 1.0, "gate stacks differ: 1 pairs, 1 terms, durations of shape ()"),
-        ([(0, 1)], [ZERO], [[1.0]], "gate stacks differ: 1 pairs, 1 terms, durations of shape (1, 1)"),
+        ([(0, 1)], np.zeros((2, 16)), [0, 1], [1.0], "gate stacks differ: 1 pairs, rows (2,), durations (1,)"),
+        ([(0, 1), (1, 2), (2, 3)], np.zeros((2, 16)), [0, 1], [1.0] * 3, "gate stacks differ: 3 pairs, rows (2,)"),
+        ([(0, 1)], np.zeros((0, 16)), [0], [1.0], "gate rows must be integers in [0, 0)"),
+        ([(0, 1)], [ZERO], [0], [1.0, 1.0], "gate stacks differ: 1 pairs, rows (1,), durations (2,)"),
+        ([(0, 1)], [ZERO], [0], 1.0, "gate stacks differ: 1 pairs, rows (1,), durations ()"),
+        ([(0, 1)], [ZERO], [0], [[1.0]], "gate stacks differ: 1 pairs, rows (1,), durations (1, 1)"),
+        ([(0, 1)], [ZERO], 0, [1.0], "gate stacks differ: 1 pairs, rows (), durations (1,)"),
+        ([(0, 1)], [ZERO], [[0]], [1.0], "gate stacks differ: 1 pairs, rows (1, 1), durations (1,)"),
+        ([(0, 1), (2, 3)], [ZERO, ZERO], [0], [1.0, 1.0], "gate stacks differ: 2 pairs, rows (1,), durations (2,)"),
+        ([(0, 1)], [ZERO, ZERO], [2], [1.0], "gate rows must be integers in [0, 2)"),
+        ([(0, 1), (2, 3)], [ZERO, ZERO], [0, -1], [1.0, 1.0], "gate rows must be integers in [0, 2)"),
+        ([(0, 1)], [ZERO], [0.0], [1.0], "gate rows must be integers in [0, 1)"),
+        ([(0, 1)], [ZERO], [True], [1.0], "gate rows must be integers in [0, 1)"),
+        ([(0, 1), (2, 3)], [ZERO, ZERO], [False, True], [1.0, 1.0], "gate rows must be integers in [0, 2)"),
+        ([(0, 1)], [ZERO], ["0"], [1.0], "gate rows must be integers in [0, 1)"),
+        ([(0, 1)], [ZERO], [None], [1.0], "gate rows must be integers in [0, 1)"),
     ],
     ids=[
         "pair-reversed",
@@ -94,17 +106,76 @@ def test_gate_validation():
         "more-durations",
         "scalar-duration",
         "nested-durations",
+        "scalar-row",
+        "nested-rows",
+        "fewer-rows",
+        "row-past-the-table",
+        "row-negative",
+        "float-row",
+        "bool-row",
+        "bool-rows",
+        "string-row",
+        "none-row",
     ],
 )
-def test_gates_from_terms_refuses_bad_input(pairs, terms, durations, message):
+def test_gates_from_terms_refuses_bad_input(pairs, terms, rows, durations, message):
     # Gate.from_terms, the one way to build gates from outside the compiler
     with pytest.raises(BadParams, match=re.escape(message)):
-        Gate.from_terms(pairs, terms, durations)
+        Gate.from_terms(pairs, terms, rows, durations)
+
+
+def _huge(*labels):
+    return [1e308 if label in labels else 0.0 for label in PAULI_LABELS]
+
+
+_BEYOND = "the term's matrix and norm must lie within the float range"
+
+
+@pytest.mark.parametrize(
+    "table, rows, bad",
+    [
+        # XX and YY of 1e308: matrix entries of 2e308, in a row a gate uses and in one none does
+        ([ZERO, _huge("XX", "YY")], [1], 1),
+        ([ZERO, _huge("XX", "YY")], [0], 1),
+        # II and XX of 1e308: finite matrix entries of 1e308, but an eigenvalue of 2e308
+        ([ZERO, _huge("II", "XX")], [1], 1),
+        ([ZERO, _huge("II", "XX")], [0], 1),
+        ([ZERO, [math.inf] + [0.0] * 15], [0], 1),
+        # the first row beyond the range is named, whichever way it overflows
+        ([ZERO, _huge("II", "XX"), _huge("XX", "YY")], [0], 1),
+        ([ZERO, _huge("XX", "YY"), _huge("II", "XX")], [0], 1),
+        ([_huge("II", "XX"), ZERO, _huge("XX", "YY")], [1], 0),
+    ],
+    ids=[
+        "entries",
+        "unused-entries",
+        "norm",
+        "unused-norm",
+        "infinite",
+        "norm-then-entries",
+        "entries-then-norm",
+        "first",
+    ],
+)
+def test_gates_from_terms_refuse_a_term_beyond_the_float_range(table, rows, bad):
+    # every row of the table is checked before any gate is built, at a tiny duration too
+    with pytest.raises(TooLarge, match=f"^{re.escape(f'terms[{bad}]: {_BEYOND}')}$"):
+        Gate.from_terms([(0, 1)], table, rows, [1e-300])
+
+
+def test_gates_from_terms_share_a_row():
+    # one row run by gates on two pairs for different durations: the gates one-row builds give
+    term = pauli_coeffs(random_hermitian(4, np.random.default_rng(7)))
+    pairs, durations = [(0, 1), (2, 3), (1, 2)], [0.5, 2.0, 50.0]  # the last past pi
+    gates = Gate.from_terms(pairs, [ZERO, term], [1, 1, 1], durations)
+    assert gates == [Gate.from_terms([pair], [term], [0], [tau])[0] for pair, tau in zip(pairs, durations)]
+    assert [gate.pair for gate in gates] == pairs and [gate.duration for gate in gates] == durations
+    assert gates[2].angle < math.pi
 
 
 def test_gates_are_read_only():
     terms = np.ones((2, 16))
-    gates = Gate.from_terms(np.array([(0, 1), (2, 3)]), terms, np.array([0.5, 2.0]))
+    gates = Gate.from_terms(np.array([(0, 1), (2, 3)]), terms, np.arange(2), np.array([0.5, 2.0]))
     for gate in gates:
         with pytest.raises(ValueError):
             gate.unitary[0, 0] = 1.0
@@ -139,8 +210,9 @@ def test_gates_from_terms_are_exp_of_minus_i_tau_h():
     hs = [random_hermitian(4, rng, norm=norm) for norm in norms]
     hs[2] = np.diag([0.0, 0.0, 0.0, math.pi]).astype(complex)  # exp(-i A) is CZ
     pairs = [(0, 1)] * len(hs)
-    gates = Gate.from_terms(pairs, [pauli_coeffs(h) for h in hs], [1.0] * len(hs))
-    assert gates == [Gate.from_terms([(0, 1)], [gate.term], [1.0])[0] for gate in gates]
+    rows = range(len(hs))
+    gates = Gate.from_terms(pairs, [pauli_coeffs(h) for h in hs], rows, [1.0] * len(hs))
+    assert gates == [Gate.from_terms([(0, 1)], [gate.term], [0], [1.0])[0] for gate in gates]
     assert gates[0].angle == 0.0 and np.array_equal(gates[0].unitary, np.eye(4))
     assert np.max(np.abs(gates[2].unitary - np.diag([1, 1, 1, -1]))) < 1e-15
     for gate, h, norm in zip(gates, hs, norms):
@@ -152,14 +224,14 @@ def test_gates_from_terms_are_exp_of_minus_i_tau_h():
             assert abs(gate.angle - norm) < 1e-12
     # a duration scales the term: the unitaries of the generators tau * H at duration 1.0, to rounding
     taus = rng.uniform(0.0, 2.0, size=len(hs))
-    scaled = Gate.from_terms(pairs, [pauli_coeffs(h) for h in hs], taus)
-    plain = Gate.from_terms(pairs, [tau * pauli_coeffs(h) for tau, h in zip(taus, hs)], [1.0] * len(hs))
+    scaled = Gate.from_terms(pairs, [pauli_coeffs(h) for h in hs], rows, taus)
+    plain = Gate.from_terms(pairs, [tau * pauli_coeffs(h) for tau, h in zip(taus, hs)], rows, [1.0] * len(hs))
     for gate, other, tau, h in zip(scaled, plain, taus, hs):
         assert np.max(np.abs(gate.unitary - other.unitary)) < 1e-12 and abs(gate.angle - other.angle) < 1e-12
         assert np.max(np.abs(gate.unitary - linalg.expm_i(h, tau))) < 1e-12
     # a negative duration runs the term backwards: the angle is |tau| ||H||
     h = hs[3]
-    (gate,) = Gate.from_terms([(0, 1)], [pauli_coeffs(h)], [-0.5])
+    (gate,) = Gate.from_terms([(0, 1)], [pauli_coeffs(h)], [0], [-0.5])
     assert abs(gate.angle - 0.5 * float(linalg.hermitian_norms(h))) < 1e-12
     assert np.max(np.abs(gate.unitary - linalg.expm_i(h, -0.5))) < 1e-12
 
@@ -206,7 +278,7 @@ def test_trotterize_gates_match_the_per_gate_path(coupling, monkeypatch):
     s = chain(6, 1.0, coupling)
     g = trotterize(s, 3)
     _assert_built(g)
-    monkeypatch.setattr(compiler, "_pair_gates", per_gate_pair_gates)
+    monkeypatch.setattr(compiler, "_gates_from_eig", per_gate_gates_from_eig)
     assert g == trotterize(s, 3)
     # at coupling 100 each generator has norm 100 / 3 and the principal angle is taken
     assert max(gate.angle for step in g.steps for gate in step.gates) <= np.pi
@@ -216,7 +288,7 @@ def test_compile_builds_each_samples_gates_as_one_stack(tmp_path, monkeypatch):
     # the compile_tv instance: 20 samples, 220 levels, 1320 gates, unitary by construction
     path = tmp_path / "tv.json"
     assert cli.main(["generate", "random_time_varying", "--n", "6", "--p", "0.6", "--seed", "3", "-o", str(path)]) == 0
-    calls = {"is_unitary": 0, "_pair_gates": 0}
+    calls = {"is_unitary": 0, "_gates_from_eig": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -228,9 +300,9 @@ def test_compile_builds_each_samples_gates_as_one_stack(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, count)
 
     counting(linalg, "is_unitary")
-    counting(compiler, "_pair_gates")
+    counting(compiler, "_gates_from_eig")
     assert cli.main(["compile", str(path), "--epsilon", "0.05", "-o", str(tmp_path / "gates.json")]) == 0
-    assert calls == {"is_unitary": 0, "_pair_gates": 20}
+    assert calls == {"is_unitary": 0, "_gates_from_eig": 20}
 
 
 def test_step_requires_disjoint_pairs():

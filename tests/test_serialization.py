@@ -327,7 +327,7 @@ def test_parse_trims_coefficients_before_building_the_array():
 
 
 def _gate_document():
-    return json.loads(dumps_gates(GateSchedule(2, (Step(tuple(Gate.from_terms([(0, 1)], [ZERO], [1.0]))),))))
+    return json.loads(dumps_gates(GateSchedule(2, (Step(tuple(Gate.from_terms([(0, 1)], [ZERO], [0], [1.0]))),))))
 
 
 def _schedule_document():
@@ -386,22 +386,53 @@ _BEYOND_GENERATOR = (
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda doc: doc["terms"].__setitem__(2, _huge("XX", "YY")), r"terms\[2\]: " + _BEYOND_ROW),
+        # a used row beyond the range at duration 1.0 sums its generator beyond it too; that check,
+        # made on the walk over the steps, comes first
+        (
+            lambda doc: doc["terms"].__setitem__(2, _huge("XX", "YY")),
+            r"steps\[1\]\.gates\[0\]\.duration: " + _BEYOND_GENERATOR,
+        ),
+        # a bad step field is named before a row beyond the range
+        (
+            lambda doc: (
+                doc["terms"].__setitem__(2, _huge("XX", "YY")),
+                _use_row(doc, 2, 1e-300),
+                doc["steps"][1]["gates"][1].update(pair=[0, 9]),
+            ),
+            r"steps\[1\]\.gates\[1\]\.pair: \[0, 9\] exceeds the register of 4 qubits$",
+        ),
         # the reader diagonalizes the term itself, so a tiny duration does not bring it back into range
         (
             lambda doc: (doc["terms"].__setitem__(2, _huge("XX", "YY")), _use_row(doc, 2, 1e-300)),
             r"terms\[2\]: " + _BEYOND_ROW,
         ),
-        # a row no gate uses: entries of 2e308, then entries of 1e308 with eigenvalues of 2e308
-        (lambda doc: doc["terms"].append(_huge("XX", "YY")), r"terms\[4\]: " + _BEYOND_ROW),
-        (lambda doc: doc["terms"].append(_huge("II", "XX")), r"terms\[4\]: " + _BEYOND_ROW),
         (lambda doc: _use_row(doc, 2, 1e308), r"steps\[1\]\.gates\[0\]\.duration: " + _BEYOND_GENERATOR),
+        # the gate is named from the steps' ends: a later gate of a later step, also past an empty step
+        (
+            lambda doc: doc["steps"][1]["gates"][1].update(term=2, duration=1e308),
+            r"steps\[1\]\.gates\[1\]\.duration: " + _BEYOND_GENERATOR,
+        ),
+        (
+            lambda doc: (
+                doc["steps"][1]["gates"][1].update(term=2, duration=1e308),
+                doc["steps"].insert(1, {"gates": []}),
+            ),
+            r"steps\[2\]\.gates\[1\]\.duration: " + _BEYOND_GENERATOR,
+        ),
     ],
-    ids=["term", "term-at-tiny-duration", "unused-term", "unused-term-norm", "duration"],
+    ids=[
+        "term",
+        "term-and-bad-pair",
+        "term-at-tiny-duration",
+        "duration",
+        "duration-of-a-later-gate",
+        "duration-after-an-empty-step",
+    ],
 )
 def test_gates_parse_names_the_gate_whose_generator_overflows(edit, message):
-    # the table's matrices and norms are checked as one stack, then the
-    # generators, duration times term: each error maps back to its row or gate
+    # each gate is read and its generator, duration times term, checked;
+    # then Gate.from_terms checks the table's matrices and norms as one
+    # stack: each error maps back to its gate or row
     doc = json.loads(dumps_gates(_two_step_gates()))
     assert doc["steps"][1]["gates"][0]["term"] == 2 and len(doc["terms"]) == 4
     edit(doc)
@@ -409,12 +440,37 @@ def test_gates_parse_names_the_gate_whose_generator_overflows(edit, message):
         loads_gates(json.dumps(doc))
 
 
+def test_gates_read_diagonalizes_each_table_row_once(tmp_path, monkeypatch):
+    # the compile_tv instance: 1320 gates that run 220 distinct terms
+    spath, gpath = tmp_path / "tv.json", tmp_path / "gates.json"
+    assert cli.main(["generate", "random_time_varying", "--n", "6", "--p", "0.6", "--seed", "3", "-o", str(spath)]) == 0
+    assert cli.main(["compile", str(spath), "--epsilon", "0.05", "-o", str(gpath)]) == 0
+    doc = json.loads(gpath.read_text())
+    assert (len(doc["terms"]), sum(len(step["gates"]) for step in doc["steps"])) == (220, 1320)
+    matrices = []  # the number of matrices of each eigensolver call
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def count(a, *args, **kwargs):
+            matrices.append(math.prod(np.shape(a)[:-2]))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, count)
+
+    counting("eigh")
+    counting("eigvalsh")
+    g = load_gates(gpath)
+    assert sum(matrices) == 220
+    assert sum(len(step.gates) for step in g.steps) == 1320
+
+
 def test_gates_roundtrip_keeps_a_gate_with_a_near_degenerate_generator():
     # two eigenvalues 6e-9 apart around pi/2: eigh resolves them, and the
     # loaded gate is the gate written, bit for bit
     v = haar_unitary(4, np.random.default_rng(0))
     h = (v * np.array([math.pi / 2 - 3e-9, math.pi / 2 + 3e-9, 0.5, 0.2])) @ v.conj().T
-    g = GateSchedule(2, (Step(tuple(Gate.from_terms([(0, 1)], [pauli_coeffs((h + h.conj().T) / 2)], [1.0]))),))
+    g = GateSchedule(2, (Step(tuple(Gate.from_terms([(0, 1)], [pauli_coeffs((h + h.conj().T) / 2)], [0], [1.0]))),))
     assert abs(g.steps[0].gates[0].angle - (math.pi / 2 + 3e-9)) < 1e-12
     assert loads_gates(dumps_gates(g)) == g
 
@@ -637,7 +693,7 @@ def test_dumps_gates_matches_json_indent(g):
 def test_dumps_gates_examples_cover_the_special_entries():
     term = np.zeros(16)
     term[[1, 5, 10, 15]] = 1e-17, -0.0, 0.1, 1e308
-    g = GateSchedule(4, (Step(tuple(Gate.from_terms([(0, 1), (2, 3)], [term, ZERO], [5e-324, 0.0]))),))
+    g = GateSchedule(4, (Step(tuple(Gate.from_terms([(0, 1), (2, 3)], [term, ZERO], [0, 1], [5e-324, 0.0]))),))
     text = dumps_gates(g)
     assert text == _reference_text(g)
     for literal in ("1e-17", "-0.0", "0.1", "1e+308", "5e-324"):
@@ -702,7 +758,7 @@ _GATES_BASE = json.loads(
         GateSchedule(
             3,
             (
-                Step(tuple(Gate.from_terms([(0, 1)], [ZERO], [1.0]))),
+                Step(tuple(Gate.from_terms([(0, 1)], [ZERO], [0], [1.0]))),
                 Step((gate_from_unitary((1, 2), haar_unitary(4, np.random.default_rng(5))),)),
             ),
         )
