@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Gate:
+class Gate(NamedTuple):
     """Two-qubit gate exp(-i*A) on pair (k, l) that runs a pair term H for a
     time: A = duration * H.  It holds its 4x4 unitary, its angle, the term
     as its 16 Pauli coefficients in ``PAULI_LABELS`` order, and the
@@ -76,15 +76,18 @@ class Gate:
 
     The angle is the smallest norm of a Hermitian generator of the unitary:
     ||A|| up to pi, and past pi the largest |phase| of the unitary's
-    eigenvalues.  A plain record: the package builds every gate by one
-    formula, :func:`_gates_from_eig`, from its row of a term table, one
-    eigensolve per row, and its duration (in :func:`compile`, rows of a
-    snapshot; in :meth:`from_terms`, which the gate-document reader calls),
-    so the unitary is unitary, the angle agrees with it, and a gate read
-    back is bit for bit the gate written; unitary and term are read-only.
-    In :func:`compile` a gate's term is its sample's pair term and its
-    duration d * (r_j - r_{j-1}) / ||H||, so the gates of one edge over one
-    subinterval share the term and their durations sum to d.
+    eigenvalues.  A plain record, a ``NamedTuple`` that checks nothing:
+    the package builds every gate by one formula, :func:`_gates_from_eig`,
+    from its row of a term table, one eigensolve per row, and its duration
+    (in :func:`compile`, rows of a snapshot; in :meth:`from_terms`, which
+    the gate-document reader calls), so the unitary is unitary, the angle
+    agrees with it, and a gate read back is bit for bit the gate written;
+    the fields cannot be reassigned, and unitary and term are read-only.
+    Gates compare by value, arrays included, under ``==`` and ``!=`` alike,
+    and are not hashable.  In :func:`compile` a gate's term is its sample's
+    pair term and its duration d * (r_j - r_{j-1}) / ||H||, so the gates of
+    one edge over one subinterval share the term and their durations sum
+    to d.
     """
 
     pair: tuple
@@ -99,10 +102,10 @@ class Gate:
         ``rows[j]`` of the ``(t, 16)`` table ``terms``, by one stacked ``eigh``
         of the table's matrices; plain generators pass a row each and
         durations of 1.0.  Pairs satisfy 0 <= k < l, there is one integer row
-        in [0, t) and one duration per pair, and the table is copied.  Before
-        any gate is built, ``TooLarge`` names the first row, used or not, whose
-        matrix or norm is beyond the float range; the caller keeps each
-        generator's absolute coefficients summed within it.
+        in [0, t) and one finite duration per pair, and the table is copied.
+        Before any gate is built, ``TooLarge`` names the first row, used or
+        not, whose matrix or norm is beyond the float range; the caller keeps
+        each generator's absolute coefficients summed within it.
         """
         pairs = [(int(p[0]), int(p[1])) for p in pairs]
         for k, l in pairs:
@@ -116,6 +119,8 @@ class Gate:
             raise BadParams(f"gate stacks differ: {len(pairs)} pairs, rows {rows.shape}, durations {durations.shape}")
         if rows.dtype.kind not in "iu" and rows.size or not ((0 <= rows) & (rows < len(terms))).all():
             raise BadParams(f"gate rows must be integers in [0, {len(terms)})")
+        if not np.isfinite(durations).all():
+            raise BadParams("gate durations must be finite")
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             matrices = pauli_matrix(terms)
         finite = np.isfinite(matrices).all(axis=(1, 2))
@@ -137,22 +142,31 @@ class Gate:
             and np.array_equal(self.term, other.term)
         )
 
+    # tuple.__ne__ would compare the arrays elementwise and raise; this one negates __eq__
+    __ne__ = object.__ne__
+
 
 @dataclass(frozen=True)
 class Step:
-    """One parallel layer: gates on mutually disjoint pairs."""
+    """One parallel layer: gates on mutually disjoint pairs.
+
+    The pairs are disjoint when the set of the qubits they touch holds two
+    per gate; only a step that fails this test is walked gate by gate, to
+    name the first gate that touches a qubit an earlier gate does."""
 
     gates: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        if not self.gates:
+        gates = tuple(self.gates)
+        object.__setattr__(self, "gates", gates)
+        if not gates:
             raise BadParams("a step needs at least one gate")
-        touched = set()
-        for g in self.gates:
-            if g.pair[0] in touched or g.pair[1] in touched:
-                raise BadParams(f"step gates overlap at pair {g.pair}")
-            touched.update(g.pair)
+        if len({q for g in gates for q in g.pair}) < 2 * len(gates):
+            touched = set()
+            for g in gates:
+                if g.pair[0] in touched or g.pair[1] in touched:
+                    raise BadParams(f"step gates overlap at pair {g.pair}")
+                touched.update(g.pair)
 
     def max_angle(self) -> float:
         return max(g.angle for g in self.gates)
@@ -302,7 +316,8 @@ def _gates_from_eig(pairs, w, v, terms, rows, durations) -> list:
     is finite: :func:`compile` builds its durations from finite angles, and
     :meth:`Gate.from_terms` refuses terms, its callers generators, beyond
     the float range.  The unitaries and the gathered terms become
-    read-only; each gate holds views of them."""
+    read-only; each gate holds views of them, and the tuple constructor
+    builds each gate from its five fields."""
     w, v, terms = w[rows], v[rows], terms[rows]
     phases = np.exp(-1j * (durations[:, None] * w))
     unitaries = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
@@ -310,7 +325,7 @@ def _gates_from_eig(pairs, w, v, terms, rows, durations) -> list:
     angles = np.where(norms <= math.pi, norms, np.max(np.abs(np.angle(phases)), axis=-1)).tolist()
     unitaries.flags.writeable = False
     terms.flags.writeable = False
-    return [Gate(*gate) for gate in zip(pairs, unitaries, angles, terms, durations.tolist())]
+    return [tuple.__new__(Gate, gate) for gate in zip(pairs, unitaries, angles, terms, durations.tolist())]
 
 
 def trotterize(s: HamiltonianSchedule, m: int) -> GateSchedule:

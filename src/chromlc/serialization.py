@@ -31,8 +31,10 @@ rendering), so serialize(parse(text)) reproduces canonical documents and
 parse(serialize(obj)) reproduces schedules and gate schedules exactly,
 down to the bits of every unitary and angle.  Both document types are
 written compact, as
-``json.dumps(doc, separators=(",", ":")) + "\n"`` writes them;
-``python -m json.tool`` pretty-prints them.  The readers take any layout.
+``json.dumps(doc, separators=(",", ":")) + "\n"`` writes them (a gate
+document's steps by f-strings of the same bytes, the rest by the
+standard library's C encoder); ``python -m json.tool`` pretty-prints
+them.  The readers take any layout.
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ __all__ = [
 ]
 
 
-# one layout for every document: the standard library's C encoder, no whitespace;
-# the documents are built here and hold no cycles, so none is looked for
+# one layout for every document: the standard library's C encoder, no whitespace
+# (dumps_gates formats its steps to the same bytes itself); the documents are
+# built here and hold no cycles, so none is looked for
 _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
@@ -264,12 +267,17 @@ def dumps_gates(g: GateSchedule) -> str:
     """The bytes of ``json.dumps(doc, separators=(",", ":")) + "\\n"`` for the gate document.
 
     Each distinct term (by value) enters the ``terms`` table once, in the
-    order of first use, and each gate names its row.  A step object that
-    recurs (``compile`` repeats a constant segment's steps) is encoded once
-    per call and its text reused; the table and the steps' texts follow a
-    fixed header.  Terms and durations are finite, so no NaN or Infinity
-    arises: ``compile`` builds them from finite terms and angles, and the
-    reader refuses non-finite ones.
+    order of first use, and each gate names its row.  The table goes
+    through the C encoder; each gate is one f-string,
+    ``{"pair":[k,l],"term":row,"duration":tau}`` with the integers as ``:d``
+    and tau as ``float.__repr__``, the text the encoder writes for plain
+    integers and finite floats.  A step object that recurs (``compile``
+    repeats a constant segment's steps) is formatted once per call and its
+    text reused; the table and the steps' texts follow a fixed header.
+    Terms and durations are finite, so no NaN or Infinity arises:
+    ``compile`` builds them from finite terms and angles,
+    :meth:`Gate.from_terms` refuses non-finite durations, and the reader
+    refuses non-finite terms and durations.
     """
     rows = {}  # a term's bytes -> its row of the table
     texts = {}  # id(step) -> its text; g holds every step, so no id is reused during the call
@@ -277,11 +285,12 @@ def dumps_gates(g: GateSchedule) -> str:
     for step in g.steps:
         text = texts.get(id(step))
         if text is None:
-            gates = [
-                {"pair": gate.pair, "term": rows.setdefault(gate.term.tobytes(), len(rows)), "duration": gate.duration}
-                for gate in step.gates
-            ]
-            text = texts[id(step)] = _compact({"gates": gates})
+            gates = ",".join([
+                f'{{"pair":[{k:d},{l:d}],"term":{rows.setdefault(term.tobytes(), len(rows)):d},'
+                f'"duration":{float.__repr__(duration)}}}'
+                for (k, l), _, _, term, duration in step.gates
+            ])
+            text = texts[id(step)] = f'{{"gates":[{gates}]}}'
         steps.append(text)
     terms = _compact(np.frombuffer(b"".join(rows), dtype=float).reshape(-1, 16).tolist())
     version = FORMAT_VERSIONS[GATES_FORMAT]

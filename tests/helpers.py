@@ -648,6 +648,27 @@ def per_level_sample_steps(snap, t_mid, delta, known):
     return steps, levels
 
 
+def per_step_dumps_gates(g: GateSchedule) -> str:
+    """``serialization.dumps_gates`` as it was written before its gates
+    became f-strings: one dict per gate and one call of the standard
+    library's C encoder per distinct step, the same table of terms by their
+    bytes and the same text reused for a step object that recurs."""
+    encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+    rows, texts, steps = {}, {}, []
+    for step in g.steps:
+        text = texts.get(id(step))
+        if text is None:
+            gates = [
+                {"pair": gate.pair, "term": rows.setdefault(gate.term.tobytes(), len(rows)), "duration": gate.duration}
+                for gate in step.gates
+            ]
+            text = texts[id(step)] = encode({"gates": gates})
+        steps.append(text)
+    terms = encode(np.frombuffer(b"".join(rows), dtype=float).reshape(-1, 16).tolist())
+    header = f'{{"format":"chromlc-gates","version":3,"n_qubits":{g.n_qubits:d},"terms":{terms},"steps":['
+    return header + ",".join(steps) + "]}\n"
+
+
 def per_time_matrices(seg: Segment, t):
     """``Segment.matrices_at(t)`` for one time, as it was written before it took
     vectors: Horner on the (terms, 16) coefficients, then one (1, 16) row

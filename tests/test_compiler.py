@@ -91,6 +91,9 @@ def test_gate_validation():
         ([(0, 1), (2, 3)], [ZERO, ZERO], [False, True], [1.0, 1.0], "gate rows must be integers in [0, 2)"),
         ([(0, 1)], [ZERO], ["0"], [1.0], "gate rows must be integers in [0, 1)"),
         ([(0, 1)], [ZERO], [None], [1.0], "gate rows must be integers in [0, 1)"),
+        # the gate document could not hold it: json would write Infinity or NaN, which its reader refuses
+        ([(0, 1), (2, 3)], [ZERO], [0, 0], [1.0, math.inf], "gate durations must be finite"),
+        ([(0, 1)], [ZERO], [0], [math.nan], "gate durations must be finite"),
     ],
     ids=[
         "pair-reversed",
@@ -116,6 +119,8 @@ def test_gate_validation():
         "bool-rows",
         "string-row",
         "none-row",
+        "infinite-duration",
+        "nan-duration",
     ],
 )
 def test_gates_from_terms_refuses_bad_input(pairs, terms, rows, durations, message):
@@ -312,8 +317,26 @@ def test_step_requires_disjoint_pairs():
     Step((a, c))
     with pytest.raises(BadParams):
         Step((a, b))
-    with pytest.raises(BadParams):
+    with pytest.raises(BadParams, match="^a step needs at least one gate$"):
         Step(())
+    # gates 0/2 and 1/3 overlap: the first gate that touches an earlier gate's qubit is named
+    gates = [gate_from_unitary(pair, np.eye(4)) for pair in [(0, 1), (2, 3), (1, 4), (3, 5)]]
+    with pytest.raises(BadParams, match=r"^step gates overlap at pair \(1, 4\)$"):
+        Step(gates)
+
+
+def test_gates_are_records():
+    # equal by value, arrays included, whether compared by == or !=; unhashable and immutable
+    a, b = (Gate.from_terms([(0, 1)], [ZERO], [0], [1.0])[0] for _ in range(2))
+    (c,) = Gate.from_terms([(0, 1)], [np.ones(16)], [0], [1.0])
+    assert a is not b and a.unitary is not b.unitary
+    assert (a == b, a != b, a == c, a != c) == (True, False, False, True)
+    assert (a == 1, a != 1) == (False, True)
+    assert [a, c] == [b, c] and [a, c] != [c, a]
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(AttributeError):
+        a.duration = 2.0
 
 
 def test_weighted_depth_trivials():

@@ -39,6 +39,7 @@ from helpers import (
     node_paths,
     pair_segment,
     per_row_dumps_schedule,
+    per_step_dumps_gates,
     random_gate_schedule,
     replace_node,
 )
@@ -150,6 +151,7 @@ def test_compiled_gate_documents_roundtrip(generate, n_terms, tmp_path, capsys):
     assert cli.main(["generate", *generate, "-o", str(spath)]) == 0
     g, _ = compile(load_schedule(spath), 0.05)
     text = dumps_gates(g)
+    assert text == per_step_dumps_gates(g)
     assert len(json.loads(text)["terms"]) == n_terms
     loaded = loads_gates(text)
     _assert_same_gates(loaded, g)
@@ -569,6 +571,7 @@ def test_trotterize_documents_hold_one_term_per_pair():
     s = random_graph(5, p=1.0, seed=0)
     g = trotterize(s, 4)
     text = dumps_gates(g)
+    assert text == per_step_dumps_gates(g)
     doc = json.loads(text)
     assert len(doc["terms"]) == len(s.segments[0].pairs) == 10
     assert [gate["term"] for step in doc["steps"] for gate in step["gates"]] == list(range(10)) * 4
@@ -654,9 +657,11 @@ def _reference_text(g):
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-# finite floats, with the entries whose rendering is easy to get wrong
+# finite floats, with the entries whose rendering is easy to get wrong: subnormal,
+# tiny, integral, and past 1e16, where repr switches to exponent notation
 _COEFFICIENT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-17, -1e-17, 5e-324, 0.1])
-_DURATION = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([0.0, 1e-17, 5e-324, 0.1, 1.0])
+_EDGE_DURATIONS = [0.0, 5e-324, 1e-300, 2.0, 1e16, 1e22, 1e308]
+_DURATION = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([1e-17, 0.1, 1.0, *_EDGE_DURATIONS])
 
 
 @st.composite
@@ -680,14 +685,19 @@ def _gate_schedules(draw):
 
 
 _PAST_PI, _ = compile(chain(4, coupling=100.0), 0.05)  # angles taken from the unitaries
+_EDGE_STEPS = GateSchedule(2, tuple(Step((Gate((0, 1), np.eye(4), 0.0, ZERO, tau),)) for tau in _EDGE_DURATIONS))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_gate_schedules())
 @example(GateSchedule(2, ()))
 @example(_PAST_PI)
+@example(_EDGE_STEPS)
 def test_dumps_gates_matches_json_indent(g):
-    assert dumps_gates(g) == _reference_text(g)
+    # json.dumps of the document, and the per-step dict encoder, byte for byte
+    text = dumps_gates(g)
+    assert text == _reference_text(g)
+    assert text == per_step_dumps_gates(g)
 
 
 def test_dumps_gates_examples_cover_the_special_entries():
@@ -699,6 +709,9 @@ def test_dumps_gates_examples_cover_the_special_entries():
     for literal in ("1e-17", "-0.0", "0.1", "1e+308", "5e-324"):
         assert literal in text
     assert dumps_gates(GateSchedule(2, ())).endswith('"steps":[]}\n')
+    edge_text = dumps_gates(_EDGE_STEPS)
+    for literal in ("0.0", "5e-324", "1e-300", "2.0", "1e+16", "1e+22", "1e+308"):
+        assert f'"duration":{literal}}}' in edge_text
     # each gate's generator has norm 100 * 0.05 = 5 > pi: the angle is the unitary's
     assert all(gate.angle < math.pi for step in _PAST_PI.steps for gate in step.gates)
 
