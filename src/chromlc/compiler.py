@@ -301,7 +301,7 @@ def _sample_steps(snap, t_mid: float, delta: float, known: dict):
     levels = (
         decomp.thresholds(),
         tuple(len(lv.coloring.classes) for lv in decomp.levels),
-        tuple(lv.exact for lv in decomp.levels),
+        tuple(lv.coloring.exact for lv in decomp.levels),
     )
     return steps, levels
 

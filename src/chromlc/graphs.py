@@ -12,22 +12,26 @@ count is provably optimal.  The chromatic index is the class count,
 searches for a max-degree coloring by backtracking that colors the most
 constrained edge next, scanning only the edges still uncolored; deciding
 it is NP-complete (Holyer 1981), so the search stops after a fixed node
-count.  Every other case gets the Misra-Gries coloring of
+count.  A complete graph on an even number of vertices with more edges
+than the search takes gets the round-robin 1-factorization, max degree
+classes.  Every other case gets the Misra-Gries coloring of
 ``edge_color_vizing`` (at most max degree + 1 classes), reported as exact
 when the edge set is overfull, the search finished without a coloring, or
 it has max degree classes.  ``level_decompose`` takes a graph as its pairs
 and one positive weight per pair (a snapshot's pairs and norms) and slices
 it at its distinct weights, so that the weighted sum of per-level indices
-equals the integral of the chromatic index over the threshold.  Each level
-inherits the coloring of the level below it, dropping only the edges that
-left, and keeps it when that is provably optimal; otherwise it colors the
-level's pairs as ``color_edges`` does, handing over the degree table it
-already holds.  The sweep keeps the max degree in a
-histogram of vertex degrees and the inherited class count in a counter, so
-deciding whether a level keeps its coloring costs a constant amount per
-dropped edge, not a pass over all vertices.  A caller that decomposes many
-graphs passes one ``known`` dict, owned by that call, so that each distinct
-level edge set is colored once.
+equals the integral of the chromatic index over the threshold.  It sorts
+the edges by (weight, pair) once; each level is a suffix of that order and
+each weight cluster an index range of it.  Each level inherits the
+coloring of the level below it, dropping only the edges that left, and
+keeps it when that is provably optimal; otherwise it colors the level's
+pairs as ``color_edges`` does, handing over the degree table it already
+holds.  The sweep keeps the max degree in a histogram of vertex degrees
+and the inherited class count in a counter, so deciding whether a level
+keeps its coloring costs a constant amount per dropped edge, not a pass
+over all vertices.  A caller that decomposes many graphs passes one
+``known`` dict, owned by that call, so that each distinct level edge set is
+colored once.
 """
 
 from __future__ import annotations
@@ -88,7 +92,9 @@ class Level(NamedTuple):
 
     @property
     def exact(self) -> bool:
-        """The coloring's flag: no coloring of the level has fewer classes."""
+        """The coloring's flag: no coloring of the level has fewer classes.
+        Its only reader is the ``level_decompose`` hook of ``perfbench/run.py``;
+        the package reads ``coloring.exact``."""
         return self.coloring.exact
 
 
@@ -119,17 +125,19 @@ def _search_edge_coloring(n_vertices, order, k, budget):
     Each node colors the uncolored edge with the fewest free colors (the
     most colors taken at its two ends), ties going to the edge that comes
     first in ``order``, and fails at once when some edge has no free color
-    left.  Only the uncolored edges are scanned: ``uncolored`` lists their
-    indices in ``order`` order, and the chosen edge leaves it while it is
-    colored and goes back to its place on backtrack.  Colors are tried
-    lowest-first and capped at one above the highest color used so far:
-    every color above that is still unused everywhere, so trying one of
-    them is enough, under any edge order.  Returns the color list (aligned
-    with ``order``), False when no k-edge-coloring exists, or None after
-    ``budget`` nodes.  The vertices of ``order`` are 0 .. ``n_vertices`` - 1.
+    left.  Only the uncolored edges are scanned: ``uncolored`` holds them as
+    ``(u, v, i)`` triples, ``i`` the edge's index in ``order``, in ``order``
+    order, so the scan unpacks each triple once; the chosen edge leaves the
+    list while it is colored and goes back to its place on backtrack.
+    Colors are tried lowest-first and capped at one above the highest color
+    used so far: every color above that is still unused everywhere, so
+    trying one of them is enough, under any edge order.  Returns the color
+    list (aligned with ``order``), False when no k-edge-coloring exists, or
+    None after ``budget`` nodes.  The vertices of ``order`` are
+    0 .. ``n_vertices`` - 1.
     """
     colors = [-1] * len(order)
-    uncolored = list(range(len(order)))
+    uncolored = [(u, v, i) for i, (u, v) in enumerate(order)]
     used = [0] * n_vertices
     full = (1 << k) - 1
     nodes = 0
@@ -142,20 +150,21 @@ def _search_edge_coloring(n_vertices, order, k, budget):
         if nodes > budget:
             return None
         best_busy = -1
-        for at, i in enumerate(uncolored):
-            u, v = order[i]
+        for edge in uncolored:
+            u, v, _ = edge
             busy = (used[u] | used[v]).bit_count()
             if busy > best_busy:
                 if busy == k:
                     return False
-                best_at, best_busy = at, busy
-        best = uncolored.pop(best_at)
-        u, v = order[best]
+                best, best_busy = edge, busy
+        at = uncolored.index(best)
+        del uncolored[at]
+        u, v, i = best
         avail = full & ~(used[u] | used[v]) & ((2 << (high + 1)) - 1)
         while avail:
             bit = avail & -avail
             c = bit.bit_length() - 1
-            colors[best] = c
+            colors[i] = c
             used[u] |= bit
             used[v] |= bit
             found = rec(c if c > high else high)
@@ -164,7 +173,7 @@ def _search_edge_coloring(n_vertices, order, k, budget):
             used[u] ^= bit
             used[v] ^= bit
             avail ^= bit
-        uncolored.insert(best_at, best)
+        uncolored.insert(at, best)
         return False
 
     found = rec(-1)
@@ -178,6 +187,23 @@ def _classes_from_assignment(order, colors, k) -> tuple:
     return tuple(tuple(sorted(cls)) for cls in classes if cls)
 
 
+def _round_robin(vertices) -> tuple:
+    """The circle-method 1-factorization of the complete graph on the even
+    number n of sorted ``vertices``: n - 1 perfect matchings.  In round r
+    the last vertex meets ring vertex r, and ring vertices r + i and r - i
+    (mod n - 1) meet for i = 1 .. n/2 - 1; every pair meets in one round."""
+    *ring, hub = vertices
+    s = len(ring)
+    classes = []
+    for r in range(s):
+        cls = [(ring[r], hub)]
+        for i in range(1, s // 2 + 1):
+            a, b = (r + i) % s, (r - i) % s
+            cls.append((ring[min(a, b)], ring[max(a, b)]))
+        classes.append(tuple(sorted(cls)))
+    return tuple(classes)
+
+
 def color_edges(pairs) -> EdgeColoring:
     """A proper edge coloring of ``pairs``, distinct ``(k, l)`` pairs with
     k < l in any order, with ``exact`` set when its class count is optimal.
@@ -185,7 +211,9 @@ def color_edges(pairs) -> EdgeColoring:
     Only an edge set of at most ``EXACT_SEARCH_CAP`` pairs that is not
     overfull is searched for a max-degree coloring (ties between equally
     constrained edges go to the larger degree sum, then the smaller pair),
-    for at most ``SEARCH_NODE_BUDGET`` nodes.  Otherwise the Misra-Gries
+    for at most ``SEARCH_NODE_BUDGET`` nodes.  A larger complete graph that
+    is not overfull (an even vertex count) gets the round-robin
+    1-factorization, max degree classes, exact.  Otherwise the Misra-Gries
     coloring is exact when the edge set is overfull, when the search
     finished without a coloring (both prove max degree + 1), or when it has
     max degree classes.  The result depends on the set of pairs alone.
@@ -199,16 +227,21 @@ def _color_edges(pairs, deg) -> EdgeColoring:
     if not deg:
         return EdgeColoring((), True)
     m = len(pairs)
+    n = len(deg)
     delta = max(deg.values())
     # A color class is a matching, so it covers at most half the touched vertices.
-    proven = m > delta * (len(deg) // 2)
+    proven = m > delta * (n // 2)
     if not proven and m <= EXACT_SEARCH_CAP:
-        order = sorted(pairs, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
-        label = dict(zip(deg, range(len(deg))))  # the touched vertices, relabeled 0, 1, ...
-        colors = _search_edge_coloring(len(label), [(label[u], label[v]) for u, v in order], delta, SEARCH_NODE_BUDGET)
+        order = sorted(pairs)
+        order.sort(key=lambda e: -deg[e[0]] - deg[e[1]])  # stable: ties stay in pair order
+        label = dict(zip(deg, range(n)))  # the touched vertices, relabeled 0, 1, ...
+        colors = _search_edge_coloring(n, [(label[u], label[v]) for u, v in order], delta, SEARCH_NODE_BUDGET)
         if colors:
             return EdgeColoring(_classes_from_assignment(order, colors, delta), True)
         proven = colors is False
+    elif not proven and 2 * m == n * (n - 1):
+        # A complete graph; not overfull, so on an even vertex count: n - 1 = max degree classes.
+        return EdgeColoring(_round_robin(sorted(deg)), True)
     classes = edge_color_vizing(pairs)
     return EdgeColoring(classes, proven or len(classes) == delta)
 
@@ -290,10 +323,12 @@ def level_decompose(pairs, weights, known: dict) -> LevelDecomposition:
 
     Level j is the subgraph of edges with weight >= r_j.  Weights within
     ``WEIGHT_MERGE_TOL`` of each other share a level (threshold = their
-    maximum).  Level j+1 is level j minus the edges of weight r_j, so it
-    first inherits level j's coloring with those edges dropped: only the
-    classes that held them are rebuilt, class order and the order within
-    each class are kept, and classes left empty go.  When the classes left
+    maximum); the edges, sorted by (weight, pair), form one list, each
+    cluster of weights an index range of it and each level a suffix.
+    Level j+1 is level j minus the edges of weight r_j, so it
+    first inherits level j's coloring with those edges dropped: each leaves
+    its class by position (the class is sliced around it), class order and
+    the order within each class are kept, and classes left empty go.  When the classes left
     number the new max degree, that coloring is optimal (chi' >= max
     degree) and is taken as exact, whether or not level j's was.
     Otherwise the level's pairs are colored as :func:`color_edges` colors
@@ -313,50 +348,54 @@ def level_decompose(pairs, weights, known: dict) -> LevelDecomposition:
     to all of them and gets the same levels as with a fresh dict for each.
     Only search results go in, never inherited colorings.
     """
-    ordered = sorted(zip(pairs, map(float, weights), strict=True), key=lambda e: e[1])
+    ordered = sorted(zip(map(float, weights), pairs, strict=True))
     if not ordered:
         return LevelDecomposition(())
-    clusters = [[ordered[0]]]
-    for e in ordered[1:]:
-        if e[1] - clusters[-1][-1][1] < WEIGHT_MERGE_TOL:
-            clusters[-1].append(e)
-        else:
-            clusters.append([e])
+    ws = [w for w, _ in ordered]
+    edges = tuple([pair for _, pair in ordered])
+    # cluster j is edges[starts[j]:starts[j + 1]]; a gap of WEIGHT_MERGE_TOL or more starts one
+    starts = [0] + [i for i in range(1, len(ws)) if not ws[i] - ws[i - 1] < WEIGHT_MERGE_TOL]
+    ends = starts[1:] + [len(edges)]
 
     deg = _degrees(pairs)
     delta = max(deg.values())
     hist = [0] * (delta + 1)  # hist[d]: the number of touched vertices of degree d
     for d in deg.values():
         hist[d] += 1
-    remaining = set(pairs)
     classes = []  # the last level's classes; a class emptied by inheritance stays as ()
     live = 0  # how many entries of classes are non-empty
     holder = {}  # pair -> its index in classes
     levels = []
-    for j, cluster in enumerate(clusters):
-        threshold = cluster[-1][1]
-        if levels:
-            gone = [pair for pair, _ in clusters[j - 1]]
-            for pair in gone:
-                for v in pair:
-                    hist[deg[v]] -= 1
-                    deg[v] -= 1
-                    hist[deg[v]] += 1
-            while not hist[delta]:
-                delta -= 1
-            remaining.difference_update(gone)
-            for c in {holder.pop(pair) for pair in gone}:
-                classes[c] = tuple(pair for pair in classes[c] if pair not in gone)
-                if not classes[c]:
-                    live -= 1
-            if live == delta:
-                levels.append(Level(threshold, EdgeColoring(tuple(cls for cls in classes if cls), True)))
-                continue
-        key = frozenset(remaining)
+    # the first level drops no edge and inherits no class (live is 0), so it is colored
+    for prev, start, end in zip([0, *starts], starts, ends):
+        threshold = ws[end - 1]
+        for pair in edges[prev:start]:  # the edges of the cluster below, dropped
+            k, l = pair
+            d = deg[k]
+            hist[d] -= 1
+            hist[d - 1] += 1
+            deg[k] = d - 1
+            d = deg[l]
+            hist[d] -= 1
+            hist[d - 1] += 1
+            deg[l] = d - 1
+            c = holder[pair]
+            cls = classes[c]
+            at = cls.index(pair)
+            cls = classes[c] = cls[:at] + cls[at + 1 :]
+            if not cls:
+                live -= 1
+        while not hist[delta]:
+            delta -= 1
+        if live == delta:
+            coloring = tuple.__new__(EdgeColoring, (tuple(filter(None, classes)), True))
+            levels.append(tuple.__new__(Level, (threshold, coloring)))
+            continue
+        key = frozenset(edges[start:])
         coloring = known.get(key)
         if coloring is None:
             coloring = known[key] = _color_edges(key, {v: d for v, d in deg.items() if d})
-        levels.append(Level(threshold, coloring))
+        levels.append(tuple.__new__(Level, (threshold, coloring)))
         classes = list(coloring.classes)
         live = len(classes)
         holder = {pair: c for c, cls in enumerate(classes) for pair in cls}

@@ -249,6 +249,13 @@ def single_pair_schedule(coeff_map, t_total=1.0, n=2, pair=(0, 1)):
     return HamiltonianSchedule(n, (pair_segment(0.0, float(t_total), {pair: coeff_map}),))
 
 
+def complete_minus_one_edge(n):
+    """``complete_mean_field(n)`` without its pair (0, 1): every vertex pair
+    but one interacts, so the graph is not complete."""
+    (seg,) = hamiltonian.complete_mean_field(n).segments
+    return HamiltonianSchedule(n, (Segment(seg.t_start, seg.t_end, seg.pairs[1:], seg.tracks[1:]),))
+
+
 def two_pair_noncommuting(n=3, t_total=1.0):
     """XX on (0,1) and ZZ on (1,2): shared vertex, non-commuting terms."""
     seg = pair_segment(0.0, float(t_total), {(0, 1): {"XX": (1.0,)}, (1, 2): {"ZZ": (1.0,)}})

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chromlc import analysis, cli, linalg
+from chromlc import analysis, cli, hamiltonian, linalg
 from chromlc.cli import main
 from chromlc.errors import ChromlcError
 from chromlc.compiler import GateSchedule, Step, embed_discrete
@@ -45,6 +45,7 @@ from helpers import (
     gate_from_unitary,
     node_paths,
     random_hermitian,
+    record_searches,
     replace_node,
     two_branch_spectral_distance,
     wall_clock_bound,
@@ -68,6 +69,36 @@ def test_generate_and_index(tmp_path, capsys):
     first = out.splitlines()[0]
     assert first.startswith("I = ")
     assert abs(float(first.split()[2]) - 2.0) < 1e-9
+
+
+def test_index_on_even_complete_graph_past_the_cap_is_exact(tmp_path, capsys):
+    # K12 has 66 edges, more than the search takes; its round-robin coloring has 11 classes
+    path = tmp_path / "k12.json"
+    run_cli(capsys, "generate", "complete_mean_field", "--n", "12", "-o", str(path))
+    code, out, _ = run_cli(capsys, "index", str(path))
+    assert code == 0
+    assert out.startswith("I = 11.0 ")
+
+
+def test_index_dense_document_colors_each_level_edge_set_once(tmp_path, capsys, monkeypatch):
+    # the benchmark's 12-qubit index command: 24 samples (8 reported, 16 for the
+    # error estimate), 1056 levels, and 82 searches through the shared dict
+    path = tmp_path / "dense.json"
+    run_cli(capsys, "generate", "random_time_varying", "--n", "12", "--p", "0.7", "--seed", "3", "-o", str(path))
+    decompose = hamiltonian.level_decompose
+    levels = []
+
+    def counting(pairs, weights, known):
+        decomp = decompose(pairs, weights, known)
+        levels.append(len(decomp.levels))
+        return decomp
+
+    monkeypatch.setattr(hamiltonian, "level_decompose", counting)
+    searched = record_searches(monkeypatch)
+    code, _, _ = run_cli(capsys, "index", str(path), "--samples", "8")
+    assert code == 0
+    assert (len(levels), sum(levels), len(searched)) == (24, 1056, 82)
+    assert len(set(searched)) == 82
 
 
 def test_index_on_odd_complete_graph_is_bounded(tmp_path, capsys):

@@ -31,6 +31,7 @@ from chromlc.hamiltonian import (
 )
 
 from helpers import (
+    complete_minus_one_edge,
     forbid_integrated_index,
     gate_from_unitary,
     haar_unitary,
@@ -578,10 +579,10 @@ def test_compile_deterministic():
 
 
 def test_compile_reports_fallback_coloring():
-    # K12 (66 edges, one level) is past the exact-search cap: Misra-Gries, exact=False
-    s = complete_mean_field(12)
+    # K12 minus an edge (65 edges, one level) is past the exact-search cap: Misra-Gries, exact=False
+    s = complete_minus_one_edge(12)
     g, report = compile(s, 1.0)
-    assert sum(len(step.gates) for step in g.steps) == 66
+    assert sum(len(step.gates) for step in g.steps) == 65
     (interval,) = report.intervals
     assert interval.exact == (False,)
     assert interval.chromatic_indices[0] in (11, 12)
@@ -678,8 +679,8 @@ def test_rechromatize_respects_cap_random():
 
 
 def test_rechromatize_beyond_exact_cap_falls_back():
-    # K12 has 66 edges, past the exact-search cap: Misra-Gries colors it instead
-    s = complete_mean_field(12)
+    # K12 minus an edge has 65 edges, past the exact-search cap: Misra-Gries colors it instead
+    s = complete_minus_one_edge(12)
     assert len(s.segments[0].pairs) > EXACT_SEARCH_CAP
     out = rechromatize(s, 4, 1.0)
     assert len(out.segments) == 3  # 11 or 12 matchings, four per group
@@ -689,7 +690,7 @@ def test_rechromatize_beyond_exact_cap_falls_back():
         pairs = snapshot(out, (seg.t_start + seg.t_end) / 2.0).pairs
         assert len(color_edges(pairs).classes) <= 4
         seen.extend(pairs)
-    assert sorted(seen) == [(i, j) for i in range(12) for j in range(i + 1, 12)]
+    assert sorted(seen) == [(i, j) for i in range(12) for j in range(i + 1, 12)][1:]
 
 
 def test_rechromatize_error_shrinks():

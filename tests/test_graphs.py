@@ -59,9 +59,11 @@ def random_weighted_pairs(rng, n, p, low, high):
 
 
 def fallback_k8():
-    """(pairs, weights): K8 as K7 (weight 2) plus a vertex joined by weight-1 edges."""
+    """(pairs, weights): K8 minus the edge (6, 7), as K7 (weight 2) plus a
+    vertex joined to six of its vertices by weight-1 edges.  Not complete, so
+    past a lowered search cap it keeps Misra-Gries's 8 classes unproven."""
     heavy = complete_graph(7)
-    light = tuple((i, 7) for i in range(7))
+    light = tuple((i, 7) for i in range(6))
     return heavy + light, (2.0,) * len(heavy) + (1.0,) * len(light)
 
 
@@ -209,12 +211,35 @@ def test_search_matches_the_full_scan(instance, budget):
 
 
 def test_color_edges_falls_back_beyond_cap():
-    pairs = complete_graph(12)  # 66 edges
+    pairs = complete_graph(12)[1:]  # K12 minus the edge (0, 1): 65 edges, not complete
     res = color_edges(pairs)
     assert not res.exact
     assert res.is_valid_for(pairs)
     assert len(res.classes) in (11, 12)
     assert color_edges(pairs[::-1]) == res
+
+
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_even_complete_graphs_past_the_cap_get_the_round_robin(n):
+    # K_n with n even is not overfull and has more edges than the search takes:
+    # its n - 1 round-robin perfect matchings are optimal
+    pairs = complete_graph(n)
+    assert len(pairs) > EXACT_SEARCH_CAP
+    res = color_edges(pairs)
+    assert (len(res.classes), res.exact) == (n - 1, True)
+    assert res.is_valid_for(pairs)
+    assert all(len(cls) == n // 2 for cls in res.classes)
+    assert color_edges(pairs[::-1]) == res
+    spread = tuple((3 * k + 5, 3 * l + 5) for k, l in pairs)  # vertices that are not 0 .. n - 1
+    res = color_edges(spread)
+    assert (len(res.classes), res.exact) == (n - 1, True)
+    assert res.is_valid_for(spread)
+
+
+def test_complete_graphs_within_the_cap_are_searched(monkeypatch):
+    monkeypatch.setattr(graphs, "_round_robin", lambda vertices: pytest.fail("round robin within the cap"))
+    for n in (4, 6, 8, 10):
+        assert exact_index(complete_graph(n)) == n - 1
 
 
 def test_class_two_graphs():
@@ -302,7 +327,7 @@ def test_results_do_not_depend_on_edge_order(graph, data):
 
 
 def test_level_decompose_fallback_is_reported(monkeypatch):
-    # past the cap, K8 (not overfull) keeps Misra-Gries's 8 classes unproven, while
+    # past the cap, K8 minus an edge (not overfull) keeps Misra-Gries's 8 classes unproven, while
     # K7 (overfull) has its 7 proven
     monkeypatch.setattr(graphs, "EXACT_SEARCH_CAP", 16)
     pairs, weights = fallback_k8()
@@ -388,6 +413,31 @@ def test_near_equal_weights_merge():
     ld = level_decompose(((0, 1), (1, 2)), (1.0, 1.0 + 1e-13), {})
     assert len(ld.levels) == 1
     assert indices(ld) == [2]
+
+
+def test_near_equal_weight_chain_merges():
+    # each step is under WEIGHT_MERGE_TOL and the ends are 1.8e-12 apart: one level at the largest weight
+    pairs = ((0, 1), (1, 2), (2, 3), (3, 4))
+    weights = (1.0, 1.0 + 0.6e-12, 1.0 + 1.2e-12, 1.0 + 1.8e-12)
+    assert all(b - a < graphs.WEIGHT_MERGE_TOL for a, b in zip(weights, weights[1:]))
+    assert weights[-1] - weights[0] > 1.7e-12
+    for order in (slice(None), slice(None, None, -1)):
+        ld = level_decompose(pairs[order], weights[order], {})
+        assert ld.thresholds() == (weights[-1],)
+        assert indices(ld) == [2]
+        assert ld == recounting_level_decompose(pairs[order], weights[order])
+
+
+def test_tied_weights_in_either_input_order():
+    # exact ties, given in two orders: the same levels, thresholds and colorings
+    pairs = ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3), (3, 4), (2, 4))
+    weights = (1.0, 2.0, 1.0, 2.0, 3.0, 1.0, 2.0, 1.0)
+    forward = level_decompose(pairs, weights, {})
+    backward = level_decompose(pairs[::-1], weights[::-1], {})
+    assert forward == recounting_level_decompose(pairs, weights)
+    assert backward == recounting_level_decompose(pairs[::-1], weights[::-1])
+    assert forward == backward
+    assert forward.thresholds() == (1.0, 2.0, 3.0)
 
 
 def test_sweep_searches_take_its_degree_table(monkeypatch):
